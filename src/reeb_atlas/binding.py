@@ -10,7 +10,6 @@ and the index must be at least 3.  Audit failures are numerical
 inconsistencies by theory, so they raise alarms instead of verdicts.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,9 +257,3 @@ def necessity_audit(form, disk, db, binding_id, binding_trace=None,
         boundary_winding=int(boundary_winding),
         alarms=alarms,
     )
-
-
-def write_binding_report(report, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")

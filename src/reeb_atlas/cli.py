@@ -31,6 +31,7 @@ from .sections import (builtin_disk, disk_seeds, load_disk, return_map,
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["form"],
+    "additionalProperties": False,
     "properties": {
         "form": {
             "type": "object",
@@ -62,10 +63,6 @@ CONFIG_SCHEMA = {
         "seeds": {"type": "integer", "minimum": 1},
         "rng_seed": {"type": "integer", "minimum": 0},
         "t_budget": {"type": "number", "exclusiveMinimum": 0},
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
-        },
     },
 }
 
@@ -447,8 +444,7 @@ def build_parser():
            "--nr": {"type": int, "default": 128},
            "--ntheta": {"type": int, "default": 256}})
     add("section-verify", cmd_section_verify,
-        **{"--orbits": {"required": False, "default": None},
-           "--disk": {"required": True},
+        **{"--disk": {"required": True},
            "--seeds": {"type": int, "default": None},
            "--t-budget": {"type": float, "default": None, "dest": "t_budget"}})
     add("binding-check", cmd_binding_check,

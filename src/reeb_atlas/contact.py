@@ -30,6 +30,7 @@ __all__ = [
     "reeb_vector",
     "xi_frame",
     "xi_project",
+    "xi_projector",
     "sphere_samples",
 ]
 
@@ -288,15 +289,22 @@ def reeb_vector(form, x, check=True):
     return kernels.weighted_rhs(x, form.exps, form.coeffs)
 
 
-def reeb_jacobian(form, x):
-    """Derivative matrix of the Reeb field: -Omega HessH(x)."""
-    hh = form.hess_H(x)
-    out = np.empty((4, 4))
-    out[0] = -hh[1]
-    out[1] = hh[0]
-    out[2] = -hh[3]
-    out[3] = hh[2]
-    return out
+def xi_projector(form, x):
+    """Symplectic projection onto the contact plane at a level point x.
+
+    Returns ``v -> v - dH(v) x/2 - omega(x/2, v) R``.  The contact plane,
+    where lambda0 and dH vanish, is the omega-orthogonal complement of the
+    plane spanned by x/2 and R, so the map kills x/2 and R and fixes xi.
+    """
+    x = np.asarray(x, dtype=float)
+    Y = 0.5 * x
+    gH = form.grad_H(x)
+    R = reeb_vector(form, x, check=False)
+
+    def proj(v):
+        return v - (gH @ v) * Y - omega_form(Y, v) * R
+
+    return proj
 
 
 @dataclass(frozen=True)
@@ -342,13 +350,7 @@ def xi_frame(form, x, generator="j", check=True, _min_norm=1e-6):
     x = np.asarray(x, dtype=float)
     if check:
         _check_on_level(form, x)
-    R = reeb_vector(form, x, check=False)
-    Y = 0.5 * x
-    gH = form.grad_H(x)
-
-    def proj(v):
-        return v - (gH @ v) * Y - omega_form(Y, v) * R
-
+    proj = xi_projector(form, x)
     xh = x / np.linalg.norm(x)
     if generator == "j":
         u1, u2 = proj(_quat_j(xh)), proj(_quat_k(xh))
@@ -378,8 +380,9 @@ def xi_frame(form, x, generator="j", check=True, _min_norm=1e-6):
 def xi_project(form, x, v, frame=None, tol=1e-9):
     """Coordinates of the contact-plane projection of a tangent vector.
 
-    The projection kills the Reeb direction: pi(v) = v - lambda0(v) R.
-    Requires v tangent to the level at x.
+    The projection is ``xi_projector``; on vectors tangent to the level it
+    kills the Reeb direction: pi(v) = v - lambda0(v) R.  Requires v tangent
+    to the level at x.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -388,6 +391,4 @@ def xi_project(form, x, v, frame=None, tol=1e-9):
         raise DomainError("vector is not tangent to the level within tolerance")
     if frame is None:
         frame = xi_frame(form, x)
-    R = reeb_vector(form, x, check=False)
-    pv = v - lambda0(x, v) * R
-    return frame.coords(pv)
+    return frame.coords(xi_projector(form, x)(v))

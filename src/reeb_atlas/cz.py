@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .contact import OMEGA, xi_frame
+from .contact import xi_frame, xi_projector
 from .errors import (DegenerateOrbitError, DomainError, InconsistencyError,
                      ResolutionError)
 from .flow import integrate_flow
@@ -139,15 +139,7 @@ def _path_samples(form, orbit, n, generator="j"):
     mats = np.empty((n + 1, 2, 2))
     max_frame_angle = 0.0
     for i, (x, M, fr) in enumerate(zip(res.points, res.monodromy4, frames)):
-        gH = form.grad_H(x)
-        Y = 0.5 * x
-        from .contact import reeb_vector
-
-        R = reeb_vector(form, x, check=False)
-
-        def proj(v):
-            return v - (gH @ v) * Y - (0.5 * (x @ OMEGA @ v)) * R
-
+        proj = xi_projector(form, x)
         w1 = proj(M @ fr0.e1)
         w2 = proj(M @ fr0.e2)
         mats[i, :, 0] = fr.coords(w1)
@@ -394,9 +386,11 @@ def asymptotic_spectrum(form, orbit, n_grid=1024, num_eigs=48, generator="j"):
         )
     S = _coefficient_matrices(path.mats)
     A = _operator_matrix(S)
+    # a fixed ARPACK start vector keeps reruns, and their reports, identical
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
         vals, vecs = spla.eigsh(A, k=min(num_eigs, 2 * n_grid - 2), sigma=0,
-                                which="LM")
+                                which="LM", v0=v0)
     except RuntimeError as exc:
         raise DegenerateOrbitError(f"shift-invert at zero failed: {exc}") from exc
     if np.abs(vals).min() < 1e-6:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import DOP853
 
 from . import kernels
-from .contact import OMEGA, project_to_sigma, reeb_vector, xi_frame
+from .contact import xi_frame, xi_projector
 from .errors import DomainError, OffLevelError, StiffnessError
 
 __all__ = [
@@ -167,11 +167,6 @@ def flow_map(form, x0, T, tol=1e-12, variational=False):
     return res.endpoint
 
 
-def symplectic_defect(mon4):
-    """Max entry of dphi^T Omega dphi - Omega; zero for exact flows."""
-    return np.abs(mon4.T @ OMEGA @ mon4 - OMEGA).max()
-
-
 def monodromy_xi(form, orbit_point, T, tol=1e-12, closure_tol=1e-6):
     """Linearized period map restricted to the contact plane.
 
@@ -188,14 +183,7 @@ def monodromy_xi(form, orbit_point, T, tol=1e-12, closure_tol=1e-6):
             f"point is not T-periodic: |phi_T(x) - x| = {gap:.3e} > {closure_tol:.0e}"
         )
     fr = xi_frame(form, x0)
-    R = reeb_vector(form, x0, check=False)
-    gH = form.grad_H(x0)
-    Y = 0.5 * x0
-
-    def proj(v):
-        # symplectic projection onto the contact plane at x0
-        return v - (gH @ v) * Y - (0.5 * (x0 @ OMEGA @ v)) * R
-
+    proj = xi_projector(form, x0)
     w1 = proj(M @ fr.e1)
     w2 = proj(M @ fr.e2)
     a1 = fr.coords(w1)

@@ -1,20 +1,21 @@
-"""Hot numerical kernels with numba and pure-numpy implementations.
+"""Hot numerical kernels, one numpy implementation each.
 
-Every kernel here exists in two variants: a loop-style ``@njit`` version and
-a vectorized numpy version.  The active variant is chosen at import time:
-numba is used when it is importable, unless the environment variable
-``REEB_ATLAS_NUMBA`` is set to ``0``/``false``/``off``, in which case the
-numpy path is forced.  ``benchmarks/bench_kernels.py`` times both paths.
+The kernels work on one point, or on one pair of sampled closed curves:
 
-``REEB_ATLAS_THREADS`` caps numba's internal thread pool.
+- ``poly_parts``: value, gradient and Hessian of the polynomial weight;
+- ``weighted_h_parts``: H(x) = |x|^2 / p(x/|x|) with its gradient and
+  Hessian, by the chain rule through ``poly_parts``;
+- ``ellipsoid_rhs``, ``weighted_rhs``: the Reeb field -Omega grad H, and
+  ``ellipsoid_var_rhs``, ``weighted_var_rhs``: the same field stacked with
+  the variational equations dM/dt = -Omega Hess H M;
+- ``gauss_linking_raw``: the exact solid-angle Gauss sum of two polylines;
+- ``hausdorff_distance``, ``point_to_polyline``, ``min_cross_distance``:
+  distances between sampled closed traces.
 """
-
-import os
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "poly_parts",
     "weighted_h_parts",
     "ellipsoid_rhs",
@@ -23,42 +24,16 @@ __all__ = [
     "weighted_var_rhs",
     "gauss_linking_raw",
     "hausdorff_distance",
+    "point_to_polyline",
     "min_cross_distance",
 ]
-
-
-def _numba_requested():
-    flag = os.environ.get("REEB_ATLAS_NUMBA", "").strip().lower()
-    return flag not in ("0", "false", "off")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        import numba
-        from numba import njit
-
-        NUMBA_ENABLED = True
-        cap = os.environ.get("REEB_ATLAS_THREADS", "").strip()
-        if cap:
-            numba.set_num_threads(max(1, min(int(cap), numba.config.NUMBA_NUM_THREADS)))
-    except ImportError:
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):
-        # identity decorator so the numba source below still defines plain
-        # python functions (kept importable for the benchmark)
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 
 # ---------------------------------------------------------------------------
 # polynomial weight: value, gradient, hessian of p(u) = sum c * u^e
 # ---------------------------------------------------------------------------
 
-def _poly_parts_numpy(exps, coeffs, u):
+def poly_parts(exps, coeffs, u):
     pw = u[None, :] ** exps  # (M, 4), 0**0 == 1
     prod = np.prod(pw, axis=1)
     p0 = float(coeffs @ prod)
@@ -85,108 +60,23 @@ def _poly_parts_numpy(exps, coeffs, u):
     return p0, grad, hess
 
 
-@njit(cache=True)
-def _poly_parts_numba(exps, coeffs, u):
-    M = exps.shape[0]
-    p0 = 0.0
-    grad = np.zeros(4)
-    hess = np.zeros((4, 4))
-    for m in range(M):
-        c = coeffs[m]
-        # value
-        t = c
-        for i in range(4):
-            t *= u[i] ** exps[m, i]
-        p0 += t
-        # gradient
-        for i in range(4):
-            ei = exps[m, i]
-            if ei == 0:
-                continue
-            t = c * ei * u[i] ** (ei - 1)
-            for j in range(4):
-                if j != i:
-                    t *= u[j] ** exps[m, j]
-            grad[i] += t
-        # hessian
-        for i in range(4):
-            for j in range(i, 4):
-                ei = exps[m, i]
-                ej = exps[m, j]
-                if i == j:
-                    if ei < 2:
-                        continue
-                    t = c * ei * (ei - 1) * u[i] ** (ei - 2)
-                    for k in range(4):
-                        if k != i:
-                            t *= u[k] ** exps[m, k]
-                else:
-                    if ei == 0 or ej == 0:
-                        continue
-                    t = c * ei * ej * u[i] ** (ei - 1) * u[j] ** (ej - 1)
-                    for k in range(4):
-                        if k != i and k != j:
-                            t *= u[k] ** exps[m, k]
-                hess[i, j] += t
-                if i != j:
-                    hess[j, i] += t
-    return p0, grad, hess
-
-
 # ---------------------------------------------------------------------------
 # H(x) = |x|^2 / p(x/|x|): value, gradient, hessian by the chain rule
 # ---------------------------------------------------------------------------
 
-def _weighted_h_parts_impl(poly_parts_fn):
-    def inner(exps, coeffs, x, order):
-        r2 = x @ x
-        r = np.sqrt(r2)
-        u = x / r
-        p0, pg, ph = poly_parts_fn(exps, coeffs, u)
-        h = r2 / p0
-        if order == 0:
-            return h, np.zeros(4), np.zeros((4, 4))
-        ug = pg @ u
-        gg = (pg - ug * u) / r  # grad of g(x) = p(x/|x|)
-        gradH = 2.0 * x / p0 - (r2 / p0 ** 2) * gg
-        if order == 1:
-            return h, gradH, np.zeros((4, 4))
-        P = np.eye(4) - np.outer(u, u)
-        hessG = (
-            -(np.outer(pg, u) + np.outer(u, pg))
-            - ug * (np.eye(4) - 3.0 * np.outer(u, u))
-            + P @ ph @ P
-        ) / r2
-        hessH = (
-            2.0 * np.eye(4) / p0
-            - 2.0 * (np.outer(x, gg) + np.outer(gg, x)) / p0 ** 2
-            - (r2 / p0 ** 2) * hessG
-            + (2.0 * r2 / p0 ** 3) * np.outer(gg, gg)
-        )
-        return h, gradH, hessH
-
-    return inner
-
-
-_weighted_h_parts_numpy = _weighted_h_parts_impl(_poly_parts_numpy)
-
-
-@njit(cache=True)
-def _weighted_h_parts_numba(exps, coeffs, x, order):
+def weighted_h_parts(exps, coeffs, x, order):
     r2 = x @ x
     r = np.sqrt(r2)
     u = x / r
-    p0, pg, ph = _poly_parts_numba(exps, coeffs, u)
+    p0, pg, ph = poly_parts(exps, coeffs, u)
     h = r2 / p0
-    gradH = np.zeros(4)
-    hessH = np.zeros((4, 4))
     if order == 0:
-        return h, gradH, hessH
+        return h, np.zeros(4), np.zeros((4, 4))
     ug = pg @ u
-    gg = (pg - ug * u) / r
+    gg = (pg - ug * u) / r  # grad of g(x) = p(x/|x|)
     gradH = 2.0 * x / p0 - (r2 / p0 ** 2) * gg
     if order == 1:
-        return h, gradH, hessH
+        return h, gradH, np.zeros((4, 4))
     P = np.eye(4) - np.outer(u, u)
     hessG = (
         -(np.outer(pg, u) + np.outer(u, pg))
@@ -208,85 +98,35 @@ def _weighted_h_parts_numba(exps, coeffs, x, order):
 #   i.e. R = (-g2, g1, -g4, g3) for g = grad H.
 # ---------------------------------------------------------------------------
 
-def _minus_omega_numpy(g):
-    return np.array([-g[1], g[0], -g[3], g[2]])
+def _minus_omega(a):
+    """-Omega a for a 4-vector, or row-wise for a (4, k) block."""
+    out = np.empty_like(a)
+    out[0] = -a[1]
+    out[1] = a[0]
+    out[2] = -a[3]
+    out[3] = a[2]
+    return out
 
 
-@njit(cache=True)
-def _ellipsoid_rhs_numba(x, d):
-    g1 = d[0] * x[0]
-    g2 = d[0] * x[1]
-    g3 = d[1] * x[2]
-    g4 = d[1] * x[3]
-    return np.array([-g2, g1, -g4, g3])
-
-
-def _ellipsoid_rhs_numpy(x, d):
+def ellipsoid_rhs(x, d):
     return np.array([-d[0] * x[1], d[0] * x[0], -d[1] * x[3], d[1] * x[2]])
 
 
-@njit(cache=True)
-def _ellipsoid_var_rhs_numba(y, d):
-    out = np.empty(20)
-    x = y[:4]
-    out[:4] = _ellipsoid_rhs_numba(x, d)
-    # DR = -Omega * HessH, HessH = diag(d0, d0, d1, d1)
-    for c in range(4):
-        m = y[4 + c::4]
-        out[4 + c::4] = np.array([-d[0] * m[1], d[0] * m[0], -d[1] * m[3], d[1] * m[2]])
-    return out
+def ellipsoid_var_rhs(y, d):
+    # Hess H = diag(d0, d0, d1, d1)
+    dm = np.array([d[0], d[0], d[1], d[1]])[:, None] * y[4:].reshape(4, 4)
+    return np.concatenate((ellipsoid_rhs(y[:4], d), _minus_omega(dm).ravel()))
 
 
-def _ellipsoid_var_rhs_numpy(y, d):
-    x = y[:4]
-    M = y[4:].reshape(4, 4)
-    dm = np.array([d[0], d[0], d[1], d[1]])[:, None] * M
-    dM = np.empty((4, 4))
-    dM[0] = -dm[1]
-    dM[1] = dm[0]
-    dM[2] = -dm[3]
-    dM[3] = dm[2]
-    return np.concatenate((_ellipsoid_rhs_numpy(x, d), dM.ravel()))
+def weighted_rhs(x, exps, coeffs):
+    _, g, _ = weighted_h_parts(exps, coeffs, x, 1)
+    return _minus_omega(g)
 
 
-@njit(cache=True)
-def _weighted_rhs_numba(x, exps, coeffs):
-    _, g, _ = _weighted_h_parts_numba(exps, coeffs, x, 1)
-    return np.array([-g[1], g[0], -g[3], g[2]])
-
-
-def _weighted_rhs_numpy(x, exps, coeffs):
-    _, g, _ = _weighted_h_parts_numpy(exps, coeffs, x, 1)
-    return _minus_omega_numpy(g)
-
-
-@njit(cache=True)
-def _weighted_var_rhs_numba(y, exps, coeffs):
-    x = y[:4]
-    _, g, hh = _weighted_h_parts_numba(exps, coeffs, x, 2)
-    out = np.empty(20)
-    out[:4] = np.array([-g[1], g[0], -g[3], g[2]])
-    M = y[4:].reshape(4, 4).copy()
-    hm = hh @ M
-    for c in range(4):
-        out[4 + c] = -hm[1, c]
-        out[8 + c] = hm[0, c]
-        out[12 + c] = -hm[3, c]
-        out[16 + c] = hm[2, c]
-    return out
-
-
-def _weighted_var_rhs_numpy(y, exps, coeffs):
-    x = y[:4]
-    _, g, hh = _weighted_h_parts_numpy(exps, coeffs, x, 2)
-    M = y[4:].reshape(4, 4)
-    hm = hh @ M
-    dM = np.empty((4, 4))
-    dM[0] = -hm[1]
-    dM[1] = hm[0]
-    dM[2] = -hm[3]
-    dM[3] = hm[2]
-    return np.concatenate((_minus_omega_numpy(g), dM.ravel()))
+def weighted_var_rhs(y, exps, coeffs):
+    _, g, hh = weighted_h_parts(exps, coeffs, y[:4], 2)
+    hm = hh @ y[4:].reshape(4, 4)
+    return np.concatenate((_minus_omega(g), _minus_omega(hm).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -294,63 +134,7 @@ def _weighted_var_rhs_numpy(y, exps, coeffs):
 # of two closed polylines in R^3.
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _gauss_linking_numba(a, b):
-    na = a.shape[0]
-    nb = b.shape[0]
-    total = 0.0
-    for i in range(na):
-        p1x, p1y, p1z = a[i, 0], a[i, 1], a[i, 2]
-        inext = (i + 1) % na
-        p2x, p2y, p2z = a[inext, 0], a[inext, 1], a[inext, 2]
-        rx, ry, rz = p2x - p1x, p2y - p1y, p2z - p1z
-        for j in range(nb):
-            q1x, q1y, q1z = b[j, 0], b[j, 1], b[j, 2]
-            jnext = (j + 1) % nb
-            q2x, q2y, q2z = b[jnext, 0], b[jnext, 1], b[jnext, 2]
-            ax, ay, az = q1x - p1x, q1y - p1y, q1z - p1z        # r13
-            bx, by, bz = q2x - p1x, q2y - p1y, q2z - p1z        # r14
-            cx, cy, cz = q1x - p2x, q1y - p2y, q1z - p2z        # r23
-            dx, dy, dz = q2x - p2x, q2y - p2y, q2z - p2z        # r24
-            n1x = ay * bz - az * by
-            n1y = az * bx - ax * bz
-            n1z = ax * by - ay * bx
-            n2x = by * dz - bz * dy
-            n2y = bz * dx - bx * dz
-            n2z = bx * dy - by * dx
-            n3x = dy * cz - dz * cy
-            n3y = dz * cx - dx * cz
-            n3z = dx * cy - dy * cx
-            n4x = cy * az - cz * ay
-            n4y = cz * ax - cx * az
-            n4z = cx * ay - cy * ax
-            l1 = np.sqrt(n1x * n1x + n1y * n1y + n1z * n1z)
-            l2 = np.sqrt(n2x * n2x + n2y * n2y + n2z * n2z)
-            l3 = np.sqrt(n3x * n3x + n3y * n3y + n3z * n3z)
-            l4 = np.sqrt(n4x * n4x + n4y * n4y + n4z * n4z)
-            if min(min(l1, l2), min(l3, l4)) < 1e-14:
-                continue
-            c12 = (n1x * n2x + n1y * n2y + n1z * n2z) / (l1 * l2)
-            c23 = (n2x * n3x + n2y * n3y + n2z * n3z) / (l2 * l3)
-            c34 = (n3x * n4x + n3y * n4y + n3z * n4z) / (l3 * l4)
-            c41 = (n4x * n1x + n4y * n1y + n4z * n1z) / (l4 * l1)
-            s = (np.arcsin(min(1.0, max(-1.0, c12)))
-                 + np.arcsin(min(1.0, max(-1.0, c23)))
-                 + np.arcsin(min(1.0, max(-1.0, c34)))
-                 + np.arcsin(min(1.0, max(-1.0, c41))))
-            sx, sy, sz = q2x - q1x, q2y - q1y, q2z - q1z
-            ox = sy * rz - sz * ry
-            oy = sz * rx - sx * rz
-            oz = sx * ry - sy * rx
-            orient = ox * ax + oy * ay + oz * az
-            if orient > 0:
-                total += s
-            elif orient < 0:
-                total -= s
-    return total / (4.0 * np.pi)
-
-
-def _gauss_linking_numpy(a, b, chunk=64):
+def gauss_linking_raw(a, b, chunk=64):
     na = a.shape[0]
     a2 = np.roll(a, -1, axis=0)
     b1 = b
@@ -391,45 +175,7 @@ def _gauss_linking_numpy(a, b, chunk=64):
 # same curve with different marked points are close at realistic resolutions.
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _points_to_polyline_max_numba(a, b):
-    na = a.shape[0]
-    nb = b.shape[0]
-    dim = a.shape[1]
-    worst = 0.0
-    for i in range(na):
-        best = 1e300
-        for j in range(nb):
-            jn = (j + 1) % nb
-            ss = 0.0
-            tt = 0.0
-            for k in range(dim):
-                e = b[jn, k] - b[j, k]
-                w = a[i, k] - b[j, k]
-                ss += e * e
-                tt += e * w
-            if ss > 0.0:
-                tt = min(1.0, max(0.0, tt / ss))
-            else:
-                tt = 0.0
-            d = 0.0
-            for k in range(dim):
-                c = b[j, k] + tt * (b[jn, k] - b[j, k]) - a[i, k]
-                d += c * c
-            if d < best:
-                best = d
-        if best > worst:
-            worst = best
-    return np.sqrt(worst)
-
-
-@njit(cache=True)
-def _hausdorff_numba(a, b):
-    return max(_points_to_polyline_max_numba(a, b),
-               _points_to_polyline_max_numba(b, a))
-
-
-def _points_to_polyline_d2_numpy(a, b):
+def _points_to_polyline_d2(a, b):
     bn = np.roll(b, -1, axis=0)
     e = bn - b  # (nb, dim)
     w = a[:, None, :] - b[None, :, :]  # (na, nb, dim)
@@ -442,63 +188,15 @@ def _points_to_polyline_d2_numpy(a, b):
     return d2.min(axis=1)
 
 
-def _hausdorff_numpy(a, b):
-    return np.sqrt(max(_points_to_polyline_d2_numpy(a, b).max(),
-                       _points_to_polyline_d2_numpy(b, a).max()))
+def hausdorff_distance(a, b):
+    return np.sqrt(max(_points_to_polyline_d2(a, b).max(),
+                       _points_to_polyline_d2(b, a).max()))
 
 
-@njit(cache=True)
-def _point_to_polyline_numba(p, b):
-    a = p.reshape(1, -1)
-    return _points_to_polyline_max_numba(a, b)
+def point_to_polyline(p, b):
+    return np.sqrt(_points_to_polyline_d2(p.reshape(1, -1), b)[0])
 
 
-def _point_to_polyline_numpy(p, b):
-    return np.sqrt(_points_to_polyline_d2_numpy(p.reshape(1, -1), b)[0])
-
-
-@njit(cache=True)
-def _min_cross_distance_numba(a, b):
-    best = 1e300
-    for i in range(a.shape[0]):
-        for j in range(b.shape[0]):
-            d = 0.0
-            for k in range(a.shape[1]):
-                t = a[i, k] - b[j, k]
-                d += t * t
-            if d < best:
-                best = d
-    return np.sqrt(best)
-
-
-def _min_cross_distance_numpy(a, b):
+def min_cross_distance(a, b):
     d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
     return np.sqrt(d2.min())
-
-
-# ---------------------------------------------------------------------------
-# active implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    poly_parts = _poly_parts_numba
-    weighted_h_parts = _weighted_h_parts_numba
-    ellipsoid_rhs = _ellipsoid_rhs_numba
-    ellipsoid_var_rhs = _ellipsoid_var_rhs_numba
-    weighted_rhs = _weighted_rhs_numba
-    weighted_var_rhs = _weighted_var_rhs_numba
-    gauss_linking_raw = _gauss_linking_numba
-    hausdorff_distance = _hausdorff_numba
-    point_to_polyline = _point_to_polyline_numba
-    min_cross_distance = _min_cross_distance_numba
-else:
-    poly_parts = _poly_parts_numpy
-    weighted_h_parts = _weighted_h_parts_numpy
-    ellipsoid_rhs = _ellipsoid_rhs_numpy
-    ellipsoid_var_rhs = _ellipsoid_var_rhs_numpy
-    weighted_rhs = _weighted_rhs_numpy
-    weighted_var_rhs = _weighted_var_rhs_numpy
-    gauss_linking_raw = _gauss_linking_numpy
-    hausdorff_distance = _hausdorff_numpy
-    point_to_polyline = _point_to_polyline_numpy
-    min_cross_distance = _min_cross_distance_numpy

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .contact import (OMEGA, lambda0, omega_form, project_to_sigma,
-                      reeb_vector, xi_frame)
+from .contact import (OMEGA, omega_form, project_to_sigma, reeb_vector,
+                      xi_frame, xi_projector)
 from .errors import (DomainError, GridQualityError, ResolutionError,
                      UnsupportedFormError)
 from .flow import integrate_flow
@@ -325,23 +325,16 @@ def _classify_zero(form, disk, vfield, s0, t0):
     point = _grid_point(disk, s0, t0)
     x = project_to_sigma(form, point)
     fr = xi_frame(form, x)
-    R = reeb_vector(form, x, check=False)
-    gH = form.grad_H(x)
-    Y = 0.5 * x
-
-    def xi_coords(v):
-        pv = v - (gH @ v) * Y - omega_form(Y, v) * R
-        return fr.coords(pv)
-
+    proj = xi_projector(form, x)
     eX, eY = _chart_tangents(disk, s0, t0)
-    P = np.stack([xi_coords(eX), xi_coords(eY)], axis=1)
+    pX, pY = proj(eX), proj(eY)
+    P = np.stack([fr.coords(pX), fr.coords(pY)], axis=1)
     dV = A @ np.linalg.inv(P)
     ev = np.linalg.eigvals(dV)
     det = float(np.real(ev[0] * ev[1]))
     kind = "elliptic" if det > 0 else "hyperbolic"
     real_ev = bool(np.abs(ev.imag).max() < 1e-8 * max(1.0, np.abs(ev).max()))
-    sign = 1 if omega_form(eX - (gH @ eX) * Y - lambda0(x, eX) * R,
-                           eY - (gH @ eY) * Y - lambda0(x, eY) * R) > 0 else -1
+    sign = 1 if omega_form(pX, pY) > 0 else -1
     index = 1 if det > 0 else -1
     return FoliationSingularity(
         s=float(s0), t=float(t0), point=x, kind=kind,

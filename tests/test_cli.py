@@ -60,7 +60,11 @@ def test_orbits_find_census(found):
 def test_rerun_is_byte_identical(ell_config, found, workdir):
     out2 = str(workdir / "run_again")
     assert main(["orbits-find", "--config", ell_config, "--out", out2]) == 0
-    for name in ("orbits.json", "orbits_report.json"):
+    for out in (found, out2):
+        assert main(["orbit-index", "--config", ell_config,
+                     "--orbits", os.path.join(out, "orbits.json"),
+                     "--orbit", "0", "--out", out]) == 0
+    for name in ("orbits.json", "orbits_report.json", "index_orbit0.json"):
         a = open(os.path.join(found, name), "rb").read()
         b = open(os.path.join(out2, name), "rb").read()
         assert a == b
@@ -168,6 +172,15 @@ def test_malformed_config(workdir, found, ell_config):
     nan_cfg = workdir / "nan.json"
     nan_cfg.write_text('{"form": {"type": "ellipsoid", "r_squared": [1.0, NaN]}}')
     assert main(["orbits-find", "--config", str(nan_cfg),
+                 "--out", str(workdir / "x")]) == 64
+
+    # a key nothing reads is rejected, not silently ignored
+    unread = workdir / "unread.json"
+    unread.write_text(json.dumps({
+        "form": {"type": "ellipsoid", "r_squared": [1.0, SQ2]},
+        "tolerances": {"closure": 1e-8},
+    }))
+    assert main(["orbits-find", "--config", str(unread),
                  "--out", str(workdir / "x")]) == 64
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from reeb_atlas.contact import (StarForm, lambda0, omega_form,
                                 project_to_sigma, reeb_vector, sphere_samples,
-                                xi_frame, xi_project)
+                                xi_frame, xi_project, xi_projector)
 from reeb_atlas.errors import DomainError, FrameDegeneracyError
 
 
@@ -202,6 +202,23 @@ def test_xi_project(ell, gamma1):
 def test_xi_project_requires_tangency(ell, gamma1):
     with pytest.raises(DomainError):
         xi_project(ell, gamma1.x0, ell.grad_H(gamma1.x0))
+
+
+@pytest.mark.parametrize("form_name", ["ell", "perturbed_form"])
+def test_xi_projector(form_name, request):
+    form = request.getfixturevalue(form_name)
+    pts = sphere_samples(50)
+    pts = pts / np.sqrt(form.H_batch(pts))[:, None]
+    rng = np.random.default_rng(4)
+    for x in pts:
+        proj = xi_projector(form, x)
+        assert np.abs(proj(0.5 * x)).max() < 1e-12
+        assert np.abs(proj(reeb_vector(form, x))).max() < 1e-12
+        v = rng.normal(size=4)
+        pv = proj(v)
+        assert np.abs(proj(pv) - pv).max() < 1e-12
+        assert abs(form.grad_H(x) @ pv) < 1e-12
+        assert abs(lambda0(x, pv)) < 1e-12
 
 
 def test_project_to_sigma(ell):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reeb_atlas import kernels
 from reeb_atlas.contact import OMEGA
 from reeb_atlas.errors import DomainError
 from reeb_atlas.flow import (flow_map, integrate_flow, monodromy_xi,
@@ -69,6 +70,20 @@ def test_variational_symplecticity(ell):
         _, M = flow_map(ell, x0, t, variational=True)
         defect = np.abs(M.T @ OMEGA @ M - OMEGA).max()
         assert defect < 1e-7 * max(t, 1.0)
+
+
+def test_weighted_var_rhs_is_linearized_reeb_field(perturbed_form):
+    # (x, M) -> (-Omega grad H(x), -Omega Hess H(x) M), built independently
+    form = perturbed_form
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        x = rng.normal(size=4)
+        M = rng.normal(size=(4, 4))
+        out = kernels.weighted_var_rhs(np.concatenate([x, M.ravel()]),
+                                       form.exps, form.coeffs)
+        expect = np.concatenate([-OMEGA @ form.grad_H(x),
+                                 (-OMEGA @ (form.hess_H(x) @ M)).ravel()])
+        np.testing.assert_allclose(out, expect, rtol=1e-13, atol=1e-13)
 
 
 def test_monodromy_round_sphere_identity(round_form):
