@@ -35,6 +35,7 @@ class BindingReport:
     mu_cz: int | None = None
     index_methods_agree: bool | None = None
     index2_checked: list = field(default_factory=list)
+    index_unknown: list = field(default_factory=list)
     verdict: str = "inconclusive:not-evaluated"
 
     def to_json_dict(self):
@@ -48,6 +49,7 @@ class BindingReport:
             "mu_cz": self.mu_cz,
             "index_methods_agree": self.index_methods_agree,
             "index2_orbits_checked": self.index2_checked,
+            "index_unknown_orbits": self.index_unknown,
             "verdict": self.verdict,
         }
 
@@ -81,7 +83,8 @@ def check_binding(form, db, candidate_id, traces=None, n_grid=1024):
     ``traces`` optionally maps orbit ids to precomputed full-cover loop
     traces (used by tests to inject fixtures).  The verdict carries the
     census truncation cap; conditions quantified over all orbits are only
-    checked against the database.
+    checked against the database, and an orbit whose index could not be
+    computed makes a verdict that would otherwise hold inconclusive.
     """
     if candidate_id < 0 or candidate_id >= len(db):
         raise DomainError(f"candidate {candidate_id} is not in the database")
@@ -120,7 +123,10 @@ def check_binding(form, db, candidate_id, traces=None, n_grid=1024):
     for oid, mu in enumerate(indices):
         if oid == candidate_id:
             continue
-        if mu is None or mu != 2:
+        if mu is None:
+            report.index_unknown.append(oid)  # might be an unlinked index 2
+            continue
+        if mu != 2:
             continue
         other = traces.get(oid)
         if other is None:
@@ -140,6 +146,8 @@ def check_binding(form, db, candidate_id, traces=None, n_grid=1024):
         report.verdict = "fails:index_below_3"
     elif any(not rec["linked"] for rec in report.index2_checked):
         report.verdict = "fails:index2_orbit_unlinked"
+    elif report.index_unknown:
+        report.verdict = "inconclusive:index-unknown"
     else:
         report.verdict = "hypotheses_hold"
     return report

@@ -24,9 +24,8 @@ from .errors import (ConfigError, DegenerateOrbitError, MissingArtifactError,
                      ReebAtlasError)
 from .linking import linking_number, self_linking, trace_orbit, unknot_check
 from .orbits import find_orbits, load_orbits, save_orbits
-from .sections import (builtin_disk, disk_seeds, load_disk, return_map,
-                       save_disk, verify_global_section, write_return_csv,
-                       _DiskIndex)
+from .sections import (builtin_disk, load_disk, save_disk,
+                       verify_global_section, write_return_csv)
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -90,7 +89,10 @@ def load_config(path):
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
-        raise ConfigError(err.message, _json_pointer(err.absolute_path))
+        path = list(err.absolute_path)
+        if err.validator == "additionalProperties":
+            path.append(min(set(err.instance) - set(err.schema["properties"])))
+        raise ConfigError(err.message, _json_pointer(path))
     form = StarForm.from_json_dict(raw["form"])
     return raw, form
 
@@ -340,17 +342,14 @@ def run_validation():
 
     def contact_suite():
         form = StarForm.ellipsoid(1.0, np.sqrt(2.0))
-        from .contact import (lambda0, project_to_sigma, reeb_vector,
-                              sphere_samples, xi_frame)
-        pts = sphere_samples(64)
-        pts /= np.sqrt(form.H_batch(pts))[:, None]
-        for x in pts[:16]:
-            R = reeb_vector(form, x)
-            assert abs(lambda0(x, R) - 1) < 1e-9
-            assert abs(form.grad_H(x) @ R) < 1e-9
-            fr = xi_frame(form, x)
-            from .contact import omega_form
-            assert abs(omega_form(fr.e1, fr.e2) - 1) < 1e-12
+        from .contact import (lambda0, omega_form, project_to_sigma,
+                              reeb_vector, sphere_samples, xi_frame)
+        pts = project_to_sigma(form, sphere_samples(16))
+        R = reeb_vector(form, pts)
+        assert np.abs(lambda0(pts, R) - 1).max() < 1e-9
+        assert np.abs(np.vecdot(form.grad_H(pts), R)).max() < 1e-9
+        fr = xi_frame(form, pts)
+        assert np.abs(omega_form(fr.e1, fr.e2) - 1).max() < 1e-12
         for _ in range(16):
             x = rng.normal(size=4)
             s = rng.uniform(0.5, 2.0)

@@ -7,7 +7,12 @@ to a tight contact form there, and the Reeb vector field coincides with
 the Hamiltonian vector field under the convention ``i_{X_H} omega = -dH``
 (which makes ``lambda0(X_H) = H``, hence ``= 1`` on the level).
 
-Coordinates throughout are ``x = (q1, p1, q2, p2)``.
+Coordinates throughout are ``x = (q1, p1, q2, p2)``.  Every point-wise
+function takes a batch of points as an array of shape ``(..., 4)`` (one point
+is the ``(4,)`` case) and returns values of shape ``(...)``, vectors of shape
+``(..., 4)`` and matrices of shape ``(..., 4, 4)``; tangent vectors broadcast
+against the points.  Checks apply to every row, and an error names the first
+offending row.
 """
 
 import hashlib
@@ -35,24 +40,25 @@ __all__ = [
 ]
 
 # matrix of omega = dq1^dp1 + dq2^dp2
-OMEGA = np.array([
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, 0.0, -1.0, 0.0],
-])
+OMEGA = kernels.OMEGA
 
 _LEVEL_TOL = 1e-9
 
 
 def omega_form(u, v):
-    """Symplectic form omega(u, v)."""
-    return u @ OMEGA @ v
+    """Symplectic form omega(u, v), row-wise over the last axis."""
+    return np.vecdot(u @ OMEGA, v)
 
 
 def lambda0(x, v):
     """The primitive 1-form lambda0 at x applied to v: (1/2) omega(x, v)."""
-    return 0.5 * (x @ OMEGA @ v)
+    return 0.5 * omega_form(x, v)
+
+
+def _first_row(mask):
+    """Index of the first True entry of a boolean array, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 def sphere_samples(n, dim=4, seed_skip=0):
@@ -110,7 +116,8 @@ class StarForm:
     exps: np.ndarray | None = None
     coeffs: np.ndarray | None = None
     name: str = ""
-    _positivity_checked: bool = field(default=False, repr=False)
+    # kernels.ellipsoid_tables or kernels.poly_tables, built at construction
+    tables: tuple | None = field(default=None, repr=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -119,7 +126,8 @@ class StarForm:
         r = np.array([float(r1_squared), float(r2_squared)])
         if not np.all(np.isfinite(r)) or np.any(r <= 0):
             raise DomainError("ellipsoid semiaxis squares must be positive finite")
-        return cls(kind="ellipsoid", r_squared=r, name=name)
+        return cls(kind="ellipsoid", r_squared=r, name=name,
+                   tables=kernels.ellipsoid_tables(2.0 / r))
 
     @classmethod
     def round_sphere(cls, name="round-sphere"):
@@ -138,10 +146,13 @@ class StarForm:
             raise DomainError("monomial exponents must be non-negative 4-tuples")
         if not np.all(np.isfinite(coeffs)):
             raise DomainError("monomial coefficients must be finite")
+        tables = kernels.poly_tables(exps, coeffs)
         form = cls(kind="weighted", exps=exps, coeffs=coeffs, name=name,
-                   _positivity_checked=True)
-        pts = sphere_samples(positivity_samples)
-        vals = form._poly_batch(pts)
+                   tables=tables)
+        # the value block alone: all derivative blocks at 10^4 points would
+        # make a temporary of tens of MB
+        vals, _, _ = kernels.poly_parts(
+            tables, sphere_samples(positivity_samples), order=0)
         if vals.min() <= 0:
             raise DomainError(
                 f"weight is not positive on the sphere (min {vals.min():.3e})"
@@ -212,52 +223,39 @@ class StarForm:
     def _diag(self):
         return np.array([2.0 / self.r_squared[0], 2.0 / self.r_squared[1]])
 
-    def _poly_batch(self, pts):
-        pw = pts[:, None, :] ** self.exps[None, :, :]
-        return np.prod(pw, axis=2) @ self.coeffs
+    def _off_origin(self, x, what):
+        x = np.asarray(x, dtype=float)
+        if np.count_nonzero(np.vecdot(x, x) == 0.0):
+            raise DomainError(f"{what} is undefined at the origin")
+        return x
 
     def H(self, x):
-        x = np.asarray(x, dtype=float)
-        if x @ x == 0.0:
-            raise DomainError("H is undefined at the origin")
+        x = self._off_origin(x, "H")
         if self.kind == "ellipsoid":
             d = self._diag()
-            return 0.5 * (d[0] * (x[0] ** 2 + x[1] ** 2) + d[1] * (x[2] ** 2 + x[3] ** 2))
-        h, _, _ = kernels.weighted_h_parts(self.exps, self.coeffs, x, 0)
+            sq = x * x
+            return 0.5 * (d[0] * (sq[..., 0] + sq[..., 1])
+                          + d[1] * (sq[..., 2] + sq[..., 3]))
+        h, _, _ = kernels.weighted_h_parts(self.tables, x, 0)
         return h
 
+    # the former name of the batch evaluation, still used outside the package
+    H_batch = H
+
     def grad_H(self, x):
-        x = np.asarray(x, dtype=float)
-        if x @ x == 0.0:
-            raise DomainError("grad H is undefined at the origin")
+        x = self._off_origin(x, "grad H")
         if self.kind == "ellipsoid":
-            d = self._diag()
-            return np.array([d[0] * x[0], d[0] * x[1], d[1] * x[2], d[1] * x[3]])
-        _, g, _ = kernels.weighted_h_parts(self.exps, self.coeffs, x, 1)
+            return np.repeat(self._diag(), 2) * x
+        _, g, _ = kernels.weighted_h_parts(self.tables, x, 1)
         return g
 
     def hess_H(self, x):
-        x = np.asarray(x, dtype=float)
-        if x @ x == 0.0:
-            raise DomainError("hess H is undefined at the origin")
+        x = self._off_origin(x, "hess H")
         if self.kind == "ellipsoid":
-            d = self._diag()
-            return np.diag([d[0], d[0], d[1], d[1]])
-        _, _, hh = kernels.weighted_h_parts(self.exps, self.coeffs, x, 2)
+            hess = np.diag(np.repeat(self._diag(), 2))
+            return np.broadcast_to(hess, x.shape[:-1] + (4, 4)).copy()
+        _, _, hh = kernels.weighted_h_parts(self.tables, x, 2)
         return hh
-
-    def H_batch(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self.kind == "ellipsoid":
-            d = self._diag()
-            return 0.5 * (d[0] * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
-                          + d[1] * (pts[:, 2] ** 2 + pts[:, 3] ** 2))
-        r2 = np.sum(pts ** 2, axis=1)
-        u = pts / np.sqrt(r2)[:, None]
-        return r2 / self._poly_batch(u)
-
-    def describe(self):
-        return self.name or f"{self.kind} form"
 
 
 # ---------------------------------------------------------------------------
@@ -268,29 +266,32 @@ def project_to_sigma(form, x):
     """Radially project x onto the unit level (exact: H is 2-homogeneous)."""
     x = np.asarray(x, dtype=float)
     h = form.H(x)
-    if h <= 0:
+    if np.count_nonzero(h <= 0):
         raise DomainError("cannot project a point with non-positive energy")
-    return x / np.sqrt(h)
+    return x / np.sqrt(h)[..., None]
 
 
 def _check_on_level(form, x, tol=1e-7):
-    h = form.H(x)
-    if abs(h - 1.0) > tol:
-        raise OffLevelError(f"|H(x) - 1| = {abs(h - 1.0):.3e} exceeds {tol:.0e}")
+    err = np.abs(form.H(x) - 1.0)
+    k = _first_row(err > tol)
+    if k is not None:
+        raise OffLevelError(
+            f"|H(x) - 1| = {err.flat[k]:.3e} exceeds {tol:.0e} at "
+            f"{np.reshape(x, (-1, 4))[k]}")
 
 
 def reeb_vector(form, x, check=True):
-    """Reeb field at a point of the level: R = X_H with lambda0(R) = 1."""
+    """Reeb field at points of the level: R = X_H with lambda0(R) = 1."""
     x = np.asarray(x, dtype=float)
     if check:
         _check_on_level(form, x)
     if form.kind == "ellipsoid":
-        return kernels.ellipsoid_rhs(x, form._diag())
-    return kernels.weighted_rhs(x, form.exps, form.coeffs)
+        return kernels.ellipsoid_rhs(x, form.tables)
+    return kernels.weighted_rhs(x, form.tables)
 
 
 def xi_projector(form, x):
-    """Symplectic projection onto the contact plane at a level point x.
+    """Symplectic projection onto the contact plane at level points x.
 
     Returns ``v -> v - dH(v) x/2 - omega(x/2, v) R``.  The contact plane,
     where lambda0 and dH vanish, is the omega-orthogonal complement of the
@@ -302,19 +303,20 @@ def xi_projector(form, x):
     R = reeb_vector(form, x, check=False)
 
     def proj(v):
-        return v - (gH @ v) * Y - omega_form(Y, v) * R
+        return (v - np.vecdot(gH, v)[..., None] * Y
+                - omega_form(Y, v)[..., None] * R)
 
     return proj
 
 
 @dataclass(frozen=True)
 class XiFrame:
-    """Symplectic frame (e1, e2) of the contact plane at a point.
+    """Symplectic frames (e1, e2) of the contact plane at points.
 
-    lambda0 and dH vanish on both vectors, dlambda0(e1, e2) = 1 exactly after
-    normalization, and e1 is Euclidean-orthogonal to e2 with equal norms, so
-    the induced complex structure (e1 -> e2) is the standard one in frame
-    coordinates.
+    ``point``, ``e1`` and ``e2`` have shape (..., 4).  lambda0 and dH vanish
+    on both vectors, dlambda0(e1, e2) = 1 exactly after normalization, and
+    e1 is Euclidean-orthogonal to e2 with equal norms, so the induced complex
+    structure (e1 -> e2) is the standard one in frame coordinates.
     """
 
     point: np.ndarray
@@ -322,23 +324,36 @@ class XiFrame:
     e2: np.ndarray
 
     def coords(self, w):
-        """Frame coordinates (a, b) of a contact-plane vector w = a e1 + b e2."""
-        return np.array([omega_form(w, self.e2), -omega_form(w, self.e1)])
+        """Frame coordinates (..., 2) of contact-plane vectors w = a e1 + b e2."""
+        return np.stack([omega_form(w, self.e2), -omega_form(w, self.e1)],
+                        axis=-1)
 
     def embed(self, ab):
-        return ab[0] * self.e1 + ab[1] * self.e2
+        ab = np.asarray(ab, dtype=float)
+        return ab[..., 0, None] * self.e1 + ab[..., 1, None] * self.e2
 
 
-def _quat_j(x):
-    return np.array([-x[2], x[3], x[0], -x[1]])
+# quaternion units j and k acting on x = (q1, p1, q2, p2): index and sign maps
+_QUAT = {
+    "j": (np.array([2, 3, 0, 1]), np.array([-1.0, 1.0, 1.0, -1.0])),
+    "k": (np.array([3, 2, 1, 0]), np.array([-1.0, -1.0, 1.0, 1.0])),
+}
 
 
-def _quat_k(x):
-    return np.array([-x[3], -x[2], x[1], x[0]])
+def _quat(unit, x):
+    idx, sign = _QUAT[unit]
+    return sign * np.take(x, idx, axis=-1)
+
+
+def _frame_norm(x, n, min_norm):
+    k = _first_row(n < min_norm)
+    if k is not None:
+        raise FrameDegeneracyError(np.reshape(x, (-1, 4))[k], n.flat[k])
+    return n[..., None]
 
 
 def xi_frame(form, x, generator="j", check=True, _min_norm=1e-6):
-    """Global symplectic frame of the contact plane at x.
+    """Global symplectic frame of the contact plane at points x.
 
     The quaternion fields j*xhat and k*xhat are projected symplectically
     onto the contact plane (the omega-orthogonal complement of the plane
@@ -347,33 +362,23 @@ def xi_frame(form, x, generator="j", check=True, _min_norm=1e-6):
     giving a second global frame in the same homotopy class; downstream
     integer invariants must not depend on the choice.
     """
+    if generator not in _QUAT:
+        raise DomainError(f"unknown frame generator {generator!r}")
     x = np.asarray(x, dtype=float)
     if check:
         _check_on_level(form, x)
     proj = xi_projector(form, x)
-    xh = x / np.linalg.norm(x)
-    if generator == "j":
-        u1, u2 = proj(_quat_j(xh)), proj(_quat_k(xh))
-    elif generator == "k":
-        u1, u2 = proj(_quat_k(xh)), proj(_quat_j(xh))
-    else:
-        raise DomainError(f"unknown frame generator {generator!r}")
+    xh = x / kernels.norm(x)[..., None]
+    other = "k" if generator == "j" else "j"
+    u1, u2 = proj(_quat(generator, xh)), proj(_quat(other, xh))
 
-    n1 = np.linalg.norm(u1)
-    if n1 < _min_norm:
-        raise FrameDegeneracyError(x, n1)
-    f1 = u1 / n1
-    u2 = u2 - (u2 @ f1) * f1
-    n2 = np.linalg.norm(u2)
-    if n2 < _min_norm:
-        raise FrameDegeneracyError(x, n2)
-    f2 = u2 / n2
+    f1 = u1 / _frame_norm(x, kernels.norm(u1), _min_norm)
+    u2 = u2 - np.vecdot(u2, f1)[..., None] * f1
+    f2 = u2 / _frame_norm(x, kernels.norm(u2), _min_norm)
     c = omega_form(f1, f2)
-    if abs(c) < _min_norm:
-        raise FrameDegeneracyError(x, abs(c))
-    if c < 0:
-        f2, c = -f2, -c
-    scale = 1.0 / np.sqrt(c)
+    _frame_norm(x, np.abs(c), _min_norm)
+    f2 = np.where(c[..., None] < 0, -f2, f2)
+    scale = 1.0 / np.sqrt(np.abs(c))[..., None]
     return XiFrame(point=x, e1=f1 * scale, e2=f2 * scale)
 
 
@@ -387,7 +392,8 @@ def xi_project(form, x, v, frame=None, tol=1e-9):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     gH = form.grad_H(x)
-    if abs(gH @ v) > tol * max(1.0, np.linalg.norm(v)) * np.linalg.norm(gH):
+    if np.any(np.abs(np.vecdot(gH, v))
+              > tol * np.maximum(1.0, kernels.norm(v)) * kernels.norm(gH)):
         raise DomainError("vector is not tangent to the level within tolerance")
     if frame is None:
         frame = xi_frame(form, x)

@@ -15,11 +15,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import kernels
 from .contact import xi_frame, xi_projector
 from .errors import (DegenerateOrbitError, DomainError, InconsistencyError,
                      ResolutionError)
 from .flow import integrate_flow
-from .orbits import ReebOrbit
 
 __all__ = [
     "SymplecticPath",
@@ -103,9 +103,6 @@ class RotationInterval:
     def length(self):
         return self.hi - self.lo
 
-    def contains_integer(self):
-        return np.ceil(self.lo - 1e-15) <= self.hi + 1e-15
-
 
 @dataclass
 class SpectralData:
@@ -134,22 +131,16 @@ def _path_samples(form, orbit, n, generator="j"):
     ts = np.linspace(0.0, T, n + 1)
     res = integrate_flow(form, orbit.x0, T, tol=1e-12, variational=True,
                          t_eval=ts)
-    frames = [xi_frame(form, x, generator=generator) for x in res.points]
-    fr0 = frames[0]
+    fr = xi_frame(form, res.points, generator=generator)
+    proj = xi_projector(form, res.points)
+    M = res.monodromy4
     mats = np.empty((n + 1, 2, 2))
-    max_frame_angle = 0.0
-    for i, (x, M, fr) in enumerate(zip(res.points, res.monodromy4, frames)):
-        proj = xi_projector(form, x)
-        w1 = proj(M @ fr0.e1)
-        w2 = proj(M @ fr0.e2)
-        mats[i, :, 0] = fr.coords(w1)
-        mats[i, :, 1] = fr.coords(w2)
-        if i > 0:
-            prev = frames[i - 1].e1
-            cosang = abs(prev @ fr.e1) / (np.linalg.norm(prev) * np.linalg.norm(fr.e1))
-            ang = np.arccos(min(1.0, cosang))
-            max_frame_angle = max(max_frame_angle, ang)
+    mats[:, :, 0] = fr.coords(proj(M @ fr.e1[0]))
+    mats[:, :, 1] = fr.coords(proj(M @ fr.e2[0]))
     mats[0] = np.eye(2)  # exact by construction, pinned against roundoff
+    prev, cur = fr.e1[:-1], fr.e1[1:]
+    cosang = np.abs(np.vecdot(prev, cur)) / (kernels.norm(prev) * kernels.norm(cur))
+    max_frame_angle = np.arccos(np.minimum(1.0, cosang)).max(initial=0.0)
     return mats, max_frame_angle
 
 
@@ -270,45 +261,29 @@ def _coefficient_matrices(mats):
     """S(t) = J0 dphi/dt phi^{-1} at the first N of N+1 path samples."""
     n = mats.shape[0] - 1
     h = 1.0 / n
-    end = mats[-1]
-    end_inv = np.linalg.inv(end)
-    S = np.empty((n, 2, 2))
-    for i in range(n):
-        if i == 0:
-            prev = mats[n - 1] @ end_inv  # phi(-h) by the cocycle rule
-        else:
-            prev = mats[i - 1]
-        nxt = mats[i + 1]
-        dphi = (nxt - prev) / (2.0 * h)
-        s = J0 @ dphi @ np.linalg.inv(mats[i])
-        S[i] = 0.5 * (s + s.T)
-    return S
+    # phi(-h) by the cocycle rule, then phi(0 .. 1 - 2h)
+    prev = np.concatenate([[mats[n - 1] @ np.linalg.inv(mats[-1])], mats[:n - 1]])
+    dphi = (mats[1:] - prev) / (2.0 * h)
+    s = J0 @ dphi @ np.linalg.inv(mats[:n])
+    return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
 def _operator_matrix(S):
     n = S.shape[0]
     h = 1.0 / n
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        ip = (i + 1) % n
-        im = (i - 1) % n
-        for a in range(2):
-            for b in range(2):
-                jv = J0[a, b]
-                if jv != 0.0:
-                    rows += [2 * i + a, 2 * i + a]
-                    cols += [2 * ip + b, 2 * im + b]
-                    vals += [-jv / (2 * h), jv / (2 * h)]
-                sv = S[i, a, b]
-                if a <= b and sv != 0.0:
-                    rows.append(2 * i + a)
-                    cols.append(2 * i + b)
-                    vals.append(sv)
-                    if a != b:
-                        rows.append(2 * i + b)
-                        cols.append(2 * i + a)
-                        vals.append(sv)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+    i = np.arange(n)[:, None, None]
+    a, b = np.indices((2, 2))
+    # 2x2 blocks (row block i, column block j): -J0 d/dt by central
+    # differences at j = i +- 1, and S(t_i) at j = i
+    blocks = [((i + 1) % n, -J0 / (2 * h)), ((i - 1) % n, J0 / (2 * h)), (i, S)]
+    shape = (n, 2, 2)
+    rows = np.concatenate([np.broadcast_to(2 * i + a, shape).ravel()] * 3)
+    cols = np.concatenate([np.broadcast_to(2 * j + b, shape).ravel()
+                           for j, _ in blocks])
+    vals = np.concatenate([np.broadcast_to(v, shape).ravel() for _, v in blocks])
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(2 * n, 2 * n))
 
 
 def _eigenfunction_winding(vec):
@@ -576,9 +551,7 @@ def _integrate_generator(coef_fn, n):
     omega2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     h = 1.0 / n
     mids = (np.arange(n) + 0.5) * h
-    gens = np.empty((n, 2, 2))
-    for i, t in enumerate(mids):
-        gens[i] = -h * (omega2 @ coef_fn(t))
+    gens = -h * (omega2 @ np.stack([coef_fn(t) for t in mids]))
     steps = _expm_traceless(gens)
     mats = np.empty((n + 1, 2, 2))
     phi = np.eye(2)
@@ -648,11 +621,10 @@ def path_power(phi, k):
     """Path of the k-th iterate: t -> phi(kt mod 1) phi(1)^{floor(kt)}."""
     n = phi.n_steps
     ts = _grid(n * k)
-    end = phi.endpoint
-    mats = np.empty((n * k + 1, 2, 2))
-    power = np.eye(2)
-    for block in range(k):
-        for i in range(n + (1 if block == k - 1 else 0)):
-            mats[block * n + i] = phi.mats[i] @ power
-        power = end @ power
+    powers = [np.eye(2)]  # phi(1)^block
+    for _ in range(k - 1):
+        powers.append(phi.endpoint @ powers[-1])
+    powers = np.stack(powers)[:, None]
+    mats = np.concatenate([(phi.mats[:n] @ powers).reshape(-1, 2, 2),
+                           phi.mats[n:] @ powers[-1]])
     return SymplecticPath(times=ts, mats=mats)

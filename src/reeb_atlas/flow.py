@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import DOP853
 
 from . import kernels
-from .contact import xi_frame, xi_projector
+from .contact import project_to_sigma, xi_frame, xi_projector
 from .errors import DomainError, OffLevelError, StiffnessError
 
 __all__ = [
@@ -28,14 +28,11 @@ __all__ = [
 
 def _rhs(form, variational):
     if form.kind == "ellipsoid":
-        d = form._diag()
-        if variational:
-            return lambda t, y: kernels.ellipsoid_var_rhs(y, d)
-        return lambda t, y: kernels.ellipsoid_rhs(y, d)
-    exps, coeffs = form.exps, form.coeffs
-    if variational:
-        return lambda t, y: kernels.weighted_var_rhs(y, exps, coeffs)
-    return lambda t, y: kernels.weighted_rhs(y, exps, coeffs)
+        fn = kernels.ellipsoid_var_rhs if variational else kernels.ellipsoid_rhs
+    else:
+        fn = kernels.weighted_var_rhs if variational else kernels.weighted_rhs
+    tables = form.tables
+    return lambda t, y: fn(y, tables)
 
 
 class Trajectory:
@@ -52,10 +49,6 @@ class Trajectory:
         self._breaks.append(t_new)
         self._segs.append(seg)
 
-    @property
-    def t_end(self):
-        return self._breaks[-1]
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
@@ -67,8 +60,11 @@ class Trajectory:
         idx = np.clip(np.searchsorted(breaks[1:-1], tt * self.direction), 0,
                       len(self._segs) - 1)
         out = np.empty((len(tt), len(self._y0)))
-        for k in range(len(tt)):
-            out[k] = self._segs[idx[k]](tt[k])
+        # one dense-output call per segment, on all of its sample times
+        order = np.argsort(idx, kind="stable")
+        segs, first = np.unique(idx[order], return_index=True)
+        for seg, rows in zip(segs, np.split(order, first[1:])):
+            out[rows] = self._segs[seg](tt[rows]).T
         return out[0] if scalar else out
 
 
@@ -149,8 +145,7 @@ def integrate_flow(form, x0, t_final, tol=1e-10, variational=False,
         times = np.asarray(t_eval, dtype=float)
         samples = traj(times)
         # project evaluated samples as well
-        xs = samples[:, :4]
-        xs /= np.sqrt(form.H_batch(xs))[:, None]
+        xs = project_to_sigma(form, samples[:, :4])
     else:
         times = np.array(ts)
         samples = np.array(ys)
@@ -183,12 +178,8 @@ def monodromy_xi(form, orbit_point, T, tol=1e-12, closure_tol=1e-6):
             f"point is not T-periodic: |phi_T(x) - x| = {gap:.3e} > {closure_tol:.0e}"
         )
     fr = xi_frame(form, x0)
-    proj = xi_projector(form, x0)
-    w1 = proj(M @ fr.e1)
-    w2 = proj(M @ fr.e2)
-    a1 = fr.coords(w1)
-    a2 = fr.coords(w2)
-    return np.stack([a1, a2], axis=1)
+    w = xi_projector(form, x0)(np.stack([M @ fr.e1, M @ fr.e2]))
+    return fr.coords(w).T
 
 
 def write_trajectory_csv(path, times, points):

@@ -1,13 +1,23 @@
 """Hot numerical kernels, one numpy implementation each.
 
-The kernels work on one point, or on one pair of sampled closed curves:
+Point-wise kernels take a batch of points as an array of shape ``(..., 4)``
+(a single point is the ``(4,)`` case) and return arrays with the same
+leading shape: a value ``(...)``, a vector ``(..., 4)``, a matrix
+``(..., 4, 4)``.  The flow right-hand sides take states ``(..., 4)`` or,
+with the variational block, ``(..., 20)``.
 
-- ``poly_parts``: value, gradient and Hessian of the polynomial weight;
+- ``poly_tables``: the monomial derivative tables of a polynomial weight,
+  built once per form;
+- ``poly_parts``: value, gradient and Hessian of the weight from its tables;
 - ``weighted_h_parts``: H(x) = |x|^2 / p(x/|x|) with its gradient and
   Hessian, by the chain rule through ``poly_parts``;
+- ``ellipsoid_tables``: the matrices of the linear ellipsoid flow, built once
+  per form;
 - ``ellipsoid_rhs``, ``weighted_rhs``: the Reeb field -Omega grad H, and
   ``ellipsoid_var_rhs``, ``weighted_var_rhs``: the same field stacked with
   the variational equations dM/dt = -Omega Hess H M;
+- ``norm``: the Euclidean norm over the last axis, equal bit for bit to
+  ``np.linalg.norm`` of each row (both use BLAS ddot, as ``np.vecdot`` does);
 - ``gauss_linking_raw``: the exact solid-angle Gauss sum of two polylines;
 - ``hausdorff_distance``, ``point_to_polyline``, ``min_cross_distance``:
   distances between sampled closed traces.
@@ -16,12 +26,16 @@ The kernels work on one point, or on one pair of sampled closed curves:
 import numpy as np
 
 __all__ = [
+    "poly_tables",
     "poly_parts",
     "weighted_h_parts",
+    "OMEGA",
+    "ellipsoid_tables",
     "ellipsoid_rhs",
     "ellipsoid_var_rhs",
     "weighted_rhs",
     "weighted_var_rhs",
+    "norm",
     "gauss_linking_raw",
     "hausdorff_distance",
     "point_to_polyline",
@@ -29,65 +43,92 @@ __all__ = [
 ]
 
 
+def norm(a):
+    """Euclidean norm over the last axis, as ``np.linalg.norm`` of each row."""
+    return np.sqrt(np.vecdot(a, a))
+
+
 # ---------------------------------------------------------------------------
 # polynomial weight: value, gradient, hessian of p(u) = sum c * u^e
 # ---------------------------------------------------------------------------
 
-def poly_parts(exps, coeffs, u):
-    pw = u[None, :] ** exps  # (M, 4), 0**0 == 1
-    prod = np.prod(pw, axis=1)
-    p0 = float(coeffs @ prod)
-    grad = np.zeros(4)
-    cols = [pw.copy() for _ in range(4)]
-    for i in range(4):
-        e = exps[:, i]
-        d = np.where(e > 0, e * u[i] ** np.maximum(e - 1, 0), 0.0)
-        cols[i][:, i] = d
-        grad[i] = coeffs @ np.prod(cols[i], axis=1)
-    hess = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            w = pw.copy()
-            if i == j:
-                e = exps[:, i]
-                w[:, i] = np.where(e > 1, e * (e - 1) * u[i] ** np.maximum(e - 2, 0), 0.0)
-            else:
-                ei = exps[:, i]
-                ej = exps[:, j]
-                w[:, i] = np.where(ei > 0, ei * u[i] ** np.maximum(ei - 1, 0), 0.0)
-                w[:, j] = np.where(ej > 0, ej * u[j] ** np.maximum(ej - 1, 0), 0.0)
-            hess[i, j] = hess[j, i] = coeffs @ np.prod(w, axis=1)
-    return p0, grad, hess
+_I, _J = np.triu_indices(4)
+# block of the Hessian entry (i, j) in the tables: 5 + its upper-triangle rank
+_HESS_BLOCK = np.empty((4, 4), dtype=np.int64)
+_HESS_BLOCK[_I, _J] = _HESS_BLOCK[_J, _I] = 5 + np.arange(10)
+_N_BLOCKS = (1, 5, 15)  # blocks needed up to derivative order 0, 1, 2
+
+
+def poly_tables(exps, coeffs):
+    """Monomial derivative tables of p(u) = sum c u^e.
+
+    Block 0 is p itself, blocks 1-4 are dp/du_i and blocks 5-14 are the
+    Hessian entries (i, j), i <= j.  Each block holds the shifted exponents,
+    clipped at 0, and the coefficients times e_i or e_i (e_j - [i == j]);
+    a clipped exponent always meets a zero coefficient.  Returns
+    ``(exps, coeffs)`` of shapes (15, M, 4) and (15, M).
+    """
+    eye = np.eye(4, dtype=np.int64)
+    shift = np.concatenate([np.zeros_like(eye[:1]), eye, eye[_I] + eye[_J]])
+    table_exps = np.maximum(exps[None, :, :] - shift[:, None, :], 0)
+    factor = np.concatenate([np.ones((1, len(coeffs))), exps.T,
+                             exps[:, _I].T * (exps[:, _J].T - (_I == _J)[:, None])])
+    return table_exps, factor * coeffs
+
+
+def poly_parts(tables, u, order=2):
+    """(p, grad p, Hess p) at points u of shape (..., 4) from ``poly_tables``.
+
+    Only the blocks up to derivative ``order`` are evaluated; the parts above
+    it are returned as None.
+    """
+    table_exps, table_coeffs = tables
+    nb = _N_BLOCKS[order]
+    terms = np.prod(u[..., None, None, :] ** table_exps[:nb], axis=-1)
+    vals = np.vecdot(terms, table_coeffs[:nb])  # (..., nb)
+    grad = vals[..., 1:5] if order >= 1 else None
+    hess = np.take(vals, _HESS_BLOCK, axis=-1) if order == 2 else None
+    return vals[..., 0], grad, hess
 
 
 # ---------------------------------------------------------------------------
 # H(x) = |x|^2 / p(x/|x|): value, gradient, hessian by the chain rule
 # ---------------------------------------------------------------------------
 
-def weighted_h_parts(exps, coeffs, x, order):
-    r2 = x @ x
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def weighted_h_parts(tables, x, order):
+    """(H, grad H, Hess H) at points x of shape (..., 4); the parts above
+    ``order`` are None."""
+    r2 = np.vecdot(x, x)
     r = np.sqrt(r2)
-    u = x / r
-    p0, pg, ph = poly_parts(exps, coeffs, u)
+    u = x / r[..., None]
+    p0, pg, ph = poly_parts(tables, u, order)
     h = r2 / p0
     if order == 0:
-        return h, np.zeros(4), np.zeros((4, 4))
-    ug = pg @ u
-    gg = (pg - ug * u) / r  # grad of g(x) = p(x/|x|)
+        return h, None, None
+    ug = np.vecdot(pg, u)[..., None]
+    gg = (pg - ug * u) / r[..., None]  # grad of g(x) = p(x/|x|)
+    p0, r2 = p0[..., None], r2[..., None]
     gradH = 2.0 * x / p0 - (r2 / p0 ** 2) * gg
     if order == 1:
-        return h, gradH, np.zeros((4, 4))
-    P = np.eye(4) - np.outer(u, u)
+        return h, gradH, None
+    eye = np.eye(4)
+    uu = _outer(u, u)
+    P = eye - uu
+    p0, r2 = p0[..., None], r2[..., None]
     hessG = (
-        -(np.outer(pg, u) + np.outer(u, pg))
-        - ug * (np.eye(4) - 3.0 * np.outer(u, u))
+        -(_outer(pg, u) + _outer(u, pg))
+        - ug[..., None] * (eye - 3.0 * uu)
         + P @ ph @ P
     ) / r2
     hessH = (
-        2.0 * np.eye(4) / p0
-        - 2.0 * (np.outer(x, gg) + np.outer(gg, x)) / p0 ** 2
+        2.0 * eye / p0
+        - 2.0 * (_outer(x, gg) + _outer(gg, x)) / p0 ** 2
         - (r2 / p0 ** 2) * hessG
-        + (2.0 * r2 / p0 ** 3) * np.outer(gg, gg)
+        + (2.0 * r2 / p0 ** 3) * _outer(gg, gg)
     )
     return h, gradH, hessH
 
@@ -96,37 +137,49 @@ def weighted_h_parts(exps, coeffs, x, order):
 # Reeb vector fields.  Conventions (coordinates x = (q1, p1, q2, p2)):
 #   omega = dq1^dp1 + dq2^dp2,  X_H = -Omega grad H,
 #   i.e. R = (-g2, g1, -g4, g3) for g = grad H.
+# On row vectors -Omega g reads g @ OMEGA (OMEGA is antisymmetric).  Every
+# column of OMEGA has one nonzero entry +-1, so these products are exact.
 # ---------------------------------------------------------------------------
 
-def _minus_omega(a):
-    """-Omega a for a 4-vector, or row-wise for a (4, k) block."""
-    out = np.empty_like(a)
-    out[0] = -a[1]
-    out[1] = a[0]
-    out[2] = -a[3]
-    out[3] = a[2]
-    return out
+OMEGA = np.array([
+    [0.0, 1.0, 0.0, 0.0],
+    [-1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, -1.0, 0.0],
+])
 
 
-def ellipsoid_rhs(x, d):
-    return np.array([-d[0] * x[1], d[0] * x[0], -d[1] * x[3], d[1] * x[2]])
+def ellipsoid_tables(d):
+    """The linear ellipsoid flow as matrices acting on row vectors.
+
+    With D = Hess H = diag(d0, d0, d1, d1), ``x @ a4`` is the Reeb field
+    -Omega D x and ``y @ a20`` the derivative (-Omega D x, -Omega D M) of a
+    state y = (x, M).  Returns ``(a4, a20)``.
+    """
+    a4 = np.diag(np.repeat(d, 2)) @ OMEGA
+    a20 = np.zeros((20, 20))
+    a20[:4, :4] = a4
+    a20[4:, 4:] = np.kron(a4, np.eye(4))
+    return a4, a20
 
 
-def ellipsoid_var_rhs(y, d):
-    # Hess H = diag(d0, d0, d1, d1)
-    dm = np.array([d[0], d[0], d[1], d[1]])[:, None] * y[4:].reshape(4, 4)
-    return np.concatenate((ellipsoid_rhs(y[:4], d), _minus_omega(dm).ravel()))
+def ellipsoid_rhs(x, tables):
+    return x @ tables[0]
 
 
-def weighted_rhs(x, exps, coeffs):
-    _, g, _ = weighted_h_parts(exps, coeffs, x, 1)
-    return _minus_omega(g)
+def ellipsoid_var_rhs(y, tables):
+    return y @ tables[1]
 
 
-def weighted_var_rhs(y, exps, coeffs):
-    _, g, hh = weighted_h_parts(exps, coeffs, y[:4], 2)
-    hm = hh @ y[4:].reshape(4, 4)
-    return np.concatenate((_minus_omega(g), _minus_omega(hm).ravel()))
+def weighted_rhs(x, tables):
+    _, g, _ = weighted_h_parts(tables, x, 1)
+    return g @ OMEGA
+
+
+def weighted_var_rhs(y, tables):
+    _, g, hh = weighted_h_parts(tables, y[..., :4], 2)
+    dm = -OMEGA @ (hh @ y[..., 4:].reshape(y.shape[:-1] + (4, 4)))
+    return np.concatenate((g @ OMEGA, dm.reshape(y.shape[:-1] + (16,))), axis=-1)
 
 
 # ---------------------------------------------------------------------------

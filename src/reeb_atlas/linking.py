@@ -244,16 +244,12 @@ def _pair_crossings(a3, b3, direction, tangent_tol=1e-9):
         (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1) & (uu < 1.1)
     if np.any(near_tangent & np.isfinite(tt) & np.isfinite(uu)):
         return None
-    total = 0
     ii, jj = np.nonzero(hit)
-    ha_next = np.roll(Ah, -1)
-    hb_next = np.roll(Bh, -1)
-    for i, j in zip(ii, jj):
-        ha = Ah[i] + tt[i, j] * (ha_next[i] - Ah[i])
-        hb = Bh[j] + uu[i, j] * (hb_next[j] - Bh[j])
-        over, under = (r[i], s[j]) if ha > hb else (s[j], r[i])
-        total += int(np.sign(over[0] * under[1] - over[1] * under[0]))
-    return total
+    ha = Ah[ii] + tt[ii, jj] * (np.roll(Ah, -1)[ii] - Ah[ii])
+    hb = Bh[jj] + uu[ii, jj] * (np.roll(Bh, -1)[jj] - Bh[jj])
+    # crossing sign: over strand x under strand
+    cross = r[ii, 0] * s[jj, 1] - r[ii, 1] * s[jj, 0]
+    return int(np.sign(np.where(ha > hb, cross, -cross)).sum())
 
 
 def crossing_linking(a, b, min_dist=1e-3):
@@ -289,14 +285,11 @@ def self_linking(form, orbit, eps=1e-2, n=512, frame_vector="e1",
     pushoff was too large for the curve's geometry and an error is raised.
     """
     trace = trace_orbit(form, orbit, n=n)
-    sections = np.empty_like(trace.points)
-    for i, x in enumerate(trace.points):
-        fr = xi_frame(form, x)
-        sections[i] = fr.e1 if frame_vector == "e1" else fr.e2
+    fr = xi_frame(form, trace.points)
+    sections = fr.e1 if frame_vector == "e1" else fr.e2
 
     def lk_at(e):
-        pushed = trace.points + e * sections
-        pushed /= np.sqrt(form.H_batch(pushed))[:, None]
+        pushed = project_to_sigma(form, trace.points + e * sections)
         lk, _ = linking_number(trace.points, pushed,
                                min_dist=min(1e-3, 0.2 * e))
         return lk
@@ -349,19 +342,19 @@ def _self_crossings(p3, direction, tangent_tol=1e-9):
     upper &= ~((idx[:, None] == 0) & (idx[None, :] == n - 1))  # wrap-adjacent
     hit = nondeg & upper & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
     ii, jj = np.nonzero(hit)
-    events = []
-    for cid, (i, j) in enumerate(zip(ii, jj)):
-        t, u = tt[i, j], uu[i, j]
-        if min(t, 1 - t, u, 1 - u) < 1e-9:
-            return None  # crossing at a vertex; retry another direction
-        hi = H[i] + t * (hn[i] - H[i])
-        hj = H[j] + u * (hn[j] - H[j])
-        if abs(hi - hj) < 1e-12:
-            return None
-        events.append((i + t, cid, hi > hj))
-        events.append((j + u, cid, hj > hi))
-    events.sort()
-    return [(c, over) for _, c, over in events]
+    t, u = tt[ii, jj], uu[ii, jj]
+    if np.any(np.minimum(np.minimum(t, 1 - t), np.minimum(u, 1 - u)) < 1e-9):
+        return None  # crossing at a vertex; retry another direction
+    hi = H[ii] + t * (hn[ii] - H[ii])
+    hj = H[jj] + u * (hn[jj] - H[jj])
+    if np.any(np.abs(hi - hj) < 1e-12):
+        return None
+    # each crossing is met twice along the loop, once over and once under
+    pos = np.concatenate([ii + t, jj + u])
+    cid = np.tile(np.arange(len(ii)), 2)
+    over = np.concatenate([hi > hj, hj > hi])
+    order = np.lexsort((over, cid, pos))
+    return [(int(c), bool(o)) for c, o in zip(cid[order], over[order])]
 
 
 def _reduce_word(word):

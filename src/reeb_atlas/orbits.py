@@ -16,7 +16,8 @@ import numpy as np
 
 from . import kernels
 from .contact import project_to_sigma, reeb_vector, sphere_samples
-from .errors import DomainError, RefinementError
+from .errors import (DomainError, FrameDegeneracyError, RefinementError,
+                     ResolutionError, StiffnessError)
 from .flow import flow_map, integrate_flow, monodromy_xi
 
 __all__ = [
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-6
+
+# failures of one candidate's polish that drop it from the census
+_CANDIDATE_ERRORS = (RefinementError, DomainError, StiffnessError,
+                     ResolutionError, FrameDegeneracyError)
 
 
 def classify_monodromy(mon, tol=DEGENERACY_TOL):
@@ -125,14 +130,10 @@ def orbit_trace(form, orbit, n=256, cover="geometric", tol=1e-11):
 
 def _detect_multiplicity(form, x, T, closure_tol=1e-6, min_period=0.05):
     res = integrate_flow(form, x, T, tol=1e-12, dense=True)
-    k_best = 1
-    k_cap = min(max(1, int(T / min_period)), 64)
-    for k in range(2, k_cap + 1):
-        y = res.trajectory(T / k)[:4]
-        y = project_to_sigma(form, y)
-        if np.linalg.norm(y - x) < closure_tol:
-            k_best = k
-    return k_best
+    ks = np.arange(2, min(max(1, int(T / min_period)), 64) + 1)
+    ys = project_to_sigma(form, res.trajectory(T / ks)[:, :4])
+    closed = ks[kernels.norm(ys - x) < closure_tol]
+    return int(closed.max()) if closed.size else 1
 
 
 def _newton_polish(form, x_guess, T_guess, tol=1e-10, max_iter=50,
@@ -287,8 +288,7 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, scan_dt=0.05,
     """
     if T_max <= 0:
         raise DomainError("T_max must be positive")
-    seeds = sphere_samples(n_seeds)
-    seeds = seeds / np.sqrt(form.H_batch(seeds))[:, None]
+    seeds = project_to_sigma(form, sphere_samples(n_seeds))
     t_grid = np.arange(0.0, T_max + 0.5 * scan_dt, scan_dt)
 
     primes = []
@@ -316,7 +316,7 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, scan_dt=0.05,
                 x, T, residual, _, degenerate_family = _newton_polish(
                     form, x_c, float(dt_c),
                     initial_residual_cap=candidate_threshold + 1e-9)
-            except (RefinementError, DomainError) as exc:
+            except _CANDIDATE_ERRORS as exc:
                 if log is not None:
                     log.append(f"candidate dropped: {exc}")
                 continue
@@ -326,7 +326,7 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, scan_dt=0.05,
                 continue
             try:
                 orb = refine_orbit(form, x, T, initial_residual_cap=1.0)
-            except (RefinementError, DomainError) as exc:
+            except _CANDIDATE_ERRORS as exc:
                 if log is not None:
                     log.append(f"candidate dropped: {exc}")
                 continue

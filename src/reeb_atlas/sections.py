@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import kernels
 from .contact import (OMEGA, omega_form, project_to_sigma, reeb_vector,
                       xi_frame, xi_projector)
 from .errors import (DomainError, GridQualityError, ResolutionError,
@@ -43,16 +44,17 @@ __all__ = [
 ]
 
 
+# columns of the four 3x3 minors of a 3x4 matrix, and their cofactor signs
+_MINOR_COLS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_MINOR_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+
+
 def _cross4(a, b, c):
-    """Vector orthogonal to a, b, c in R^4 (generalized cross product)."""
-    M = np.stack([a, b, c])
-    out = np.empty(4)
-    sign = 1.0
-    for k in range(4):
-        cols = [c for c in range(4) if c != k]
-        out[k] = sign * np.linalg.det(M[:, cols])
-        sign = -sign
-    return out
+    """Vectors orthogonal to a, b, c in R^4 (generalized cross product),
+    row-wise over (..., 4) inputs."""
+    M = np.stack([a, b, c], axis=-2)  # (..., 3, 4)
+    minors = np.moveaxis(M[..., _MINOR_COLS], -2, -3)  # (..., 4, 3, 3)
+    return _MINOR_SIGN * np.linalg.det(minors)
 
 
 @dataclass
@@ -166,20 +168,15 @@ def builtin_disk(form, orbit, theta0=0.0, n_r=128, n_theta=256):
     rb = np.sqrt(form.r_squared[plane])      # boundary circle radius
     rc = np.sqrt(form.r_squared[1 - plane])  # transverse radius
     phi0 = np.arctan2(x0[2 * plane + 1], x0[2 * plane])
-    ss = np.linspace(0.0, 1.0, n_r + 1)
+    ss = np.linspace(0.0, 1.0, n_r + 1)[:, None, None]
     tt = np.arange(n_theta) / n_theta
     ang = phi0 + 2.0 * np.pi * tt
     zb = rb * np.stack([np.cos(ang), np.sin(ang)], axis=-1)  # (n_theta, 2)
+    height = rc * np.sqrt(np.maximum(0.0, 1.0 - ss * ss))
+    zc = height * np.array([np.cos(theta0), np.sin(theta0)])
     samples = np.empty((n_r + 1, n_theta, 4))
-    for i, s in enumerate(ss):
-        height = rc * np.sqrt(max(0.0, 1.0 - s * s))
-        zc = height * np.array([np.cos(theta0), np.sin(theta0)])
-        if plane == 0:
-            samples[i, :, 0:2] = s * zb
-            samples[i, :, 2:4] = zc
-        else:
-            samples[i, :, 2:4] = s * zb
-            samples[i, :, 0:2] = zc
+    samples[:, :, 2 * plane:2 * plane + 2] = ss * zb
+    samples[:, :, 2 - 2 * plane:4 - 2 * plane] = zc
     return DiskGrid(samples=samples)
 
 
@@ -202,22 +199,16 @@ def transversality_check(form, disk, rows=None):
     a = 0.5 * ((sub[1:] - sub[:-1]) + (nxt[1:] - nxt[:-1]))      # radial edge
     b = 0.5 * ((nxt[:-1] - sub[:-1]) + (nxt[1:] - sub[1:]))      # angular edge
     centers = 0.25 * (sub[:-1] + sub[1:] + nxt[:-1] + nxt[1:])
-    flat_c = centers.reshape(-1, 4)
-    flat_a = a.reshape(-1, 4)
-    flat_b = b.reshape(-1, 4)
-    vals = np.empty(len(flat_c))
-    for k in range(len(flat_c)):
-        x = project_to_sigma(form, flat_c[k])
-        g = form.grad_H(x)
-        nu = g / np.linalg.norm(g)
-        R = reeb_vector(form, x, check=False)
-        at = flat_a[k] - (flat_a[k] @ nu) * nu
-        bt = flat_b[k] - (flat_b[k] @ nu) * nu
-        area2 = (at @ at) * (bt @ bt) - (at @ bt) ** 2
-        if area2 <= 1e-24:
-            raise GridQualityError(f"degenerate cell at flat index {k}")
-        det = np.linalg.det(np.stack([nu, R, flat_a[k], flat_b[k]]))
-        vals[k] = det / np.sqrt(area2)
+    x = project_to_sigma(form, centers)
+    nu = _unit_normal(form, x)
+    R = reeb_vector(form, x, check=False)
+    at = _tangential(a, nu)
+    bt = _tangential(b, nu)
+    area2 = np.vecdot(at, at) * np.vecdot(bt, bt) - np.vecdot(at, bt) ** 2
+    bad = np.flatnonzero(area2 <= 1e-24)
+    if bad.size:
+        raise GridQualityError(f"degenerate cell at flat index {bad[0]}")
+    vals = np.linalg.det(np.stack([nu, R, a, b], axis=-2)) / np.sqrt(area2)
     sign_constant = bool(np.all(vals > 0) or np.all(vals < 0))
     return float(np.abs(vals).min()), sign_constant
 
@@ -225,6 +216,17 @@ def transversality_check(form, disk, rows=None):
 # ---------------------------------------------------------------------------
 # characteristic foliation
 # ---------------------------------------------------------------------------
+
+def _unit_normal(form, x):
+    """Unit normals grad H / |grad H| of the level at points x."""
+    g = form.grad_H(x)
+    return g / kernels.norm(g)[..., None]
+
+
+def _tangential(v, nu):
+    """The part of v orthogonal to the unit normals nu."""
+    return v - np.vecdot(v, nu)[..., None] * nu
+
 
 def _node_tangents(disk):
     """Radial/angular tangent vectors at grid nodes (rows 1..n_r)."""
@@ -242,36 +244,31 @@ def _node_tangents(disk):
 def _node_frame_field(form, disk):
     """Normals (within the level) and contact frames at rows 1..n_r."""
     d_s, d_t = _node_tangents(disk)
-    s = disk.samples[1:]
-    shape = s.shape[:2]
-    normals = np.empty_like(s)
-    vfield = np.empty(shape + (2,))
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            x = s[i, j]
-            g = form.grad_H(x)
-            nu = g / np.linalg.norm(g)
-            at = d_s[i, j] - (d_s[i, j] @ nu) * nu
-            bt = d_t[i, j] - (d_t[i, j] @ nu) * nu
-            n = _cross4(at, bt, nu)
-            nn = np.linalg.norm(n)
-            if nn < 1e-12:
-                raise GridQualityError(f"degenerate tangent plane at node {(i + 1, j)}")
-            n /= nn
-            normals[i, j] = n
-            fr = xi_frame(form, x)
-            # i_V lambda = 0 and i_V dlambda = dG - (i_R dG) lambda give, in
-            # frame coordinates, V = (n.e2, -n.e1)
-            vfield[i, j, 0] = n @ fr.e2
-            vfield[i, j, 1] = -(n @ fr.e1)
+    x = disk.samples[1:]
+    nu = _unit_normal(form, x)
+    n = _cross4(_tangential(d_s, nu), _tangential(d_t, nu), nu)
+    nn = kernels.norm(n)
+    bad = np.argwhere(nn < 1e-12)
+    if len(bad):
+        i, j = bad[0]
+        raise GridQualityError(f"degenerate tangent plane at node {(i + 1, j)}")
+    normals = n / nn[..., None]
+    fr = xi_frame(form, x)
+    # i_V lambda = 0 and i_V dlambda = dG - (i_R dG) lambda give, in frame
+    # coordinates, V = (n.e2, -n.e1)
+    vfield = np.stack([np.vecdot(normals, fr.e2),
+                       -np.vecdot(normals, fr.e1)], axis=-1)
     return normals, vfield
+
+
+def _angle_steps(ang, axis=-1):
+    """Successive differences of angles along an axis, wrapped to [-pi, pi)."""
+    return (np.diff(ang, axis=axis) + np.pi) % (2 * np.pi) - np.pi
 
 
 def _winding_of(points2):
     ang = np.arctan2(points2[:, 1], points2[:, 0])
-    ang = np.append(ang, ang[0])
-    d = np.diff(ang)
-    d = (d + np.pi) % (2 * np.pi) - np.pi
+    d = _angle_steps(np.append(ang, ang[0]))
     if np.abs(d).max() > 0.5 * np.pi:
         raise ResolutionError("vector-field winding under-resolved on the grid")
     total = d.sum() / (2 * np.pi)
@@ -279,14 +276,6 @@ def _winding_of(points2):
     if abs(total - k) > 1e-6:
         raise ResolutionError(f"winding {total:.6f} did not close to an integer")
     return int(k)
-
-
-def _cell_winding(v00, v01, v11, v10):
-    ang = np.arctan2([v00[1], v01[1], v11[1], v10[1], v00[1]],
-                     [v00[0], v01[0], v11[0], v10[0], v00[0]])
-    d = np.diff(ang)
-    d = (d + np.pi) % (2 * np.pi) - np.pi
-    return d.sum() / (2 * np.pi)
 
 
 def _disk_chart(disk, si, ti):
@@ -298,27 +287,19 @@ def _classify_zero(form, disk, vfield, s0, t0):
     """Least-squares linearization of the field around a zero, classified
     through its eigenvalues as an endomorphism of the contact plane."""
     n_r, n_t = disk.n_r, disk.n_theta
-    X0 = _disk_chart(disk, s0, t0)
-    rows = []
-    rhs = []
     radius = max(2.5 / n_r, 0.08)
-    for i in range(1, n_r + 1):
-        si = i / n_r
-        if abs(si - s0) > radius:
-            continue
-        for j in range(n_t):
-            tj = j / n_t
-            Xj = _disk_chart(disk, si, tj)
-            d = Xj - X0
-            if np.linalg.norm(d) > radius:
-                continue
-            rows.append([1.0, 0.0, d[0], d[1], 0.0, 0.0])
-            rhs.append(vfield[i - 1, j, 0])
-            rows.append([0.0, 1.0, 0.0, 0.0, d[0], d[1]])
-            rhs.append(vfield[i - 1, j, 1])
-    if len(rows) < 12:
+    si, tj = np.meshgrid(np.arange(1, n_r + 1) / n_r, np.arange(n_t) / n_t,
+                         indexing="ij")
+    d = np.moveaxis(_disk_chart(disk, si, tj), 0, -1) - _disk_chart(disk, s0, t0)
+    near = (np.abs(si - s0) <= radius) & (kernels.norm(d) <= radius)
+    if near.sum() < 6:
         raise ResolutionError("too few grid nodes near a singularity")
-    coef, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    # per node, one row for each field component: V ~ V0 + A d
+    rows = np.zeros((near.sum(), 2, 6))
+    rows[:, 0, 0] = rows[:, 1, 1] = 1.0
+    rows[:, 0, 2:4] = rows[:, 1, 4:6] = d[near]
+    coef, *_ = np.linalg.lstsq(rows.reshape(-1, 6), vfield[near].reshape(-1),
+                               rcond=None)
     A = np.array([[coef[2], coef[3]], [coef[4], coef[5]]])
 
     # chart tangents at the zero, in frame coordinates
@@ -381,7 +362,6 @@ def characteristic_field(form, disk):
     frame coordinates of the field at grid rows 1..n_r.
     """
     _, vfield = _node_frame_field(form, disk)
-    n_r, n_t = disk.n_r, disk.n_theta
 
     # boundary must run along the Reeb direction for the orientation
     # conventions used in the winding and sign computations
@@ -402,16 +382,15 @@ def characteristic_field(form, disk):
     if center_wind is None or center_wind != 0:
         singularities.append(_classify_zero(form, disk, vfield, 0.0, 0.0))
 
-    # cell-by-cell degree test away from the center
-    for i in range(0, n_r - 1):  # rows i+1 .. i+2 of the grid
-        for j in range(n_t):
-            jn = (j + 1) % n_t
-            w = _cell_winding(vfield[i, j], vfield[i, jn],
-                              vfield[i + 1, jn], vfield[i + 1, j])
-            if abs(w) > 0.5:
-                s0, t0 = _refine_zero(disk, vfield, i, j)
-                singularities.append(
-                    _classify_zero(form, disk, vfield, s0, t0))
+    # cell-by-cell degree test away from the center: the turning of the field
+    # around cell (i, j), whose corners are rows i+1 .. i+2 of the grid
+    ang = np.arctan2(vfield[..., 1], vfield[..., 0])
+    ang_next = np.roll(ang, -1, axis=1)
+    loops = np.stack([ang[:-1], ang_next[:-1], ang_next[1:], ang[1:], ang[:-1]])
+    turns = _angle_steps(loops, axis=0).sum(axis=0) / (2 * np.pi)
+    for i, j in np.argwhere(np.abs(turns) > 0.5):
+        s0, t0 = _refine_zero(disk, vfield, i, j)
+        singularities.append(_classify_zero(form, disk, vfield, s0, t0))
     return vfield, singularities, boundary_winding
 
 
@@ -463,6 +442,10 @@ class _DiskIndex:
         self.boundary_tree = cKDTree(bd)
         self.boundary_chord = float(
             np.linalg.norm(np.roll(bd, -1, axis=0) - bd, axis=1).max())
+        # largest Reeb speed over a coarse subgrid, for the crossing scan step
+        coarse = disk.samples[::max(1, disk.n_r // 4), ::max(1, self.n_t // 8)]
+        self.vmax = float(kernels.norm(
+            reeb_vector(form, coarse, check=False)).max())
 
     def node(self, flat_idx):
         i, j = divmod(int(flat_idx), self.n_t)
@@ -478,10 +461,9 @@ class _DiskIndex:
 
     def heights(self, ys):
         dists, idxs = self.tree.query(ys)
-        h = np.empty(len(ys))
-        for k, (y, fi) in enumerate(zip(ys, idxs)):
-            h[k] = self.plane_height(y, fi)
-        return dists, idxs, h
+        points = self.points.reshape(-1, 4)[idxs]
+        normals = self.normals.reshape(-1, 4)[idxs]
+        return dists, idxs, np.vecdot(ys - points, normals)
 
     def boundary_distance(self, y):
         d, idx = self.boundary_tree.query(y)
@@ -571,10 +553,7 @@ def _first_crossing(form, index, x_start, t_budget, direction, skip_time,
     from the binding.  Returns (point, time) or None on budget exhaustion.
     """
     sign = 1.0 if direction == "forward" else -1.0
-    vmax = max(np.linalg.norm(reeb_vector(form, p, check=False))
-               for p in index.disk.samples[::max(1, index.disk.n_r // 4),
-                                            ::max(1, index.n_t // 8)].reshape(-1, 4))
-    dt_scan = index.cell / (2.0 * vmax)
+    dt_scan = index.cell / (2.0 * index.vmax)
     chunk = max(4.0 * dt_scan, t_budget / 16.0)
     near = 2.5 * index.cell
     t_done = 0.0
@@ -779,9 +758,7 @@ def verify_global_section(form, disk, n_seeds=500, t_budget=None,
 
 def ring_action(disk, row):
     """Line integral of the primitive 1-form along one grid ring."""
-    pts = disk.samples[row]
-    nxt = np.roll(pts, -1, axis=0)
-    return float(0.5 * np.einsum("ij,jk,ik->", pts, OMEGA, nxt))
+    return polygon_action(disk.samples[row])
 
 
 def polygon_action(points):

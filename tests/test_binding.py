@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reeb_atlas import binding
 from reeb_atlas.binding import check_binding, necessity_audit
 from reeb_atlas.errors import DegenerateOrbitError
 from reeb_atlas.linking import LoopTrace
@@ -51,6 +52,20 @@ def test_binding_inconclusive_for_knotted_trace(ell, db20):
     gid = _entry_id(db20, np.pi, 1)
     rep = check_binding(ell, db20, gid, traces={gid: trefoil_loop()})
     assert rep.verdict == "inconclusive:unknot_status_unknown"
+    assert rep.exit_code == 3
+
+
+def test_binding_inconclusive_when_an_index_is_unknown(ell, db20,
+                                                       monkeypatch):
+    # an orbit without an agreed index might be an unlinked index-2 orbit
+    gid = _entry_id(db20, np.pi, 1)
+    other = _entry_id(db20, np.sqrt(2) * np.pi, 1)
+    monkeypatch.setattr(binding, "_orbit_indices", lambda form, db: [
+        None if i == other else 3 for i in range(len(db))])
+    rep = check_binding(ell, db20, gid)
+    assert rep.verdict.startswith("inconclusive:")
+    assert rep.index_unknown == [other]
+    assert rep.to_json_dict()["index_unknown_orbits"] == [other]
     assert rep.exit_code == 3
 
 

@@ -185,13 +185,18 @@ def test_malformed_config(workdir, found, ell_config):
 
 
 def test_config_error_names_pointer(workdir, capsys):
-    bad = workdir / "bad2.json"
-    bad.write_text(json.dumps({
-        "form": {"type": "ellipsoid", "r_squared": [1.0, -2.0]},
-    }))
-    main(["orbits-find", "--config", str(bad), "--out", str(workdir / "x")])
-    err = capsys.readouterr().err
-    assert "/form/r_squared/1" in err
+    cases = [
+        ({"form": {"type": "ellipsoid", "r_squared": [1.0, -2.0]}},
+         "/form/r_squared/1"),
+        ({"form": {"type": "ellipsoid", "r_squared": [1.0, SQ2]},
+          "tolerances": {"closure": 1e-8}}, "/tolerances"),
+    ]
+    for config, pointer in cases:
+        bad = workdir / "bad2.json"
+        bad.write_text(json.dumps(config))
+        main(["orbits-find", "--config", str(bad), "--out", str(workdir / "x")])
+        err = capsys.readouterr().err
+        assert f"(at {pointer})" in err
 
 
 def test_missing_artifact_names_producer(ell_config, workdir, capsys):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from reeb_atlas import kernels
 from reeb_atlas.contact import (StarForm, lambda0, omega_form,
                                 project_to_sigma, reeb_vector, sphere_samples,
                                 xi_frame, xi_project, xi_projector)
-from reeb_atlas.errors import DomainError, FrameDegeneracyError
+from reeb_atlas.errors import DomainError, FrameDegeneracyError, OffLevelError
 
 
 def quat_j(x):
@@ -227,3 +229,81 @@ def test_project_to_sigma(ell):
         x = rng.normal(size=4)
         y = project_to_sigma(ell, x)
         assert abs(ell.H(y) - 1.0) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the batched (..., 4) point layer
+# ---------------------------------------------------------------------------
+
+_monomial = st.tuples(st.tuples(*[st.integers(0, 3) for _ in range(4)]),
+                      st.floats(-0.2, 0.2))
+# a constant term 1 above the total size of the others keeps p positive on
+# the unit sphere
+random_weighted = st.lists(_monomial, min_size=1, max_size=4).map(
+    lambda mons: StarForm.weighted([((0, 0, 0, 0), 1.0)] + mons, name="random"))
+_points = arrays(np.float64, (3, 5, 4), elements=st.floats(-2.0, 2.0))
+
+
+def _rows_agree(batch, rows):
+    batch = np.asarray(batch)
+    rows = np.asarray(rows).reshape(batch.shape)
+    assert np.abs(batch - rows).max() <= 1e-14 * max(1.0, np.abs(rows).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.sampled_from(["ell", "perturbed_form", "random"]),
+       random_form=random_weighted, pts=_points)
+def test_batch_equals_rows(ell, perturbed_form, which, random_form, pts):
+    form = {"ell": ell, "perturbed_form": perturbed_form,
+            "random": random_form}[which]
+    assume(np.linalg.norm(pts, axis=-1).min() > 0.1)
+    rows = pts.reshape(-1, 4)
+    for fn in (form.H, form.grad_H, form.hess_H):
+        _rows_agree(fn(pts), [fn(p) for p in rows])
+    on_level = project_to_sigma(form, pts)
+    _rows_agree(reeb_vector(form, on_level),
+                [reeb_vector(form, p) for p in on_level.reshape(-1, 4)])
+    fr = xi_frame(form, on_level)
+    row_frames = [xi_frame(form, p) for p in on_level.reshape(-1, 4)]
+    _rows_agree(fr.e1, [f.e1 for f in row_frames])
+    _rows_agree(fr.e2, [f.e2 for f in row_frames])
+    assert np.abs(omega_form(fr.e1, fr.e2) - 1.0).max() < 1e-12
+    assert np.abs(fr.coords(fr.embed(np.array([0.3, -0.7]))) - [0.3, -0.7]).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(form=random_weighted, pts=_points)
+def test_poly_parts_derivatives_match_finite_differences(form, pts):
+    h = 1e-6
+    steps = h * np.eye(4)
+    p, grad, hess = kernels.poly_parts(form.tables, pts)
+    assert p.shape == pts.shape[:-1] and hess.shape == pts.shape + (4,)
+    p_fd = [(kernels.poly_parts(form.tables, pts + e, 0)[0]
+             - kernels.poly_parts(form.tables, pts - e, 0)[0]) / (2 * h)
+            for e in steps]
+    g_fd = [(kernels.poly_parts(form.tables, pts + e, 1)[1]
+             - kernels.poly_parts(form.tables, pts - e, 1)[1]) / (2 * h)
+            for e in steps]
+    scale = 1.0 + np.abs(hess).max()
+    assert np.abs(np.stack(p_fd, axis=-1) - grad).max() < 1e-6 * scale
+    assert np.abs(np.stack(g_fd, axis=-1) - hess).max() < 1e-6 * scale
+    np.testing.assert_array_equal(hess, np.swapaxes(hess, -1, -2))
+
+
+@pytest.mark.parametrize("form_name", ["ell", "perturbed_form"])
+def test_batch_row_checks(form_name, request):
+    form = request.getfixturevalue(form_name)
+    pts = project_to_sigma(form, sphere_samples(6))
+    with_origin = pts.copy()
+    with_origin[3] = 0.0
+    for fn in (form.H, form.grad_H, form.hess_H):
+        with pytest.raises(DomainError):
+            fn(with_origin)
+    off_level = pts.copy()
+    off_level[4] *= 1.1
+    for fn in (reeb_vector, xi_frame):
+        with pytest.raises(OffLevelError):
+            fn(form, off_level)
+    with pytest.raises(FrameDegeneracyError) as exc:
+        xi_frame(form, pts, _min_norm=10.0)
+    np.testing.assert_array_equal(exc.value.point, pts[0])

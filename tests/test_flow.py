@@ -80,7 +80,7 @@ def test_weighted_var_rhs_is_linearized_reeb_field(perturbed_form):
         x = rng.normal(size=4)
         M = rng.normal(size=(4, 4))
         out = kernels.weighted_var_rhs(np.concatenate([x, M.ravel()]),
-                                       form.exps, form.coeffs)
+                                       form.tables)
         expect = np.concatenate([-OMEGA @ form.grad_H(x),
                                  (-OMEGA @ (form.hess_H(x) @ M)).ravel()])
         np.testing.assert_allclose(out, expect, rtol=1e-13, atol=1e-13)
@@ -106,6 +106,14 @@ def test_monodromy_requires_closure(ell):
     x = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(DomainError):
         monodromy_xi(ell, x, 1.0)
+
+
+def test_trajectory_batch_equals_pointwise(ell, gamma1):
+    # one dense-output call per segment reproduces the per-sample values
+    for t_final in (2.0, -2.0):
+        traj = integrate_flow(ell, gamma1.x0, t_final, dense=True).trajectory
+        ts = np.linspace(0.0, t_final, 41)[::-1]
+        np.testing.assert_array_equal(traj(ts), [traj(t) for t in ts])
 
 
 def test_trajectory_csv(tmp_path, ell, gamma1):

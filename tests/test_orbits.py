@@ -3,7 +3,7 @@ import pytest
 
 from reeb_atlas import kernels
 from reeb_atlas.contact import StarForm
-from reeb_atlas.errors import DomainError, RefinementError
+from reeb_atlas.errors import DomainError, RefinementError, StiffnessError
 from reeb_atlas.flow import flow_map, monodromy_xi
 from reeb_atlas.orbits import (find_orbits, load_orbits, orbit_trace,
                                period_gaps, refine_orbit, save_orbits)
@@ -53,6 +53,28 @@ def test_census_matches_closed_form(db10):
 def test_census_empty_below_minimal_period(ell):
     db = find_orbits(ell, 3.0, n_seeds=64)
     assert len(db) == 0
+
+
+def test_census_drops_a_failing_candidate(ell, monkeypatch):
+    # one candidate's integrator failure is logged and skipped, not fatal
+    from reeb_atlas import orbits
+
+    polish = orbits._newton_polish
+    calls = []
+
+    def failing_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise StiffnessError("step size underflow", 0.0, None)
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(orbits, "_newton_polish", failing_first)
+    log = []
+    db = find_orbits(ell, 4.0, n_seeds=16, log=log)
+    assert len(calls) > 1
+    assert any("step size underflow" in line for line in log)
+    assert [o.multiplicity for o in db.orbits] == [1]
+    assert db[0].T == pytest.approx(np.pi, rel=1e-8)
 
 
 def test_round_sphere_all_degenerate(round_form):

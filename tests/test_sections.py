@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reeb_atlas import sections as sec
-from reeb_atlas.contact import StarForm
+from reeb_atlas.contact import StarForm, xi_frame
 from reeb_atlas.errors import DomainError, GridQualityError, UnsupportedFormError
 from reeb_atlas.linking import self_linking
 from reeb_atlas.orbits import refine_orbit
@@ -79,6 +79,22 @@ def test_tangent_fixture_breaks_sign_constancy(ell, gamma1):
     disk = twisted_page(ell, gamma1, amplitude=1.0)
     _, sign_constant = sec.transversality_check(ell, disk)
     assert not sign_constant
+
+
+def test_node_frame_field_pointwise(ell, page):
+    # the batched normals and field against single-node geometry
+    normals, vfield = sec._node_frame_field(ell, page)
+    d_s, d_t = sec._node_tangents(page)
+    for i, j in [(0, 0), (40, 77), (page.n_r - 1, page.n_theta - 1)]:
+        x = page.samples[i + 1, j]
+        n = normals[i, j]
+        g = ell.grad_H(x)
+        assert abs(np.linalg.norm(n) - 1.0) < 1e-14
+        for v in (d_s[i, j], d_t[i, j], g):
+            assert abs(n @ v) < 1e-12 * max(1.0, np.linalg.norm(v))
+        fr = xi_frame(ell, x)
+        np.testing.assert_allclose(vfield[i, j], [n @ fr.e2, -(n @ fr.e1)],
+                                   rtol=0, atol=1e-14)
 
 
 def test_characteristic_foliation(ell, page, gamma1):
