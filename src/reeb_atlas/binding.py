@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cz import orbit_index_report
-from .errors import DegenerateOrbitError, DomainError
+from .errors import DegenerateOrbitError, DomainError, ReebAtlasError
 from .linking import linking_number, self_linking, trace_orbit, unknot_check
 from .sections import characteristic_field, transversality_check
 
@@ -62,29 +62,17 @@ class BindingReport:
         return 3
 
 
-def _orbit_indices(form, db, n_grid=512):
-    """Agreed index per database entry; None where flagged degenerate."""
-    out = []
-    for orbit in db.orbits:
-        if orbit.degenerate:
-            out.append(None)
-            continue
-        rep = orbit_index_report(form, orbit, n_grid=n_grid)
-        if rep["mu_geometric"] is None or rep["mu_spectral"] is None:
-            out.append(None)
-        else:
-            out.append(rep["mu_geometric"])
-    return out
-
-
-def check_binding(form, db, candidate_id, traces=None, n_grid=1024):
+def check_binding(form, db, candidate_id, traces=None):
     """Evaluate the binding conditions for one orbit of the census.
 
-    ``traces`` optionally maps orbit ids to precomputed full-cover loop
-    traces (used by tests to inject fixtures).  The verdict carries the
-    census truncation cap; conditions quantified over all orbits are only
-    checked against the database, and an orbit whose index could not be
-    computed makes a verdict that would otherwise hold inconclusive.
+    ``traces`` optionally maps orbit ids to precomputed full-cover (N, 4)
+    loop traces (used by tests to inject fixtures).  The candidate's index
+    is computed once, on a 1024-point grid, and an error there aborts; every
+    other census orbit is indexed on a 512-point grid.  The verdict carries
+    the census truncation cap; conditions quantified over all orbits are
+    only checked against the database, and an orbit whose index could not
+    be computed makes a verdict that would otherwise hold inconclusive; it
+    is listed in ``index_unknown`` as ``{"orbit_id", "reason"}``.
     """
     if candidate_id < 0 or candidate_id >= len(db):
         raise DomainError(f"candidate {candidate_id} is not in the database")
@@ -112,25 +100,32 @@ def check_binding(form, db, candidate_id, traces=None, n_grid=1024):
 
     report.sl = self_linking(form, cand)
 
-    idx_rep = orbit_index_report(form, cand, n_grid=n_grid)
+    idx_rep = orbit_index_report(form, cand, n_grid=1024)
     if idx_rep["degenerate_flags"]:
         report.verdict = "inconclusive:index-degeneracy-flagged"
         return report
     report.mu_cz = idx_rep["mu_geometric"]
     report.index_methods_agree = (idx_rep["mu_geometric"] == idx_rep["mu_spectral"])
 
-    indices = _orbit_indices(form, db)
-    for oid, mu in enumerate(indices):
+    for oid, orbit in enumerate(db.orbits):
         if oid == candidate_id:
             continue
-        if mu is None:
-            report.index_unknown.append(oid)  # might be an unlinked index 2
+        reason = "degenerate" if orbit.degenerate else None
+        try:
+            rep = (None if reason
+                   else orbit_index_report(form, orbit, n_grid=512))
+        except ReebAtlasError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        if reason is None and None in (rep["mu_geometric"], rep["mu_spectral"]):
+            reason = "; ".join(rep["degenerate_flags"]) or "no index"
+        if reason is not None:  # might be an unlinked index 2
+            report.index_unknown.append({"orbit_id": oid, "reason": reason})
             continue
-        if mu != 2:
+        if rep["mu_geometric"] != 2:
             continue
         other = traces.get(oid)
         if other is None:
-            other = trace_orbit(form, db[oid], n=512)
+            other = trace_orbit(form, orbit, n=512)
         lk, _ = linking_number(cand_trace, other)
         report.index2_checked.append(
             {"orbit_id": oid, "lk": int(lk), "linked": bool(lk != 0)}
@@ -182,27 +177,27 @@ class AuditReport:
         }
 
 
-def necessity_audit(form, disk, db, binding_id, binding_trace=None,
-                    traces=None, skip_section_checks=False):
+def necessity_audit(form, disk, db, binding_id, traces=None):
     """Audit the consequences a verified global section must exhibit.
 
     Pre: the disk passed ``verify_global_section`` for the binding orbit.
-    Checks, against the truncated census: every geometrically distinct
-    orbit links the binding; the pushoff self-linking equals -1 and equals
-    minus the boundary winding of the characteristic field; the index is
-    at least 3.  Any failure is reported as an alarm: these are theorems,
-    so an alarm means a resolution problem or a bug, never new mathematics.
+    Checks, against the truncated census: the interior stays transversal
+    with a constant sign; every geometrically distinct orbit links the
+    binding; the pushoff self-linking equals -1 and equals minus the
+    boundary winding of the characteristic field; the index is at least 3.
+    Any failure is reported as an alarm: these are theorems, so an alarm
+    means a resolution problem or a bug, never new mathematics.  An orbit
+    whose linking number cannot be computed gets a row with ``lk`` None and
+    the reason under ``skipped``, and an alarm, so the audit cannot pass.
     """
     binding = db[binding_id]
     alarms = []
     traces = traces or {}
-    if binding_trace is None:
-        binding_trace = trace_orbit(form, binding, n=512)
+    binding_trace = trace_orbit(form, binding, n=512)
 
-    if not skip_section_checks:
-        _, sign_constant = transversality_check(form, disk)
-        if not sign_constant:
-            alarms.append("interior transversality lost its sign constancy")
+    _, sign_constant = transversality_check(form, disk)
+    if not sign_constant:
+        alarms.append("interior transversality lost its sign constancy")
 
     _, singularities, boundary_winding = characteristic_field(form, disk)
     if boundary_winding != 1:
@@ -246,10 +241,16 @@ def necessity_audit(form, disk, db, binding_id, binding_trace=None,
         if key in seen_primes:
             continue
         seen_primes.add(key)
-        tr = traces.get(oid)
-        if tr is None:
-            tr = trace_orbit(form, orbit, n=512)
-        lk, _ = linking_number(binding_trace, tr)
+        try:
+            tr = traces.get(oid)
+            if tr is None:
+                tr = trace_orbit(form, orbit, n=512)
+            lk, _ = linking_number(binding_trace, tr)
+        except ReebAtlasError as exc:
+            linking_rows.append({"orbit_id": oid, "lk": None,
+                                 "skipped": str(exc)})
+            alarms.append(f"linking with orbit {oid} was not computed: {exc}")
+            continue
         linking_rows.append({"orbit_id": oid, "lk": int(lk)})
         if lk == 0:
             alarms.append(

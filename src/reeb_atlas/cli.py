@@ -147,6 +147,8 @@ def cmd_orbits_find(args):
     t_max = args.tmax if args.tmax is not None else cfg.get("tmax", 10.0)
     n_seeds = args.seeds if args.seeds is not None else cfg.get("seeds", 256)
     rng_seed = args.rng_seed if args.rng_seed is not None else cfg.get("rng_seed", 0)
+    if rng_seed < 0:  # the schema's minimum, for the flag
+        raise ConfigError(f"rng_seed {rng_seed} is below 0", "/rng_seed")
     db = find_orbits(form, float(t_max), n_seeds=int(n_seeds),
                      rng_seed=int(rng_seed))
     out = os.path.join(args.out, "orbits.json")
@@ -231,7 +233,12 @@ def cmd_unknot(args):
             rows.append({"orbit": i, "status": "not-simply-covered",
                          "crossings": None})
             continue
-        v = unknot_check(trace_orbit(form, orbit, n=512))
+        try:
+            v = unknot_check(trace_orbit(form, orbit, n=512))
+        except ReebAtlasError as exc:
+            rows.append({"orbit": i, "status": None, "crossings": None,
+                         "skipped": str(exc)})
+            continue
         rows.append({"orbit": i, "status": v.status,
                      "crossings": v.crossing_count_after_reduction})
     payload = {"knots": rows, "rng_seed": cfg.get("rng_seed", 0)}

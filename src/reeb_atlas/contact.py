@@ -42,8 +42,6 @@ __all__ = [
 # matrix of omega = dq1^dp1 + dq2^dp2
 OMEGA = kernels.OMEGA
 
-_LEVEL_TOL = 1e-9
-
 
 def omega_form(u, v):
     """Symplectic form omega(u, v), row-wise over the last axis."""
@@ -61,18 +59,22 @@ def _first_row(mask):
     return int(hits[0]) if hits.size else None
 
 
-def sphere_samples(n, dim=4, seed_skip=0):
-    """Quasi-uniform points on the unit sphere S^{dim-1}.
+def sphere_samples(n, seed_skip=0):
+    """Quasi-uniform points on the unit sphere S^3 in R^4.
 
     Unscrambled Sobol points mapped through the inverse normal CDF and
     normalized; deterministic, and the first n points of a longer run are
-    always the same (prefix property used by the orbit search).
+    always the same (prefix property used by the orbit search).  The first
+    ``seed_skip`` points are skipped; a draw from 0 drops index 1 (the all-1/2
+    point maps to the origin).  A skip outside [0, 2^30 - n - 8] raises.
     """
     import warnings
 
     from scipy.special import ndtri
 
-    eng = qmc.Sobol(d=dim, scramble=False)
+    if seed_skip < 0 or seed_skip + n + 8 > 2**30:
+        raise DomainError(f"Sobol skip {seed_skip} outside [0, 2^30 - n - 8]")
+    eng = qmc.Sobol(d=4, scramble=False)
     if seed_skip:
         eng.fast_forward(seed_skip)
     with warnings.catch_warnings():
@@ -130,11 +132,11 @@ class StarForm:
                    tables=kernels.ellipsoid_tables(2.0 / r))
 
     @classmethod
-    def round_sphere(cls, name="round-sphere"):
-        return cls.ellipsoid(1.0, 1.0, name=name)
+    def round_sphere(cls):
+        return cls.ellipsoid(1.0, 1.0, name="round-sphere")
 
     @classmethod
-    def weighted(cls, monomials, name="", positivity_samples=10_000):
+    def weighted(cls, monomials, name=""):
         """Build from a list of ((e1,e2,e3,e4), coeff) monomials.
 
         The weight must be positive on a 10^4-point quasi-uniform sample of
@@ -152,7 +154,7 @@ class StarForm:
         # the value block alone: all derivative blocks at 10^4 points would
         # make a temporary of tens of MB
         vals, _, _ = kernels.poly_parts(
-            tables, sphere_samples(positivity_samples), order=0)
+            tables, sphere_samples(10_000), order=0)
         if vals.min() <= 0:
             raise DomainError(
                 f"weight is not positive on the sphere (min {vals.min():.3e})"
@@ -271,12 +273,12 @@ def project_to_sigma(form, x):
     return x / np.sqrt(h)[..., None]
 
 
-def _check_on_level(form, x, tol=1e-7):
+def _check_on_level(form, x):
     err = np.abs(form.H(x) - 1.0)
-    k = _first_row(err > tol)
+    k = _first_row(err > 1e-7)
     if k is not None:
         raise OffLevelError(
-            f"|H(x) - 1| = {err.flat[k]:.3e} exceeds {tol:.0e} at "
+            f"|H(x) - 1| = {err.flat[k]:.3e} exceeds 1e-07 at "
             f"{np.reshape(x, (-1, 4))[k]}")
 
 
@@ -352,7 +354,7 @@ def _frame_norm(x, n, min_norm):
     return n[..., None]
 
 
-def xi_frame(form, x, generator="j", check=True, _min_norm=1e-6):
+def xi_frame(form, x, generator="j", _min_norm=1e-6):
     """Global symplectic frame of the contact plane at points x.
 
     The quaternion fields j*xhat and k*xhat are projected symplectically
@@ -360,13 +362,13 @@ def xi_frame(form, x, generator="j", check=True, _min_norm=1e-6):
     spanned by x/2 and R), Gram-Schmidt orthonormalized, and rescaled so
     dlambda0(e1, e2) = 1.  ``generator="k"`` starts from k*xhat instead,
     giving a second global frame in the same homotopy class; downstream
-    integer invariants must not depend on the choice.
+    integer invariants must not depend on the choice.  A point off the
+    level by more than 1e-7 raises ``OffLevelError``.
     """
     if generator not in _QUAT:
         raise DomainError(f"unknown frame generator {generator!r}")
     x = np.asarray(x, dtype=float)
-    if check:
-        _check_on_level(form, x)
+    _check_on_level(form, x)
     proj = xi_projector(form, x)
     xh = x / kernels.norm(x)[..., None]
     other = "k" if generator == "j" else "j"
@@ -382,19 +384,18 @@ def xi_frame(form, x, generator="j", check=True, _min_norm=1e-6):
     return XiFrame(point=x, e1=f1 * scale, e2=f2 * scale)
 
 
-def xi_project(form, x, v, frame=None, tol=1e-9):
+def xi_project(form, x, v):
     """Coordinates of the contact-plane projection of a tangent vector.
 
     The projection is ``xi_projector``; on vectors tangent to the level it
     kills the Reeb direction: pi(v) = v - lambda0(v) R.  Requires v tangent
-    to the level at x.
+    to the level at x, |dH(v)| <= 1e-9 max(1, |v|) |grad H|; the coordinates
+    are taken in ``xi_frame(form, x)``.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     gH = form.grad_H(x)
     if np.any(np.abs(np.vecdot(gH, v))
-              > tol * np.maximum(1.0, kernels.norm(v)) * kernels.norm(gH)):
+              > 1e-9 * np.maximum(1.0, kernels.norm(v)) * kernels.norm(gH)):
         raise DomainError("vector is not tangent to the level within tolerance")
-    if frame is None:
-        frame = xi_frame(form, x)
-    return frame.coords(xi_projector(form, x)(v))
+    return xi_frame(form, x).coords(xi_projector(form, x)(v))

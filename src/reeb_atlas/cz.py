@@ -70,8 +70,8 @@ class SymplecticPath:
     def endpoint(self):
         return self.mats[-1]
 
-    def validate(self, require_identity_start=True):
-        if require_identity_start and np.abs(self.mats[0] - np.eye(2)).max() > 1e-12:
+    def validate(self):
+        if np.abs(self.mats[0] - np.eye(2)).max() > 1e-12:
             raise DomainError("path must start at the identity")
         dets = np.linalg.det(self.mats)
         if np.abs(dets - 1.0).max() > 1e-6:
@@ -126,12 +126,12 @@ class SpectralData:
 # trivialized linearized flow along an orbit
 # ---------------------------------------------------------------------------
 
-def _path_samples(form, orbit, n, generator="j"):
+def _path_samples(form, orbit, n):
     T = orbit.T
     ts = np.linspace(0.0, T, n + 1)
     res = integrate_flow(form, orbit.x0, T, tol=1e-12, variational=True,
                          t_eval=ts)
-    fr = xi_frame(form, res.points, generator=generator)
+    fr = xi_frame(form, res.points)
     proj = xi_projector(form, res.points)
     M = res.monodromy4
     mats = np.empty((n + 1, 2, 2))
@@ -144,20 +144,20 @@ def _path_samples(form, orbit, n, generator="j"):
     return mats, max_frame_angle
 
 
-def trivialized_path(form, orbit, n_min=256, generator="j", residual_tol=1e-9):
+def trivialized_path(form, orbit, n_min=256):
     """Linearized Reeb flow along an orbit, expressed in the global frame.
 
-    The sample count doubles automatically until the frame rotates by less
-    than pi/4 per step and consecutive matrices move by less than the
-    resolution guard.
+    The orbit's residual must be at most 1e-9.  The sample count doubles
+    automatically from ``n_min`` until the frame rotates by less than pi/4
+    per step and consecutive matrices move by less than the resolution guard.
     """
-    if orbit.residual > residual_tol:
+    if orbit.residual > 1e-9:
         raise DomainError(
-            f"orbit residual {orbit.residual:.2e} exceeds {residual_tol:.0e}"
+            f"orbit residual {orbit.residual:.2e} exceeds 1e-09"
         )
     n = int(n_min)
     while True:
-        mats, frame_angle = _path_samples(form, orbit, n, generator=generator)
+        mats, frame_angle = _path_samples(form, orbit, n)
         path = SymplecticPath(times=np.linspace(0.0, 1.0, n + 1), mats=mats)
         jumps = np.linalg.norm(np.diff(mats, axis=0), axis=(1, 2))
         if frame_angle < np.pi / 4 and jumps.max() < STEP_GUARD:
@@ -195,18 +195,20 @@ def _direction_rotations(mats, n_dirs):
     return dth.sum(axis=0) / (2.0 * np.pi)
 
 
-def rotation_interval(path, n_dirs=360, refine_tol=1e-3):
+def rotation_interval(path):
     """Interval of direction rotation numbers of a symplectic path.
 
     Directions cover the half circle (antipodal directions rotate equally);
-    the count doubles until the endpoints move by less than ``refine_tol``.
+    their count starts at 360 and doubles, up to 5760, until the endpoints
+    move by less than 1e-3.
     """
     path.validate()
     lo = hi = None
+    n_dirs = 360
     while True:
         deltas = _direction_rotations(path.mats, n_dirs)
         new_lo, new_hi = float(deltas.min()), float(deltas.max())
-        if lo is not None and abs(new_lo - lo) < refine_tol and abs(new_hi - hi) < refine_tol:
+        if lo is not None and abs(new_lo - lo) < 1e-3 and abs(new_hi - hi) < 1e-3:
             lo, hi = min(lo, new_lo), max(hi, new_hi)
             break
         lo, hi = new_lo, new_hi
@@ -236,10 +238,11 @@ def cz_from_interval(interval):
     return 2 * int(np.floor(interval.lo)) + 1, flag
 
 
-def maslov_loop(path, closure_tol=1e-8):
-    """Winding number of the polar rotation angle over a closed loop at I."""
+def maslov_loop(path):
+    """Winding number of the polar rotation angle over a loop closed at I
+    within 1e-8."""
     path.validate()
-    if np.abs(path.endpoint - path.mats[0]).max() > closure_tol:
+    if np.abs(path.endpoint - path.mats[0]).max() > 1e-8:
         raise DomainError("loop is not closed at the required tolerance")
     m = path.mats
     # polar factor of a 2x2 matrix with positive determinant has rotation
@@ -342,18 +345,18 @@ def _physical_pairs(vals, vecs, n, k_cut):
     return np.array(out_vals), np.array(out_winds, dtype=int)
 
 
-def asymptotic_spectrum(form, orbit, n_grid=1024, num_eigs=48, generator="j"):
+def asymptotic_spectrum(form, orbit, n_grid=1024):
     """Eigenvalues nearest zero of the orbit operator, with windings.
 
     The operator -J0 d/dt + S(t) (S symmetric in the orthonormalized global
     frame) is discretized by central differences on ``n_grid`` periodic
-    points; shift-invert Lanczos returns the eigenpairs nearest zero, alias
-    modes are filtered, and each eigenfunction's winding is the degree of
-    v(t)/|v(t)|.
+    points; shift-invert Lanczos returns the 48 eigenpairs nearest zero,
+    alias modes are filtered, and each eigenfunction's winding is the degree
+    of v(t)/|v(t)|.
     """
     if orbit.degenerate:
         raise DegenerateOrbitError("orbit is degenerate; spectrum has a kernel")
-    path = trivialized_path(form, orbit, n_min=n_grid, generator=generator)
+    path = trivialized_path(form, orbit, n_min=n_grid)
     if path.n_steps != n_grid:
         raise ResolutionError(
             f"n_grid={n_grid} under-resolves this orbit; use at least "
@@ -364,7 +367,7 @@ def asymptotic_spectrum(form, orbit, n_grid=1024, num_eigs=48, generator="j"):
     # a fixed ARPACK start vector keeps reruns, and their reports, identical
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
-        vals, vecs = spla.eigsh(A, k=min(num_eigs, 2 * n_grid - 2), sigma=0,
+        vals, vecs = spla.eigsh(A, k=min(48, 2 * n_grid - 2), sigma=0,
                                 which="LM", v0=v0)
     except RuntimeError as exc:
         raise DegenerateOrbitError(f"shift-invert at zero failed: {exc}") from exc
@@ -374,7 +377,7 @@ def asymptotic_spectrum(form, orbit, n_grid=1024, num_eigs=48, generator="j"):
         )
     phys_vals, phys_winds = _physical_pairs(vals, vecs, n_grid, n_grid // 8)
     if len(phys_vals) == 0 or phys_vals.min() > 0 or phys_vals.max() < 0:
-        raise ResolutionError("eigen-window does not straddle zero; raise num_eigs")
+        raise ResolutionError("the 48 eigenvalues nearest zero do not straddle it")
     neg = phys_vals < 0
     nu_neg = phys_vals[neg].max()
     nu_pos = phys_vals[~neg].min()
@@ -409,7 +412,7 @@ def winding_census(data):
 # iterates and reports
 # ---------------------------------------------------------------------------
 
-def iterate_index_table(form, orbit, k_max, n_min=256):
+def iterate_index_table(form, orbit, k_max):
     """Geometric indices of the first ``k_max`` iterates of a prime orbit.
 
     Degenerate iterates are flagged and left out of the table.  The standard
@@ -425,7 +428,7 @@ def iterate_index_table(form, orbit, k_max, n_min=256):
         if it.degenerate:
             flags.append(k)
             continue
-        path = trivialized_path(form, it, n_min=max(n_min, 128 * k))
+        path = trivialized_path(form, it, n_min=max(256, 128 * k))
         mu, deg = cz_from_interval(rotation_interval(path))
         if deg:
             flags.append(k)
@@ -458,7 +461,8 @@ def orbit_index_report(form, orbit, n_grid=1024):
     """Both index computations for one orbit, JSON-ready.
 
     Degenerate orbits produce flags instead of numbers: no index is ever
-    emitted for a flagged orbit.
+    emitted for a flagged orbit.  An emitted index is cross-checked against
+    the monodromy class: it is even iff the orbit is positive hyperbolic.
     """
     report = {
         "mu_geometric": None,
@@ -494,6 +498,13 @@ def orbit_index_report(form, orbit, n_grid=1024):
             f"index methods disagree: geometric {report['mu_geometric']} vs "
             f"spectral {report['mu_spectral']}"
         )
+    for mu in (report["mu_geometric"], report["mu_spectral"]):
+        if mu is not None and (mu % 2 == 0) != (
+                orbit.nondeg_class == "positive-hyperbolic"):
+            raise InconsistencyError(
+                f"index {mu} has the wrong parity for a "
+                f"{orbit.nondeg_class} orbit"
+            )
     return report
 
 
@@ -515,13 +526,13 @@ def pure_rotation_path(turns, n=512):
     return SymplecticPath(times=_grid(n), mats=mats)
 
 
-def hyperbolic_path(rate, n=512):
-    """phi(t) = diag(e^{rate t}, e^{-rate t})."""
-    ts = _grid(n)
-    mats = np.zeros((n + 1, 2, 2))
+def hyperbolic_path(rate):
+    """phi(t) = diag(e^{rate t}, e^{-rate t}) on a 512-step grid."""
+    ts = _grid(512)
+    mats = np.zeros((513, 2, 2))
     mats[:, 0, 0] = np.exp(rate * ts)
     mats[:, 1, 1] = np.exp(-rate * ts)
-    return SymplecticPath(times=_grid(n), mats=mats)
+    return SymplecticPath(times=ts, mats=mats)
 
 
 def _expm_traceless(M):
@@ -562,17 +573,18 @@ def _integrate_generator(coef_fn, n):
     return SymplecticPath(times=_grid(n), mats=mats)
 
 
-def random_nondegenerate_path(rng, n=1024, rotation_scale=3.0, wobble=0.7,
-                              max_tries=20):
+def random_nondegenerate_path(rng):
     """Random smooth symplectic path with a non-degenerate endpoint.
 
-    A dominant isotropic rotation keeps the hyperbolic stretch bounded, so
-    the fixtures stay resolvable at the default sampling while still
-    covering several index values.
+    The path has 1024 steps, a rotation rate drawn from [-3 pi, 3 pi] and
+    Fourier wobbles of scale 0.7; up to 20 draws are tried.  A dominant
+    isotropic rotation keeps the hyperbolic stretch bounded, so the fixtures
+    stay resolvable at this sampling while still covering several index
+    values.
     """
-    for _ in range(max_tries):
-        w0 = rng.uniform(-rotation_scale * np.pi, rotation_scale * np.pi)
-        c = rng.normal(scale=wobble, size=(3, 3))  # 3 Fourier modes x 3 entries
+    for _ in range(20):
+        w0 = rng.uniform(-3.0 * np.pi, 3.0 * np.pi)
+        c = rng.normal(scale=0.7, size=(3, 3))  # 3 Fourier modes x 3 entries
 
         def coef(t, w0=w0, c=c):
             val = np.zeros(3)
@@ -580,7 +592,7 @@ def random_nondegenerate_path(rng, n=1024, rotation_scale=3.0, wobble=0.7,
                 val += c[m] * np.cos(2 * np.pi * m * t + m)
             return np.array([[w0 + val[0], val[1]], [val[1], w0 + val[2]]])
 
-        path = _integrate_generator(coef, n)
+        path = _integrate_generator(coef, 1024)
         jumps = np.linalg.norm(np.diff(path.mats, axis=0), axis=(1, 2))
         if jumps.max() >= STEP_GUARD:
             continue
@@ -589,12 +601,13 @@ def random_nondegenerate_path(rng, n=1024, rotation_scale=3.0, wobble=0.7,
     raise ResolutionError("failed to draw a non-degenerate random path")
 
 
-def random_loop(rng, maslov, n=512, amplitude=0.5):
-    """Random smooth loop at the identity with the given Maslov number."""
+def random_loop(rng, maslov, n=512):
+    """Random smooth loop at the identity with the given Maslov number; its
+    bump amplitudes are normal with scale 0.5."""
     base = pure_rotation_path(maslov, n)
     ts = _grid(n)
     bump = np.sin(np.pi * ts) ** 2
-    a = rng.normal(scale=amplitude, size=2)
+    a = rng.normal(scale=0.5, size=2)
     gens = np.zeros((n + 1, 2, 2))
     gens[:, 0, 0] = bump * a[0]
     gens[:, 0, 1] = bump * a[1]

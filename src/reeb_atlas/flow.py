@@ -87,13 +87,13 @@ class FlowResult:
 
 
 def integrate_flow(form, x0, t_final, tol=1e-10, variational=False,
-                   t_eval=None, max_step=np.inf, dense=False, check=True):
+                   t_eval=None, dense=False):
     """Integrate the Reeb flow from a point of the level.
 
     Parameters
     ----------
     form : StarForm
-    x0 : (4,) point on the unit level (within tolerance).
+    x0 : (4,) point on the unit level (within 1e-7).
     t_final : end time, either sign.
     tol : local error tolerance per step (relative; absolute is tol * 1e-2).
     variational : also propagate the 4x4 linearized flow from the identity.
@@ -102,14 +102,15 @@ def integrate_flow(form, x0, t_final, tol=1e-10, variational=False,
 
     Raises
     ------
+    OffLevelError
+        if x0 is off the level by more than 1e-7.
     StiffnessError
         if the step size underflows; carries the last good state.
     """
     x0 = np.asarray(x0, dtype=float)
-    if check:
-        h0 = form.H(x0)
-        if abs(h0 - 1.0) > 1e-7:
-            raise OffLevelError(f"initial point off level by {abs(h0 - 1.0):.3e}")
+    h0 = form.H(x0)
+    if abs(h0 - 1.0) > 1e-7:
+        raise OffLevelError(f"initial point off level by {abs(h0 - 1.0):.3e}")
     if not np.isfinite(t_final):
         raise DomainError("t_final must be finite")
 
@@ -122,8 +123,7 @@ def integrate_flow(form, x0, t_final, tol=1e-10, variational=False,
                           Trajectory(0.0, y0, 1.0) if dense else None)
 
     fun = _rhs(form, variational)
-    solver = DOP853(fun, 0.0, y0, t_final, rtol=tol, atol=tol * 1e-2,
-                    max_step=max_step)
+    solver = DOP853(fun, 0.0, y0, t_final, rtol=tol, atol=tol * 1e-2)
     direction = 1.0 if t_final > 0 else -1.0
     traj = Trajectory(0.0, y0, direction)
     ts = [0.0]
@@ -154,24 +154,24 @@ def integrate_flow(form, x0, t_final, tol=1e-10, variational=False,
     return FlowResult(times, xs, mon, traj if dense else None)
 
 
-def flow_map(form, x0, T, tol=1e-12, variational=False):
-    """Endpoint (and optionally linearization) of the time-T Reeb flow."""
-    res = integrate_flow(form, x0, T, tol=tol, variational=variational)
+def flow_map(form, x0, T, variational=False):
+    """Endpoint (and optionally linearization) of the time-T flow, tol 1e-12."""
+    res = integrate_flow(form, x0, T, tol=1e-12, variational=variational)
     if variational:
         return res.endpoint, res.monodromy_end
     return res.endpoint
 
 
-def monodromy_xi(form, orbit_point, T, tol=1e-12, closure_tol=1e-6):
+def monodromy_xi(form, orbit_point, T, closure_tol=1e-6):
     """Linearized period map restricted to the contact plane.
 
     Returns the 2x2 matrix of dphi_T on the contact plane, expressed in the
-    global frame at the (common) start and end point.  Requires the point to
-    be T-periodic within ``closure_tol``; determinant is 1 up to integration
-    error.
+    global frame at the (common) start and end point, from one variational
+    integration at tol 1e-12.  Requires the point to be T-periodic within
+    ``closure_tol``; determinant is 1 up to integration error.
     """
     x0 = np.asarray(orbit_point, dtype=float)
-    end, M = flow_map(form, x0, T, tol=tol, variational=True)
+    end, M = flow_map(form, x0, T, variational=True)
     gap = np.linalg.norm(end - x0)
     if gap > closure_tol:
         raise DomainError(

@@ -187,16 +187,21 @@ def weighted_var_rhs(y, tables):
 # of two closed polylines in R^3.
 # ---------------------------------------------------------------------------
 
-def gauss_linking_raw(a, b, chunk=64):
+# rows of ``a`` per block of the Gauss sum: bounds the (rows, len(b), 3)
+# temporaries
+_GAUSS_CHUNK = 64
+
+
+def gauss_linking_raw(a, b):
     na = a.shape[0]
     a2 = np.roll(a, -1, axis=0)
     b1 = b
     b2 = np.roll(b, -1, axis=0)
     db = b2 - b1
     total = 0.0
-    for i0 in range(0, na, chunk):
-        p1 = a[i0:i0 + chunk][:, None, :]
-        p2 = a2[i0:i0 + chunk][:, None, :]
+    for i0 in range(0, na, _GAUSS_CHUNK):
+        p1 = a[i0:i0 + _GAUSS_CHUNK][:, None, :]
+        p2 = a2[i0:i0 + _GAUSS_CHUNK][:, None, :]
         r13 = b1[None, :, :] - p1
         r14 = b2[None, :, :] - p1
         r23 = b1[None, :, :] - p2

@@ -16,12 +16,10 @@ import numpy as np
 
 from . import kernels
 from .contact import project_to_sigma, xi_frame
-from .errors import (DomainError, PoleSelectionError, ProximityError,
-                     ResolutionError)
-from .flow import integrate_flow
+from .errors import PoleSelectionError, ProximityError, ResolutionError
+from .orbits import trace_orbit
 
 __all__ = [
-    "LoopTrace",
     "KnotVerdict",
     "trace_orbit",
     "stereo_project",
@@ -53,45 +51,13 @@ def _pole_candidates():
 
 POLE_CANDIDATES = _pole_candidates()  # 26 fixed directions, tried in order
 
-
-@dataclass
-class LoopTrace:
-    """Closed polyline sampled uniformly in time along a loop in R^4."""
-
-    points: np.ndarray  # (N, 4), implicit closure back to points[0]
-    closure_gap: float
-
-    def __post_init__(self):
-        self.points = np.ascontiguousarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 4:
-            raise DomainError("trace points must be (N, 4)")
-
-    def __len__(self):
-        return len(self.points)
-
-    def validate(self, closure_tol=1e-8, chord_factor=0.05):
-        if self.closure_gap > closure_tol:
-            raise DomainError(f"trace closure gap {self.closure_gap:.2e}")
-        pts = self.points
-        chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-        diam = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
-        if chords.max() >= chord_factor * diam:
-            raise ResolutionError("trace chords too long relative to diameter")
-        return self
-
-    def reversed(self):
-        return LoopTrace(points=self.points[::-1].copy(),
-                         closure_gap=self.closure_gap)
-
-
-def trace_orbit(form, orbit, n=1024, cover="full", tol=1e-11):
-    """LoopTrace of an orbit; ``cover="full"`` winds multiplicity times."""
-    T = orbit.T if cover == "full" else orbit.T_min
-    ts = np.arange(n) / n * T
-    res = integrate_flow(form, orbit.x0, T, tol=tol, t_eval=ts)
-    end = integrate_flow(form, orbit.x0, orbit.T_min, tol=tol).endpoint
-    gap = float(np.linalg.norm(end - orbit.x0))
-    return LoopTrace(points=res.points, closure_gap=gap)
+# a pole closer than this to a normalized curve is never used
+_POLE_MIN_DIST = 1e-2
+# curves closer than this have no reliable linking number
+_MIN_CURVE_DIST = 1e-3
+# crossings of shadow segments this close to parallel (relative to their
+# lengths) make a projection non-generic
+_TANGENT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +82,22 @@ def _oriented_basis(pole):
     return B
 
 
-def stereo_project(points, pole, min_dist=1e-2):
-    """Stereographic image in R^3 of a loop, after radial normalization."""
+def stereo_project(points, pole):
+    """Stereographic image in R^3 of a loop, after radial normalization.
+
+    A pole within ``_POLE_MIN_DIST`` of the normalized loop is refused.
+    """
     pole = np.asarray(pole, dtype=float)
     pole = pole / np.linalg.norm(pole)
     y = points / np.linalg.norm(points, axis=1, keepdims=True)
-    if np.linalg.norm(y - pole, axis=1).min() <= min_dist:
+    if np.linalg.norm(y - pole, axis=1).min() <= _POLE_MIN_DIST:
         raise PoleSelectionError("pole ray passes too close to the curve")
     B = _oriented_basis(pole)
     denom = (1.0 - y @ pole)[:, None]
     return ((y - np.outer(y @ pole, pole)) / denom) @ B.T
 
 
-def pick_pole(point_sets, min_dist=1e-2):
+def pick_pole(point_sets):
     """First of the 26 candidate poles admissible for every given loop.
 
     A pole within a few chord lengths of a sampled curve blows the image up
@@ -137,7 +106,7 @@ def pick_pole(point_sets, min_dist=1e-2):
     candidate clears it.
     """
     sets = []
-    floor = min_dist
+    floor = _POLE_MIN_DIST
     for pts in point_sets:
         y = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         sets.append(y)
@@ -155,14 +124,15 @@ def pick_pole(point_sets, min_dist=1e-2):
 # Gauss linking number
 # ---------------------------------------------------------------------------
 
-def linking_number(a, b, min_dist=1e-3, residual_cap=0.1):
-    """Integer linking number by the exact Gauss solid-angle sum.
+def linking_number(a, b, min_dist=_MIN_CURVE_DIST):
+    """Integer linking number of two (N, 4) loops by the exact Gauss
+    solid-angle sum.
 
     Returns (lk, raw_residual).  Curves closer than ``min_dist`` are
-    rejected; a residual above ``residual_cap`` demands denser traces.
+    rejected; a residual of 0.1 or more demands denser traces.
     """
-    pa = a.points if isinstance(a, LoopTrace) else np.ascontiguousarray(a)
-    pb = b.points if isinstance(b, LoopTrace) else np.ascontiguousarray(b)
+    pa = np.ascontiguousarray(a)
+    pb = np.ascontiguousarray(b)
     gap = kernels.min_cross_distance(pa, pb)
     if gap <= min_dist:
         raise ProximityError(f"curves are {gap:.2e} apart (< {min_dist:.0e})")
@@ -172,9 +142,9 @@ def linking_number(a, b, min_dist=1e-3, residual_cap=0.1):
     raw = kernels.gauss_linking_raw(a3, b3)
     lk = int(np.rint(raw))
     residual = abs(raw - lk)
-    if residual >= residual_cap:
+    if residual >= 0.1:
         raise ResolutionError(
-            f"Gauss sum residual {residual:.3f} >= {residual_cap}; densify"
+            f"Gauss sum residual {residual:.3f} >= 0.1; densify"
         )
     return lk, residual
 
@@ -211,7 +181,7 @@ def _plane_basis(d):
     return u1, u2, d
 
 
-def _pair_crossings(a3, b3, direction, tangent_tol=1e-9):
+def _pair_crossings(a3, b3, direction):
     """Signed crossings between the shadows of two loops.
 
     Returns the signed sum, or None when the projection is non-generic
@@ -238,9 +208,9 @@ def _pair_crossings(a3, b3, direction, tangent_tol=1e-9):
         uu = uu / denom
     scale = (np.linalg.norm(r, axis=1)[:, None]
              * np.linalg.norm(s, axis=1)[None, :])
-    hit = (np.abs(denom) > tangent_tol * scale) & \
+    hit = (np.abs(denom) > _TANGENT_TOL * scale) & \
         (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
-    near_tangent = (np.abs(denom) <= tangent_tol * scale) & \
+    near_tangent = (np.abs(denom) <= _TANGENT_TOL * scale) & \
         (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1) & (uu < 1.1)
     if np.any(near_tangent & np.isfinite(tt) & np.isfinite(uu)):
         return None
@@ -252,13 +222,15 @@ def _pair_crossings(a3, b3, direction, tangent_tol=1e-9):
     return int(np.sign(np.where(ha > hb, cross, -cross)).sum())
 
 
-def crossing_linking(a, b, min_dist=1e-3):
-    """Linking number as half the signed crossing count of a generic shadow."""
-    pa = a.points if isinstance(a, LoopTrace) else np.ascontiguousarray(a)
-    pb = b.points if isinstance(b, LoopTrace) else np.ascontiguousarray(b)
+def crossing_linking(a, b):
+    """Linking number of two (N, 4) loops as half the signed crossing count
+    of a generic shadow."""
+    pa = np.ascontiguousarray(a)
+    pb = np.ascontiguousarray(b)
     gap = kernels.min_cross_distance(pa, pb)
-    if gap <= min_dist:
-        raise ProximityError(f"curves are {gap:.2e} apart (< {min_dist:.0e})")
+    if gap <= _MIN_CURVE_DIST:
+        raise ProximityError(
+            f"curves are {gap:.2e} apart (< {_MIN_CURVE_DIST:.0e})")
     pole = pick_pole([pa, pb])
     a3 = stereo_project(pa, pole)
     b3 = stereo_project(pb, pole)
@@ -276,31 +248,30 @@ def crossing_linking(a, b, min_dist=1e-3):
 # self-linking number via pushoff along the global frame
 # ---------------------------------------------------------------------------
 
-def self_linking(form, orbit, eps=1e-2, n=512, frame_vector="e1",
-                 check_stability=True):
+def self_linking(form, orbit, eps=1e-2, frame_vector="e1"):
     """Self-linking number of an orbit: linking with its pushoff along a
     global non-vanishing section of the contact plane.
 
-    The result must be stable under halving the pushoff size, otherwise the
-    pushoff was too large for the curve's geometry and an error is raised.
+    The orbit is traced at 512 points.  The result must be stable under
+    halving the pushoff size, otherwise the pushoff was too large for the
+    curve's geometry and an error is raised.
     """
-    trace = trace_orbit(form, orbit, n=n)
-    fr = xi_frame(form, trace.points)
+    trace = trace_orbit(form, orbit, n=512)
+    fr = xi_frame(form, trace)
     sections = fr.e1 if frame_vector == "e1" else fr.e2
 
     def lk_at(e):
-        pushed = project_to_sigma(form, trace.points + e * sections)
-        lk, _ = linking_number(trace.points, pushed,
-                               min_dist=min(1e-3, 0.2 * e))
+        pushed = project_to_sigma(form, trace + e * sections)
+        lk, _ = linking_number(trace, pushed,
+                               min_dist=min(_MIN_CURVE_DIST, 0.2 * e))
         return lk
 
     sl = lk_at(eps)
-    if check_stability:
-        sl_half = lk_at(eps / 2.0)
-        if sl_half != sl:
-            raise ResolutionError(
-                f"self-linking unstable under pushoff halving: {sl} vs {sl_half}"
-            )
+    sl_half = lk_at(eps / 2.0)
+    if sl_half != sl:
+        raise ResolutionError(
+            f"self-linking unstable under pushoff halving: {sl} vs {sl_half}"
+        )
     return sl
 
 
@@ -316,7 +287,7 @@ class KnotVerdict:
     crossing_count_after_reduction: int
 
 
-def _self_crossings(p3, direction, tangent_tol=1e-9):
+def _self_crossings(p3, direction):
     """Crossing word of one loop's shadow: list of (cid, over) in arc order.
 
     Returns None on a non-generic projection.
@@ -336,7 +307,7 @@ def _self_crossings(p3, direction, tangent_tol=1e-9):
         tt = num_t / denom
         uu = num_u / denom
     lens = np.linalg.norm(r, axis=1)
-    nondeg = np.abs(denom) > tangent_tol * lens[:, None] * lens[None, :]
+    nondeg = np.abs(denom) > _TANGENT_TOL * lens[:, None] * lens[None, :]
     idx = np.arange(n)
     upper = idx[None, :] >= idx[:, None] + 2
     upper &= ~((idx[:, None] == 0) & (idx[None, :] == n - 1))  # wrap-adjacent
@@ -395,18 +366,18 @@ def _reduce_word(word):
     return word
 
 
-def unknot_check(trace, min_pole_dist=1e-2):
-    """Certify a loop as unknotted, or abstain.
+def unknot_check(trace):
+    """Certify an (N, 4) loop as unknotted, or abstain.
 
     A PL diagram is built from a generic projection and simplified by kink
     and bigon removal; zero remaining crossings certifies the unknot, and
     anything else is reported as unknown.
     """
-    pts = trace.points if isinstance(trace, LoopTrace) else np.asarray(trace)
+    pts = np.asarray(trace)
     last_count = None
     for pole in POLE_CANDIDATES:
         try:
-            p3 = stereo_project(pts, pole, min_dist=min_pole_dist)
+            p3 = stereo_project(pts, pole)
         except PoleSelectionError:
             continue
         for direction in _PLANE_DIRECTIONS:

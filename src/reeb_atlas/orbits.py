@@ -26,7 +26,7 @@ __all__ = [
     "refine_orbit",
     "find_orbits",
     "period_gaps",
-    "orbit_trace",
+    "trace_orbit",
     "classify_monodromy",
     "save_orbits",
     "load_orbits",
@@ -34,20 +34,29 @@ __all__ = [
 
 DEGENERACY_TOL = 1e-6
 
+_NEWTON_TOL = 1e-10  # residual target of the shooting polish
+_NEWTON_MAX_ITER = 50
+
+# orbit-search settings, recorded in the census params
+_SCAN_DT = 0.05
+_MIN_PERIOD = 0.2
+_CANDIDATE_THRESHOLD = 0.5
+_DEDUP_TOL = 1e-4
+
 # failures of one candidate's polish that drop it from the census
 _CANDIDATE_ERRORS = (RefinementError, DomainError, StiffnessError,
                      ResolutionError, FrameDegeneracyError)
 
 
-def classify_monodromy(mon, tol=DEGENERACY_TOL):
+def classify_monodromy(mon):
     """Non-degeneracy class from the contact-plane period map.
 
-    degenerate iff some eigenvalue lies within ``tol`` of 1; otherwise
+    degenerate iff some eigenvalue lies within ``DEGENERACY_TOL`` of 1; otherwise
     elliptic (complex eigenvalues), positive-hyperbolic (real, positive) or
     negative-hyperbolic (real, negative).
     """
     ev = np.linalg.eigvals(mon)
-    if np.abs(ev - 1.0).min() < tol:
+    if np.abs(ev - 1.0).min() < DEGENERACY_TOL:
         return "degenerate"
     tr = np.trace(mon)
     if abs(tr) < 2.0:
@@ -110,34 +119,24 @@ class OrbitDatabase:
     def __getitem__(self, i):
         return self.orbits[i]
 
-    @property
-    def t_max(self):
-        return self.params.get("t_max")
+
+def trace_orbit(form, orbit, n):
+    """(n, 4) points sampled uniformly in time over the full period ``T``
+    at tol 1e-11; a k-fold cover winds k times around its image."""
+    ts = np.arange(n) / n * orbit.T
+    return integrate_flow(form, orbit.x0, orbit.T, tol=1e-11, t_eval=ts).points
 
 
-def orbit_trace(form, orbit, n=256, cover="geometric", tol=1e-11):
-    """Sample the orbit uniformly in time.
-
-    ``cover="geometric"`` samples one prime period (the geometric image);
-    ``cover="full"`` samples the whole parametrized loop over T, winding
-    ``multiplicity`` times around the image.
-    """
-    T = orbit.T_min if cover == "geometric" else orbit.T
-    ts = np.arange(n) / n * T
-    res = integrate_flow(form, orbit.x0, T, tol=tol, t_eval=ts)
-    return res.points
-
-
-def _detect_multiplicity(form, x, T, closure_tol=1e-6, min_period=0.05):
+def _detect_multiplicity(form, x, T):
+    """Largest k <= 64 with T/k >= 0.05 and a return within 1e-6 at T/k."""
     res = integrate_flow(form, x, T, tol=1e-12, dense=True)
-    ks = np.arange(2, min(max(1, int(T / min_period)), 64) + 1)
+    ks = np.arange(2, min(max(1, int(T / 0.05)), 64) + 1)
     ys = project_to_sigma(form, res.trajectory(T / ks)[:, :4])
-    closed = ks[kernels.norm(ys - x) < closure_tol]
+    closed = ks[kernels.norm(ys - x) < 1e-6]
     return int(closed.max()) if closed.size else 1
 
 
-def _newton_polish(form, x_guess, T_guess, tol=1e-10, max_iter=50,
-                   initial_residual_cap=0.1, skip_cap=False):
+def _newton_polish(form, x_guess, T_guess, initial_residual_cap=0.1):
     """Gauss-Newton on the augmented shooting system.
 
     Returns (x, T, residual, iters, degenerate_family).  Stalls and rank
@@ -150,9 +149,9 @@ def _newton_polish(form, x_guess, T_guess, tol=1e-10, max_iter=50,
     anchor_x = x.copy()
     anchor_v = reeb_vector(form, x, check=False)
 
-    end = flow_map(form, x, T, tol=1e-12)
+    end = flow_map(form, x, T)
     res0 = np.linalg.norm(end - x)
-    if res0 > initial_residual_cap and not skip_cap:
+    if res0 > initial_residual_cap:
         raise RefinementError(
             f"initial return residual {res0:.3e} exceeds {initial_residual_cap}"
         )
@@ -162,10 +161,10 @@ def _newton_polish(form, x_guess, T_guess, tol=1e-10, max_iter=50,
     best = res0
     stall = 0
     degenerate_family = False
-    while residual > tol and iters < max_iter:
-        end, M = flow_map(form, x, T, tol=1e-12, variational=True)
+    while residual > _NEWTON_TOL and iters < _NEWTON_MAX_ITER:
+        end, M = flow_map(form, x, T, variational=True)
         residual = np.linalg.norm(end - x)
-        if residual <= tol:
+        if residual <= _NEWTON_TOL:
             break
         if residual < 0.5 * best:
             best, stall = residual, 0
@@ -195,14 +194,13 @@ def _newton_polish(form, x_guess, T_guess, tol=1e-10, max_iter=50,
         if T <= 0:
             raise RefinementError("period iterated to a non-positive value")
         iters += 1
-    if residual > tol and not degenerate_family:
-        end = flow_map(form, x, T, tol=1e-12)
+    if residual > _NEWTON_TOL and not degenerate_family:
+        end = flow_map(form, x, T)
         residual = np.linalg.norm(end - x)
     return x, T, residual, iters, degenerate_family
 
 
-def refine_orbit(form, x_guess, T_guess, tol=1e-10, max_iter=50,
-                 initial_residual_cap=0.1, _skip_cap=False):
+def refine_orbit(form, x_guess, T_guess, initial_residual_cap=0.1):
     """Newton-polish a candidate (point, period) into a certified orbit.
 
     Solves the augmented shooting system { phi_T(x) - x = 0, H(x) = 1,
@@ -213,13 +211,12 @@ def refine_orbit(form, x_guess, T_guess, tol=1e-10, max_iter=50,
     return proximity in T.
     """
     x, T, residual, iters, degenerate_family = _newton_polish(
-        form, x_guess, T_guess, tol=tol, max_iter=max_iter,
-        initial_residual_cap=initial_residual_cap, skip_cap=_skip_cap)
+        form, x_guess, T_guess, initial_residual_cap=initial_residual_cap)
 
     if degenerate_family:
         from scipy.optimize import minimize_scalar
 
-        g = lambda t: np.linalg.norm(flow_map(form, x, t, tol=1e-12) - x)
+        g = lambda t: np.linalg.norm(flow_map(form, x, t) - x)
         opt = minimize_scalar(g, bracket=(0.8 * T, T, 1.2 * T))
         if opt.fun > 1e-9:
             raise RefinementError(
@@ -228,16 +225,17 @@ def refine_orbit(form, x_guess, T_guess, tol=1e-10, max_iter=50,
             )
         T = float(opt.x)
         residual = float(opt.fun)
-    elif residual > tol:
+    elif residual > _NEWTON_TOL:
         raise RefinementError(
-            f"no convergence in {max_iter} iterations (residual {residual:.3e})"
+            f"no convergence in {_NEWTON_MAX_ITER} iterations "
+            f"(residual {residual:.3e})"
         )
 
     mult = _detect_multiplicity(form, x, T)
     T_min = T / mult
     if mult > 1:
         # re-polish at the prime period to certify the prime residual
-        end = flow_map(form, x, T_min, tol=1e-12)
+        end = flow_map(form, x, T_min)
         prime_res = np.linalg.norm(end - x)
     else:
         prime_res = residual
@@ -277,19 +275,22 @@ def _near_return_candidates(times, pts, min_period, threshold, max_keep):
     return kept
 
 
-def find_orbits(form, T_max, n_seeds=256, rng_seed=0, scan_dt=0.05,
-                min_period=0.2, candidate_threshold=0.5, dedup_tol=1e-4,
-                log=None):
+def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
     """Enumerate periodic orbits with period up to T_max (best effort).
 
+    The ``n_seeds`` seeds are the Sobol sphere points from index
+    ``rng_seed * (n_seeds + 1)`` on.  Seed 0 reads indices 0..n_seeds (it
+    drops index 1, the all-1/2 point) and seed k > 0 reads n_seeds indices,
+    so distinct ``rng_seed`` values draw disjoint seed sets.
     Every returned prime orbit passed Newton refinement; iterates up to the
     cap are synthesized from each prime.  Candidates that fail to refine are
     dropped (optionally reported through ``log``).
     """
     if T_max <= 0:
         raise DomainError("T_max must be positive")
-    seeds = project_to_sigma(form, sphere_samples(n_seeds))
-    t_grid = np.arange(0.0, T_max + 0.5 * scan_dt, scan_dt)
+    seeds = project_to_sigma(
+        form, sphere_samples(n_seeds, seed_skip=rng_seed * (n_seeds + 1)))
+    t_grid = np.arange(0.0, T_max + 0.5 * _SCAN_DT, _SCAN_DT)
 
     primes = []
     traces = []
@@ -305,8 +306,8 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, scan_dt=0.05,
     for seed in seeds:
         res = integrate_flow(form, seed, float(t_grid[-1]), tol=1e-8,
                              t_eval=t_grid)
-        cands = _near_return_candidates(t_grid, res.points, min_period,
-                                        candidate_threshold, max_keep=4)
+        cands = _near_return_candidates(t_grid, res.points, _MIN_PERIOD,
+                                        _CANDIDATE_THRESHOLD, max_keep=4)
         for x_c, dt_c, d_c in cands:
             # candidates this close to a known orbit with a near-commensurate
             # period would converge onto it; skip the polish
@@ -315,7 +316,7 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, scan_dt=0.05,
             try:
                 x, T, residual, _, degenerate_family = _newton_polish(
                     form, x_c, float(dt_c),
-                    initial_residual_cap=candidate_threshold + 1e-9)
+                    initial_residual_cap=_CANDIDATE_THRESHOLD + 1e-9)
             except _CANDIDATE_ERRORS as exc:
                 if log is not None:
                     log.append(f"candidate dropped: {exc}")
@@ -335,9 +336,9 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, scan_dt=0.05,
                     log.append(f"prime period {orb.T_min:.6f} beyond cap")
                 continue
             prime = orb if orb.multiplicity == 1 else refine_orbit(
-                form, orb.x0, orb.T_min, initial_residual_cap=1e-3, _skip_cap=True)
-            tr = orbit_trace(form, prime, n=512)
-            if any(kernels.hausdorff_distance(tr, t0) <= dedup_tol for t0 in traces):
+                form, orb.x0, orb.T_min, initial_residual_cap=np.inf)
+            tr = trace_orbit(form, prime, n=512)
+            if any(kernels.hausdorff_distance(tr, t0) <= _DEDUP_TOL for t0 in traces):
                 continue
             primes.append(prime)
             traces.append(tr)
@@ -351,10 +352,10 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, scan_dt=0.05,
     entries.sort(key=lambda o: (o.T, tuple(o.x0)))
     params = {
         "t_max": float(T_max), "n_seeds": int(n_seeds),
-        "rng_seed": int(rng_seed), "scan_dt": float(scan_dt),
-        "min_period": float(min_period),
-        "candidate_threshold": float(candidate_threshold),
-        "dedup_tol": float(dedup_tol),
+        "rng_seed": int(rng_seed), "scan_dt": _SCAN_DT,
+        "min_period": _MIN_PERIOD,
+        "candidate_threshold": _CANDIDATE_THRESHOLD,
+        "dedup_tol": _DEDUP_TOL,
     }
     return OrbitDatabase(form_hash=form.form_hash, orbits=entries, params=params)
 
@@ -409,7 +410,8 @@ def save_orbits(db, path):
         fh.write("\n")
 
 
-def load_orbits(form, path, verify=True, closure_tol=1e-9):
+def load_orbits(form, path):
+    """Read a census; every orbit must re-close within 1e-9 at T_min."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("form_hash") != form.form_hash:
@@ -424,13 +426,12 @@ def load_orbits(form, path, verify=True, closure_tol=1e-9):
             nondeg_class=rec["class"],
             residual=float(rec["residual"]),
         )
-        if verify:
-            end = flow_map(form, o.x0, o.T_min, tol=1e-12)
-            gap = np.linalg.norm(end - o.x0)
-            if gap > closure_tol:
-                raise DomainError(
-                    f"orbit failed closure re-verification: {gap:.3e}"
-                )
+        end = flow_map(form, o.x0, o.T_min)
+        gap = np.linalg.norm(end - o.x0)
+        if gap > 1e-9:
+            raise DomainError(
+                f"orbit failed closure re-verification: {gap:.3e}"
+            )
         orbits.append(o)
     return OrbitDatabase(form_hash=payload["form_hash"], orbits=orbits,
                          params=payload.get("params", {}))

@@ -23,7 +23,7 @@ from .contact import (OMEGA, omega_form, project_to_sigma, reeb_vector,
 from .errors import (DomainError, GridQualityError, ResolutionError,
                      UnsupportedFormError)
 from .flow import integrate_flow
-from .orbits import orbit_trace
+from .orbits import trace_orbit
 
 __all__ = [
     "DiskGrid",
@@ -86,10 +86,6 @@ class DiskGrid:
     def boundary(self):
         return self.samples[-1]
 
-    @property
-    def center(self):
-        return self.samples[0, 0]
-
     def diameter(self):
         pts = self.samples.reshape(-1, 4)
         return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
@@ -100,8 +96,9 @@ class DiskGrid:
         dt = np.linalg.norm(np.roll(s, -1, axis=1) - s, axis=2)[1:].max()
         return float(max(dr, dt))
 
-    def validate(self, form=None, orbit=None, coincidence_tol=1e-4,
-                 boundary_tol=1e-6):
+    def validate(self, form, orbit):
+        """Grid quality checks; the boundary row must lie within 1e-6 of the
+        trace of ``orbit`` over its full period."""
         s = self.samples
         if np.linalg.norm(s[0] - s[0, 0], axis=1).max() > 1e-12:
             raise GridQualityError("center row must collapse to one point")
@@ -111,7 +108,7 @@ class DiskGrid:
         pts = s[1:].reshape(-1, 4)
         tree = cKDTree(pts)
         nt = self.n_theta
-        for a, b in tree.query_pairs(coincidence_tol):
+        for a, b in tree.query_pairs(1e-4):
             ia, ja = divmod(a, nt)
             ib, jb = divmod(b, nt)
             dj = min((ja - jb) % nt, (jb - ja) % nt)
@@ -120,13 +117,12 @@ class DiskGrid:
             raise GridQualityError(
                 f"grid not embedded: rows {ia + 1},{ib + 1} nearly coincide"
             )
-        if form is not None and orbit is not None:
-            tr = orbit_trace(form, orbit, n=self.n_theta, cover="geometric")
-            gap = np.linalg.norm(self.boundary - tr, axis=1).max()
-            if gap > boundary_tol:
-                raise GridQualityError(
-                    f"boundary row deviates from the orbit trace by {gap:.2e}"
-                )
+        tr = trace_orbit(form, orbit, n=self.n_theta)
+        gap = np.linalg.norm(self.boundary - tr, axis=1).max()
+        if gap > 1e-6:
+            raise GridQualityError(
+                f"boundary row deviates from the orbit trace by {gap:.2e}"
+            )
         return self
 
 
@@ -340,9 +336,11 @@ def _grid_point(disk, si, ti):
             + (1 - al) * be * s[i, jn] + al * be * s[i + 1, jn])
 
 
-def _chart_tangents(disk, si, ti, h=1e-3):
-    """Tangent vectors of the disk along the Cartesian chart directions."""
+def _chart_tangents(disk, si, ti):
+    """Tangent vectors of the disk along the Cartesian chart directions, by
+    central differences with chart step 1e-3."""
     X0 = _disk_chart(disk, si, ti)
+    h = 1e-3
 
     def at(X):
         s = np.linalg.norm(X)
@@ -543,14 +541,14 @@ class _DiskIndex:
         return (si, ti, p, nvec, normal_resid, inside, tang)
 
 
-def _first_crossing(form, index, x_start, t_budget, direction, skip_time,
-                    boundary_margin=1e-3):
+def _first_crossing(form, index, x_start, t_budget, direction):
     """Earliest transversal crossing of the disk along one trajectory.
 
     Scans dense output at a spacing below half the cell size, brackets sign
     changes of the nearest node's tangent-plane height, bisects in time, and
-    verifies that the refined point lands inside the sampled surface away
-    from the binding.  Returns (point, time) or None on budget exhaustion.
+    verifies that the refined point lands inside the sampled surface, more
+    than 1e-3 from the binding and after time 1e-9.  Returns (point, time)
+    or None on budget exhaustion.
     """
     sign = 1.0 if direction == "forward" else -1.0
     dt_scan = index.cell / (2.0 * index.vmax)
@@ -586,8 +584,8 @@ def _first_crossing(form, index, x_start, t_budget, direction, skip_time,
                 y, t_cross, ok = _refine_to_surface(
                     index, traj, t_cross, index.normal_of(prev[1]))
                 global_t = t_done + abs(t_cross)
-                if (ok and global_t > skip_time
-                        and index.boundary_distance(y) > boundary_margin):
+                if (ok and global_t > 1e-9
+                        and index.boundary_distance(y) > 1e-3):
                     return project_to_sigma(form, y), sign * global_t
                 armed = False
                 prev = (h, idxs[k], ts[k])
@@ -599,9 +597,9 @@ def _first_crossing(form, index, x_start, t_budget, direction, skip_time,
     return None
 
 
-def _bisect_crossing(index, traj, t_lo, t_hi, flat_idx, iters=60):
+def _bisect_crossing(index, traj, t_lo, t_hi, flat_idx):
     h_lo = index.plane_height(traj(t_lo)[:4], flat_idx)
-    for _ in range(iters):
+    for _ in range(60):
         t_mid = 0.5 * (t_lo + t_hi)
         h_mid = index.plane_height(traj(t_mid)[:4], flat_idx)
         if np.sign(h_mid) == np.sign(h_lo):
@@ -614,8 +612,9 @@ def _bisect_crossing(index, traj, t_lo, t_hi, flat_idx, iters=60):
     return 0.5 * (t_lo + t_hi)
 
 
-def _refine_to_surface(index, traj, t_cross, nhat, iters=5):
-    """Secant polish from the tangent-plane crossing to the bilinear surface.
+def _refine_to_surface(index, traj, t_cross, nhat):
+    """Secant polish (at most 5 steps) from the tangent-plane crossing to
+    the bilinear surface.
 
     The root function is the height of the trajectory over its located
     surface point measured along the fixed plane normal, which is signed
@@ -631,7 +630,7 @@ def _refine_to_surface(index, traj, t_cross, nhat, iters=5):
     g, y, loc = height(t_cross)
     if g is None:
         return None, t_cross, False
-    for _ in range(iters):
+    for _ in range(5):
         if abs(g) < 1e-11:
             break
         dt = 1e-7
@@ -653,7 +652,7 @@ def _refine_to_surface(index, traj, t_cross, nhat, iters=5):
 
 
 def return_map(form, disk, seeds, t_budget, direction="forward",
-               index=None, skip_time=1e-9):
+               index=None):
     """First-return data for seeds given as (s, t) disk coordinates.
 
     Returns a list of dicts with seed coordinates, return coordinates, the
@@ -670,7 +669,7 @@ def return_map(form, disk, seeds, t_budget, direction="forward",
         if s0 >= 1.0 - 1e-9:
             raise DomainError("seed lies on the binding; it never returns")
         x0 = project_to_sigma(form, _grid_point(disk, s0, t0))
-        hit = _first_crossing(form, index, x0, t_budget, direction, skip_time)
+        hit = _first_crossing(form, index, x0, t_budget, direction)
         rec = {"seed_s": float(s0), "seed_t": float(t0)}
         if hit is None:
             rec["timeout"] = True
@@ -686,32 +685,27 @@ def return_map(form, disk, seeds, t_budget, direction="forward",
     return out
 
 
-def return_map_points(form, disk, points, t_budget, direction="forward",
-                      index=None):
-    """First-return of explicit level points (not necessarily on the disk)."""
+def return_map_points(form, disk, points, t_budget, index=None):
+    """Forward first-return of explicit level points (not necessarily on
+    the disk)."""
     if index is None:
         index = _DiskIndex(form, disk)
-    out = []
-    for p in np.atleast_2d(points):
-        x0 = project_to_sigma(form, p)
-        hit = _first_crossing(form, index, x0, t_budget, direction,
-                              skip_time=1e-9)
-        out.append(hit)
-    return out
+    return [_first_crossing(form, index, project_to_sigma(form, p), t_budget,
+                            "forward")
+            for p in np.atleast_2d(points)]
 
 
-def disk_seeds(n, s_range=(0.08, 0.92), skip=0):
-    """Quasi-uniform interior seeds, area-uniform in the disk coordinates."""
+def disk_seeds(n):
+    """Quasi-uniform interior seeds, area-uniform in the disk coordinates,
+    with s in [0.08, 0.92]."""
     from scipy.stats import qmc
     import warnings
 
     eng = qmc.Sobol(d=2, scramble=False)
-    if skip:
-        eng.fast_forward(skip)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         u = eng.random(n + 1)[1:]
-    s = np.sqrt(u[:, 0]) * (s_range[1] - s_range[0]) + s_range[0]
+    s = np.sqrt(u[:, 0]) * (0.92 - 0.08) + 0.08
     return np.stack([s, u[:, 1]], axis=1)
 
 
@@ -768,12 +762,12 @@ def polygon_action(points):
     return float(0.5 * np.einsum("ij,jk,ik->", pts, OMEGA, nxt))
 
 
-def disk_area(form, disk, rows=None, check=True, stokes_tol=1e-2):
+def disk_area(form, disk, rows=None):
     """Area of (a radial band of) the disk in the contact area form.
 
     Returns (area, boundary_integral); for the full disk the boundary
-    integral is the orbit action, and a mismatch beyond ``stokes_tol``
-    relative error raises a grid-quality error.
+    integral is the orbit action.  A relative mismatch above 1% (Stokes)
+    raises a grid-quality error.
     """
     s = disk.samples
     i0, i1 = (0, disk.n_r) if rows is None else rows
@@ -783,9 +777,9 @@ def disk_area(form, disk, rows=None, check=True, stokes_tol=1e-2):
     b = 0.5 * ((nxt[:-1] - sub[:-1]) + (nxt[1:] - sub[1:]))
     area = float(np.einsum("ijk,kl,ijl->", a, OMEGA, b))
     boundary = ring_action(disk, i1) - (ring_action(disk, i0) if i0 > 0 else 0.0)
-    if check and abs(boundary) > 1e-12:
+    if abs(boundary) > 1e-12:
         rel = abs(area - boundary) / abs(boundary)
-        if rel > stokes_tol:
+        if rel > 1e-2:
             raise GridQualityError(
                 f"area quadrature disagrees with the boundary integral by "
                 f"{100 * rel:.2f}%"
@@ -797,12 +791,12 @@ def disk_area(form, disk, rows=None, check=True, stokes_tol=1e-2):
 # persistence
 # ---------------------------------------------------------------------------
 
-def save_disk(disk, path_json, path_csv=None):
-    """Disk file: JSON header plus an s-major CSV point block."""
+def save_disk(disk, path_json):
+    """Disk file: JSON header plus an s-major CSV point block, written next
+    to it with the extension ``.csv``."""
     import os
 
-    if path_csv is None:
-        path_csv = str(path_json).rsplit(".", 1)[0] + ".csv"
+    path_csv = str(path_json).rsplit(".", 1)[0] + ".csv"
     header = {
         "n_r": disk.n_r,
         "n_theta": disk.n_theta,

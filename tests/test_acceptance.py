@@ -10,8 +10,7 @@ from reeb_atlas import linking as lnk
 from reeb_atlas import sections as sec
 from reeb_atlas.binding import check_binding, necessity_audit
 from reeb_atlas.errors import ProximityError
-from reeb_atlas.linking import LoopTrace
-from reeb_atlas.orbits import find_orbits, orbit_trace, refine_orbit
+from reeb_atlas.orbits import find_orbits, refine_orbit
 
 SQ2 = np.sqrt(2.0)
 BUDGET = 10 * np.pi * SQ2
@@ -215,8 +214,7 @@ def test_criterion_8_foliation_and_alarms(ell, db20, page):
     fake = np.stack([0.05 * np.cos(th) + 0.2, 0.05 * np.sin(th),
                      np.ones_like(th), 0.3 * np.ones_like(th)], axis=1)
     bad_link = necessity_audit(ell, page, db20, gid,
-                               traces={other: LoopTrace(points=fake,
-                                                        closure_gap=0.0)})
+                               traces={other: fake})
     assert any("zero linking" in a for a in bad_link.alarms)
     bad_sl = necessity_audit(ell, page, db20, _entry_id(db20, np.pi, 2))
     assert any("routes disagree" in a for a in bad_sl.alarms)

@@ -3,9 +3,8 @@ import pytest
 
 from reeb_atlas import binding
 from reeb_atlas.binding import check_binding, necessity_audit
-from reeb_atlas.errors import DegenerateOrbitError
-from reeb_atlas.linking import LoopTrace
-from reeb_atlas.orbits import find_orbits
+from reeb_atlas.errors import DegenerateOrbitError, ResolutionError
+from reeb_atlas.orbits import find_orbits, trace_orbit
 from reeb_atlas.sections import builtin_disk
 
 
@@ -18,18 +17,28 @@ def _entry_id(db, t_min, mult):
 
 def trefoil_loop():
     th = np.linspace(0, 2 * np.pi, 512, endpoint=False)
-    pts = np.stack([
+    return np.stack([
         (2 + np.cos(3 * th)) * np.cos(2 * th),
         (2 + np.cos(3 * th)) * np.sin(2 * th),
         np.sin(3 * th),
         3 * np.ones_like(th),
     ], axis=1)
-    return LoopTrace(points=pts, closure_gap=0.0)
 
 
-def test_binding_holds_for_gamma1(ell, db20):
+def test_binding_holds_for_gamma1(ell, db20, monkeypatch):
+    real = binding.orbit_index_report
+    seen = []
+
+    def spy(form, orbit, n_grid):
+        seen.append(orbit)
+        return real(form, orbit, n_grid=n_grid)
+
+    monkeypatch.setattr(binding, "orbit_index_report", spy)
     gid = _entry_id(db20, np.pi, 1)
     rep = check_binding(ell, db20, gid)
+    # one index report per census orbit, the candidate's included
+    assert sum(orbit is db20[gid] for orbit in seen) == 1
+    assert len(seen) == len(db20)
     assert rep.verdict == "hypotheses_hold"
     assert rep.simply_covered
     assert rep.unknot_status == "certified_unknot"
@@ -57,16 +66,28 @@ def test_binding_inconclusive_for_knotted_trace(ell, db20):
 
 def test_binding_inconclusive_when_an_index_is_unknown(ell, db20,
                                                        monkeypatch):
-    # an orbit without an agreed index might be an unlinked index-2 orbit
+    # an orbit without an agreed index might be an unlinked index-2 orbit,
+    # whether its report flags the index or fails to compute it
     gid = _entry_id(db20, np.pi, 1)
     other = _entry_id(db20, np.sqrt(2) * np.pi, 1)
-    monkeypatch.setattr(binding, "_orbit_indices", lambda form, db: [
-        None if i == other else 3 for i in range(len(db))])
-    rep = check_binding(ell, db20, gid)
-    assert rep.verdict.startswith("inconclusive:")
-    assert rep.index_unknown == [other]
-    assert rep.to_json_dict()["index_unknown_orbits"] == [other]
-    assert rep.exit_code == 3
+    for failure in ("flagged", "raises"):
+        def report(form, orbit, n_grid, failure=failure):
+            if orbit is not db20[other]:
+                return {"mu_geometric": 3, "mu_spectral": 3,
+                        "degenerate_flags": []}
+            if failure == "raises":
+                raise ResolutionError("path did not stabilize")
+            return {"mu_geometric": None, "mu_spectral": None,
+                    "degenerate_flags": ["rotation interval endpoint near integer"]}
+
+        monkeypatch.setattr(binding, "orbit_index_report", report)
+        rep = check_binding(ell, db20, gid)
+        assert rep.verdict.startswith("inconclusive:")
+        reason = {"flagged": "rotation interval endpoint near integer",
+                  "raises": "ResolutionError: path did not stabilize"}[failure]
+        assert rep.index_unknown == [{"orbit_id": other, "reason": reason}]
+        assert rep.to_json_dict()["index_unknown_orbits"] == rep.index_unknown
+        assert rep.exit_code == 3
 
 
 def test_binding_rejects_degenerate_candidate(round_form):
@@ -112,10 +133,22 @@ def test_audit_alarm_on_unlinked_trace(ell, db20, page):
     fake = np.stack([0.05 * np.cos(th) + 0.2, 0.05 * np.sin(th),
                      np.ones_like(th), 0.3 * np.ones_like(th)], axis=1)
     report = necessity_audit(ell, page, db20, gid,
-                             traces={other: LoopTrace(points=fake,
-                                                      closure_gap=0.0)})
+                             traces={other: fake})
     assert not report.passed
     assert any("zero linking" in a for a in report.alarms)
+
+
+def test_audit_skips_an_orbit_whose_linking_fails(ell, db20, page):
+    # corrupted fixture: the binding's own trace in place of another orbit's
+    # coincides with the binding, so their linking number is undefined
+    gid = _entry_id(db20, np.pi, 1)
+    other = _entry_id(db20, np.sqrt(2) * np.pi, 1)
+    report = necessity_audit(ell, page, db20, gid,
+                             traces={other: trace_orbit(ell, db20[gid], 512)})
+    row = next(r for r in report.linking if r["orbit_id"] == other)
+    assert row["lk"] is None and "apart" in row["skipped"]
+    assert not report.passed
+    assert any(f"orbit {other} was not computed" in a for a in report.alarms)
 
 
 def test_audit_alarm_on_sl_route_mismatch(ell, db20, page):

@@ -161,6 +161,47 @@ def test_topology_commands(ell_config, found):
     assert rep["knots"][0]["status"] == "certified_unknot"
 
 
+def test_rng_seed_is_recorded(ell_config, workdir):
+    out = str(workdir / "seed1")
+    assert main(["orbits-find", "--config", ell_config, "--out", out,
+                 "--tmax", "2", "--seeds", "4", "--rng-seed", "1"]) == 0
+    with open(os.path.join(out, "orbits.json")) as fh:
+        assert json.load(fh)["params"]["rng_seed"] == 1
+
+
+def test_negative_rng_seed_is_a_config_error(ell_config, workdir, capsys):
+    out = str(workdir / "seed-1")
+    assert main(["orbits-find", "--config", ell_config, "--out", out,
+                 "--tmax", "2", "--seeds", "4", "--rng-seed", "-1"]) == 64
+    assert "(at /rng_seed)" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "orbits.json"))
+
+
+def test_unknot_skips_a_failing_orbit(ell_config, found, monkeypatch):
+    from reeb_atlas import cli
+    from reeb_atlas.errors import PoleSelectionError
+
+    check = cli.unknot_check
+    calls = []
+
+    def failing_first(trace):
+        calls.append(1)
+        if len(calls) == 1:
+            raise PoleSelectionError("no generic projection found")
+        return check(trace)
+
+    monkeypatch.setattr(cli, "unknot_check", failing_first)
+    out = os.path.join(found, "unknot_skip")
+    assert main(["unknot", "--config", ell_config,
+                 "--orbits", os.path.join(found, "orbits.json"),
+                 "--out", out]) == 0
+    with open(os.path.join(out, "unknot.json")) as fh:
+        rows = json.load(fh)["knots"]
+    assert rows[0] == {"orbit": 0, "status": None, "crossings": None,
+                       "skipped": "no generic projection found"}
+    assert rows[1]["status"] == "certified_unknot"
+
+
 def test_malformed_config(workdir, found, ell_config):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps({

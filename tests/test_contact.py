@@ -160,9 +160,9 @@ def test_frame_round_sphere_quaternion_pattern(round_form):
 
 def test_frame_winds_minus_one_along_circle(ell, gamma1):
     # z2-component of e1 along the planar circle is the conjugate phase
-    from reeb_atlas.orbits import orbit_trace
+    from reeb_atlas.orbits import trace_orbit
 
-    pts = orbit_trace(ell, gamma1, n=64)
+    pts = trace_orbit(ell, gamma1, n=64)
     z2 = []
     for x in pts:
         fr = xi_frame(ell, x)

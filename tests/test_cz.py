@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -183,7 +185,7 @@ def test_iterate_tables(ell, gamma1, gamma2):
 
 def test_hyperbolic_iterates_stay_nonpositive():
     # model check of the iteration inequality mu(P^k) <= 0 => mu(P^l) <= 0
-    base = cz.hyperbolic_path(0.8, n=512)
+    base = cz.hyperbolic_path(0.8)
     mus = []
     for k in range(1, 4):
         iv = cz.rotation_interval(cz.path_power(base, k))
@@ -194,6 +196,14 @@ def test_hyperbolic_iterates_stay_nonpositive():
 def test_iterate_table_requires_prime(ell, gamma1):
     with pytest.raises(DomainError):
         cz.iterate_index_table(ell, gamma1.iterate(2), 2)
+
+
+def test_index_parity_must_match_the_monodromy_class(ell, gamma1):
+    # gamma1 is elliptic with index 3; an odd index is impossible for a
+    # positive hyperbolic orbit
+    wrong = dataclasses.replace(gamma1, nondeg_class="positive-hyperbolic")
+    with pytest.raises(InconsistencyError, match="parity"):
+        cz.orbit_index_report(ell, wrong)
 
 
 def test_index_report_round_sphere_flags(round_form):

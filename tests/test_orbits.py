@@ -5,8 +5,8 @@ from reeb_atlas import kernels
 from reeb_atlas.contact import StarForm
 from reeb_atlas.errors import DomainError, RefinementError, StiffnessError
 from reeb_atlas.flow import flow_map, monodromy_xi
-from reeb_atlas.orbits import (find_orbits, load_orbits, orbit_trace,
-                               period_gaps, refine_orbit, save_orbits)
+from reeb_atlas.orbits import (find_orbits, load_orbits, period_gaps,
+                               refine_orbit, save_orbits, trace_orbit)
 
 SQ2 = np.sqrt(2.0)
 
@@ -77,6 +77,27 @@ def test_census_drops_a_failing_candidate(ell, monkeypatch):
     assert db[0].T == pytest.approx(np.pi, rel=1e-8)
 
 
+def test_rng_seed_selects_a_disjoint_seed_window(ell, monkeypatch):
+    from reeb_atlas import orbits
+
+    sample = orbits.sphere_samples
+    skips = []
+
+    def spy(n, seed_skip=0):
+        skips.append(seed_skip)
+        return sample(n, seed_skip=seed_skip)
+
+    monkeypatch.setattr(orbits, "sphere_samples", spy)
+    for rng_seed in (0, 1):
+        db = find_orbits(ell, 2.0, n_seeds=4, rng_seed=rng_seed)
+        assert db.params["rng_seed"] == rng_seed
+    assert skips == [0, 5]
+    first, second = sample(4), sample(4, seed_skip=5)
+    assert np.abs(first[:, None] - second[None]).max(axis=2).min() > 1e-6
+    with pytest.raises(DomainError):
+        sample(4, seed_skip=-1)
+
+
 def test_round_sphere_all_degenerate(round_form):
     db = find_orbits(round_form, 4.0, n_seeds=16)
     assert len(db) > 0
@@ -133,7 +154,7 @@ def test_pairwise_trace_distinctness(ell, db10):
     primes = {}
     for o in db10.orbits:
         primes.setdefault(round(o.T_min, 9), o)
-    traces = [np.ascontiguousarray(orbit_trace(ell, o, n=256))
+    traces = [np.ascontiguousarray(trace_orbit(ell, o, n=256))
               for o in primes.values()]
     for i in range(len(traces)):
         for j in range(i + 1, len(traces)):

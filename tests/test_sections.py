@@ -188,7 +188,7 @@ def test_disk_area_additivity_and_half(ell, page):
 def test_round_sphere_page_area(round_form):
     orbit = refine_orbit(round_form, np.array([1.0, 0, 0, 0]), np.pi)
     disk = sec.builtin_disk(round_form, orbit)
-    area, _ = sec.disk_area(round_form, disk, check=True)
+    area, _ = sec.disk_area(round_form, disk)
     assert abs(area - np.pi) / np.pi < 1e-2
 
 
