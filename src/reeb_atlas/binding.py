@@ -72,7 +72,10 @@ def check_binding(form, db, candidate_id, traces=None):
     the census truncation cap; conditions quantified over all orbits are
     only checked against the database, and an orbit whose index could not
     be computed makes a verdict that would otherwise hold inconclusive; it
-    is listed in ``index_unknown`` as ``{"orbit_id", "reason"}``.
+    is listed in ``index_unknown`` as ``{"orbit_id", "reason"}``.  So does
+    an index-2 orbit whose linking with the candidate could not be
+    computed; its ``index2_checked`` row has ``lk`` and ``linked`` None and
+    the reason under ``skipped``.
     """
     if candidate_id < 0 or candidate_id >= len(db):
         raise DomainError(f"candidate {candidate_id} is not in the database")
@@ -123,10 +126,15 @@ def check_binding(form, db, candidate_id, traces=None):
             continue
         if rep["mu_geometric"] != 2:
             continue
-        other = traces.get(oid)
-        if other is None:
-            other = trace_orbit(form, orbit, n=512)
-        lk, _ = linking_number(cand_trace, other)
+        try:
+            other = traces.get(oid)
+            if other is None:
+                other = trace_orbit(form, orbit, n=512)
+            lk, _ = linking_number(cand_trace, other)
+        except ReebAtlasError as exc:
+            report.index2_checked.append({"orbit_id": oid, "lk": None,
+                                          "linked": None, "skipped": str(exc)})
+            continue
         report.index2_checked.append(
             {"orbit_id": oid, "lk": int(lk), "linked": bool(lk != 0)}
         )
@@ -139,8 +147,10 @@ def check_binding(form, db, candidate_id, traces=None):
         report.verdict = "inconclusive:index-method-disagreement"
     elif report.mu_cz < 3:
         report.verdict = "fails:index_below_3"
-    elif any(not rec["linked"] for rec in report.index2_checked):
+    elif any(rec["linked"] is False for rec in report.index2_checked):
         report.verdict = "fails:index2_orbit_unlinked"
+    elif any(rec["linked"] is None for rec in report.index2_checked):
+        report.verdict = "inconclusive:index2-linking-unknown"
     elif report.index_unknown:
         report.verdict = "inconclusive:index-unknown"
     else:

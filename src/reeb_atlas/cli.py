@@ -191,16 +191,25 @@ def cmd_link(args):
     started = time.time()
     cfg, form = load_config(args.config)
     db = _load_db(form, args.orbits)
-    traces = {i: trace_orbit(form, o, n=512) for i, o in enumerate(db.orbits)}
+    traces, untraced = {}, {}
+    for i, orbit in enumerate(db.orbits):
+        try:
+            traces[i] = trace_orbit(form, orbit, n=512)
+        except ReebAtlasError as exc:
+            untraced[i] = f"orbit {i} was not traced: {exc}"
     pairs = []
     for i in range(len(db)):
         for j in range(i + 1, len(db)):
-            try:
-                lk, resid = linking_number(traces[i], traces[j])
+            reason = untraced.get(i) or untraced.get(j)
+            if reason is None:
+                try:
+                    lk, resid = linking_number(traces[i], traces[j])
+                except ReebAtlasError as exc:
+                    reason = str(exc)
+            if reason is None:
                 pairs.append({"a": i, "b": j, "lk": lk, "residual": resid})
-            except ReebAtlasError as exc:
-                pairs.append({"a": i, "b": j, "lk": None,
-                              "skipped": str(exc)})
+            else:
+                pairs.append({"a": i, "b": j, "lk": None, "skipped": reason})
     payload = {"pairs": pairs, "rng_seed": cfg.get("rng_seed", 0)}
     _write_report(args.out, "links.json", payload, started)
     print(f"computed {len(pairs)} pair linkings")

@@ -18,7 +18,8 @@ with the variational block, ``(..., 20)``.
   the variational equations dM/dt = -Omega Hess H M;
 - ``norm``: the Euclidean norm over the last axis, equal bit for bit to
   ``np.linalg.norm`` of each row (both use BLAS ddot, as ``np.vecdot`` does);
-- ``gauss_linking_raw``: the exact solid-angle Gauss sum of two polylines;
+- ``gauss_linking_raw``: the exact Gauss sum of two polylines, as a sum over
+  vertex directions of two atan2 triangle solid angles per segment pair;
 - ``hausdorff_distance``, ``point_to_polyline``, ``min_cross_distance``:
   distances between sampled closed traces.
 """
@@ -183,48 +184,51 @@ def weighted_var_rhs(y, tables):
 
 
 # ---------------------------------------------------------------------------
-# Gauss linking number: exact signed solid angle summed over segment pairs
-# of two closed polylines in R^3.
+# Gauss linking number of two closed polylines in R^3, as a sum of triangle
+# solid angles (Van Oosterom & Strackee, IEEE TBME 30(2), 1983):
+#   Omega(u, v, w) = 2 atan2(det[u, v, w], 1 + u.v + u.w + v.w).
 # ---------------------------------------------------------------------------
 
-# rows of ``a`` per block of the Gauss sum: bounds the (rows, len(b), 3)
-# temporaries
+# rows of ``a`` per block of the Gauss sum: bounds the
+# (3, rows + 1, len(b) + 1) temporaries
 _GAUSS_CHUNK = 64
 
 
+def _dot(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _cross(x, y):
+    return np.stack((x[1] * y[2] - x[2] * y[1],
+                     x[2] * y[0] - x[0] * y[2],
+                     x[0] * y[1] - x[1] * y[0]))
+
+
 def gauss_linking_raw(a, b):
-    na = a.shape[0]
-    a2 = np.roll(a, -1, axis=0)
-    b1 = b
-    b2 = np.roll(b, -1, axis=0)
-    db = b2 - b1
+    """Gauss linking integral of the closed polylines a (na, 3), b (nb, 3).
+
+    Pair (i, j) adds the triangles (u_ij, u_i,j+1, u_i+1,j+1) and
+    (u_ij, u_i+1,j+1, u_i+1,j) of the unit directions u_ij of b_j - a_i.  A
+    block of rows computes u once, in a (3, rows + 1, nb + 1) layout, and the
+    products neighbouring pairs share: u_ij x u_i+1,j and the dots along i, j.
+    """
+    ac = np.concatenate((a, a[:1])).T
+    bc = np.concatenate((b, b[:1])).T[:, None, :]
     total = 0.0
-    for i0 in range(0, na, _GAUSS_CHUNK):
-        p1 = a[i0:i0 + _GAUSS_CHUNK][:, None, :]
-        p2 = a2[i0:i0 + _GAUSS_CHUNK][:, None, :]
-        r13 = b1[None, :, :] - p1
-        r14 = b2[None, :, :] - p1
-        r23 = b1[None, :, :] - p2
-        r24 = b2[None, :, :] - p2
-        n1 = np.cross(r13, r14)
-        n2 = np.cross(r14, r24)
-        n3 = np.cross(r24, r23)
-        n4 = np.cross(r23, r13)
-        l1 = np.linalg.norm(n1, axis=-1)
-        l2 = np.linalg.norm(n2, axis=-1)
-        l3 = np.linalg.norm(n3, axis=-1)
-        l4 = np.linalg.norm(n4, axis=-1)
-        ok = np.minimum(np.minimum(l1, l2), np.minimum(l3, l4)) > 1e-14
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (
-                np.arcsin(np.clip(np.sum(n1 * n2, -1) / (l1 * l2), -1, 1))
-                + np.arcsin(np.clip(np.sum(n2 * n3, -1) / (l2 * l3), -1, 1))
-                + np.arcsin(np.clip(np.sum(n3 * n4, -1) / (l3 * l4), -1, 1))
-                + np.arcsin(np.clip(np.sum(n4 * n1, -1) / (l4 * l1), -1, 1))
-            )
-        orient = np.sign(np.sum(np.cross(db[None, :, :], p2 - p1) * r13, -1))
-        total += np.sum(np.where(ok, s * orient, 0.0))
-    return total / (4.0 * np.pi)
+    for i0 in range(0, a.shape[0], _GAUSS_CHUNK):
+        r = bc - ac[:, i0:i0 + _GAUSS_CHUNK + 1, None]
+        u = r / np.sqrt(_dot(r, r))
+        lo, hi = u[:, :-1], u[:, 1:]  # rows i and i + 1
+        c = _cross(lo, hi)
+        di = _dot(lo, hi)
+        dj = _dot(u[:, :, :-1], u[:, :, 1:])
+        diag = _dot(lo[:, :, :-1], hi[:, :, 1:])
+        # det[u_ij, u_i,j+1, u_i+1,j+1] and det[u_ij, u_i+1,j+1, u_i+1,j]
+        det1 = _dot(lo[:, :, :-1], c[:, :, 1:])
+        det2 = -_dot(hi[:, :, 1:], c[:, :, :-1])
+        total += np.sum(np.arctan2(det1, 1.0 + dj[:-1] + diag + di[:, 1:]))
+        total += np.sum(np.arctan2(det2, 1.0 + diag + di[:, :-1] + dj[1:]))
+    return -total / (2.0 * np.pi)  # -sum(Omega) / (4 pi), Omega = 2 atan2
 
 
 # ---------------------------------------------------------------------------
@@ -256,5 +260,7 @@ def point_to_polyline(p, b):
 
 
 def min_cross_distance(a, b):
-    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    # coordinate by coordinate, in the order of a sum over the last axis, so
+    # the result is the broadcast formula's bit for bit
+    d2 = sum((ak[:, None] - bk) ** 2 for ak, bk in zip(a.T, b.T))
     return np.sqrt(d2.min())

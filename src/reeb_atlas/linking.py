@@ -5,8 +5,9 @@ Loops on the energy level are radially normalized to the unit sphere and
 mapped to R^3 by stereographic projection from one of 26 fixed candidate
 poles.  The projection basis is oriented so that linking numbers computed
 in R^3 agree with the homological linking on the sphere oriented by the
-contact volume form; two independent algorithms (exact Gauss solid-angle
-sum and signed crossings of a generic planar diagram) are kept separate so
+contact volume form; two independent algorithms (the exact Gauss sum,
+taken over vertex directions as two atan2 triangle solid angles per segment
+pair, and signed crossings of a generic planar diagram) are kept separate so
 they can audit each other.
 """
 
@@ -125,8 +126,8 @@ def pick_pole(point_sets):
 # ---------------------------------------------------------------------------
 
 def linking_number(a, b, min_dist=_MIN_CURVE_DIST):
-    """Integer linking number of two (N, 4) loops by the exact Gauss
-    solid-angle sum.
+    """Integer linking number of two (N, 4) loops by the exact Gauss sum
+    (``kernels.gauss_linking_raw``: the vertex-based atan2 solid-angle sum).
 
     Returns (lk, raw_residual).  Curves closer than ``min_dist`` are
     rejected; a residual of 0.1 or more demands denser traces.

@@ -327,17 +327,17 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
                 continue
             try:
                 orb = refine_orbit(form, x, T, initial_residual_cap=1.0)
+                if orb.T_min > T_max + 1e-9:
+                    if log is not None:
+                        log.append(f"prime period {orb.T_min:.6f} beyond cap")
+                    continue
+                prime = orb if orb.multiplicity == 1 else refine_orbit(
+                    form, orb.x0, orb.T_min, initial_residual_cap=np.inf)
+                tr = trace_orbit(form, prime, n=512)
             except _CANDIDATE_ERRORS as exc:
                 if log is not None:
                     log.append(f"candidate dropped: {exc}")
                 continue
-            if orb.T_min > T_max + 1e-9:
-                if log is not None:
-                    log.append(f"prime period {orb.T_min:.6f} beyond cap")
-                continue
-            prime = orb if orb.multiplicity == 1 else refine_orbit(
-                form, orb.x0, orb.T_min, initial_residual_cap=np.inf)
-            tr = trace_orbit(form, prime, n=512)
             if any(kernels.hausdorff_distance(tr, t0) <= _DEDUP_TOL for t0 in traces):
                 continue
             primes.append(prime)

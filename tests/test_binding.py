@@ -3,7 +3,8 @@ import pytest
 
 from reeb_atlas import binding
 from reeb_atlas.binding import check_binding, necessity_audit
-from reeb_atlas.errors import DegenerateOrbitError, ResolutionError
+from reeb_atlas.errors import (DegenerateOrbitError, ProximityError,
+                               ResolutionError)
 from reeb_atlas.orbits import find_orbits, trace_orbit
 from reeb_atlas.sections import builtin_disk
 
@@ -88,6 +89,63 @@ def test_binding_inconclusive_when_an_index_is_unknown(ell, db20,
         assert rep.index_unknown == [{"orbit_id": other, "reason": reason}]
         assert rep.to_json_dict()["index_unknown_orbits"] == rep.index_unknown
         assert rep.exit_code == 3
+
+
+def _check_with_index2(ell, db, gid, index2, linking, monkeypatch):
+    # the orbits ``index2`` get index 2 and every other orbit index 3; each
+    # index-2 orbit gets its own trace, so that the stand-in for
+    # linking_number can tell them apart and call ``linking(orbit_id)``
+    def report(form, orbit, n_grid):
+        mu = 2 if any(orbit is db[oid] for oid in index2) else 3
+        return {"mu_geometric": mu, "mu_spectral": mu, "degenerate_flags": []}
+
+    traces = {oid: trace_orbit(ell, db[oid], n=512) for oid in index2}
+
+    def linking_number(a, b):
+        return linking(next(oid for oid, t in traces.items() if t is b))
+
+    monkeypatch.setattr(binding, "orbit_index_report", report)
+    monkeypatch.setattr(binding, "linking_number", linking_number)
+    return check_binding(ell, db, gid, traces=traces)
+
+
+def test_binding_inconclusive_when_an_index2_linking_fails(ell, db20,
+                                                           monkeypatch):
+    gid = _entry_id(db20, np.pi, 1)
+    other = _entry_id(db20, np.sqrt(2) * np.pi, 1)
+
+    def linking(oid):
+        raise ProximityError("curves are 1.00e-04 apart (< 1e-03)")
+
+    rep = _check_with_index2(ell, db20, gid, [other], linking, monkeypatch)
+    assert rep.index2_checked == [
+        {"orbit_id": other, "lk": None, "linked": None,
+         "skipped": "curves are 1.00e-04 apart (< 1e-03)"}]
+    assert rep.verdict == "inconclusive:index2-linking-unknown"
+    assert rep.exit_code == 3
+
+
+def test_binding_fails_on_an_unlinked_index2_orbit_beside_a_skip(
+        ell, db20, monkeypatch):
+    # one index-2 orbit is unlinked and another one's linking fails: the
+    # unlinked orbit decides the verdict
+    gid = _entry_id(db20, np.pi, 1)
+    unlinked = _entry_id(db20, np.sqrt(2) * np.pi, 1)
+    failing = _entry_id(db20, np.sqrt(2) * np.pi, 2)
+
+    def linking(oid):
+        if oid == failing:
+            raise ResolutionError("Gauss sum residual 0.300 >= 0.1; densify")
+        return 0, 0.0
+
+    rep = _check_with_index2(ell, db20, gid, [unlinked, failing], linking,
+                             monkeypatch)
+    assert rep.index2_checked == [
+        {"orbit_id": unlinked, "lk": 0, "linked": False},
+        {"orbit_id": failing, "lk": None, "linked": None,
+         "skipped": "Gauss sum residual 0.300 >= 0.1; densify"}]
+    assert rep.verdict == "fails:index2_orbit_unlinked"
+    assert rep.exit_code == 2
 
 
 def test_binding_rejects_degenerate_candidate(round_form):

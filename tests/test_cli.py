@@ -202,6 +202,36 @@ def test_unknot_skips_a_failing_orbit(ell_config, found, monkeypatch):
     assert rows[1]["status"] == "certified_unknot"
 
 
+def test_link_skips_the_pairs_of_an_untraced_orbit(ell_config, found,
+                                                  monkeypatch):
+    from reeb_atlas import cli
+    from reeb_atlas.errors import StiffnessError
+
+    trace = cli.trace_orbit
+    calls = []
+
+    def failing_second(form, orbit, n):
+        calls.append(1)
+        if len(calls) == 2:
+            raise StiffnessError("step size underflow", 0.0, None)
+        return trace(form, orbit, n=n)
+
+    monkeypatch.setattr(cli, "trace_orbit", failing_second)
+    out = os.path.join(found, "link_skip")
+    assert main(["link", "--config", ell_config,
+                 "--orbits", os.path.join(found, "orbits.json"),
+                 "--out", out]) == 0
+    assert len(calls) == 5
+    with open(os.path.join(out, "links.json")) as fh:
+        pairs = json.load(fh)["pairs"]
+    assert len(pairs) == 10
+    for p in pairs:
+        if 1 in (p["a"], p["b"]):
+            assert p == {"a": p["a"], "b": p["b"], "lk": None,
+                         "skipped": "orbit 1 was not traced: step size underflow"}
+    assert any(p["lk"] is not None for p in pairs)
+
+
 def test_malformed_config(workdir, found, ell_config):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps({

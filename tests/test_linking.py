@@ -132,6 +132,26 @@ def test_gauss_vs_crossing_on_random_pairs():
     assert checked >= 40
 
 
+def test_census_residuals_at_rounding_level(ell, gamma1, gamma2):
+    # the T_max 14 ellipsoid census: gamma1^1..4 and gamma2^1..3; only pairs
+    # of distinct circles have a linking number, the product of the covers
+    entries = [g.iterate(k) for g, kmax in ((gamma1, 4), (gamma2, 3))
+               for k in range(1, kmax + 1)]
+    traces = [lk.trace_orbit(ell, o, n=512) for o in entries]
+    computed = 0
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            try:
+                val, resid = lk.linking_number(traces[i], traces[j])
+            except ProximityError:
+                assert entries[i].T_min == entries[j].T_min
+                continue
+            assert val == entries[i].multiplicity * entries[j].multiplicity
+            assert resid < 1e-12
+            computed += 1
+    assert computed == 12
+
+
 def test_self_linking_values(ell, gamma1, gamma2):
     assert lk.self_linking(ell, gamma1) == -1
     assert lk.self_linking(ell, gamma2) == -1

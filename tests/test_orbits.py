@@ -77,6 +77,33 @@ def test_census_drops_a_failing_candidate(ell, monkeypatch):
     assert db[0].T == pytest.approx(np.pi, rel=1e-8)
 
 
+def test_census_drops_a_failing_prime_repolish(ell, monkeypatch):
+    # the re-polish of a multiply covered candidate at its prime period is
+    # one candidate's failure too: logged and skipped, not fatal
+    from reeb_atlas import orbits
+
+    refine = orbits.refine_orbit
+    repolish = []
+
+    def failing_first_repolish(form, x, T, initial_residual_cap=1.0):
+        if initial_residual_cap == np.inf:
+            repolish.append(1)
+            if len(repolish) == 1:
+                raise StiffnessError("step size underflow", 0.0, None)
+        return refine(form, x, T, initial_residual_cap=initial_residual_cap)
+
+    monkeypatch.setattr(orbits, "refine_orbit", failing_first_repolish)
+    log = []
+    db = find_orbits(ell, 10.0, n_seeds=8, log=log)
+    assert len(repolish) > 1
+    assert "candidate dropped: step size underflow" in log
+    # a later candidate on the same circle still completes the census
+    assert [(round(o.T_min, 6), o.multiplicity) for o in db.orbits] == [
+        (round(np.pi, 6), 1), (round(SQ2 * np.pi, 6), 1),
+        (round(np.pi, 6), 2), (round(SQ2 * np.pi, 6), 2),
+        (round(np.pi, 6), 3)]
+
+
 def test_rng_seed_selects_a_disjoint_seed_window(ell, monkeypatch):
     from reeb_atlas import orbits
 
