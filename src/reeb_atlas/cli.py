@@ -97,7 +97,8 @@ def load_config(path):
     return raw, form
 
 
-def _write_report(out_dir, name, payload, started, extra_files=None):
+def _write_report(out_dir, name, payload, started, extra_files=None,
+                  extra_meta=None):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
@@ -111,6 +112,7 @@ def _write_report(out_dir, name, payload, started, extra_files=None):
     }
     if extra_files:
         meta["files"] = extra_files
+    meta.update(extra_meta or {})
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -149,8 +151,9 @@ def cmd_orbits_find(args):
     rng_seed = args.rng_seed if args.rng_seed is not None else cfg.get("rng_seed", 0)
     if rng_seed < 0:  # the schema's minimum, for the flag
         raise ConfigError(f"rng_seed {rng_seed} is below 0", "/rng_seed")
+    log = []
     db = find_orbits(form, float(t_max), n_seeds=int(n_seeds),
-                     rng_seed=int(rng_seed))
+                     rng_seed=int(rng_seed), log=log)
     out = os.path.join(args.out, "orbits.json")
     os.makedirs(args.out, exist_ok=True)
     save_orbits(db, out)
@@ -162,8 +165,10 @@ def cmd_orbits_find(args):
         "orbits_file": "orbits.json",
         "periods": [o.T for o in db.orbits],
     }
+    # the search funnel, with the reason of every dropped candidate
     _write_report(args.out, "orbits_report.json", payload, started,
-                  extra_files=["orbits.json"])
+                  extra_files=["orbits.json"],
+                  extra_meta={"funnel": db.funnel, "drop_reasons": log})
     print(f"found {len(db)} orbit entries up to T = {t_max}")
     return 0
 

@@ -1,17 +1,24 @@
 """Numerical integration of the Reeb flow and its linearization.
 
-The integrator is scipy's adaptive 8th-order explicit Runge-Kutta (DOP853)
-driven step by step; after every accepted step the position is radially
-re-projected onto the unit level, which pins the energy error at roundoff
-over arbitrarily long spans.  Variational (linearized) equations are
-integrated jointly with the base flow using the analytic Hessian of H,
-because finite-difference monodromies are too noisy for index work.
+One DOP853 stepper (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.5;
+scipy's tableau, initial step and step-size controller) advances a batch of
+states ``(B, d)``; each row keeps its own time, step size and accept/reject
+decision, and fails alone.  Stage sums are stacked products, the same
+routine on every row, so a row equals its one-row run bit for bit, and a
+one-row run takes scipy's steps.  After every accepted step the position is
+radially re-projected onto the unit level, which pins the energy error at
+roundoff over arbitrarily long spans.  Variational equations are integrated
+jointly with the base flow using the analytic Hessian of H, because
+finite-difference monodromies are too noisy for index work.
 """
 
+import contextlib
+import contextvars
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from . import kernels
 from .contact import project_to_sigma, xi_frame, xi_projector
@@ -19,11 +26,32 @@ from .errors import DomainError, OffLevelError, StiffnessError
 
 __all__ = [
     "FlowResult",
+    "integrate_batch",
     "integrate_flow",
     "flow_map",
     "monodromy_xi",
+    "counting",
     "write_trajectory_csv",
 ]
+
+_S = _dop.N_STAGES  # stage _S is f(y_new), the next step's first; 13-15 dense
+_A, _B, _D, _E3, _E5 = _dop.A, _dop.B, _dop.D, _dop.E3, _dop.E5
+_AROWS = [_A[j, :j] for j in range(len(_A))]
+_TINY = np.finfo(float).smallest_subnormal
+_TOO_SMALL = ("integrator failed: Required step size is less than spacing "
+              "between numbers.")
+_WORK = contextvars.ContextVar("reeb_atlas_flow_work", default=None)
+
+
+@contextlib.contextmanager
+def counting():
+    """Count the stepper's steps, rejected steps and RHS evaluations (per
+    row) inside the block."""
+    token = _WORK.set(Counter())
+    try:
+        yield _WORK.get()
+    finally:
+        _WORK.reset(token)
 
 
 def _rhs(form, variational):
@@ -32,40 +60,40 @@ def _rhs(form, variational):
     else:
         fn = kernels.weighted_var_rhs if variational else kernels.weighted_rhs
     tables = form.tables
-    return lambda t, y: fn(y, tables)
+    return lambda y: fn(y, tables)
 
 
 class Trajectory:
-    """Piecewise dense output of one integration run."""
+    """Dense output of one integration run.
 
-    def __init__(self, t0, y0, direction):
-        self.t0 = t0
-        self.direction = direction
-        self._breaks = [t0]
-        self._segs = []
-        self._y0 = y0
+    ``breaks`` (n + 1,) are the accepted step times from 0, ``states``
+    (n + 1, d) the re-projected states there and ``F`` (n, 7, d) the
+    coefficients of each step's interpolant, evaluated as scipy's
+    ``Dop853DenseOutput`` does.
+    """
 
-    def append(self, t_new, seg):
-        self._breaks.append(t_new)
-        self._segs.append(seg)
+    def __init__(self, breaks, states, F):
+        self.breaks = breaks
+        self.states = states
+        self.F = F
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
         tt = np.atleast_1d(t)
-        if not self._segs:
-            out = np.tile(self._y0, (len(tt), 1))
-            return out[0] if scalar else out
-        breaks = np.asarray(self._breaks) * self.direction
-        idx = np.clip(np.searchsorted(breaks[1:-1], tt * self.direction), 0,
-                      len(self._segs) - 1)
-        out = np.empty((len(tt), len(self._y0)))
-        # one dense-output call per segment, on all of its sample times
-        order = np.argsort(idx, kind="stable")
-        segs, first = np.unique(idx[order], return_index=True)
-        for seg, rows in zip(segs, np.split(order, first[1:])):
-            out[rows] = self._segs[seg](tt[rows]).T
-        return out[0] if scalar else out
+        out = np.tile(self.states[0], (len(tt), 1))
+        if len(self.F):
+            direction = np.sign(self.breaks[-1])
+            idx = np.clip(np.searchsorted(self.breaks[1:-1] * direction,
+                                          tt * direction), 0, len(self.F) - 1)
+            t_old = self.breaks[idx]
+            x = ((tt - t_old) / (self.breaks[idx + 1] - t_old))[:, None]
+            coeffs = self.F[idx]
+            out = np.zeros_like(out)
+            for j in range(6, -1, -1):
+                out += coeffs[:, j]
+                out *= x if j % 2 == 0 else 1 - x
+            out += self.states[idx]
+        return out[0] if t.ndim == 0 else out
 
 
 @dataclass
@@ -86,72 +114,153 @@ class FlowResult:
         return None if self.monodromy4 is None else self.monodromy4[-1]
 
 
-def integrate_flow(form, x0, t_final, tol=1e-10, variational=False,
-                   t_eval=None, dense=False):
-    """Integrate the Reeb flow from a point of the level.
+def _rms(a):
+    return kernels.norm(a) / a.shape[-1] ** 0.5
 
-    Parameters
-    ----------
-    form : StarForm
-    x0 : (4,) point on the unit level (within 1e-7).
-    t_final : end time, either sign.
-    tol : local error tolerance per step (relative; absolute is tol * 1e-2).
-    variational : also propagate the 4x4 linearized flow from the identity.
-    t_eval : times at which to sample; defaults to the accepted step grid.
-    dense : keep the piecewise interpolant in the result.
 
-    Raises
-    ------
-    OffLevelError
-        if x0 is off the level by more than 1e-7.
-    StiffnessError
-        if the step size underflows; carries the last good state.
+def _steps(form, rhs, rows, y, t_end, tol, dense):
+    """Advance the ``rows`` of ``y`` (B, d) from time 0 to their ``t_end``.
+
+    Returns each accepted step of the batch as (rows, |t_new|, re-projected
+    y_new, interpolant coefficients or None), and the failed rows' errors.
+    Time runs as s = |t|; powers go through libm, as scipy's scalar ones do.
+    """
+    rtol, atol = tol, tol * 1e-2
+    n, d = y.shape
+    direction = np.sign(t_end)
+    s, s_end = np.zeros(n), np.abs(t_end)
+    f = rhs(y)
+    # scipy's select_initial_step (HNW II.4)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, s_end)
+        d2 = _rms((rhs(y + (h0 * direction)[:, None] * f) - f) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      np.float_power(0.01 / np.maximum(d1, d2), 1 / 8))
+    h_abs = np.minimum(np.minimum(100 * h0, h1), s_end)
+    rejected, any_rejected = np.zeros(n, dtype=bool), False
+    steps = [(rows[:0], s[:0], y[:0], np.empty((0, 7, d)) if dense else None)]
+    errors, n_ok_all, n_tried, n_rhs = {}, 0, 0, 2 * n
+    while True:
+        leave = s >= s_end
+        if any_rejected:  # scipy fails a retry below min_step
+            stuck = rejected & (h_abs < 10 * np.spacing(s))
+            for i in np.flatnonzero(stuck):
+                errors[int(rows[i])] = StiffnessError(
+                    _TOO_SMALL, direction[i] * s[i], y[i].copy())
+            leave |= stuck
+        if np.count_nonzero(leave):
+            keep = ~leave
+            rows, s, s_end, y, f, h_abs, rejected, direction = (
+                a[keep] for a in (rows, s, s_end, y, f, h_abs, rejected, direction))
+        if not rows.size:
+            break
+        s_new = np.minimum(s + np.maximum(h_abs, 10 * np.spacing(s)), s_end)
+        h_abs = s_new - s
+        hc = (h_abs * direction)[:, None]
+        K = np.empty((rows.size, len(_A) if dense else _S + 1, d))
+        K[:, 0] = f
+        for j in range(1, _S):
+            K[:, j] = rhs(y + (_AROWS[j] @ K[:, :j]) * hc)
+        y_new = y + hc * (_B @ K[:, :_S])
+        K[:, _S] = rhs(y_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        e5 = np.float_power(kernels.norm((_E5 @ K[:, :_S + 1]) / scale), 2)
+        e3 = np.float_power(kernels.norm((_E3 @ K[:, :_S + 1]) / scale), 2)
+        # scipy's error norm: 0 where both estimates vanish, NaN kept
+        err = h_abs * e5 / np.fmax(np.sqrt((e5 + 0.01 * e3) * d), _TINY)
+        grow = 0.9 * np.float_power(np.maximum(err, _TINY), -1 / 8)
+        ok = err < 1
+        n_ok = int(np.count_nonzero(ok))
+        factor = np.minimum(10.0, grow)
+        if n_ok < rows.size:  # fmax: a NaN error shrinks the step too
+            factor = np.where(ok, factor, np.fmax(0.2, grow))
+        if any_rejected:  # no growth right after a rejection
+            factor = np.where(rejected, np.minimum(1.0, factor), factor)
+        h_abs = h_abs * factor
+        n_ok_all, n_tried = n_ok_all + n_ok, n_tried + rows.size
+        n_rhs += _S * rows.size + 3 * dense * n_ok
+        rejected, any_rejected = ~ok, n_ok < rows.size
+        if not n_ok:
+            continue
+        acc = np.flatnonzero(ok) if any_rejected else slice(None)
+        y_acc, coeffs = y_new[acc], None
+        if dense:  # scipy's Dop853DenseOutput coefficients, from 3 more stages
+            Ka, y_old, h = K[acc], y[acc], hc[acc]
+            for j in range(_S + 1, len(_A)):
+                Ka[:, j] = rhs(y_old + (_AROWS[j] @ Ka[:, :j]) * h)
+            dy = y_acc - y_old
+            coeffs = np.concatenate([np.stack([dy, h * Ka[:, 0] - dy, 2 * dy - h * (
+                Ka[:, _S] + Ka[:, 0])], axis=1), h[:, None] * (_D @ Ka)], axis=1)
+        x = y_acc[:, :4]
+        y_acc[:, :4] = x / np.sqrt(form.H(x))[:, None]
+        if any_rejected:
+            y, f = y.copy(), f.copy()
+            y[acc], f[acc], s = y_acc, K[acc, _S], np.where(ok, s_new, s)
+        else:
+            y, f, s = y_acc, K[:, _S], s_new
+        steps.append((rows[acc], s_new[acc], y_acc, coeffs))
+    if _WORK.get() is not None:
+        _WORK.get().update(steps=n_ok_all, rejected_steps=n_tried - n_ok_all,
+                           rhs_evals=n_rhs)
+    return steps, errors
+
+
+def integrate_batch(form, x0, t_final, tol=1e-10, variational=False,
+                    t_eval=None, dense=False):
+    """Integrate the Reeb flow from every row of ``x0`` (B, 4) on the level.
+
+    Row i runs to ``t_final[i]`` (a scalar serves every row), either sign, at
+    local error ``tol`` per step (relative; absolute is tol * 1e-2).
+    ``variational`` also propagates the 4x4 linearized flow from the
+    identity; ``t_eval`` are the sample times (default: the accepted step
+    grid); ``dense`` keeps the interpolant.  Returns one ``FlowResult`` per
+    row, or its exception: ``OffLevelError`` (start off level by over 1e-7),
+    ``DomainError`` (non-finite end time) or ``StiffnessError`` (step size
+    underflow; carries the last good state).
     """
     x0 = np.asarray(x0, dtype=float)
-    h0 = form.H(x0)
-    if abs(h0 - 1.0) > 1e-7:
-        raise OffLevelError(f"initial point off level by {abs(h0 - 1.0):.3e}")
-    if not np.isfinite(t_final):
-        raise DomainError("t_final must be finite")
-
-    y0 = np.concatenate([x0, np.eye(4).ravel()]) if variational else x0.copy()
-    if t_final == 0.0:
-        times = np.array([0.0]) if t_eval is None else np.asarray(t_eval, dtype=float)
-        pts = np.tile(x0, (len(times), 1))
-        mon = np.tile(np.eye(4), (len(times), 1, 1)) if variational else None
-        return FlowResult(times, pts, mon,
-                          Trajectory(0.0, y0, 1.0) if dense else None)
-
-    fun = _rhs(form, variational)
-    solver = DOP853(fun, 0.0, y0, t_final, rtol=tol, atol=tol * 1e-2)
-    direction = 1.0 if t_final > 0 else -1.0
-    traj = Trajectory(0.0, y0, direction)
-    ts = [0.0]
-    ys = [y0.copy()]
-    while solver.status == "running":
-        msg = solver.step()
-        if solver.status == "failed":
-            raise StiffnessError(f"integrator failed: {msg}", ts[-1], ys[-1])
-        if dense or t_eval is not None:
-            traj.append(solver.t, solver.dense_output())
-        # radial re-projection of the position onto the level
-        x = solver.y[:4]
-        h = form.H(x)
-        solver.y[:4] = x / np.sqrt(h)
-        ts.append(solver.t)
-        ys.append(solver.y.copy())
-
-    if t_eval is not None:
-        times = np.asarray(t_eval, dtype=float)
-        samples = traj(times)
-        # project evaluated samples as well
-        xs = project_to_sigma(form, samples[:, :4])
-    else:
-        times = np.array(ts)
-        samples = np.array(ys)
+    t_end = np.broadcast_to(np.asarray(t_final, dtype=float), (len(x0),))
+    out = [OffLevelError(f"initial point off level by {e:.3e}") if e > 1e-7
+           else None if np.isfinite(t) else DomainError("t_final must be finite")
+           for e, t in zip(np.abs(form.H(x0) - 1.0), t_end)]
+    run = np.array([i for i, o in enumerate(out) if o is None], dtype=int)
+    y0 = x0 if not variational else np.concatenate(
+        [x0, np.tile(np.eye(4).ravel(), (len(x0), 1))], axis=1)
+    steps, errors = _steps(form, _rhs(form, variational), run, y0[run],
+                           t_end[run], tol, dense or t_eval is not None)
+    for i, exc in errors.items():
+        out[i] = exc
+    ids, s_all, y_all, F_all = (None if c[0] is None else np.concatenate(c)
+                                for c in zip(*steps))
+    for i in [i for i, o in enumerate(out) if o is None]:
+        p = np.flatnonzero(ids == i)  # row i's steps, in time order
+        traj = Trajectory(np.concatenate([[0.0], np.sign(t_end[i]) * s_all[p]]),
+                          np.concatenate([y0[i:i + 1], y_all[p]]),
+                          None if F_all is None else F_all[p])
+        times, samples = traj.breaks, traj.states
+        if t_eval is not None:
+            times = np.asarray(t_eval, dtype=float)
+            samples = traj(times)
         xs = samples[:, :4]
-    mon = samples[:, 4:].reshape(-1, 4, 4) if variational else None
-    return FlowResult(times, xs, mon, traj if dense else None)
+        if t_eval is not None and len(p):
+            xs = project_to_sigma(form, xs)  # project evaluated samples as well
+        mon = samples[:, 4:].reshape(-1, 4, 4) if variational else None
+        out[i] = FlowResult(times, xs, mon, traj if dense else None)
+    return out
+
+
+def integrate_flow(form, x0, t_final, tol=1e-10, variational=False,
+                   t_eval=None, dense=False):
+    """``integrate_batch`` from the one point ``x0`` (4,); raises the row's
+    exception (``OffLevelError``, ``DomainError``, ``StiffnessError``)."""
+    res, = integrate_batch(form, np.asarray(x0, dtype=float)[None], t_final,
+                           tol, variational, t_eval, dense)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def flow_map(form, x0, T, variational=False):

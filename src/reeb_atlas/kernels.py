@@ -238,15 +238,15 @@ def gauss_linking_raw(a, b):
 # ---------------------------------------------------------------------------
 
 def _points_to_polyline_d2(a, b):
-    bn = np.roll(b, -1, axis=0)
-    e = bn - b  # (nb, dim)
-    w = a[:, None, :] - b[None, :, :]  # (na, nb, dim)
-    ss = np.sum(e * e, axis=-1)  # (nb,)
-    tt = np.sum(w * e[None, :, :], axis=-1)
+    # coordinate by coordinate on (na, nb) planes, in the order of sums over
+    # the last axis, so no (na, nb, dim) temporary is built and the result is
+    # the broadcast formula's bit for bit
+    e = np.roll(b, -1, axis=0) - b  # segment vectors (nb, dim)
+    ss = sum(ek * ek for ek in e.T)
+    tt = sum((ak[:, None] - bk) * ek for ak, bk, ek in zip(a.T, b.T, e.T))
     with np.errstate(divide="ignore", invalid="ignore"):
         tt = np.where(ss > 0, np.clip(tt / ss, 0.0, 1.0), 0.0)
-    closest = b[None, :, :] + tt[:, :, None] * e[None, :, :]
-    d2 = np.sum((closest - a[:, None, :]) ** 2, axis=-1)
+    d2 = sum((bk + tt * ek - ak[:, None]) ** 2 for ak, bk, ek in zip(a.T, b.T, e.T))
     return d2.min(axis=1)
 
 

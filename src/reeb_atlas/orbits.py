@@ -2,23 +2,26 @@
 
 The search is a best-effort truncation of the (generally infinite) set of
 periodic orbits up to a period cap: low-discrepancy seeds are integrated
-forward, near-returns of each trajectory are detected by a closest-return
-scan, and every candidate is polished by Newton shooting on the augmented
-system (return condition + energy level + phase anchor) using the analytic
-variational matrix.  Completeness is never claimed; downstream verdicts
-carry the truncation cap.
+forward as one batch, near-returns of each trajectory are detected by a
+closest-return scan, and all candidates are polished in lockstep by Newton
+shooting on the augmented system (return condition + energy level + phase
+anchor) using the analytic variational matrix, one stacked integration per
+round.  The bookkeeping then replays the candidates in seed order, so the
+census is that of a one-by-one search.  Completeness is never claimed;
+downstream verdicts carry the truncation cap.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .contact import project_to_sigma, reeb_vector, sphere_samples
-from .errors import (DomainError, FrameDegeneracyError, RefinementError,
-                     ResolutionError, StiffnessError)
-from .flow import flow_map, integrate_flow, monodromy_xi
+from .errors import (DomainError, FrameDegeneracyError, ReebAtlasError,
+                     RefinementError, ResolutionError, StiffnessError)
+from .flow import counting, flow_map, integrate_batch, integrate_flow, monodromy_xi
 
 __all__ = [
     "ReebOrbit",
@@ -112,6 +115,8 @@ class OrbitDatabase:
     form_hash: str
     orbits: list
     params: dict
+    # the search's candidate funnel and stepper work; not saved with the census
+    funnel: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.orbits)
@@ -136,11 +141,13 @@ def _detect_multiplicity(form, x, T):
     return int(closed.max()) if closed.size else 1
 
 
-def _newton_polish(form, x_guess, T_guess, initial_residual_cap=0.1):
-    """Gauss-Newton on the augmented shooting system.
+def _polish_row(form, x_guess, T_guess, initial_residual_cap):
+    """Gauss-Newton on the augmented shooting system, for one candidate.
 
-    Returns (x, T, residual, iters, degenerate_family).  Stalls and rank
-    deficiencies are detected early so that hopeless candidates stay cheap.
+    Yields (x, T, variational) for each return flow it needs and is sent its
+    ``FlowResult``.  Returns (x, T, residual, iters, degenerate_family).
+    Stalls and rank deficiencies are detected early so that hopeless
+    candidates stay cheap.
     """
     x = project_to_sigma(form, np.asarray(x_guess, dtype=float))
     T = float(T_guess)
@@ -149,7 +156,7 @@ def _newton_polish(form, x_guess, T_guess, initial_residual_cap=0.1):
     anchor_x = x.copy()
     anchor_v = reeb_vector(form, x, check=False)
 
-    end = flow_map(form, x, T)
+    end = (yield x, T, False).endpoint
     res0 = np.linalg.norm(end - x)
     if res0 > initial_residual_cap:
         raise RefinementError(
@@ -162,7 +169,8 @@ def _newton_polish(form, x_guess, T_guess, initial_residual_cap=0.1):
     stall = 0
     degenerate_family = False
     while residual > _NEWTON_TOL and iters < _NEWTON_MAX_ITER:
-        end, M = flow_map(form, x, T, variational=True)
+        ret = yield x, T, True
+        end, M = ret.endpoint, ret.monodromy_end
         residual = np.linalg.norm(end - x)
         if residual <= _NEWTON_TOL:
             break
@@ -195,9 +203,38 @@ def _newton_polish(form, x_guess, T_guess, initial_residual_cap=0.1):
             raise RefinementError("period iterated to a non-positive value")
         iters += 1
     if residual > _NEWTON_TOL and not degenerate_family:
-        end = flow_map(form, x, T)
+        end = (yield x, T, False).endpoint
         residual = np.linalg.norm(end - x)
     return x, T, residual, iters, degenerate_family
+
+
+def _newton_polish(form, x_guess, T_guess, initial_residual_cap=0.1):
+    """Polish the candidates ``x_guess`` (B, 4), ``T_guess`` (B,) in lockstep:
+    each round stacks the return flows the rows ask for, one integration per
+    kind, so a row follows its one-row call bit for bit.  Returns per row the
+    result of ``_polish_row``, or its exception."""
+    out, asks = [None] * len(T_guess), {}
+
+    def advance(i, row, res):
+        try:
+            asks[i] = row, (row.throw(res) if isinstance(res, ReebAtlasError)
+                            else row.send(res))
+        except StopIteration as done:
+            out[i] = done.value
+        except ReebAtlasError as exc:
+            out[i] = exc
+
+    for i, (x, T) in enumerate(zip(x_guess, T_guess)):
+        advance(i, _polish_row(form, x, T, initial_residual_cap), None)
+    while asks:
+        for var in (False, True):
+            rows = [i for i, (_, ask) in asks.items() if ask[2] == var]
+            x = np.reshape([asks[i][1][0] for i in rows], (-1, 4))
+            res = integrate_batch(form, x, [asks[i][1][1] for i in rows],
+                                  tol=1e-12, variational=var)
+            for i, r in zip(rows, res):
+                advance(i, asks.pop(i)[0], r)
+    return out
 
 
 def refine_orbit(form, x_guess, T_guess, initial_residual_cap=0.1):
@@ -210,8 +247,11 @@ def refine_orbit(form, x_guess, T_guess, initial_residual_cap=0.1):
     e.g. on the round sphere) fall back to scalar minimization of the
     return proximity in T.
     """
-    x, T, residual, iters, degenerate_family = _newton_polish(
-        form, x_guess, T_guess, initial_residual_cap=initial_residual_cap)
+    polished, = _newton_polish(form, np.reshape(x_guess, (1, 4)), [T_guess],
+                               initial_residual_cap=initial_residual_cap)
+    if isinstance(polished, Exception):
+        raise polished
+    x, T, residual, iters, degenerate_family = polished
 
     if degenerate_family:
         from scipy.optimize import minimize_scalar
@@ -284,7 +324,9 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
     so distinct ``rng_seed`` values draw disjoint seed sets.
     Every returned prime orbit passed Newton refinement; iterates up to the
     cap are synthesized from each prime.  Candidates that fail to refine are
-    dropped (optionally reported through ``log``).
+    dropped (optionally reported through ``log``).  The database's
+    ``funnel`` counts seeds, candidates and their fates, Newton iterations
+    and the stepper's work.
     """
     if T_max <= 0:
         raise DomainError("T_max must be positive")
@@ -303,45 +345,62 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
                     return True
         return False
 
-    for seed in seeds:
-        res = integrate_flow(form, seed, float(t_grid[-1]), tol=1e-8,
-                             t_eval=t_grid)
-        cands = _near_return_candidates(t_grid, res.points, _MIN_PERIOD,
-                                        _CANDIDATE_THRESHOLD, max_keep=4)
-        for x_c, dt_c, d_c in cands:
+    funnel = Counter(seeds=len(seeds), skipped_known=0, polished=0, dropped=0,
+                     known=0)
+    iters_seen = Counter()
+
+    def drop(reason):
+        funnel["dropped"] += 1
+        if log is not None:
+            log.append(reason)
+
+    with counting() as work:
+        cands = []
+        for res in integrate_batch(form, seeds, float(t_grid[-1]), tol=1e-8,
+                                   t_eval=t_grid):
+            if isinstance(res, Exception):
+                raise res
+            cands += _near_return_candidates(t_grid, res.points, _MIN_PERIOD,
+                                             _CANDIDATE_THRESHOLD, max_keep=4)
+        polished = _newton_polish(
+            form, [x for x, _, _ in cands], [dt for _, dt, _ in cands],
+            initial_residual_cap=_CANDIDATE_THRESHOLD + 1e-9)
+        # the sequential search, replayed in seed order on the polished rows
+        for (x_c, dt_c, _), outcome in zip(cands, polished):
             # candidates this close to a known orbit with a near-commensurate
-            # period would converge onto it; skip the polish
+            # period would converge onto it; their polish is not used
             if explained_by_known(x_c, float(dt_c), 0.25, 0.25):
+                funnel["skipped_known"] += 1
                 continue
+            funnel["polished"] += 1
             try:
-                x, T, residual, _, degenerate_family = _newton_polish(
-                    form, x_c, float(dt_c),
-                    initial_residual_cap=_CANDIDATE_THRESHOLD + 1e-9)
-            except _CANDIDATE_ERRORS as exc:
-                if log is not None:
-                    log.append(f"candidate dropped: {exc}")
-                continue
-            # 1e-4 exceeds the sagitta of the 512-point trace polyline, so a
-            # converged point on a known curve always registers as known
-            if not degenerate_family and explained_by_known(x, T, 1e-4, 1e-4):
-                continue
-            try:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                x, T, _, iters, degenerate_family = outcome
+                iters_seen[iters] += 1
+                # 1e-4 exceeds the sagitta of the 512-point trace polyline, so
+                # a converged point on a known curve always registers as known
+                if not degenerate_family and explained_by_known(x, T, 1e-4, 1e-4):
+                    funnel["known"] += 1
+                    continue
                 orb = refine_orbit(form, x, T, initial_residual_cap=1.0)
                 if orb.T_min > T_max + 1e-9:
-                    if log is not None:
-                        log.append(f"prime period {orb.T_min:.6f} beyond cap")
+                    drop(f"prime period {orb.T_min:.6f} beyond cap")
                     continue
                 prime = orb if orb.multiplicity == 1 else refine_orbit(
                     form, orb.x0, orb.T_min, initial_residual_cap=np.inf)
                 tr = trace_orbit(form, prime, n=512)
             except _CANDIDATE_ERRORS as exc:
-                if log is not None:
-                    log.append(f"candidate dropped: {exc}")
+                drop(f"candidate dropped: {exc}")
                 continue
             if any(kernels.hausdorff_distance(tr, t0) <= _DEDUP_TOL for t0 in traces):
+                funnel["known"] += 1
                 continue
             primes.append(prime)
             traces.append(tr)
+    # candidates = skipped_known + polished; polished = dropped + known + new
+    funnel.update(work, candidates=len(cands), new_primes=len(primes))
+    funnel["newton_iters"] = dict(sorted(iters_seen.items()))
 
     entries = []
     for prime in primes:
@@ -357,7 +416,8 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
         "candidate_threshold": _CANDIDATE_THRESHOLD,
         "dedup_tol": _DEDUP_TOL,
     }
-    return OrbitDatabase(form_hash=form.form_hash, orbits=entries, params=params)
+    return OrbitDatabase(form_hash=form.form_hash, orbits=entries, params=params,
+                         funnel=dict(funnel))
 
 
 def period_gaps(db, C):
@@ -416,22 +476,23 @@ def load_orbits(form, path):
         payload = json.load(fh)
     if payload.get("form_hash") != form.form_hash:
         raise DomainError("orbit database was built for a different form")
-    orbits = []
-    for rec in payload["orbits"]:
-        o = ReebOrbit(
-            x0=np.array(rec["x0"], dtype=float),
-            T_min=float(rec["T_min"]),
-            multiplicity=int(rec["multiplicity"]),
-            monodromy=np.array(rec["monodromy"], dtype=float),
-            nondeg_class=rec["class"],
-            residual=float(rec["residual"]),
-        )
-        end = flow_map(form, o.x0, o.T_min)
-        gap = np.linalg.norm(end - o.x0)
+    orbits = [ReebOrbit(x0=np.array(rec["x0"], dtype=float),
+                        T_min=float(rec["T_min"]),
+                        multiplicity=int(rec["multiplicity"]),
+                        monodromy=np.array(rec["monodromy"], dtype=float),
+                        nondeg_class=rec["class"],
+                        residual=float(rec["residual"]))
+              for rec in payload["orbits"]]
+    # every closure in one batched integration at flow_map's tolerance
+    ends = integrate_batch(form, np.reshape([o.x0 for o in orbits], (-1, 4)),
+                           [o.T_min for o in orbits], tol=1e-12)
+    for o, res in zip(orbits, ends):
+        if isinstance(res, Exception):
+            raise res
+        gap = np.linalg.norm(res.endpoint - o.x0)
         if gap > 1e-9:
             raise DomainError(
                 f"orbit failed closure re-verification: {gap:.3e}"
             )
-        orbits.append(o)
     return OrbitDatabase(form_hash=payload["form_hash"], orbits=orbits,
                          params=payload.get("params", {}))

@@ -73,6 +73,21 @@ def test_rerun_is_byte_identical(ell_config, found, workdir):
     assert "written_at" in meta
 
 
+def test_orbits_find_funnel_adds_up(found):
+    # the search funnel lives in the sidecar: every candidate is skipped as
+    # known or polished, and every polished row is dropped, known or new
+    meta = json.load(open(os.path.join(found, "orbits_report.json.meta.json")))
+    f = meta["funnel"]
+    assert f["seeds"] == 128
+    assert f["candidates"] == f["skipped_known"] + f["polished"]
+    assert f["polished"] == f["dropped"] + f["known"] + f["new_primes"]
+    assert f["new_primes"] == 2
+    assert len(meta["drop_reasons"]) == f["dropped"]
+    assert sum(f["newton_iters"].values()) <= f["polished"]
+    assert f["steps"] > 0 and f["rejected_steps"] >= 0
+    assert f["rhs_evals"] >= 12 * (f["steps"] + f["rejected_steps"])
+
+
 def test_orbit_index_exit_codes(ell_config, found, round_config, workdir):
     code = main(["orbit-index", "--config", ell_config,
                  "--orbits", os.path.join(found, "orbits.json"),

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import DOP853
 
-from reeb_atlas import kernels
-from reeb_atlas.contact import OMEGA
-from reeb_atlas.errors import DomainError
-from reeb_atlas.flow import (flow_map, integrate_flow, monodromy_xi,
-                             write_trajectory_csv)
+from reeb_atlas import flow, kernels
+from reeb_atlas.contact import OMEGA, StarForm
+from reeb_atlas.errors import DomainError, ReebAtlasError, StiffnessError
+from reeb_atlas.flow import (flow_map, integrate_batch, integrate_flow,
+                             monodromy_xi, write_trajectory_csv)
+from reeb_atlas.orbits import _newton_polish, refine_orbit
 
 RHO = 1.0 + 1.0 / np.sqrt(2.0)
 
@@ -127,3 +131,123 @@ def test_trajectory_csv(tmp_path, ell, gamma1):
     assert len(row) == 5
     # 17 significant digits survive the round trip
     assert float(row[1]) == res.points[-1][0]
+
+
+def _on_level(form, x):
+    x = np.asarray(x, dtype=float)
+    return x / np.sqrt(form.H(x))[..., None]
+
+
+@pytest.mark.parametrize("name", ["ell", "perturbed_form"])
+@pytest.mark.parametrize("t_final", [7.3, -7.3])
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("variational", [False, True])
+def test_one_row_takes_scipys_steps(request, name, t_final, tol, variational):
+    # scipy's DOP853 with the same re-projection after each step is the oracle
+    form = request.getfixturevalue(name)
+    x0 = _on_level(form, [0.6, 0.2, 0.5, -0.3])
+    fun = flow._rhs(form, variational)
+    y0 = np.concatenate([x0, np.eye(4).ravel()]) if variational else x0
+    solver = DOP853(lambda t, y: fun(y), 0.0, y0, t_final, rtol=tol,
+                    atol=tol * 1e-2)
+    n_steps = 0
+    while solver.status == "running":
+        solver.step()
+        solver.y[:4] /= np.sqrt(form.H(solver.y[:4]))
+        n_steps += 1
+    res = integrate_flow(form, x0, t_final, tol=tol, variational=variational)
+    assert len(res.times) - 1 == n_steps
+    assert np.abs(res.endpoint - solver.y[:4]).max() < 1e-12
+    if variational:
+        assert np.abs(res.monodromy_end.ravel() - solver.y[4:]).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["ell", "perturbed_form"])
+def test_batch_rows_equal_one_row_runs(request, name):
+    # mixed spans, both signs and zero; each row is its one-row run bit for bit
+    form = request.getfixturevalue(name)
+    rng = np.random.default_rng(3)
+    x0 = _on_level(form, rng.normal(size=(5, 4)))
+    spans = np.array([2.5, -1.0, 0.0, 6.0, 0.3])
+    ts = np.linspace(0.0, 1.0, 7)
+    for kwargs in ({"variational": True}, {"t_eval": ts, "dense": True}):
+        batch = integrate_batch(form, x0, spans, tol=1e-10, **kwargs)
+        for x, t, got in zip(x0, spans, batch):
+            one = integrate_flow(form, x, t, tol=1e-10, **kwargs)
+            np.testing.assert_array_equal(got.times, one.times)
+            np.testing.assert_array_equal(got.points, one.points)
+            if kwargs.get("variational"):
+                np.testing.assert_array_equal(got.monodromy4, one.monodromy4)
+            else:
+                np.testing.assert_array_equal(got.trajectory(t * ts),
+                                              one.trajectory(t * ts))
+
+
+def test_a_failing_row_leaves_the_others(ell, gamma2, monkeypatch):
+    # the RHS is NaN beyond q1 = 0.9: the row on the q1p1 circle creeps up to
+    # that wall until its step underflows; the row on the other circle finishes
+    rhs = flow._rhs
+
+    def walled(form, variational):
+        fn = rhs(form, variational)
+
+        def out(y):
+            f = fn(y)
+            f[y[:, 0] > 0.9] = np.nan
+            return f
+        return out
+
+    monkeypatch.setattr(flow, "_rhs", walled)
+    x0 = np.array([[0.0, 1.0, 0.0, 0.0], gamma2.x0])
+    failed, done = integrate_batch(ell, x0, 3.0, tol=1e-10)
+    assert isinstance(failed, StiffnessError)
+    assert "integrator failed" in str(failed)
+    assert 0.0 < failed.t_last < 3.0
+    assert 0.85 < failed.y_last[0] <= 0.9
+    assert ell.H(failed.y_last) == pytest.approx(1.0, abs=1e-12)
+    monkeypatch.setattr(flow, "_rhs", rhs)
+    one = integrate_flow(ell, gamma2.x0, 3.0, tol=1e-10)
+    np.testing.assert_array_equal(done.points, one.points)
+
+
+def test_lockstep_polish_rows_equal_one_row_calls(ell):
+    rng = np.random.default_rng(5)
+    x = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2 ** 0.25, 0.0],
+                  [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5], [0.0, 1.0, 0.0, 0.0]])
+    x = x + 1e-3 * rng.normal(size=x.shape)
+    T = np.array([1.001 * np.pi, 0.999 * np.sqrt(2) * np.pi, -1.0, 2.0, 2 * np.pi])
+    rows = _newton_polish(ell, x, T, initial_residual_cap=0.5)
+    for i, row in enumerate(rows):
+        one, = _newton_polish(ell, x[i:i + 1], T[i:i + 1],
+                              initial_residual_cap=0.5)
+        if isinstance(row, ReebAtlasError):
+            assert type(row) is type(one) and str(row) == str(one)
+        else:
+            np.testing.assert_array_equal(row[0], one[0])
+            assert row[1:] == one[1:]
+    failed = [isinstance(r, ReebAtlasError) for r in rows]
+    assert failed == [False, False, True, True, False]
+
+
+# weights near the irrational ellipsoid's: the 2-jet of ``near_ell_weighted``
+# plus small degree-4 monomials, so the weight stays positive on the sphere
+_C = 1.0 - 1.0 / np.sqrt(2.0)
+_NEAR_ELL = [((0, 0, 0, 0), 1.0), ((0, 0, 2, 0), _C), ((0, 0, 0, 2), _C),
+             ((0, 0, 4, 0), _C * _C), ((0, 0, 0, 4), _C * _C),
+             ((0, 0, 2, 2), 2 * _C * _C)]
+_BUMPS = [(3, 0, 1, 0), (1, 0, 3, 0), (2, 2, 0, 0), (0, 1, 0, 3), (1, 1, 1, 1)]
+
+
+@settings(max_examples=6, deadline=None)
+@given(eps=st.lists(st.floats(-1e-2, 1e-2), min_size=len(_BUMPS),
+                    max_size=len(_BUMPS)))
+def test_random_weighted_forms_keep_energy_and_symplecticity(eps):
+    form = StarForm.weighted(_NEAR_ELL + list(zip(_BUMPS, eps)))
+    x0 = _on_level(form, [0.6, 0.2, 0.5, -0.3])
+    res = integrate_flow(form, x0, 5.0, tol=1e-12, variational=True)
+    assert np.abs(form.H(res.points) - 1.0).max() <= 1e-12
+    M = res.monodromy4
+    assert np.abs(np.swapaxes(M, 1, 2) @ OMEGA @ M - OMEGA).max() <= 1e-9
+    orbit = refine_orbit(form, np.array([1.0, 0.0, 0.0, 0.0]), np.pi)
+    det = np.linalg.det(monodromy_xi(form, orbit.x0, orbit.T_min))
+    assert abs(det - 1.0) <= 1e-8

@@ -1,4 +1,4 @@
-"""Properties of the Gauss linking sum and the vertex distance kernel over
+"""Properties of the Gauss linking sum and the distance kernels over
 random closed polygons whose lengths straddle the Gauss block size."""
 
 import numpy as np
@@ -75,3 +75,30 @@ def test_min_cross_distance_is_the_broadcast_formula(seed, na, nb, scale):
     b = scale * rng.normal(size=(nb, 4))
     d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
     assert kernels.min_cross_distance(a, b) == np.sqrt(d2.min())
+
+
+def _broadcast_points_to_polyline_d2(a, b):
+    # the (na, nb, dim) broadcast formula, the reference of the kernel
+    e = np.roll(b, -1, axis=0) - b
+    w = a[:, None, :] - b[None, :, :]
+    ss = np.sum(e * e, axis=-1)
+    tt = np.sum(w * e[None, :, :], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tt = np.where(ss > 0, np.clip(tt / ss, 0.0, 1.0), 0.0)
+    closest = b[None, :, :] + tt[:, :, None] * e[None, :, :]
+    return np.sum((closest - a[:, None, :]) ** 2, axis=-1).min(axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), na=_SIZES, nb=_SIZES,
+       scale=st.floats(1e-3, 1e3), repeat=st.booleans())
+def test_hausdorff_distance_is_the_broadcast_formula(seed, na, nb, scale, repeat):
+    rng = np.random.default_rng(seed)
+    a = scale * rng.normal(size=(na, 4))
+    b = scale * rng.normal(size=(nb, 4))
+    if repeat:
+        b[1] = b[0]  # a zero-length segment
+    d2_ab = _broadcast_points_to_polyline_d2(a, b)
+    d2_ba = _broadcast_points_to_polyline_d2(b, a)
+    assert kernels.hausdorff_distance(a, b) == np.sqrt(max(d2_ab.max(), d2_ba.max()))
+    assert kernels.point_to_polyline(a[0], b) == np.sqrt(d2_ab[0])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -56,21 +58,30 @@ def test_census_empty_below_minimal_period(ell):
 
 
 def test_census_drops_a_failing_candidate(ell, monkeypatch):
-    # one candidate's integrator failure is logged and skipped, not fatal
+    # one candidate's integrator failure is logged and skipped, not fatal:
+    # the first candidate's row of the lockstep polish fails, the rows beside
+    # it go on
     from reeb_atlas import orbits
 
-    polish = orbits._newton_polish
-    calls = []
+    polish, integrate = orbits._newton_polish, orbits.integrate_batch
+    calls, failed = [], []
 
-    def failing_first(*args, **kwargs):
+    def spy(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 1:
-            raise StiffnessError("step size underflow", 0.0, None)
         return polish(*args, **kwargs)
 
-    monkeypatch.setattr(orbits, "_newton_polish", failing_first)
+    def failing_first_row(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        if calls and not failed:  # the first integration of the polish
+            failed.append(len(res))
+            res[0] = StiffnessError("step size underflow", 0.0, None)
+        return res
+
+    monkeypatch.setattr(orbits, "_newton_polish", spy)
+    monkeypatch.setattr(orbits, "integrate_batch", failing_first_row)
     log = []
     db = find_orbits(ell, 4.0, n_seeds=16, log=log)
+    assert failed[0] > 1
     assert len(calls) > 1
     assert any("step size underflow" in line for line in log)
     assert [o.multiplicity for o in db.orbits] == [1]
@@ -199,6 +210,12 @@ def test_save_load_reverifies(tmp_path, ell, db10):
     other = StarForm.ellipsoid(1.0, 1.7)
     with pytest.raises(DomainError):
         load_orbits(other, path)
+    # one entry that no longer closes fails the whole load
+    payload = json.loads(path.read_text())
+    payload["orbits"][-1]["T_min"] *= 1.001
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DomainError, match="closure re-verification"):
+        load_orbits(ell, path)
 
 
 def test_seed_count_monotonicity(ell):
