@@ -175,14 +175,16 @@ def cmd_orbits_find(args):
 
 def cmd_orbit_index(args):
     started = time.time()
+    if args.n_grid < 1:
+        raise ConfigError(f"--n-grid {args.n_grid} is not positive")
     cfg, form = load_config(args.config)
     db = _load_db(form, args.orbits)
     orbit = db[args.orbit]
     report = orbit_index_report(form, orbit, n_grid=args.n_grid)
-    payload = dict(report)
-    payload["orbit_id"] = args.orbit
-    payload["rng_seed"] = cfg.get("rng_seed", 0)
-    _write_report(args.out, f"index_orbit{args.orbit}.json", payload, started)
+    payload = dict(report, orbit_id=args.orbit, rng_seed=cfg.get("rng_seed", 0))
+    resolution = payload.pop("resolution")
+    _write_report(args.out, f"index_orbit{args.orbit}.json", payload, started,
+                  extra_meta={"resolution": resolution})
     if report["degenerate_flags"]:
         print("degeneracy flagged; no index emitted:",
               "; ".join(report["degenerate_flags"]))

@@ -1,22 +1,23 @@
 """Conley-Zehnder indices of periodic orbits, two independent ways.
 
-The geometric route tracks the rotation of directions under the trivialized
-linearized flow and reads the index off the rotation interval.  The spectral
-route discretizes the first-order operator along the orbit (central
-differences on a periodic grid), extracts eigenvalues nearest zero together
-with the winding numbers of their eigenfunctions, and evaluates
-``2 * wind(nu_neg) + p``.  The two must agree exactly on non-degenerate
-orbits; the test suite enforces that.
+Both routes read one dense variational integration along the orbit, sampled
+on whatever grids they need.  The geometric route tracks the rotation of
+directions under the trivialized linearized flow and reads the index off the
+rotation interval.  The spectral route projects the central-difference
+operator -J0 d/dt + S(t) onto the real Fourier modes |k| <= K (Trefethen,
+*Spectral Methods in MATLAB*, ch. 3-4), takes the eigenvalues nearest zero
+together with the winding numbers of their eigenfunctions, and evaluates
+``2 * wind(nu_neg) + p`` (Hofer, Wysocki & Zehnder, GAFA 5, 1995).  The two
+must agree exactly on non-degenerate orbits; the report enforces that.
 """
 
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import kernels
-from .contact import xi_frame, xi_projector
+from .contact import project_to_sigma, xi_frame, xi_projector
 from .errors import (DegenerateOrbitError, DomainError, InconsistencyError,
                      ResolutionError)
 from .flow import integrate_flow
@@ -47,6 +48,8 @@ J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 STEP_GUARD = 0.5
 DEGENERACY_MARGIN = 1e-4
+_BAND = 8  # winding classes kept each side of wind(nu_neg); K's margin too
+_FLOW = contextvars.ContextVar("reeb_atlas_cz_flow", default=None)  # [orbit, flow]
 
 
 @dataclass
@@ -98,6 +101,7 @@ class RotationInterval:
     lo: float
     hi: float
     degenerate_margin: float
+    n_dirs: int | None = None  # directions tracked; None for a hand-made one
 
     @property
     def length(self):
@@ -108,32 +112,39 @@ class RotationInterval:
 class SpectralData:
     """Eigenvalues of the orbit operator nearest zero with their windings."""
 
-    eigenvalues: np.ndarray  # sorted, ghost-filtered
+    eigenvalues: np.ndarray  # sorted; winding classes within _BAND of wind(nu_neg)
     windings: np.ndarray     # integer winding per eigenvalue
     nu_neg: float
     nu_pos: float
     wind_nu_neg: int
     p: int
-    n_grid: int
-
-    def validate(self):
-        if not (self.nu_neg < 0.0 < self.nu_pos):
-            raise InconsistencyError("extreme eigenvalues must straddle zero")
-        return self
+    K: int                   # Fourier modes |k| <= K of the settled solve
 
 
 # ---------------------------------------------------------------------------
 # trivialized linearized flow along an orbit
 # ---------------------------------------------------------------------------
 
-def _path_samples(form, orbit, n):
-    T = orbit.T
-    ts = np.linspace(0.0, T, n + 1)
-    res = integrate_flow(form, orbit.x0, T, tol=1e-12, variational=True,
-                         t_eval=ts)
-    fr = xi_frame(form, res.points)
-    proj = xi_projector(form, res.points)
-    M = res.monodromy4
+def _variational_flow(form, orbit):
+    """Dense variational trajectory over one period at tol 1e-12; inside
+    ``orbit_index_report`` the first call integrates and the others share."""
+    shared = _FLOW.get()
+    if shared is None or shared[0] is not orbit:
+        shared = [orbit, None]
+    if shared[1] is None:
+        if orbit.residual > 1e-9:
+            raise DomainError(f"orbit residual {orbit.residual:.2e} exceeds 1e-09")
+        shared[1] = integrate_flow(form, orbit.x0, orbit.T, tol=1e-12,
+                                   variational=True, dense=True).trajectory
+    return shared[1]
+
+
+def _path_samples(form, orbit, flow, n):
+    samples = flow(np.linspace(0.0, orbit.T, n + 1))
+    points = project_to_sigma(form, samples[:, :4])
+    fr = xi_frame(form, points)
+    proj = xi_projector(form, points)
+    M = samples[:, 4:].reshape(-1, 4, 4)
     mats = np.empty((n + 1, 2, 2))
     mats[:, :, 0] = fr.coords(proj(M @ fr.e1[0]))
     mats[:, :, 1] = fr.coords(proj(M @ fr.e2[0]))
@@ -151,13 +162,10 @@ def trivialized_path(form, orbit, n_min=256):
     automatically from ``n_min`` until the frame rotates by less than pi/4
     per step and consecutive matrices move by less than the resolution guard.
     """
-    if orbit.residual > 1e-9:
-        raise DomainError(
-            f"orbit residual {orbit.residual:.2e} exceeds 1e-09"
-        )
+    flow = _variational_flow(form, orbit)
     n = int(n_min)
     while True:
-        mats, frame_angle = _path_samples(form, orbit, n)
+        mats, frame_angle = _path_samples(form, orbit, flow, n)
         path = SymplecticPath(times=np.linspace(0.0, 1.0, n + 1), mats=mats)
         jumps = np.linalg.norm(np.diff(mats, axis=0), axis=(1, 2))
         if frame_angle < np.pi / 4 and jumps.max() < STEP_GUARD:
@@ -178,15 +186,20 @@ def trivialized_path(form, orbit, n_min=256):
 # rotation interval and the geometric index
 # ---------------------------------------------------------------------------
 
+def _angle_steps(v):
+    """Angle increments along axis 0 of the planar vectors v (N+1, 2, m),
+    exact while each true step is below pi."""
+    x, y = v[:, 0, :], v[:, 1, :]
+    cross = x[:-1] * y[1:] - y[:-1] * x[1:]
+    dot = x[:-1] * x[1:] + y[:-1] * y[1:]
+    return np.arctan2(cross, dot)
+
+
 def _direction_rotations(mats, n_dirs):
     ms = np.arange(n_dirs)
     dirs = np.stack([np.cos(np.pi * ms / n_dirs), np.sin(np.pi * ms / n_dirs)],
                     axis=0)  # (2, n_dirs), half circle
-    v = mats @ dirs  # (N+1, 2, n_dirs)
-    x, y = v[:, 0, :], v[:, 1, :]
-    cross = x[:-1] * y[1:] - y[:-1] * x[1:]
-    dot = x[:-1] * x[1:] + y[:-1] * y[1:]
-    dth = np.arctan2(cross, dot)  # exact increment while |true step| < pi
+    dth = _angle_steps(mats @ dirs)
     if np.abs(dth).max() > 0.5 * np.pi:
         raise ResolutionError(
             "direction tracking under-resolved (angle step "
@@ -204,19 +217,15 @@ def rotation_interval(path):
     """
     path.validate()
     lo = hi = None
-    n_dirs = 360
-    while True:
+    for n_dirs in (360, 720, 1440, 2880, 5760):
         deltas = _direction_rotations(path.mats, n_dirs)
         new_lo, new_hi = float(deltas.min()), float(deltas.max())
         if lo is not None and abs(new_lo - lo) < 1e-3 and abs(new_hi - hi) < 1e-3:
             lo, hi = min(lo, new_lo), max(hi, new_hi)
             break
         lo, hi = new_lo, new_hi
-        n_dirs *= 2
-        if n_dirs > 5760:
-            break
     margin = min(abs(lo - round(lo)), abs(hi - round(hi)))
-    return RotationInterval(lo=lo, hi=hi, degenerate_margin=margin)
+    return RotationInterval(lo=lo, hi=hi, degenerate_margin=margin, n_dirs=n_dirs)
 
 
 def cz_from_interval(interval):
@@ -271,88 +280,90 @@ def _coefficient_matrices(mats):
     return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
-def _operator_matrix(S):
-    n = S.shape[0]
-    h = 1.0 / n
-    i = np.arange(n)[:, None, None]
-    a, b = np.indices((2, 2))
-    # 2x2 blocks (row block i, column block j): -J0 d/dt by central
-    # differences at j = i +- 1, and S(t_i) at j = i
-    blocks = [((i + 1) % n, -J0 / (2 * h)), ((i - 1) % n, J0 / (2 * h)), (i, S)]
-    shape = (n, 2, 2)
-    rows = np.concatenate([np.broadcast_to(2 * i + a, shape).ravel()] * 3)
-    cols = np.concatenate([np.broadcast_to(2 * j + b, shape).ravel()
-                           for j, _ in blocks])
-    vals = np.concatenate([np.broadcast_to(v, shape).ravel() for _, v in blocks])
-    keep = vals != 0.0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(2 * n, 2 * n))
+def _eigenfunction_winding(v):
+    """Degree of v/|v| for m functions sampled on the periodic grid, v (n, 2, m);
+    NaN where a function vanishes or the degree is not an integer."""
+    total = _angle_steps(np.concatenate([v, v[:1]])).sum(axis=0) / (2.0 * np.pi)
+    k = np.round(total)
+    sq = (v * v).sum(axis=1)
+    ok = (sq.min(axis=0) >= 1e-16 * sq.max(axis=0)) & (np.abs(total - k) <= 1e-6)
+    return np.where(ok, k, np.nan)
 
 
-def _eigenfunction_winding(vec):
-    v = vec.reshape(-1, 2)
-    norms = np.linalg.norm(v, axis=1)
-    if norms.min() < 1e-8 * norms.max():
-        return None  # vanishing discrete eigenfunction; winding undefined
-    ang = np.arctan2(v[:, 1], v[:, 0])
-    ang = np.append(ang, ang[0])
-    d = np.diff(ang)
-    d = (d + np.pi) % (2.0 * np.pi) - np.pi
-    total = d.sum() / (2.0 * np.pi)
-    k = round(total)
-    if abs(total - k) > 1e-6:
-        return None
-    return int(k)
-
-
-def _lowpass(vecs, n, k_cut):
-    v = vecs.reshape(n, 2, -1)
-    F = np.fft.fft(v, axis=0)
-    freqs = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    F[freqs > k_cut] = 0.0
-    return np.real(np.fft.ifft(F, axis=0)).reshape(2 * n, -1)
-
-
-def _physical_pairs(vals, vecs, n, k_cut):
-    """Demix central-difference alias modes from true eigenfunctions.
-
-    The periodic central-difference stencil carries a spurious sawtooth
-    branch whose eigenvalues interleave the true ones.  True eigenfunctions
-    are smooth, so within each numerically degenerate eigenvalue cluster the
-    low-pass projection isolates the physical subspace; its rank gives the
-    physical multiplicity.
+def _galerkin_pairs(S, K):
+    """Eigenvalues and windings of the central-difference operator
+    -J0 d/dt + S on ``len(S)`` periodic points, projected onto the real
+    Fourier modes |k| <= K: 1, sqrt2 cos(2 pi k t), sqrt2 sin(2 pi k t) times
+    e1, e2, orthonormal for the grid mean.  Central differences map mode k's
+    (cos, sin) pair into itself by sigma_k = n sin(2 pi k / n), so the alias
+    branch near k = n/2 is never formed; S gives (1/n) sum_j B_j^T S_j B_j.
     """
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    scale = max(1.0, np.abs(vals).max())
-    out_vals, out_winds = [], []
-    i = 0
-    while i < len(vals):
-        j = i
-        while j + 1 < len(vals) and vals[j + 1] - vals[i] < 1e-6 * scale:
-            j += 1
-        block = vecs[:, i:j + 1]
-        low = _lowpass(block, n, k_cut)
-        u, s, _ = np.linalg.svd(low, full_matrices=False)
-        for r in range(len(s)):
-            if s[r] > 0.5:
-                w = _eigenfunction_winding(u[:, r])
-                if w is not None:
-                    out_vals.append(float(np.mean(vals[i:j + 1])))
-                    out_winds.append(w)
-        i = j + 1
-    return np.array(out_vals), np.array(out_winds, dtype=int)
+    n, m, k = len(S), 2 * K + 1, np.arange(1, K + 1)
+    phase = 2.0 * np.pi * np.outer(np.arange(n) / n, k)
+    F = np.ones((n, m))
+    F[:, 1::2], F[:, 2::2] = np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)
+    sigma = n * np.sin(2.0 * np.pi * k / n)
+    D = np.zeros((m, m))
+    D[2 * k, 2 * k - 1] = -sigma  # d/dt cos = -sigma sin
+    D[2 * k - 1, 2 * k] = sigma   # d/dt sin = sigma cos
+    FS = (S.reshape(n, 4)[:, :, None] * F[:, None, :]).reshape(n, 4 * m)
+    GS = (F.T @ FS).reshape(m, 2, 2, m).transpose(0, 1, 3, 2) / n
+    vals, vecs = np.linalg.eigh(np.kron(D, -J0) + GS.reshape(2 * m, 2 * m))
+    samples = (F @ vecs.reshape(m, 4 * m)).reshape(n, 2, 2 * m)
+    return vals, _eigenfunction_winding(samples)
+
+
+def _spectral_data(S, K):
+    vals, winds = _galerkin_pairs(S, K)
+    small = np.abs(vals).min()
+    if small < 1e-6:
+        raise DegenerateOrbitError(f"eigenvalue {small:.2e} within 1e-6 of zero")
+    defined = ~np.isnan(winds)
+    vals, winds = vals[defined], winds[defined].astype(int)
+    neg = vals < 0
+    if neg.all() or not neg.any():
+        raise ResolutionError(f"the eigenvalues at K={K} do not straddle zero")
+    wind_neg = int(winds[neg][-1])  # eigh sorts ascending
+    band = np.abs(winds - wind_neg) <= _BAND
+    vals, winds, neg = vals[band], winds[band], neg[band]
+    b = int(np.sum(neg & (winds == wind_neg)))
+    return SpectralData(eigenvalues=vals, windings=winds, nu_neg=float(vals[neg][-1]),
+                        nu_pos=float(vals[~neg][0]), wind_nu_neg=wind_neg,
+                        p=(1 + (-1) ** b) // 2, K=K)
+
+
+def _fourier_spectrum(S, turns):
+    """Spectral data of -J0 d/dt + S from the Galerkin solves at doubling K.
+
+    K starts ``_BAND`` modes above the rotation ``turns`` and doubles until
+    the Fourier coefficients of S beyond K are below 1e-9 of its largest and,
+    since the previous K, the negative windings are unchanged and nu_neg and
+    nu_pos moved by at most 1e-10 relative.  No answer comes back past
+    ``len(S) // 8`` modes, the range where the symbol is monotone.
+    """
+    n = len(S)
+    coef = np.abs(np.fft.rfft(S.reshape(n, 4), axis=0)).max(axis=1)
+    K, prev = int(np.ceil(abs(turns))) + _BAND, None
+    while K <= n // 8:
+        cur = _spectral_data(S, K)
+        if (prev is not None
+                and coef[K + 1:].max(initial=0.0) <= 1e-9 * coef.max()
+                and np.array_equal(prev.windings[prev.eigenvalues < 0],
+                                   cur.windings[cur.eigenvalues < 0])
+                and np.allclose([prev.nu_neg, prev.nu_pos],
+                                [cur.nu_neg, cur.nu_pos], rtol=1e-10, atol=0)):
+            return cur
+        prev, K = cur, 2 * K
+    raise ResolutionError(f"the spectrum did not settle within {n // 8} Fourier "
+                          f"modes on {n} points; raise n_grid")
 
 
 def asymptotic_spectrum(form, orbit, n_grid=1024):
     """Eigenvalues nearest zero of the orbit operator, with windings.
 
-    The operator -J0 d/dt + S(t) (S symmetric in the orthonormalized global
-    frame) is discretized by central differences on ``n_grid`` periodic
-    points; shift-invert Lanczos returns the 48 eigenpairs nearest zero,
-    alias modes are filtered, and each eigenfunction's winding is the degree
-    of v(t)/|v(t)|.
+    S(t), symmetric in the orthonormalized global frame, is read off the
+    trivialized path on ``n_grid`` points; ``_fourier_spectrum`` solves
+    -J0 d/dt + S(t) on the low Fourier modes.
     """
     if orbit.degenerate:
         raise DegenerateOrbitError("orbit is degenerate; spectrum has a kernel")
@@ -362,33 +373,9 @@ def asymptotic_spectrum(form, orbit, n_grid=1024):
             f"n_grid={n_grid} under-resolves this orbit; use at least "
             f"{path.n_steps}"
         )
+    turns = _direction_rotations(path.mats, 1)[0]
     S = _coefficient_matrices(path.mats)
-    A = _operator_matrix(S)
-    # a fixed ARPACK start vector keeps reruns, and their reports, identical
-    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
-    try:
-        vals, vecs = spla.eigsh(A, k=min(48, 2 * n_grid - 2), sigma=0,
-                                which="LM", v0=v0)
-    except RuntimeError as exc:
-        raise DegenerateOrbitError(f"shift-invert at zero failed: {exc}") from exc
-    if np.abs(vals).min() < 1e-6:
-        raise DegenerateOrbitError(
-            f"eigenvalue {np.abs(vals).min():.2e} within 1e-6 of zero"
-        )
-    phys_vals, phys_winds = _physical_pairs(vals, vecs, n_grid, n_grid // 8)
-    if len(phys_vals) == 0 or phys_vals.min() > 0 or phys_vals.max() < 0:
-        raise ResolutionError("the 48 eigenvalues nearest zero do not straddle it")
-    neg = phys_vals < 0
-    nu_neg = phys_vals[neg].max()
-    nu_pos = phys_vals[~neg].min()
-    wind_neg = int(phys_winds[neg][np.argmax(phys_vals[neg])])
-    b = int(np.sum(neg & (phys_winds == wind_neg)))
-    p = (1 + (-1) ** b) // 2
-    data = SpectralData(
-        eigenvalues=phys_vals, windings=phys_winds, nu_neg=float(nu_neg),
-        nu_pos=float(nu_pos), wind_nu_neg=wind_neg, p=int(p), n_grid=n_grid,
-    )
-    return data.validate()
+    return _fourier_spectrum(S, turns)
 
 
 def cz_from_spectrum(data):
@@ -463,6 +450,8 @@ def orbit_index_report(form, orbit, n_grid=1024):
     Degenerate orbits produce flags instead of numbers: no index is ever
     emitted for a flagged orbit.  An emitted index is cross-checked against
     the monodromy class: it is even iff the orbit is positive hyperbolic.
+    Both routes sample one variational integration.  ``resolution`` holds
+    the interval path's sample count, ``n_dirs`` and K, as far as reached.
     """
     report = {
         "mu_geometric": None,
@@ -472,26 +461,33 @@ def orbit_index_report(form, orbit, n_grid=1024):
         "wind_nu_neg": None,
         "p": None,
         "degenerate_flags": [],
+        "resolution": {},
     }
     if orbit.degenerate:
         report["degenerate_flags"].append("monodromy eigenvalue within 1e-6 of 1")
         return report
-    path = trivialized_path(form, orbit)
-    interval = rotation_interval(path)
-    report["interval"] = [interval.lo, interval.hi]
-    mu_geo, flagged = cz_from_interval(interval)
-    if flagged:
-        report["degenerate_flags"].append("rotation interval endpoint near integer")
-    else:
-        report["mu_geometric"] = mu_geo
+    resolution = report["resolution"]
+    token = _FLOW.set([orbit, None])
     try:
+        path = trivialized_path(form, orbit)
+        interval = rotation_interval(path)
+        resolution.update(path_samples=path.n_steps + 1, n_dirs=interval.n_dirs)
+        report["interval"] = [interval.lo, interval.hi]
+        mu_geo, flagged = cz_from_interval(interval)
+        if flagged:
+            report["degenerate_flags"].append("rotation interval endpoint near integer")
+        else:
+            report["mu_geometric"] = mu_geo
         data = asymptotic_spectrum(form, orbit, n_grid=n_grid)
+        resolution["K"] = data.K
         report["nu_neg"] = data.nu_neg
         report["wind_nu_neg"] = data.wind_nu_neg
         report["p"] = data.p
         report["mu_spectral"] = cz_from_spectrum(data)
     except DegenerateOrbitError as exc:
         report["degenerate_flags"].append(str(exc))
+    finally:
+        _FLOW.reset(token)
     if (report["mu_geometric"] is not None and report["mu_spectral"] is not None
             and report["mu_geometric"] != report["mu_spectral"]):
         raise InconsistencyError(

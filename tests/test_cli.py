@@ -98,7 +98,13 @@ def test_orbit_index_exit_codes(ell_config, found, round_config, workdir):
     assert rep["mu_geometric"] == 3
     assert rep["mu_spectral"] == 3
     assert rep["interval"][0] == pytest.approx(1 + 1 / SQ2, abs=1e-6)
-    assert "rng_seed" in rep
+    assert "rng_seed" in rep and "resolution" not in rep
+    # how finely the index was resolved goes to the sidecar
+    with open(os.path.join(found, "index_orbit0.json.meta.json")) as fh:
+        res = json.load(fh)["resolution"]
+    assert res["path_samples"] == 257
+    assert res["n_dirs"] in (360, 720, 1440, 2880, 5760)
+    assert 8 < res["K"] <= 1024 // 8
 
     out_r = str(workdir / "round_run")
     assert main(["orbits-find", "--config", round_config, "--out", out_r]) == 0
@@ -110,6 +116,17 @@ def test_orbit_index_exit_codes(ell_config, found, round_config, workdir):
         rep = json.load(fh)
     assert rep["mu_geometric"] is None
     assert rep["degenerate_flags"]
+
+
+@pytest.mark.parametrize("n_grid, code", [("0", 64), ("-8", 64), ("8", 1)])
+def test_orbit_index_grid_errors(ell_config, found, workdir, n_grid, code):
+    # a non-positive grid is a config error; a positive one too coarse for
+    # the orbit is a resolution error; neither writes a report
+    out = str(workdir / f"ngrid{n_grid}")
+    assert main(["orbit-index", "--config", ell_config,
+                 "--orbits", os.path.join(found, "orbits.json"),
+                 "--orbit", "0", "--n-grid", n_grid, "--out", out]) == code
+    assert not os.path.exists(os.path.join(out, "index_orbit0.json"))
 
 
 def test_binding_check_exit_codes(ell_config, found):

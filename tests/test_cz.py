@@ -5,7 +5,7 @@ import pytest
 
 from reeb_atlas import cz
 from reeb_atlas.errors import (DegenerateOrbitError, DomainError,
-                               InconsistencyError)
+                               InconsistencyError, ResolutionError)
 from reeb_atlas.orbits import refine_orbit
 
 RHO1 = 1.0 + 1.0 / np.sqrt(2.0)
@@ -159,6 +159,51 @@ def test_spectrum_refuses_degenerate(round_form):
     orbit = refine_orbit(round_form, np.array([1.0, 0.0, 0.0, 0.0]), np.pi)
     with pytest.raises(DegenerateOrbitError):
         cz.asymptotic_spectrum(round_form, orbit)
+
+
+def test_galerkin_constant_coefficients_match_the_matched_symbol():
+    # S = a I: the eigenvalues are a + sigma_k, sigma_k = n sin(2 pi k / n),
+    # twice each, and the eigenfunctions of a + sigma_k wind k times
+    n, a, K = 256, -2 * np.pi * 1.3, 12
+    S = np.tile(a * np.eye(2), (n, 1, 1))
+    vals, winds = cz._galerkin_pairs(S, K)
+    k = np.arange(-K, K + 1)
+    assert np.allclose(vals, np.repeat(a + n * np.sin(2 * np.pi * k / n), 2),
+                       rtol=0, atol=1e-11)
+    assert np.array_equal(winds, np.repeat(k, 2))
+    data = cz._fourier_spectrum(S, 1.3)
+    assert (data.wind_nu_neg, data.p) == (1, 1)
+    assert data.nu_neg == pytest.approx(a + n * np.sin(2 * np.pi / n), abs=1e-11)
+    assert data.nu_pos == pytest.approx(a + n * np.sin(4 * np.pi / n), abs=1e-11)
+
+
+def test_galerkin_refuses_a_slowly_decaying_coefficient():
+    # a Fourier mode of S at n/4 lies beyond the cutoff cap n/8, so the tail
+    # never drops below tolerance and no truncated answer comes back
+    n = 256
+    wobble = 1e-3 * np.cos(2 * np.pi * (n // 4) * np.arange(n) / n)
+    S = (-2 * np.pi * 1.3 + wobble)[:, None, None] * np.eye(2)
+    with pytest.raises(ResolutionError, match="did not settle"):
+        cz._fourier_spectrum(S, 1.3)
+
+
+@pytest.mark.parametrize("k, samples", [(1, 257), (9, 513)])
+def test_index_report_integrates_once(ell, gamma1, monkeypatch, k, samples):
+    # gamma1^9 rotates too fast for 256 samples, so its interval path doubles
+    # and re-samples the one integration
+    runs, real = [], cz.integrate_flow
+
+    def spy(*args, **kwargs):
+        runs.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cz, "integrate_flow", spy)
+    orbit = gamma1 if k == 1 else gamma1.iterate(k)
+    rep = cz.orbit_index_report(ell, orbit, n_grid=1024)
+    assert len(runs) == 1 and runs[0]["dense"]
+    assert rep["mu_geometric"] == rep["mu_spectral"] == (
+        2 * k + 2 * int(np.floor(k / np.sqrt(2))) + 1)
+    assert rep["resolution"]["path_samples"] == samples
 
 
 def test_methods_agree_on_census(ell, db10):

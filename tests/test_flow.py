@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
 
-from reeb_atlas import flow, kernels
+from reeb_atlas import cz, flow, kernels
 from reeb_atlas.contact import OMEGA, StarForm
 from reeb_atlas.errors import DomainError, ReebAtlasError, StiffnessError
 from reeb_atlas.flow import (flow_map, integrate_batch, integrate_flow,
@@ -251,3 +251,19 @@ def test_random_weighted_forms_keep_energy_and_symplecticity(eps):
     orbit = refine_orbit(form, np.array([1.0, 0.0, 0.0, 0.0]), np.pi)
     det = np.linalg.det(monodromy_xi(form, orbit.x0, orbit.T_min))
     assert abs(det - 1.0) <= 1e-8
+
+
+@settings(max_examples=6, deadline=None)
+@given(eps=st.lists(st.floats(-1e-2, 1e-2), min_size=len(_BUMPS),
+                    max_size=len(_BUMPS)))
+def test_random_weighted_forms_agree_on_the_index(eps):
+    # the two index routes agree, and the index parity matches the monodromy
+    # class, on the planar orbit of a random weight and its second iterate
+    form = StarForm.weighted(_NEAR_ELL + list(zip(_BUMPS, eps)))
+    prime = refine_orbit(form, np.array([1.0, 0.0, 0.0, 0.0]), np.pi)
+    for orbit in (prime, prime.iterate(2)):
+        rep = cz.orbit_index_report(form, orbit, n_grid=512)
+        assert not rep["degenerate_flags"]
+        assert rep["mu_geometric"] == rep["mu_spectral"]
+        assert (rep["mu_spectral"] % 2 == 0) == (
+            orbit.nondeg_class == "positive-hyperbolic")
