@@ -22,6 +22,7 @@ from .contact import StarForm
 from .cz import orbit_index_report
 from .errors import (ConfigError, DegenerateOrbitError, MissingArtifactError,
                      ReebAtlasError)
+from .flow import counting
 from .linking import linking_number, self_linking, trace_orbit, unknot_check
 from .orbits import find_orbits, load_orbits, save_orbits
 from .sections import (builtin_disk, load_disk, save_disk,
@@ -64,10 +65,9 @@ CONFIG_SCHEMA = {
         "t_budget": {"type": "number", "exclusiveMinimum": 0},
     },
 }
-
-
-def _json_pointer(path_deque):
-    return "/" + "/".join(str(p) for p in path_deque)
+# a flag keeps the bounds of the config key it sets; grid sizes are flags only
+FLAG_SCHEMA = {"properties": dict(CONFIG_SCHEMA["properties"], **dict.fromkeys(
+    ["n_grid", "nr", "ntheta"], {"type": "integer", "minimum": 1}))}
 
 
 def load_config(path):
@@ -92,9 +92,24 @@ def load_config(path):
         path = list(err.absolute_path)
         if err.validator == "additionalProperties":
             path.append(min(set(err.instance) - set(err.schema["properties"])))
-        raise ConfigError(err.message, _json_pointer(path))
+        raise ConfigError(err.message, "/" + "/".join(map(str, path)))
     form = StarForm.from_json_dict(raw["form"])
     return raw, form
+
+
+def _config(args):
+    """A command's run configuration with its set flags laid over it, each
+    checked against its bounds in ``FLAG_SCHEMA`` first."""
+    import jsonschema
+
+    flags = {k: v for k, v in vars(args).items()
+             if k in FLAG_SCHEMA["properties"] and v is not None}
+    for err in jsonschema.Draft202012Validator(FLAG_SCHEMA).iter_errors(flags):
+        key = err.absolute_path[0]
+        raise ConfigError(f"--{key.replace('_', '-')} {flags[key]}: {err.message}",
+                          f"/{key}" if key in CONFIG_SCHEMA["properties"] else "")
+    cfg, form = load_config(args.config)
+    return {**cfg, **flags}, form
 
 
 def _write_report(out_dir, name, payload, started, extra_files=None,
@@ -145,12 +160,10 @@ def _load_db(form, path):
 
 def cmd_orbits_find(args):
     started = time.time()
-    cfg, form = load_config(args.config)
-    t_max = args.tmax if args.tmax is not None else cfg.get("tmax", 10.0)
-    n_seeds = args.seeds if args.seeds is not None else cfg.get("seeds", 256)
-    rng_seed = args.rng_seed if args.rng_seed is not None else cfg.get("rng_seed", 0)
-    if rng_seed < 0:  # the schema's minimum, for the flag
-        raise ConfigError(f"rng_seed {rng_seed} is below 0", "/rng_seed")
+    cfg, form = _config(args)
+    t_max = cfg.get("tmax", 10.0)
+    n_seeds = cfg.get("seeds", 256)
+    rng_seed = cfg.get("rng_seed", 0)
     log = []
     db = find_orbits(form, float(t_max), n_seeds=int(n_seeds),
                      rng_seed=int(rng_seed), log=log)
@@ -175,9 +188,7 @@ def cmd_orbits_find(args):
 
 def cmd_orbit_index(args):
     started = time.time()
-    if args.n_grid < 1:
-        raise ConfigError(f"--n-grid {args.n_grid} is not positive")
-    cfg, form = load_config(args.config)
+    cfg, form = _config(args)
     db = _load_db(form, args.orbits)
     orbit = db[args.orbit]
     report = orbit_index_report(form, orbit, n_grid=args.n_grid)
@@ -196,7 +207,7 @@ def cmd_orbit_index(args):
 
 def cmd_link(args):
     started = time.time()
-    cfg, form = load_config(args.config)
+    cfg, form = _config(args)
     db = _load_db(form, args.orbits)
     traces, untraced = {}, {}
     for i, orbit in enumerate(db.orbits):
@@ -225,7 +236,7 @@ def cmd_link(args):
 
 def cmd_selflink(args):
     started = time.time()
-    cfg, form = load_config(args.config)
+    cfg, form = _config(args)
     db = _load_db(form, args.orbits)
     rows = []
     for i, orbit in enumerate(db.orbits):
@@ -241,7 +252,7 @@ def cmd_selflink(args):
 
 def cmd_unknot(args):
     started = time.time()
-    cfg, form = load_config(args.config)
+    cfg, form = _config(args)
     db = _load_db(form, args.orbits)
     rows = []
     for i, orbit in enumerate(db.orbits):
@@ -265,7 +276,7 @@ def cmd_unknot(args):
 
 def cmd_disk_gen(args):
     started = time.time()
-    cfg, form = load_config(args.config)
+    cfg, form = _config(args)
     db = _load_db(form, args.orbits)
     disk = builtin_disk(form, db[args.orbit], theta0=args.theta0,
                         n_r=args.nr, n_theta=args.ntheta)
@@ -290,24 +301,36 @@ def cmd_disk_gen(args):
 
 def cmd_section_verify(args):
     started = time.time()
-    cfg, form = load_config(args.config)
+    cfg, form = _config(args)
     _require_artifact(args.disk, "reeb-atlas disk-gen")
     disk = load_disk(args.disk)
-    n_seeds = args.seeds if args.seeds is not None else cfg.get("seeds", 500)
-    t_budget = args.t_budget if args.t_budget is not None else cfg.get("t_budget")
+    n_seeds = cfg.get("seeds", 500)
+    t_budget = cfg.get("t_budget")
     if t_budget is None:
         raise ConfigError("t_budget required (flag --t-budget or config)",
                           "/t_budget")
-    verdict, fw, bw = verify_global_section(
-        form, disk, n_seeds=int(n_seeds), t_budget=float(t_budget),
-        return_details=True)
+    with counting() as work:
+        verdict, fw, bw = verify_global_section(
+            form, disk, n_seeds=int(n_seeds), t_budget=float(t_budget),
+            return_details=True)
+    # per direction, the seeds' outcomes and search work; both directions
+    # share one batched stepper, whose counts are the whole command's
+    return_maps = {"stepper": dict(work)}
+    for name, recs in (("forward", fw), ("backward", bw)):
+        return_maps[name] = dict(
+            seeds=len(recs), returns=sum("return_time" in r for r in recs),
+            timeouts=sum(r["timeout"] for r in recs),
+            chunk_rounds=max(r["chunks"] for r in recs),
+            **{k: sum(r[k] for r in recs) for k in (
+                "steps", "rejected_near_binding", "rejected_by_polish")})
     os.makedirs(args.out, exist_ok=True)
     write_return_csv(os.path.join(args.out, "return_map_forward.csv"), fw)
     write_return_csv(os.path.join(args.out, "return_map_backward.csv"), bw)
     verdict["rng_seed"] = cfg.get("rng_seed", 0)
     _write_report(args.out, "section_report.json", verdict, started,
                   extra_files=["return_map_forward.csv",
-                               "return_map_backward.csv"])
+                               "return_map_backward.csv"],
+                  extra_meta={"return_maps": return_maps})
     print(f"section verdict: passes={verdict['passes']} "
           f"(timeouts {verdict['timeouts_forward']}+{verdict['timeouts_backward']},"
           f" min transversality {verdict['min_transversality']:.4f})")
@@ -316,7 +339,7 @@ def cmd_section_verify(args):
 
 def cmd_binding_check(args):
     started = time.time()
-    cfg, form = load_config(args.config)
+    cfg, form = _config(args)
     db = _load_db(form, args.orbits)
     report = check_binding(form, db, args.candidate)
     payload = report.to_json_dict()
@@ -329,7 +352,7 @@ def cmd_binding_check(args):
 
 def cmd_audit(args):
     started = time.time()
-    cfg, form = load_config(args.config)
+    cfg, form = _config(args)
     db = _load_db(form, args.orbits)
     _require_artifact(args.disk, "reeb-atlas disk-gen")
     disk = load_disk(args.disk)

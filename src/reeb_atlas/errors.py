@@ -75,7 +75,7 @@ class ConfigError(ReebAtlasError):
 
     def __init__(self, message, pointer=""):
         self.pointer = pointer
-        super().__init__(f"{message} (at {pointer or '/'})")
+        super().__init__(f"{message} (at {pointer})" if pointer else message)
 
 
 class MissingArtifactError(ReebAtlasError):

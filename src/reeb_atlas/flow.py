@@ -22,7 +22,7 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from . import kernels
 from .contact import project_to_sigma, xi_frame, xi_projector
-from .errors import DomainError, OffLevelError, StiffnessError
+from .errors import DomainError, OffLevelError, ReebAtlasError, StiffnessError
 
 __all__ = [
     "FlowResult",
@@ -261,6 +261,32 @@ def integrate_flow(form, x0, t_final, tol=1e-10, variational=False,
     if isinstance(res, Exception):
         raise res
     return res
+
+
+def lockstep(rows, kinds, serve):
+    """Run the generators ``rows``, which yield requests (kind, *args), side
+    by side: each round ``serve(kind, args)`` answers all pending requests of
+    the first of ``kinds`` asked for, and an exception answer is thrown into
+    its row.  Returns per row its return value or ``ReebAtlasError``."""
+    out, asks = [None] * len(rows), {}
+
+    def advance(i, answer):
+        try:
+            asks[i] = (rows[i].throw(answer) if isinstance(answer, Exception)
+                       else rows[i].send(answer))
+        except StopIteration as done:
+            out[i] = done.value
+        except ReebAtlasError as exc:
+            out[i] = exc
+
+    for i in range(len(rows)):
+        advance(i, None)
+    while asks:
+        kind = next(k for k in kinds if any(a[0] == k for a in asks.values()))
+        ids = [i for i, a in asks.items() if a[0] == kind]
+        for i, answer in zip(ids, serve(kind, [asks.pop(i)[1:] for i in ids])):
+            advance(i, answer)
+    return out
 
 
 def flow_map(form, x0, T, variational=False):

@@ -19,9 +19,10 @@ import numpy as np
 
 from . import kernels
 from .contact import project_to_sigma, reeb_vector, sphere_samples
-from .errors import (DomainError, FrameDegeneracyError, ReebAtlasError,
-                     RefinementError, ResolutionError, StiffnessError)
-from .flow import counting, flow_map, integrate_batch, integrate_flow, monodromy_xi
+from .errors import (DomainError, FrameDegeneracyError, RefinementError,
+                     ResolutionError, StiffnessError)
+from .flow import (counting, flow_map, integrate_batch, integrate_flow, lockstep,
+                   monodromy_xi)
 
 __all__ = [
     "ReebOrbit",
@@ -144,7 +145,7 @@ def _detect_multiplicity(form, x, T):
 def _polish_row(form, x_guess, T_guess, initial_residual_cap):
     """Gauss-Newton on the augmented shooting system, for one candidate.
 
-    Yields (x, T, variational) for each return flow it needs and is sent its
+    Yields (variational, x, T) for each return flow it needs and is sent its
     ``FlowResult``.  Returns (x, T, residual, iters, degenerate_family).
     Stalls and rank deficiencies are detected early so that hopeless
     candidates stay cheap.
@@ -156,7 +157,7 @@ def _polish_row(form, x_guess, T_guess, initial_residual_cap):
     anchor_x = x.copy()
     anchor_v = reeb_vector(form, x, check=False)
 
-    end = (yield x, T, False).endpoint
+    end = (yield False, x, T).endpoint
     res0 = np.linalg.norm(end - x)
     if res0 > initial_residual_cap:
         raise RefinementError(
@@ -169,7 +170,7 @@ def _polish_row(form, x_guess, T_guess, initial_residual_cap):
     stall = 0
     degenerate_family = False
     while residual > _NEWTON_TOL and iters < _NEWTON_MAX_ITER:
-        ret = yield x, T, True
+        ret = yield True, x, T
         end, M = ret.endpoint, ret.monodromy_end
         residual = np.linalg.norm(end - x)
         if residual <= _NEWTON_TOL:
@@ -203,7 +204,7 @@ def _polish_row(form, x_guess, T_guess, initial_residual_cap):
             raise RefinementError("period iterated to a non-positive value")
         iters += 1
     if residual > _NEWTON_TOL and not degenerate_family:
-        end = (yield x, T, False).endpoint
+        end = (yield False, x, T).endpoint
         residual = np.linalg.norm(end - x)
     return x, T, residual, iters, degenerate_family
 
@@ -213,28 +214,12 @@ def _newton_polish(form, x_guess, T_guess, initial_residual_cap=0.1):
     each round stacks the return flows the rows ask for, one integration per
     kind, so a row follows its one-row call bit for bit.  Returns per row the
     result of ``_polish_row``, or its exception."""
-    out, asks = [None] * len(T_guess), {}
+    def serve(var, asks):
+        return integrate_batch(form, np.reshape([x for x, _ in asks], (-1, 4)),
+                               [T for _, T in asks], tol=1e-12, variational=var)
 
-    def advance(i, row, res):
-        try:
-            asks[i] = row, (row.throw(res) if isinstance(res, ReebAtlasError)
-                            else row.send(res))
-        except StopIteration as done:
-            out[i] = done.value
-        except ReebAtlasError as exc:
-            out[i] = exc
-
-    for i, (x, T) in enumerate(zip(x_guess, T_guess)):
-        advance(i, _polish_row(form, x, T, initial_residual_cap), None)
-    while asks:
-        for var in (False, True):
-            rows = [i for i, (_, ask) in asks.items() if ask[2] == var]
-            x = np.reshape([asks[i][1][0] for i in rows], (-1, 4))
-            res = integrate_batch(form, x, [asks[i][1][1] for i in rows],
-                                  tol=1e-12, variational=var)
-            for i, r in zip(rows, res):
-                advance(i, asks.pop(i)[0], r)
-    return out
+    return lockstep([_polish_row(form, x, T, initial_residual_cap)
+                     for x, T in zip(x_guess, T_guess)], (False, True), serve)
 
 
 def refine_orbit(form, x_guess, T_guess, initial_residual_cap=0.1):

@@ -10,8 +10,10 @@ integrates the area form.  All verification is sampling-based evidence,
 never proof.
 """
 
+import contextlib
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,7 @@ from .contact import (OMEGA, omega_form, project_to_sigma, reeb_vector,
                       xi_frame, xi_projector)
 from .errors import (DomainError, GridQualityError, ResolutionError,
                      UnsupportedFormError)
-from .flow import integrate_flow
+from .flow import integrate_batch, lockstep
 from .orbits import trace_orbit
 
 __all__ = [
@@ -427,13 +429,12 @@ class _DiskIndex:
     """Spatial index of the grid with per-node tangent-plane data."""
 
     def __init__(self, form, disk):
-        self.disk = disk
-        self.form = form
+        self.samples = disk.samples
         normals, _ = _node_frame_field(form, disk)
-        self.normals = normals  # rows 1..n_r
-        self.points = disk.samples[1:]
-        flat = self.points.reshape(-1, 4)
-        self.tree = cKDTree(flat)
+        # nodes of rows 1..n_r and their plane normals, by flat index
+        self.points = disk.samples[1:].reshape(-1, 4)
+        self.normals = normals.reshape(-1, 4)
+        self.tree = cKDTree(self.points)
         self.n_t = disk.n_theta
         self.cell = disk.max_cell_size()
         bd = disk.boundary
@@ -445,127 +446,117 @@ class _DiskIndex:
         self.vmax = float(kernels.norm(
             reeb_vector(form, coarse, check=False)).max())
 
-    def node(self, flat_idx):
-        i, j = divmod(int(flat_idx), self.n_t)
-        return i, j
-
-    def normal_of(self, flat_idx):
-        i, j = self.node(flat_idx)
-        return self.normals[i, j]
-
     def plane_height(self, y, flat_idx):
-        i, j = self.node(flat_idx)
-        return (y - self.points[i, j]) @ self.normals[i, j]
+        return (y - self.points[flat_idx]) @ self.normals[flat_idx]
 
     def heights(self, ys):
         dists, idxs = self.tree.query(ys)
-        points = self.points.reshape(-1, 4)[idxs]
-        normals = self.normals.reshape(-1, 4)[idxs]
-        return dists, idxs, np.vecdot(ys - points, normals)
+        return dists, idxs, np.vecdot(ys - self.points[idxs], self.normals[idxs])
 
     def boundary_distance(self, y):
         d, idx = self.boundary_tree.query(y)
         # point-to-chord correction keeps rejections honest between samples
         return max(0.0, float(d) - 0.5 * self.boundary_chord)
 
-    def locate(self, y):
-        """Continuous (s, t) with surface point/normal via bilinear inversion.
+    def locate(self, ys):
+        """Per point of ys (M, 4), (s, t, surface point, normal residual,
+        inside) by bilinear inversion of the four cells around its nearest
+        node, or None where none inverts.
 
-        In-range cell solutions win over out-of-range ones; residual breaks
-        ties (adjacent cells converge to shared-edge points from outside).
+        Each cell takes up to 12 Gauss-Newton steps, stops after one below
+        1e-13, and fails on a singular or non-finite one.  In-range cell
+        solutions win over out-of-range ones; residual breaks ties (adjacent
+        cells converge to shared-edge points from outside).
         """
-        _, fi = self.tree.query(y)
-        i, j = self.node(fi)
-        best = None
-        best_key = None
-        for ci in (i - 1, i):
-            for cj in (j - 1, j):
-                res = self._invert_cell(y, ci, cj % self.n_t)
-                if res is None:
-                    continue
-                key = (not res[5], abs(res[4]))
-                if best is None or key < best_key:
-                    best, best_key = res, key
-        return best
-
-    def _invert_cell(self, y, ci, cj):
-        # ci indexes field rows: grid rows ci+1 .. ci+2
-        rows = self.points.shape[0]
-        if ci < -1 or ci + 1 >= rows:
-            return None
-        if ci == -1:
-            c00 = self.disk.samples[0, 0]
-            c01 = c00
-            c10 = self.points[0, cj]
-            c11 = self.points[0, (cj + 1) % self.n_t]
-        else:
-            c00 = self.points[ci, cj]
-            c01 = self.points[ci, (cj + 1) % self.n_t]
-            c10 = self.points[ci + 1, cj]
-            c11 = self.points[ci + 1, (cj + 1) % self.n_t]
-        al, be = 0.5, 0.5
+        S, n_t = self.samples, self.n_t
+        ys = np.reshape(ys, (-1, 4))
+        i, j = np.divmod(self.tree.query(ys)[1], n_t)
+        ci = (i[:, None] + [-1, -1, 0, 0]).ravel()
+        cj = ((j[:, None] + [-1, 0, -1, 0]) % n_t).ravel()
+        ys = np.repeat(ys, 4, axis=0)
+        # cell ci spans grid rows ci+1, ci+2; the pole cell ci = -1 has the
+        # center as its inner corners
+        ok, r0 = ci + 2 < len(S), np.minimum(ci, len(S) - 3) + 1
+        pole, jn = ci == -1, (cj + 1) % n_t
+        c = np.stack([S[r0, np.where(pole, 0, cj)], S[r0 + 1, cj],
+                      S[r0, np.where(pole, 0, jn)], S[r0 + 1, jn]])
+        al, be = np.full(len(ys), 0.5), np.full(len(ys), 0.5)
+        run = np.flatnonzero(ok)
         for _ in range(12):
-            p = ((1 - al) * (1 - be) * c00 + al * (1 - be) * c10
-                 + (1 - al) * be * c01 + al * be * c11)
-            da = (-(1 - be) * c00 + (1 - be) * c10 - be * c01 + be * c11)
-            db = (-(1 - al) * c00 - al * c10 + (1 - al) * c01 + al * c11)
-            r = y - p
-            JTJ = np.array([[da @ da, da @ db], [da @ db, db @ db]])
-            try:
-                step = np.linalg.solve(JTJ, np.array([da @ r, db @ r]))
-            except np.linalg.LinAlgError:
-                return None
-            al += step[0]
-            be += step[1]
-            if not (np.isfinite(al) and np.isfinite(be)):
-                return None
-            al = float(np.clip(al, -0.2, 1.2))
-            be = float(np.clip(be, -0.2, 1.2))
-            if np.linalg.norm(step) < 1e-13:
+            if not run.size:
                 break
-        p = ((1 - al) * (1 - be) * c00 + al * (1 - be) * c10
-             + (1 - al) * be * c01 + al * be * c11)
-        da = (-(1 - be) * c00 + (1 - be) * c10 - be * c01 + be * c11)
-        db = (-(1 - al) * c00 - al * c10 + (1 - al) * c01 + al * c11)
-        nvec = y - p
-        tang = np.linalg.norm(nvec - ((nvec @ da) / max(da @ da, 1e-30)) * da
-                              - ((nvec @ db) / max(db @ db, 1e-30)) * db)
-        normal_resid = float(np.linalg.norm(nvec))
+            p, da, db = _bilinear(c[:, run], al[run], be[run])
+            r = ys[run] - p
+            g = np.vecdot(da, db)
+            JTJ = np.stack([np.vecdot(da, da), g, g, np.vecdot(db, db)],
+                           axis=-1).reshape(-1, 2, 2)
+            rhs = np.stack([np.vecdot(da, r), np.vecdot(db, r)], axis=-1)
+            try:
+                step = np.linalg.solve(JTJ, rhs[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # a singular cell fails alone
+                step = np.full_like(rhs, np.nan)
+                for m in range(len(rhs)):
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        step[m] = np.linalg.solve(JTJ[m], rhs[m])
+            al_new, be_new = al[run] + step[:, 0], be[run] + step[:, 1]
+            bad = ~(np.isfinite(al_new) & np.isfinite(be_new))
+            ok[run[bad]] = False
+            al[run] = np.clip(al_new, -0.2, 1.2)
+            be[run] = np.clip(be_new, -0.2, 1.2)
+            run = run[~bad & ~(kernels.norm(step) < 1e-13)]
+        p, _, _ = _bilinear(c, al, be)
+        resid = kernels.norm(ys - p)
         # slack covers the tangential slop of projecting onto the bilinear
         # patch (the true surface sits a sagitta away); binding flybys are
         # rejected separately by the boundary-distance margin
-        inside = -1e-2 <= al <= 1 + 1e-2 and -1e-2 <= be <= 1 + 1e-2
-        n_r = self.disk.n_r
-        si = (ci + 1 + al) / n_r
-        ti = ((cj + be) / self.n_t) % 1.0
-        return (si, ti, p, nvec, normal_resid, inside, tang)
+        inside = ((-1e-2 <= al) & (al <= 1 + 1e-2)
+                  & (-1e-2 <= be) & (be <= 1 + 1e-2))
+        s, t = (ci + 1 + al) / (len(S) - 1), ((cj + be) / n_t) % 1.0
+        r = np.where(ok, resid, np.inf).reshape(-1, 4)
+        r_in = np.where(inside.reshape(-1, 4), r, np.inf)
+        k = np.where(np.isfinite(r_in).any(axis=1), r_in.argmin(axis=1),
+                     r.argmin(axis=1)) + np.arange(0, len(ys), 4)
+        return [(s[b], t[b], p[b], resid[b], bool(inside[b])) if ok[b] else None
+                for b in k]
 
 
-def _first_crossing(form, index, x_start, t_budget, direction):
+def _bilinear(c, al, be):
+    """Points and tangents of the cells c = (c00, c10, c01, c11) at (al, be)."""
+    c00, c10, c01, c11 = c
+    a, b = al[:, None], be[:, None]
+    p = ((1 - a) * (1 - b) * c00 + a * (1 - b) * c10
+         + (1 - a) * b * c01 + a * b * c11)
+    da = (-(1 - b) * c00 + (1 - b) * c10 - b * c01 + b * c11)
+    db = (-(1 - a) * c00 - a * c10 + (1 - a) * c01 + a * c11)
+    return p, da, db
+
+
+def _search_row(form, index, x, sign, t_budget):
     """Earliest transversal crossing of the disk along one trajectory.
 
     Scans dense output at a spacing below half the cell size, brackets sign
     changes of the nearest node's tangent-plane height, bisects in time, and
     verifies that the refined point lands inside the sampled surface, more
-    than 1e-3 from the binding and after time 1e-9.  Returns (point, time)
-    or None on budget exhaustion.
+    than 1e-3 from the binding and after time 1e-9.  A generator: yields
+    ("flow", x, t), ("heights", ys) and ("locate", y) requests, returns
+    ((point, time) or None on budget exhaustion, work counts).
     """
-    sign = 1.0 if direction == "forward" else -1.0
+    work = Counter(chunks=0, steps=0, rejected_near_binding=0,
+                   rejected_by_polish=0)
     dt_scan = index.cell / (2.0 * index.vmax)
     chunk = max(4.0 * dt_scan, t_budget / 16.0)
     near = 2.5 * index.cell
     t_done = 0.0
-    x = x_start.copy()
-    armed = abs(index.heights(x[None, :])[2][0]) > 0.05 * index.cell
+    armed = abs((yield "heights", x[None, :])[2][0]) > 0.05 * index.cell
     carry = None  # (h, flat_idx) at the end of the previous chunk
     while t_done < t_budget - 1e-12:
         span = min(chunk, t_budget - t_done)
-        res = integrate_flow(form, x, sign * span, tol=1e-10, dense=True)
-        traj = res.trajectory
+        traj = (yield "flow", x, sign * span).trajectory
+        work.update(chunks=1, steps=len(traj.F))
         n_samp = max(2, int(np.ceil(span / dt_scan)) + 1)
         ts = np.linspace(0.0, sign * span, n_samp)
         ys = traj(ts)[:, :4]
-        dists, idxs, hs = index.heights(ys)
+        dists, idxs, hs = yield "heights", ys
         prev = None if carry is None else (carry[0], carry[1], 0.0)
         for k in range(len(ts)):
             if dists[k] > near:
@@ -581,12 +572,15 @@ def _first_crossing(form, index, x_start, t_budget, direction):
             if prev is not None and np.sign(h) != np.sign(prev[0]) and h != 0.0:
                 t_cross = _bisect_crossing(index, traj, prev[2], ts[k],
                                            prev[1])
-                y, t_cross, ok = _refine_to_surface(
-                    index, traj, t_cross, index.normal_of(prev[1]))
+                y, t_cross, ok = yield from _refine_to_surface(
+                    index, traj, t_cross, index.normals[prev[1]])
                 global_t = t_done + abs(t_cross)
-                if (ok and global_t > 1e-9
-                        and index.boundary_distance(y) > 1e-3):
-                    return project_to_sigma(form, y), sign * global_t
+                if not ok:
+                    work["rejected_by_polish"] += 1
+                elif global_t > 1e-9:
+                    if index.boundary_distance(y) > 1e-3:
+                        return (project_to_sigma(form, y), sign * global_t), work
+                    work["rejected_near_binding"] += 1
                 armed = False
                 prev = (h, idxs[k], ts[k])
                 continue
@@ -594,7 +588,34 @@ def _first_crossing(form, index, x_start, t_budget, direction):
         carry = None if dists[-1] > near else (hs[-1], idxs[-1])
         x = project_to_sigma(form, ys[-1])
         t_done += span
-    return None
+    return None, work
+
+
+def _first_crossing(form, index, X, signs, t_budget):
+    """Earliest disk crossings from the level points X (B, 4), row i flowing
+    along signs[i] (+1 or -1) for at most t_budget, as the rows'
+    ``_search_row`` in lockstep: one tree query for all height requests, one
+    cell inversion for all locates, and, once every row waits for its next
+    chunk, one dense ``integrate_batch``; a row finds what it finds alone,
+    bit for bit.  Returns ``_search_row``'s result per row, or raises the
+    error of the first failed row."""
+    def serve(kind, args):
+        ys = [a[0] for a in args]
+        if kind == "flow":
+            return integrate_batch(form, np.array(ys), [a[1] for a in args],
+                                   tol=1e-10, dense=True)
+        if kind == "locate":
+            return index.locate(ys)
+        cuts = np.cumsum([len(y) for y in ys])[:-1]
+        return zip(*(np.split(v, cuts) for v in index.heights(np.concatenate(ys))))
+
+    out = lockstep([_search_row(form, index, x, sign, t_budget)
+                    for x, sign in zip(X, signs)],
+                   ("heights", "locate", "flow"), serve)
+    for res in out:
+        if isinstance(res, Exception):
+            raise res
+    return out
 
 
 def _bisect_crossing(index, traj, t_lo, t_hi, flat_idx):
@@ -614,7 +635,7 @@ def _bisect_crossing(index, traj, t_lo, t_hi, flat_idx):
 
 def _refine_to_surface(index, traj, t_cross, nhat):
     """Secant polish (at most 5 steps) from the tangent-plane crossing to
-    the bilinear surface.
+    the bilinear surface, yielding ("locate", y) requests.
 
     The root function is the height of the trajectory over its located
     surface point measured along the fixed plane normal, which is signed
@@ -622,19 +643,19 @@ def _refine_to_surface(index, traj, t_cross, nhat):
     """
     def height(tau):
         yy = traj(tau)[:4]
-        loc = index.locate(yy)
+        loc = yield "locate", yy
         if loc is None:
             return None, None, None
         return (yy - loc[2]) @ nhat, yy, loc
 
-    g, y, loc = height(t_cross)
+    g, y, loc = yield from height(t_cross)
     if g is None:
         return None, t_cross, False
     for _ in range(5):
         if abs(g) < 1e-11:
             break
         dt = 1e-7
-        g2, _, _ = height(t_cross + dt)
+        g2, _, _ = yield from height(t_cross + dt)
         if g2 is None:
             return y, t_cross, False
         slope = (g2 - g) / dt
@@ -643,56 +664,56 @@ def _refine_to_surface(index, traj, t_cross, nhat):
         step = -g / slope
         step = float(np.clip(step, -0.5 * index.cell, 0.5 * index.cell))
         t_cross = t_cross + step
-        g, y, loc = height(t_cross)
+        g, y, loc = yield from height(t_cross)
         if g is None:
             return None, t_cross, False
-    si, ti, p, nvec, resid, inside, tang = loc
+    _, _, _, resid, inside = loc
     ok = inside and abs(g) < 1e-7 and resid < 0.3 * index.cell
     return y, t_cross, ok
 
 
 def return_map(form, disk, seeds, t_budget, direction="forward",
                index=None):
-    """First-return data for seeds given as (s, t) disk coordinates.
-
-    Returns a list of dicts with seed coordinates, return coordinates, the
-    return time, or ``"timeout": True`` when the budget is exhausted.
-    Crossings within 1e-3 of the binding are rejected and the trajectory
-    continues.
+    """First-return data for seeds given as (s, t) disk coordinates, all
+    searched at once; ``direction`` ("forward" or "backward") is one for all
+    seeds or one per seed.  Returns per seed a dict with its coordinates,
+    return coordinates and time, or ``"timeout": True`` when the budget is
+    exhausted, and its search's counts: ``chunks``, stepper ``steps``,
+    ``rejected_near_binding`` (crossings within 1e-3 of the binding, after
+    which the trajectory continues) and ``rejected_by_polish``.
     """
-    if direction not in ("forward", "backward"):
+    seeds = np.reshape(seeds, (-1, 2))
+    dirs = np.broadcast_to(direction, len(seeds))
+    if not np.isin(dirs, ("forward", "backward")).all():
         raise DomainError("direction must be forward or backward")
+    if np.count_nonzero(seeds[:, 0] >= 1.0 - 1e-9):
+        raise DomainError("seed lies on the binding; it never returns")
     if index is None:
         index = _DiskIndex(form, disk)
+    X = project_to_sigma(form, np.reshape(
+        [_grid_point(disk, s0, t0) for s0, t0 in seeds], (-1, 4)))
+    signs = np.where(dirs == "forward", 1.0, -1.0)
+    found = _first_crossing(form, index, X, signs, t_budget)
+    locs = iter(index.locate([hit[0] for hit, _ in found if hit is not None]))
     out = []
-    for s0, t0 in np.atleast_2d(seeds):
-        if s0 >= 1.0 - 1e-9:
-            raise DomainError("seed lies on the binding; it never returns")
-        x0 = project_to_sigma(form, _grid_point(disk, s0, t0))
-        hit = _first_crossing(form, index, x0, t_budget, direction)
-        rec = {"seed_s": float(s0), "seed_t": float(t0)}
-        if hit is None:
-            rec["timeout"] = True
-        else:
-            y, tret = hit
-            loc = index.locate(y)
-            rec["timeout"] = False
-            rec["return_s"] = float(loc[0])
-            rec["return_t"] = float(loc[1])
-            rec["return_time"] = float(tret)
-            rec["return_point"] = y
-        out.append(rec)
+    for (s0, t0), (hit, work) in zip(seeds, found):
+        out.append({"seed_s": float(s0), "seed_t": float(t0),
+                    "timeout": hit is None, **work})
+        if hit is not None:
+            s, t = next(locs)[:2]
+            out[-1].update(return_s=float(s), return_t=float(t),
+                           return_time=float(hit[1]), return_point=hit[0])
     return out
 
 
 def return_map_points(form, disk, points, t_budget, index=None):
-    """Forward first-return of explicit level points (not necessarily on
-    the disk)."""
+    """Forward first-return (point, time), or None, of explicit level points
+    (not necessarily on the disk)."""
     if index is None:
         index = _DiskIndex(form, disk)
-    return [_first_crossing(form, index, project_to_sigma(form, p), t_budget,
-                            "forward")
-            for p in np.atleast_2d(points)]
+    X = project_to_sigma(form, np.reshape(points, (-1, 4)))
+    return [hit for hit, _ in _first_crossing(form, index, X, np.ones(len(X)),
+                                              t_budget)]
 
 
 def disk_seeds(n):
@@ -720,11 +741,16 @@ def verify_global_section(form, disk, n_seeds=500, t_budget=None,
     """
     if t_budget is None or t_budget <= 0:
         raise DomainError("a positive t_budget is required")
+    if n_seeds < 1:
+        raise DomainError("a section verdict needs at least one seed")
     min_det, sign_constant = transversality_check(form, disk)
     index = _DiskIndex(form, disk)
     seeds = disk_seeds(n_seeds)
-    fw = return_map(form, disk, seeds, t_budget, "forward", index=index)
-    bw = return_map(form, disk, seeds, t_budget, "backward", index=index)
+    # both directions of every seed in one lockstep search
+    both = return_map(form, disk, np.concatenate([seeds, seeds]), t_budget,
+                      ["forward"] * n_seeds + ["backward"] * n_seeds,
+                      index=index)
+    fw, bw = both[:n_seeds], both[n_seeds:]
     t_f = sum(1 for r in fw if r["timeout"])
     t_b = sum(1 for r in bw if r["timeout"])
     verdict = {

@@ -169,6 +169,68 @@ def test_disk_and_section_pipeline(ell_config, found):
     assert rep["passed"]
 
 
+@pytest.fixture(scope="module")
+def section_disk(ell_config, found, workdir):
+    out = str(workdir / "disk")
+    assert main(["disk-gen", "--config", ell_config,
+                 "--orbits", os.path.join(found, "orbits.json"),
+                 "--orbit", "0", "--out", out]) == 0
+    return os.path.join(out, "disk_orbit0.json")
+
+
+@pytest.mark.parametrize("budget, code", [("2.0", 3), ("44.43", 0)])
+def test_section_sidecar_counts_return_maps(ell_config, section_disk, workdir,
+                                            budget, code):
+    out = str(workdir / f"sections{code}")
+    assert main(["section-verify", "--config", ell_config,
+                 "--disk", section_disk, "--seeds", "4",
+                 "--t-budget", budget, "--out", out]) == code
+    with open(os.path.join(out, "section_report.json")) as fh:
+        assert "return_maps" not in json.load(fh)
+    with open(os.path.join(out, "section_report.json.meta.json")) as fh:
+        maps = json.load(fh)["return_maps"]
+    for direction in ("forward", "backward"):
+        m = maps[direction]
+        assert m["seeds"] == 4 == m["returns"] + m["timeouts"]
+        assert m["timeouts"] == (4 if code == 3 else 0)
+        assert m["chunk_rounds"] >= 1 and m["rejected_by_polish"] >= 0
+        assert m["rejected_near_binding"] >= 0
+    # both directions share the batched stepper
+    stepper = maps["stepper"]
+    assert maps["forward"]["steps"] + maps["backward"]["steps"] == stepper["steps"]
+    assert stepper["rhs_evals"] >= 12 * stepper["steps"]
+
+
+@pytest.mark.parametrize("argv, flag, code", [
+    (["section-verify", "--seeds", "0"], "--seeds", 64),
+    (["section-verify", "--seeds", "-3"], "--seeds", 64),
+    (["section-verify", "--t-budget", "-1"], "--t-budget", 64),
+    (["orbits-find", "--seeds", "0"], "--seeds", 64),
+    (["orbits-find", "--tmax", "-1"], "--tmax", 64),
+    (["disk-gen", "--nr", "0"], "--nr", 64),
+    (["disk-gen", "--ntheta", "0"], "--ntheta", 64),
+    (["disk-gen", "--nr", "2"], None, 1),  # positive but too coarse
+])
+def test_flags_keep_the_config_bounds(ell_config, found, section_disk,
+                                      workdir, capsys, argv, flag, code):
+    # a flag is checked against the bounds of the config key it sets (grid
+    # sizes must be positive) and the error names the flag; nothing is
+    # written
+    out = str(workdir / "flagged")
+    given = {"section-verify": ["--disk", section_disk, "--seeds", "4",
+                                "--t-budget", "44.43"],
+             "disk-gen": ["--orbits", os.path.join(found, "orbits.json"),
+                          "--orbit", "0"]}.get(argv[0], [])
+    capsys.readouterr()
+    assert main([argv[0], "--config", ell_config, "--out", out]
+                + given + argv[1:]) == code
+    err = capsys.readouterr().err
+    if flag is not None:
+        assert err.startswith(f"config error: {flag} {float(argv[2]):g}")
+        assert "(at /)" not in err
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
 def test_topology_commands(ell_config, found):
     assert main(["link", "--config", ell_config,
                  "--orbits", os.path.join(found, "orbits.json"),

@@ -1,9 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from reeb_atlas import sections as sec
 from reeb_atlas.contact import StarForm, xi_frame
-from reeb_atlas.errors import DomainError, GridQualityError, UnsupportedFormError
+from reeb_atlas.errors import (DomainError, GridQualityError, StiffnessError,
+                               UnsupportedFormError)
 from reeb_atlas.linking import self_linking
 from reeb_atlas.orbits import refine_orbit
 
@@ -237,3 +243,148 @@ def test_return_csv(tmp_path, ell, page, page_index):
     assert lines[0] == "seed_s,seed_t,ret_s,ret_t,time"
     assert len(lines) == 5
     assert lines[-1].endswith(",,,")
+
+
+def test_verify_needs_a_seed(ell, page):
+    with pytest.raises(DomainError):
+        sec.verify_global_section(ell, page, n_seeds=0, t_budget=BUDGET)
+
+
+def test_lockstep_records_equal_single_seed_runs(ell, gamma1):
+    # the twist spreads the return times about pi sqrt(2), so a budget of
+    # 4.6 times out some seeds; the batch mixes both directions
+    disk = twisted_page(ell, gamma1, amplitude=0.3)
+    index = sec._DiskIndex(ell, disk)
+    seeds = sec.disk_seeds(12)
+    dirs = ["forward", "backward"] * 6
+    batch = sec.return_map(ell, disk, seeds, 4.6, dirs, index=index)
+    assert 0 < sum(r["timeout"] for r in batch) < 12
+    for seed, direction, rec in zip(seeds, dirs, batch):
+        alone, = sec.return_map(ell, disk, [seed], 4.6, direction, index=index)
+        assert alone.keys() == rec.keys()
+        for key, value in rec.items():
+            if key == "return_point":
+                assert np.array_equal(value, alone[key])
+            else:
+                assert value == alone[key], key
+    with pytest.raises(DomainError):
+        sec.return_map(ell, disk, np.vstack([seeds, [(1.0, 0.2)]]), 4.6,
+                       dirs + ["forward"], index=index)
+
+
+def test_return_map_raises_the_first_failed_row(ell, page, page_index,
+                                                monkeypatch):
+    real = sec.integrate_batch
+    errors = {7: StiffnessError("row 7", 0.0, None),
+              3: StiffnessError("row 3", 0.0, None)}
+    calls = []
+
+    def failing(form, x, t_final, **kwargs):
+        out = real(form, x, t_final, **kwargs)
+        if not calls:  # the first chunk round holds every row
+            for row, exc in errors.items():
+                out[row] = exc
+        calls.append(len(x))
+        return out
+
+    monkeypatch.setattr(sec, "integrate_batch", failing)
+    with pytest.raises(StiffnessError) as info:
+        sec.return_map(ell, page, sec.disk_seeds(8), BUDGET, index=page_index)
+    assert info.value is errors[3]
+    assert calls[0] == 8
+
+
+def _invert_cell_reference(index, y, ci, cj):
+    """One cell's Gauss-Newton inversion, the scalar loop that
+    ``_DiskIndex.locate`` runs as array code."""
+    S, n_t = index.samples, index.n_t
+    if ci < -1 or ci + 2 >= len(S):
+        return None
+    c00 = c01 = S[0, 0]
+    if ci >= 0:
+        c00, c01 = S[ci + 1, cj], S[ci + 1, (cj + 1) % n_t]
+    c10, c11 = S[ci + 2, cj], S[ci + 2, (cj + 1) % n_t]
+
+    def bilinear(al, be):
+        p = ((1 - al) * (1 - be) * c00 + al * (1 - be) * c10
+             + (1 - al) * be * c01 + al * be * c11)
+        da = (-(1 - be) * c00 + (1 - be) * c10 - be * c01 + be * c11)
+        db = (-(1 - al) * c00 - al * c10 + (1 - al) * c01 + al * c11)
+        return p, da, db
+
+    al, be = 0.5, 0.5
+    for _ in range(12):
+        p, da, db = bilinear(al, be)
+        r = y - p
+        JTJ = np.array([[da @ da, da @ db], [da @ db, db @ db]])
+        try:
+            step = np.linalg.solve(JTJ, np.array([da @ r, db @ r]))
+        except np.linalg.LinAlgError:
+            return None
+        al += step[0]
+        be += step[1]
+        if not (np.isfinite(al) and np.isfinite(be)):
+            return None
+        al = float(np.clip(al, -0.2, 1.2))
+        be = float(np.clip(be, -0.2, 1.2))
+        if np.linalg.norm(step) < 1e-13:
+            break
+    p, _, _ = bilinear(al, be)
+    inside = -1e-2 <= al <= 1 + 1e-2 and -1e-2 <= be <= 1 + 1e-2
+    return ((ci + 1 + al) / (len(S) - 1), ((cj + be) / n_t) % 1.0, p,
+            float(np.linalg.norm(y - p)), inside)
+
+
+def _locate_reference(index, y):
+    _, fi = index.tree.query(y)
+    i, j = divmod(int(fi), index.n_t)
+    best = best_key = None
+    for ci in (i - 1, i):
+        for cj in (j - 1, j):
+            res = _invert_cell_reference(index, y, ci, cj % index.n_t)
+            if res is not None and (best is None
+                                    or (not res[4], res[3]) < best_key):
+                best, best_key = res, (not res[4], res[3])
+    return best
+
+
+def _assert_locations_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert (g[0], g[1], g[3], g[4]) == (w[0], w[1], w[3], w[4])
+            assert np.array_equal(g[2], w[2])
+
+
+# node 0 .. n_theta - 1 are the first ring, whose inner cells are the pole
+# cells ci = -1; -1 stands for the center itself
+_near_nodes = st.lists(
+    st.tuples(st.one_of(st.integers(-1, 255), st.integers(0, 128 * 256 - 1)),
+              st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near=_near_nodes)
+def test_locate_matches_scalar_cell_inversion(page, page_index, near):
+    index = page_index
+    ys = np.array([(page.samples[0, 0] if k < 0 else index.points[k])
+                   + index.cell * np.array(offset) for k, offset in near])
+    _assert_locations_equal(index.locate(ys),
+                            [_locate_reference(index, y) for y in ys])
+
+
+def test_locate_fails_a_singular_cell_alone(page, page_index):
+    # rows 2 and 3 coincide, so the cells between them have no radial
+    # tangent and a singular normal matrix; their neighbours still invert
+    index = copy.copy(page_index)
+    S = page.samples.copy()
+    S[3] = S[2]
+    index.samples, index.points = S, S[1:].reshape(-1, 4)
+    index.tree = cKDTree(index.points)
+    ys = S[2, 10:14] + 0.3 * (S[1, 10:14] - S[2, 10:14])
+    assert _invert_cell_reference(index, ys[0], 1, 10) is None
+    want = [_locate_reference(index, y) for y in ys]
+    assert all(w is not None for w in want)
+    _assert_locations_equal(index.locate(ys), want)
