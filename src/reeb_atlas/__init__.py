@@ -4,8 +4,9 @@ Hamiltonian dynamics on star-shaped energy levels in R^4.
 Subpackages cover the contact-geometric core (forms, Reeb field, frames),
 flow integration with variational equations, periodic-orbit search,
 Conley-Zehnder indices by two independent routes, linking and self-linking
-numbers, spanning-disk analysis (characteristic foliations, return maps,
-area forms), and the binding-condition checker built on top of all of it.
+numbers, spanning-disk analysis (transversality, characteristic
+foliations, return maps), and the binding-condition checker built on top
+of all of it.
 """
 
 __version__ = "0.1.0"

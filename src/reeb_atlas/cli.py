@@ -304,15 +304,13 @@ def cmd_section_verify(args):
     cfg, form = _config(args)
     _require_artifact(args.disk, "reeb-atlas disk-gen")
     disk = load_disk(args.disk)
-    n_seeds = cfg.get("seeds", 500)
     t_budget = cfg.get("t_budget")
     if t_budget is None:
         raise ConfigError("t_budget required (flag --t-budget or config)",
                           "/t_budget")
     with counting() as work:
         verdict, fw, bw = verify_global_section(
-            form, disk, n_seeds=int(n_seeds), t_budget=float(t_budget),
-            return_details=True)
+            form, disk, n_seeds=args.seeds, t_budget=float(t_budget))
     # per direction, the seeds' outcomes and search work; both directions
     # share one batched stepper, whose counts are the whole command's
     return_maps = {"stepper": dict(work)}
@@ -371,84 +369,6 @@ def cmd_audit(args):
 
 
 # ---------------------------------------------------------------------------
-# property-suite validation
-# ---------------------------------------------------------------------------
-
-def run_validation():
-    """Quick module property battery; prints one line per suite."""
-    rng = np.random.default_rng(0)
-    results = []
-
-    def suite(name, fn):
-        try:
-            fn()
-            results.append((name, True, ""))
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
-            results.append((name, False, f"{type(exc).__name__}: {exc}"))
-
-    def contact_suite():
-        form = StarForm.ellipsoid(1.0, np.sqrt(2.0))
-        from .contact import (lambda0, omega_form, project_to_sigma,
-                              reeb_vector, sphere_samples, xi_frame)
-        pts = project_to_sigma(form, sphere_samples(16))
-        R = reeb_vector(form, pts)
-        assert np.abs(lambda0(pts, R) - 1).max() < 1e-9
-        assert np.abs(np.vecdot(form.grad_H(pts), R)).max() < 1e-9
-        fr = xi_frame(form, pts)
-        assert np.abs(omega_form(fr.e1, fr.e2) - 1).max() < 1e-12
-        for _ in range(16):
-            x = rng.normal(size=4)
-            s = rng.uniform(0.5, 2.0)
-            assert abs(form.H(s * x) - s * s * form.H(x)) < 1e-12 * form.H(s * x)
-
-    def flow_suite():
-        from .flow import flow_map
-        rs = StarForm.round_sphere()
-        x = np.array([1.0, 0, 0, 0])
-        assert np.linalg.norm(flow_map(rs, x, np.pi / 2) + x) < 1e-8
-        assert np.linalg.norm(flow_map(rs, x, np.pi) - x) < 1e-8
-
-    def cz_suite():
-        from . import cz
-        for _ in range(10):
-            phi = cz.random_nondegenerate_path(rng)
-            m = int(rng.integers(-2, 3))
-            psi = cz.random_loop(rng, m, n=phi.n_steps)
-            mu, _ = cz.cz_from_interval(cz.rotation_interval(phi))
-            mu2, _ = cz.cz_from_interval(
-                cz.rotation_interval(cz.compose_paths(psi, phi)))
-            mu3, _ = cz.cz_from_interval(
-                cz.rotation_interval(cz.invert_path(phi)))
-            assert mu2 == 2 * m + mu and mu3 == -mu
-        one, _ = cz.cz_from_interval(
-            cz.rotation_interval(cz.pure_rotation_path(0.5)))
-        assert one == 1
-
-    def linking_suite():
-        form = StarForm.ellipsoid(1.0, np.sqrt(2.0))
-        from .orbits import refine_orbit
-        g1 = refine_orbit(form, np.array([1.0, 0, 0, 0]), np.pi)
-        g2 = refine_orbit(form, np.array([0.0, 0, form.r_squared[1] ** 0.5, 0]),
-                          np.sqrt(2) * np.pi)
-        t1 = trace_orbit(form, g1, n=512)
-        t2 = trace_orbit(form, g2, n=512)
-        assert linking_number(t1, t2)[0] == 1
-        assert self_linking(form, g1) == -1
-        assert unknot_check(t1).status == "certified_unknot"
-
-    suite("contact invariants", contact_suite)
-    suite("flow specializations", flow_suite)
-    suite("index axioms", cz_suite)
-    suite("linking oracles", linking_suite)
-
-    failed = 0
-    for name, ok, msg in results:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" -- {msg}" if msg else ""))
-        failed += not ok
-    return 1 if failed else 0
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
@@ -458,8 +378,6 @@ def build_parser():
         description="Periodic Reeb orbits, indices, linking, and disk-like "
                     "global sections on star-shaped energy levels",
     )
-    p.add_argument("--validate", action="store_true",
-                   help="run the module property suites and exit")
     sub = p.add_subparsers(dest="command")
 
     def add(name, fn, **flags):
@@ -490,7 +408,7 @@ def build_parser():
            "--ntheta": {"type": int, "default": 256}})
     add("section-verify", cmd_section_verify,
         **{"--disk": {"required": True},
-           "--seeds": {"type": int, "default": None},
+           "--seeds": {"type": int, "default": 500},
            "--t-budget": {"type": float, "default": None, "dest": "t_budget"}})
     add("binding-check", cmd_binding_check,
         **{"--orbits": {"required": True},
@@ -505,8 +423,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.validate:
-        return run_validation()
     if not getattr(args, "command", None):
         parser.print_help()
         return 64

@@ -29,7 +29,6 @@ __all__ = [
     "OMEGA",
     "StarForm",
     "XiFrame",
-    "lambda0",
     "omega_form",
     "project_to_sigma",
     "reeb_vector",
@@ -46,11 +45,6 @@ OMEGA = kernels.OMEGA
 def omega_form(u, v):
     """Symplectic form omega(u, v), row-wise over the last axis."""
     return np.vecdot(u @ OMEGA, v)
-
-
-def lambda0(x, v):
-    """The primitive 1-form lambda0 at x applied to v: (1/2) omega(x, v)."""
-    return 0.5 * omega_form(x, v)
 
 
 def _first_row(mask):

@@ -31,7 +31,6 @@ __all__ = [
     "flow_map",
     "monodromy_xi",
     "counting",
-    "write_trajectory_csv",
 ]
 
 _S = _dop.N_STAGES  # stage _S is f(y_new), the next step's first; 13-15 dense
@@ -315,11 +314,3 @@ def monodromy_xi(form, orbit_point, T, closure_tol=1e-6):
     fr = xi_frame(form, x0)
     w = xi_projector(form, x0)(np.stack([M @ fr.e1, M @ fr.e2]))
     return fr.coords(w).T
-
-
-def write_trajectory_csv(path, times, points):
-    """Emit a trajectory as CSV with columns t, x1..x4 (17 significant digits)."""
-    with open(path, "w") as fh:
-        fh.write("t,x1,x2,x3,x4\n")
-        for t, x in zip(times, points):
-            fh.write(",".join(f"{v:.17g}" for v in (t, *x)) + "\n")

@@ -4,10 +4,9 @@ A disk is a structured polar grid of points on the energy level whose
 boundary row traces a periodic orbit.  The module checks transversality of
 the interior to the Reeb field, computes the characteristic foliation (the
 line field cut out on the disk by the contact planes) with its singularity
-classification and boundary winding, runs first-return maps with bisection
-event detection against per-cell tangent-plane defining functions, and
-integrates the area form.  All verification is sampling-based evidence,
-never proof.
+classification and boundary winding, and runs first-return maps with
+bisection event detection against per-cell tangent-plane defining
+functions.  All verification is sampling-based evidence, never proof.
 """
 
 import contextlib
@@ -20,8 +19,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .contact import (OMEGA, omega_form, project_to_sigma, reeb_vector,
-                      xi_frame, xi_projector)
+from .contact import (omega_form, project_to_sigma, reeb_vector, xi_frame,
+                      xi_projector)
 from .errors import (DomainError, GridQualityError, ResolutionError,
                      UnsupportedFormError)
 from .flow import integrate_batch, lockstep
@@ -34,11 +33,7 @@ __all__ = [
     "transversality_check",
     "characteristic_field",
     "return_map",
-    "return_map_points",
     "verify_global_section",
-    "disk_area",
-    "ring_action",
-    "polygon_action",
     "disk_seeds",
     "save_disk",
     "load_disk",
@@ -706,16 +701,6 @@ def return_map(form, disk, seeds, t_budget, direction="forward",
     return out
 
 
-def return_map_points(form, disk, points, t_budget, index=None):
-    """Forward first-return (point, time), or None, of explicit level points
-    (not necessarily on the disk)."""
-    if index is None:
-        index = _DiskIndex(form, disk)
-    X = project_to_sigma(form, np.reshape(points, (-1, 4)))
-    return [hit for hit, _ in _first_crossing(form, index, X, np.ones(len(X)),
-                                              t_budget)]
-
-
 def disk_seeds(n):
     """Quasi-uniform interior seeds, area-uniform in the disk coordinates,
     with s in [0.08, 0.92]."""
@@ -730,9 +715,9 @@ def disk_seeds(n):
     return np.stack([s, u[:, 1]], axis=1)
 
 
-def verify_global_section(form, disk, n_seeds=500, t_budget=None,
-                          return_details=False):
-    """Sampling-based global-section verdict for a spanning disk.
+def verify_global_section(form, disk, n_seeds=500, t_budget=None):
+    """Sampling-based global-section verdict for a spanning disk, with the
+    forward and backward return-map records of its seeds.
 
     Passes iff the interior is transversal with a constant sign and every
     seed returns within budget both forward and backward.  A run where all
@@ -767,50 +752,7 @@ def verify_global_section(form, disk, n_seeds=500, t_budget=None,
         verdict["budget_note"] = (
             "all seeds timed out; the budget may be below the first-return time"
         )
-    if return_details:
-        return verdict, fw, bw
-    return verdict
-
-
-# ---------------------------------------------------------------------------
-# area form
-# ---------------------------------------------------------------------------
-
-def ring_action(disk, row):
-    """Line integral of the primitive 1-form along one grid ring."""
-    return polygon_action(disk.samples[row])
-
-
-def polygon_action(points):
-    """Line integral of the primitive 1-form around a closed polygon."""
-    pts = np.asarray(points, dtype=float)
-    nxt = np.roll(pts, -1, axis=0)
-    return float(0.5 * np.einsum("ij,jk,ik->", pts, OMEGA, nxt))
-
-
-def disk_area(form, disk, rows=None):
-    """Area of (a radial band of) the disk in the contact area form.
-
-    Returns (area, boundary_integral); for the full disk the boundary
-    integral is the orbit action.  A relative mismatch above 1% (Stokes)
-    raises a grid-quality error.
-    """
-    s = disk.samples
-    i0, i1 = (0, disk.n_r) if rows is None else rows
-    sub = s[i0:i1 + 1]
-    nxt = np.roll(sub, -1, axis=1)
-    a = 0.5 * ((sub[1:] - sub[:-1]) + (nxt[1:] - nxt[:-1]))
-    b = 0.5 * ((nxt[:-1] - sub[:-1]) + (nxt[1:] - sub[1:]))
-    area = float(np.einsum("ijk,kl,ijl->", a, OMEGA, b))
-    boundary = ring_action(disk, i1) - (ring_action(disk, i0) if i0 > 0 else 0.0)
-    if abs(boundary) > 1e-12:
-        rel = abs(area - boundary) / abs(boundary)
-        if rel > 1e-2:
-            raise GridQualityError(
-                f"area quadrature disagrees with the boundary integral by "
-                f"{100 * rel:.2f}%"
-            )
-    return area, boundary
+    return verdict, fw, bw
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,293 @@
+"""Test oracles and fixtures: code that only the tests run.
+
+Synthetic symplectic paths with known indices, the Maslov index of a loop,
+the winding census of a spectrum, the index table of a prime's iterates with
+the iteration inequalities, the contact area of a disk by two routes, the
+return map of arbitrary level points, and the primitive 1-form lambda0.
+The package's reachability test (``test_reachability.py``) keeps such code
+out of ``src/``.
+"""
+
+import numpy as np
+
+from reeb_atlas.contact import OMEGA, omega_form, project_to_sigma
+from reeb_atlas.cz import (STEP_GUARD, SymplecticPath, cz_from_interval,
+                           rotation_interval, trivialized_path)
+from reeb_atlas.errors import (DomainError, GridQualityError,
+                               InconsistencyError, ResolutionError)
+from reeb_atlas.sections import _DiskIndex, _first_crossing
+
+
+# ---------------------------------------------------------------------------
+# the contact form
+# ---------------------------------------------------------------------------
+
+def lambda0(x, v):
+    """The primitive 1-form lambda0 at x applied to v: (1/2) omega(x, v)."""
+    return 0.5 * omega_form(x, v)
+
+
+# ---------------------------------------------------------------------------
+# synthetic paths (model cases and property-suite fixtures)
+# ---------------------------------------------------------------------------
+
+def _grid(n):
+    return np.linspace(0.0, 1.0, n + 1)
+
+
+def pure_rotation_path(turns, n=512):
+    """phi(t) = rotation by 2 pi * turns * t."""
+    th = 2.0 * np.pi * turns * _grid(n)
+    mats = np.stack([
+        np.stack([np.cos(th), -np.sin(th)], axis=-1),
+        np.stack([np.sin(th), np.cos(th)], axis=-1),
+    ], axis=-2)
+    return SymplecticPath(times=_grid(n), mats=mats)
+
+
+def hyperbolic_path(rate):
+    """phi(t) = diag(e^{rate t}, e^{-rate t}) on a 512-step grid."""
+    ts = _grid(512)
+    mats = np.zeros((513, 2, 2))
+    mats[:, 0, 0] = np.exp(rate * ts)
+    mats[:, 1, 1] = np.exp(-rate * ts)
+    return SymplecticPath(times=ts, mats=mats)
+
+
+def _expm_traceless(M):
+    """Closed-form exponentials of a batch (..., 2, 2) of traceless matrices."""
+    d = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    out = np.empty_like(M)
+    s = np.sqrt(np.abs(d))
+    small = s < 1e-12
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = np.where(d > 0, np.cos(s), np.cosh(s))
+        f = np.where(d > 0, np.sin(s) / s, np.sinh(s) / s)
+    f = np.where(small, 1.0, f)
+    c = np.where(small, 1.0, c)
+    out[..., 0, 0] = c + f * M[..., 0, 0]
+    out[..., 0, 1] = f * M[..., 0, 1]
+    out[..., 1, 0] = f * M[..., 1, 0]
+    out[..., 1, 1] = c + f * M[..., 1, 1]
+    return out
+
+
+def _integrate_generator(coef_fn, n):
+    """Path from phi' = -Omega2 C(t) phi with C symmetric.
+
+    Midpoint-exponential stepping: each step is the exact exponential of a
+    traceless Hamiltonian matrix, so the path is symplectic to roundoff.
+    """
+    omega2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    h = 1.0 / n
+    mids = (np.arange(n) + 0.5) * h
+    gens = -h * (omega2 @ np.stack([coef_fn(t) for t in mids]))
+    steps = _expm_traceless(gens)
+    mats = np.empty((n + 1, 2, 2))
+    phi = np.eye(2)
+    mats[0] = phi
+    for i in range(n):
+        phi = steps[i] @ phi
+        mats[i + 1] = phi
+    return SymplecticPath(times=_grid(n), mats=mats)
+
+
+def random_nondegenerate_path(rng):
+    """Random smooth symplectic path with a non-degenerate endpoint.
+
+    The path has 1024 steps, a rotation rate drawn from [-3 pi, 3 pi] and
+    Fourier wobbles of scale 0.7; up to 20 draws are tried.  A dominant
+    isotropic rotation keeps the hyperbolic stretch bounded, so the fixtures
+    stay resolvable at this sampling while still covering several index
+    values.
+    """
+    for _ in range(20):
+        w0 = rng.uniform(-3.0 * np.pi, 3.0 * np.pi)
+        c = rng.normal(scale=0.7, size=(3, 3))  # 3 Fourier modes x 3 entries
+
+        def coef(t, w0=w0, c=c):
+            val = np.zeros(3)
+            for m in range(3):
+                val += c[m] * np.cos(2 * np.pi * m * t + m)
+            return np.array([[w0 + val[0], val[1]], [val[1], w0 + val[2]]])
+
+        path = _integrate_generator(coef, 1024)
+        jumps = np.linalg.norm(np.diff(path.mats, axis=0), axis=(1, 2))
+        if jumps.max() >= STEP_GUARD:
+            continue
+        if abs(np.linalg.det(path.endpoint - np.eye(2))) > 1e-3:
+            return path
+    raise ResolutionError("failed to draw a non-degenerate random path")
+
+
+def random_loop(rng, maslov, n=512):
+    """Random smooth loop at the identity with the given Maslov number; its
+    bump amplitudes are normal with scale 0.5."""
+    base = pure_rotation_path(maslov, n)
+    ts = _grid(n)
+    bump = np.sin(np.pi * ts) ** 2
+    a = rng.normal(scale=0.5, size=2)
+    gens = np.zeros((n + 1, 2, 2))
+    gens[:, 0, 0] = bump * a[0]
+    gens[:, 0, 1] = bump * a[1]
+    gens[:, 1, 0] = bump * a[1]
+    gens[:, 1, 1] = -bump * a[0]
+    mats = base.mats @ _expm_traceless(gens)
+    mats[0] = np.eye(2)
+    mats[-1] = np.eye(2)
+    return SymplecticPath(times=ts, mats=mats)
+
+
+def compose_paths(psi, phi):
+    """Pointwise product (psi phi)(t) = psi(t) phi(t) on a common grid."""
+    if psi.n_steps != phi.n_steps:
+        raise DomainError("paths must share the sample grid")
+    return SymplecticPath(times=phi.times, mats=psi.mats @ phi.mats)
+
+
+def invert_path(phi):
+    return SymplecticPath(times=phi.times, mats=np.linalg.inv(phi.mats))
+
+
+def path_power(phi, k):
+    """Path of the k-th iterate: t -> phi(kt mod 1) phi(1)^{floor(kt)}."""
+    n = phi.n_steps
+    ts = _grid(n * k)
+    powers = [np.eye(2)]  # phi(1)^block
+    for _ in range(k - 1):
+        powers.append(phi.endpoint @ powers[-1])
+    powers = np.stack(powers)[:, None]
+    mats = np.concatenate([(phi.mats[:n] @ powers).reshape(-1, 2, 2),
+                           phi.mats[n:] @ powers[-1]])
+    return SymplecticPath(times=ts, mats=mats)
+
+
+# ---------------------------------------------------------------------------
+# loops, spectra and iterates
+# ---------------------------------------------------------------------------
+
+def maslov_loop(path):
+    """Winding number of the polar rotation angle over a loop closed at I
+    within 1e-8."""
+    path.validate()
+    if np.abs(path.endpoint - path.mats[0]).max() > 1e-8:
+        raise DomainError("loop is not closed at the required tolerance")
+    m = path.mats
+    # polar factor of a 2x2 matrix with positive determinant has rotation
+    # angle atan2(c - b, a + d)
+    theta = np.unwrap(np.arctan2(m[:, 1, 0] - m[:, 0, 1],
+                                 m[:, 0, 0] + m[:, 1, 1]))
+    turns = (theta[-1] - theta[0]) / (2.0 * np.pi)
+    k = round(turns)
+    if abs(turns - k) > 1e-6:
+        raise ResolutionError(f"polar winding {turns:.6f} is not an integer")
+    return int(k)
+
+
+def winding_census(data):
+    """Count of computed eigenvalues per winding, restricted to winding
+    classes strictly inside the computed range (those are complete)."""
+    order = np.argsort(data.eigenvalues)
+    winds = data.windings[order]
+    census = {}
+    for k in range(winds.min() + 1, winds.max()):
+        census[int(k)] = int(np.sum(winds == k))
+    monotone = bool(np.all(np.diff(winds) >= 0))
+    return census, monotone
+
+
+def iterate_index_table(form, orbit, k_max):
+    """Geometric indices of the first ``k_max`` iterates of a prime orbit.
+
+    Degenerate iterates are flagged and left out of the table.  The standard
+    iteration inequalities are asserted on the result; a violation is an
+    internal-consistency error, not a property of the orbit.
+    """
+    if orbit.multiplicity != 1:
+        raise DomainError("iterate table expects a simply covered orbit")
+    table = []
+    flags = []
+    for k in range(1, k_max + 1):
+        it = orbit.iterate(k)
+        if it.degenerate:
+            flags.append(k)
+            continue
+        path = trivialized_path(form, it, n_min=max(256, 128 * k))
+        mu, deg = cz_from_interval(rotation_interval(path))
+        if deg:
+            flags.append(k)
+            continue
+        table.append((k, mu))
+    _assert_iterate_relations(table)
+    return table, flags
+
+
+def _assert_iterate_relations(table):
+    mu = dict(table)
+    for k, mu_k in table:
+        for l, mu_l in table:
+            if l > k:
+                continue
+            if mu_k == 1 and mu_l != 1:
+                raise InconsistencyError(f"mu({k})=1 but mu({l})={mu_l}")
+            if mu_k <= 0 and mu_l > 0:
+                raise InconsistencyError(f"mu({k})<=0 but mu({l})={mu_l}")
+            if mu_k == 2:
+                if k not in (1, 2) or l not in (1, 2) or mu_l not in (1, 2):
+                    raise InconsistencyError(
+                        f"mu({k})=2 violates the iteration constraints"
+                    )
+    if mu.get(2) == 2 and 1 in mu and mu[1] != 1:
+        raise InconsistencyError("mu(P^2)=2 forces mu(P)=1")
+
+
+# ---------------------------------------------------------------------------
+# area form and return maps of level points
+# ---------------------------------------------------------------------------
+
+def ring_action(disk, row):
+    """Line integral of the primitive 1-form along one grid ring."""
+    return polygon_action(disk.samples[row])
+
+
+def polygon_action(points):
+    """Line integral of the primitive 1-form around a closed polygon."""
+    pts = np.asarray(points, dtype=float)
+    nxt = np.roll(pts, -1, axis=0)
+    return float(0.5 * np.einsum("ij,jk,ik->", pts, OMEGA, nxt))
+
+
+def disk_area(form, disk, rows=None):
+    """Area of (a radial band of) the disk in the contact area form.
+
+    Returns (area, boundary_integral); for the full disk the boundary
+    integral is the orbit action.  A relative mismatch above 1% (Stokes)
+    raises a grid-quality error.
+    """
+    s = disk.samples
+    i0, i1 = (0, disk.n_r) if rows is None else rows
+    sub = s[i0:i1 + 1]
+    nxt = np.roll(sub, -1, axis=1)
+    a = 0.5 * ((sub[1:] - sub[:-1]) + (nxt[1:] - nxt[:-1]))
+    b = 0.5 * ((nxt[:-1] - sub[:-1]) + (nxt[1:] - sub[1:]))
+    area = float(np.einsum("ijk,kl,ijl->", a, OMEGA, b))
+    boundary = ring_action(disk, i1) - (ring_action(disk, i0) if i0 > 0 else 0.0)
+    if abs(boundary) > 1e-12:
+        rel = abs(area - boundary) / abs(boundary)
+        if rel > 1e-2:
+            raise GridQualityError(
+                f"area quadrature disagrees with the boundary integral by "
+                f"{100 * rel:.2f}%"
+            )
+    return area, boundary
+
+
+
+def return_map_points(form, disk, points, t_budget, index=None):
+    """Forward first-return (point, time), or None, of explicit level points
+    (not necessarily on the disk)."""
+    if index is None:
+        index = _DiskIndex(form, disk)
+    X = project_to_sigma(form, np.reshape(points, (-1, 4)))
+    return [hit for hit, _ in _first_crossing(form, index, X, np.ones(len(X)),
+                                              t_budget)]

@@ -12,6 +12,10 @@ from reeb_atlas.binding import check_binding, necessity_audit
 from reeb_atlas.errors import ProximityError
 from reeb_atlas.orbits import find_orbits, refine_orbit
 
+from oracles import (compose_paths, disk_area, invert_path, polygon_action,
+                     pure_rotation_path, random_loop, random_nondegenerate_path,
+                     return_map_points, winding_census)
+
 SQ2 = np.sqrt(2.0)
 BUDGET = 10 * np.pi * SQ2
 
@@ -61,19 +65,19 @@ def test_criterion_2_index_tables(ell, gamma1, gamma2):
 def test_criterion_3_axiom_suite():
     rng = np.random.default_rng(2024)
     for _ in range(100):
-        phi = cz.random_nondegenerate_path(rng)
+        phi = random_nondegenerate_path(rng)
         m = int(rng.integers(-2, 3))
-        psi = cz.random_loop(rng, m, n=phi.n_steps)
+        psi = random_loop(rng, m, n=phi.n_steps)
         iv = cz.rotation_interval(phi)
         assert iv.length < 0.5  # non-degenerate interval bound
         mu, _ = cz.cz_from_interval(iv)
         # axiom 2: loop composition shifts by twice the loop winding
         mu_prod, _ = cz.cz_from_interval(
-            cz.rotation_interval(cz.compose_paths(psi, phi)))
+            cz.rotation_interval(compose_paths(psi, phi)))
         assert mu_prod == 2 * m + mu
         # axiom 3: inversion negates
         mu_inv, _ = cz.cz_from_interval(
-            cz.rotation_interval(cz.invert_path(phi)))
+            cz.rotation_interval(invert_path(phi)))
         assert mu_inv == -mu
         # axiom 1: small symplectic perturbation fixing endpoints
         bump = (np.sin(np.pi * phi.times) ** 2)[:, None, None]
@@ -85,7 +89,7 @@ def test_criterion_3_axiom_suite():
             cz.rotation_interval(cz.SymplecticPath(times=phi.times, mats=pert)))
         assert mu_pert == mu
     # axiom 4: the half-turn rotation has index exactly 1
-    mu4, _ = cz.cz_from_interval(cz.rotation_interval(cz.pure_rotation_path(0.5)))
+    mu4, _ = cz.cz_from_interval(cz.rotation_interval(pure_rotation_path(0.5)))
     assert mu4 == 1
     print("ACCEPTANCE 3: PASS - axioms 1-4 on 100 fixtures, half-turn index 1")
 
@@ -93,7 +97,7 @@ def test_criterion_3_axiom_suite():
 def test_criterion_4_spectral_structure(ell, db10):
     for orbit in db10.orbits:
         data = cz.asymptotic_spectrum(ell, orbit, n_grid=1024)
-        census, monotone = cz.winding_census(data)
+        census, monotone = winding_census(data)
         assert monotone, "winding must be monotone in the eigenvalue"
         assert census, "no complete winding classes resolved"
         assert all(c == 2 for c in census.values()), census
@@ -159,14 +163,14 @@ def test_criterion_6_binding_checker(ell, db20):
 
 def test_criterion_7_global_section(ell, page, page_index):
     verdict, fw, bw = sec.verify_global_section(
-        ell, page, n_seeds=500, t_budget=BUDGET, return_details=True)
+        ell, page, n_seeds=500, t_budget=BUDGET)
     assert verdict["sign_constant"]
     assert verdict["min_transversality"] > 0.1
     assert verdict["timeouts_forward"] == 0
     assert verdict["timeouts_backward"] == 0
     assert verdict["passes"]
 
-    area, boundary = sec.disk_area(ell, page)
+    area, boundary = disk_area(ell, page)
     assert abs(area - np.pi) / np.pi < 1e-2
     assert abs(area - boundary) / abs(boundary) < 1e-2
 
@@ -189,11 +193,11 @@ def test_criterion_7_global_section(ell, page, page_index):
              (75, 150), (85, 120), (90, 200), (100, 50), (110, 240)]
     for ci, cj in cells:
         poly = cell_polygon(ci, cj)
-        a0 = sec.polygon_action(poly)
-        hits = sec.return_map_points(ell, page, poly, t_budget=BUDGET,
-                                     index=page_index)
+        a0 = polygon_action(poly)
+        hits = return_map_points(ell, page, poly, t_budget=BUDGET,
+                                 index=page_index)
         assert all(h is not None for h in hits)
-        a1 = sec.polygon_action(np.array([h[0] for h in hits]))
+        a1 = polygon_action(np.array([h[0] for h in hits]))
         assert abs(a1 - a0) / abs(a0) < 0.02
     print("ACCEPTANCE 7: PASS - 500/500 seeds return both ways, area "
           f"{area:.5f} ~ pi r1^2, Stokes within 1%, 10 cells preserved within 2%")

@@ -231,6 +231,27 @@ def test_flags_keep_the_config_bounds(ell_config, found, section_disk,
     assert not os.path.exists(out) or not os.listdir(out)
 
 
+def test_section_seeds_ignore_the_census_seeds(ell_config, section_disk,
+                                               workdir, monkeypatch):
+    # the config key "seeds" is the census seed count; section-verify takes
+    # its seed count from --seeds alone, 500 when the flag is not given
+    from reeb_atlas import cli
+
+    config = workdir / "three_seeds.json"
+    config.write_text(json.dumps(dict(json.load(open(ell_config)), seeds=3)))
+    real, seen = cli.verify_global_section, []
+
+    def verify(form, disk, n_seeds, t_budget):
+        seen.append(n_seeds)
+        return real(form, disk, n_seeds=2, t_budget=t_budget)
+
+    monkeypatch.setattr(cli, "verify_global_section", verify)
+    assert main(["section-verify", "--config", str(config),
+                 "--disk", section_disk, "--t-budget", "44.43",
+                 "--out", str(workdir / "default_seeds")]) == 0
+    assert seen == [500]
+
+
 def test_topology_commands(ell_config, found):
     assert main(["link", "--config", ell_config,
                  "--orbits", os.path.join(found, "orbits.json"),
@@ -370,7 +391,3 @@ def test_missing_artifact_names_producer(ell_config, workdir, capsys):
                  "--orbit", "0", "--out", str(workdir / "x")])
     assert code == 65
     assert "orbits-find" in capsys.readouterr().err
-
-
-def test_validate_flag():
-    assert main(["--validate"]) == 0

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reeb_atlas import kernels
-from reeb_atlas.contact import (StarForm, lambda0, omega_form,
-                                project_to_sigma, reeb_vector, sphere_samples,
-                                xi_frame, xi_project, xi_projector)
+from reeb_atlas.contact import (StarForm, omega_form, project_to_sigma,
+                                reeb_vector, sphere_samples, xi_frame,
+                                xi_project, xi_projector)
 from reeb_atlas.errors import DomainError, FrameDegeneracyError, OffLevelError
+
+from oracles import lambda0
 
 
 def quat_j(x):

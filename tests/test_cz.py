@@ -8,6 +8,11 @@ from reeb_atlas.errors import (DegenerateOrbitError, DomainError,
                                InconsistencyError, ResolutionError)
 from reeb_atlas.orbits import refine_orbit
 
+from oracles import (compose_paths, hyperbolic_path, invert_path,
+                     iterate_index_table, maslov_loop, path_power,
+                     pure_rotation_path, random_loop, random_nondegenerate_path,
+                     winding_census)
+
 RHO1 = 1.0 + 1.0 / np.sqrt(2.0)
 RHO2 = 1.0 + np.sqrt(2.0)
 
@@ -40,7 +45,7 @@ def test_round_sphere_path_degenerate_endpoint(round_form):
 def test_iterate_path_is_concatenation(ell, gamma1):
     p1 = cz.trivialized_path(ell, gamma1, n_min=256)
     p2 = cz.trivialized_path(ell, gamma1.iterate(2), n_min=512)
-    synth = cz.path_power(p1, 2)
+    synth = path_power(p1, 2)
     assert np.abs(synth.mats - p2.mats).max() < 1e-5
 
 
@@ -49,7 +54,7 @@ def test_iterate_path_is_concatenation(ell, gamma1):
 # ---------------------------------------------------------------------------
 
 def test_pure_rotation_half_turn():
-    iv = cz.rotation_interval(cz.pure_rotation_path(0.5))
+    iv = cz.rotation_interval(pure_rotation_path(0.5))
     assert iv.lo == pytest.approx(0.5, abs=1e-9)
     assert iv.hi == pytest.approx(0.5, abs=1e-9)
     assert cz.cz_from_interval(iv) == (1, False)
@@ -63,7 +68,7 @@ def test_gamma1_interval(ell, gamma1):
 
 
 def test_hyperbolic_interval_contains_zero():
-    iv = cz.rotation_interval(cz.hyperbolic_path(1.0))
+    iv = cz.rotation_interval(hyperbolic_path(1.0))
     assert iv.lo <= 0.0 <= iv.hi
     assert iv.length < 0.5
     assert cz.cz_from_interval(iv)[0] == 0
@@ -82,36 +87,36 @@ def test_interval_branches():
 
 
 def test_maslov_loop():
-    assert cz.maslov_loop(cz.pure_rotation_path(1.0)) == 1
+    assert maslov_loop(pure_rotation_path(1.0)) == 1
     const = cz.SymplecticPath(times=np.linspace(0, 1, 65),
                               mats=np.tile(np.eye(2), (65, 1, 1)))
-    assert cz.maslov_loop(const) == 0
+    assert maslov_loop(const) == 0
     with pytest.raises(DomainError):
-        cz.maslov_loop(cz.pure_rotation_path(0.25))
+        maslov_loop(pure_rotation_path(0.25))
 
 
 def test_axioms_sample():
     rng = np.random.default_rng(123)
     for _ in range(20):
-        phi = cz.random_nondegenerate_path(rng)
+        phi = random_nondegenerate_path(rng)
         m = int(rng.integers(-2, 3))
-        psi = cz.random_loop(rng, m, n=phi.n_steps)
+        psi = random_loop(rng, m, n=phi.n_steps)
         iv = cz.rotation_interval(phi)
         assert iv.length < 0.5
         mu, _ = cz.cz_from_interval(iv)
         mu_prod, _ = cz.cz_from_interval(
-            cz.rotation_interval(cz.compose_paths(psi, phi)))
+            cz.rotation_interval(compose_paths(psi, phi)))
         mu_inv, _ = cz.cz_from_interval(
-            cz.rotation_interval(cz.invert_path(phi)))
+            cz.rotation_interval(invert_path(phi)))
         assert mu_prod == 2 * m + mu
         assert mu_inv == -mu
-        assert cz.maslov_loop(psi) == m
+        assert maslov_loop(psi) == m
 
 
 def test_homotopy_stability():
     rng = np.random.default_rng(77)
     for _ in range(10):
-        phi = cz.random_nondegenerate_path(rng)
+        phi = random_nondegenerate_path(rng)
         mu, _ = cz.cz_from_interval(cz.rotation_interval(phi))
         bump = (np.sin(np.pi * phi.times) ** 2)[:, None, None]
         g = 3e-4 * np.array([[1.0, 0.5], [0.5, -1.0]])
@@ -149,7 +154,7 @@ def test_gamma2_spectrum(ell, gamma2):
 
 def test_winding_pairing_and_monotonicity(ell, gamma1):
     data = cz.asymptotic_spectrum(ell, gamma1, n_grid=1024)
-    census, monotone = cz.winding_census(data)
+    census, monotone = winding_census(data)
     assert monotone
     assert len(census) >= 7  # at least |k| <= 3 around the relevant winding
     assert all(count == 2 for count in census.values())
@@ -218,29 +223,29 @@ def test_methods_agree_on_census(ell, db10):
 # ---------------------------------------------------------------------------
 
 def test_iterate_tables(ell, gamma1, gamma2):
-    tab1, flags1 = cz.iterate_index_table(ell, gamma1, 5)
+    tab1, flags1 = iterate_index_table(ell, gamma1, 5)
     assert flags1 == []
     assert tab1 == [(k, 2 * k + 2 * int(np.floor(k / np.sqrt(2))) + 1)
                     for k in range(1, 6)]
     assert [m for _, m in tab1] == [3, 7, 11, 13, 17]
-    tab2, flags2 = cz.iterate_index_table(ell, gamma2, 3)
+    tab2, flags2 = iterate_index_table(ell, gamma2, 3)
     assert flags2 == []
     assert [m for _, m in tab2] == [5, 9, 15]
 
 
 def test_hyperbolic_iterates_stay_nonpositive():
     # model check of the iteration inequality mu(P^k) <= 0 => mu(P^l) <= 0
-    base = cz.hyperbolic_path(0.8)
+    base = hyperbolic_path(0.8)
     mus = []
     for k in range(1, 4):
-        iv = cz.rotation_interval(cz.path_power(base, k))
+        iv = cz.rotation_interval(path_power(base, k))
         mus.append(cz.cz_from_interval(iv)[0])
     assert all(m <= 0 for m in mus)
 
 
 def test_iterate_table_requires_prime(ell, gamma1):
     with pytest.raises(DomainError):
-        cz.iterate_index_table(ell, gamma1.iterate(2), 2)
+        iterate_index_table(ell, gamma1.iterate(2), 2)
 
 
 def test_index_parity_must_match_the_monodromy_class(ell, gamma1):

@@ -7,8 +7,7 @@ from scipy.integrate import DOP853
 from reeb_atlas import cz, flow, kernels
 from reeb_atlas.contact import OMEGA, StarForm
 from reeb_atlas.errors import DomainError, ReebAtlasError, StiffnessError
-from reeb_atlas.flow import (flow_map, integrate_batch, integrate_flow,
-                             monodromy_xi, write_trajectory_csv)
+from reeb_atlas.flow import flow_map, integrate_batch, integrate_flow, monodromy_xi
 from reeb_atlas.orbits import _newton_polish, refine_orbit
 
 RHO = 1.0 + 1.0 / np.sqrt(2.0)
@@ -118,19 +117,6 @@ def test_trajectory_batch_equals_pointwise(ell, gamma1):
         traj = integrate_flow(ell, gamma1.x0, t_final, dense=True).trajectory
         ts = np.linspace(0.0, t_final, 41)[::-1]
         np.testing.assert_array_equal(traj(ts), [traj(t) for t in ts])
-
-
-def test_trajectory_csv(tmp_path, ell, gamma1):
-    res = integrate_flow(ell, gamma1.x0, 1.0, t_eval=np.linspace(0, 1, 5))
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, res.times, res.points)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,x1,x2,x3,x4"
-    assert len(lines) == 6
-    row = lines[-1].split(",")
-    assert len(row) == 5
-    # 17 significant digits survive the round trip
-    assert float(row[1]) == res.points[-1][0]
 
 
 def _on_level(form, x):

@@ -13,6 +13,8 @@ from reeb_atlas.errors import (DomainError, GridQualityError, StiffnessError,
 from reeb_atlas.linking import self_linking
 from reeb_atlas.orbits import refine_orbit
 
+from oracles import disk_area, polygon_action, return_map_points, ring_action
+
 SQ2 = np.sqrt(2.0)
 T_RETURN = np.pi * SQ2  # first-return time of the standard page
 BUDGET = 10 * np.pi * SQ2
@@ -138,8 +140,8 @@ def test_return_map_backward_and_inverse(ell, page, page_index):
     assert all(not r["timeout"] for r in back)
     # chain the actual return points forward: flow invertibility
     pts = np.array([r["return_point"] for r in back])
-    fwd = sec.return_map_points(ell, page, pts, t_budget=BUDGET,
-                                index=page_index)
+    fwd = return_map_points(ell, page, pts, t_budget=BUDGET,
+                            index=page_index)
     for (s0, t0), hit in zip(seeds, fwd):
         assert hit is not None
         x0 = sec._grid_point(page, s0, t0)
@@ -154,14 +156,15 @@ def test_seed_on_binding_rejected(ell, page, page_index):
 
 
 def test_verify_global_section_small(ell, page):
-    verdict = sec.verify_global_section(ell, page, n_seeds=20, t_budget=BUDGET)
+    verdict, _, _ = sec.verify_global_section(ell, page, n_seeds=20,
+                                              t_budget=BUDGET)
     assert verdict["passes"]
     assert verdict["timeouts_forward"] == 0
     assert verdict["timeouts_backward"] == 0
 
 
 def test_verify_budget_sensitivity(ell, page):
-    verdict = sec.verify_global_section(ell, page, n_seeds=6, t_budget=2.0)
+    verdict, _, _ = sec.verify_global_section(ell, page, n_seeds=6, t_budget=2.0)
     assert not verdict["passes"]
     assert verdict["timeouts_forward"] == 6
     assert verdict["budget_note"] is not None
@@ -169,13 +172,14 @@ def test_verify_budget_sensitivity(ell, page):
 
 def test_verify_tangent_fixture_fails(ell, gamma1):
     disk = twisted_page(ell, gamma1, amplitude=1.0)
-    verdict = sec.verify_global_section(ell, disk, n_seeds=4, t_budget=BUDGET)
+    verdict, _, _ = sec.verify_global_section(ell, disk, n_seeds=4,
+                                              t_budget=BUDGET)
     assert not verdict["passes"]
     assert not verdict["sign_constant"]
 
 
 def test_disk_area(ell, page):
-    area, boundary = sec.disk_area(ell, page)
+    area, boundary = disk_area(ell, page)
     assert abs(area - np.pi) / np.pi < 1e-2
     assert abs(area - boundary) / abs(boundary) < 1e-2
 
@@ -183,18 +187,18 @@ def test_disk_area(ell, page):
 def test_disk_area_additivity_and_half(ell, page):
     n_r = page.n_r
     i_half = round(n_r / SQ2)  # the inner region holds half the area
-    inner, ring = sec.disk_area(ell, page, rows=(0, i_half))
-    outer, _ = sec.disk_area(ell, page, rows=(i_half, n_r))
-    total, _ = sec.disk_area(ell, page)
+    inner, ring = disk_area(ell, page, rows=(0, i_half))
+    outer, _ = disk_area(ell, page, rows=(i_half, n_r))
+    total, _ = disk_area(ell, page)
     assert abs(total - inner - outer) < 1e-12
-    assert inner == pytest.approx(sec.ring_action(page, i_half), rel=1e-9)
+    assert inner == pytest.approx(ring_action(page, i_half), rel=1e-9)
     assert inner == pytest.approx(0.5 * np.pi, rel=5e-2)
 
 
 def test_round_sphere_page_area(round_form):
     orbit = refine_orbit(round_form, np.array([1.0, 0, 0, 0]), np.pi)
     disk = sec.builtin_disk(round_form, orbit)
-    area, _ = sec.disk_area(round_form, disk)
+    area, _ = disk_area(round_form, disk)
     assert abs(area - np.pi) / np.pi < 1e-2
 
 
@@ -216,11 +220,11 @@ def test_return_map_preserves_cell_actions(ell, page, page_index):
 
     for (ci, cj) in [(40, 10), (64, 100), (100, 200)]:
         poly = cell_polygon(ci, cj)
-        a0 = sec.polygon_action(poly)
-        hits = sec.return_map_points(ell, page, poly, t_budget=BUDGET,
-                                     index=page_index)
+        a0 = polygon_action(poly)
+        hits = return_map_points(ell, page, poly, t_budget=BUDGET,
+                                 index=page_index)
         assert all(h is not None for h in hits)
-        a1 = sec.polygon_action(np.array([h[0] for h in hits]))
+        a1 = polygon_action(np.array([h[0] for h in hits]))
         assert abs(a1 - a0) / abs(a0) < 0.02
 
 
