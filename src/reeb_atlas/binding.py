@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cz import orbit_index_report
-from .errors import DegenerateOrbitError, DomainError, ReebAtlasError
+from .cz import (_assert_iterate_relations, orbit_index_report, prime_flows,
+                 prime_key)
+from .errors import (DegenerateOrbitError, DomainError, InconsistencyError,
+                     ReebAtlasError)
 from .linking import linking_number, self_linking, trace_orbit, unknot_check
 from .sections import characteristic_field, transversality_check
 
@@ -37,6 +39,7 @@ class BindingReport:
     index2_checked: list = field(default_factory=list)
     index_unknown: list = field(default_factory=list)
     verdict: str = "inconclusive:not-evaluated"
+    index_table: list = field(default_factory=list)  # sidecar only
 
     def to_json_dict(self):
         return {
@@ -68,14 +71,19 @@ def check_binding(form, db, candidate_id, traces=None):
     ``traces`` optionally maps orbit ids to precomputed full-cover (N, 4)
     loop traces (used by tests to inject fixtures).  The candidate's index
     is computed once, on a 1024-point grid, and an error there aborts; every
-    other census orbit is indexed on a 512-point grid.  The verdict carries
+    other census orbit is indexed on a 512-point grid.  All index reports
+    share one ``prime_flows`` block, so each prime's variational flow is
+    integrated once and its iterates sample it; ``index_table`` records per
+    report which one integrated and its resolution.  The verdict carries
     the census truncation cap; conditions quantified over all orbits are
     only checked against the database, and an orbit whose index could not
     be computed makes a verdict that would otherwise hold inconclusive; it
-    is listed in ``index_unknown`` as ``{"orbit_id", "reason"}``.  So does
-    an index-2 orbit whose linking with the candidate could not be
-    computed; its ``index2_checked`` row has ``lk`` and ``linked`` None and
-    the reason under ``skipped``.
+    is listed in ``index_unknown`` as ``{"orbit_id", "reason"}``.  So are
+    the orbits of a prime whose agreed indices, the candidate's included,
+    violate the iteration inequalities, with that error as the reason; they
+    keep their ``index2_checked`` rows.  So does an index-2 orbit whose
+    linking with the candidate could not be computed; its ``index2_checked``
+    row has ``lk`` and ``linked`` None and the reason under ``skipped``.
     """
     if candidate_id < 0 or candidate_id >= len(db):
         raise DomainError(f"candidate {candidate_id} is not in the database")
@@ -103,41 +111,62 @@ def check_binding(form, db, candidate_id, traces=None):
 
     report.sl = self_linking(form, cand)
 
-    idx_rep = orbit_index_report(form, cand, n_grid=1024)
-    if idx_rep["degenerate_flags"]:
-        report.verdict = "inconclusive:index-degeneracy-flagged"
-        return report
-    report.mu_cz = idx_rep["mu_geometric"]
-    report.index_methods_agree = (idx_rep["mu_geometric"] == idx_rep["mu_spectral"])
+    with prime_flows():
+        idx_rep = orbit_index_report(form, cand, n_grid=1024)
+        reports = {candidate_id: idx_rep}
+        if idx_rep["degenerate_flags"]:
+            report.verdict = "inconclusive:index-degeneracy-flagged"
+            report.index_table = _index_table(db, reports)
+            return report
+        report.mu_cz = idx_rep["mu_geometric"]
+        report.index_methods_agree = (
+            idx_rep["mu_geometric"] == idx_rep["mu_spectral"])
 
-    for oid, orbit in enumerate(db.orbits):
-        if oid == candidate_id:
-            continue
-        reason = "degenerate" if orbit.degenerate else None
+        for oid, orbit in enumerate(db.orbits):
+            if oid == candidate_id:
+                continue
+            reason = "degenerate" if orbit.degenerate else None
+            try:
+                rep = (None if reason
+                       else orbit_index_report(form, orbit, n_grid=512))
+            except ReebAtlasError as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+            if reason is None:
+                reports[oid] = rep
+                if None in (rep["mu_geometric"], rep["mu_spectral"]):
+                    reason = "; ".join(rep["degenerate_flags"]) or "no index"
+            if reason is not None:  # might be an unlinked index 2
+                report.index_unknown.append({"orbit_id": oid, "reason": reason})
+                continue
+            if rep["mu_geometric"] != 2:
+                continue
+            try:
+                other = traces.get(oid)
+                if other is None:
+                    other = trace_orbit(form, orbit, n=512)
+                lk, _ = linking_number(cand_trace, other)
+            except ReebAtlasError as exc:
+                report.index2_checked.append({"orbit_id": oid, "lk": None,
+                                              "linked": None, "skipped": str(exc)})
+                continue
+            report.index2_checked.append(
+                {"orbit_id": oid, "lk": int(lk), "linked": bool(lk != 0)}
+            )
+    report.index_table = _index_table(db, reports)
+
+    agreed = {}  # per prime: (multiplicity, agreed index, orbit id)
+    for oid, rep in reports.items():
+        mu = rep["mu_geometric"]
+        if mu is not None and mu == rep["mu_spectral"]:
+            agreed.setdefault(prime_key(db[oid]), []).append(
+                (db[oid].multiplicity, mu, oid))
+    for rows in agreed.values():
         try:
-            rep = (None if reason
-                   else orbit_index_report(form, orbit, n_grid=512))
-        except ReebAtlasError as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-        if reason is None and None in (rep["mu_geometric"], rep["mu_spectral"]):
-            reason = "; ".join(rep["degenerate_flags"]) or "no index"
-        if reason is not None:  # might be an unlinked index 2
-            report.index_unknown.append({"orbit_id": oid, "reason": reason})
-            continue
-        if rep["mu_geometric"] != 2:
-            continue
-        try:
-            other = traces.get(oid)
-            if other is None:
-                other = trace_orbit(form, orbit, n=512)
-            lk, _ = linking_number(cand_trace, other)
-        except ReebAtlasError as exc:
-            report.index2_checked.append({"orbit_id": oid, "lk": None,
-                                          "linked": None, "skipped": str(exc)})
-            continue
-        report.index2_checked.append(
-            {"orbit_id": oid, "lk": int(lk), "linked": bool(lk != 0)}
-        )
+            _assert_iterate_relations([(k, mu) for k, mu, _ in sorted(rows)])
+        except InconsistencyError as exc:
+            report.index_unknown.extend(
+                {"orbit_id": oid, "reason": f"{type(exc).__name__}: {exc}"}
+                for oid in sorted(oid for _, _, oid in rows))
 
     if report.unknot_status != "certified_unknot":
         report.verdict = "inconclusive:unknot_status_unknown"
@@ -156,6 +185,18 @@ def check_binding(form, db, candidate_id, traces=None):
     else:
         report.verdict = "hypotheses_hold"
     return report
+
+
+def _index_table(db, reports):
+    """Per index report, in census order: the orbit's multiplicity, whether
+    the report ran its prime's integration, and its resolution."""
+    rows = []
+    for oid in sorted(reports):
+        res = reports[oid].get("resolution", {})
+        rows.append({"orbit_id": oid, "multiplicity": db[oid].multiplicity,
+                     "integrated": res.get("integrated_span", 0.0) > 0,
+                     **{k: res.get(k) for k in ("path_samples", "n_dirs", "K")}})
+    return rows
 
 
 @dataclass

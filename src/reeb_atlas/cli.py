@@ -339,11 +339,13 @@ def cmd_binding_check(args):
     started = time.time()
     cfg, form = _config(args)
     db = _load_db(form, args.orbits)
-    report = check_binding(form, db, args.candidate)
+    with counting() as work:
+        report = check_binding(form, db, args.candidate)
     payload = report.to_json_dict()
     payload["rng_seed"] = cfg.get("rng_seed", 0)
     _write_report(args.out, f"binding_orbit{args.candidate}.json", payload,
-                  started)
+                  started, extra_meta={"index_table": report.index_table,
+                                       "stepper": dict(work)})
     print(f"binding verdict for orbit {args.candidate}: {report.verdict}")
     return report.exit_code
 

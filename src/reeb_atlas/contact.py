@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import kernels
 from .errors import DomainError, FrameDegeneracyError, OffLevelError
@@ -65,6 +64,7 @@ def sphere_samples(n, seed_skip=0):
     import warnings
 
     from scipy.special import ndtri
+    from scipy.stats import qmc
 
     if seed_skip < 0 or seed_skip + n + 8 > 2**30:
         raise DomainError(f"Sobol skip {seed_skip} outside [0, 2^30 - n - 8]")

@@ -1,16 +1,24 @@
 """Conley-Zehnder indices of periodic orbits, two independent ways.
 
-Both routes read one dense variational integration along the orbit, sampled
-on whatever grids they need.  The geometric route tracks the rotation of
-directions under the trivialized linearized flow and reads the index off the
-rotation interval.  The spectral route projects the central-difference
-operator -J0 d/dt + S(t) onto the real Fourier modes |k| <= K (Trefethen,
-*Spectral Methods in MATLAB*, ch. 3-4), takes the eigenvalues nearest zero
-together with the winding numbers of their eigenfunctions, and evaluates
-``2 * wind(nu_neg) + p`` (Hofer, Wysocki & Zehnder, GAFA 5, 1995).  The two
-must agree exactly on non-degenerate orbits; the report enforces that.
+Both routes read one dense variational integration over the prime period,
+sampled on whatever grids they need; a k-fold cover samples its prime's
+integration through the cocycle M(j T_min + s) = M(s) M(T_min)^j of the
+autonomous flow, and inside ``prime_flows`` every report of a prime and its
+iterates shares that one integration.  The geometric route tracks the
+rotation of directions under the trivialized linearized flow and reads the
+index off the rotation interval.  The spectral route projects the
+central-difference operator -J0 d/dt + S(t) onto the real Fourier modes
+|k| <= K (Trefethen, *Spectral Methods in MATLAB*, ch. 3-4), takes the
+eigenvalues nearest zero together with the winding numbers of their
+eigenfunctions, and evaluates ``2 * wind(nu_neg) + p`` (Hofer, Wysocki &
+Zehnder, GAFA 5, 1995).  The two must agree exactly on non-degenerate
+orbits; the report enforces that.  Across a census, the indices of a prime's
+iterates must also satisfy the iteration inequalities
+(``_assert_iterate_relations``; Hofer, Wysocki & Zehnder, Ann. Math. 148,
+1998).
 """
 
+import contextlib
 import contextvars
 from dataclasses import dataclass
 
@@ -32,6 +40,7 @@ __all__ = [
     "asymptotic_spectrum",
     "cz_from_spectrum",
     "orbit_index_report",
+    "prime_flows",
 ]
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -39,7 +48,9 @@ J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 STEP_GUARD = 0.5
 DEGENERACY_MARGIN = 1e-4
 _BAND = 8  # winding classes kept each side of wind(nu_neg); K's margin too
-_FLOW = contextvars.ContextVar("reeb_atlas_cz_flow", default=None)  # [orbit, flow]
+# {prime_key: (dense trajectory over [0, T_min], period matrix)} of the open
+# ``prime_flows`` block
+_FLOWS = contextvars.ContextVar("reeb_atlas_cz_flows", default=None)
 
 
 @dataclass
@@ -115,18 +126,55 @@ class SpectralData:
 # trivialized linearized flow along an orbit
 # ---------------------------------------------------------------------------
 
+def prime_key(orbit):
+    """The exact (T_min, x0) that the iterates of a prime share with it."""
+    return float(orbit.T_min), tuple(orbit.x0.tolist())
+
+
+@contextlib.contextmanager
+def prime_flows():
+    """Integrate each prime's variational flow at most once inside the block;
+    a block opened inside another one joins it."""
+    if _FLOWS.get() is not None:
+        yield _FLOWS.get()
+        return
+    token = _FLOWS.set({})
+    try:
+        yield _FLOWS.get()
+    finally:
+        _FLOWS.reset(token)
+
+
 def _variational_flow(form, orbit):
-    """Dense variational trajectory over one period at tol 1e-12; inside
-    ``orbit_index_report`` the first call integrates and the others share."""
-    shared = _FLOW.get()
-    if shared is None or shared[0] is not orbit:
-        shared = [orbit, None]
-    if shared[1] is None:
-        if orbit.residual > 1e-9:
-            raise DomainError(f"orbit residual {orbit.residual:.2e} exceeds 1e-09")
-        shared[1] = integrate_flow(form, orbit.x0, orbit.T, tol=1e-12,
-                                   variational=True, dense=True).trajectory
-    return shared[1]
+    """Base point and 4x4 linearized flow, as a dense (n, 20) sampler over
+    [0, orbit.T], from one variational integration of the prime over
+    [0, T_min] at tol 1e-12, shared inside ``prime_flows``.  A prime gets
+    that integration's ``Trajectory``; a k-fold cover samples it at
+    s = t - j T_min with the matrix M(s) M(T_min)^j."""
+    if orbit.residual > 1e-9:
+        raise DomainError(f"orbit residual {orbit.residual:.2e} exceeds 1e-09")
+    flows = _FLOWS.get()
+    if flows is None:
+        flows = {}
+    key = prime_key(orbit)
+    if key not in flows:
+        traj = integrate_flow(form, orbit.x0, orbit.T_min, tol=1e-12,
+                              variational=True, dense=True).trajectory
+        flows[key] = (traj, traj(orbit.T_min)[4:].reshape(4, 4))
+    traj, period = flows[key]
+    k, T_min = orbit.multiplicity, orbit.T_min
+    if k == 1:
+        return traj
+    powers = np.stack([np.linalg.matrix_power(period, j) for j in range(k)])
+
+    def flow(t):
+        t = np.asarray(t, dtype=float)
+        j = np.clip(np.floor(t / T_min), 0, k - 1).astype(int)
+        y = traj(np.clip(t - j * T_min, 0.0, T_min))
+        y[:, 4:] = (y[:, 4:].reshape(-1, 4, 4) @ powers[j]).reshape(-1, 16)
+        return y
+
+    return flow
 
 
 def _path_samples(form, orbit, flow, n):
@@ -365,8 +413,11 @@ def orbit_index_report(form, orbit, n_grid=1024):
     Degenerate orbits produce flags instead of numbers: no index is ever
     emitted for a flagged orbit.  An emitted index is cross-checked against
     the monodromy class: it is even iff the orbit is positive hyperbolic.
-    Both routes sample one variational integration.  ``resolution`` holds
-    the interval path's sample count, ``n_dirs`` and K, as far as reached.
+    Both routes sample the prime's one variational integration, shared with
+    the other reports of an enclosing ``prime_flows`` block.  ``resolution``
+    holds the interval path's sample count, ``n_dirs`` and K, as far as
+    reached, and ``integrated_span``: T_min if this report ran the prime's
+    integration, else 0.
     """
     report = {
         "mu_geometric": None,
@@ -382,27 +433,28 @@ def orbit_index_report(form, orbit, n_grid=1024):
         report["degenerate_flags"].append("monodromy eigenvalue within 1e-6 of 1")
         return report
     resolution = report["resolution"]
-    token = _FLOW.set([orbit, None])
-    try:
-        path = trivialized_path(form, orbit)
-        interval = rotation_interval(path)
-        resolution.update(path_samples=path.n_steps + 1, n_dirs=interval.n_dirs)
-        report["interval"] = [interval.lo, interval.hi]
-        mu_geo, flagged = cz_from_interval(interval)
-        if flagged:
-            report["degenerate_flags"].append("rotation interval endpoint near integer")
-        else:
-            report["mu_geometric"] = mu_geo
-        data = asymptotic_spectrum(form, orbit, n_grid=n_grid)
-        resolution["K"] = data.K
-        report["nu_neg"] = data.nu_neg
-        report["wind_nu_neg"] = data.wind_nu_neg
-        report["p"] = data.p
-        report["mu_spectral"] = cz_from_spectrum(data)
-    except DegenerateOrbitError as exc:
-        report["degenerate_flags"].append(str(exc))
-    finally:
-        _FLOW.reset(token)
+    with prime_flows() as flows:
+        fresh = prime_key(orbit) not in flows
+        try:
+            path = trivialized_path(form, orbit)
+            resolution["integrated_span"] = orbit.T_min if fresh else 0.0
+            interval = rotation_interval(path)
+            resolution.update(path_samples=path.n_steps + 1, n_dirs=interval.n_dirs)
+            report["interval"] = [interval.lo, interval.hi]
+            mu_geo, flagged = cz_from_interval(interval)
+            if flagged:
+                report["degenerate_flags"].append(
+                    "rotation interval endpoint near integer")
+            else:
+                report["mu_geometric"] = mu_geo
+            data = asymptotic_spectrum(form, orbit, n_grid=n_grid)
+            resolution["K"] = data.K
+            report["nu_neg"] = data.nu_neg
+            report["wind_nu_neg"] = data.wind_nu_neg
+            report["p"] = data.p
+            report["mu_spectral"] = cz_from_spectrum(data)
+        except DegenerateOrbitError as exc:
+            report["degenerate_flags"].append(str(exc))
     if (report["mu_geometric"] is not None and report["mu_spectral"] is not None
             and report["mu_geometric"] != report["mu_spectral"]):
         raise InconsistencyError(
@@ -417,3 +469,24 @@ def orbit_index_report(form, orbit, n_grid=1024):
                 f"{orbit.nondeg_class} orbit"
             )
     return report
+
+
+def _assert_iterate_relations(table):
+    """The iteration inequalities on ``table``, (k, mu(P^k)) pairs of one
+    prime P; a violation raises ``InconsistencyError``."""
+    mu = dict(table)
+    for k, mu_k in table:
+        for l, mu_l in table:
+            if l > k:
+                continue
+            if mu_k == 1 and mu_l != 1:
+                raise InconsistencyError(f"mu({k})=1 but mu({l})={mu_l}")
+            if mu_k <= 0 and mu_l > 0:
+                raise InconsistencyError(f"mu({k})<=0 but mu({l})={mu_l}")
+            if mu_k == 2:
+                if k not in (1, 2) or l not in (1, 2) or mu_l not in (1, 2):
+                    raise InconsistencyError(
+                        f"mu({k})=2 violates the iteration constraints"
+                    )
+    if mu.get(2) == 2 and 1 in mu and mu[1] != 1:
+        raise InconsistencyError("mu(P^2)=2 forces mu(P)=1")

@@ -1,9 +1,10 @@
 """Test oracles and fixtures: code that only the tests run.
 
 Synthetic symplectic paths with known indices, the Maslov index of a loop,
-the winding census of a spectrum, the index table of a prime's iterates with
-the iteration inequalities, the contact area of a disk by two routes, the
-return map of arbitrary level points, and the primitive 1-form lambda0.
+the winding census of a spectrum, the index table of a prime's iterates
+(checked by ``cz._assert_iterate_relations``), the contact area of a disk by
+two routes, the return map of arbitrary level points, and the primitive
+1-form lambda0.
 The package's reachability test (``test_reachability.py``) keeps such code
 out of ``src/``.
 """
@@ -11,10 +12,9 @@ out of ``src/``.
 import numpy as np
 
 from reeb_atlas.contact import OMEGA, omega_form, project_to_sigma
-from reeb_atlas.cz import (STEP_GUARD, SymplecticPath, cz_from_interval,
-                           rotation_interval, trivialized_path)
-from reeb_atlas.errors import (DomainError, GridQualityError,
-                               InconsistencyError, ResolutionError)
+from reeb_atlas.cz import (STEP_GUARD, SymplecticPath, _assert_iterate_relations,
+                           cz_from_interval, rotation_interval, trivialized_path)
+from reeb_atlas.errors import DomainError, GridQualityError, ResolutionError
 from reeb_atlas.sections import _DiskIndex, _first_crossing
 
 
@@ -220,25 +220,6 @@ def iterate_index_table(form, orbit, k_max):
         table.append((k, mu))
     _assert_iterate_relations(table)
     return table, flags
-
-
-def _assert_iterate_relations(table):
-    mu = dict(table)
-    for k, mu_k in table:
-        for l, mu_l in table:
-            if l > k:
-                continue
-            if mu_k == 1 and mu_l != 1:
-                raise InconsistencyError(f"mu({k})=1 but mu({l})={mu_l}")
-            if mu_k <= 0 and mu_l > 0:
-                raise InconsistencyError(f"mu({k})<=0 but mu({l})={mu_l}")
-            if mu_k == 2:
-                if k not in (1, 2) or l not in (1, 2) or mu_l not in (1, 2):
-                    raise InconsistencyError(
-                        f"mu({k})=2 violates the iteration constraints"
-                    )
-    if mu.get(2) == 2 and 1 in mu and mu[1] != 1:
-        raise InconsistencyError("mu(P^2)=2 forces mu(P)=1")
 
 
 # ---------------------------------------------------------------------------

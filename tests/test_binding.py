@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reeb_atlas import binding
+from reeb_atlas import binding, cz
 from reeb_atlas.binding import check_binding, necessity_audit
 from reeb_atlas.errors import (DegenerateOrbitError, ProximityError,
                                ResolutionError)
@@ -49,6 +49,50 @@ def test_binding_holds_for_gamma1(ell, db20, monkeypatch):
     # every index on the irrational ellipsoid is odd, so no index-2 orbits
     assert rep.index2_checked == []
     assert rep.exit_code == 0
+
+
+def test_binding_integrates_each_prime_once(ell, db20, monkeypatch):
+    # every index report of the census shares its prime's one variational
+    # integration over T_min, the candidate's included
+    runs, real = [], cz.integrate_flow
+
+    def spy(form, x0, T, **kwargs):
+        runs.append((T, tuple(x0)))
+        return real(form, x0, T, **kwargs)
+
+    monkeypatch.setattr(cz, "integrate_flow", spy)
+    rep = check_binding(ell, db20, _entry_id(db20, np.pi, 1))
+    assert rep.verdict == "hypotheses_hold"
+    primes = {(o.T_min, tuple(o.x0)) for o in db20.orbits}
+    assert len(primes) == 2 and sorted(runs) == sorted(primes)
+    assert len(rep.index_table) == len(db20)
+    assert sum(row["integrated"] for row in rep.index_table) == 2
+    assert all(row["path_samples"] and row["n_dirs"] and row["K"]
+               for row in rep.index_table)
+
+
+def test_binding_inconclusive_on_violated_iterate_relations(ell, db20,
+                                                            monkeypatch):
+    # mu(P^3) = 2 breaks the iteration inequalities of P = gamma2: its
+    # covers' indices are in doubt, whatever their linking
+    gid = _entry_id(db20, np.pi, 1)
+    covers = [i for i, o in enumerate(db20.orbits)
+              if abs(o.T_min - np.sqrt(2) * np.pi) < 1e-6]
+    cube = _entry_id(db20, np.sqrt(2) * np.pi, 3)
+
+    def report(form, orbit, n_grid):
+        mu = 2 if orbit is db20[cube] else 3
+        return {"mu_geometric": mu, "mu_spectral": mu, "degenerate_flags": []}
+
+    monkeypatch.setattr(binding, "orbit_index_report", report)
+    rep = check_binding(ell, db20, gid)
+    reason = "InconsistencyError: mu(3)=2 violates the iteration constraints"
+    assert rep.index_unknown == [{"orbit_id": oid, "reason": reason}
+                                 for oid in sorted(covers)]
+    # the triple cover of gamma2 links gamma1 three times
+    assert rep.index2_checked == [{"orbit_id": cube, "lk": 3, "linked": True}]
+    assert rep.verdict == "inconclusive:index-unknown"
+    assert rep.exit_code == 3
 
 
 def test_binding_fails_for_double_cover(ell, db20):

@@ -144,6 +144,31 @@ def test_binding_check_exit_codes(ell_config, found):
     assert code == 2
 
 
+def test_index_sidecars_record_the_shared_integration(ell_config, found,
+                                                      workdir):
+    # binding-check integrates each prime once for the whole census, and
+    # orbit-index on a cover integrates its prime over T_min
+    orbits = os.path.join(found, "orbits.json")
+    out = str(workdir / "index_table")
+    assert main(["binding-check", "--config", ell_config, "--orbits", orbits,
+                 "--candidate", "0", "--out", out]) == 0
+    with open(os.path.join(out, "binding_orbit0.json.meta.json")) as fh:
+        meta = json.load(fh)
+    table = meta["index_table"]
+    assert [row["orbit_id"] for row in table] == list(range(5))
+    assert [row["multiplicity"] for row in table] == [1, 1, 2, 2, 3]
+    assert [row["integrated"] for row in table] == [True, True, False, False,
+                                                   False]
+    assert all(row["path_samples"] >= 257 and row["n_dirs"] and row["K"]
+               for row in table)
+    assert meta["stepper"]["rhs_evals"] >= 12 * meta["stepper"]["steps"] > 0
+    assert main(["orbit-index", "--config", ell_config, "--orbits", orbits,
+                 "--orbit", "2", "--out", out]) == 0
+    with open(os.path.join(out, "index_orbit2.json.meta.json")) as fh:
+        res = json.load(fh)["resolution"]
+    assert res["integrated_span"] == pytest.approx(np.pi, rel=1e-12)
+
+
 def test_disk_and_section_pipeline(ell_config, found):
     assert main(["disk-gen", "--config", ell_config,
                  "--orbits", os.path.join(found, "orbits.json"),

@@ -195,20 +195,70 @@ def test_galerkin_refuses_a_slowly_decaying_coefficient():
 @pytest.mark.parametrize("k, samples", [(1, 257), (9, 513)])
 def test_index_report_integrates_once(ell, gamma1, monkeypatch, k, samples):
     # gamma1^9 rotates too fast for 256 samples, so its interval path doubles
-    # and re-samples the one integration
+    # and re-samples the one integration, which is its prime's over T_min
     runs, real = [], cz.integrate_flow
 
     def spy(*args, **kwargs):
-        runs.append(kwargs)
+        runs.append((args, kwargs))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cz, "integrate_flow", spy)
     orbit = gamma1 if k == 1 else gamma1.iterate(k)
     rep = cz.orbit_index_report(ell, orbit, n_grid=1024)
-    assert len(runs) == 1 and runs[0]["dense"]
+    assert len(runs) == 1 and runs[0][1]["dense"]
+    assert runs[0][0][2] == gamma1.T_min
+    assert rep["resolution"]["integrated_span"] == gamma1.T_min
     assert rep["mu_geometric"] == rep["mu_spectral"] == (
         2 * k + 2 * int(np.floor(k / np.sqrt(2))) + 1)
     assert rep["resolution"]["path_samples"] == samples
+
+
+def _integrated_report(form, orbit, monkeypatch):
+    # the report as it was built before iterates sampled their prime: one
+    # variational integration over the whole period k T_min
+    def integrated(form, orbit):
+        return cz.integrate_flow(form, orbit.x0, orbit.T, tol=1e-12,
+                                 variational=True, dense=True).trajectory
+
+    with monkeypatch.context() as m:
+        m.setattr(cz, "_variational_flow", integrated)
+        return cz.orbit_index_report(form, orbit, n_grid=512)
+
+
+def _assert_same_report(sampled, integrated):
+    for key in ("mu_geometric", "mu_spectral", "wind_nu_neg", "p",
+                "degenerate_flags", "resolution"):
+        assert sampled[key] == integrated[key], key
+    assert np.abs(np.subtract(sampled["interval"],
+                              integrated["interval"])).max() < 1e-12
+    assert sampled["nu_neg"] == pytest.approx(integrated["nu_neg"], rel=1e-10)
+
+
+@pytest.mark.parametrize("prime, k", [("gamma1", k) for k in range(1, 5)]
+                         + [("gamma2", k) for k in range(1, 4)])
+def test_iterate_report_samples_the_prime_flow(ell, prime, k, monkeypatch,
+                                               request):
+    # the ellipsoid census gamma1^1..4, gamma2^1..3: a cover's report from
+    # its prime's flow equals the one integrated over k T_min, and both
+    # intervals sit within 1e-12 of the rotation k (1 + r_i^2 / r_j^2)
+    orbit = request.getfixturevalue(prime)
+    rho = RHO1 if prime == "gamma1" else RHO2
+    it = orbit if k == 1 else orbit.iterate(k)
+    sampled = cz.orbit_index_report(ell, it, n_grid=512)
+    integrated = _integrated_report(ell, it, monkeypatch)
+    _assert_same_report(sampled, integrated)
+    for rep in (sampled, integrated):
+        assert np.abs(np.subtract(rep["interval"], k * rho)).max() < 1e-12
+
+
+def test_perturbed_double_cover_samples_the_prime_flow(perturbed_form,
+                                                       monkeypatch):
+    prime = refine_orbit(perturbed_form, np.array([1.0, 0.0, 0.0, 0.0]), np.pi)
+    double = prime.iterate(2)
+    sampled = cz.orbit_index_report(perturbed_form, double, n_grid=512)
+    _assert_same_report(sampled,
+                        _integrated_report(perturbed_form, double, monkeypatch))
+    assert sampled["mu_geometric"] == sampled["mu_spectral"] == 7
 
 
 def test_methods_agree_on_census(ell, db10):
