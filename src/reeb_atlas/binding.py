@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cz import (_assert_iterate_relations, orbit_index_report, prime_flows,
-                 prime_key)
+from .cz import (_assert_iterate_relations, orbit_index_report, prime_key,
+                 prime_table)
 from .errors import (DegenerateOrbitError, DomainError, InconsistencyError,
                      ReebAtlasError)
-from .linking import linking_number, self_linking, trace_orbit, unknot_check
+from .linking import (cover_linking, cover_self_linking, linking_checks,
+                      prime_trace, prime_traces, unknot_check)
 from .sections import characteristic_field, transversality_check
 
 __all__ = ["BindingReport", "check_binding", "necessity_audit", "AuditReport"]
@@ -40,6 +41,7 @@ class BindingReport:
     index_unknown: list = field(default_factory=list)
     verdict: str = "inconclusive:not-evaluated"
     index_table: list = field(default_factory=list)  # sidecar only
+    linking_checks: dict = field(default_factory=dict)  # sidecar only
 
     def to_json_dict(self):
         return {
@@ -65,25 +67,28 @@ class BindingReport:
         return 3
 
 
-def check_binding(form, db, candidate_id, traces=None):
+def check_binding(form, db, candidate_id):
     """Evaluate the binding conditions for one orbit of the census.
 
-    ``traces`` optionally maps orbit ids to precomputed full-cover (N, 4)
-    loop traces (used by tests to inject fixtures).  The candidate's index
-    is computed once, on a 1024-point grid, and an error there aborts; every
-    other census orbit is indexed on a 512-point grid.  All index reports
-    share one ``prime_flows`` block, so each prime's variational flow is
-    integrated once and its iterates sample it; ``index_table`` records per
-    report which one integrated and its resolution.  The verdict carries
-    the census truncation cap; conditions quantified over all orbits are
-    only checked against the database, and an orbit whose index could not
-    be computed makes a verdict that would otherwise hold inconclusive; it
-    is listed in ``index_unknown`` as ``{"orbit_id", "reason"}``.  So are
-    the orbits of a prime whose agreed indices, the candidate's included,
-    violate the iteration inequalities, with that error as the reason; they
-    keep their ``index2_checked`` rows.  So does an index-2 orbit whose
-    linking with the candidate could not be computed; its ``index2_checked``
-    row has ``lk`` and ``linked`` None and the reason under ``skipped``.
+    Everything runs in one ``prime_table`` block: each prime is traced and
+    its variational flow integrated at most once, and tests may fill the
+    block's table in advance.  The candidate's index is computed once, on a
+    1024-point grid, and an error there aborts; every other census orbit is
+    indexed on a 512-point grid; ``index_table`` records per report which
+    one integrated and its resolution.  The verdict carries the census
+    truncation cap; conditions quantified over all orbits are only checked
+    against the database.  An orbit whose index could not be computed is
+    listed in ``index_unknown`` as ``{"orbit_id", "reason"}``; so are the
+    orbits of a prime whose agreed indices, the candidate's included,
+    violate the iteration inequalities, with that error as the reason.  An
+    orbit in ``index_unknown`` decides no verdict but
+    ``inconclusive:index-unknown``: it gets no linking check, and a
+    candidate among them is inconclusive before any ``fails:*`` rule on its
+    index.  Each index-2 orbit Q^k gets lk = k lk(P, Q) from the prime pair,
+    cross-checked by the crossing count; if that could not be computed or
+    the two routes disagree, its ``index2_checked`` row has ``lk`` and
+    ``linked`` None and the reason under ``skipped``.  ``linking_checks``
+    records both routes' numbers per prime pair (``linking.linking_checks``).
     """
     if candidate_id < 0 or candidate_id >= len(db):
         raise DomainError(f"candidate {candidate_id} is not in the database")
@@ -92,7 +97,6 @@ def check_binding(form, db, candidate_id, traces=None):
         raise DegenerateOrbitError(
             "binding analysis assumes a non-degenerate candidate"
         )
-    traces = traces or {}
     report = BindingReport(
         orbit_id=candidate_id,
         t_max=float(db.params.get("t_max", np.nan)),
@@ -102,56 +106,44 @@ def check_binding(form, db, candidate_id, traces=None):
         report.verdict = "fails:simply_covered"
         return report
 
-    cand_trace = traces.get(candidate_id)
-    if cand_trace is None:
-        cand_trace = trace_orbit(form, cand, n=512)
-    verdict_knot = unknot_check(cand_trace)
+    with prime_table():
+        _check_in_table(form, db, candidate_id, report)
+    return report
+
+
+def _check_in_table(form, db, candidate_id, report):
+    """Fill in ``report`` for a simply covered candidate."""
+    cand = db[candidate_id]
+    verdict_knot = unknot_check(prime_trace(form, cand))
     report.unknot_status = verdict_knot.status
     report.crossings_after_reduction = verdict_knot.crossing_count_after_reduction
+    report.sl = cover_self_linking(form, cand)
 
-    report.sl = self_linking(form, cand)
+    idx_rep = orbit_index_report(form, cand, n_grid=1024)
+    reports = {candidate_id: idx_rep}
+    if idx_rep["degenerate_flags"]:
+        report.verdict = "inconclusive:index-degeneracy-flagged"
+        report.index_table = _index_table(db, reports)
+        return
+    report.mu_cz = idx_rep["mu_geometric"]
+    report.index_methods_agree = (
+        idx_rep["mu_geometric"] == idx_rep["mu_spectral"])
 
-    with prime_flows():
-        idx_rep = orbit_index_report(form, cand, n_grid=1024)
-        reports = {candidate_id: idx_rep}
-        if idx_rep["degenerate_flags"]:
-            report.verdict = "inconclusive:index-degeneracy-flagged"
-            report.index_table = _index_table(db, reports)
-            return report
-        report.mu_cz = idx_rep["mu_geometric"]
-        report.index_methods_agree = (
-            idx_rep["mu_geometric"] == idx_rep["mu_spectral"])
-
-        for oid, orbit in enumerate(db.orbits):
-            if oid == candidate_id:
-                continue
-            reason = "degenerate" if orbit.degenerate else None
-            try:
-                rep = (None if reason
-                       else orbit_index_report(form, orbit, n_grid=512))
-            except ReebAtlasError as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-            if reason is None:
-                reports[oid] = rep
-                if None in (rep["mu_geometric"], rep["mu_spectral"]):
-                    reason = "; ".join(rep["degenerate_flags"]) or "no index"
-            if reason is not None:  # might be an unlinked index 2
-                report.index_unknown.append({"orbit_id": oid, "reason": reason})
-                continue
-            if rep["mu_geometric"] != 2:
-                continue
-            try:
-                other = traces.get(oid)
-                if other is None:
-                    other = trace_orbit(form, orbit, n=512)
-                lk, _ = linking_number(cand_trace, other)
-            except ReebAtlasError as exc:
-                report.index2_checked.append({"orbit_id": oid, "lk": None,
-                                              "linked": None, "skipped": str(exc)})
-                continue
-            report.index2_checked.append(
-                {"orbit_id": oid, "lk": int(lk), "linked": bool(lk != 0)}
-            )
+    for oid, orbit in enumerate(db.orbits):
+        if oid == candidate_id:
+            continue
+        reason = "degenerate" if orbit.degenerate else None
+        try:
+            rep = (None if reason
+                   else orbit_index_report(form, orbit, n_grid=512))
+        except ReebAtlasError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        if reason is None:
+            reports[oid] = rep
+            if None in (rep["mu_geometric"], rep["mu_spectral"]):
+                reason = "; ".join(rep["degenerate_flags"]) or "no index"
+        if reason is not None:  # might be an unlinked index 2
+            report.index_unknown.append({"orbit_id": oid, "reason": reason})
     report.index_table = _index_table(db, reports)
 
     agreed = {}  # per prime: (multiplicity, agreed index, orbit id)
@@ -168,23 +160,44 @@ def check_binding(form, db, candidate_id, traces=None):
                 {"orbit_id": oid, "reason": f"{type(exc).__name__}: {exc}"}
                 for oid in sorted(oid for _, _, oid in rows))
 
+    unknown = {row["orbit_id"] for row in report.index_unknown}
+    index2 = [oid for oid, rep in sorted(reports.items())
+              if oid != candidate_id and oid not in unknown
+              and rep["mu_geometric"] == 2]
+    prime_traces(form, [db[oid] for oid in index2])
+    for oid in index2:
+        try:
+            lk, _ = cover_linking(form, cand, db[oid])
+        except ReebAtlasError as exc:
+            report.index2_checked.append({"orbit_id": oid, "lk": None,
+                                          "linked": None, "skipped": str(exc)})
+            continue
+        report.index2_checked.append(
+            {"orbit_id": oid, "lk": int(lk), "linked": bool(lk != 0)})
+    report.linking_checks = linking_checks(db.orbits)
+    report.verdict = _verdict(report, candidate_id in unknown)
+
+
+def _verdict(report, candidate_unknown):
+    """The first rule that holds; a ``fails:*`` rule reads only computed
+    facts, never an orbit in ``index_unknown``."""
     if report.unknot_status != "certified_unknot":
-        report.verdict = "inconclusive:unknot_status_unknown"
-    elif report.sl != -1:
-        report.verdict = "fails:self_linking"
-    elif not report.index_methods_agree:
-        report.verdict = "inconclusive:index-method-disagreement"
-    elif report.mu_cz < 3:
-        report.verdict = "fails:index_below_3"
-    elif any(rec["linked"] is False for rec in report.index2_checked):
-        report.verdict = "fails:index2_orbit_unlinked"
-    elif any(rec["linked"] is None for rec in report.index2_checked):
-        report.verdict = "inconclusive:index2-linking-unknown"
-    elif report.index_unknown:
-        report.verdict = "inconclusive:index-unknown"
-    else:
-        report.verdict = "hypotheses_hold"
-    return report
+        return "inconclusive:unknot_status_unknown"
+    if report.sl != -1:
+        return "fails:self_linking"
+    if not report.index_methods_agree:
+        return "inconclusive:index-method-disagreement"
+    if candidate_unknown:
+        return "inconclusive:index-unknown"
+    if report.mu_cz < 3:
+        return "fails:index_below_3"
+    if any(rec["linked"] is False for rec in report.index2_checked):
+        return "fails:index2_orbit_unlinked"
+    if any(rec["linked"] is None for rec in report.index2_checked):
+        return "inconclusive:index2-linking-unknown"
+    if report.index_unknown:
+        return "inconclusive:index-unknown"
+    return "hypotheses_hold"
 
 
 def _index_table(db, reports):
@@ -210,6 +223,7 @@ class AuditReport:
     mu_cz: int | None
     boundary_winding: int | None
     alarms: list
+    linking_checks: dict = field(default_factory=dict)  # sidecar only
 
     @property
     def passed(self):
@@ -228,7 +242,7 @@ class AuditReport:
         }
 
 
-def necessity_audit(form, disk, db, binding_id, traces=None):
+def necessity_audit(form, disk, db, binding_id):
     """Audit the consequences a verified global section must exhibit.
 
     Pre: the disk passed ``verify_global_section`` for the binding orbit.
@@ -237,76 +251,73 @@ def necessity_audit(form, disk, db, binding_id, traces=None):
     binding; the pushoff self-linking equals -1 and equals minus the
     boundary winding of the characteristic field; the index is at least 3.
     Any failure is reported as an alarm: these are theorems, so an alarm
-    means a resolution problem or a bug, never new mathematics.  An orbit
-    whose linking number cannot be computed gets a row with ``lk`` None and
-    the reason under ``skipped``, and an alarm, so the audit cannot pass.
+    means a resolution problem or a bug, never new mathematics.  Everything
+    runs in one ``prime_table`` block, which tests may fill in advance: the
+    census primes are traced in one batch, and each linking number comes
+    from its prime pair, cross-checked by the crossing count and recorded in
+    ``linking_checks``.  An orbit whose linking number cannot be computed,
+    or whose two routes disagree, gets a row with ``lk`` None and the reason
+    under ``skipped``, and an alarm, so the audit cannot pass.
     """
     binding = db[binding_id]
     alarms = []
-    traces = traces or {}
-    binding_trace = trace_orbit(form, binding, n=512)
+    with prime_table():
+        prime_traces(form, db.orbits)  # every prime in one batch
 
-    _, sign_constant = transversality_check(form, disk)
-    if not sign_constant:
-        alarms.append("interior transversality lost its sign constancy")
+        _, sign_constant = transversality_check(form, disk)
+        if not sign_constant:
+            alarms.append("interior transversality lost its sign constancy")
 
-    _, singularities, boundary_winding = characteristic_field(form, disk)
-    if boundary_winding != 1:
-        alarms.append(
-            f"boundary winding of the characteristic field is "
-            f"{boundary_winding}, expected 1"
-        )
-    index_sum = sum(s.index for s in singularities)
-    if index_sum != boundary_winding:
-        alarms.append(
-            f"singularity index sum {index_sum} differs from the boundary "
-            f"winding {boundary_winding}"
-        )
-
-    sl_push = self_linking(form, binding)
-    sl_wind = -boundary_winding
-    if sl_push != sl_wind:
-        alarms.append(
-            f"self-linking routes disagree: pushoff {sl_push} vs "
-            f"-winding {sl_wind}"
-        )
-    if sl_push != -1:
-        alarms.append(f"pushoff self-linking is {sl_push}, expected -1")
-
-    idx_rep = orbit_index_report(form, binding)
-    mu = idx_rep["mu_geometric"]
-    if mu is None:
-        alarms.append("binding index is degeneracy-flagged")
-    elif mu < 3:
-        alarms.append(f"binding index {mu} is below 3")
-
-    linking_rows = []
-    seen_primes = set()
-    for oid, orbit in enumerate(db.orbits):
-        if oid == binding_id:
-            continue
-        key = (round(orbit.T_min, 9), tuple(np.round(orbit.x0, 9)))
-        bind_key = (round(binding.T_min, 9), tuple(np.round(binding.x0, 9)))
-        if key == bind_key:
-            continue  # iterate of the binding itself
-        if key in seen_primes:
-            continue
-        seen_primes.add(key)
-        try:
-            tr = traces.get(oid)
-            if tr is None:
-                tr = trace_orbit(form, orbit, n=512)
-            lk, _ = linking_number(binding_trace, tr)
-        except ReebAtlasError as exc:
-            linking_rows.append({"orbit_id": oid, "lk": None,
-                                 "skipped": str(exc)})
-            alarms.append(f"linking with orbit {oid} was not computed: {exc}")
-            continue
-        linking_rows.append({"orbit_id": oid, "lk": int(lk)})
-        if lk == 0:
+        _, singularities, boundary_winding = characteristic_field(form, disk)
+        if boundary_winding != 1:
             alarms.append(
-                f"orbit {oid} has zero linking with the verified binding"
+                f"boundary winding of the characteristic field is "
+                f"{boundary_winding}, expected 1"
             )
+        index_sum = sum(s.index for s in singularities)
+        if index_sum != boundary_winding:
+            alarms.append(
+                f"singularity index sum {index_sum} differs from the boundary "
+                f"winding {boundary_winding}"
+            )
+
+        sl_push = cover_self_linking(form, binding)
+        sl_wind = -boundary_winding
+        if sl_push != sl_wind:
+            alarms.append(
+                f"self-linking routes disagree: pushoff {sl_push} vs "
+                f"-winding {sl_wind}"
+            )
+        if sl_push != -1:
+            alarms.append(f"pushoff self-linking is {sl_push}, expected -1")
+
+        idx_rep = orbit_index_report(form, binding)
+        mu = idx_rep["mu_geometric"]
+        if mu is None:
+            alarms.append("binding index is degeneracy-flagged")
+        elif mu < 3:
+            alarms.append(f"binding index {mu} is below 3")
+
+        linking_rows = []
+        seen_primes = {prime_key(binding)}  # skips the binding's iterates
+        for oid, orbit in enumerate(db.orbits):
+            if prime_key(orbit) in seen_primes:
+                continue
+            seen_primes.add(prime_key(orbit))
+            try:
+                lk, _ = cover_linking(form, binding, orbit)
+            except ReebAtlasError as exc:
+                linking_rows.append({"orbit_id": oid, "lk": None,
+                                     "skipped": str(exc)})
+                alarms.append(
+                    f"linking with orbit {oid} was not computed: {exc}")
+                continue
+            linking_rows.append({"orbit_id": oid, "lk": int(lk)})
+            if lk == 0:
+                alarms.append(
+                    f"orbit {oid} has zero linking with the verified binding"
+                )
+        checks = linking_checks(db.orbits)
 
     return AuditReport(
         binding_id=binding_id,
@@ -316,4 +327,5 @@ def necessity_audit(form, disk, db, binding_id, traces=None):
         mu_cz=mu,
         boundary_winding=int(boundary_winding),
         alarms=alarms,
+        linking_checks=checks,
     )

@@ -9,6 +9,7 @@ prerequisite artifact, 1 runtime error.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -19,11 +20,12 @@ import numpy as np
 from . import __version__
 from .binding import check_binding, necessity_audit
 from .contact import StarForm
-from .cz import orbit_index_report
+from .cz import orbit_index_report, prime_table
 from .errors import (ConfigError, DegenerateOrbitError, MissingArtifactError,
                      ReebAtlasError)
 from .flow import counting
-from .linking import linking_number, self_linking, trace_orbit, unknot_check
+from .linking import (cover_linking, cover_self_linking, linking_checks,
+                      prime_traces, unknot_check)
 from .orbits import find_orbits, load_orbits, save_orbits
 from .sections import (builtin_disk, load_disk, save_disk,
                        verify_global_section, write_return_csv)
@@ -209,27 +211,26 @@ def cmd_link(args):
     started = time.time()
     cfg, form = _config(args)
     db = _load_db(form, args.orbits)
-    traces, untraced = {}, {}
-    for i, orbit in enumerate(db.orbits):
-        try:
-            traces[i] = trace_orbit(form, orbit, n=512)
-        except ReebAtlasError as exc:
-            untraced[i] = f"orbit {i} was not traced: {exc}"
     pairs = []
-    for i in range(len(db)):
-        for j in range(i + 1, len(db)):
-            reason = untraced.get(i) or untraced.get(j)
+    with prime_table():
+        traces = prime_traces(form, db.orbits)
+        for i, j in itertools.combinations(range(len(db)), 2):
+            reason = next((f"orbit {k} was not traced: {traces[k]}"
+                           for k in (i, j)
+                           if isinstance(traces[k], ReebAtlasError)), None)
             if reason is None:
                 try:
-                    lk, resid = linking_number(traces[i], traces[j])
+                    lk, resid = cover_linking(form, db[i], db[j])
                 except ReebAtlasError as exc:
                     reason = str(exc)
             if reason is None:
                 pairs.append({"a": i, "b": j, "lk": lk, "residual": resid})
             else:
                 pairs.append({"a": i, "b": j, "lk": None, "skipped": reason})
+        checks = linking_checks(db.orbits)
     payload = {"pairs": pairs, "rng_seed": cfg.get("rng_seed", 0)}
-    _write_report(args.out, "links.json", payload, started)
+    _write_report(args.out, "links.json", payload, started,
+                  extra_meta={"linking_checks": checks})
     print(f"computed {len(pairs)} pair linkings")
     return 0
 
@@ -239,11 +240,13 @@ def cmd_selflink(args):
     cfg, form = _config(args)
     db = _load_db(form, args.orbits)
     rows = []
-    for i, orbit in enumerate(db.orbits):
-        try:
-            rows.append({"orbit": i, "sl": self_linking(form, orbit)})
-        except ReebAtlasError as exc:
-            rows.append({"orbit": i, "sl": None, "skipped": str(exc)})
+    with prime_table():
+        prime_traces(form, db.orbits)  # every prime in one batch
+        for i, orbit in enumerate(db.orbits):
+            try:
+                rows.append({"orbit": i, "sl": cover_self_linking(form, orbit)})
+            except ReebAtlasError as exc:
+                rows.append({"orbit": i, "sl": None, "skipped": str(exc)})
     payload = {"self_linking": rows, "rng_seed": cfg.get("rng_seed", 0)}
     _write_report(args.out, "selflink.json", payload, started)
     print(f"computed {len(rows)} self-linking numbers")
@@ -255,13 +258,16 @@ def cmd_unknot(args):
     cfg, form = _config(args)
     db = _load_db(form, args.orbits)
     rows = []
-    for i, orbit in enumerate(db.orbits):
+    for i, (orbit, trace) in enumerate(zip(db.orbits,
+                                           prime_traces(form, db.orbits))):
         if orbit.multiplicity != 1:
             rows.append({"orbit": i, "status": "not-simply-covered",
                          "crossings": None})
             continue
         try:
-            v = unknot_check(trace_orbit(form, orbit, n=512))
+            if isinstance(trace, ReebAtlasError):
+                raise trace
+            v = unknot_check(trace)
         except ReebAtlasError as exc:
             rows.append({"orbit": i, "status": None, "crossings": None,
                          "skipped": str(exc)})
@@ -345,6 +351,7 @@ def cmd_binding_check(args):
     payload["rng_seed"] = cfg.get("rng_seed", 0)
     _write_report(args.out, f"binding_orbit{args.candidate}.json", payload,
                   started, extra_meta={"index_table": report.index_table,
+                                       "linking_checks": report.linking_checks,
                                        "stepper": dict(work)})
     print(f"binding verdict for orbit {args.candidate}: {report.verdict}")
     return report.exit_code
@@ -360,7 +367,7 @@ def cmd_audit(args):
     payload = report.to_json_dict()
     payload["rng_seed"] = cfg.get("rng_seed", 0)
     _write_report(args.out, f"audit_binding{args.binding}.json", payload,
-                  started)
+                  started, extra_meta={"linking_checks": report.linking_checks})
     if report.passed:
         print("necessity audit passed")
         return 0

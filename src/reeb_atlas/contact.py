@@ -126,10 +126,6 @@ class StarForm:
                    tables=kernels.ellipsoid_tables(2.0 / r))
 
     @classmethod
-    def round_sphere(cls):
-        return cls.ellipsoid(1.0, 1.0, name="round-sphere")
-
-    @classmethod
     def weighted(cls, monomials, name=""):
         """Build from a list of ((e1,e2,e3,e4), coeff) monomials.
 
@@ -245,14 +241,6 @@ class StarForm:
         _, g, _ = kernels.weighted_h_parts(self.tables, x, 1)
         return g
 
-    def hess_H(self, x):
-        x = self._off_origin(x, "hess H")
-        if self.kind == "ellipsoid":
-            hess = np.diag(np.repeat(self._diag(), 2))
-            return np.broadcast_to(hess, x.shape[:-1] + (4, 4)).copy()
-        _, _, hh = kernels.weighted_h_parts(self.tables, x, 2)
-        return hh
-
 
 # ---------------------------------------------------------------------------
 # points on the level, Reeb field, contact-plane frame
@@ -323,10 +311,6 @@ class XiFrame:
         """Frame coordinates (..., 2) of contact-plane vectors w = a e1 + b e2."""
         return np.stack([omega_form(w, self.e2), -omega_form(w, self.e1)],
                         axis=-1)
-
-    def embed(self, ab):
-        ab = np.asarray(ab, dtype=float)
-        return ab[..., 0, None] * self.e1 + ab[..., 1, None] * self.e2
 
 
 # quaternion units j and k acting on x = (q1, p1, q2, p2): index and sign maps

@@ -3,7 +3,7 @@
 Both routes read one dense variational integration over the prime period,
 sampled on whatever grids they need; a k-fold cover samples its prime's
 integration through the cocycle M(j T_min + s) = M(s) M(T_min)^j of the
-autonomous flow, and inside ``prime_flows`` every report of a prime and its
+autonomous flow, and inside ``prime_table`` every report of a prime and its
 iterates shares that one integration.  The geometric route tracks the
 rotation of directions under the trivialized linearized flow and reads the
 index off the rotation interval.  The spectral route projects the
@@ -20,7 +20,7 @@ iterates must also satisfy the iteration inequalities
 
 import contextlib
 import contextvars
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,8 @@ __all__ = [
     "asymptotic_spectrum",
     "cz_from_spectrum",
     "orbit_index_report",
-    "prime_flows",
+    "PrimeData",
+    "prime_table",
 ]
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -48,9 +49,8 @@ J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 STEP_GUARD = 0.5
 DEGENERACY_MARGIN = 1e-4
 _BAND = 8  # winding classes kept each side of wind(nu_neg); K's margin too
-# {prime_key: (dense trajectory over [0, T_min], period matrix)} of the open
-# ``prime_flows`` block
-_FLOWS = contextvars.ContextVar("reeb_atlas_cz_flows", default=None)
+# {prime_key: PrimeData} of the open ``prime_table`` block
+_PRIMES = contextvars.ContextVar("reeb_atlas_primes", default=None)
 
 
 @dataclass
@@ -91,9 +91,6 @@ class SymplecticPath:
             )
         return self
 
-    def nondegenerate(self, tol=1e-12):
-        return abs(np.linalg.det(self.endpoint - np.eye(2))) > tol
-
 
 @dataclass
 class RotationInterval:
@@ -131,37 +128,56 @@ def prime_key(orbit):
     return float(orbit.T_min), tuple(orbit.x0.tolist())
 
 
+@dataclass
+class PrimeData:
+    """What the open ``prime_table`` block has computed for one prime; a
+    trace, self-linking or link holds the ``ReebAtlasError`` that stopped
+    it, if one did."""
+
+    flow: tuple | None = None  # dense variational trajectory, period matrix
+    trace: object = None       # 512 points over [0, T_min)
+    sl: object = None          # self-linking number
+    links: dict = field(default_factory=dict)  # other prime's key -> linking
+
+
 @contextlib.contextmanager
-def prime_flows():
-    """Integrate each prime's variational flow at most once inside the block;
+def prime_table():
+    """Compute each prime's flow, trace, self-linking and linking with each
+    other prime at most once inside the block, as {prime_key: PrimeData};
     a block opened inside another one joins it."""
-    if _FLOWS.get() is not None:
-        yield _FLOWS.get()
+    if _PRIMES.get() is not None:
+        yield _PRIMES.get()
         return
-    token = _FLOWS.set({})
+    token = _PRIMES.set({})
     try:
-        yield _FLOWS.get()
+        yield _PRIMES.get()
     finally:
-        _FLOWS.reset(token)
+        _PRIMES.reset(token)
+
+
+def prime_data(orbit):
+    """The open block's record of the orbit's prime; outside a block, a fresh
+    one that nothing keeps."""
+    table = _PRIMES.get()
+    if table is None:
+        return PrimeData()
+    return table.setdefault(prime_key(orbit), PrimeData())
 
 
 def _variational_flow(form, orbit):
     """Base point and 4x4 linearized flow, as a dense (n, 20) sampler over
     [0, orbit.T], from one variational integration of the prime over
-    [0, T_min] at tol 1e-12, shared inside ``prime_flows``.  A prime gets
+    [0, T_min] at tol 1e-12, shared inside ``prime_table``.  A prime gets
     that integration's ``Trajectory``; a k-fold cover samples it at
     s = t - j T_min with the matrix M(s) M(T_min)^j."""
     if orbit.residual > 1e-9:
         raise DomainError(f"orbit residual {orbit.residual:.2e} exceeds 1e-09")
-    flows = _FLOWS.get()
-    if flows is None:
-        flows = {}
-    key = prime_key(orbit)
-    if key not in flows:
+    prime = prime_data(orbit)
+    if prime.flow is None:
         traj = integrate_flow(form, orbit.x0, orbit.T_min, tol=1e-12,
                               variational=True, dense=True).trajectory
-        flows[key] = (traj, traj(orbit.T_min)[4:].reshape(4, 4))
-    traj, period = flows[key]
+        prime.flow = (traj, traj(orbit.T_min)[4:].reshape(4, 4))
+    traj, period = prime.flow
     k, T_min = orbit.multiplicity, orbit.T_min
     if k == 1:
         return traj
@@ -414,7 +430,7 @@ def orbit_index_report(form, orbit, n_grid=1024):
     emitted for a flagged orbit.  An emitted index is cross-checked against
     the monodromy class: it is even iff the orbit is positive hyperbolic.
     Both routes sample the prime's one variational integration, shared with
-    the other reports of an enclosing ``prime_flows`` block.  ``resolution``
+    the other reports of an enclosing ``prime_table`` block.  ``resolution``
     holds the interval path's sample count, ``n_dirs`` and K, as far as
     reached, and ``integrated_span``: T_min if this report ran the prime's
     integration, else 0.
@@ -433,8 +449,8 @@ def orbit_index_report(form, orbit, n_grid=1024):
         report["degenerate_flags"].append("monodromy eigenvalue within 1e-6 of 1")
         return report
     resolution = report["resolution"]
-    with prime_flows() as flows:
-        fresh = prime_key(orbit) not in flows
+    with prime_table():
+        fresh = prime_data(orbit).flow is None
         try:
             path = trivialized_path(form, orbit)
             resolution["integrated_span"] = orbit.T_min if fresh else 0.0

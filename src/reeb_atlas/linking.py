@@ -8,7 +8,14 @@ in R^3 agree with the homological linking on the sphere oriented by the
 contact volume form; two independent algorithms (the exact Gauss sum,
 taken over vertex directions as two atan2 triangle solid angles per segment
 pair, and signed crossings of a generic planar diagram) are kept separate so
-they can audit each other.
+they can audit each other: every linking number of a census is taken by both.
+
+A census needs these numbers of its primes only.  The Gauss linking integral
+is bilinear in the two 1-cycles and a k-fold cover is k times its prime as a
+cycle (Rolfsen, *Knots and Links*, ch. 5D), so lk(P^a, Q^b) = a b lk(P, Q);
+the pushoff of P^k along the global frame is k times that of P, so
+sl(P^k) = k^2 sl(P).  Inside a ``cz.prime_table`` block each prime is traced,
+self-linked and linked with each other prime once.
 """
 
 from dataclasses import dataclass
@@ -17,17 +24,23 @@ import numpy as np
 
 from . import kernels
 from .contact import project_to_sigma, xi_frame
-from .errors import PoleSelectionError, ProximityError, ResolutionError
-from .orbits import trace_orbit
+from .cz import prime_data, prime_key
+from .errors import (InconsistencyError, PoleSelectionError, ProximityError,
+                     ReebAtlasError, ResolutionError)
+from .flow import integrate_batch
 
 __all__ = [
     "KnotVerdict",
-    "trace_orbit",
+    "prime_traces",
+    "prime_trace",
     "stereo_project",
     "pick_pole",
     "linking_number",
     "crossing_linking",
+    "cover_linking",
+    "linking_checks",
     "self_linking",
+    "cover_self_linking",
     "unknot_check",
     "POLE_CANDIDATES",
 ]
@@ -125,6 +138,19 @@ def pick_pole(point_sets):
 # Gauss linking number
 # ---------------------------------------------------------------------------
 
+def _projected(a, b, min_dist):
+    """Stereographic images of two (N, 4) loops, from the first pole
+    admissible for both; loops closer than ``min_dist`` are rejected."""
+    pa = np.ascontiguousarray(a)
+    pb = np.ascontiguousarray(b)
+    gap = kernels.min_cross_distance(pa, pb)
+    if gap <= min_dist:
+        raise ProximityError(f"curves are {gap:.2e} apart (< {min_dist:.0e})")
+    pole = pick_pole([pa, pb])
+    return (np.ascontiguousarray(stereo_project(pa, pole)),
+            np.ascontiguousarray(stereo_project(pb, pole)))
+
+
 def linking_number(a, b, min_dist=_MIN_CURVE_DIST):
     """Integer linking number of two (N, 4) loops by the exact Gauss sum
     (``kernels.gauss_linking_raw``: the vertex-based atan2 solid-angle sum).
@@ -132,15 +158,7 @@ def linking_number(a, b, min_dist=_MIN_CURVE_DIST):
     Returns (lk, raw_residual).  Curves closer than ``min_dist`` are
     rejected; a residual of 0.1 or more demands denser traces.
     """
-    pa = np.ascontiguousarray(a)
-    pb = np.ascontiguousarray(b)
-    gap = kernels.min_cross_distance(pa, pb)
-    if gap <= min_dist:
-        raise ProximityError(f"curves are {gap:.2e} apart (< {min_dist:.0e})")
-    pole = pick_pole([pa, pb])
-    a3 = np.ascontiguousarray(stereo_project(pa, pole))
-    b3 = np.ascontiguousarray(stereo_project(pb, pole))
-    raw = kernels.gauss_linking_raw(a3, b3)
+    raw = kernels.gauss_linking_raw(*_projected(a, b, min_dist))
     lk = int(np.rint(raw))
     residual = abs(raw - lk)
     if residual >= 0.1:
@@ -226,15 +244,7 @@ def _pair_crossings(a3, b3, direction):
 def crossing_linking(a, b):
     """Linking number of two (N, 4) loops as half the signed crossing count
     of a generic shadow."""
-    pa = np.ascontiguousarray(a)
-    pb = np.ascontiguousarray(b)
-    gap = kernels.min_cross_distance(pa, pb)
-    if gap <= _MIN_CURVE_DIST:
-        raise ProximityError(
-            f"curves are {gap:.2e} apart (< {_MIN_CURVE_DIST:.0e})")
-    pole = pick_pole([pa, pb])
-    a3 = stereo_project(pa, pole)
-    b3 = stereo_project(pb, pole)
+    a3, b3 = _projected(a, b, _MIN_CURVE_DIST)
     for direction in _PLANE_DIRECTIONS:
         total = _pair_crossings(a3, b3, direction)
         if total is None:
@@ -249,15 +259,13 @@ def crossing_linking(a, b):
 # self-linking number via pushoff along the global frame
 # ---------------------------------------------------------------------------
 
-def self_linking(form, orbit, eps=1e-2, frame_vector="e1"):
-    """Self-linking number of an orbit: linking with its pushoff along a
-    global non-vanishing section of the contact plane.
+def self_linking(form, trace, eps=1e-2, frame_vector="e1"):
+    """Self-linking number of an orbit from its (N, 4) trace: linking with
+    its pushoff along a global non-vanishing section of the contact plane.
 
-    The orbit is traced at 512 points.  The result must be stable under
-    halving the pushoff size, otherwise the pushoff was too large for the
-    curve's geometry and an error is raised.
+    The result must be stable under halving the pushoff size, otherwise the
+    pushoff was too large for the curve's geometry and an error is raised.
     """
-    trace = trace_orbit(form, orbit, n=512)
     fr = xi_frame(form, trace)
     sections = fr.e1 if frame_vector == "e1" else fr.e2
 
@@ -274,6 +282,114 @@ def self_linking(form, orbit, eps=1e-2, frame_vector="e1"):
             f"self-linking unstable under pushoff halving: {sl} vs {sl_half}"
         )
     return sl
+
+
+# ---------------------------------------------------------------------------
+# census linking data from the primes
+# ---------------------------------------------------------------------------
+
+def prime_traces(form, orbits):
+    """Per orbit, the trace of its prime: 512 points uniform in time over
+    [0, T_min) at tol 1e-11, equal to ``trace_orbit(form, prime, 512)``, or
+    the ``ReebAtlasError`` that stopped it.  The primes not yet traced in the
+    open ``prime_table`` block are integrated in one ``integrate_batch``."""
+    primes = {prime_key(o): prime_data(o) for o in orbits}
+    todo = [(key, p) for key, p in primes.items() if p.trace is None]
+    if todo:
+        runs = integrate_batch(form, np.array([key[1] for key, _ in todo]),
+                               np.array([key[0] for key, _ in todo]),
+                               tol=1e-11, dense=True)
+        for ((T_min, _), prime), run in zip(todo, runs):
+            prime.trace = run if isinstance(run, ReebAtlasError) else (
+                project_to_sigma(form, run.trajectory(
+                    np.arange(512) / 512 * T_min)[:, :4]))
+    return [primes[prime_key(o)].trace for o in orbits]
+
+
+def prime_trace(form, orbit):
+    """The orbit's entry of ``prime_traces``; raises the error that stopped
+    the trace."""
+    trace, = prime_traces(form, [orbit])
+    if isinstance(trace, ReebAtlasError):
+        raise trace
+    return trace
+
+
+def _checked_linking(a, b):
+    """(lk, residual, crossing) of two loops: the Gauss sum, its residual,
+    and the crossing count's linking number, or the ``ResolutionError`` of a
+    crossing count that found no generic direction.  A crossing count that
+    disagrees raises ``InconsistencyError``."""
+    lk, residual = linking_number(a, b)
+    try:
+        crossing = crossing_linking(a, b)
+    except ResolutionError as exc:
+        return lk, residual, exc
+    if crossing != lk:
+        raise InconsistencyError(
+            f"Gauss sum gives lk {lk} but the crossing count gives {crossing}")
+    return lk, residual, crossing
+
+
+def cover_linking(form, a, b):
+    """lk(P^a, Q^b) = a b lk(P, Q) of two census orbits, and a b times the
+    prime pair's Gauss residual, from the prime pair's one Gauss sum, which
+    the crossing count cross-checks.  Two covers of one prime run along one
+    curve, so they have no linking number (``ProximityError``)."""
+    pa, pb = prime_data(a), prime_data(b)
+    if prime_key(a) == prime_key(b):
+        raise ProximityError(
+            f"curves are {0.0:.2e} apart (< {_MIN_CURVE_DIST:.0e})")
+    rec = pa.links.get(prime_key(b), pb.links.get(prime_key(a)))
+    if rec is None:
+        try:
+            rec = _checked_linking(prime_trace(form, a), prime_trace(form, b))
+        except ReebAtlasError as exc:
+            rec = exc
+        pa.links[prime_key(b)] = rec
+    if isinstance(rec, ReebAtlasError):
+        raise rec
+    m = a.multiplicity * b.multiplicity
+    return m * rec[0], m * rec[1]
+
+
+def cover_self_linking(form, orbit):
+    """sl(P^k) = k^2 sl(P) of a census orbit, from its prime's one pushoff
+    self-linking."""
+    prime = prime_data(orbit)
+    if prime.sl is None:
+        try:
+            prime.sl = self_linking(form, prime_trace(form, orbit))
+        except ReebAtlasError as exc:
+            prime.sl = exc
+    if isinstance(prime.sl, ReebAtlasError):
+        raise prime.sl
+    return orbit.multiplicity ** 2 * prime.sl
+
+
+def linking_checks(orbits):
+    """Sidecar record of the open block's linking work on a census: the
+    primes traced; per prime pair linked, by the census ids of the primes'
+    first entries, the Gauss and the crossing linking numbers, or the error;
+    and the pairs the crossing count left unchecked, with the reason."""
+    first = {}
+    for i, orbit in enumerate(orbits):
+        first.setdefault(prime_key(orbit), (i, prime_data(orbit)))
+    pairs, unchecked = [], []
+    for a, prime in first.values():
+        for key, rec in prime.links.items():
+            row = {"a": a, "b": first[key][0]}
+            if isinstance(rec, ReebAtlasError):
+                row["error"] = f"{type(rec).__name__}: {rec}"
+            elif isinstance(rec[2], ReebAtlasError):
+                row.update(gauss_lk=rec[0], crossing_lk=None)
+                unchecked.append(dict(row, reason=str(rec[2])))
+            else:
+                row.update(gauss_lk=rec[0], crossing_lk=rec[2])
+            pairs.append(row)
+    traced = sum(isinstance(p.trace, np.ndarray) for _, p in first.values())
+    return {"primes_traced": traced, "prime_pairs": pairs,
+            "unchecked_pairs": unchecked}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from reeb_atlas.contact import StarForm
 from reeb_atlas.orbits import find_orbits, refine_orbit
 from reeb_atlas.sections import _DiskIndex, builtin_disk
 
+from oracles import round_sphere
+
 R2SQ = np.sqrt(2.0)
 
 
@@ -15,7 +17,7 @@ def ell():
 
 @pytest.fixture(scope="session")
 def round_form():
-    return StarForm.round_sphere()
+    return round_sphere()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Test oracles and fixtures: code that only the tests run.
 
-Synthetic symplectic paths with known indices, the Maslov index of a loop,
+The round sphere, the Hessian of H, frame vectors from frame coordinates,
+synthetic symplectic paths with known indices and their non-degeneracy, the
+Maslov index of a loop,
 the winding census of a spectrum, the index table of a prime's iterates
 (checked by ``cz._assert_iterate_relations``), the contact area of a disk by
 two routes, the return map of arbitrary level points, and the primitive
@@ -11,7 +13,8 @@ out of ``src/``.
 
 import numpy as np
 
-from reeb_atlas.contact import OMEGA, omega_form, project_to_sigma
+from reeb_atlas import kernels
+from reeb_atlas.contact import OMEGA, StarForm, omega_form, project_to_sigma
 from reeb_atlas.cz import (STEP_GUARD, SymplecticPath, _assert_iterate_relations,
                            cz_from_interval, rotation_interval, trivialized_path)
 from reeb_atlas.errors import DomainError, GridQualityError, ResolutionError
@@ -25,6 +28,26 @@ from reeb_atlas.sections import _DiskIndex, _first_crossing
 def lambda0(x, v):
     """The primitive 1-form lambda0 at x applied to v: (1/2) omega(x, v)."""
     return 0.5 * omega_form(x, v)
+
+
+def round_sphere():
+    return StarForm.ellipsoid(1.0, 1.0, name="round-sphere")
+
+
+def hess_H(form, x):
+    """Hessian (..., 4, 4) of H at the points x, which avoid the origin."""
+    x = form._off_origin(x, "hess H")
+    if form.kind == "ellipsoid":
+        hess = np.diag(np.repeat(form._diag(), 2))
+        return np.broadcast_to(hess, x.shape[:-1] + (4, 4)).copy()
+    _, _, hh = kernels.weighted_h_parts(form.tables, x, 2)
+    return hh
+
+
+def embed(frame, ab):
+    """Contact-plane vectors a e1 + b e2 from frame coordinates (..., 2)."""
+    ab = np.asarray(ab, dtype=float)
+    return ab[..., 0, None] * frame.e1 + ab[..., 1, None] * frame.e2
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +66,11 @@ def pure_rotation_path(turns, n=512):
         np.stack([np.sin(th), np.cos(th)], axis=-1),
     ], axis=-2)
     return SymplecticPath(times=_grid(n), mats=mats)
+
+
+def nondegenerate(path, tol):
+    """Whether 1 is no eigenvalue of the path's endpoint, to ``tol``."""
+    return abs(np.linalg.det(path.endpoint - np.eye(2))) > tol
 
 
 def hyperbolic_path(rate):

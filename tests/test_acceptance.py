@@ -10,7 +10,7 @@ from reeb_atlas import linking as lnk
 from reeb_atlas import sections as sec
 from reeb_atlas.binding import check_binding, necessity_audit
 from reeb_atlas.errors import ProximityError
-from reeb_atlas.orbits import find_orbits, refine_orbit
+from reeb_atlas.orbits import find_orbits, refine_orbit, trace_orbit
 
 from oracles import (compose_paths, disk_area, invert_path, polygon_action,
                      pure_rotation_path, random_loop, random_nondegenerate_path,
@@ -106,12 +106,12 @@ def test_criterion_4_spectral_structure(ell, db10):
 
 
 def test_criterion_5_topology(ell, gamma1, gamma2):
-    t1 = lnk.trace_orbit(ell, gamma1, n=512)
-    t2 = lnk.trace_orbit(ell, gamma2, n=512)
+    t1 = trace_orbit(ell, gamma1, n=512)
+    t2 = trace_orbit(ell, gamma2, n=512)
     assert lnk.linking_number(t1, t2)[0] == 1
     for eps in (1e-2, 5e-3, 2.5e-3):
-        assert lnk.self_linking(ell, gamma1, eps=eps) == -1
-        assert lnk.self_linking(ell, gamma2, eps=eps) == -1
+        assert lnk.self_linking(ell, t1, eps=eps) == -1
+        assert lnk.self_linking(ell, t2, eps=eps) == -1
     assert lnk.unknot_check(t1).status == "certified_unknot"
     assert lnk.unknot_check(t2).status == "certified_unknot"
 
@@ -210,15 +210,16 @@ def test_criterion_8_foliation_and_alarms(ell, db20, page):
     assert sings[0].sign == 1
     assert wind == 1
     gid = _entry_id(db20, np.pi, 1)
-    assert lnk.self_linking(ell, db20[gid]) == -wind
+    assert lnk.cover_self_linking(ell, db20[gid]) == -wind
 
     # corrupted fixtures must trip the audit alarms
     other = _entry_id(db20, SQ2 * np.pi, 1)
     th = np.linspace(0, 2 * np.pi, 512, endpoint=False)
     fake = np.stack([0.05 * np.cos(th) + 0.2, 0.05 * np.sin(th),
                      np.ones_like(th), 0.3 * np.ones_like(th)], axis=1)
-    bad_link = necessity_audit(ell, page, db20, gid,
-                               traces={other: fake})
+    with cz.prime_table() as table:
+        table[cz.prime_key(db20[other])] = cz.PrimeData(trace=fake)
+        bad_link = necessity_audit(ell, page, db20, gid)
     assert any("zero linking" in a for a in bad_link.alarms)
     bad_sl = necessity_audit(ell, page, db20, _entry_id(db20, np.pi, 2))
     assert any("routes disagree" in a for a in bad_sl.alarms)
@@ -250,8 +251,8 @@ def test_criterion_10_perturbation_robustness(perturbed_form):
     rep = cz.orbit_index_report(perturbed_form, orbit)
     assert rep["mu_geometric"] == 3
     assert rep["mu_spectral"] == 3
-    assert lnk.self_linking(perturbed_form, orbit) == -1
-    trace = lnk.trace_orbit(perturbed_form, orbit, n=512)
+    trace = trace_orbit(perturbed_form, orbit, n=512)
+    assert lnk.self_linking(perturbed_form, trace) == -1
     assert lnk.unknot_check(trace).status == "certified_unknot"
     print("ACCEPTANCE 10: PASS - perturbed circle keeps index 3, sl -1, "
           "certified unknot")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from reeb_atlas import binding, cz
 from reeb_atlas.binding import check_binding, necessity_audit
 from reeb_atlas.errors import (DegenerateOrbitError, ProximityError,
                                ResolutionError)
-from reeb_atlas.orbits import find_orbits, trace_orbit
-from reeb_atlas.sections import builtin_disk
+from reeb_atlas.flow import integrate_flow
+from reeb_atlas.orbits import OrbitDatabase, find_orbits, trace_orbit
 
 
 def _entry_id(db, t_min, mult):
@@ -89,8 +91,8 @@ def test_binding_inconclusive_on_violated_iterate_relations(ell, db20,
     reason = "InconsistencyError: mu(3)=2 violates the iteration constraints"
     assert rep.index_unknown == [{"orbit_id": oid, "reason": reason}
                                  for oid in sorted(covers)]
-    # the triple cover of gamma2 links gamma1 three times
-    assert rep.index2_checked == [{"orbit_id": cube, "lk": 3, "linked": True}]
+    # an orbit of unknown index gets no linking check
+    assert rep.index2_checked == []
     assert rep.verdict == "inconclusive:index-unknown"
     assert rep.exit_code == 3
 
@@ -103,8 +105,13 @@ def test_binding_fails_for_double_cover(ell, db20):
 
 
 def test_binding_inconclusive_for_knotted_trace(ell, db20):
+    # the table holds a knotted trace for the candidate's prime, beside the
+    # real orbit's self-linking number
     gid = _entry_id(db20, np.pi, 1)
-    rep = check_binding(ell, db20, gid, traces={gid: trefoil_loop()})
+    with cz.prime_table() as table:
+        table[cz.prime_key(db20[gid])] = cz.PrimeData(trace=trefoil_loop(),
+                                                      sl=-1)
+        rep = check_binding(ell, db20, gid)
     assert rep.verdict == "inconclusive:unknot_status_unknown"
     assert rep.exit_code == 3
 
@@ -135,33 +142,40 @@ def test_binding_inconclusive_when_an_index_is_unknown(ell, db20,
         assert rep.exit_code == 3
 
 
-def _check_with_index2(ell, db, gid, index2, linking, monkeypatch):
-    # the orbits ``index2`` get index 2 and every other orbit index 3; each
-    # index-2 orbit gets its own trace, so that the stand-in for
-    # linking_number can tell them apart and call ``linking(orbit_id)``
+def _check_with_index(ell, db, gid, mus, links, monkeypatch):
+    # orbit ``oid`` gets index ``mus[oid]`` and every other orbit index 3;
+    # ``links`` maps an orbit id to the table's linking record of its prime
+    # with the candidate's prime: (lk, residual, crossing lk) or the error
     def report(form, orbit, n_grid):
-        mu = 2 if any(orbit is db[oid] for oid in index2) else 3
+        mu = next((mu for oid, mu in mus.items() if orbit is db[oid]), 3)
         return {"mu_geometric": mu, "mu_spectral": mu, "degenerate_flags": []}
 
-    traces = {oid: trace_orbit(ell, db[oid], n=512) for oid in index2}
-
-    def linking_number(a, b):
-        return linking(next(oid for oid, t in traces.items() if t is b))
-
     monkeypatch.setattr(binding, "orbit_index_report", report)
-    monkeypatch.setattr(binding, "linking_number", linking_number)
-    return check_binding(ell, db, gid, traces=traces)
+    with cz.prime_table() as table:
+        cand = table.setdefault(cz.prime_key(db[gid]), cz.PrimeData())
+        for oid, rec in links.items():
+            cand.links[cz.prime_key(db[oid])] = rec
+        return check_binding(ell, db, gid)
+
+
+@pytest.fixture(scope="module")
+def db3(ell, db20):
+    # db20 and a third prime: gamma2 marked at another point, which the prime
+    # table keys apart from gamma2
+    g2 = db20[_entry_id(db20, np.sqrt(2) * np.pi, 1)]
+    x0 = integrate_flow(ell, g2.x0, g2.T_min / 3, tol=1e-12).points[-1]
+    return OrbitDatabase(db20.form_hash,
+                         db20.orbits + [dataclasses.replace(g2, x0=x0)],
+                         db20.params)
 
 
 def test_binding_inconclusive_when_an_index2_linking_fails(ell, db20,
                                                            monkeypatch):
     gid = _entry_id(db20, np.pi, 1)
     other = _entry_id(db20, np.sqrt(2) * np.pi, 1)
-
-    def linking(oid):
-        raise ProximityError("curves are 1.00e-04 apart (< 1e-03)")
-
-    rep = _check_with_index2(ell, db20, gid, [other], linking, monkeypatch)
+    error = ProximityError("curves are 1.00e-04 apart (< 1e-03)")
+    rep = _check_with_index(ell, db20, gid, {other: 2}, {other: error},
+                            monkeypatch)
     assert rep.index2_checked == [
         {"orbit_id": other, "lk": None, "linked": None,
          "skipped": "curves are 1.00e-04 apart (< 1e-03)"}]
@@ -170,26 +184,77 @@ def test_binding_inconclusive_when_an_index2_linking_fails(ell, db20,
 
 
 def test_binding_fails_on_an_unlinked_index2_orbit_beside_a_skip(
-        ell, db20, monkeypatch):
-    # one index-2 orbit is unlinked and another one's linking fails: the
-    # unlinked orbit decides the verdict
-    gid = _entry_id(db20, np.pi, 1)
-    unlinked = _entry_id(db20, np.sqrt(2) * np.pi, 1)
-    failing = _entry_id(db20, np.sqrt(2) * np.pi, 2)
-
-    def linking(oid):
-        if oid == failing:
-            raise ResolutionError("Gauss sum residual 0.300 >= 0.1; densify")
-        return 0, 0.0
-
-    rep = _check_with_index2(ell, db20, gid, [unlinked, failing], linking,
-                             monkeypatch)
+        ell, db3, monkeypatch):
+    # two primes of index 2, each consistent with its covers: one is
+    # unlinked and the other one's linking fails; the unlinked orbit decides
+    # the verdict, and the skipped row stays beside it
+    gid = _entry_id(db3, np.pi, 1)
+    unlinked = _entry_id(db3, np.sqrt(2) * np.pi, 1)
+    failing = len(db3) - 1
+    rep = _check_with_index(
+        ell, db3, gid, {unlinked: 2, failing: 2},
+        {unlinked: (0, 0.0, 0),
+         failing: ResolutionError("Gauss sum residual 0.300 >= 0.1; densify")},
+        monkeypatch)
+    assert rep.index_unknown == []
     assert rep.index2_checked == [
         {"orbit_id": unlinked, "lk": 0, "linked": False},
         {"orbit_id": failing, "lk": None, "linked": None,
          "skipped": "Gauss sum residual 0.300 >= 0.1; densify"}]
     assert rep.verdict == "fails:index2_orbit_unlinked"
     assert rep.exit_code == 2
+
+
+def test_binding_unlinked_orbit_of_unknown_index_decides_no_failure(
+        ell, db20, monkeypatch):
+    # gamma2 and gamma2^2 at index 2 break "mu(P^2)=2 forces mu(P)=1": an
+    # unlinked gamma2 can no longer fail the candidate
+    gid = _entry_id(db20, np.pi, 1)
+    prime = _entry_id(db20, np.sqrt(2) * np.pi, 1)
+    double = _entry_id(db20, np.sqrt(2) * np.pi, 2)
+    rep = _check_with_index(ell, db20, gid, {prime: 2, double: 2},
+                            {prime: (0, 0.0, 0)}, monkeypatch)
+    covers = [i for i, o in enumerate(db20.orbits)
+              if o.T_min == db20[prime].T_min]
+    reason = "InconsistencyError: mu(P^2)=2 forces mu(P)=1"
+    assert rep.index_unknown == [{"orbit_id": oid, "reason": reason}
+                                 for oid in covers]
+    assert rep.index2_checked == []
+    assert rep.verdict == "inconclusive:index-unknown"
+    assert rep.exit_code == 3
+
+
+def test_binding_candidate_of_unknown_index_decides_no_failure(
+        ell, db20, monkeypatch):
+    # the candidate gamma1 and gamma1^2 at index 2 break the same relation:
+    # the candidate's index 2 can no longer fail it
+    gid = _entry_id(db20, np.pi, 1)
+    double = _entry_id(db20, np.pi, 2)
+    rep = _check_with_index(ell, db20, gid, {gid: 2, double: 2}, {},
+                            monkeypatch)
+    assert rep.mu_cz == 2
+    assert {row["orbit_id"] for row in rep.index_unknown} >= {gid, double}
+    assert rep.index2_checked == []
+    assert rep.verdict == "inconclusive:index-unknown"
+    assert rep.exit_code == 3
+
+
+def test_binding_links_an_index2_cover_through_its_prime(ell, db20,
+                                                         monkeypatch):
+    # gamma2 at index 1 and gamma2^2 at index 2 satisfy the iteration
+    # inequalities; gamma2^2 links gamma1 twice, 2 lk(gamma1, gamma2), and
+    # the crossing count of the prime pair agrees
+    gid = _entry_id(db20, np.pi, 1)
+    prime = _entry_id(db20, np.sqrt(2) * np.pi, 1)
+    double = _entry_id(db20, np.sqrt(2) * np.pi, 2)
+    rep = _check_with_index(ell, db20, gid, {prime: 1, double: 2}, {},
+                            monkeypatch)
+    assert rep.index2_checked == [{"orbit_id": double, "lk": 2, "linked": True}]
+    assert rep.verdict == "hypotheses_hold"
+    assert rep.linking_checks == {
+        "primes_traced": 2, "unchecked_pairs": [],
+        "prime_pairs": [{"a": gid, "b": prime, "gauss_lk": 1,
+                         "crossing_lk": 1}]}
 
 
 def test_binding_rejects_degenerate_candidate(round_form):
@@ -225,6 +290,12 @@ def test_necessity_audit_passes(ell, db20, page):
     assert report.mu_cz == 3
     assert report.boundary_winding == 1
     assert all(row["lk"] != 0 for row in report.linking)
+    # one prime pair, linked once by each route
+    other = _entry_id(db20, np.sqrt(2) * np.pi, 1)
+    assert report.linking_checks == {
+        "primes_traced": 2, "unchecked_pairs": [],
+        "prime_pairs": [{"a": gid, "b": other, "gauss_lk": 1,
+                         "crossing_lk": 1}]}
 
 
 def test_audit_alarm_on_unlinked_trace(ell, db20, page):
@@ -234,8 +305,9 @@ def test_audit_alarm_on_unlinked_trace(ell, db20, page):
     th = np.linspace(0, 2 * np.pi, 512, endpoint=False)
     fake = np.stack([0.05 * np.cos(th) + 0.2, 0.05 * np.sin(th),
                      np.ones_like(th), 0.3 * np.ones_like(th)], axis=1)
-    report = necessity_audit(ell, page, db20, gid,
-                             traces={other: fake})
+    with cz.prime_table() as table:
+        table[cz.prime_key(db20[other])] = cz.PrimeData(trace=fake)
+        report = necessity_audit(ell, page, db20, gid)
     assert not report.passed
     assert any("zero linking" in a for a in report.alarms)
 
@@ -245,8 +317,10 @@ def test_audit_skips_an_orbit_whose_linking_fails(ell, db20, page):
     # coincides with the binding, so their linking number is undefined
     gid = _entry_id(db20, np.pi, 1)
     other = _entry_id(db20, np.sqrt(2) * np.pi, 1)
-    report = necessity_audit(ell, page, db20, gid,
-                             traces={other: trace_orbit(ell, db20[gid], 512)})
+    with cz.prime_table() as table:
+        table[cz.prime_key(db20[other])] = cz.PrimeData(
+            trace=trace_orbit(ell, db20[gid], 512))
+        report = necessity_audit(ell, page, db20, gid)
     row = next(r for r in report.linking if r["orbit_id"] == other)
     assert row["lk"] is None and "apart" in row["skipped"]
     assert not report.passed

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -162,6 +163,9 @@ def test_index_sidecars_record_the_shared_integration(ell_config, found,
     assert all(row["path_samples"] >= 257 and row["n_dirs"] and row["K"]
                for row in table)
     assert meta["stepper"]["rhs_evals"] >= 12 * meta["stepper"]["steps"] > 0
+    # no index-2 orbit, so only the candidate's prime is traced
+    assert meta["linking_checks"] == {"primes_traced": 1, "prime_pairs": [],
+                                      "unchecked_pairs": []}
     assert main(["orbit-index", "--config", ell_config, "--orbits", orbits,
                  "--orbit", "2", "--out", out]) == 0
     with open(os.path.join(out, "index_orbit2.json.meta.json")) as fh:
@@ -192,6 +196,11 @@ def test_disk_and_section_pipeline(ell_config, found):
     with open(os.path.join(found, "audit_binding0.json")) as fh:
         rep = json.load(fh)
     assert rep["passed"]
+    with open(os.path.join(found, "audit_binding0.json.meta.json")) as fh:
+        checks = json.load(fh)["linking_checks"]
+    assert checks == {"primes_traced": 2, "unchecked_pairs": [],
+                      "prime_pairs": [{"a": 0, "b": 1, "gauss_lk": 1,
+                                       "crossing_lk": 1}]}
 
 
 @pytest.fixture(scope="module")
@@ -342,34 +351,114 @@ def test_unknot_skips_a_failing_orbit(ell_config, found, monkeypatch):
     assert rows[1]["status"] == "certified_unknot"
 
 
-def test_link_skips_the_pairs_of_an_untraced_orbit(ell_config, found,
-                                                  monkeypatch):
-    from reeb_atlas import cli
-    from reeb_atlas.errors import StiffnessError
+@pytest.fixture(scope="module")
+def three_primes(ell_config, found, workdir):
+    # the census and a third prime: gamma2 marked at another point, which the
+    # prime table keys apart from gamma2
+    from reeb_atlas.cli import load_config
+    from reeb_atlas.flow import integrate_flow
+    from reeb_atlas.orbits import load_orbits, save_orbits
 
-    trace = cli.trace_orbit
-    calls = []
+    _, form = load_config(ell_config)
+    db = load_orbits(form, os.path.join(found, "orbits.json"))
+    g2 = db[1]
+    x0 = integrate_flow(form, g2.x0, g2.T_min / 3, tol=1e-12).points[-1]
+    db.orbits.append(dataclasses.replace(g2, x0=x0))
+    path = str(workdir / "three_primes.json")
+    save_orbits(db, path)
+    return path
 
-    def failing_second(form, orbit, n):
-        calls.append(1)
-        if len(calls) == 2:
-            raise StiffnessError("step size underflow", 0.0, None)
-        return trace(form, orbit, n=n)
 
-    monkeypatch.setattr(cli, "trace_orbit", failing_second)
-    out = os.path.join(found, "link_skip")
-    assert main(["link", "--config", ell_config,
-                 "--orbits", os.path.join(found, "orbits.json"),
+def _link(ell_config, orbits, out):
+    assert main(["link", "--config", ell_config, "--orbits", orbits,
                  "--out", out]) == 0
-    assert len(calls) == 5
     with open(os.path.join(out, "links.json")) as fh:
         pairs = json.load(fh)["pairs"]
-    assert len(pairs) == 10
+    with open(os.path.join(out, "links.json.meta.json")) as fh:
+        return pairs, json.load(fh)["linking_checks"]
+
+
+def test_link_writes_covers_from_their_prime_pair(ell_config, found):
+    # census: 0 gamma1, 1 gamma2, 2 gamma1^2, 3 gamma2^2, 4 gamma1^3
+    pairs, checks = _link(ell_config, os.path.join(found, "orbits.json"),
+                          os.path.join(found, "link_covers"))
+    gamma2 = {1, 3}
+    mult = {0: 1, 1: 1, 2: 2, 3: 2, 4: 3}
     for p in pairs:
-        if 1 in (p["a"], p["b"]):
+        if (p["a"] in gamma2) == (p["b"] in gamma2):
             assert p == {"a": p["a"], "b": p["b"], "lk": None,
-                         "skipped": "orbit 1 was not traced: step size underflow"}
-    assert any(p["lk"] is not None for p in pairs)
+                         "skipped": "curves are 0.00e+00 apart (< 1e-03)"}
+        else:
+            assert p["lk"] == mult[p["a"]] * mult[p["b"]]
+    assert checks == {"primes_traced": 2, "unchecked_pairs": [],
+                      "prime_pairs": [{"a": 0, "b": 1, "gauss_lk": 1,
+                                       "crossing_lk": 1}]}
+
+
+def test_link_skips_the_pairs_of_an_untraced_orbit(ell_config, three_primes,
+                                                  workdir, monkeypatch):
+    from reeb_atlas import linking
+    from reeb_atlas.errors import StiffnessError
+
+    batch = linking.integrate_batch
+    rows = []
+
+    def failing_last(form, x0, t_final, **kwargs):
+        rows.append(len(x0))
+        runs = batch(form, x0, t_final, **kwargs)
+        runs[-1] = StiffnessError("step size underflow", 0.0, None)
+        return runs
+
+    monkeypatch.setattr(linking, "integrate_batch", failing_last)
+    pairs, checks = _link(ell_config, three_primes, str(workdir / "link_skip"))
+    assert rows == [3]  # the three primes, traced in one batch
+    assert len(pairs) == 15
+    for p in pairs:
+        if 5 in (p["a"], p["b"]):
+            assert p == {"a": p["a"], "b": p["b"], "lk": None,
+                         "skipped": "orbit 5 was not traced: step size underflow"}
+    # gamma1^a with gamma2^b: lk = a b
+    lks = {(p["a"], p["b"]): p["lk"] for p in pairs}
+    assert [lks[0, 1], lks[0, 3], lks[1, 2], lks[2, 3], lks[1, 4], lks[3, 4]] \
+        == [1, 2, 2, 4, 3, 6]
+    assert checks["primes_traced"] == 2
+
+
+def test_link_skips_a_pair_whose_routes_disagree(ell_config, found,
+                                                 monkeypatch):
+    from reeb_atlas import linking
+
+    monkeypatch.setattr(linking, "crossing_linking", lambda a, b: 2)
+    pairs, checks = _link(ell_config, os.path.join(found, "orbits.json"),
+                          os.path.join(found, "link_disagree"))
+    text = "Gauss sum gives lk 1 but the crossing count gives 2"
+    cross = [p for p in pairs if (p["a"] in (1, 3)) != (p["b"] in (1, 3))]
+    assert len(cross) == 6
+    assert all(p == {"a": p["a"], "b": p["b"], "lk": None, "skipped": text}
+               for p in cross)
+    assert checks["prime_pairs"] == [
+        {"a": 0, "b": 1, "error": f"InconsistencyError: {text}"}]
+
+
+def test_link_keeps_a_row_the_crossing_count_leaves_unchecked(
+        ell_config, found, monkeypatch):
+    from reeb_atlas import linking
+    from reeb_atlas.errors import ResolutionError
+
+    def no_direction(a, b):
+        raise ResolutionError("no generic projection direction found")
+
+    out = os.path.join(found, "link_unchecked")
+    pairs, checks = _link(ell_config, os.path.join(found, "orbits.json"), out)
+    monkeypatch.setattr(linking, "crossing_linking", no_direction)
+    unchecked, checks = _link(ell_config, os.path.join(found, "orbits.json"),
+                              out)
+    assert unchecked == pairs
+    assert checks == {
+        "primes_traced": 2,
+        "prime_pairs": [{"a": 0, "b": 1, "gauss_lk": 1, "crossing_lk": None}],
+        "unchecked_pairs": [{"a": 0, "b": 1, "gauss_lk": 1, "crossing_lk": None,
+                             "reason": "no generic projection direction found"}]}
 
 
 def test_malformed_config(workdir, found, ell_config):

@@ -9,7 +9,7 @@ from reeb_atlas.errors import (DegenerateOrbitError, DomainError,
 from reeb_atlas.orbits import refine_orbit
 
 from oracles import (compose_paths, hyperbolic_path, invert_path,
-                     iterate_index_table, maslov_loop, path_power,
+                     iterate_index_table, maslov_loop, nondegenerate, path_power,
                      pure_rotation_path, random_loop, random_nondegenerate_path,
                      winding_census)
 
@@ -39,7 +39,7 @@ def test_round_sphere_path_degenerate_endpoint(round_form):
     assert orbit.degenerate
     path = cz.trivialized_path(round_form, orbit)
     assert np.abs(path.endpoint - np.eye(2)).max() < 1e-6
-    assert not path.nondegenerate(tol=1e-8)
+    assert not nondegenerate(path, tol=1e-8)
 
 
 def test_iterate_path_is_concatenation(ell, gamma1):
@@ -124,7 +124,7 @@ def test_homotopy_stability():
         pert /= np.sqrt(np.linalg.det(pert))[:, None, None]
         assert np.abs(pert - phi.mats).max() <= 1e-3
         phi_p = cz.SymplecticPath(times=phi.times, mats=pert)
-        assert phi_p.nondegenerate(tol=1e-6)
+        assert nondegenerate(phi_p, tol=1e-6)
         mu_p, _ = cz.cz_from_interval(cz.rotation_interval(phi_p))
         assert mu_p == mu
 

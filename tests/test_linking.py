@@ -1,8 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reeb_atlas import linking as lk
+from reeb_atlas.contact import StarForm, project_to_sigma, reeb_vector, xi_frame
+from reeb_atlas.cz import prime_table
 from reeb_atlas.errors import PoleSelectionError, ProximityError
+from reeb_atlas.orbits import ReebOrbit, trace_orbit
 
 TH = np.linspace(0, 2 * np.pi, 512, endpoint=False)
 
@@ -53,7 +60,7 @@ def test_stereo_great_circle_is_round_circle():
 
 
 def test_stereo_preserves_closure(ell, gamma1):
-    tr = lk.trace_orbit(ell, gamma1, n=512)
+    tr = trace_orbit(ell, gamma1, n=512)
     pole = lk.pick_pole([tr])
     img = lk.stereo_project(tr, pole)
     gap = np.linalg.norm(img[0] - img[-1])
@@ -68,8 +75,8 @@ def test_stereo_pole_on_curve_rejected():
 
 
 def test_linking_hopf_pair(ell, gamma1, gamma2):
-    t1 = lk.trace_orbit(ell, gamma1, n=512)
-    t2 = lk.trace_orbit(ell, gamma2, n=512)
+    t1 = trace_orbit(ell, gamma1, n=512)
+    t2 = trace_orbit(ell, gamma2, n=512)
     val, resid = lk.linking_number(t1, t2)
     assert val == 1
     assert resid < 0.1
@@ -81,8 +88,8 @@ def test_linking_hopf_pair(ell, gamma1, gamma2):
 
 def test_linking_densification_invariance(ell, gamma1, gamma2):
     for n in (512, 2048):
-        t1 = lk.trace_orbit(ell, gamma1, n=n)
-        t2 = lk.trace_orbit(ell, gamma2, n=n)
+        t1 = trace_orbit(ell, gamma1, n=n)
+        t2 = trace_orbit(ell, gamma2, n=n)
         assert lk.linking_number(t1, t2)[0] == 1
 
 
@@ -137,7 +144,7 @@ def test_census_residuals_at_rounding_level(ell, gamma1, gamma2):
     # of distinct circles have a linking number, the product of the covers
     entries = [g.iterate(k) for g, kmax in ((gamma1, 4), (gamma2, 3))
                for k in range(1, kmax + 1)]
-    traces = [lk.trace_orbit(ell, o, n=512) for o in entries]
+    traces = [trace_orbit(ell, o, n=512) for o in entries]
     computed = 0
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
@@ -153,23 +160,25 @@ def test_census_residuals_at_rounding_level(ell, gamma1, gamma2):
 
 
 def test_self_linking_values(ell, gamma1, gamma2):
-    assert lk.self_linking(ell, gamma1) == -1
-    assert lk.self_linking(ell, gamma2) == -1
+    assert lk.self_linking(ell, trace_orbit(ell, gamma1, n=512)) == -1
+    assert lk.self_linking(ell, trace_orbit(ell, gamma2, n=512)) == -1
 
 
 def test_self_linking_pushoff_stability(ell, gamma1):
+    trace = trace_orbit(ell, gamma1, n=512)
     for eps in (1e-2, 5e-3, 2.5e-3):
-        assert lk.self_linking(ell, gamma1, eps=eps) == -1
+        assert lk.self_linking(ell, trace, eps=eps) == -1
 
 
 def test_self_linking_frame_choice_invariance(ell, gamma1):
-    assert lk.self_linking(ell, gamma1, frame_vector="e2") == -1
+    trace = trace_orbit(ell, gamma1, n=512)
+    assert lk.self_linking(ell, trace, frame_vector="e2") == -1
 
 
 def test_unknot_certification(ell, gamma1, gamma2):
-    t1 = lk.trace_orbit(ell, gamma1, n=512)
+    t1 = trace_orbit(ell, gamma1, n=512)
     assert lk.unknot_check(t1).status == "certified_unknot"
-    t2 = lk.trace_orbit(ell, gamma2, n=512)
+    t2 = trace_orbit(ell, gamma2, n=512)
     assert lk.unknot_check(t2).status == "certified_unknot"
 
 
@@ -183,3 +192,67 @@ def test_trefoil_abstains():
     v = lk.unknot_check(trefoil_trace())
     assert v.status == "unknown"
     assert v.crossing_count_after_reduction >= 3
+
+
+# weights f = 1 + c1 A + c2 B + c3 A^2 + c4 A B + c5 B^2 in A = u1^2 + u2^2
+# and B = u3^2 + u4^2: positive on the sphere for c in [-0.3, 0.6], and
+# invariant under the rotations of both coordinate planes, so the two
+# coordinate circles are periodic orbits at any coefficients
+_TORIC = [
+    [((2, 0, 0, 0), 1), ((0, 2, 0, 0), 1)],
+    [((0, 0, 2, 0), 1), ((0, 0, 0, 2), 1)],
+    [((4, 0, 0, 0), 1), ((2, 2, 0, 0), 2), ((0, 4, 0, 0), 1)],
+    [((2, 0, 2, 0), 1), ((2, 0, 0, 2), 1), ((0, 2, 2, 0), 1), ((0, 2, 0, 2), 1)],
+    [((0, 0, 4, 0), 1), ((0, 0, 2, 2), 2), ((0, 0, 0, 4), 1)],
+]
+_coefficients = st.lists(st.floats(-0.3, 0.6), min_size=5, max_size=5)
+
+
+def _toric_primes(coeffs):
+    """A random toric weighted form and its two coordinate circles; each
+    circle's period is 2 pi r / |R|, its Reeb speed being constant."""
+    form = StarForm.weighted([((0, 0, 0, 0), 1.0)] + [
+        (e, c * m) for c, terms in zip(coeffs, _TORIC) for e, m in terms])
+    primes = []
+    for axis in (0, 2):
+        x0 = project_to_sigma(form, np.eye(4)[axis])
+        T = 2 * np.pi * np.linalg.norm(x0) / np.linalg.norm(reeb_vector(form, x0))
+        primes.append(ReebOrbit(x0=x0, T_min=T, multiplicity=1,
+                                monodromy=np.eye(2), nondeg_class="elliptic",
+                                residual=0.0))
+    return form, primes
+
+
+def _cover(orbit, k):
+    return dataclasses.replace(orbit, multiplicity=k)
+
+
+@settings(max_examples=3, deadline=None)
+@given(coeffs=_coefficients)
+def test_cover_linking_data_follow_from_the_primes(coeffs):
+    # a b lk(P, Q) and k^2 sl(P) from the prime table equal the Gauss sums on
+    # the full-cover traces
+    form, (p, q) = _toric_primes(coeffs)
+    with prime_table():
+        for a, b in ((2, 1), (1, 3)):
+            pa, qb = _cover(p, a), _cover(q, b)
+            direct = lk.linking_number(trace_orbit(form, pa, 512),
+                                       trace_orbit(form, qb, 512))
+            assert lk.cover_linking(form, pa, qb)[0] == direct[0] == a * b
+        for orbit in (p, q):
+            double = _cover(orbit, 2)
+            direct = lk.self_linking(form, trace_orbit(form, double, 512))
+            assert lk.cover_self_linking(form, double) == direct == -4
+
+
+@settings(max_examples=4, deadline=None)
+@given(coeffs=_coefficients)
+def test_gauss_and_crossing_count_agree_on_prime_pairs(coeffs):
+    # the prime pair, and each prime with its pushoff along the global frame
+    form, primes = _toric_primes(coeffs)
+    tp, tq = lk.prime_traces(form, primes)
+    pairs = [(tp, tq)] + [
+        (t, project_to_sigma(form, t + 1e-2 * xi_frame(form, t).e1))
+        for t in (tp, tq)]
+    for a, b in pairs:
+        assert lk.crossing_linking(a, b) == lk.linking_number(a, b)[0]

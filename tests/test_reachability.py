@@ -1,15 +1,17 @@
-"""Every module-level function and class in the package is run by the CLI or
+"""Every function, class and method in the package is run by the CLI or
 belongs to the package API.
 
 The scan reads the AST of every module.  Its roots are ``cli.main``, the
 names in ``reeb_atlas.__all__`` and the statements each module runs at
-import.  A reached function or class reaches every package definition that
-its body names: a name is resolved through its module's own definitions and
-its relative imports (at any depth, re-exports followed), and
-``module.name`` through an imported package module.  A reached class
-reaches its whole body, methods included.  The scan is by name, so it errs
-towards reaching too much, never too little.  Code that only tests call
-belongs in ``tests/oracles.py``.
+import.  A reached function, class or method reaches every package
+definition that its body names: a name is resolved through its module's own
+definitions and its relative imports (at any depth, re-exports followed),
+``module.name`` through an imported package module, and any attribute
+``.name`` reaches every method called ``name``.  A reached class reaches its
+bases, decorators, class-level statements and its dunder methods, which
+Python calls implicitly; its other methods need an attribute use.  The scan
+is by name, so it errs towards reaching too much, never too little.  Code
+that only tests call belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -19,17 +21,12 @@ import reeb_atlas
 
 PACKAGE = Path(reeb_atlas.__file__).parent
 
-# The second linking route, signed crossings of a generic planar shadow, is
-# kept beside the Gauss sum as its independent reference implementation and
-# is planned as its runtime cross-check; until then only tests run it.
-UNREACHED = {"linking.crossing_linking", "linking._pair_crossings"}
-
 
 def _scan():
-    """(qualified names of all module-level definitions, those reached)."""
+    """(qualified names of all definitions, those reached)."""
     modules = {p.stem: ast.parse(p.read_text())
                for p in sorted(PACKAGE.glob("*.py"))}
-    defs, names = {}, {}
+    defs, names, methods = {}, {}, {}
     for mod, tree in modules.items():
         local = names[mod] = {}
         for node in ast.walk(tree):
@@ -42,6 +39,12 @@ def _scan():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[f"{mod}.{node.name}"] = (mod, node)
                 local[node.name] = f"{mod}.{node.name}"
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        qual = f"{mod}.{node.name}.{sub.name}"
+                        defs[qual] = (mod, sub)
+                        methods.setdefault(sub.name, []).append(qual)
 
     def resolve(mod, name):
         target = names[mod].get(name)
@@ -50,12 +53,22 @@ def _scan():
         return target if target in defs else None
 
     def uses(mod, node):
-        for sub in ast.walk(node):
+        if isinstance(node, ast.ClassDef):
+            parts = node.bases + node.decorator_list + [
+                sub for sub in node.body if not isinstance(sub, ast.FunctionDef)]
+            yield from (f"{mod}.{node.name}.{sub.name}" for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)
+                        and sub.name.startswith("__"))
+        else:
+            parts = [node]
+        for sub in (s for part in parts for s in ast.walk(part)):
             if isinstance(sub, ast.Name):
                 yield resolve(mod, sub.id)
-            elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-                  and names[mod].get(sub.value.id) in modules):
-                yield resolve(names[mod][sub.value.id], sub.attr)
+            elif isinstance(sub, ast.Attribute):
+                yield from methods.get(sub.attr, [])
+                if (isinstance(sub.value, ast.Name)
+                        and names[mod].get(sub.value.id) in modules):
+                    yield resolve(names[mod][sub.value.id], sub.attr)
 
     todo = ["cli.main"] + [resolve("__init__", n) for n in reeb_atlas.__all__]
     for mod, tree in modules.items():
@@ -75,9 +88,6 @@ def _scan():
 
 def test_every_definition_is_reached():
     defs, reached = _scan()
-    unreached = defs - reached
-    extra = sorted(unreached - UNREACHED)
-    assert not extra, ("run by neither the CLI nor the package API (move "
-                       f"test-only code to tests/oracles.py): {extra}")
-    stale = sorted(UNREACHED - unreached)
-    assert not stale, f"drop these from UNREACHED, they are reached: {stale}"
+    unreached = sorted(defs - reached)
+    assert not unreached, ("run by neither the CLI nor the package API (move "
+                           f"test-only code to tests/oracles.py): {unreached}")

@@ -11,7 +11,7 @@ from reeb_atlas.contact import StarForm, xi_frame
 from reeb_atlas.errors import (DomainError, GridQualityError, StiffnessError,
                                UnsupportedFormError)
 from reeb_atlas.linking import self_linking
-from reeb_atlas.orbits import refine_orbit
+from reeb_atlas.orbits import refine_orbit, trace_orbit
 
 from oracles import disk_area, polygon_action, return_map_points, ring_action
 
@@ -116,7 +116,7 @@ def test_characteristic_foliation(ell, page, gamma1):
     assert s0.s < 1e-6  # at the disk center
     assert sum(s.index for s in sings) == wind
     # the two self-linking routes agree: pushoff versus minus the winding
-    assert self_linking(ell, gamma1) == -wind
+    assert self_linking(ell, trace_orbit(ell, gamma1, n=512)) == -wind
 
 
 def test_boundary_orientation_enforced(ell, page):
