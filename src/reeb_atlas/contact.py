@@ -241,6 +241,15 @@ class StarForm:
         _, g, _ = kernels.weighted_h_parts(self.tables, x, 1)
         return g
 
+    # nothing in the package calls it; perfbench/tracing.py counts it by name
+    def hess_H(self, x):
+        x = self._off_origin(x, "hess H")
+        if self.kind == "ellipsoid":
+            hess = np.diag(np.repeat(self._diag(), 2))
+            return np.broadcast_to(hess, x.shape[:-1] + (4, 4)).copy()
+        _, _, hh = kernels.weighted_h_parts(self.tables, x, 2)
+        return hh
+
 
 # ---------------------------------------------------------------------------
 # points on the level, Reeb field, contact-plane frame

@@ -252,11 +252,11 @@ def integrate_batch(form, x0, t_final, tol=1e-10, variational=False,
 
 
 def integrate_flow(form, x0, t_final, tol=1e-10, variational=False,
-                   t_eval=None, dense=False):
+                   dense=False):
     """``integrate_batch`` from the one point ``x0`` (4,); raises the row's
     exception (``OffLevelError``, ``DomainError``, ``StiffnessError``)."""
     res, = integrate_batch(form, np.asarray(x0, dtype=float)[None], t_final,
-                           tol, variational, t_eval, dense)
+                           tol, variational, dense=dense)
     if isinstance(res, Exception):
         raise res
     return res

@@ -18,7 +18,7 @@ sl(P^k) = k^2 sl(P).  Inside a ``cz.prime_table`` block each prime is traced,
 self-linked and linked with each other prime once.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .contact import project_to_sigma, xi_frame
 from .cz import prime_data, prime_key
 from .errors import (InconsistencyError, PoleSelectionError, ProximityError,
                      ReebAtlasError, ResolutionError)
-from .flow import integrate_batch
+# the batched tracer, under the name perfbench's tracer spans
+from .orbits import trace_orbits as trace_orbit
 
 __all__ = [
     "KnotVerdict",
@@ -35,6 +36,7 @@ __all__ = [
     "prime_trace",
     "stereo_project",
     "pick_pole",
+    "stereo_pair",
     "linking_number",
     "crossing_linking",
     "cover_linking",
@@ -138,7 +140,7 @@ def pick_pole(point_sets):
 # Gauss linking number
 # ---------------------------------------------------------------------------
 
-def _projected(a, b, min_dist):
+def stereo_pair(a, b, min_dist):
     """Stereographic images of two (N, 4) loops, from the first pole
     admissible for both; loops closer than ``min_dist`` are rejected."""
     pa = np.ascontiguousarray(a)
@@ -158,7 +160,12 @@ def linking_number(a, b, min_dist=_MIN_CURVE_DIST):
     Returns (lk, raw_residual).  Curves closer than ``min_dist`` are
     rejected; a residual of 0.1 or more demands denser traces.
     """
-    raw = kernels.gauss_linking_raw(*_projected(a, b, min_dist))
+    return _gauss_linking(*stereo_pair(a, b, min_dist))
+
+
+def _gauss_linking(a3, b3):
+    """(lk, raw_residual) of two ``stereo_pair`` images by the Gauss sum."""
+    raw = kernels.gauss_linking_raw(a3, b3)
     lk = int(np.rint(raw))
     residual = abs(raw - lk)
     if residual >= 0.1:
@@ -241,10 +248,9 @@ def _pair_crossings(a3, b3, direction):
     return int(np.sign(np.where(ha > hb, cross, -cross)).sum())
 
 
-def crossing_linking(a, b):
-    """Linking number of two (N, 4) loops as half the signed crossing count
-    of a generic shadow."""
-    a3, b3 = _projected(a, b, _MIN_CURVE_DIST)
+def crossing_linking(a3, b3):
+    """Linking number of two loops, given as their ``stereo_pair`` images,
+    as half the signed crossing count of a generic shadow."""
     for direction in _PLANE_DIRECTIONS:
         total = _pair_crossings(a3, b3, direction)
         if total is None:
@@ -289,21 +295,17 @@ def self_linking(form, trace, eps=1e-2, frame_vector="e1"):
 # ---------------------------------------------------------------------------
 
 def prime_traces(form, orbits):
-    """Per orbit, the trace of its prime: 512 points uniform in time over
-    [0, T_min) at tol 1e-11, equal to ``trace_orbit(form, prime, 512)``, or
-    the ``ReebAtlasError`` that stopped it.  The primes not yet traced in the
-    open ``prime_table`` block are integrated in one ``integrate_batch``."""
-    primes = {prime_key(o): prime_data(o) for o in orbits}
-    todo = [(key, p) for key, p in primes.items() if p.trace is None]
+    """Per orbit, its prime's 512-point ``orbits.trace_orbits`` entry, or the
+    ``ReebAtlasError`` that stopped it.  The primes not yet traced in the
+    open ``prime_table`` block are traced together."""
+    primes = {prime_key(o): (prime_data(o), o) for o in orbits}
+    todo = [(p, replace(o, multiplicity=1))
+            for p, o in primes.values() if p.trace is None]
     if todo:
-        runs = integrate_batch(form, np.array([key[1] for key, _ in todo]),
-                               np.array([key[0] for key, _ in todo]),
-                               tol=1e-11, dense=True)
-        for ((T_min, _), prime), run in zip(todo, runs):
-            prime.trace = run if isinstance(run, ReebAtlasError) else (
-                project_to_sigma(form, run.trajectory(
-                    np.arange(512) / 512 * T_min)[:, :4]))
-    return [primes[prime_key(o)].trace for o in orbits]
+        traces = trace_orbit(form, [o for _, o in todo], 512)
+        for (p, _), trace in zip(todo, traces):
+            p.trace = trace
+    return [primes[prime_key(o)][0].trace for o in orbits]
 
 
 def prime_trace(form, orbit):
@@ -316,13 +318,15 @@ def prime_trace(form, orbit):
 
 
 def _checked_linking(a, b):
-    """(lk, residual, crossing) of two loops: the Gauss sum, its residual,
-    and the crossing count's linking number, or the ``ResolutionError`` of a
-    crossing count that found no generic direction.  A crossing count that
-    disagrees raises ``InconsistencyError``."""
-    lk, residual = linking_number(a, b)
+    """(lk, residual, crossing) of two loops, both routes on one
+    ``stereo_pair``: the Gauss sum, its residual, and the crossing count's
+    linking number, or the ``ResolutionError`` of a crossing count that
+    found no generic direction.  A crossing count that disagrees raises
+    ``InconsistencyError``."""
+    a3, b3 = stereo_pair(a, b, _MIN_CURVE_DIST)
+    lk, residual = _gauss_linking(a3, b3)
     try:
-        crossing = crossing_linking(a, b)
+        crossing = crossing_linking(a3, b3)
     except ResolutionError as exc:
         return lk, residual, exc
     if crossing != lk:

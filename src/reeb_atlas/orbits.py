@@ -19,8 +19,8 @@ import numpy as np
 
 from . import kernels
 from .contact import project_to_sigma, reeb_vector, sphere_samples
-from .errors import (DomainError, FrameDegeneracyError, RefinementError,
-                     ResolutionError, StiffnessError)
+from .errors import (DomainError, FrameDegeneracyError, ReebAtlasError,
+                     RefinementError, ResolutionError, StiffnessError)
 from .flow import (counting, flow_map, integrate_batch, integrate_flow, lockstep,
                    monodromy_xi)
 
@@ -30,6 +30,7 @@ __all__ = [
     "refine_orbit",
     "find_orbits",
     "period_gaps",
+    "trace_orbits",
     "trace_orbit",
     "classify_monodromy",
     "save_orbits",
@@ -126,11 +127,24 @@ class OrbitDatabase:
         return self.orbits[i]
 
 
+def trace_orbits(form, orbits, n):
+    """Per orbit, (n, 4) points sampled uniformly in time over its full
+    period ``T`` at tol 1e-11, or the ``ReebAtlasError`` that stopped it;
+    a k-fold cover winds k times around its image.  All orbits are
+    integrated in one ``integrate_batch``, each evaluated on its own grid."""
+    runs = integrate_batch(form, np.array([o.x0 for o in orbits]),
+                           np.array([o.T for o in orbits]), tol=1e-11, dense=True)
+    return [run if isinstance(run, ReebAtlasError) else project_to_sigma(
+        form, run.trajectory(np.arange(n) / n * o.T)[:, :4])
+        for o, run in zip(orbits, runs)]
+
+
 def trace_orbit(form, orbit, n):
-    """(n, 4) points sampled uniformly in time over the full period ``T``
-    at tol 1e-11; a k-fold cover winds k times around its image."""
-    ts = np.arange(n) / n * orbit.T
-    return integrate_flow(form, orbit.x0, orbit.T, tol=1e-11, t_eval=ts).points
+    """The one orbit's ``trace_orbits``; raises the error that stopped it."""
+    trace, = trace_orbits(form, [orbit], n)
+    if isinstance(trace, ReebAtlasError):
+        raise trace
+    return trace
 
 
 def _detect_multiplicity(form, x, T):

@@ -1,6 +1,6 @@
 """Test oracles and fixtures: code that only the tests run.
 
-The round sphere, the Hessian of H, frame vectors from frame coordinates,
+The round sphere, frame vectors from frame coordinates,
 synthetic symplectic paths with known indices and their non-degeneracy, the
 Maslov index of a loop,
 the winding census of a spectrum, the index table of a prime's iterates
@@ -13,7 +13,6 @@ out of ``src/``.
 
 import numpy as np
 
-from reeb_atlas import kernels
 from reeb_atlas.contact import OMEGA, StarForm, omega_form, project_to_sigma
 from reeb_atlas.cz import (STEP_GUARD, SymplecticPath, _assert_iterate_relations,
                            cz_from_interval, rotation_interval, trivialized_path)
@@ -32,16 +31,6 @@ def lambda0(x, v):
 
 def round_sphere():
     return StarForm.ellipsoid(1.0, 1.0, name="round-sphere")
-
-
-def hess_H(form, x):
-    """Hessian (..., 4, 4) of H at the points x, which avoid the origin."""
-    x = form._off_origin(x, "hess H")
-    if form.kind == "ellipsoid":
-        hess = np.diag(np.repeat(form._diag(), 2))
-        return np.broadcast_to(hess, x.shape[:-1] + (4, 4)).copy()
-    _, _, hh = kernels.weighted_h_parts(form.tables, x, 2)
-    return hh
 
 
 def embed(frame, ab):

@@ -142,7 +142,7 @@ def test_criterion_5_topology(ell, gamma1, gamma2):
             g = lnk.linking_number(a, b)[0]
         except ProximityError:
             continue
-        assert lnk.crossing_linking(a, b) == g
+        assert lnk.crossing_linking(*lnk.stereo_pair(a, b, 1e-3)) == g
         checked += 1
     assert checked >= 40
     print(f"ACCEPTANCE 5: PASS - lk=1, sl=-1 stable, unknots certified, "

@@ -400,16 +400,16 @@ def test_link_skips_the_pairs_of_an_untraced_orbit(ell_config, three_primes,
     from reeb_atlas import linking
     from reeb_atlas.errors import StiffnessError
 
-    batch = linking.integrate_batch
+    trace = linking.trace_orbit  # orbits.trace_orbits
     rows = []
 
-    def failing_last(form, x0, t_final, **kwargs):
-        rows.append(len(x0))
-        runs = batch(form, x0, t_final, **kwargs)
-        runs[-1] = StiffnessError("step size underflow", 0.0, None)
-        return runs
+    def failing_last(form, orbits, n):
+        rows.append(len(orbits))
+        traces = trace(form, orbits, n)
+        traces[-1] = StiffnessError("step size underflow", 0.0, None)
+        return traces
 
-    monkeypatch.setattr(linking, "integrate_batch", failing_last)
+    monkeypatch.setattr(linking, "trace_orbit", failing_last)
     pairs, checks = _link(ell_config, three_primes, str(workdir / "link_skip"))
     assert rows == [3]  # the three primes, traced in one batch
     assert len(pairs) == 15

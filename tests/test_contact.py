@@ -10,7 +10,7 @@ from reeb_atlas.contact import (StarForm, omega_form, project_to_sigma,
                                 xi_project, xi_projector)
 from reeb_atlas.errors import DomainError, FrameDegeneracyError, OffLevelError
 
-from oracles import embed, hess_H, lambda0, round_sphere
+from oracles import embed, lambda0, round_sphere
 
 
 def quat_j(x):
@@ -52,7 +52,7 @@ def test_hessian_matches_finite_differences(perturbed_form):
     rng = np.random.default_rng(12)
     for _ in range(25):
         x = rng.normal(size=4)
-        hh = hess_H(form, x)
+        hh = form.hess_H(x)
         for i in range(4):
             e = np.zeros(4)
             e[i] = 1e-5
@@ -260,7 +260,7 @@ def test_batch_equals_rows(ell, perturbed_form, which, random_form, pts):
             "random": random_form}[which]
     assume(np.linalg.norm(pts, axis=-1).min() > 0.1)
     rows = pts.reshape(-1, 4)
-    for fn in (form.H, form.grad_H, lambda x: hess_H(form, x)):
+    for fn in (form.H, form.grad_H, form.hess_H):
         _rows_agree(fn(pts), [fn(p) for p in rows])
     on_level = project_to_sigma(form, pts)
     _rows_agree(reeb_vector(form, on_level),
@@ -298,7 +298,7 @@ def test_batch_row_checks(form_name, request):
     pts = project_to_sigma(form, sphere_samples(6))
     with_origin = pts.copy()
     with_origin[3] = 0.0
-    for fn in (form.H, form.grad_H, lambda x: hess_H(form, x)):
+    for fn in (form.H, form.grad_H, form.hess_H):
         with pytest.raises(DomainError):
             fn(with_origin)
     off_level = pts.copy()

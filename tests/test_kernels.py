@@ -36,7 +36,7 @@ _pairs = st.tuples(st.integers(0, 2 ** 32 - 1), _SIZES, _SIZES).map(
 def test_gauss_sum_equals_crossing_count(pair):
     a, b = pair
     try:
-        expected = lk.crossing_linking(a, b)
+        expected = lk.crossing_linking(*lk.stereo_pair(a, b, 1e-3))
     except ReebAtlasError:
         assume(False)
     raw = kernels.gauss_linking_raw(*_projected(a, b))

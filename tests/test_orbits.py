@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 
 from reeb_atlas import kernels
 from reeb_atlas.contact import StarForm
-from reeb_atlas.errors import DomainError, RefinementError, StiffnessError
+from reeb_atlas.errors import (DomainError, OffLevelError, RefinementError,
+                               StiffnessError)
 from reeb_atlas.flow import flow_map, monodromy_xi
 from reeb_atlas.orbits import (find_orbits, load_orbits, period_gaps,
-                               refine_orbit, save_orbits, trace_orbit)
+                               refine_orbit, save_orbits, trace_orbit,
+                               trace_orbits)
 
 SQ2 = np.sqrt(2.0)
 
@@ -197,6 +200,20 @@ def test_pairwise_trace_distinctness(ell, db10):
     for i in range(len(traces)):
         for j in range(i + 1, len(traces)):
             assert kernels.hausdorff_distance(traces[i], traces[j]) > 1e-4
+
+
+def test_trace_orbits_keeps_a_rows_error_in_its_place(ell, db10):
+    # one batch: each orbit on its own grid over its full period, and an
+    # orbit that cannot be traced leaves its error without stopping the rest
+    a, b = db10[0], db10[3]
+    off = dataclasses.replace(a, x0=2.0 * a.x0)
+    traces = trace_orbits(ell, [a, off, b], 64)
+    assert isinstance(traces[1], OffLevelError)
+    for orbit, trace in ((a, traces[0]), (b, traces[2])):
+        np.testing.assert_array_equal(trace, trace_orbit(ell, orbit, 64))
+        assert np.abs(ell.H(trace) - 1.0).max() < 1e-12
+    with pytest.raises(OffLevelError):
+        trace_orbit(ell, off, 64)
 
 
 def test_save_load_reverifies(tmp_path, ell, db10):

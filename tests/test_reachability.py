@@ -11,7 +11,8 @@ definitions and its relative imports (at any depth, re-exports followed),
 bases, decorators, class-level statements and its dunder methods, which
 Python calls implicitly; its other methods need an attribute use.  The scan
 is by name, so it errs towards reaching too much, never too little.  Code
-that only tests call belongs in ``tests/oracles.py``.
+that only tests call belongs in ``tests/oracles.py``; ``KEPT`` names the few
+exceptions and why each stays.
 """
 
 import ast
@@ -86,8 +87,16 @@ def _scan():
     return set(defs), reached
 
 
+# unreached definitions kept in src/, with the reason; an entry that is reached
+# or gone fails the test as well
+KEPT = {
+    "contact.StarForm.hess_H": "perfbench/tracing.py counts its calls by name",
+}
+
+
 def test_every_definition_is_reached():
     defs, reached = _scan()
     unreached = sorted(defs - reached)
-    assert not unreached, ("run by neither the CLI nor the package API (move "
-                           f"test-only code to tests/oracles.py): {unreached}")
+    assert unreached == sorted(KEPT), (
+        "run by neither the CLI nor the package API (move test-only code to "
+        f"tests/oracles.py), or a stale KEPT entry: {unreached}")
