@@ -80,22 +80,6 @@ def sphere_samples(n, seed_skip=0):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _canonical_payload(kind, name, r_squared=None, exps=None, coeffs=None):
-    if kind == "ellipsoid":
-        body = {"type": "ellipsoid", "r_squared": [repr(v) for v in r_squared]}
-    else:
-        body = {
-            "type": "weighted",
-            "monomials": [
-                {"exp": [int(e) for e in ex], "coeff": repr(float(c))}
-                for ex, c in zip(exps, coeffs)
-            ],
-        }
-    if name:
-        body["name"] = name
-    return body
-
-
 @dataclass(frozen=True, eq=False)
 class StarForm:
     """A tight contact form encoded by a star-shaped energy level.
@@ -205,9 +189,23 @@ class StarForm:
 
     @property
     def form_hash(self):
-        payload = _canonical_payload(self.kind, self.name, self.r_squared,
-                                     self.exps, self.coeffs)
-        blob = json.dumps(payload, sort_keys=True).encode()
+        """Census key of the form: a digest of its encoding.  The ellipsoid
+        payload holds ``repr`` of numpy scalars, so it is numpy-version
+        dependent; tests pin the digests."""
+        if self.kind == "ellipsoid":
+            body = {"type": "ellipsoid",
+                    "r_squared": [repr(v) for v in self.r_squared]}
+        else:
+            body = {
+                "type": "weighted",
+                "monomials": [
+                    {"exp": [int(e) for e in ex], "coeff": repr(float(c))}
+                    for ex, c in zip(self.exps, self.coeffs)
+                ],
+            }
+        if self.name:
+            body["name"] = self.name
+        blob = json.dumps(body, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     # -- Hamiltonian --------------------------------------------------------

@@ -240,20 +240,11 @@ def trivialized_path(form, orbit, n_min=256):
 # rotation interval and the geometric index
 # ---------------------------------------------------------------------------
 
-def _angle_steps(v):
-    """Angle increments along axis 0 of the planar vectors v (N+1, 2, m),
-    exact while each true step is below pi."""
-    x, y = v[:, 0, :], v[:, 1, :]
-    cross = x[:-1] * y[1:] - y[:-1] * x[1:]
-    dot = x[:-1] * x[1:] + y[:-1] * y[1:]
-    return np.arctan2(cross, dot)
-
-
 def _direction_rotations(mats, n_dirs):
     ms = np.arange(n_dirs)
     dirs = np.stack([np.cos(np.pi * ms / n_dirs), np.sin(np.pi * ms / n_dirs)],
                     axis=0)  # (2, n_dirs), half circle
-    dth = _angle_steps(mats @ dirs)
+    dth = kernels.angle_steps(mats @ dirs)
     if np.abs(dth).max() > 0.5 * np.pi:
         raise ResolutionError(
             "direction tracking under-resolved (angle step "
@@ -319,7 +310,7 @@ def _coefficient_matrices(mats):
 def _eigenfunction_winding(v):
     """Degree of v/|v| for m functions sampled on the periodic grid, v (n, 2, m);
     NaN where a function vanishes or the degree is not an integer."""
-    total = _angle_steps(np.concatenate([v, v[:1]])).sum(axis=0) / (2.0 * np.pi)
+    total = kernels.angle_steps(np.concatenate([v, v[:1]])).sum(axis=0) / (2.0 * np.pi)
     k = np.round(total)
     sq = (v * v).sum(axis=1)
     ok = (sq.min(axis=0) >= 1e-16 * sq.max(axis=0)) & (np.abs(total - k) <= 1e-6)

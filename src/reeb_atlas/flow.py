@@ -28,7 +28,6 @@ __all__ = [
     "FlowResult",
     "integrate_batch",
     "integrate_flow",
-    "flow_map",
     "monodromy_xi",
     "counting",
 ]
@@ -288,14 +287,6 @@ def lockstep(rows, kinds, serve):
     return out
 
 
-def flow_map(form, x0, T, variational=False):
-    """Endpoint (and optionally linearization) of the time-T flow, tol 1e-12."""
-    res = integrate_flow(form, x0, T, tol=1e-12, variational=variational)
-    if variational:
-        return res.endpoint, res.monodromy_end
-    return res.endpoint
-
-
 def monodromy_xi(form, orbit_point, T, closure_tol=1e-6):
     """Linearized period map restricted to the contact plane.
 
@@ -305,7 +296,8 @@ def monodromy_xi(form, orbit_point, T, closure_tol=1e-6):
     ``closure_tol``; determinant is 1 up to integration error.
     """
     x0 = np.asarray(orbit_point, dtype=float)
-    end, M = flow_map(form, x0, T, variational=True)
+    res = integrate_flow(form, x0, T, tol=1e-12, variational=True)
+    end, M = res.endpoint, res.monodromy_end
     gap = np.linalg.norm(end - x0)
     if gap > closure_tol:
         raise DomainError(

@@ -18,6 +18,7 @@ with the variational block, ``(..., 20)``.
   the variational equations dM/dt = -Omega Hess H M;
 - ``norm``: the Euclidean norm over the last axis, equal bit for bit to
   ``np.linalg.norm`` of each row (both use BLAS ddot, as ``np.vecdot`` does);
+- ``angle_steps``: the signed angles between successive planar vectors;
 - ``gauss_linking_raw``: the exact Gauss sum of two polylines, as a sum over
   vertex directions of two atan2 triangle solid angles per segment pair;
 - ``hausdorff_distance``, ``point_to_polyline``, ``min_cross_distance``:
@@ -37,6 +38,7 @@ __all__ = [
     "weighted_rhs",
     "weighted_var_rhs",
     "norm",
+    "angle_steps",
     "gauss_linking_raw",
     "hausdorff_distance",
     "point_to_polyline",
@@ -47,6 +49,16 @@ __all__ = [
 def norm(a):
     """Euclidean norm over the last axis, as ``np.linalg.norm`` of each row."""
     return np.sqrt(np.vecdot(a, a))
+
+
+def angle_steps(v):
+    """Angle increments along axis 0 of the planar vectors v, whose
+    components run along axis 1 (N+1, 2, ...), as atan2 of the cross and dot
+    products of neighbours; exact while each true step is below pi."""
+    x, y = v[:, 0], v[:, 1]
+    cross = x[:-1] * y[1:] - y[:-1] * x[1:]
+    dot = x[:-1] * x[1:] + y[:-1] * y[1:]
+    return np.arctan2(cross, dot)
 
 
 # ---------------------------------------------------------------------------

@@ -207,26 +207,21 @@ def _plane_basis(d):
     return u1, u2, d
 
 
-def _pair_crossings(a3, b3, direction):
-    """Signed crossings between the shadows of two loops.
-
-    Returns the signed sum, or None when the projection is non-generic
-    (near-parallel strands at a crossing).
-    """
+def _shadow_scan(a3, b3, direction):
+    """Segment pairs of the shadows of loops a3 (na, 3) and b3 (nb, 3) on the
+    plane normal to ``direction``, as (na, nb) arrays: ``denom``, the cross
+    product of segment i of a with segment j of b; ``tt`` and ``uu``, the
+    parameters along each where their lines meet; ``generic``, the pairs
+    further than _TANGENT_TOL from parallel relative to their lengths; and
+    ``heights(ii, jj)``, the heights of a and b over the meeting points of
+    the pairs (ii, jj)."""
     u1, u2, d = _plane_basis(direction)
     A2 = np.stack([a3 @ u1, a3 @ u2], axis=1)
     B2 = np.stack([b3 @ u1, b3 @ u2], axis=1)
-    Ah = a3 @ d
-    Bh = b3 @ d
-    na, nb = len(A2), len(B2)
-    p1 = A2
-    p2 = np.roll(A2, -1, axis=0)
-    q1 = B2
-    q2 = np.roll(B2, -1, axis=0)
-    r = p2 - p1  # (na, 2)
-    s = q2 - q1  # (nb, 2)
+    r = np.roll(A2, -1, axis=0) - A2  # (na, 2)
+    s = np.roll(B2, -1, axis=0) - B2  # (nb, 2)
     denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
-    dq = q1[None, :, :] - p1[:, None, :]
+    dq = B2[None, :, :] - A2[:, None, :]
     tt = (dq[:, :, 0] * s[None, :, 1] - dq[:, :, 1] * s[None, :, 0])
     uu = (dq[:, :, 0] * r[:, None, 1] - dq[:, :, 1] * r[:, None, 0])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,17 +229,31 @@ def _pair_crossings(a3, b3, direction):
         uu = uu / denom
     scale = (np.linalg.norm(r, axis=1)[:, None]
              * np.linalg.norm(s, axis=1)[None, :])
-    hit = (np.abs(denom) > _TANGENT_TOL * scale) & \
-        (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
-    near_tangent = (np.abs(denom) <= _TANGENT_TOL * scale) & \
-        (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1) & (uu < 1.1)
-    if np.any(near_tangent & np.isfinite(tt) & np.isfinite(uu)):
+    generic = np.abs(denom) > _TANGENT_TOL * scale
+    Ah, Bh = a3 @ d, b3 @ d
+
+    def heights(ii, jj):
+        return (Ah[ii] + tt[ii, jj] * (np.roll(Ah, -1)[ii] - Ah[ii]),
+                Bh[jj] + uu[ii, jj] * (np.roll(Bh, -1)[jj] - Bh[jj]))
+
+    return denom, tt, uu, generic, heights
+
+
+def _pair_crossings(a3, b3, direction):
+    """Signed crossings between the shadows of two loops.
+
+    Returns the signed sum, or None when the projection is non-generic
+    (near-parallel strands at a crossing).
+    """
+    denom, tt, uu, generic, heights = _shadow_scan(a3, b3, direction)
+    if np.any(~generic & (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1) & (uu < 1.1)
+              & np.isfinite(tt) & np.isfinite(uu)):
         return None
-    ii, jj = np.nonzero(hit)
-    ha = Ah[ii] + tt[ii, jj] * (np.roll(Ah, -1)[ii] - Ah[ii])
-    hb = Bh[jj] + uu[ii, jj] * (np.roll(Bh, -1)[jj] - Bh[jj])
+    ii, jj = np.nonzero(generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0)
+                        & (uu < 1.0))
+    ha, hb = heights(ii, jj)
     # crossing sign: over strand x under strand
-    cross = r[ii, 0] * s[jj, 1] - r[ii, 1] * s[jj, 0]
+    cross = denom[ii, jj]
     return int(np.sign(np.where(ha > hb, cross, -cross)).sum())
 
 
@@ -413,32 +422,17 @@ def _self_crossings(p3, direction):
 
     Returns None on a non-generic projection.
     """
-    u1, u2, d = _plane_basis(direction)
-    P2 = np.stack([p3 @ u1, p3 @ u2], axis=1)
-    H = p3 @ d
-    n = len(P2)
-    p1 = P2
-    r = np.roll(P2, -1, axis=0) - P2
-    hn = np.roll(H, -1)
-    denom = r[:, None, 0] * r[None, :, 1] - r[:, None, 1] * r[None, :, 0]
-    dq = p1[None, :, :] - p1[:, None, :]
-    num_t = dq[:, :, 0] * r[None, :, 1] - dq[:, :, 1] * r[None, :, 0]
-    num_u = dq[:, :, 0] * r[:, None, 1] - dq[:, :, 1] * r[:, None, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tt = num_t / denom
-        uu = num_u / denom
-    lens = np.linalg.norm(r, axis=1)
-    nondeg = np.abs(denom) > _TANGENT_TOL * lens[:, None] * lens[None, :]
+    _, tt, uu, generic, heights = _shadow_scan(p3, p3, direction)
+    n = len(p3)
     idx = np.arange(n)
     upper = idx[None, :] >= idx[:, None] + 2
     upper &= ~((idx[:, None] == 0) & (idx[None, :] == n - 1))  # wrap-adjacent
-    hit = nondeg & upper & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
+    hit = generic & upper & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
     ii, jj = np.nonzero(hit)
     t, u = tt[ii, jj], uu[ii, jj]
     if np.any(np.minimum(np.minimum(t, 1 - t), np.minimum(u, 1 - u)) < 1e-9):
         return None  # crossing at a vertex; retry another direction
-    hi = H[ii] + t * (hn[ii] - H[ii])
-    hj = H[jj] + u * (hn[jj] - H[jj])
+    hi, hj = heights(ii, jj)
     if np.any(np.abs(hi - hj) < 1e-12):
         return None
     # each crossing is met twice along the loop, once over and once under

@@ -21,7 +21,7 @@ from . import kernels
 from .contact import project_to_sigma, reeb_vector, sphere_samples
 from .errors import (DomainError, FrameDegeneracyError, ReebAtlasError,
                      RefinementError, ResolutionError, StiffnessError)
-from .flow import (counting, flow_map, integrate_batch, integrate_flow, lockstep,
+from .flow import (counting, integrate_batch, integrate_flow, lockstep,
                    monodromy_xi)
 
 __all__ = [
@@ -255,7 +255,8 @@ def refine_orbit(form, x_guess, T_guess, initial_residual_cap=0.1):
     if degenerate_family:
         from scipy.optimize import minimize_scalar
 
-        g = lambda t: np.linalg.norm(flow_map(form, x, t) - x)
+        g = lambda t: np.linalg.norm(
+            integrate_flow(form, x, t, tol=1e-12).endpoint - x)
         opt = minimize_scalar(g, bracket=(0.8 * T, T, 1.2 * T))
         if opt.fun > 1e-9:
             raise RefinementError(
@@ -274,7 +275,7 @@ def refine_orbit(form, x_guess, T_guess, initial_residual_cap=0.1):
     T_min = T / mult
     if mult > 1:
         # re-polish at the prime period to certify the prime residual
-        end = flow_map(form, x, T_min)
+        end = integrate_flow(form, x, T_min, tol=1e-12).endpoint
         prime_res = np.linalg.norm(end - x)
     else:
         prime_res = residual
@@ -482,7 +483,7 @@ def load_orbits(form, path):
                         nondeg_class=rec["class"],
                         residual=float(rec["residual"]))
               for rec in payload["orbits"]]
-    # every closure in one batched integration at flow_map's tolerance
+    # every closure in one batched integration at refine_orbit's tolerance
     ends = integrate_batch(form, np.reshape([o.x0 for o in orbits], (-1, 4)),
                            [o.T_min for o in orbits], tol=1e-12)
     for o, res in zip(orbits, ends):

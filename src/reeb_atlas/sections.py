@@ -177,21 +177,18 @@ def builtin_disk(form, orbit, theta0=0.0, n_r=128, n_theta=256):
 # transversality of the interior to the Reeb field
 # ---------------------------------------------------------------------------
 
-def transversality_check(form, disk, rows=None):
+def transversality_check(form, disk):
     """Minimum normalized transversality determinant over interior cells.
 
     Per cell the oriented volume det[grad H, R, d_s u, d_t u] is divided by
     the cell's tangent area, giving the normal speed of the Reeb field
     through the disk.  Returns (min |normalized det|, sign constant?).
-    ``rows=(i0, i1)`` restricts to a radial band (e.g. a boundary collar).
     """
     s = disk.samples
-    i0, i1 = (0, disk.n_r) if rows is None else rows
-    sub = s[i0:i1 + 1]
-    nxt = np.roll(sub, -1, axis=1)
-    a = 0.5 * ((sub[1:] - sub[:-1]) + (nxt[1:] - nxt[:-1]))      # radial edge
-    b = 0.5 * ((nxt[:-1] - sub[:-1]) + (nxt[1:] - sub[1:]))      # angular edge
-    centers = 0.25 * (sub[:-1] + sub[1:] + nxt[:-1] + nxt[1:])
+    nxt = np.roll(s, -1, axis=1)
+    a = 0.5 * ((s[1:] - s[:-1]) + (nxt[1:] - nxt[:-1]))      # radial edge
+    b = 0.5 * ((nxt[:-1] - s[:-1]) + (nxt[1:] - s[1:]))      # angular edge
+    centers = 0.25 * (s[:-1] + s[1:] + nxt[:-1] + nxt[1:])
     x = project_to_sigma(form, centers)
     nu = _unit_normal(form, x)
     R = reeb_vector(form, x, check=False)
@@ -254,14 +251,9 @@ def _node_frame_field(form, disk):
     return normals, vfield
 
 
-def _angle_steps(ang, axis=-1):
-    """Successive differences of angles along an axis, wrapped to [-pi, pi)."""
-    return (np.diff(ang, axis=axis) + np.pi) % (2 * np.pi) - np.pi
-
-
-def _winding_of(points2):
-    ang = np.arctan2(points2[:, 1], points2[:, 0])
-    d = _angle_steps(np.append(ang, ang[0]))
+def _winding_of(vectors):
+    """Winding number of the closed loop of planar vectors (n, 2)."""
+    d = kernels.angle_steps(np.concatenate([vectors, vectors[:1]]))
     if np.abs(d).max() > 0.5 * np.pi:
         raise ResolutionError("vector-field winding under-resolved on the grid")
     total = d.sum() / (2 * np.pi)
@@ -271,7 +263,7 @@ def _winding_of(points2):
     return int(k)
 
 
-def _disk_chart(disk, si, ti):
+def _disk_chart(si, ti):
     """Cartesian chart coordinates (X, Y) = s (cos 2 pi t, sin 2 pi t)."""
     return np.array([si * np.cos(2 * np.pi * ti), si * np.sin(2 * np.pi * ti)])
 
@@ -283,7 +275,7 @@ def _classify_zero(form, disk, vfield, s0, t0):
     radius = max(2.5 / n_r, 0.08)
     si, tj = np.meshgrid(np.arange(1, n_r + 1) / n_r, np.arange(n_t) / n_t,
                          indexing="ij")
-    d = np.moveaxis(_disk_chart(disk, si, tj), 0, -1) - _disk_chart(disk, s0, t0)
+    d = np.moveaxis(_disk_chart(si, tj), 0, -1) - _disk_chart(s0, t0)
     near = (np.abs(si - s0) <= radius) & (kernels.norm(d) <= radius)
     if near.sum() < 6:
         raise ResolutionError("too few grid nodes near a singularity")
@@ -318,35 +310,45 @@ def _classify_zero(form, disk, vfield, s0, t0):
     )
 
 
+def _bilinear(c, al, be):
+    """Points and tangents of the cells c = (c00, c10, c01, c11) at (al, be)."""
+    c00, c10, c01, c11 = c
+    a, b = al[:, None], be[:, None]
+    p = ((1 - a) * (1 - b) * c00 + a * (1 - b) * c10
+         + (1 - a) * b * c01 + a * b * c11)
+    da = (-(1 - b) * c00 + (1 - b) * c10 - b * c01 + b * c11)
+    db = (-(1 - a) * c00 - a * c10 + (1 - a) * c01 + a * c11)
+    return p, da, db
+
+
 def _grid_point(disk, si, ti):
-    """Bilinear interpolation of the grid at continuous (s, t)."""
+    """Bilinear interpolation of the grid at continuous (s, t), t periodic:
+    points of shape (..., 4) for si, ti of shape (...)."""
     n_r, n_t = disk.n_r, disk.n_theta
-    fs = np.clip(si, 0.0, 1.0) * n_r
-    i = min(int(fs), n_r - 1)
-    al = fs - i
-    ft = (ti % 1.0) * n_t
-    j = int(ft) % n_t
+    si, ti = np.broadcast_arrays(si, ti)
+    fs = np.clip(si.ravel(), 0.0, 1.0) * n_r
+    i = np.minimum(fs.astype(int), n_r - 1)
+    ft = (ti.ravel() % 1.0) * n_t
+    j = ft.astype(int)
+    # ft reaches n_t when ti % 1.0 rounds up to 1.0 (ti = -1e-18): be is
+    # taken before the column wraps, so the point lands on column 0
     be = ft - j
+    j %= n_t
     jn = (j + 1) % n_t
-    s = disk.samples
-    return ((1 - al) * (1 - be) * s[i, j] + al * (1 - be) * s[i + 1, j]
-            + (1 - al) * be * s[i, jn] + al * be * s[i + 1, jn])
+    S = disk.samples
+    p, _, _ = _bilinear(np.stack([S[i, j], S[i + 1, j], S[i, jn], S[i + 1, jn]]),
+                        fs - i, be)
+    return p.reshape(si.shape + (4,))
 
 
 def _chart_tangents(disk, si, ti):
     """Tangent vectors of the disk along the Cartesian chart directions, by
     central differences with chart step 1e-3."""
-    X0 = _disk_chart(disk, si, ti)
     h = 1e-3
-
-    def at(X):
-        s = np.linalg.norm(X)
-        t = np.arctan2(X[1], X[0]) / (2 * np.pi)
-        return _grid_point(disk, s, t)
-
-    eX = (at(X0 + [h, 0.0]) - at(X0 - [h, 0.0])) / (2 * h)
-    eY = (at(X0 + [0.0, h]) - at(X0 - [0.0, h])) / (2 * h)
-    return eX, eY
+    X = _disk_chart(si, ti) + np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    p = _grid_point(disk, kernels.norm(X),
+                    np.arctan2(X[:, 1], X[:, 0]) / (2 * np.pi))
+    return (p[0] - p[1]) / (2 * h), (p[2] - p[3]) / (2 * h)
 
 
 def characteristic_field(form, disk):
@@ -379,10 +381,10 @@ def characteristic_field(form, disk):
 
     # cell-by-cell degree test away from the center: the turning of the field
     # around cell (i, j), whose corners are rows i+1 .. i+2 of the grid
-    ang = np.arctan2(vfield[..., 1], vfield[..., 0])
-    ang_next = np.roll(ang, -1, axis=1)
-    loops = np.stack([ang[:-1], ang_next[:-1], ang_next[1:], ang[1:], ang[:-1]])
-    turns = _angle_steps(loops, axis=0).sum(axis=0) / (2 * np.pi)
+    v = np.moveaxis(vfield, -1, 0)
+    v_next = np.roll(v, -1, axis=2)
+    loops = np.stack([v[:, :-1], v_next[:, :-1], v_next[:, 1:], v[:, 1:], v[:, :-1]])
+    turns = kernels.angle_steps(loops).sum(axis=0) / (2 * np.pi)
     for i, j in np.argwhere(np.abs(turns) > 0.5):
         s0, t0 = _refine_zero(disk, vfield, i, j)
         singularities.append(_classify_zero(form, disk, vfield, s0, t0))
@@ -393,20 +395,12 @@ def _refine_zero(disk, vfield, i, j):
     """Bilinear Newton for the zero inside cell (i, j) of the field rows."""
     n_r, n_t = disk.n_r, disk.n_theta
     jn = (j + 1) % n_t
-    v00 = vfield[i, j]
-    v10 = vfield[i + 1, j]
-    v01 = vfield[i, jn]
-    v11 = vfield[i + 1, jn]
+    c = vfield[[i, i + 1, i, i + 1], [j, j, jn, jn]][:, None]  # (4, 1, 2)
     al, be = 0.5, 0.5
     for _ in range(30):
-        v = ((1 - al) * (1 - be) * v00 + al * (1 - be) * v10
-             + (1 - al) * be * v01 + al * be * v11)
-        J = np.stack([
-            -(1 - be) * v00 + (1 - be) * v10 - be * v01 + be * v11,
-            -(1 - al) * v00 - al * v10 + (1 - al) * v01 + al * v11,
-        ], axis=1)
+        (v,), (da,), (db,) = _bilinear(c, np.array([al]), np.array([be]))
         try:
-            step = np.linalg.solve(J, -v)
+            step = np.linalg.solve(np.stack([da, db], axis=1), -v)
         except np.linalg.LinAlgError:
             break
         al = float(np.clip(al + step[0], 0.0, 1.0))
@@ -513,17 +507,6 @@ class _DiskIndex:
                      r.argmin(axis=1)) + np.arange(0, len(ys), 4)
         return [(s[b], t[b], p[b], resid[b], bool(inside[b])) if ok[b] else None
                 for b in k]
-
-
-def _bilinear(c, al, be):
-    """Points and tangents of the cells c = (c00, c10, c01, c11) at (al, be)."""
-    c00, c10, c01, c11 = c
-    a, b = al[:, None], be[:, None]
-    p = ((1 - a) * (1 - b) * c00 + a * (1 - b) * c10
-         + (1 - a) * b * c01 + a * b * c11)
-    da = (-(1 - b) * c00 + (1 - b) * c10 - b * c01 + b * c11)
-    db = (-(1 - a) * c00 - a * c10 + (1 - a) * c01 + a * c11)
-    return p, da, db
 
 
 def _search_row(form, index, x, sign, t_budget):
@@ -685,8 +668,7 @@ def return_map(form, disk, seeds, t_budget, direction="forward",
         raise DomainError("seed lies on the binding; it never returns")
     if index is None:
         index = _DiskIndex(form, disk)
-    X = project_to_sigma(form, np.reshape(
-        [_grid_point(disk, s0, t0) for s0, t0 in seeds], (-1, 4)))
+    X = project_to_sigma(form, _grid_point(disk, seeds[:, 0], seeds[:, 1]))
     signs = np.where(dirs == "forward", 1.0, -1.0)
     found = _first_crossing(form, index, X, signs, t_budget)
     locs = iter(index.locate([hit[0] for hit, _ in found if hit is not None]))

@@ -106,6 +106,13 @@ def test_json_roundtrip_and_nonfinite_rejection():
         StarForm.from_json_dict({"type": "ellipsoid", "r_squared": [1.0, float("inf")]})
 
 
+def test_form_hash_is_pinned(perturbed_form):
+    # saved censuses are keyed by these digests; a change in the payload's
+    # bytes (such as numpy's scalar repr) would orphan them
+    assert StarForm.ellipsoid(1.0, 2 ** 0.5).form_hash == "ed36314f2a795e9c"
+    assert perturbed_form.form_hash == "b394a6f867a47d56"
+
+
 def test_reeb_round_sphere_is_hopf_field(round_form):
     x = np.array([1.0, 0.0, 0.0, 0.0])
     assert np.allclose(reeb_vector(round_form, x), [0.0, 2.0, 0.0, 0.0],

@@ -7,7 +7,8 @@ as set when some call to a function or method of that name passes it by
 keyword, or positionally at its index (a call to a class counts as a call to
 its ``__init__``), with a value other than the literal default: a call that
 spells out the default does not make it a setting.  It covers module-level
-functions and methods, not nested closures.
+functions and methods, not nested closures.  Their number may only fall:
+``MAX_DEFAULTED`` is lowered with each removal and raised only on purpose.
 """
 
 import ast
@@ -19,6 +20,8 @@ PACKAGE = Path(reeb_atlas.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 CALLERS = MODULES + sorted(Path(__file__).parent.glob("*.py"))
 
+
+MAX_DEFAULTED = 37
 
 _NOT_LITERAL = object()
 
@@ -99,3 +102,9 @@ def test_every_defaulted_parameter_is_set_somewhere():
                         for positional, keywords in calls.get(call, []))]
     assert not unset, (f"{len(unset)} defaulted parameters are never set; "
                        f"make them constants: {unset}")
+
+
+def test_defaulted_parameter_count_does_not_grow():
+    count = sum(len(_defaulted(path)) for path in MODULES)
+    assert count <= MAX_DEFAULTED, (
+        f"{count} defaulted parameters, above the bound {MAX_DEFAULTED}")

@@ -8,7 +8,7 @@ from reeb_atlas import kernels
 from reeb_atlas.contact import StarForm
 from reeb_atlas.errors import (DomainError, OffLevelError, RefinementError,
                                StiffnessError)
-from reeb_atlas.flow import flow_map, monodromy_xi
+from reeb_atlas.flow import integrate_flow, monodromy_xi
 from reeb_atlas.orbits import (find_orbits, load_orbits, period_gaps,
                                refine_orbit, save_orbits, trace_orbit,
                                trace_orbits)
@@ -187,7 +187,7 @@ def test_primeness_margin(ell, db10):
         if o.multiplicity != 1:
             continue
         for m in range(2, 9):
-            end = flow_map(ell, o.x0, o.T_min / m)
+            end = integrate_flow(ell, o.x0, o.T_min / m, tol=1e-12).endpoint
             assert np.linalg.norm(end - o.x0) > 1e-3
 
 

@@ -79,8 +79,25 @@ def test_transversality(ell, page):
 
 
 def test_transversality_collar(ell, page):
-    md, sc = sec.transversality_check(ell, page, rows=(page.n_r - 12, page.n_r))
+    collar = sec.DiskGrid(page.samples[page.n_r - 12:])
+    md, sc = sec.transversality_check(ell, collar)
     assert sc and md > 0.1
+
+
+def test_grid_point_is_periodic_in_t_and_batched(page):
+    # -1e-18 % 1.0 rounds up to 1.0, the far edge of the last column
+    assert np.array_equal(sec._grid_point(page, 0.5, -1e-18),
+                          sec._grid_point(page, 0.5, 0.0))
+    for e, e0 in zip(sec._chart_tangents(page, 0.5, 1.0),
+                     sec._chart_tangents(page, 0.5, 0.0)):
+        np.testing.assert_allclose(e, e0, rtol=0, atol=1e-9)
+    rng = np.random.default_rng(0)
+    s, t = rng.random(2000), rng.random(2000)
+    p = sec._grid_point(page, s, t)
+    assert np.array_equal(p, [sec._grid_point(page, a, b) for a, b in zip(s, t)])
+    for shift in (-1.0, 1.0):
+        np.testing.assert_allclose(sec._grid_point(page, s, t + shift), p,
+                                   rtol=0, atol=1e-12)
 
 
 def test_tangent_fixture_breaks_sign_constancy(ell, gamma1):
