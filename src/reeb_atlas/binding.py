@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cz import (_assert_iterate_relations, orbit_index_report, prime_key,
-                 prime_table)
+from .cz import (_assert_iterate_relations, orbit_index_report, prime_data,
+                 prime_flows, prime_key, prime_table)
 from .errors import (DegenerateOrbitError, DomainError, InconsistencyError,
                      ReebAtlasError)
 from .linking import (cover_linking, cover_self_linking, linking_checks,
@@ -41,6 +41,7 @@ class BindingReport:
     index_unknown: list = field(default_factory=list)
     verdict: str = "inconclusive:not-evaluated"
     index_table: list = field(default_factory=list)  # sidecar only
+    primes_integrated: int = 0  # sidecar only
     linking_checks: dict = field(default_factory=dict)  # sidecar only
 
     def to_json_dict(self):
@@ -70,12 +71,13 @@ class BindingReport:
 def check_binding(form, db, candidate_id):
     """Evaluate the binding conditions for one orbit of the census.
 
-    Everything runs in one ``prime_table`` block: each prime is traced and
-    its variational flow integrated at most once, and tests may fill the
-    block's table in advance.  The candidate's index is computed once, on a
-    1024-point grid, and an error there aborts; every other census orbit is
-    indexed on a 512-point grid; ``index_table`` records per report which
-    one integrated and its resolution.  The verdict carries the census
+    Everything runs in one ``prime_table`` block: each prime is traced at
+    most once, and the variational flows of all primes of non-degenerate
+    orbits are integrated in one batch (``primes_integrated`` counts them);
+    tests may fill the block's table in advance.  The candidate's index is
+    computed once, on a 1024-point grid, and an error there aborts; every
+    other census orbit is indexed on a 512-point grid; ``index_table``
+    records each report's resolution.  The verdict carries the census
     truncation cap; conditions quantified over all orbits are only checked
     against the database.  An orbit whose index could not be computed is
     listed in ``index_unknown`` as ``{"orbit_id", "reason"}``; so are the
@@ -114,6 +116,10 @@ def check_binding(form, db, candidate_id):
 def _check_in_table(form, db, candidate_id, report):
     """Fill in ``report`` for a simply covered candidate."""
     cand = db[candidate_id]
+    indexed = [o for o in db.orbits if not o.degenerate]
+    report.primes_integrated = len(
+        {prime_key(o) for o in indexed if prime_data(o).flow is None})
+    prime_flows(form, indexed)
     verdict_knot = unknot_check(prime_trace(form, cand))
     report.unknot_status = verdict_knot.status
     report.crossings_after_reduction = verdict_knot.crossing_count_after_reduction
@@ -178,37 +184,40 @@ def _check_in_table(form, db, candidate_id, report):
     report.verdict = _verdict(report, candidate_id in unknown)
 
 
+# (condition, verdict) in order of precedence over the computed facts: the
+# report's fields and whether the candidate's own index is in doubt.  A
+# ``fails:*`` condition never reads an orbit in ``index_unknown``.
+_RULES = (
+    (lambda r, own: r.unknot_status != "certified_unknot",
+     "inconclusive:unknot_status_unknown"),
+    (lambda r, own: r.sl != -1, "fails:self_linking"),
+    (lambda r, own: not r.index_methods_agree,
+     "inconclusive:index-method-disagreement"),
+    (lambda r, own: own, "inconclusive:index-unknown"),
+    (lambda r, own: r.mu_cz < 3, "fails:index_below_3"),
+    (lambda r, own: any(rec["linked"] is False for rec in r.index2_checked),
+     "fails:index2_orbit_unlinked"),
+    (lambda r, own: any(rec["linked"] is None for rec in r.index2_checked),
+     "inconclusive:index2-linking-unknown"),
+    (lambda r, own: bool(r.index_unknown), "inconclusive:index-unknown"),
+    (lambda r, own: True, "hypotheses_hold"),
+)
+
+
 def _verdict(report, candidate_unknown):
-    """The first rule that holds; a ``fails:*`` rule reads only computed
-    facts, never an orbit in ``index_unknown``."""
-    if report.unknot_status != "certified_unknot":
-        return "inconclusive:unknot_status_unknown"
-    if report.sl != -1:
-        return "fails:self_linking"
-    if not report.index_methods_agree:
-        return "inconclusive:index-method-disagreement"
-    if candidate_unknown:
-        return "inconclusive:index-unknown"
-    if report.mu_cz < 3:
-        return "fails:index_below_3"
-    if any(rec["linked"] is False for rec in report.index2_checked):
-        return "fails:index2_orbit_unlinked"
-    if any(rec["linked"] is None for rec in report.index2_checked):
-        return "inconclusive:index2-linking-unknown"
-    if report.index_unknown:
-        return "inconclusive:index-unknown"
-    return "hypotheses_hold"
+    """The verdict of the first rule in ``_RULES`` that holds."""
+    return next(verdict for holds, verdict in _RULES
+                if holds(report, candidate_unknown))
 
 
 def _index_table(db, reports):
-    """Per index report, in census order: the orbit's multiplicity, whether
-    the report ran its prime's integration, and its resolution."""
+    """Per index report, in census order: the orbit's multiplicity and its
+    resolution."""
     rows = []
     for oid in sorted(reports):
         res = reports[oid].get("resolution", {})
         rows.append({"orbit_id": oid, "multiplicity": db[oid].multiplicity,
-                     "integrated": res.get("integrated_span", 0.0) > 0,
-                     **{k: res.get(k) for k in ("path_samples", "n_dirs", "K")}})
+                     **{k: res.get(k) for k in ("path_samples", "K")}})
     return rows
 
 

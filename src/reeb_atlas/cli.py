@@ -351,6 +351,7 @@ def cmd_binding_check(args):
     payload["rng_seed"] = cfg.get("rng_seed", 0)
     _write_report(args.out, f"binding_orbit{args.candidate}.json", payload,
                   started, extra_meta={"index_table": report.index_table,
+                                       "primes_integrated": report.primes_integrated,
                                        "linking_checks": report.linking_checks,
                                        "stepper": dict(work)})
     print(f"binding verdict for orbit {args.candidate}: {report.verdict}")

@@ -190,11 +190,13 @@ class StarForm:
     @property
     def form_hash(self):
         """Census key of the form: a digest of its encoding.  The ellipsoid
-        payload holds ``repr`` of numpy scalars, so it is numpy-version
-        dependent; tests pin the digests."""
+        payload spells each radius as numpy 2 prints a float64 scalar, under
+        any numpy version, so saved censuses keep their key; tests pin the
+        digests."""
         if self.kind == "ellipsoid":
             body = {"type": "ellipsoid",
-                    "r_squared": [repr(v) for v in self.r_squared]}
+                    "r_squared": [f"np.float64({float(v)!r})"
+                                  for v in self.r_squared]}
         else:
             body = {
                 "type": "weighted",

@@ -1,12 +1,13 @@
 """Conley-Zehnder indices of periodic orbits, two independent ways.
 
-Both routes read one dense variational integration over the prime period,
-sampled on whatever grids they need; a k-fold cover samples its prime's
+Both routes read one trivialized path, sampled from one dense variational
+integration over the prime period; a k-fold cover samples its prime's
 integration through the cocycle M(j T_min + s) = M(s) M(T_min)^j of the
 autonomous flow, and inside ``prime_table`` every report of a prime and its
-iterates shares that one integration.  The geometric route tracks the
-rotation of directions under the trivialized linearized flow and reads the
-index off the rotation interval.  The spectral route projects the
+iterates shares that one integration.  The geometric route reads the index
+off the interval of direction rotation numbers, in closed form from the
+tracked rotation of e1 and the path's endpoint (Long, *Index Theory for
+Symplectic Paths with Applications*, 2002).  The spectral route projects the
 central-difference operator -J0 d/dt + S(t) onto the real Fourier modes
 |k| <= K (Trefethen, *Spectral Methods in MATLAB*, ch. 3-4), takes the
 eigenvalues nearest zero together with the winding numbers of their
@@ -27,8 +28,8 @@ import numpy as np
 from . import kernels
 from .contact import project_to_sigma, xi_frame, xi_projector
 from .errors import (DegenerateOrbitError, DomainError, InconsistencyError,
-                     ResolutionError)
-from .flow import integrate_flow
+                     ReebAtlasError, ResolutionError)
+from .flow import integrate_batch
 
 __all__ = [
     "SymplecticPath",
@@ -42,6 +43,7 @@ __all__ = [
     "orbit_index_report",
     "PrimeData",
     "prime_table",
+    "prime_flows",
 ]
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -99,7 +101,7 @@ class RotationInterval:
     lo: float
     hi: float
     degenerate_margin: float
-    n_dirs: int | None = None  # directions tracked; None for a hand-made one
+    turns: float  # the tracked rotation of e1, in [lo, hi]
 
     @property
     def length(self):
@@ -131,10 +133,10 @@ def prime_key(orbit):
 @dataclass
 class PrimeData:
     """What the open ``prime_table`` block has computed for one prime; a
-    trace, self-linking or link holds the ``ReebAtlasError`` that stopped
-    it, if one did."""
+    flow, trace, self-linking or link holds the ``ReebAtlasError`` that
+    stopped it, if one did."""
 
-    flow: tuple | None = None  # dense variational trajectory, period matrix
+    flow: object = None        # dense variational trajectory, period matrix
     trace: object = None       # 512 points over [0, T_min)
     sl: object = None          # self-linking number
     links: dict = field(default_factory=dict)  # other prime's key -> linking
@@ -164,20 +166,35 @@ def prime_data(orbit):
     return table.setdefault(prime_key(orbit), PrimeData())
 
 
+def prime_flows(form, orbits):
+    """Per orbit, its prime's dense variational flow over [0, T_min] at tol
+    1e-12 and period matrix M(T_min), or the ``ReebAtlasError`` that stopped
+    the integration.  The primes not yet integrated in the open
+    ``prime_table`` block are integrated together in one ``integrate_batch``;
+    each row equals its one-row run bit for bit."""
+    primes = {prime_key(o): (prime_data(o), o) for o in orbits}
+    todo = [(p, o) for p, o in primes.values() if p.flow is None]
+    if todo:
+        runs = integrate_batch(form, np.array([o.x0 for _, o in todo]),
+                               np.array([o.T_min for _, o in todo]), tol=1e-12,
+                               variational=True, dense=True)
+        for (p, o), run in zip(todo, runs):
+            p.flow = run if isinstance(run, ReebAtlasError) else (
+                run.trajectory, run.trajectory(o.T_min)[4:].reshape(4, 4))
+    return [primes[prime_key(o)][0].flow for o in orbits]
+
+
 def _variational_flow(form, orbit):
     """Base point and 4x4 linearized flow, as a dense (n, 20) sampler over
-    [0, orbit.T], from one variational integration of the prime over
-    [0, T_min] at tol 1e-12, shared inside ``prime_table``.  A prime gets
-    that integration's ``Trajectory``; a k-fold cover samples it at
-    s = t - j T_min with the matrix M(s) M(T_min)^j."""
+    [0, orbit.T], from the prime's one integration (``prime_flows``).  A
+    prime gets that integration's ``Trajectory``; a k-fold cover samples it
+    at s = t - j T_min with the matrix M(s) M(T_min)^j."""
     if orbit.residual > 1e-9:
         raise DomainError(f"orbit residual {orbit.residual:.2e} exceeds 1e-09")
-    prime = prime_data(orbit)
-    if prime.flow is None:
-        traj = integrate_flow(form, orbit.x0, orbit.T_min, tol=1e-12,
-                              variational=True, dense=True).trajectory
-        prime.flow = (traj, traj(orbit.T_min)[4:].reshape(4, 4))
-    traj, period = prime.flow
+    flow, = prime_flows(form, [orbit])
+    if isinstance(flow, ReebAtlasError):
+        raise flow
+    traj, period = flow
     k, T_min = orbit.multiplicity, orbit.T_min
     if k == 1:
         return traj
@@ -209,7 +226,7 @@ def _path_samples(form, orbit, flow, n):
     return mats, max_frame_angle
 
 
-def trivialized_path(form, orbit, n_min=256):
+def trivialized_path(form, orbit, n_min):
     """Linearized Reeb flow along an orbit, expressed in the global frame.
 
     The orbit's residual must be at most 1e-9.  The sample count doubles
@@ -240,37 +257,59 @@ def trivialized_path(form, orbit, n_min=256):
 # rotation interval and the geometric index
 # ---------------------------------------------------------------------------
 
-def _direction_rotations(mats, n_dirs):
-    ms = np.arange(n_dirs)
-    dirs = np.stack([np.cos(np.pi * ms / n_dirs), np.sin(np.pi * ms / n_dirs)],
-                    axis=0)  # (2, n_dirs), half circle
-    dth = kernels.angle_steps(mats @ dirs)
-    if np.abs(dth).max() > 0.5 * np.pi:
-        raise ResolutionError(
-            "direction tracking under-resolved (angle step "
-            f"{np.abs(dth).max():.2f} rad); densify the path"
-        )
-    return dth.sum(axis=0) / (2.0 * np.pi)
+def _extremal_directions(A):
+    """The two unit directions u with |A u|^2 = det A, where the angle that A
+    (..., 2, 2), det A > 0, turns a direction by is extremal; as
+    (..., 2, 2), one direction per column.  A^T A = [[a, b], [b, c]] has the
+    eigenvalues m +- r, m = (a + c) / 2, r = hypot((a - c) / 2, b), and the
+    eigenvector of m + r at the angle psi = atan2(2 b, a - c) / 2; then u is
+    at psi +- phi, tan^2 phi = (m + r - det A) / (det A - m + r).  A conformal
+    A (r = 0) turns every direction alike."""
+    S = np.swapaxes(A, -1, -2) @ A
+    a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
+    m, r = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    phi = np.arctan2(np.sqrt(np.maximum(m + r - det, 0.0)),
+                     np.sqrt(np.maximum(det - m + r, 0.0)))
+    ang = 0.5 * np.arctan2(2.0 * b, a - c)[..., None] + np.stack([phi, -phi], axis=-1)
+    return np.stack([np.cos(ang), np.sin(ang)], axis=-2)
+
+
+def _turn_angles(A, U):
+    """Angle in (-pi, pi] from each column of U (..., 2, m) to its image
+    under A (..., 2, 2)."""
+    return kernels.angle_steps(np.moveaxis(np.stack([U, A @ U]), -2, 1))[0]
 
 
 def rotation_interval(path):
     """Interval of direction rotation numbers of a symplectic path.
 
-    Directions cover the half circle (antipodal directions rotate equally);
-    their count starts at 360 and doubles, up to 5760, until the endpoints
-    move by less than 1e-3.
+    The tracked rotation of e1 gives ``turns``.  Every other direction u
+    follows from the endpoint A alone: it rotates by ``turns`` plus the turn
+    of u under A less that of e1, wrapped to (-pi, pi), over 2 pi, because
+    the angle of A u increases strictly with that of u, by pi per half turn.
+    The extremes sit where |A u|^2 = det A (``_extremal_directions``).  A
+    step map M_{i+1} M_i^-1 that turns some direction by more than pi/2,
+    found the same way, raises ``ResolutionError``.
     """
     path.validate()
-    lo = hi = None
-    for n_dirs in (360, 720, 1440, 2880, 5760):
-        deltas = _direction_rotations(path.mats, n_dirs)
-        new_lo, new_hi = float(deltas.min()), float(deltas.max())
-        if lo is not None and abs(new_lo - lo) < 1e-3 and abs(new_hi - hi) < 1e-3:
-            lo, hi = min(lo, new_lo), max(hi, new_hi)
-            break
-        lo, hi = new_lo, new_hi
+    mats = path.mats
+    steps = mats[1:] @ np.linalg.inv(mats[:-1])
+    worst = np.abs(_turn_angles(steps, _extremal_directions(steps))).max()
+    if worst > 0.5 * np.pi:
+        raise ResolutionError(
+            f"direction tracking under-resolved (angle step {worst:.2f} rad); "
+            "densify the path"
+        )
+    turns = kernels.angle_steps(mats[:, :, 0]).sum() / (2.0 * np.pi)
+    A = path.endpoint
+    turn = _turn_angles(A, np.column_stack([[1.0, 0.0], _extremal_directions(A)]))
+    offsets = np.remainder(turn[1:] - turn[0] + np.pi, 2.0 * np.pi) - np.pi
+    deltas = turns + offsets / (2.0 * np.pi)
+    lo, hi = float(min(turns, deltas.min())), float(max(turns, deltas.max()))
     margin = min(abs(lo - round(lo)), abs(hi - round(hi)))
-    return RotationInterval(lo=lo, hi=hi, degenerate_margin=margin, n_dirs=n_dirs)
+    return RotationInterval(lo=lo, hi=hi, degenerate_margin=margin,
+                            turns=float(turns))
 
 
 def cz_from_interval(interval):
@@ -360,13 +399,14 @@ def _spectral_data(S, K):
 
 
 def _fourier_spectrum(S, turns):
-    """Spectral data of -J0 d/dt + S from the Galerkin solves at doubling K.
+    """Spectral data of -J0 d/dt + S from the Galerkin solves at growing K.
 
-    K starts ``_BAND`` modes above the rotation ``turns`` and doubles until
-    the Fourier coefficients of S beyond K are below 1e-9 of its largest and,
-    since the previous K, the negative windings are unchanged and nu_neg and
-    nu_pos moved by at most 1e-10 relative.  No answer comes back past
-    ``len(S) // 8`` modes, the range where the symbol is monotone.
+    K starts ``_BAND`` modes above the rotation ``turns`` and grows by
+    ``_BAND`` until the Fourier coefficients of S beyond K are below 1e-9 of
+    its largest and, since the previous K, the negative windings are
+    unchanged and nu_neg and nu_pos moved by at most 1e-10 relative.  No
+    answer comes back past ``len(S) // 8`` modes, the range where the symbol
+    is monotone.
     """
     n = len(S)
     coef = np.abs(np.fft.rfft(S.reshape(n, 4), axis=0)).max(axis=1)
@@ -380,29 +420,21 @@ def _fourier_spectrum(S, turns):
                 and np.allclose([prev.nu_neg, prev.nu_pos],
                                 [cur.nu_neg, cur.nu_pos], rtol=1e-10, atol=0)):
             return cur
-        prev, K = cur, 2 * K
+        prev, K = cur, K + _BAND
     raise ResolutionError(f"the spectrum did not settle within {n // 8} Fourier "
                           f"modes on {n} points; raise n_grid")
 
 
-def asymptotic_spectrum(form, orbit, n_grid=1024):
+def asymptotic_spectrum(orbit, path, turns):
     """Eigenvalues nearest zero of the orbit operator, with windings.
 
     S(t), symmetric in the orthonormalized global frame, is read off the
-    trivialized path on ``n_grid`` points; ``_fourier_spectrum`` solves
-    -J0 d/dt + S(t) on the low Fourier modes.
+    orbit's trivialized ``path``, along which e1 rotates by ``turns``;
+    ``_fourier_spectrum`` solves -J0 d/dt + S(t) on the low Fourier modes.
     """
     if orbit.degenerate:
         raise DegenerateOrbitError("orbit is degenerate; spectrum has a kernel")
-    path = trivialized_path(form, orbit, n_min=n_grid)
-    if path.n_steps != n_grid:
-        raise ResolutionError(
-            f"n_grid={n_grid} under-resolves this orbit; use at least "
-            f"{path.n_steps}"
-        )
-    turns = _direction_rotations(path.mats, 1)[0]
-    S = _coefficient_matrices(path.mats)
-    return _fourier_spectrum(S, turns)
+    return _fourier_spectrum(_coefficient_matrices(path.mats), turns)
 
 
 def cz_from_spectrum(data):
@@ -420,11 +452,12 @@ def orbit_index_report(form, orbit, n_grid=1024):
     Degenerate orbits produce flags instead of numbers: no index is ever
     emitted for a flagged orbit.  An emitted index is cross-checked against
     the monodromy class: it is even iff the orbit is positive hyperbolic.
-    Both routes sample the prime's one variational integration, shared with
-    the other reports of an enclosing ``prime_table`` block.  ``resolution``
-    holds the interval path's sample count, ``n_dirs`` and K, as far as
-    reached, and ``integrated_span``: T_min if this report ran the prime's
-    integration, else 0.
+    Both routes read one trivialized path on ``n_grid`` steps; a grid that
+    under-resolves the orbit raises ``ResolutionError``.  The path samples
+    the prime's one variational integration, shared with the other reports
+    of an enclosing ``prime_table`` block.  ``resolution`` holds the path's
+    sample count and K, as far as reached, and ``integrated_span``: T_min if
+    this report ran the prime's integration, else 0.
     """
     report = {
         "mu_geometric": None,
@@ -443,10 +476,15 @@ def orbit_index_report(form, orbit, n_grid=1024):
     with prime_table():
         fresh = prime_data(orbit).flow is None
         try:
-            path = trivialized_path(form, orbit)
-            resolution["integrated_span"] = orbit.T_min if fresh else 0.0
+            path = trivialized_path(form, orbit, n_grid)
+            resolution.update(integrated_span=orbit.T_min if fresh else 0.0,
+                              path_samples=path.n_steps + 1)
+            if path.n_steps != n_grid:
+                raise ResolutionError(
+                    f"n_grid={n_grid} under-resolves this orbit; use at least "
+                    f"{path.n_steps}"
+                )
             interval = rotation_interval(path)
-            resolution.update(path_samples=path.n_steps + 1, n_dirs=interval.n_dirs)
             report["interval"] = [interval.lo, interval.hi]
             mu_geo, flagged = cz_from_interval(interval)
             if flagged:
@@ -454,7 +492,7 @@ def orbit_index_report(form, orbit, n_grid=1024):
                     "rotation interval endpoint near integer")
             else:
                 report["mu_geometric"] = mu_geo
-            data = asymptotic_spectrum(form, orbit, n_grid=n_grid)
+            data = asymptotic_spectrum(orbit, path, interval.turns)
             resolution["K"] = data.K
             report["nu_neg"] = data.nu_neg
             report["wind_nu_neg"] = data.wind_nu_neg

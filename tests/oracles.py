@@ -2,7 +2,8 @@
 
 The round sphere, frame vectors from frame coordinates,
 synthetic symplectic paths with known indices and their non-degeneracy, the
-Maslov index of a loop,
+Maslov index of a loop, the rotation interval on a grid of directions, the
+spectrum of an orbit from its own path,
 the winding census of a spectrum, the index table of a prime's iterates
 (checked by ``cz._assert_iterate_relations``), the contact area of a disk by
 two routes, the return map of arbitrary level points, and the primitive
@@ -13,9 +14,11 @@ out of ``src/``.
 
 import numpy as np
 
+from reeb_atlas import kernels
 from reeb_atlas.contact import OMEGA, StarForm, omega_form, project_to_sigma
 from reeb_atlas.cz import (STEP_GUARD, SymplecticPath, _assert_iterate_relations,
-                           cz_from_interval, rotation_interval, trivialized_path)
+                           asymptotic_spectrum, cz_from_interval,
+                           rotation_interval, trivialized_path)
 from reeb_atlas.errors import DomainError, GridQualityError, ResolutionError
 from reeb_atlas.sections import _DiskIndex, _first_crossing
 
@@ -201,6 +204,30 @@ def maslov_loop(path):
     return int(k)
 
 
+def grid_interval(path, n_dirs):
+    """(lo, hi) of the rotations of ``n_dirs`` directions evenly spaced over
+    the half circle, each tracked over every step of the path, 2000
+    directions at a time; a step above pi/2 raises ``ResolutionError``."""
+    lo, hi = np.inf, -np.inf
+    for start in range(0, n_dirs, 2000):
+        ang = np.pi * np.arange(start, min(n_dirs, start + 2000)) / n_dirs
+        dth = kernels.angle_steps(path.mats @ np.stack([np.cos(ang), np.sin(ang)]))
+        if np.abs(dth).max() > 0.5 * np.pi:
+            raise ResolutionError(
+                f"direction tracking under-resolved (angle step "
+                f"{np.abs(dth).max():.2f} rad)")
+        deltas = dth.sum(axis=0) / (2.0 * np.pi)
+        lo, hi = min(lo, deltas.min()), max(hi, deltas.max())
+    return float(lo), float(hi)
+
+
+def spectrum(form, orbit, n_grid):
+    """The orbit's spectral data from its own trivialized path on
+    ``n_grid`` steps, as its index report reads them."""
+    path = trivialized_path(form, orbit, n_grid)
+    return asymptotic_spectrum(orbit, path, rotation_interval(path).turns)
+
+
 def winding_census(data):
     """Count of computed eigenvalues per winding, restricted to winding
     classes strictly inside the computed range (those are complete)."""
@@ -229,7 +256,7 @@ def iterate_index_table(form, orbit, k_max):
         if it.degenerate:
             flags.append(k)
             continue
-        path = trivialized_path(form, it, n_min=max(256, 128 * k))
+        path = trivialized_path(form, it, max(256, 128 * k))
         mu, deg = cz_from_interval(rotation_interval(path))
         if deg:
             flags.append(k)

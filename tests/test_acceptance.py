@@ -14,7 +14,7 @@ from reeb_atlas.orbits import find_orbits, refine_orbit, trace_orbit
 
 from oracles import (compose_paths, disk_area, invert_path, polygon_action,
                      pure_rotation_path, random_loop, random_nondegenerate_path,
-                     return_map_points, winding_census)
+                     return_map_points, spectrum, winding_census)
 
 SQ2 = np.sqrt(2.0)
 BUDGET = 10 * np.pi * SQ2
@@ -51,11 +51,10 @@ def test_criterion_2_index_tables(ell, gamma1, gamma2):
     for orbit, k_max, expect in ((gamma1, 5, expect1), (gamma2, 3, expect2)):
         for k in range(1, k_max + 1):
             it = orbit.iterate(k)
-            path = cz.trivialized_path(ell, it, n_min=max(256, 256 * k))
+            path = cz.trivialized_path(ell, it, max(256, 256 * k))
             mu_geo, flag = cz.cz_from_interval(cz.rotation_interval(path))
             assert not flag
-            data = cz.asymptotic_spectrum(ell, it,
-                                          n_grid=max(1024, 512 * k))
+            data = spectrum(ell, it, max(1024, 512 * k))
             mu_spec = cz.cz_from_spectrum(data)
             assert mu_geo == expect[k - 1]
             assert mu_spec == expect[k - 1]
@@ -96,7 +95,7 @@ def test_criterion_3_axiom_suite():
 
 def test_criterion_4_spectral_structure(ell, db10):
     for orbit in db10.orbits:
-        data = cz.asymptotic_spectrum(ell, orbit, n_grid=1024)
+        data = spectrum(ell, orbit, 1024)
         census, monotone = winding_census(data)
         assert monotone, "winding must be monotone in the eigenvalue"
         assert census, "no complete winding classes resolved"

@@ -28,6 +28,35 @@ def trefoil_loop():
     ], axis=1)
 
 
+def test_verdict_rules_walk_in_order():
+    # the rules in the README's order; breaking the facts of each rule, from
+    # the last up, hands the verdict to that rule while every later rule
+    # still holds too
+    assert [verdict for _, verdict in binding._RULES] == [
+        "inconclusive:unknot_status_unknown", "fails:self_linking",
+        "inconclusive:index-method-disagreement", "inconclusive:index-unknown",
+        "fails:index_below_3", "fails:index2_orbit_unlinked",
+        "inconclusive:index2-linking-unknown", "inconclusive:index-unknown",
+        "hypotheses_hold"]
+    unlinked = {"orbit_id": 4, "lk": 0, "linked": False}
+    unknown_lk = {"orbit_id": 5, "lk": None, "linked": None, "skipped": "x"}
+    breaks = [("unknot_status", "unknown"), ("sl", 1),
+              ("index_methods_agree", False), ("own", True), ("mu_cz", 2),
+              ("index2_checked", [unlinked, unknown_lk]),
+              ("index2_checked", [unknown_lk]),
+              ("index_unknown", [{"orbit_id": 6, "reason": "degenerate"}])]
+    assert len(breaks) == len(binding._RULES) - 1
+    facts = {"unknot_status": "certified_unknot", "sl": -1, "mu_cz": 3,
+             "index_methods_agree": True, "own": False}
+    for i in range(len(breaks), -1, -1):
+        if i < len(breaks):
+            facts[breaks[i][0]] = breaks[i][1]
+        rep = binding.BindingReport(
+            orbit_id=0, t_max=10.0, simply_covered=True,
+            **{k: v for k, v in facts.items() if k != "own"})
+        assert binding._verdict(rep, facts["own"]) == binding._RULES[i][1]
+
+
 def test_binding_holds_for_gamma1(ell, db20, monkeypatch):
     real = binding.orbit_index_report
     seen = []
@@ -55,21 +84,32 @@ def test_binding_holds_for_gamma1(ell, db20, monkeypatch):
 
 def test_binding_integrates_each_prime_once(ell, db20, monkeypatch):
     # every index report of the census shares its prime's one variational
-    # integration over T_min, the candidate's included
-    runs, real = [], cz.integrate_flow
+    # integration over T_min, the candidate's included; all primes run in
+    # one batch, and each row equals the prime's one-row run bit for bit
+    runs, real = [], cz.integrate_batch
 
     def spy(form, x0, T, **kwargs):
-        runs.append((T, tuple(x0)))
-        return real(form, x0, T, **kwargs)
+        out = real(form, x0, T, **kwargs)
+        runs.append((x0, T, kwargs, out))
+        return out
 
-    monkeypatch.setattr(cz, "integrate_flow", spy)
+    monkeypatch.setattr(cz, "integrate_batch", spy)
     rep = check_binding(ell, db20, _entry_id(db20, np.pi, 1))
     assert rep.verdict == "hypotheses_hold"
     primes = {(o.T_min, tuple(o.x0)) for o in db20.orbits}
-    assert len(primes) == 2 and sorted(runs) == sorted(primes)
+    assert len(primes) == 2 and len(runs) == 1
+    x0, T, kwargs, out = runs[0]
+    assert sorted(zip(T, map(tuple, x0))) == sorted(primes)
+    assert kwargs == {"tol": 1e-12, "variational": True, "dense": True}
+    for x, t, res in zip(x0, T, out):
+        one = integrate_flow(ell, x, t, **kwargs).trajectory
+        for name in ("breaks", "states", "F"):
+            assert np.array_equal(getattr(res.trajectory, name),
+                                  getattr(one, name)), name
+    assert rep.primes_integrated == 2
     assert len(rep.index_table) == len(db20)
-    assert sum(row["integrated"] for row in rep.index_table) == 2
-    assert all(row["path_samples"] and row["n_dirs"] and row["K"]
+    assert all(row["path_samples"] == (1025 if row["orbit_id"] == rep.orbit_id
+                                       else 513) and row["K"]
                for row in rep.index_table)
 
 

@@ -103,9 +103,8 @@ def test_orbit_index_exit_codes(ell_config, found, round_config, workdir):
     # how finely the index was resolved goes to the sidecar
     with open(os.path.join(found, "index_orbit0.json.meta.json")) as fh:
         res = json.load(fh)["resolution"]
-    assert res["path_samples"] == 257
-    assert res["n_dirs"] in (360, 720, 1440, 2880, 5760)
-    assert 8 < res["K"] <= 1024 // 8
+    assert res["path_samples"] == 1025
+    assert res["K"] == 2 + 16  # ceil(1 + 1 / sqrt 2) plus two bands of 8
 
     out_r = str(workdir / "round_run")
     assert main(["orbits-find", "--config", round_config, "--out", out_r]) == 0
@@ -147,8 +146,8 @@ def test_binding_check_exit_codes(ell_config, found):
 
 def test_index_sidecars_record_the_shared_integration(ell_config, found,
                                                       workdir):
-    # binding-check integrates each prime once for the whole census, and
-    # orbit-index on a cover integrates its prime over T_min
+    # binding-check integrates the primes once for the whole census, in one
+    # batch, and orbit-index on a cover integrates its prime over T_min
     orbits = os.path.join(found, "orbits.json")
     out = str(workdir / "index_table")
     assert main(["binding-check", "--config", ell_config, "--orbits", orbits,
@@ -158,10 +157,9 @@ def test_index_sidecars_record_the_shared_integration(ell_config, found,
     table = meta["index_table"]
     assert [row["orbit_id"] for row in table] == list(range(5))
     assert [row["multiplicity"] for row in table] == [1, 1, 2, 2, 3]
-    assert [row["integrated"] for row in table] == [True, True, False, False,
-                                                   False]
-    assert all(row["path_samples"] >= 257 and row["n_dirs"] and row["K"]
-               for row in table)
+    assert meta["primes_integrated"] == 2
+    assert [row["path_samples"] for row in table] == [1025] + [513] * 4
+    assert all(row["K"] for row in table)
     assert meta["stepper"]["rhs_evals"] >= 12 * meta["stepper"]["steps"] > 0
     # no index-2 orbit, so only the candidate's prime is traced
     assert meta["linking_checks"] == {"primes_traced": 1, "prime_pairs": [],

@@ -3,15 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reeb_atlas import cz
+from reeb_atlas import cz, kernels
 from reeb_atlas.errors import (DegenerateOrbitError, DomainError,
                                InconsistencyError, ResolutionError)
+from reeb_atlas.flow import integrate_flow
 from reeb_atlas.orbits import refine_orbit
 
-from oracles import (compose_paths, hyperbolic_path, invert_path,
+from oracles import (compose_paths, grid_interval, hyperbolic_path, invert_path,
                      iterate_index_table, maslov_loop, nondegenerate, path_power,
                      pure_rotation_path, random_loop, random_nondegenerate_path,
-                     winding_census)
+                     spectrum, winding_census)
 
 RHO1 = 1.0 + 1.0 / np.sqrt(2.0)
 RHO2 = 1.0 + np.sqrt(2.0)
@@ -27,7 +28,7 @@ def rotation(theta):
 # ---------------------------------------------------------------------------
 
 def test_gamma1_path_is_pure_rotation(ell, gamma1):
-    path = cz.trivialized_path(ell, gamma1)
+    path = cz.trivialized_path(ell, gamma1, 256)
     worst = 0.0
     for t, m in zip(path.times, path.mats):
         worst = max(worst, np.abs(m - rotation(2 * np.pi * RHO1 * t)).max())
@@ -37,14 +38,14 @@ def test_gamma1_path_is_pure_rotation(ell, gamma1):
 def test_round_sphere_path_degenerate_endpoint(round_form):
     orbit = refine_orbit(round_form, np.array([1.0, 0.0, 0.0, 0.0]), np.pi)
     assert orbit.degenerate
-    path = cz.trivialized_path(round_form, orbit)
+    path = cz.trivialized_path(round_form, orbit, 256)
     assert np.abs(path.endpoint - np.eye(2)).max() < 1e-6
     assert not nondegenerate(path, tol=1e-8)
 
 
 def test_iterate_path_is_concatenation(ell, gamma1):
-    p1 = cz.trivialized_path(ell, gamma1, n_min=256)
-    p2 = cz.trivialized_path(ell, gamma1.iterate(2), n_min=512)
+    p1 = cz.trivialized_path(ell, gamma1, 256)
+    p2 = cz.trivialized_path(ell, gamma1.iterate(2), 512)
     synth = path_power(p1, 2)
     assert np.abs(synth.mats - p2.mats).max() < 1e-5
 
@@ -61,23 +62,51 @@ def test_pure_rotation_half_turn():
 
 
 def test_gamma1_interval(ell, gamma1):
-    iv = cz.rotation_interval(cz.trivialized_path(ell, gamma1))
+    iv = cz.rotation_interval(cz.trivialized_path(ell, gamma1, 256))
     assert iv.lo == pytest.approx(RHO1, abs=1e-6)
     assert iv.length < 1e-6
     assert cz.cz_from_interval(iv) == (3, False)
 
 
+def _assert_matches_grids(iv, path):
+    # the closed form sits within 1e-7 of 20,000 tracked directions and
+    # contains the 720 that the direction grid used to stop at
+    fine = grid_interval(path, 20000)
+    assert abs(iv.lo - fine[0]) < 1e-7 and abs(iv.hi - fine[1]) < 1e-7
+    lo, hi = grid_interval(path, 720)
+    assert iv.lo <= lo and hi <= iv.hi
+    assert iv.turns == grid_interval(path, 1)[0]
+
+
 def test_hyperbolic_interval_contains_zero():
     iv = cz.rotation_interval(hyperbolic_path(1.0))
+    _assert_matches_grids(iv, hyperbolic_path(1.0))
     assert iv.lo <= 0.0 <= iv.hi
     assert iv.length < 0.5
     assert cz.cz_from_interval(iv)[0] == 0
 
 
+def test_resolution_guard_sees_every_direction():
+    # stretch e1 tenfold, then shear along it: the shear step fixes e1 but
+    # turns the directions near e2 by more than pi/2, though the matrices
+    # move by 0.4 < STEP_GUARD
+    n, lam = 256, 10.0
+    t = np.linspace(0.0, 1.0, n + 1)
+    mats = np.zeros((n + 2, 2, 2))
+    mats[:-1, 0, 0], mats[:-1, 1, 1] = lam ** t, lam ** -t
+    mats[-1] = np.array([[1.0, 4.0], [0.0, 1.0]]) @ mats[-2]
+    path = cz.SymplecticPath(times=np.linspace(0.0, 1.0, n + 2), mats=mats)
+    path.validate()
+    assert np.abs(kernels.angle_steps(mats[:, :, 0])).max() == 0.0
+    with pytest.raises(ResolutionError, match="under-resolved"):
+        cz.rotation_interval(path)
+
+
 def test_interval_branches():
     make = lambda lo, hi: cz.RotationInterval(
         lo=lo, hi=hi,
-        degenerate_margin=min(abs(lo - round(lo)), abs(hi - round(hi))))
+        degenerate_margin=min(abs(lo - round(lo)), abs(hi - round(hi))),
+        turns=lo)
     assert cz.cz_from_interval(make(1.69, 1.72))[0] == 3
     assert cz.cz_from_interval(make(-0.1, 0.1))[0] == 0
     mu, flag = cz.cz_from_interval(make(0.99997, 1.00002))
@@ -102,6 +131,7 @@ def test_axioms_sample():
         m = int(rng.integers(-2, 3))
         psi = random_loop(rng, m, n=phi.n_steps)
         iv = cz.rotation_interval(phi)
+        _assert_matches_grids(iv, phi)
         assert iv.length < 0.5
         mu, _ = cz.cz_from_interval(iv)
         mu_prod, _ = cz.cz_from_interval(
@@ -135,7 +165,7 @@ def test_homotopy_stability():
 
 def test_gamma1_spectrum_against_fourier_oracle(ell, gamma1):
     # constant-coefficient operator: eigenvalues 2 pi (k - rho), winding k
-    data = cz.asymptotic_spectrum(ell, gamma1, n_grid=1024)
+    data = spectrum(ell, gamma1, 1024)
     assert data.wind_nu_neg == 1
     assert data.p == 1
     assert data.nu_neg == pytest.approx(2 * np.pi * (1 - RHO1), rel=1e-3)
@@ -146,14 +176,14 @@ def test_gamma1_spectrum_against_fourier_oracle(ell, gamma1):
 
 
 def test_gamma2_spectrum(ell, gamma2):
-    data = cz.asymptotic_spectrum(ell, gamma2, n_grid=1024)
+    data = spectrum(ell, gamma2, 1024)
     assert data.wind_nu_neg == 2
     assert data.p == 1
     assert cz.cz_from_spectrum(data) == 5
 
 
 def test_winding_pairing_and_monotonicity(ell, gamma1):
-    data = cz.asymptotic_spectrum(ell, gamma1, n_grid=1024)
+    data = spectrum(ell, gamma1, 1024)
     census, monotone = winding_census(data)
     assert monotone
     assert len(census) >= 7  # at least |k| <= 3 around the relevant winding
@@ -162,8 +192,9 @@ def test_winding_pairing_and_monotonicity(ell, gamma1):
 
 def test_spectrum_refuses_degenerate(round_form):
     orbit = refine_orbit(round_form, np.array([1.0, 0.0, 0.0, 0.0]), np.pi)
+    path = cz.trivialized_path(round_form, orbit, 1024)
     with pytest.raises(DegenerateOrbitError):
-        cz.asymptotic_spectrum(round_form, orbit)
+        cz.asymptotic_spectrum(orbit, path, cz.rotation_interval(path).turns)
 
 
 def test_galerkin_constant_coefficients_match_the_matched_symbol():
@@ -194,31 +225,38 @@ def test_galerkin_refuses_a_slowly_decaying_coefficient():
 
 @pytest.mark.parametrize("k, samples", [(1, 257), (9, 513)])
 def test_index_report_integrates_once(ell, gamma1, monkeypatch, k, samples):
-    # gamma1^9 rotates too fast for 256 samples, so its interval path doubles
-    # and re-samples the one integration, which is its prime's over T_min
-    runs, real = [], cz.integrate_flow
+    # both routes read one path on n_grid steps, sampled from the one
+    # integration, which is its prime's over T_min; gamma1^9 rotates too fast
+    # for 256 steps, so it needs 512
+    runs, real = [], cz.integrate_batch
 
     def spy(*args, **kwargs):
         runs.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cz, "integrate_flow", spy)
+    monkeypatch.setattr(cz, "integrate_batch", spy)
     orbit = gamma1 if k == 1 else gamma1.iterate(k)
-    rep = cz.orbit_index_report(ell, orbit, n_grid=1024)
+    rep = cz.orbit_index_report(ell, orbit, n_grid=samples - 1)
     assert len(runs) == 1 and runs[0][1]["dense"]
-    assert runs[0][0][2] == gamma1.T_min
+    assert list(runs[0][0][2]) == [gamma1.T_min]
     assert rep["resolution"]["integrated_span"] == gamma1.T_min
     assert rep["mu_geometric"] == rep["mu_spectral"] == (
         2 * k + 2 * int(np.floor(k / np.sqrt(2))) + 1)
     assert rep["resolution"]["path_samples"] == samples
+    # K settles one band above its start, ceil(turns) + _BAND
+    turns = k * (1 + 1 / np.sqrt(2))
+    assert rep["resolution"]["K"] == int(np.ceil(turns)) + 2 * cz._BAND
+    if k > 1:
+        with pytest.raises(ResolutionError, match="under-resolves"):
+            cz.orbit_index_report(ell, orbit, n_grid=256)
 
 
 def _integrated_report(form, orbit, monkeypatch):
     # the report as it was built before iterates sampled their prime: one
     # variational integration over the whole period k T_min
     def integrated(form, orbit):
-        return cz.integrate_flow(form, orbit.x0, orbit.T, tol=1e-12,
-                                 variational=True, dense=True).trajectory
+        return integrate_flow(form, orbit.x0, orbit.T, tol=1e-12,
+                              variational=True, dense=True).trajectory
 
     with monkeypatch.context() as m:
         m.setattr(cz, "_variational_flow", integrated)
