@@ -96,7 +96,7 @@ class StarForm:
     exps: np.ndarray | None = None
     coeffs: np.ndarray | None = None
     name: str = ""
-    # kernels.ellipsoid_tables or kernels.poly_tables, built at construction
+    # kernels.ellipsoid_tables or kernels.weight_tables, built at construction
     tables: tuple | None = field(default=None, repr=False)
 
     # -- constructors -------------------------------------------------------
@@ -122,13 +122,10 @@ class StarForm:
             raise DomainError("monomial exponents must be non-negative 4-tuples")
         if not np.all(np.isfinite(coeffs)):
             raise DomainError("monomial coefficients must be finite")
-        tables = kernels.poly_tables(exps, coeffs)
+        tables = kernels.weight_tables(exps, coeffs)
         form = cls(kind="weighted", exps=exps, coeffs=coeffs, name=name,
                    tables=tables)
-        # the value block alone: all derivative blocks at 10^4 points would
-        # make a temporary of tens of MB
-        vals, _, _ = kernels.poly_parts(
-            tables, sphere_samples(10_000), order=0)
+        vals = kernels.poly_parts(tables, sphere_samples(10_000))
         if vals.min() <= 0:
             raise DomainError(
                 f"weight is not positive on the sphere (min {vals.min():.3e})"

@@ -6,11 +6,12 @@ leading shape: a value ``(...)``, a vector ``(..., 4)``, a matrix
 ``(..., 4, 4)``.  The flow right-hand sides take states ``(..., 4)`` or,
 with the variational block, ``(..., 20)``.
 
-- ``poly_tables``: the monomial derivative tables of a polynomial weight,
+- ``weight_tables``: the monomials of a polynomial p and the derivative
+  tables of the weight f(x) = p(x/|x|), as sums of terms c x^a |x|^-b,
   built once per form;
-- ``poly_parts``: value, gradient and Hessian of the weight from its tables;
-- ``weighted_h_parts``: H(x) = |x|^2 / p(x/|x|) with its gradient and
-  Hessian, by the chain rule through ``poly_parts``;
+- ``poly_parts``: the value of p from its monomials;
+- ``weighted_h_parts``: H(x) = |x|^2 / f(x) with its gradient and Hessian,
+  from f and its derivatives evaluated on the term tables in one pass;
 - ``ellipsoid_tables``: the matrices of the linear ellipsoid flow, built once
   per form;
 - ``ellipsoid_rhs``, ``weighted_rhs``: the Reeb field -Omega grad H, and
@@ -28,7 +29,7 @@ with the variational block, ``(..., 20)``.
 import numpy as np
 
 __all__ = [
-    "poly_tables",
+    "weight_tables",
     "poly_parts",
     "weighted_h_parts",
     "OMEGA",
@@ -62,87 +63,101 @@ def angle_steps(v):
 
 
 # ---------------------------------------------------------------------------
-# polynomial weight: value, gradient, hessian of p(u) = sum c * u^e
+# the weight f(x) = p(x/|x|) of p(u) = sum c * u^e, and H(x) = |x|^2 / f(x)
 # ---------------------------------------------------------------------------
 
 _I, _J = np.triu_indices(4)
 # block of the Hessian entry (i, j) in the tables: 5 + its upper-triangle rank
 _HESS_BLOCK = np.empty((4, 4), dtype=np.int64)
 _HESS_BLOCK[_I, _J] = _HESS_BLOCK[_J, _I] = 5 + np.arange(10)
-_N_BLOCKS = (1, 5, 15)  # blocks needed up to derivative order 0, 1, 2
+_EYE = np.eye(4)
 
 
-def poly_tables(exps, coeffs):
-    """Monomial derivative tables of p(u) = sum c u^e.
+def _diff(block, i):
+    """d/dx_i of a sum of terms {(a, b): c} meaning c x^a r^-b, r = |x|."""
+    out = {}
+    for (a, b), c in block.items():
+        for step, db, k in ((-1, 0, a[i]), (1, 2, -b)):
+            if k:
+                key = (a[:i] + (a[i] + step,) + a[i + 1:], b + db)
+                out[key] = out.get(key, 0.0) + k * c
+    return {key: c for key, c in out.items() if c != 0.0}
 
-    Block 0 is p itself, blocks 1-4 are dp/du_i and blocks 5-14 are the
-    Hessian entries (i, j), i <= j.  Each block holds the shifted exponents,
-    clipped at 0, and the coefficients times e_i or e_i (e_j - [i == j]);
-    a clipped exponent always meets a zero coefficient.  Returns
-    ``(exps, coeffs)`` of shapes (15, M, 4) and (15, M).
+
+def weight_tables(exps, coeffs):
+    """The monomials of p and the derivative tables of f(x) = p(x/|x|).
+
+    With r = |x|, f = sum c x^e r^-|e| and
+    d_i (x^a r^-b) = a_i x^(a - e_i) r^-b - b x^(a + e_i) r^(-b-2), so f and
+    each of its derivatives is a sum of terms c x^a r^-b.  Block 0 is f,
+    blocks 1-4 are d_i f and blocks 5-14 the Hessian entries (i, j), i <= j;
+    equal (a, b) are merged, and each block is padded with zero terms to the
+    longest, T terms.  Factor v of a term, x_v^a_v or (1/r)^b for v = 4, is
+    the flat index 5 k + v into the power table whose row k holds z^k,
+    z = (x, 1/r).  Returns ``(exps, coeffs, rows, index, factor)``: the
+    monomials for ``poly_parts``, the rows of the power table, the factor
+    indices (5, 5, T) of blocks 0-4 and (5, 15, T) of all blocks, and the
+    (15, T) coefficients of the terms.
     """
-    eye = np.eye(4, dtype=np.int64)
-    shift = np.concatenate([np.zeros_like(eye[:1]), eye, eye[_I] + eye[_J]])
-    table_exps = np.maximum(exps[None, :, :] - shift[:, None, :], 0)
-    factor = np.concatenate([np.ones((1, len(coeffs))), exps.T,
-                             exps[:, _I].T * (exps[:, _J].T - (_I == _J)[:, None])])
-    return table_exps, factor * coeffs
+    f = {}
+    for e, c in zip(map(tuple, exps.tolist()), coeffs.tolist()):
+        key = (e, sum(e))
+        f[key] = f.get(key, 0.0) + c
+    grad = [_diff(f, i) for i in range(4)]
+    blocks = [f] + grad + [_diff(grad[i], j) for i, j in zip(_I, _J)]
+    index = np.zeros((5, 15, max(map(len, blocks))), dtype=np.int64)
+    factor = np.zeros(index.shape[1:])
+    for k, block in enumerate(blocks):
+        for t, ((a, b), c) in enumerate(block.items()):
+            index[:, k, t] = 5 * np.array(a + (b,)) + np.arange(5)
+            factor[k, t] = c
+    rows = int(index.max()) // 5 + 1
+    return exps, coeffs, rows, (index[:, :5].copy(), index), factor
 
 
-def poly_parts(tables, u, order=2):
-    """(p, grad p, Hess p) at points u of shape (..., 4) from ``poly_tables``.
-
-    Only the blocks up to derivative ``order`` are evaluated; the parts above
-    it are returned as None.
-    """
-    table_exps, table_coeffs = tables
-    nb = _N_BLOCKS[order]
-    terms = np.prod(u[..., None, None, :] ** table_exps[:nb], axis=-1)
-    vals = np.vecdot(terms, table_coeffs[:nb])  # (..., nb)
-    grad = vals[..., 1:5] if order >= 1 else None
-    hess = np.take(vals, _HESS_BLOCK, axis=-1) if order == 2 else None
-    return vals[..., 0], grad, hess
+def poly_parts(tables, u):
+    """p(u) at points u of shape (..., 4) from the monomials of ``tables``."""
+    exps, coeffs = tables[:2]
+    return np.vecdot(np.prod(u[..., None, :] ** exps, axis=-1), coeffs)
 
 
-# ---------------------------------------------------------------------------
-# H(x) = |x|^2 / p(x/|x|): value, gradient, hessian by the chain rule
-# ---------------------------------------------------------------------------
-
-def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
+def _weight_blocks(tables, x, r2, order):
+    """The blocks of ``weight_tables`` up to derivative ``order`` at points x
+    (..., 4): powers of z = (x, 1/r) by running products, one gather of the
+    terms' factors, one product over the factors and one contraction of the
+    C-contiguous terms, so each row is its one-row call bit for bit."""
+    _, _, rows, index, factor = tables
+    z = np.ones(x.shape[:-1] + (rows, 5))
+    z[..., 1:, :4] = x[..., None, :]
+    z[..., 1:, 4] = (1.0 / np.sqrt(r2))[..., None]
+    powers = np.cumprod(z, axis=-2).reshape(x.shape[:-1] + (5 * rows,))
+    index = index[order - 1]
+    terms = np.prod(np.take(powers, index, axis=-1), axis=-3)
+    return np.vecdot(terms, factor[:index.shape[1]])  # (..., blocks)
 
 
 def weighted_h_parts(tables, x, order):
     """(H, grad H, Hess H) at points x of shape (..., 4); the parts above
-    ``order`` are None."""
+    ``order`` are None.
+
+    H = r^2 / f takes f from ``poly_parts`` at x/r for the value alone and
+    from the term blocks otherwise.  Differentiating f H = r^2 once and twice
+    gives grad H = (2x - H grad f) / f and
+    Hess H = (2I - grad f grad H^T - grad H grad f^T - H Hess f) / f.
+    """
     r2 = np.vecdot(x, x)
-    r = np.sqrt(r2)
-    u = x / r[..., None]
-    p0, pg, ph = poly_parts(tables, u, order)
-    h = r2 / p0
     if order == 0:
-        return h, None, None
-    ug = np.vecdot(pg, u)[..., None]
-    gg = (pg - ug * u) / r[..., None]  # grad of g(x) = p(x/|x|)
-    p0, r2 = p0[..., None], r2[..., None]
-    gradH = 2.0 * x / p0 - (r2 / p0 ** 2) * gg
+        return r2 / poly_parts(tables, x / np.sqrt(r2)[..., None]), None, None
+    vals = _weight_blocks(tables, x, r2, order)
+    f = vals[..., 0, None]
+    h = r2 / vals[..., 0]
+    gradH = (2.0 * x - h[..., None] * vals[..., 1:5]) / f
     if order == 1:
         return h, gradH, None
-    eye = np.eye(4)
-    uu = _outer(u, u)
-    P = eye - uu
-    p0, r2 = p0[..., None], r2[..., None]
-    hessG = (
-        -(_outer(pg, u) + _outer(u, pg))
-        - ug[..., None] * (eye - 3.0 * uu)
-        + P @ ph @ P
-    ) / r2
-    hessH = (
-        2.0 * eye / p0
-        - 2.0 * (_outer(x, gg) + _outer(gg, x)) / p0 ** 2
-        - (r2 / p0 ** 2) * hessG
-        + (2.0 * r2 / p0 ** 3) * _outer(gg, gg)
-    )
+    fg = vals[..., 1:5, None] * gradH[..., None, :]
+    hessH = (2.0 * _EYE - fg - np.swapaxes(fg, -1, -2)
+             - h[..., None, None] * np.take(vals, _HESS_BLOCK, axis=-1)
+             ) / f[..., None]
     return h, gradH, hessH
 
 

@@ -207,36 +207,38 @@ def _plane_basis(d):
     return u1, u2, d
 
 
-def _shadow_scan(a3, b3, direction):
-    """Segment pairs of the shadows of loops a3 (na, 3) and b3 (nb, 3) on the
-    plane normal to ``direction``, as (na, nb) arrays: ``denom``, the cross
-    product of segment i of a with segment j of b; ``tt`` and ``uu``, the
-    parameters along each where their lines meet; ``generic``, the pairs
-    further than _TANGENT_TOL from parallel relative to their lengths; and
-    ``heights(ii, jj)``, the heights of a and b over the meeting points of
-    the pairs (ii, jj)."""
+def _shadow(p3, direction):
+    """The shadow of a loop p3 (n, 3) on the plane normal to ``direction``:
+    its vertices and segment vectors (2, n), the segments' lengths, and the
+    heights of the vertices over the plane and their steps (n,)."""
     u1, u2, d = _plane_basis(direction)
-    A2 = np.stack([a3 @ u1, a3 @ u2], axis=1)
-    B2 = np.stack([b3 @ u1, b3 @ u2], axis=1)
-    r = np.roll(A2, -1, axis=0) - A2  # (na, 2)
-    s = np.roll(B2, -1, axis=0) - B2  # (nb, 2)
-    denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
-    dq = B2[None, :, :] - A2[:, None, :]
-    tt = (dq[:, :, 0] * s[None, :, 1] - dq[:, :, 1] * s[None, :, 0])
-    uu = (dq[:, :, 0] * r[:, None, 1] - dq[:, :, 1] * r[:, None, 0])
+    P = np.stack([p3 @ u1, p3 @ u2])
+    r = np.roll(P, -1, axis=1) - P
+    h = p3 @ d
+    return P, r, np.linalg.norm(r, axis=0), h, np.roll(h, -1) - h
+
+
+def _height(shadow, i, t):
+    """Height of a ``_shadow``'s loop over the point at parameter t along
+    segment i."""
+    return shadow[3][i] + t * shadow[4][i]
+
+
+def _segment_pairs(a, b):
+    """Segment pairs of two shadows, each a ``_shadow`` sliced so that a's
+    segments run along axis 0 of the pair arrays and b's along axis 1:
+    ``denom``, the cross product of the two segments; ``tt`` and ``uu``, the
+    parameters along each where their lines meet; and ``generic``, the pairs
+    further than _TANGENT_TOL from parallel relative to their lengths."""
+    (A, r, rn), (B, s, sn) = a[:3], b[:3]
+    denom = r[0] * s[1] - r[1] * s[0]
+    dqx, dqy = B[0] - A[0], B[1] - A[1]
+    tt = dqx * s[1] - dqy * s[0]
+    uu = dqx * r[1] - dqy * r[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         tt = tt / denom
         uu = uu / denom
-    scale = (np.linalg.norm(r, axis=1)[:, None]
-             * np.linalg.norm(s, axis=1)[None, :])
-    generic = np.abs(denom) > _TANGENT_TOL * scale
-    Ah, Bh = a3 @ d, b3 @ d
-
-    def heights(ii, jj):
-        return (Ah[ii] + tt[ii, jj] * (np.roll(Ah, -1)[ii] - Ah[ii]),
-                Bh[jj] + uu[ii, jj] * (np.roll(Bh, -1)[jj] - Bh[jj]))
-
-    return denom, tt, uu, generic, heights
+    return denom, tt, uu, np.abs(denom) > _TANGENT_TOL * (rn * sn)
 
 
 def _pair_crossings(a3, b3, direction):
@@ -245,15 +247,17 @@ def _pair_crossings(a3, b3, direction):
     Returns the signed sum, or None when the projection is non-generic
     (near-parallel strands at a crossing).
     """
-    denom, tt, uu, generic, heights = _shadow_scan(a3, b3, direction)
+    sa, sb = _shadow(a3, direction), _shadow(b3, direction)
+    denom, tt, uu, generic = _segment_pairs([v[..., :, None] for v in sa],
+                                            [v[..., None, :] for v in sb])
     if np.any(~generic & (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1) & (uu < 1.1)
               & np.isfinite(tt) & np.isfinite(uu)):
         return None
-    ii, jj = np.nonzero(generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0)
-                        & (uu < 1.0))
-    ha, hb = heights(ii, jj)
+    hit = generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
+    ii, jj = np.nonzero(hit)
+    ha, hb = _height(sa, ii, tt[hit]), _height(sb, jj, uu[hit])
     # crossing sign: over strand x under strand
-    cross = denom[ii, jj]
+    cross = denom[hit]
     return int(np.sign(np.where(ha > hb, cross, -cross)).sum())
 
 
@@ -417,22 +421,34 @@ class KnotVerdict:
     crossing_count_after_reduction: int
 
 
+# rows of segments per band of the self-crossing scan
+_SELF_BAND = 64
+
+
 def _self_crossings(p3, direction):
     """Crossing word of one loop's shadow: list of (cid, over) in arc order.
 
+    Only segments i and j >= i + 2, other than the wrap-adjacent pair
+    (0, n - 1), can cross.  Bands of _SELF_BAND rows i scan the columns
+    j >= i0 + 2 of their first row i0, so the hits come in row-major order.
     Returns None on a non-generic projection.
     """
-    _, tt, uu, generic, heights = _shadow_scan(p3, p3, direction)
+    sh = _shadow(p3, direction)
     n = len(p3)
-    idx = np.arange(n)
-    upper = idx[None, :] >= idx[:, None] + 2
-    upper &= ~((idx[:, None] == 0) & (idx[None, :] == n - 1))  # wrap-adjacent
-    hit = generic & upper & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
-    ii, jj = np.nonzero(hit)
-    t, u = tt[ii, jj], uu[ii, jj]
+    found = []
+    for i0 in range(0, n, _SELF_BAND):
+        i1 = min(i0 + _SELF_BAND, n)
+        _, tt, uu, generic = _segment_pairs([v[..., i0:i1, None] for v in sh],
+                                            [v[..., None, i0 + 2:] for v in sh])
+        i, j = np.ogrid[i0:i1, i0 + 2:n]
+        hit = (generic & (j >= i + 2) & ((i > 0) | (j < n - 1))
+               & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0))
+        bi, bj = np.nonzero(hit)
+        found.append((bi + i0, bj + i0 + 2, tt[hit], uu[hit]))
+    ii, jj, t, u = map(np.concatenate, zip(*found))
     if np.any(np.minimum(np.minimum(t, 1 - t), np.minimum(u, 1 - u)) < 1e-9):
         return None  # crossing at a vertex; retry another direction
-    hi, hj = heights(ii, jj)
+    hi, hj = _height(sh, ii, t), _height(sh, jj, u)
     if np.any(np.abs(hi - hj) < 1e-12):
         return None
     # each crossing is met twice along the loop, once over and once under

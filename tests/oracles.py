@@ -1,10 +1,12 @@
 """Test oracles and fixtures: code that only the tests run.
 
-The round sphere, frame vectors from frame coordinates,
+The round sphere, frame vectors from frame coordinates, the weighted
+Hamiltonian's derivatives by the chain rule through x/|x|,
 synthetic symplectic paths with known indices and their non-degeneracy, the
 Maslov index of a loop, the rotation interval on a grid of directions, the
 spectrum of an orbit from its own path,
-the winding census of a spectrum, the index table of a prime's iterates
+the winding census of a spectrum, the crossing word of a loop's shadow over
+all segment pairs, the index table of a prime's iterates
 (checked by ``cz._assert_iterate_relations``), the contact area of a disk by
 two routes, the return map of arbitrary level points, and the primitive
 1-form lambda0.
@@ -20,6 +22,8 @@ from reeb_atlas.cz import (STEP_GUARD, SymplecticPath, _assert_iterate_relations
                            asymptotic_spectrum, cz_from_interval,
                            rotation_interval, trivialized_path)
 from reeb_atlas.errors import DomainError, GridQualityError, ResolutionError
+from reeb_atlas.kernels import _HESS_BLOCK, _I, _J
+from reeb_atlas.linking import _height, _segment_pairs, _shadow
 from reeb_atlas.sections import _DiskIndex, _first_crossing
 
 
@@ -40,6 +44,72 @@ def embed(frame, ab):
     """Contact-plane vectors a e1 + b e2 from frame coordinates (..., 2)."""
     ab = np.asarray(ab, dtype=float)
     return ab[..., 0, None] * frame.e1 + ab[..., 1, None] * frame.e2
+
+
+# the weighted Hamiltonian H(x) = |x|^2 / p(x/|x|) by the chain rule through
+# u = x/|x|, from the monomial derivative tables of p
+
+def monomial_tables(exps, coeffs):
+    """Monomial derivative tables of p(u) = sum c u^e.
+
+    Block 0 is p itself, blocks 1-4 are dp/du_i and blocks 5-14 are the
+    Hessian entries (i, j), i <= j.  Each block holds the shifted exponents,
+    clipped at 0, and the coefficients times e_i or e_i (e_j - [i == j]);
+    a clipped exponent always meets a zero coefficient.  Returns
+    ``(exps, coeffs)`` of shapes (15, M, 4) and (15, M).
+    """
+    eye = np.eye(4, dtype=np.int64)
+    shift = np.concatenate([np.zeros_like(eye[:1]), eye, eye[_I] + eye[_J]])
+    table_exps = np.maximum(exps[None, :, :] - shift[:, None, :], 0)
+    factor = np.concatenate([np.ones((1, len(coeffs))), exps.T,
+                             exps[:, _I].T * (exps[:, _J].T - (_I == _J)[:, None])])
+    return table_exps, factor * coeffs
+
+
+def monomial_parts(tables, u):
+    """(p, grad p, Hess p) at points u of shape (..., 4)."""
+    table_exps, table_coeffs = tables
+    terms = np.prod(u[..., None, None, :] ** table_exps, axis=-1)
+    vals = np.vecdot(terms, table_coeffs)  # (..., 15)
+    return vals[..., 0], vals[..., 1:5], np.take(vals, _HESS_BLOCK, axis=-1)
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def chain_rule_h_parts(form, x, order):
+    """(H, grad H, Hess H) of a weighted form at points x of shape (..., 4);
+    the parts above ``order`` are None."""
+    r2 = np.vecdot(x, x)
+    r = np.sqrt(r2)
+    u = x / r[..., None]
+    p0, pg, ph = monomial_parts(monomial_tables(form.exps, form.coeffs), u)
+    h = r2 / p0
+    if order == 0:
+        return h, None, None
+    ug = np.vecdot(pg, u)[..., None]
+    gg = (pg - ug * u) / r[..., None]  # grad of g(x) = p(x/|x|)
+    p0, r2 = p0[..., None], r2[..., None]
+    gradH = 2.0 * x / p0 - (r2 / p0 ** 2) * gg
+    if order == 1:
+        return h, gradH, None
+    eye = np.eye(4)
+    uu = _outer(u, u)
+    P = eye - uu
+    p0, r2 = p0[..., None], r2[..., None]
+    hessG = (
+        -(_outer(pg, u) + _outer(u, pg))
+        - ug[..., None] * (eye - 3.0 * uu)
+        + P @ ph @ P
+    ) / r2
+    hessH = (
+        2.0 * eye / p0
+        - 2.0 * (_outer(x, gg) + _outer(gg, x)) / p0 ** 2
+        - (r2 / p0 ** 2) * hessG
+        + (2.0 * r2 / p0 ** 3) * _outer(gg, gg)
+    )
+    return h, gradH, hessH
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +334,30 @@ def iterate_index_table(form, orbit, k_max):
         table.append((k, mu))
     _assert_iterate_relations(table)
     return table, flags
+
+
+def full_grid_self_crossings(p3, direction):
+    """``linking._self_crossings`` over the full n x n grid of segment pairs,
+    masked to j >= i + 2 without the wrap-adjacent pair (0, n - 1)."""
+    sh = _shadow(p3, direction)
+    n = len(p3)
+    _, tt, uu, generic = _segment_pairs([v[..., :, None] for v in sh],
+                                        [v[..., None, :] for v in sh])
+    i, j = np.ogrid[:n, :n]
+    hit = (generic & (j >= i + 2) & ((i > 0) | (j < n - 1))
+           & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0))
+    ii, jj = np.nonzero(hit)
+    t, u = tt[hit], uu[hit]
+    if np.any(np.minimum(np.minimum(t, 1 - t), np.minimum(u, 1 - u)) < 1e-9):
+        return None
+    hi, hj = _height(sh, ii, t), _height(sh, jj, u)
+    if np.any(np.abs(hi - hj) < 1e-12):
+        return None
+    pos = np.concatenate([ii + t, jj + u])
+    cid = np.tile(np.arange(len(ii)), 2)
+    over = np.concatenate([hi > hj, hj > hi])
+    order = np.lexsort((over, cid, pos))
+    return [(int(c), bool(o)) for c, o in zip(cid[order], over[order])]
 
 
 # ---------------------------------------------------------------------------

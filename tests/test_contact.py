@@ -282,19 +282,22 @@ def test_batch_equals_rows(ell, perturbed_form, which, random_form, pts):
 
 @settings(max_examples=30, deadline=None)
 @given(form=random_weighted, pts=_points)
-def test_poly_parts_derivatives_match_finite_differences(form, pts):
+def test_weighted_h_parts_derivatives_match_finite_differences(form, pts):
+    # the term tables' gradient and Hessian against central differences of
+    # the value, which poly_parts takes at x/|x|
+    assume(np.linalg.norm(pts, axis=-1).min() > 0.1)
     h = 1e-6
     steps = h * np.eye(4)
-    p, grad, hess = kernels.poly_parts(form.tables, pts)
-    assert p.shape == pts.shape[:-1] and hess.shape == pts.shape + (4,)
-    p_fd = [(kernels.poly_parts(form.tables, pts + e, 0)[0]
-             - kernels.poly_parts(form.tables, pts - e, 0)[0]) / (2 * h)
+    H, grad, hess = kernels.weighted_h_parts(form.tables, pts, 2)
+    assert H.shape == pts.shape[:-1] and hess.shape == pts.shape + (4,)
+    h_fd = [(kernels.weighted_h_parts(form.tables, pts + e, 0)[0]
+             - kernels.weighted_h_parts(form.tables, pts - e, 0)[0]) / (2 * h)
             for e in steps]
-    g_fd = [(kernels.poly_parts(form.tables, pts + e, 1)[1]
-             - kernels.poly_parts(form.tables, pts - e, 1)[1]) / (2 * h)
+    g_fd = [(kernels.weighted_h_parts(form.tables, pts + e, 1)[1]
+             - kernels.weighted_h_parts(form.tables, pts - e, 1)[1]) / (2 * h)
             for e in steps]
     scale = 1.0 + np.abs(hess).max()
-    assert np.abs(np.stack(p_fd, axis=-1) - grad).max() < 1e-6 * scale
+    assert np.abs(np.stack(h_fd, axis=-1) - grad).max() < 1e-6 * scale
     assert np.abs(np.stack(g_fd, axis=-1) - hess).max() < 1e-6 * scale
     np.testing.assert_array_equal(hess, np.swapaxes(hess, -1, -2))
 

@@ -1,13 +1,88 @@
-"""Properties of the Gauss linking sum and the distance kernels over
-random closed polygons whose lengths straddle the Gauss block size."""
+"""Properties of the weighted Hamiltonian's kernel over random weights and
+points, and of the Gauss linking sum and the distance kernels over random
+closed polygons whose lengths straddle the Gauss block size."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from reeb_atlas import kernels
 from reeb_atlas import linking as lk
+from reeb_atlas.contact import StarForm
 from reeb_atlas.errors import ReebAtlasError
+
+from oracles import chain_rule_h_parts
+
+# ---------------------------------------------------------------------------
+# H(x) = |x|^2 / p(x/|x|) on weights beyond the near-ellipsoid fixtures
+# ---------------------------------------------------------------------------
+
+_exps = st.tuples(*[st.integers(0, 3) for _ in range(4)])
+_odd = _exps.map(lambda e: e if sum(e) % 2 else (e[0] + 1,) + e[1:])
+_coeff = st.floats(-0.2, 0.2)
+# one odd-degree monomial and up to three of any degree; the constant term 1
+# is above the total size of the others, so p > 0.2 on the unit sphere
+_forms = st.tuples(st.tuples(_odd, _coeff),
+                   st.lists(st.tuples(_exps, _coeff), max_size=3)).map(
+    lambda t: StarForm.weighted([((0, 0, 0, 0), 1.0), t[0]] + t[1]))
+# directions with zero coordinates (a zero row becomes e1), radii 1e-3..1e3
+_directions = arrays(np.float64, (8, 4),
+                     elements=st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-1, 1))
+_radii = arrays(np.float64, (8,), elements=st.floats(-3.0, 3.0)).map(
+    lambda e: 10.0 ** e)
+
+
+def _on_rays(directions, radii):
+    d = directions.copy()
+    d[np.abs(d).max(axis=1) < 1e-3] = [1.0, 0.0, 0.0, 0.0]
+    return d / np.linalg.norm(d, axis=1)[:, None] * radii[:, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=_forms, directions=_directions, radii=_radii)
+def test_weighted_h_parts_match_the_chain_rule(form, directions, radii):
+    x = _on_rays(directions, radii)
+    for order in (0, 1, 2):
+        got = kernels.weighted_h_parts(form.tables, x, order)
+        want = chain_rule_h_parts(form, x, order)
+        for g, w in zip(got[:order + 1], want[:order + 1]):
+            axes = tuple(range(1, w.ndim))
+            scale = np.abs(w).max(axis=axes) if axes else np.abs(w)
+            err = np.abs(g - w).max(axis=axes) if axes else np.abs(g - w)
+            assert np.all(err <= 1e-13 * scale), (order, (err / scale).max())
+
+
+@pytest.mark.parametrize("form_name", ["perturbed_form", "near_ell_weighted"])
+def test_weighted_kernel_rows_equal_one_row_calls(form_name, request):
+    # each row of a 64-row call is its (4,), (1, 4) and 3-row-slice call bit
+    # for bit; rows 0 and 5 have zero coordinates
+    form = request.getfixturevalue(form_name)
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(64, 4))
+    x[0] = [1.0, 0.0, 0.0, 0.0]
+    x[5, 1:3] = 0.0
+    y = np.concatenate([x, rng.normal(size=(64, 16))], axis=1)
+
+    def h_parts(order):
+        return lambda z: kernels.weighted_h_parts(form.tables, z, order)[:order + 1]
+
+    calls = [(h_parts(order), x) for order in (0, 1, 2)]
+    calls.append((lambda z: (kernels.weighted_var_rhs(z, form.tables),), y))
+    for fn, arg in calls:
+        full = fn(arg)
+        for i in range(64):
+            lo = min(i, 61)
+            for part, k in ((fn(arg[i]), None), (fn(arg[i:i + 1]), 0),
+                            (fn(arg[lo:lo + 3]), i - lo)):
+                for a, b in zip(full, part):
+                    np.testing.assert_array_equal(a[i], b if k is None else b[k])
+
+
+# ---------------------------------------------------------------------------
+# the Gauss linking sum and polyline distances
+# ---------------------------------------------------------------------------
 
 # 3 and 200 vertices, and one block of rows minus one, exact, plus one, plus
 # one past two blocks

@@ -11,6 +11,8 @@ from reeb_atlas.cz import prime_table
 from reeb_atlas.errors import PoleSelectionError, ProximityError
 from reeb_atlas.orbits import ReebOrbit, trace_orbit
 
+from oracles import full_grid_self_crossings
+
 TH = np.linspace(0, 2 * np.pi, 512, endpoint=False)
 
 
@@ -192,6 +194,22 @@ def test_trefoil_abstains():
     v = lk.unknot_check(trefoil_trace())
     assert v.status == "unknown"
     assert v.crossing_count_after_reduction >= 3
+
+
+@pytest.mark.parametrize("n", [3, 4, 63, 64, 65, 66, 129, 200])
+def test_self_crossing_bands_equal_the_full_grid(n):
+    # wound torus knots with jitter, sampled below, at and past one band of
+    # rows; every crossing word, None included, is the full grid's
+    rng = np.random.default_rng(n)
+    th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    for p, q in ((2, 3), (3, 5), (1, 1)):
+        p3 = np.stack([(2 + np.cos(q * th)) * np.cos(p * th),
+                       (2 + np.cos(q * th)) * np.sin(p * th),
+                       np.sin(q * th)], axis=1)
+        p3 += 0.01 * rng.normal(size=p3.shape)
+        for direction in lk._PLANE_DIRECTIONS:
+            assert (lk._self_crossings(p3, direction)
+                    == full_grid_self_crossings(p3, direction))
 
 
 # weights f = 1 + c1 A + c2 B + c3 A^2 + c4 A B + c5 B^2 in A = u1^2 + u2^2
