@@ -24,6 +24,15 @@ with the variational block, ``(..., 20)``.
   vertex directions of two atan2 triangle solid angles per segment pair;
 - ``hausdorff_distance``, ``point_to_polyline``, ``min_cross_distance``:
   distances between sampled closed traces.
+
+The pair kernels run over tiles of rows of their first argument, so each
+tile's (rows, len(b)) planes stay in cache: ``_GAUSS_TILE`` rows of the
+Gauss sum, written with ``out=`` into buffers reused across the call, and
+``_DIST_TILE`` rows of the distances.  Every output is the untiled one's bit
+for bit: every element keeps its expression and its operation order, the
+Gauss sum adds each ``_GAUSS_CHUNK``-row block's two angle sums in turn over
+the same contiguous (rows, len(b)) arrays, a row's minimum over b does not
+depend on the other rows, and a minimum of tile minima is the minimum.
 """
 
 import numpy as np
@@ -216,19 +225,54 @@ def weighted_var_rhs(y, tables):
 #   Omega(u, v, w) = 2 atan2(det[u, v, w], 1 + u.v + u.w + v.w).
 # ---------------------------------------------------------------------------
 
-# rows of ``a`` per block of the Gauss sum: bounds the
-# (3, rows + 1, len(b) + 1) temporaries
+# rows of ``a`` per summation block of the Gauss sum, and rows per tile
+# within a block: a tile's (3, rows + 1, len(b) + 1) planes stay in cache
 _GAUSS_CHUNK = 64
+_GAUSS_TILE = 32
 
 
-def _dot(x, y):
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+def _dot(x, y, out, tmp):
+    """(x0 y0 + x1 y1) + x2 y2 into ``out``, with scratch ``tmp``."""
+    np.multiply(x[0], y[0], out=out)
+    for k in (1, 2):
+        np.add(out, np.multiply(x[k], y[k], out=tmp), out=out)
+    return out
 
 
-def _cross(x, y):
-    return np.stack((x[1] * y[2] - x[2] * y[1],
-                     x[2] * y[0] - x[0] * y[2],
-                     x[0] * y[1] - x[1] * y[0]))
+def _sum(out, x, *terms):
+    """((x + t0) + t1) + ... into ``out``."""
+    for t in terms:
+        x = np.add(x, t, out=out)
+    return out
+
+
+def _gauss_tile(a, b, u, c, p, q, ang):
+    """The two triangle angles, into ``ang`` (2, rows, nb), of the segment
+    pairs of the rows + 1 closed-polyline vertices a (3, rows + 1) with the
+    vertices b (3, nb + 1).  Scratch: u holds the directions, c their cross
+    products along i; p holds |r| and then the dots along i, a spare plane
+    and the dots along j; q the diagonal dots, a determinant and a
+    denominator."""
+    for k in range(3):
+        np.subtract(b[k], a[k, :, None], out=u[k])
+    np.sqrt(_dot(u, u, p[0], p[1]), out=p[0])
+    np.divide(u, p[0], out=u)
+    lo, hi = u[:, :-1], u[:, 1:]  # rows i and i + 1
+    tmp = p[1, :-1]
+    for k in range(3):  # c = lo x hi
+        k1, k2 = (k + 1) % 3, (k + 2) % 3
+        np.subtract(np.multiply(lo[k1], hi[k2], out=c[k]),
+                    np.multiply(lo[k2], hi[k1], out=tmp), out=c[k])
+    di = _dot(lo, hi, p[0, :-1], tmp)
+    tmp = p[1, :-1, :-1]
+    dj = _dot(u[:, :, :-1], u[:, :, 1:], p[2, :, :-1], p[1, :, :-1])
+    diag = _dot(lo[:, :, :-1], hi[:, :, 1:], q[0], tmp)
+    det, den = q[1], q[2]
+    # det[u_ij, u_i,j+1, u_i+1,j+1] and det[u_ij, u_i+1,j+1, u_i+1,j]
+    _dot(lo[:, :, :-1], c[:, :, 1:], det, tmp)
+    np.arctan2(det, _sum(den, 1.0, dj[:-1], diag, di[:, 1:]), out=ang[0])
+    np.negative(_dot(hi[:, :, 1:], c[:, :, :-1], det, tmp), out=det)
+    np.arctan2(det, _sum(den, 1.0, diag, di[:, :-1], dj[1:]), out=ang[1])
 
 
 def gauss_linking_raw(a, b):
@@ -236,25 +280,26 @@ def gauss_linking_raw(a, b):
 
     Pair (i, j) adds the triangles (u_ij, u_i,j+1, u_i+1,j+1) and
     (u_ij, u_i+1,j+1, u_i+1,j) of the unit directions u_ij of b_j - a_i.  A
-    block of rows computes u once, in a (3, rows + 1, nb + 1) layout, and the
+    tile of rows computes u once, in a (3, rows + 1, nb + 1) layout, and the
     products neighbouring pairs share: u_ij x u_i+1,j and the dots along i, j.
+    Each tile writes its angles into the block's two (rows, nb) arrays, and
+    each block adds their two sums to the total in turn.
     """
     ac = np.concatenate((a, a[:1])).T
-    bc = np.concatenate((b, b[:1])).T[:, None, :]
+    bc = np.concatenate((b, b[:1])).T
+    t1, m = _GAUSS_TILE + 1, bc.shape[1]
+    u, p = np.empty((3, t1, m)), np.empty((3, t1, m))
+    c, q = np.empty((3, t1 - 1, m)), np.empty((3, t1 - 1, m - 1))
+    ang = np.empty((2, _GAUSS_CHUNK, m - 1))
     total = 0.0
     for i0 in range(0, a.shape[0], _GAUSS_CHUNK):
-        r = bc - ac[:, i0:i0 + _GAUSS_CHUNK + 1, None]
-        u = r / np.sqrt(_dot(r, r))
-        lo, hi = u[:, :-1], u[:, 1:]  # rows i and i + 1
-        c = _cross(lo, hi)
-        di = _dot(lo, hi)
-        dj = _dot(u[:, :, :-1], u[:, :, 1:])
-        diag = _dot(lo[:, :, :-1], hi[:, :, 1:])
-        # det[u_ij, u_i,j+1, u_i+1,j+1] and det[u_ij, u_i+1,j+1, u_i+1,j]
-        det1 = _dot(lo[:, :, :-1], c[:, :, 1:])
-        det2 = -_dot(hi[:, :, 1:], c[:, :, :-1])
-        total += np.sum(np.arctan2(det1, 1.0 + dj[:-1] + diag + di[:, 1:]))
-        total += np.sum(np.arctan2(det2, 1.0 + diag + di[:, :-1] + dj[1:]))
+        rows = min(_GAUSS_CHUNK, a.shape[0] - i0)
+        for t0 in range(0, rows, _GAUSS_TILE):
+            t = min(_GAUSS_TILE, rows - t0)
+            _gauss_tile(ac[:, i0 + t0:i0 + t0 + t + 1], bc, u[:, :t + 1],
+                        c[:, :t], p[:, :t + 1], q[:, :t], ang[:, t0:t0 + t])
+        total += np.sum(ang[0, :rows])
+        total += np.sum(ang[1, :rows])
     return -total / (2.0 * np.pi)  # -sum(Omega) / (4 pi), Omega = 2 atan2
 
 
@@ -262,19 +307,27 @@ def gauss_linking_raw(a, b):
 # Distances between sampled closed traces.  The Hausdorff distance is taken
 # between the closed POLYLINES (point-to-segment), so two samplings of the
 # same curve with different marked points are close at realistic resolutions.
+# Both kernels work coordinate by coordinate on (rows, nb) planes, in the
+# order of sums over the last axis, so no (na, nb, dim) temporary is built
+# and each result is the broadcast formula's bit for bit.
 # ---------------------------------------------------------------------------
 
+_DIST_TILE = 64
+
+
 def _points_to_polyline_d2(a, b):
-    # coordinate by coordinate on (na, nb) planes, in the order of sums over
-    # the last axis, so no (na, nb, dim) temporary is built and the result is
-    # the broadcast formula's bit for bit
     e = np.roll(b, -1, axis=0) - b  # segment vectors (nb, dim)
     ss = sum(ek * ek for ek in e.T)
-    tt = sum((ak[:, None] - bk) * ek for ak, bk, ek in zip(a.T, b.T, e.T))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tt = np.where(ss > 0, np.clip(tt / ss, 0.0, 1.0), 0.0)
-    d2 = sum((bk + tt * ek - ak[:, None]) ** 2 for ak, bk, ek in zip(a.T, b.T, e.T))
-    return d2.min(axis=1)
+    out = []
+    for i0 in range(0, a.shape[0], _DIST_TILE):
+        at = a[i0:i0 + _DIST_TILE].T
+        tt = sum((ak[:, None] - bk) * ek for ak, bk, ek in zip(at, b.T, e.T))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tt = np.where(ss > 0, np.clip(tt / ss, 0.0, 1.0), 0.0)
+        d2 = sum((bk + tt * ek - ak[:, None]) ** 2
+                 for ak, bk, ek in zip(at, b.T, e.T))
+        out.append(d2.min(axis=1))
+    return np.concatenate(out)
 
 
 def hausdorff_distance(a, b):
@@ -287,7 +340,7 @@ def point_to_polyline(p, b):
 
 
 def min_cross_distance(a, b):
-    # coordinate by coordinate, in the order of a sum over the last axis, so
-    # the result is the broadcast formula's bit for bit
-    d2 = sum((ak[:, None] - bk) ** 2 for ak, bk in zip(a.T, b.T))
-    return np.sqrt(d2.min())
+    return np.sqrt(np.min([
+        sum((ak[:, None] - bk) ** 2
+            for ak, bk in zip(a[i0:i0 + _DIST_TILE].T, b.T)).min()
+        for i0 in range(0, a.shape[0], _DIST_TILE)]))

@@ -74,6 +74,8 @@ _MIN_CURVE_DIST = 1e-3
 # crossings of shadow segments this close to parallel (relative to their
 # lengths) make a projection non-generic
 _TANGENT_TOL = 1e-9
+# segments of the first loop per tile of the two-loop crossing scan
+_PAIR_TILE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +247,28 @@ def _pair_crossings(a3, b3, direction):
     """Signed crossings between the shadows of two loops.
 
     Returns the signed sum, or None when the projection is non-generic
-    (near-parallel strands at a crossing).
+    (near-parallel strands at a crossing).  Tiles of _PAIR_TILE segments of
+    a scan all of b's segments, so the (rows, len(b)) planes stay in cache.
+    Each pair's test is elementwise, a tile's hits are offset by its first
+    row, any non-generic tile returns None and each tile's sign sum is an
+    integer, so the result is the full grid's.
     """
     sa, sb = _shadow(a3, direction), _shadow(b3, direction)
-    denom, tt, uu, generic = _segment_pairs([v[..., :, None] for v in sa],
-                                            [v[..., None, :] for v in sb])
-    if np.any(~generic & (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1) & (uu < 1.1)
-              & np.isfinite(tt) & np.isfinite(uu)):
-        return None
-    hit = generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
-    ii, jj = np.nonzero(hit)
-    ha, hb = _height(sa, ii, tt[hit]), _height(sb, jj, uu[hit])
-    # crossing sign: over strand x under strand
-    cross = denom[hit]
-    return int(np.sign(np.where(ha > hb, cross, -cross)).sum())
+    sb_cols = [v[..., None, :] for v in sb]
+    total = 0
+    for i0 in range(0, len(a3), _PAIR_TILE):
+        denom, tt, uu, generic = _segment_pairs(
+            [v[..., i0:i0 + _PAIR_TILE, None] for v in sa], sb_cols)
+        if np.any(~generic & (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1)
+                  & (uu < 1.1) & np.isfinite(tt) & np.isfinite(uu)):
+            return None
+        hit = generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
+        ii, jj = np.nonzero(hit)
+        ha, hb = _height(sa, ii + i0, tt[hit]), _height(sb, jj, uu[hit])
+        # crossing sign: over strand x under strand
+        cross = denom[hit]
+        total += int(np.sign(np.where(ha > hb, cross, -cross)).sum())
+    return total
 
 
 def crossing_linking(a3, b3):

@@ -5,8 +5,9 @@ Hamiltonian's derivatives by the chain rule through x/|x|,
 synthetic symplectic paths with known indices and their non-degeneracy, the
 Maslov index of a loop, the rotation interval on a grid of directions, the
 spectrum of an orbit from its own path,
-the winding census of a spectrum, the crossing word of a loop's shadow over
-all segment pairs, the index table of a prime's iterates
+the winding census of a spectrum, the crossing word of a loop's shadow and
+the signed crossings of two loops' shadows over all segment pairs, the Gauss
+linking sum over whole blocks of rows, the index table of a prime's iterates
 (checked by ``cz._assert_iterate_relations``), the contact area of a disk by
 two routes, the return map of arbitrary level points, and the primitive
 1-form lambda0.
@@ -22,7 +23,7 @@ from reeb_atlas.cz import (STEP_GUARD, SymplecticPath, _assert_iterate_relations
                            asymptotic_spectrum, cz_from_interval,
                            rotation_interval, trivialized_path)
 from reeb_atlas.errors import DomainError, GridQualityError, ResolutionError
-from reeb_atlas.kernels import _HESS_BLOCK, _I, _J
+from reeb_atlas.kernels import _GAUSS_CHUNK, _HESS_BLOCK, _I, _J
 from reeb_atlas.linking import _height, _segment_pairs, _shadow
 from reeb_atlas.sections import _DiskIndex, _first_crossing
 
@@ -336,6 +337,21 @@ def iterate_index_table(form, orbit, k_max):
     return table, flags
 
 
+def full_grid_pair_crossings(a3, b3, direction):
+    """``linking._pair_crossings`` over the full grid of segment pairs."""
+    sa, sb = _shadow(a3, direction), _shadow(b3, direction)
+    denom, tt, uu, generic = _segment_pairs([v[..., :, None] for v in sa],
+                                            [v[..., None, :] for v in sb])
+    if np.any(~generic & (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1) & (uu < 1.1)
+              & np.isfinite(tt) & np.isfinite(uu)):
+        return None
+    hit = generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
+    ii, jj = np.nonzero(hit)
+    ha, hb = _height(sa, ii, tt[hit]), _height(sb, jj, uu[hit])
+    cross = denom[hit]
+    return int(np.sign(np.where(ha > hb, cross, -cross)).sum())
+
+
 def full_grid_self_crossings(p3, direction):
     """``linking._self_crossings`` over the full n x n grid of segment pairs,
     masked to j >= i + 2 without the wrap-adjacent pair (0, n - 1)."""
@@ -358,6 +374,41 @@ def full_grid_self_crossings(p3, direction):
     over = np.concatenate([hi > hj, hj > hi])
     order = np.lexsort((over, cid, pos))
     return [(int(c), bool(o)) for c, o in zip(cid[order], over[order])]
+
+
+# ---------------------------------------------------------------------------
+# the Gauss linking sum over whole blocks of rows
+# ---------------------------------------------------------------------------
+
+def _dot3(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _cross3(x, y):
+    return np.stack((x[1] * y[2] - x[2] * y[1],
+                     x[2] * y[0] - x[0] * y[2],
+                     x[0] * y[1] - x[1] * y[0]))
+
+
+def blocked_gauss_linking_raw(a, b):
+    """``kernels.gauss_linking_raw`` with each block of ``_GAUSS_CHUNK`` rows
+    computed in one (3, rows + 1, nb + 1) layout."""
+    ac = np.concatenate((a, a[:1])).T
+    bc = np.concatenate((b, b[:1])).T[:, None, :]
+    total = 0.0
+    for i0 in range(0, a.shape[0], _GAUSS_CHUNK):
+        r = bc - ac[:, i0:i0 + _GAUSS_CHUNK + 1, None]
+        u = r / np.sqrt(_dot3(r, r))
+        lo, hi = u[:, :-1], u[:, 1:]
+        c = _cross3(lo, hi)
+        di = _dot3(lo, hi)
+        dj = _dot3(u[:, :, :-1], u[:, :, 1:])
+        diag = _dot3(lo[:, :, :-1], hi[:, :, 1:])
+        det1 = _dot3(lo[:, :, :-1], c[:, :, 1:])
+        det2 = -_dot3(hi[:, :, 1:], c[:, :, :-1])
+        total += np.sum(np.arctan2(det1, 1.0 + dj[:-1] + diag + di[:, 1:]))
+        total += np.sum(np.arctan2(det2, 1.0 + diag + di[:, :-1] + dj[1:]))
+    return -total / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

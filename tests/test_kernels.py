@@ -1,6 +1,7 @@
 """Properties of the weighted Hamiltonian's kernel over random weights and
 points, and of the Gauss linking sum and the distance kernels over random
-closed polygons whose lengths straddle the Gauss block size."""
+closed polygons whose lengths straddle the Gauss block size and the row
+tiles of the kernels."""
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis.extra.numpy import arrays
 
 from reeb_atlas import kernels
 from reeb_atlas import linking as lk
-from reeb_atlas.contact import StarForm
+from reeb_atlas.contact import StarForm, project_to_sigma, xi_frame
 from reeb_atlas.errors import ReebAtlasError
+from reeb_atlas.orbits import trace_orbit
 
-from oracles import chain_rule_h_parts
+from oracles import blocked_gauss_linking_raw, chain_rule_h_parts
 
 # ---------------------------------------------------------------------------
 # H(x) = |x|^2 / p(x/|x|) on weights beyond the near-ellipsoid fixtures
@@ -84,9 +86,10 @@ def test_weighted_kernel_rows_equal_one_row_calls(form_name, request):
 # the Gauss linking sum and polyline distances
 # ---------------------------------------------------------------------------
 
-# 3 and 200 vertices, and one block of rows minus one, exact, plus one, plus
-# one past two blocks
-_SIZES = st.sampled_from([3, 63, 64, 65, 129, 200])
+# 3 and 200 vertices, and 16, 32 and 64 rows (one Gauss block) minus one,
+# exact and plus one, plus one past two blocks: across the Gauss blocks and
+# the row tiles of the Gauss sum and the distance kernels
+_SIZES = st.sampled_from([3, 15, 16, 17, 31, 32, 33, 63, 64, 65, 129, 200])
 # the polygons fill a small ball off the candidate poles, so a pole clears
 # them even at 3 vertices, and two polygons tangle
 _CENTER = np.array([0.3, -0.2, 0.1, 1.0])
@@ -141,6 +144,29 @@ def test_reversing_one_curve_negates_the_gauss_sum(pair):
     assert abs(kernels.gauss_linking_raw(a3, b3[::-1]) + raw) < 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), na=_SIZES, nb=_SIZES,
+       scale=st.floats(1e-3, 1e3), near=st.booleans())
+def test_gauss_tiles_equal_whole_blocks(seed, na, nb, scale, near):
+    # bit for bit, also on near pairs b = a + 1e-3 noise, as pushoffs are
+    rng = np.random.default_rng(seed)
+    a = scale * rng.normal(size=(na, 3))
+    if near:
+        b = a + 1e-3 * scale * rng.normal(size=a.shape)
+    else:
+        b = scale * rng.normal(size=(nb, 3))
+    assert kernels.gauss_linking_raw(a, b) == blocked_gauss_linking_raw(a, b)
+
+
+def test_gauss_tiles_equal_whole_blocks_on_a_pushoff(ell, gamma1):
+    # the 512 x 512 sum of the first self-linking pushoff of gamma1
+    trace = trace_orbit(ell, gamma1, 512)
+    pushed = project_to_sigma(ell, trace + 1e-2 * xi_frame(ell, trace).e1)
+    a3, b3 = lk.stereo_pair(trace, pushed, 1e-3)
+    assert (kernels.gauss_linking_raw(a3, b3)
+            == blocked_gauss_linking_raw(a3, b3))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), na=_SIZES, nb=_SIZES,
        scale=st.floats(1e-3, 1e3))
@@ -148,6 +174,9 @@ def test_min_cross_distance_is_the_broadcast_formula(seed, na, nb, scale):
     rng = np.random.default_rng(seed)
     a = scale * rng.normal(size=(na, 4))
     b = scale * rng.normal(size=(nb, 4))
+    # a near pair on a random row, so a row lost between tiles shows
+    a[rng.integers(na)] = (b[rng.integers(nb)]
+                           + 1e-3 * scale * rng.normal(size=4))
     d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
     assert kernels.min_cross_distance(a, b) == np.sqrt(d2.min())
 
@@ -175,5 +204,6 @@ def test_hausdorff_distance_is_the_broadcast_formula(seed, na, nb, scale, repeat
         b[1] = b[0]  # a zero-length segment
     d2_ab = _broadcast_points_to_polyline_d2(a, b)
     d2_ba = _broadcast_points_to_polyline_d2(b, a)
+    assert np.array_equal(kernels._points_to_polyline_d2(a, b), d2_ab)
     assert kernels.hausdorff_distance(a, b) == np.sqrt(max(d2_ab.max(), d2_ba.max()))
     assert kernels.point_to_polyline(a[0], b) == np.sqrt(d2_ab[0])

@@ -11,7 +11,7 @@ from reeb_atlas.cz import prime_table
 from reeb_atlas.errors import PoleSelectionError, ProximityError
 from reeb_atlas.orbits import ReebOrbit, trace_orbit
 
-from oracles import full_grid_self_crossings
+from oracles import full_grid_pair_crossings, full_grid_self_crossings
 
 TH = np.linspace(0, 2 * np.pi, 512, endpoint=False)
 
@@ -210,6 +210,36 @@ def test_self_crossing_bands_equal_the_full_grid(n):
         for direction in lk._PLANE_DIRECTIONS:
             assert (lk._self_crossings(p3, direction)
                     == full_grid_self_crossings(p3, direction))
+
+
+@pytest.mark.parametrize("n", [3, 31, 32, 33, 63, 64, 65, 200])
+def test_pair_crossing_tiles_equal_the_full_grid(n):
+    # random polygon pairs, with a's segments below, at and past one tile;
+    # every signed sum, None included, is the full grid's
+    rng = np.random.default_rng(n)
+    for m in (3, 64, 129):
+        a3 = rng.uniform(-1.0, 1.0, size=(n, 3))
+        b3 = rng.uniform(-1.0, 1.0, size=(m, 3))
+        for direction in lk._PLANE_DIRECTIONS:
+            assert (lk._pair_crossings(a3, b3, direction)
+                    == full_grid_pair_crossings(a3, b3, direction))
+
+
+def test_pair_crossing_tiles_see_a_near_parallel_crossing():
+    # a's segment 100, in its fourth tile, has a strand of b above it that
+    # turns by 1e-12 rad in the plane normal to z; b's other strands cross a
+    # generically in the first and third tiles
+    th = np.linspace(0.0, 2.0 * np.pi, 130, endpoint=False)
+    a3 = np.stack([np.cos(th), np.sin(th), 0.1 * np.sin(3 * th)], axis=1)
+    seg = a3[101] - a3[100]
+    turn = 1e-12 * np.array([-seg[1], seg[0], 0.0])
+    b3 = np.array([a3[100] + 0.25 * seg + [0.0, 0.0, 1.0],
+                   a3[100] + 0.75 * seg + turn + [0.0, 0.0, 1.0],
+                   [3.0, 3.0, 0.5], [-3.0, 0.0, -0.5]])
+    results = [lk._pair_crossings(a3, b3, d) for d in lk._PLANE_DIRECTIONS]
+    assert results[0] is None
+    assert results == [full_grid_pair_crossings(a3, b3, d)
+                       for d in lk._PLANE_DIRECTIONS]
 
 
 # weights f = 1 + c1 A + c2 B + c3 A^2 + c4 A B + c5 B^2 in A = u1^2 + u2^2
