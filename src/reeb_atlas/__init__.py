@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 from .contact import StarForm, XiFrame, reeb_vector, xi_frame, xi_project
 from .errors import ReebAtlasError
 from .flow import FlowResult, integrate_flow, monodromy_xi
-from .orbits import (OrbitDatabase, ReebOrbit, find_orbits, period_gaps,
-                     refine_orbit)
+from .orbits import OrbitDatabase, ReebOrbit, find_orbits, refine_orbit
 
 __all__ = [
     "__version__",
@@ -32,5 +31,4 @@ __all__ = [
     "OrbitDatabase",
     "find_orbits",
     "refine_orbit",
-    "period_gaps",
 ]

@@ -114,7 +114,7 @@ class StarForm:
         """Build from a list of ((e1,e2,e3,e4), coeff) monomials.
 
         The weight must be positive on a 10^4-point quasi-uniform sample of
-        the unit sphere; forms failing the check are rejected.
+        the unit sphere, its powers taken by running products, or is rejected.
         """
         exps = np.array([m[0] for m in monomials], dtype=np.int64)
         coeffs = np.array([m[1] for m in monomials], dtype=float)
@@ -125,7 +125,9 @@ class StarForm:
         tables = kernels.weight_tables(exps, coeffs)
         form = cls(kind="weighted", exps=exps, coeffs=coeffs, name=name,
                    tables=tables)
-        vals = kernels.poly_parts(tables, sphere_samples(10_000))
+        u = sphere_samples(10_000).T
+        powers = np.cumprod([np.ones_like(u)] + [u] * exps.max(), axis=0)
+        vals = coeffs @ np.prod(powers[exps, np.arange(4)], axis=1)
         if vals.min() <= 0:
             raise DomainError(
                 f"weight is not positive on the sphere (min {vals.min():.3e})"

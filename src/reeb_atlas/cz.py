@@ -9,12 +9,14 @@ off the interval of direction rotation numbers, in closed form from the
 tracked rotation of e1 and the path's endpoint (Long, *Index Theory for
 Symplectic Paths with Applications*, 2002).  The spectral route projects the
 central-difference operator -J0 d/dt + S(t) onto the real Fourier modes
-|k| <= K (Trefethen, *Spectral Methods in MATLAB*, ch. 3-4), takes the
-eigenvalues nearest zero together with the winding numbers of their
-eigenfunctions, and evaluates ``2 * wind(nu_neg) + p`` (Hofer, Wysocki &
-Zehnder, GAFA 5, 1995).  The two must agree exactly on non-degenerate
-orbits; the report enforces that.  Across a census, the indices of a prime's
-iterates must also satisfy the iteration inequalities
+|k| <= K (Trefethen, *Spectral Methods in MATLAB*, ch. 3-4), with every
+Galerkin matrix gathered from one FFT of S by the product-to-sum rules.  It
+winds only the eigenfunctions of a window around zero, sampled by one
+inverse FFT, takes the eigenvalues nearest zero with their windings, and
+evaluates ``2 * wind(nu_neg) + p`` (Hofer, Wysocki & Zehnder, GAFA 5,
+1995).  The two must agree exactly on non-degenerate orbits; the report
+enforces that.  Across a census, the indices of a prime's iterates must also
+satisfy the iteration inequalities
 (``_assert_iterate_relations``; Hofer, Wysocki & Zehnder, Ann. Math. 148,
 1998).
 """
@@ -51,6 +53,7 @@ J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 STEP_GUARD = 0.5
 DEGENERACY_MARGIN = 1e-4
 _BAND = 8  # winding classes kept each side of wind(nu_neg); K's margin too
+_WINDOW = 2 * (_BAND + 2)  # eigenpairs first wound each side of zero
 # {prime_key: PrimeData} of the open ``prime_table`` block
 _PRIMES = contextvars.ContextVar("reeb_atlas_primes", default=None)
 
@@ -257,6 +260,12 @@ def trivialized_path(form, orbit, n_min):
 # rotation interval and the geometric index
 # ---------------------------------------------------------------------------
 
+def _inv2(A):
+    """Inverses of the 2x2 matrices A (..., 2, 2): adjugate over determinant."""
+    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    return (A[..., ::-1, ::-1].swapaxes(-1, -2) * [[1, -1], [-1, 1]]) / det[..., None, None]
+
+
 def _extremal_directions(A):
     """The two unit directions u with |A u|^2 = det A, where the angle that A
     (..., 2, 2), det A > 0, turns a direction by is extremal; as
@@ -294,7 +303,7 @@ def rotation_interval(path):
     """
     path.validate()
     mats = path.mats
-    steps = mats[1:] @ np.linalg.inv(mats[:-1])
+    steps = mats[1:] @ _inv2(mats[:-1])
     worst = np.abs(_turn_angles(steps, _extremal_directions(steps))).max()
     if worst > 0.5 * np.pi:
         raise ResolutionError(
@@ -340,61 +349,77 @@ def _coefficient_matrices(mats):
     n = mats.shape[0] - 1
     h = 1.0 / n
     # phi(-h) by the cocycle rule, then phi(0 .. 1 - 2h)
-    prev = np.concatenate([[mats[n - 1] @ np.linalg.inv(mats[-1])], mats[:n - 1]])
+    prev = np.concatenate([[mats[n - 1] @ _inv2(mats[-1])], mats[:n - 1]])
     dphi = (mats[1:] - prev) / (2.0 * h)
-    s = J0 @ dphi @ np.linalg.inv(mats[:n])
+    s = J0 @ dphi @ _inv2(mats[:n])
     return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
-def _eigenfunction_winding(v):
-    """Degree of v/|v| for m functions sampled on the periodic grid, v (n, 2, m);
-    NaN where a function vanishes or the degree is not an integer."""
-    total = kernels.angle_steps(np.concatenate([v, v[:1]])).sum(axis=0) / (2.0 * np.pi)
+def _galerkin_matrix(X, n, K):
+    """-J0 d/dt + S by central differences on n periodic points, on the real
+    Fourier modes |k| <= K, as a (2m, 2m) matrix over (mode, component),
+    m = 2K + 1.  Mode a is sqrt2 Re(c_a e^(2 pi i q_a t)), c = 1/sqrt2, 1, -i
+    for the constant, cos and sin, times e1 or e2.  By product-to-sum the grid
+    mean of S times modes a, b is Re(c_a c_b Y_(q_a+q_b) + c_a conj(c_b)
+    Y_(q_a-q_b)), Y_f = conj(X_f) / n, X = rfft(S); -J0 d/dt adds i sigma_q J0
+    to Y_0 at q_a = q_b = q, sigma_q = n sin(2 pi q / n): no alias near n/2."""
+    m, k = 2 * K + 1, np.arange(1, K + 1)
+    q, c = np.r_[0, np.repeat(k, 2)], np.r_[np.sqrt(0.5), np.tile([1.0, -1j], K)]
+    Y, d = np.conj(X[:2 * K + 1]) / n, q[:, None] - q
+    P = np.where((d < 0)[..., None], np.conj(Y[np.abs(d)]), Y[np.abs(d)])
+    P += 1j * (n * np.sin(2.0 * np.pi * q / n) * (d == 0))[..., None] * J0.ravel()
+    G = np.real(np.outer(c, c)[..., None] * Y[q[:, None] + q]
+                + np.outer(c, np.conj(c))[..., None] * P)
+    return G.reshape(m, m, 2, 2).transpose(0, 2, 1, 3).reshape(2 * m, 2 * m)
+
+
+def _windings(vecs, n):
+    """Degree of v/|v| for the functions v of coefficients vecs (2m, w) in the
+    modes of ``_galerkin_matrix``, on n + 1 closed grid points by one irfft of
+    Z_q = sum of c_a vecs_a / sqrt2 over the modes a of frequency q > 0, Z_0 =
+    vecs_0; NaN where a function vanishes or the degree is not an integer."""
+    coef = vecs.reshape(-1, 2, vecs.shape[1])
+    Z = np.concatenate([coef[:1], (coef[1::2] - 1j * coef[2::2]) / np.sqrt(2.0)])
+    v = np.empty((n + 1,) + coef.shape[1:])
+    np.fft.irfft(Z, n=n, axis=0, norm="forward", out=v[:n])
+    v[n] = v[0]
+    total = kernels.angle_steps(v).sum(axis=0) / (2.0 * np.pi)
     k = np.round(total)
     sq = (v * v).sum(axis=1)
     ok = (sq.min(axis=0) >= 1e-16 * sq.max(axis=0)) & (np.abs(total - k) <= 1e-6)
     return np.where(ok, k, np.nan)
 
 
-def _galerkin_pairs(S, K):
-    """Eigenvalues and windings of the central-difference operator
-    -J0 d/dt + S on ``len(S)`` periodic points, projected onto the real
-    Fourier modes |k| <= K: 1, sqrt2 cos(2 pi k t), sqrt2 sin(2 pi k t) times
-    e1, e2, orthonormal for the grid mean.  Central differences map mode k's
-    (cos, sin) pair into itself by sigma_k = n sin(2 pi k / n), so the alias
-    branch near k = n/2 is never formed; S gives (1/n) sum_j B_j^T S_j B_j.
-    """
-    n, m, k = len(S), 2 * K + 1, np.arange(1, K + 1)
-    phase = 2.0 * np.pi * np.outer(np.arange(n) / n, k)
-    F = np.ones((n, m))
-    F[:, 1::2], F[:, 2::2] = np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)
-    sigma = n * np.sin(2.0 * np.pi * k / n)
-    D = np.zeros((m, m))
-    D[2 * k, 2 * k - 1] = -sigma  # d/dt cos = -sigma sin
-    D[2 * k - 1, 2 * k] = sigma   # d/dt sin = sigma cos
-    FS = (S.reshape(n, 4)[:, :, None] * F[:, None, :]).reshape(n, 4 * m)
-    GS = (F.T @ FS).reshape(m, 2, 2, m).transpose(0, 1, 3, 2) / n
-    vals, vecs = np.linalg.eigh(np.kron(D, -J0) + GS.reshape(2 * m, 2 * m))
-    samples = (F @ vecs.reshape(m, 4 * m)).reshape(n, 2, 2 * m)
-    return vals, _eigenfunction_winding(samples)
-
-
-def _spectral_data(S, K):
-    vals, winds = _galerkin_pairs(S, K)
+def _spectral_data(A, n, K):
+    """Spectral data of the Galerkin matrix A, winding only a window of
+    eigenpairs, ``_WINDOW`` to each side of zero, doubled until its windings
+    are non-decreasing and each edge ends the spectrum or winds outside
+    wind(nu_neg) +- ``_BAND``: the winding grows with the eigenvalue (Hofer,
+    Wysocki & Zehnder, GAFA 5, 1995), so the window holds the whole band."""
+    vals, vecs = np.linalg.eigh(A)
     small = np.abs(vals).min()
     if small < 1e-6:
         raise DegenerateOrbitError(f"eigenvalue {small:.2e} within 1e-6 of zero")
-    defined = ~np.isnan(winds)
-    vals, winds = vals[defined], winds[defined].astype(int)
-    neg = vals < 0
-    if neg.all() or not neg.any():
-        raise ResolutionError(f"the eigenvalues at K={K} do not straddle zero")
-    wind_neg = int(winds[neg][-1])  # eigh sorts ascending
-    band = np.abs(winds - wind_neg) <= _BAND
-    vals, winds, neg = vals[band], winds[band], neg[band]
-    b = int(np.sum(neg & (winds == wind_neg)))
-    return SpectralData(eigenvalues=vals, windings=winds, nu_neg=float(vals[neg][-1]),
-                        nu_pos=float(vals[~neg][0]), wind_nu_neg=wind_neg,
+    z, half = int(np.searchsorted(vals, 0.0)), _WINDOW
+    while True:
+        lo, hi = max(z - half, 0), min(z + half, len(vals))
+        winds = _windings(vecs[:, lo:hi], n)
+        nu, w = vals[lo:hi][~np.isnan(winds)], winds[~np.isnan(winds)].astype(int)
+        neg, whole = nu < 0, lo == 0 and hi == len(vals)
+        if neg.all() or not neg.any():
+            if whole:
+                raise ResolutionError(f"the eigenvalues at K={K} do not straddle zero")
+        elif whole or (np.all(np.diff(w) >= 0)
+                       and (lo == 0 or w[0] < w[neg][-1] - _BAND)
+                       and (hi == len(vals) or w[-1] > w[neg][-1] + _BAND)):
+            break
+        half *= 2
+    wind_neg = int(w[neg][-1])  # eigh sorts ascending
+    band = np.abs(w - wind_neg) <= _BAND
+    nu, w, neg = nu[band], w[band], neg[band]
+    b = int(np.sum(neg & (w == wind_neg)))
+    return SpectralData(eigenvalues=nu, windings=w, nu_neg=float(nu[neg][-1]),
+                        nu_pos=float(nu[~neg][0]), wind_nu_neg=wind_neg,
                         p=(1 + (-1) ** b) // 2, K=K)
 
 
@@ -408,11 +433,11 @@ def _fourier_spectrum(S, turns):
     answer comes back past ``len(S) // 8`` modes, the range where the symbol
     is monotone.
     """
-    n = len(S)
-    coef = np.abs(np.fft.rfft(S.reshape(n, 4), axis=0)).max(axis=1)
+    n, X = len(S), np.fft.rfft(S.reshape(len(S), 4), axis=0)
+    coef = np.abs(X).max(axis=1)
     K, prev = int(np.ceil(abs(turns))) + _BAND, None
     while K <= n // 8:
-        cur = _spectral_data(S, K)
+        cur = _spectral_data(_galerkin_matrix(X, n, K), n, K)
         if (prev is not None
                 and coef[K + 1:].max(initial=0.0) <= 1e-9 * coef.max()
                 and np.array_equal(prev.windings[prev.eigenvalues < 0],

@@ -29,7 +29,6 @@ __all__ = [
     "OrbitDatabase",
     "refine_orbit",
     "find_orbits",
-    "period_gaps",
     "trace_orbits",
     "trace_orbit",
     "classify_monodromy",
@@ -418,30 +417,6 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
     }
     return OrbitDatabase(form_hash=form.form_hash, orbits=entries, params=params,
                          funnel=dict(funnel))
-
-
-def period_gaps(db, C):
-    """Minimal period, minimal gap between distinct periods up to C, and a
-    safe lower scale sigma = 0.5 * min(sigma1, sigma2).
-
-    sigma2 is infinite (numpy inf marker) when fewer than two distinct
-    periods lie below C.
-    """
-    if len(db) == 0:
-        raise DomainError("period_gaps needs a non-empty database")
-    periods = np.array(sorted(o.T for o in db.orbits))
-    sigma1 = float(periods[0])
-    below = periods[periods <= C]
-    distinct = []
-    for p in below:
-        if not distinct or p - distinct[-1] > 1e-9:
-            distinct.append(p)
-    if len(distinct) < 2:
-        sigma2 = np.inf
-    else:
-        sigma2 = float(np.diff(np.array(distinct)).min())
-    sigma = 0.5 * min(sigma1, sigma2)
-    return sigma1, sigma2, sigma
 
 
 # ---------------------------------------------------------------------------

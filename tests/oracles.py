@@ -1,16 +1,16 @@
 """Test oracles and fixtures: code that only the tests run.
 
 The round sphere, frame vectors from frame coordinates, the weighted
-Hamiltonian's derivatives by the chain rule through x/|x|,
-synthetic symplectic paths with known indices and their non-degeneracy, the
-Maslov index of a loop, the rotation interval on a grid of directions, the
-spectrum of an orbit from its own path,
-the winding census of a spectrum, the crossing word of a loop's shadow and
-the signed crossings of two loops' shadows over all segment pairs, the Gauss
-linking sum over whole blocks of rows, the index table of a prime's iterates
-(checked by ``cz._assert_iterate_relations``), the contact area of a disk by
-two routes, the return map of arbitrary level points, and the primitive
-1-form lambda0.
+Hamiltonian's derivatives by the chain rule through x/|x|, synthetic
+symplectic paths with known indices and their non-degeneracy, the Maslov
+index of a loop, the rotation interval on a grid of directions, the spectrum
+of an orbit from its own path, the Galerkin matrix by products over the grid
+with every eigenfunction wound, the winding census of a spectrum, the period
+gaps of a census, the crossing word of a loop's shadow and the signed
+crossings of two loops' shadows over all segment pairs, the Gauss linking sum
+over whole blocks of rows, the index table of a prime's iterates (checked by
+``cz._assert_iterate_relations``), the contact area of a disk by two routes,
+the return map of arbitrary level points, and the primitive 1-form lambda0.
 The package's reachability test (``test_reachability.py``) keeps such code
 out of ``src/``.
 """
@@ -19,9 +19,10 @@ import numpy as np
 
 from reeb_atlas import kernels
 from reeb_atlas.contact import OMEGA, StarForm, omega_form, project_to_sigma
-from reeb_atlas.cz import (STEP_GUARD, SymplecticPath, _assert_iterate_relations,
-                           asymptotic_spectrum, cz_from_interval,
-                           rotation_interval, trivialized_path)
+from reeb_atlas.cz import (J0, STEP_GUARD, SymplecticPath,
+                           _assert_iterate_relations, asymptotic_spectrum,
+                           cz_from_interval, rotation_interval,
+                           trivialized_path)
 from reeb_atlas.errors import DomainError, GridQualityError, ResolutionError
 from reeb_atlas.kernels import _GAUSS_CHUNK, _HESS_BLOCK, _I, _J
 from reeb_atlas.linking import _height, _segment_pairs, _shadow
@@ -299,6 +300,43 @@ def spectrum(form, orbit, n_grid):
     return asymptotic_spectrum(orbit, path, rotation_interval(path).turns)
 
 
+def galerkin_matrix(S, K):
+    """``cz._galerkin_matrix`` by matrix products over the grid: the modes
+    1, sqrt2 cos(2 pi k t), sqrt2 sin(2 pi k t), k <= K, sampled as the
+    columns of F, and (1/n) sum_j B_j^T S_j B_j from F^T (S F)."""
+    n, m, k = len(S), 2 * K + 1, np.arange(1, K + 1)
+    phase = 2.0 * np.pi * np.outer(np.arange(n) / n, k)
+    F = np.ones((n, m))
+    F[:, 1::2], F[:, 2::2] = np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)
+    sigma = n * np.sin(2.0 * np.pi * k / n)
+    D = np.zeros((m, m))
+    D[2 * k, 2 * k - 1] = -sigma  # d/dt cos = -sigma sin
+    D[2 * k - 1, 2 * k] = sigma   # d/dt sin = sigma cos
+    FS = (S.reshape(n, 4)[:, :, None] * F[:, None, :]).reshape(n, 4 * m)
+    GS = (F.T @ FS).reshape(m, 2, 2, m).transpose(0, 1, 3, 2) / n
+    return np.kron(D, -J0) + GS.reshape(2 * m, 2 * m), F
+
+
+def _eigenfunction_winding(v):
+    """Degree of v/|v| for m functions sampled on the periodic grid, v (n, 2, m);
+    NaN where a function vanishes or the degree is not an integer."""
+    total = kernels.angle_steps(np.concatenate([v, v[:1]])).sum(axis=0) / (2.0 * np.pi)
+    k = np.round(total)
+    sq = (v * v).sum(axis=1)
+    ok = (sq.min(axis=0) >= 1e-16 * sq.max(axis=0)) & (np.abs(total - k) <= 1e-6)
+    return np.where(ok, k, np.nan)
+
+
+def galerkin_pairs(S, K):
+    """All eigenvalues of ``galerkin_matrix`` with the windings of all their
+    eigenfunctions, sampled on the grid by F."""
+    A, F = galerkin_matrix(S, K)
+    vals, vecs = np.linalg.eigh(A)
+    m = 2 * K + 1
+    samples = (F @ vecs.reshape(m, 4 * m)).reshape(len(S), 2, 2 * m)
+    return vals, _eigenfunction_winding(samples)
+
+
 def winding_census(data):
     """Count of computed eigenvalues per winding, restricted to winding
     classes strictly inside the computed range (those are complete)."""
@@ -309,6 +347,30 @@ def winding_census(data):
         census[int(k)] = int(np.sum(winds == k))
     monotone = bool(np.all(np.diff(winds) >= 0))
     return census, monotone
+
+
+def period_gaps(db, C):
+    """Minimal period, minimal gap between distinct periods up to C, and a
+    safe lower scale sigma = 0.5 * min(sigma1, sigma2).
+
+    sigma2 is infinite (numpy inf marker) when fewer than two distinct
+    periods lie below C.
+    """
+    if len(db) == 0:
+        raise DomainError("period_gaps needs a non-empty database")
+    periods = np.array(sorted(o.T for o in db.orbits))
+    sigma1 = float(periods[0])
+    below = periods[periods <= C]
+    distinct = []
+    for p in below:
+        if not distinct or p - distinct[-1] > 1e-9:
+            distinct.append(p)
+    if len(distinct) < 2:
+        sigma2 = np.inf
+    else:
+        sigma2 = float(np.diff(np.array(distinct)).min())
+    sigma = 0.5 * min(sigma1, sigma2)
+    return sigma1, sigma2, sigma
 
 
 def iterate_index_table(form, orbit, k_max):

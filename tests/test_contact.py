@@ -85,6 +85,19 @@ def test_positivity_rejection():
         StarForm.weighted([((0, 0, 0, 0), 1.0), ((2, 0, 0, 0), -3.0)])
 
 
+@pytest.mark.parametrize("exps", [[(2, 0, 0, 0)], [(3, 0, 1, 0)],
+                                  [(0, 4, 0, 0), (1, 0, 2, 1)]])
+def test_positivity_decision_at_the_boundary(exps):
+    # p = c - q with c a relative 1e-12 above or below the largest q on the
+    # check's sphere samples, q taken there by float powers
+    u = sphere_samples(10_000)
+    q_max = np.prod(u[:, None, :] ** np.array(exps), axis=-1).sum(axis=1).max()
+    mons = [(e, -1.0) for e in exps]
+    StarForm.weighted([((0, 0, 0, 0), q_max * (1 + 1e-12))] + mons)
+    with pytest.raises(DomainError, match="not positive"):
+        StarForm.weighted([((0, 0, 0, 0), q_max * (1 - 1e-12))] + mons)
+
+
 def test_zero_input_rejected():
     rs = round_sphere()
     with pytest.raises(DomainError):

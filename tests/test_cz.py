@@ -2,14 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reeb_atlas import cz, kernels
 from reeb_atlas.errors import (DegenerateOrbitError, DomainError,
                                InconsistencyError, ResolutionError)
 from reeb_atlas.flow import integrate_flow
-from reeb_atlas.orbits import refine_orbit
+from reeb_atlas.orbits import find_orbits, refine_orbit
 
-from oracles import (compose_paths, grid_interval, hyperbolic_path, invert_path,
+from oracles import (compose_paths, galerkin_matrix, galerkin_pairs,
+                     grid_interval, hyperbolic_path, invert_path,
                      iterate_index_table, maslov_loop, nondegenerate, path_power,
                      pure_rotation_path, random_loop, random_nondegenerate_path,
                      spectrum, winding_census)
@@ -202,7 +205,7 @@ def test_galerkin_constant_coefficients_match_the_matched_symbol():
     # twice each, and the eigenfunctions of a + sigma_k wind k times
     n, a, K = 256, -2 * np.pi * 1.3, 12
     S = np.tile(a * np.eye(2), (n, 1, 1))
-    vals, winds = cz._galerkin_pairs(S, K)
+    vals, winds = galerkin_pairs(S, K)
     k = np.arange(-K, K + 1)
     assert np.allclose(vals, np.repeat(a + n * np.sin(2 * np.pi * k / n), 2),
                        rtol=0, atol=1e-11)
@@ -211,6 +214,99 @@ def test_galerkin_constant_coefficients_match_the_matched_symbol():
     assert (data.wind_nu_neg, data.p) == (1, 1)
     assert data.nu_neg == pytest.approx(a + n * np.sin(2 * np.pi / n), abs=1e-11)
     assert data.nu_pos == pytest.approx(a + n * np.sin(4 * np.pi / n), abs=1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(64, 1024), k_share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_gathered_galerkin_matrix_matches_the_grid_products(n, k_share, seed):
+    # product-to-sum on the cosine and sine sums of S against F^T (S F)
+    K = 1 + int(k_share * (n // 8 - 1))
+    S = np.random.default_rng(seed).normal(size=(n, 2, 2))
+    S = S + np.swapaxes(S, 1, 2)
+    gathered = cz._galerkin_matrix(np.fft.rfft(S.reshape(n, 4), axis=0), n, K)
+    expected, _ = galerkin_matrix(S, K)
+    assert np.abs(gathered - expected).max() <= 1e-12 * np.abs(S).max()
+
+
+@pytest.fixture(scope="module")
+def operators(ell, gamma1, gamma2, perturbed_form):
+    """(label, S, turns) of the ellipsoid's gamma1^1..9 and gamma2^1..3, the
+    perturbed form's census at T_max 7 with its iterates up to period 10,
+    and ten random non-degenerate paths."""
+    orbits = [(f"gamma1^{k}", ell, gamma1.iterate(k) if k > 1 else gamma1)
+              for k in range(1, 10)]
+    orbits += [(f"gamma2^{k}", ell, gamma2.iterate(k) if k > 1 else gamma2)
+               for k in range(1, 4)]
+    for i, o in enumerate(find_orbits(perturbed_form, 7.0, n_seeds=16).orbits):
+        if o.multiplicity == 1:
+            orbits += [(f"perturbed{i}^{k}", perturbed_form,
+                        o.iterate(k) if k > 1 else o)
+                       for k in range(1, int(10.0 // o.T_min) + 1)]
+    paths = [(label, cz.trivialized_path(form, o, 1024)) for label, form, o in orbits]
+    rng = np.random.default_rng(11)
+    paths += [(f"random{i}", random_nondegenerate_path(rng)) for i in range(10)]
+    return [(label, cz._coefficient_matrices(path.mats),
+             cz.rotation_interval(path).turns) for label, path in paths]
+
+
+@pytest.mark.parametrize("start", [cz._WINDOW, 2])
+def test_windowed_spectrum_equals_the_all_wound_one(operators, monkeypatch,
+                                                    start):
+    # every SpectralData field is the same when all 2(2K+1) eigenfunctions
+    # are wound; a start of 2 pairs each side makes every window grow
+    widths, real = [], cz._windings
+
+    def spy(vecs, n):
+        widths.append(vecs.shape[1])
+        return real(vecs, n)
+
+    monkeypatch.setattr(cz, "_windings", spy)
+    for label, S, turns in operators:
+        with monkeypatch.context() as m:
+            m.setattr(cz, "_WINDOW", 10**6)
+            whole = cz._fourier_spectrum(S, turns)
+        monkeypatch.setattr(cz, "_WINDOW", start)
+        del widths[:]
+        part = cz._fourier_spectrum(S, turns)
+        for f in dataclasses.fields(cz.SpectralData):
+            assert np.array_equal(getattr(part, f.name), getattr(whole, f.name)), (
+                label, f.name)
+        assert max(widths) < 4 * whole.K + 2, label
+        if start == 2:
+            assert max(widths) > 2 * start, label
+
+
+def _data_or_error(A, n, K):
+    try:
+        return cz._spectral_data(A, n, K)
+    except ResolutionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("start", [2, 3, 5, cz._WINDOW])
+def test_window_holds_the_band_at_every_crossing(monkeypatch, start):
+    # S = a I winds the eigenfunctions of a + sigma_k k times; the sweep of a
+    # puts zero between each two classes and beyond both ends, so one edge of
+    # the window may stop at an end while the other must still clear the band
+    n = 256
+    for K in (3, 9, 17):
+        sigma = n * np.sin(2 * np.pi * np.arange(-K, K + 1) / n)
+        cuts = np.concatenate([[sigma[0] - 1], (sigma[:-1] + sigma[1:]) / 2,
+                               [sigma[-1] + 1]])
+        for a in -cuts:
+            S = np.tile(a * np.eye(2), (n, 1, 1))
+            A = cz._galerkin_matrix(np.fft.rfft(S.reshape(n, 4), axis=0), n, K)
+            monkeypatch.setattr(cz, "_WINDOW", 10**6)
+            whole = _data_or_error(A, n, K)
+            monkeypatch.setattr(cz, "_WINDOW", start)
+            part = _data_or_error(A, n, K)
+            if isinstance(whole, str):
+                assert part == whole
+                continue
+            for f in dataclasses.fields(cz.SpectralData):
+                assert np.array_equal(getattr(part, f.name),
+                                      getattr(whole, f.name)), (K, a, f.name)
 
 
 def test_galerkin_refuses_a_slowly_decaying_coefficient():

@@ -9,9 +9,10 @@ from reeb_atlas.contact import StarForm
 from reeb_atlas.errors import (DomainError, OffLevelError, RefinementError,
                                StiffnessError)
 from reeb_atlas.flow import integrate_flow, monodromy_xi
-from reeb_atlas.orbits import (find_orbits, load_orbits, period_gaps,
-                               refine_orbit, save_orbits, trace_orbit,
-                               trace_orbits)
+from reeb_atlas.orbits import (find_orbits, load_orbits, refine_orbit,
+                               save_orbits, trace_orbit, trace_orbits)
+
+from oracles import period_gaps
 
 SQ2 = np.sqrt(2.0)
 
