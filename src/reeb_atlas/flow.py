@@ -287,16 +287,8 @@ def lockstep(rows, kinds, serve):
     return out
 
 
-def monodromy_xi(form, orbit_point, T, closure_tol=1e-6):
-    """Linearized period map restricted to the contact plane.
-
-    Returns the 2x2 matrix of dphi_T on the contact plane, expressed in the
-    global frame at the (common) start and end point, from one variational
-    integration at tol 1e-12.  Requires the point to be T-periodic within
-    ``closure_tol``; determinant is 1 up to integration error.
-    """
-    x0 = np.asarray(orbit_point, dtype=float)
-    res = integrate_flow(form, x0, T, tol=1e-12, variational=True)
+def xi_period_map(form, x0, res, closure_tol):
+    """``monodromy_xi`` from its variational run ``res`` from ``x0``."""
     end, M = res.endpoint, res.monodromy_end
     gap = np.linalg.norm(end - x0)
     if gap > closure_tol:
@@ -306,3 +298,16 @@ def monodromy_xi(form, orbit_point, T, closure_tol=1e-6):
     fr = xi_frame(form, x0)
     w = xi_projector(form, x0)(np.stack([M @ fr.e1, M @ fr.e2]))
     return fr.coords(w).T
+
+
+def monodromy_xi(form, orbit_point, T, closure_tol=1e-6):
+    """Linearized period map restricted to the contact plane.
+
+    Returns the 2x2 matrix of dphi_T on the contact plane, expressed in the
+    global frame at the (common) start and end point, from one variational
+    integration at tol 1e-12.  Requires the point to be T-periodic within
+    ``closure_tol``; determinant is 1 up to integration error.
+    """
+    x0 = np.asarray(orbit_point, dtype=float)
+    return xi_period_map(form, x0, integrate_flow(
+        form, x0, T, tol=1e-12, variational=True), closure_tol)

@@ -7,8 +7,10 @@ closest-return scan, and all candidates are polished in lockstep by Newton
 shooting on the augmented system (return condition + energy level + phase
 anchor) using the analytic variational matrix, one stacked integration per
 round.  The bookkeeping then replays the candidates in seed order, so the
-census is that of a one-by-one search.  Completeness is never claimed;
-downstream verdicts carry the truncation cap.
+census is that of a one-by-one search; the survivors it needs are certified
+in lockstep waves, and a flow that repeats one already run bit for bit is
+not run again.  Completeness is never claimed; downstream verdicts carry
+the truncation cap.
 """
 
 import json
@@ -22,7 +24,7 @@ from .contact import project_to_sigma, reeb_vector, sphere_samples
 from .errors import (DomainError, FrameDegeneracyError, ReebAtlasError,
                      RefinementError, ResolutionError, StiffnessError)
 from .flow import (counting, integrate_batch, integrate_flow, lockstep,
-                   monodromy_xi)
+                   xi_period_map)
 
 __all__ = [
     "ReebOrbit",
@@ -146,20 +148,12 @@ def trace_orbit(form, orbit, n):
     return trace
 
 
-def _detect_multiplicity(form, x, T):
-    """Largest k <= 64 with T/k >= 0.05 and a return within 1e-6 at T/k."""
-    res = integrate_flow(form, x, T, tol=1e-12, dense=True)
-    ks = np.arange(2, min(max(1, int(T / 0.05)), 64) + 1)
-    ys = project_to_sigma(form, res.trajectory(T / ks)[:, :4])
-    closed = ks[kernels.norm(ys - x) < 1e-6]
-    return int(closed.max()) if closed.size else 1
-
-
 def _polish_row(form, x_guess, T_guess, initial_residual_cap):
     """Gauss-Newton on the augmented shooting system, for one candidate.
 
     Yields (variational, x, T) for each return flow it needs and is sent its
-    ``FlowResult``.  Returns (x, T, residual, iters, degenerate_family).
+    ``FlowResult``.  Returns (x, T, residual, iters, degenerate_family, and
+    the last flow, which ran at the returned x and T).
     Stalls and rank deficiencies are detected early so that hopeless
     candidates stay cheap.
     """
@@ -170,8 +164,8 @@ def _polish_row(form, x_guess, T_guess, initial_residual_cap):
     anchor_x = x.copy()
     anchor_v = reeb_vector(form, x, check=False)
 
-    end = (yield False, x, T).endpoint
-    res0 = np.linalg.norm(end - x)
+    ret = yield False, x, T
+    res0 = np.linalg.norm(ret.endpoint - x)
     if res0 > initial_residual_cap:
         raise RefinementError(
             f"initial return residual {res0:.3e} exceeds {initial_residual_cap}"
@@ -217,9 +211,9 @@ def _polish_row(form, x_guess, T_guess, initial_residual_cap):
             raise RefinementError("period iterated to a non-positive value")
         iters += 1
     if residual > _NEWTON_TOL and not degenerate_family:
-        end = (yield False, x, T).endpoint
-        residual = np.linalg.norm(end - x)
-    return x, T, residual, iters, degenerate_family
+        ret = yield False, x, T
+        residual = np.linalg.norm(ret.endpoint - x)
+    return x, T, residual, iters, degenerate_family, ret
 
 
 def _newton_polish(form, x_guess, T_guess, initial_residual_cap=0.1):
@@ -235,22 +229,13 @@ def _newton_polish(form, x_guess, T_guess, initial_residual_cap=0.1):
                      for x, T in zip(x_guess, T_guess)], (False, True), serve)
 
 
-def refine_orbit(form, x_guess, T_guess, initial_residual_cap=0.1):
-    """Newton-polish a candidate (point, period) into a certified orbit.
-
-    Solves the augmented shooting system { phi_T(x) - x = 0, H(x) = 1,
-    <v_anchor, x - x_anchor> = 0 } by Gauss-Newton with the analytic
-    variational matrix.  The prime period is extracted afterwards by
-    divisor testing.  Rank-deficient Jacobians (degenerate orbit families,
-    e.g. on the round sphere) fall back to scalar minimization of the
-    return proximity in T.
-    """
-    polished, = _newton_polish(form, np.reshape(x_guess, (1, 4)), [T_guess],
-                               initial_residual_cap=initial_residual_cap)
-    if isinstance(polished, Exception):
-        raise polished
-    x, T, residual, iters, degenerate_family = polished
-
+def _certify(form, x_guess, T_guess, initial_residual_cap):
+    """``refine_orbit``'s body, a generator for ``_certify_rows``: the
+    polish's requests, then as plain requests the dense run at the polished
+    (x, T) for the multiplicity and a cover's run to T_min, and the
+    variational run to T_min."""
+    x, T, residual, iters, degenerate_family, _ = yield from _polish_row(
+        form, x_guess, T_guess, initial_residual_cap)
     if degenerate_family:
         from scipy.optimize import minimize_scalar
 
@@ -270,23 +255,65 @@ def refine_orbit(form, x_guess, T_guess, initial_residual_cap=0.1):
             f"(residual {residual:.3e})"
         )
 
-    mult = _detect_multiplicity(form, x, T)
+    # multiplicity: largest k <= 64 with T/k >= 0.05, closed within 1e-6
+    traj = (yield False, x, T).trajectory
+    ks = np.arange(2, min(max(1, int(T / 0.05)), 64) + 1)
+    ys = project_to_sigma(form, traj(T / ks)[:, :4])
+    closed = ks[kernels.norm(ys - x) < 1e-6]
+    mult = int(closed.max()) if closed.size else 1
     T_min = T / mult
-    if mult > 1:
-        # re-polish at the prime period to certify the prime residual
-        end = integrate_flow(form, x, T_min, tol=1e-12).endpoint
-        prime_res = np.linalg.norm(end - x)
-    else:
-        prime_res = residual
-
-    mon_prime = monodromy_xi(form, x, T_min, closure_tol=1e-5)
+    # a cover's prime residual, from a run its re-certification reuses
+    prime_res = residual if mult == 1 else np.linalg.norm(
+        (yield False, x, T_min).endpoint - x)
+    mon_prime = xi_period_map(form, x, (yield True, x, T_min), 1e-5)
     mon_full = np.linalg.matrix_power(mon_prime, mult)
-    orbit = ReebOrbit(
+    return ReebOrbit(
         x0=x, T_min=T_min, multiplicity=mult, monodromy=mon_full,
         nondeg_class=classify_monodromy(mon_full),
         residual=float(max(residual, prime_res)),
         monodromy_prime=mon_prime, newton_iters=iters,
     )
+
+
+def _certify_rows(form, rows, flows, reused):
+    """Run certification generators in lockstep, one ``integrate_batch`` per
+    kind at 1e-12, plain flows as dense runs (same steps and endpoint), and
+    traces by ``trace_orbits``.  ``flows`` keeps the runs by (variational, x
+    bytes, T) and answers repeats; ``reused`` counts them, as "polish" for
+    the runs ``flows`` came with.  Returns per row its value or error."""
+    given = set(flows)
+
+    def serve(kind, asks):
+        if kind == "trace":
+            return trace_orbits(form, [orbit for orbit, in asks], 512)
+        keys = [(kind, np.asarray(x).tobytes(), float(T)) for x, T in asks]
+        todo = {k: a for k, a in zip(keys, asks) if k not in flows}
+        reused.update("polish" if k in given else "variational" if kind
+                      else "dense" for k in keys if k not in todo)
+        if todo:
+            xs, Ts = zip(*todo.values())
+            flows.update(zip(todo, integrate_batch(
+                form, np.array(xs), Ts, tol=1e-12, variational=kind,
+                dense=not kind)))
+        return [flows[k] for k in keys]
+
+    return lockstep(rows, (False, True, "trace"), serve)
+
+
+def refine_orbit(form, x_guess, T_guess, initial_residual_cap=0.1):
+    """Newton-polish a candidate (point, period) into a certified orbit.
+
+    Solves the augmented shooting system { phi_T(x) - x = 0, H(x) = 1,
+    <v_anchor, x - x_anchor> = 0 } by Gauss-Newton with the analytic
+    variational matrix.  The prime period is extracted afterwards by
+    divisor testing.  Rank-deficient Jacobians (degenerate orbit families,
+    e.g. on the round sphere) fall back to scalar minimization of the
+    return proximity in T.  The one-row run of ``_certify``.
+    """
+    orbit, = _certify_rows(form, [_certify(form, x_guess, T_guess,
+                                           initial_residual_cap)], {}, Counter())
+    if isinstance(orbit, Exception):
+        raise orbit
     return orbit
 
 
@@ -324,8 +351,8 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
     Every returned prime orbit passed Newton refinement; iterates up to the
     cap are synthesized from each prime.  Candidates that fail to refine are
     dropped (optionally reported through ``log``).  The database's
-    ``funnel`` counts seeds, candidates and their fates, Newton iterations
-    and the stepper's work.
+    ``funnel`` counts seeds, candidates and their fates, Newton iterations,
+    certified rows, waves, reused flows and the stepper's work.
     """
     if T_max <= 0:
         raise DomainError("T_max must be positive")
@@ -345,13 +372,61 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
         return False
 
     funnel = Counter(seeds=len(seeds), skipped_known=0, polished=0, dropped=0,
-                     known=0)
-    iters_seen = Counter()
+                     known=0, certified=0, waves=0)
+    iters_seen, cert_iters, reused = Counter(), Counter(), Counter()
 
     def drop(reason):
         funnel["dropped"] += 1
         if log is not None:
             log.append(reason)
+
+    def replay_step(i):
+        """Candidate i's fate with the primes known now: "skipped_known",
+        "known", its polish's error, or None if it needs a certificate."""
+        (x_c, dt_c, _), outcome = cands[i], polished[i]
+        # candidates this close to a known orbit with a near-commensurate
+        # period would converge onto it; their polish is not used
+        if explained_by_known(x_c, float(dt_c), 0.25, 0.25):
+            return "skipped_known"
+        if isinstance(outcome, Exception):
+            return outcome
+        # 1e-4 exceeds the sagitta of the 512-point trace polyline, so a
+        # converged point on a known curve always registers as known
+        x, T, _, _, family, _ = outcome
+        return ("known" if not family and explained_by_known(x, T, 1e-4, 1e-4)
+                else None)
+
+    def certify(x, T):
+        """``_certify`` at cap 1, again at the prime period for a cover, and
+        the prime's trace: (orbit, prime, trace), prime None past T_max."""
+        orbit = yield from _certify(form, x, T, 1.0)
+        if orbit.T_min > T_max + 1e-9:
+            return orbit, None, None
+        prime = orbit if orbit.multiplicity == 1 else (
+            yield from _certify(form, orbit.x0, orbit.T_min, np.inf))
+        return orbit, prime, (yield "trace", prime)
+
+    def same_class(T, T2):  # equal or integer multiples within 1e-4
+        lo, hi = sorted((T, T2))
+        return abs(hi / lo - round(hi / lo)) * lo < 1e-4
+
+    def wave(i):
+        """Certify in lockstep candidate i and each later one the replay may
+        need, one per period class (class-mates often share their orbit)."""
+        rows = []
+        for j in range(i, len(cands)):
+            if replay_step(j) is None and not any(
+                    same_class(polished[j][1], polished[r][1]) for r in rows):
+                rows.append(j)
+        # a polish's last variational flow ran at its row's polished (x, T)
+        flows = {(True, x.tobytes(), float(T)): last for x, T, *_, last in
+                 (polished[j] for j in rows) if last.monodromy4 is not None}
+        out = _certify_rows(form, [certify(*polished[j][:2]) for j in rows],
+                            flows, reused)
+        funnel.update(waves=1, certified=len(rows))
+        cert_iters.update(c[0].newton_iters for c in out
+                          if not isinstance(c, Exception))
+        return dict(zip(rows, out))
 
     with counting() as work:
         cands = []
@@ -364,33 +439,32 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
         polished = _newton_polish(
             form, [x for x, _, _ in cands], [dt for _, dt, _ in cands],
             initial_residual_cap=_CANDIDATE_THRESHOLD + 1e-9)
-        # the sequential search, replayed in seed order on the polished rows
-        for (x_c, dt_c, _), outcome in zip(cands, polished):
-            # candidates this close to a known orbit with a near-commensurate
-            # period would converge onto it; their polish is not used
-            if explained_by_known(x_c, float(dt_c), 0.25, 0.25):
+        # the sequential search, replayed in seed order on the polished rows;
+        # a survivor's certificate comes from the wave that holds it
+        certs = {}
+        for i, outcome in enumerate(polished):
+            fate = replay_step(i)
+            if fate == "skipped_known":
                 funnel["skipped_known"] += 1
                 continue
             funnel["polished"] += 1
-            try:
-                if isinstance(outcome, Exception):
-                    raise outcome
-                x, T, _, iters, degenerate_family = outcome
-                iters_seen[iters] += 1
-                # 1e-4 exceeds the sagitta of the 512-point trace polyline, so
-                # a converged point on a known curve always registers as known
-                if not degenerate_family and explained_by_known(x, T, 1e-4, 1e-4):
-                    funnel["known"] += 1
-                    continue
-                orb = refine_orbit(form, x, T, initial_residual_cap=1.0)
-                if orb.T_min > T_max + 1e-9:
-                    drop(f"prime period {orb.T_min:.6f} beyond cap")
-                    continue
-                prime = orb if orb.multiplicity == 1 else refine_orbit(
-                    form, orb.x0, orb.T_min, initial_residual_cap=np.inf)
-                tr = trace_orbit(form, prime, n=512)
-            except _CANDIDATE_ERRORS as exc:
-                drop(f"candidate dropped: {exc}")
+            if not isinstance(outcome, Exception):
+                iters_seen[outcome[3]] += 1
+            if fate == "known":
+                funnel["known"] += 1
+                continue
+            if fate is None:
+                if i not in certs:
+                    certs = wave(i)
+                fate = certs[i]
+            if isinstance(fate, _CANDIDATE_ERRORS):
+                drop(f"candidate dropped: {fate}")
+                continue
+            if isinstance(fate, Exception):
+                raise fate
+            orb, prime, tr = fate
+            if prime is None:
+                drop(f"prime period {orb.T_min:.6f} beyond cap")
                 continue
             if any(kernels.hausdorff_distance(tr, t0) <= _DEDUP_TOL for t0 in traces):
                 funnel["known"] += 1
@@ -400,6 +474,8 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
     # candidates = skipped_known + polished; polished = dropped + known + new
     funnel.update(work, candidates=len(cands), new_primes=len(primes))
     funnel["newton_iters"] = dict(sorted(iters_seen.items()))
+    funnel["certify_newton_iters"] = dict(sorted(cert_iters.items()))
+    funnel["reused_flows"] = dict(sorted(reused.items()))
 
     entries = []
     for prime in primes:

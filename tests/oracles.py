@@ -10,20 +10,26 @@ gaps of a census, the crossing word of a loop's shadow and the signed
 crossings of two loops' shadows over all segment pairs, the Gauss linking sum
 over whole blocks of rows, the index table of a prime's iterates (checked by
 ``cz._assert_iterate_relations``), the contact area of a disk by two routes,
-the return map of arbitrary level points, and the primitive 1-form lambda0.
+the return map of arbitrary level points, the primitive 1-form lambda0, the
+orbit search certifying one survivor at a time with a one-row integration
+per flow, and the crossing bisection by one halving per trajectory call.
 The package's reachability test (``test_reachability.py``) keeps such code
 out of ``src/``.
 """
 
+from collections import Counter
+
 import numpy as np
 
-from reeb_atlas import kernels
+from reeb_atlas import kernels, orbits
 from reeb_atlas.contact import OMEGA, StarForm, omega_form, project_to_sigma
 from reeb_atlas.cz import (J0, STEP_GUARD, SymplecticPath,
                            _assert_iterate_relations, asymptotic_spectrum,
                            cz_from_interval, rotation_interval,
                            trivialized_path)
-from reeb_atlas.errors import DomainError, GridQualityError, ResolutionError
+from reeb_atlas.errors import (DomainError, GridQualityError, RefinementError,
+                               ResolutionError)
+from reeb_atlas.flow import integrate_batch, integrate_flow, monodromy_xi
 from reeb_atlas.kernels import _GAUSS_CHUNK, _HESS_BLOCK, _I, _J
 from reeb_atlas.linking import _height, _segment_pairs, _shadow
 from reeb_atlas.sections import _DiskIndex, _first_crossing
@@ -523,3 +529,155 @@ def return_map_points(form, disk, points, t_budget, index=None):
     X = project_to_sigma(form, np.reshape(points, (-1, 4)))
     return [hit for hit, _ in _first_crossing(form, index, X, np.ones(len(X)),
                                               t_budget)]
+
+
+# ---------------------------------------------------------------------------
+# the orbit search, one survivor at a time
+# ---------------------------------------------------------------------------
+
+def sequential_refine_orbit(form, x_guess, T_guess, initial_residual_cap):
+    """``refine_orbit`` with every flow its own one-row integration: the
+    polish, the dense multiplicity run, the plain run to a cover's prime
+    period and ``monodromy_xi``'s variational run."""
+    polished, = orbits._newton_polish(form, np.reshape(x_guess, (1, 4)),
+                                      [T_guess], initial_residual_cap)
+    if isinstance(polished, Exception):
+        raise polished
+    x, T, residual, iters, degenerate_family, _ = polished
+    if degenerate_family:
+        from scipy.optimize import minimize_scalar
+
+        g = lambda t: np.linalg.norm(
+            integrate_flow(form, x, t, tol=1e-12).endpoint - x)
+        opt = minimize_scalar(g, bracket=(0.8 * T, T, 1.2 * T))
+        if opt.fun > 1e-9:
+            raise RefinementError(
+                f"rank-deficient shooting Jacobian and no nearby closure "
+                f"(best residual {opt.fun:.3e})")
+        T, residual = float(opt.x), float(opt.fun)
+    elif residual > orbits._NEWTON_TOL:
+        raise RefinementError(
+            f"no convergence in {orbits._NEWTON_MAX_ITER} iterations "
+            f"(residual {residual:.3e})")
+    traj = integrate_flow(form, x, T, tol=1e-12, dense=True).trajectory
+    ks = np.arange(2, min(max(1, int(T / 0.05)), 64) + 1)
+    ys = project_to_sigma(form, traj(T / ks)[:, :4])
+    closed = ks[kernels.norm(ys - x) < 1e-6]
+    mult = int(closed.max()) if closed.size else 1
+    T_min = T / mult
+    prime_res = residual if mult == 1 else np.linalg.norm(
+        integrate_flow(form, x, T_min, tol=1e-12).endpoint - x)
+    mon_prime = monodromy_xi(form, x, T_min, closure_tol=1e-5)
+    mon_full = np.linalg.matrix_power(mon_prime, mult)
+    return orbits.ReebOrbit(
+        x0=x, T_min=T_min, multiplicity=mult, monodromy=mon_full,
+        nondeg_class=orbits.classify_monodromy(mon_full),
+        residual=float(max(residual, prime_res)),
+        monodromy_prime=mon_prime, newton_iters=iters)
+
+
+def sequential_find_orbits(form, T_max, n_seeds, rng_seed=0, log=None,
+                           candidates=None):
+    """``find_orbits`` replaying the polished candidates one survivor at a
+    time: ``sequential_refine_orbit`` per survivor, again at the prime
+    period for a cover, then ``trace_orbit``.  ``candidates``, if given,
+    replaces the near-return scan's (point, period, distance) list.  The
+    funnel keeps the search's counts, without stepper work."""
+    seeds = project_to_sigma(form, orbits.sphere_samples(
+        n_seeds, seed_skip=rng_seed * (n_seeds + 1)))
+    t_grid = np.arange(0.0, T_max + 0.5 * orbits._SCAN_DT, orbits._SCAN_DT)
+    primes, traces = [], []
+
+    def explained_by_known(x, T, dist_tol, period_tol):
+        for prime, tr in zip(primes, traces):
+            if kernels.point_to_polyline(np.ascontiguousarray(x), tr) < dist_tol:
+                k = T / prime.T_min
+                if round(k) >= 1 and abs(k - round(k)) * prime.T_min < period_tol:
+                    return True
+        return False
+
+    funnel = Counter(seeds=len(seeds), skipped_known=0, polished=0, dropped=0,
+                     known=0)
+    iters_seen = Counter()
+
+    def drop(reason):
+        funnel["dropped"] += 1
+        if log is not None:
+            log.append(reason)
+
+    cands = candidates
+    if cands is None:
+        cands = []
+        for res in integrate_batch(form, seeds, float(t_grid[-1]), tol=1e-8,
+                                   t_eval=t_grid):
+            cands += orbits._near_return_candidates(
+                t_grid, res.points, orbits._MIN_PERIOD,
+                orbits._CANDIDATE_THRESHOLD, max_keep=4)
+    polished = orbits._newton_polish(
+        form, [x for x, _, _ in cands], [dt for _, dt, _ in cands],
+        initial_residual_cap=orbits._CANDIDATE_THRESHOLD + 1e-9)
+    for (x_c, dt_c, _), outcome in zip(cands, polished):
+        if explained_by_known(x_c, float(dt_c), 0.25, 0.25):
+            funnel["skipped_known"] += 1
+            continue
+        funnel["polished"] += 1
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            x, T, _, iters, degenerate_family, _ = outcome
+            iters_seen[iters] += 1
+            if not degenerate_family and explained_by_known(x, T, 1e-4, 1e-4):
+                funnel["known"] += 1
+                continue
+            orb = sequential_refine_orbit(form, x, T, 1.0)
+            if orb.T_min > T_max + 1e-9:
+                drop(f"prime period {orb.T_min:.6f} beyond cap")
+                continue
+            prime = orb if orb.multiplicity == 1 else sequential_refine_orbit(
+                form, orb.x0, orb.T_min, np.inf)
+            tr = orbits.trace_orbit(form, prime, n=512)
+        except orbits._CANDIDATE_ERRORS as exc:
+            drop(f"candidate dropped: {exc}")
+            continue
+        if any(kernels.hausdorff_distance(tr, t0) <= orbits._DEDUP_TOL
+               for t0 in traces):
+            funnel["known"] += 1
+            continue
+        primes.append(prime)
+        traces.append(tr)
+    funnel.update(candidates=len(cands), new_primes=len(primes))
+    funnel["newton_iters"] = dict(sorted(iters_seen.items()))
+    entries = [prime.iterate(k) for prime in primes
+               for k in range(1, max(int(np.floor(T_max / prime.T_min + 1e-9)), 1) + 1)
+               if k * prime.T_min <= T_max + 1e-9]
+    entries.sort(key=lambda o: (o.T, tuple(o.x0)))
+    params = {
+        "t_max": float(T_max), "n_seeds": int(n_seeds),
+        "rng_seed": int(rng_seed), "scan_dt": orbits._SCAN_DT,
+        "min_period": orbits._MIN_PERIOD,
+        "candidate_threshold": orbits._CANDIDATE_THRESHOLD,
+        "dedup_tol": orbits._DEDUP_TOL,
+    }
+    return orbits.OrbitDatabase(form_hash=form.form_hash, orbits=entries,
+                                params=params, funnel=dict(funnel))
+
+
+# ---------------------------------------------------------------------------
+# section crossings
+# ---------------------------------------------------------------------------
+
+def bisect_crossing_loop(index, traj, t_lo, t_hi, flat_idx):
+    """The tangent-plane crossing by one halving per trajectory call: at most
+    60 halvings, stopping once the bracket is below 1e-10."""
+    h_lo = index.plane_height(traj(t_lo)[:4], flat_idx)
+    for _ in range(60):
+        t_mid = 0.5 * (t_lo + t_hi)
+        h_mid = index.plane_height(traj(t_mid)[:4], flat_idx)
+        if np.sign(h_mid) == np.sign(h_lo):
+            t_lo = t_mid
+            h_lo = h_mid
+        else:
+            t_hi = t_mid
+        if abs(t_hi - t_lo) < 1e-10:
+            break
+    return 0.5 * (t_lo + t_hi)

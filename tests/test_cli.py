@@ -85,6 +85,10 @@ def test_orbits_find_funnel_adds_up(found):
     assert f["new_primes"] == 2
     assert len(meta["drop_reasons"]) == f["dropped"]
     assert sum(f["newton_iters"].values()) <= f["polished"]
+    # the survivors' certification: rows, waves, Newton iterations, reuses
+    assert f["waves"] >= 1 and f["certified"] >= f["new_primes"]
+    assert sum(f["certify_newton_iters"].values()) <= f["certified"]
+    assert sum(f["reused_flows"].values()) > 0
     assert f["steps"] > 0 and f["rejected_steps"] >= 0
     assert f["rhs_evals"] >= 12 * (f["steps"] + f["rejected_steps"])
 

@@ -12,7 +12,7 @@ from reeb_atlas.flow import integrate_flow, monodromy_xi
 from reeb_atlas.orbits import (find_orbits, load_orbits, refine_orbit,
                                save_orbits, trace_orbit, trace_orbits)
 
-from oracles import period_gaps
+from oracles import period_gaps, sequential_find_orbits, sequential_refine_orbit
 
 SQ2 = np.sqrt(2.0)
 
@@ -63,8 +63,8 @@ def test_census_empty_below_minimal_period(ell):
 
 def test_census_drops_a_failing_candidate(ell, monkeypatch):
     # one candidate's integrator failure is logged and skipped, not fatal:
-    # the first candidate's row of the lockstep polish fails, the rows beside
-    # it go on
+    # the first candidate's row of the one lockstep polish fails, the rows
+    # beside it go on to certification
     from reeb_atlas import orbits
 
     polish, integrate = orbits._newton_polish, orbits.integrate_batch
@@ -86,28 +86,28 @@ def test_census_drops_a_failing_candidate(ell, monkeypatch):
     log = []
     db = find_orbits(ell, 4.0, n_seeds=16, log=log)
     assert failed[0] > 1
-    assert len(calls) > 1
+    assert len(calls) == 1 and db.funnel["certified"] >= 1
     assert any("step size underflow" in line for line in log)
     assert [o.multiplicity for o in db.orbits] == [1]
     assert db[0].T == pytest.approx(np.pi, rel=1e-8)
 
 
 def test_census_drops_a_failing_prime_repolish(ell, monkeypatch):
-    # the re-polish of a multiply covered candidate at its prime period is
-    # one candidate's failure too: logged and skipped, not fatal
+    # the re-certification of a multiply covered candidate at its prime
+    # period is one candidate's failure too: logged and skipped, not fatal
     from reeb_atlas import orbits
 
-    refine = orbits.refine_orbit
+    certify = orbits._certify
     repolish = []
 
-    def failing_first_repolish(form, x, T, initial_residual_cap=1.0):
+    def failing_first_repolish(form, x, T, initial_residual_cap):
         if initial_residual_cap == np.inf:
             repolish.append(1)
             if len(repolish) == 1:
                 raise StiffnessError("step size underflow", 0.0, None)
-        return refine(form, x, T, initial_residual_cap=initial_residual_cap)
+        return (yield from certify(form, x, T, initial_residual_cap))
 
-    monkeypatch.setattr(orbits, "refine_orbit", failing_first_repolish)
+    monkeypatch.setattr(orbits, "_certify", failing_first_repolish)
     log = []
     db = find_orbits(ell, 10.0, n_seeds=8, log=log)
     assert len(repolish) > 1
@@ -117,6 +117,77 @@ def test_census_drops_a_failing_prime_repolish(ell, monkeypatch):
         (round(np.pi, 6), 1), (round(SQ2 * np.pi, 6), 1),
         (round(np.pi, 6), 2), (round(SQ2 * np.pi, 6), 2),
         (round(np.pi, 6), 3)]
+
+
+# the stepper's work and the certification's own counts are not the oracle's
+_OWN_COUNTS = {"steps", "rejected_steps", "rhs_evals", "certified", "waves",
+               "certify_newton_iters", "reused_flows"}
+
+
+def _replays_the_oracle(tmp_path, form, T_max, n_seeds, candidates=None):
+    """The search, checked against ``sequential_find_orbits``: the same
+    census bytes, funnel and drop log."""
+    log, oracle_log = [], []
+    db = find_orbits(form, T_max, n_seeds, log=log)
+    oracle = sequential_find_orbits(form, T_max, n_seeds, log=oracle_log,
+                                    candidates=candidates)
+    for name, d in (("a.json", db), ("b.json", oracle)):
+        save_orbits(d, tmp_path / name)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert {k: v for k, v in db.funnel.items()
+            if k not in _OWN_COUNTS} == oracle.funnel
+    assert log == oracle_log
+    return db
+
+
+@pytest.mark.parametrize("form_name, T_max, n_seeds, reuse", [
+    ("ell", 10.0, 32, "dense"),
+    ("ell", 10.0, 8, "variational"),  # a cover is certified first
+    ("perturbed_form", 7.0, 16, "polish"),
+    ("perturbed_form", 10.0, 16, "variational"),
+])
+def test_waves_replay_the_sequential_search(request, tmp_path, form_name,
+                                            T_max, n_seeds, reuse):
+    db = _replays_the_oracle(tmp_path, request.getfixturevalue(form_name),
+                             T_max, n_seeds)
+    f = db.funnel
+    assert f["waves"] >= 1 and f["certified"] >= f["new_primes"]
+    assert sum(f["certify_newton_iters"].values()) <= f["certified"]
+    assert f["reused_flows"][reuse] > 0
+
+
+def test_a_held_back_class_mate_waits_for_a_second_wave(tmp_path, monkeypatch):
+    # gamma2's period 2.00001 pi is within 1e-4 of twice gamma1's, so its
+    # candidate waits behind gamma1's in the first wave, and gamma1's prime
+    # does not explain it
+    from reeb_atlas import orbits
+
+    form = StarForm.ellipsoid(1.0, 2.0 + 1e-5)
+    cands = [(np.array([1.0, 0.01, 0.02, 0.0]), 1.01 * np.pi, 0.1),
+             (np.array([0.01, 0.0, np.sqrt(2.0 + 1e-5), 0.02]),
+              0.99 * (2.0 + 1e-5) * np.pi, 0.1)]
+    scans = iter([cands])
+    monkeypatch.setattr(orbits, "_near_return_candidates",
+                        lambda *args, **kwargs: next(scans, []))
+    db = _replays_the_oracle(tmp_path, form, 7.0, 4, candidates=cands)
+    assert db.funnel["waves"] == 2 and db.funnel["new_primes"] == 2
+
+
+def test_refine_orbit_equals_one_flow_per_run(ell, perturbed_form):
+    # the one-row certification answers repeated flows from its own runs;
+    # every field equals the oracle's, which integrates each flow anew, at
+    # the caps the search certifies with
+    for form, x, T, cap in ((ell, [1.0, 0.01, 0.0, 0.02], 1.01 * np.pi, 0.1),
+                            (ell, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1.0),
+                            (perturbed_form, [1.0, 0.0, 0.0, 0.0], np.pi,
+                             np.inf)):
+        got = refine_orbit(form, np.array(x), T, initial_residual_cap=cap)
+        want = sequential_refine_orbit(form, np.array(x), T, cap)
+        for name in ("x0", "T_min", "multiplicity", "monodromy",
+                     "monodromy_prime", "nondeg_class", "residual",
+                     "newton_iters"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
 
 
 def test_rng_seed_selects_a_disjoint_seed_window(ell, monkeypatch):

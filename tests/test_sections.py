@@ -10,10 +10,12 @@ from reeb_atlas import sections as sec
 from reeb_atlas.contact import StarForm, xi_frame
 from reeb_atlas.errors import (DomainError, GridQualityError, StiffnessError,
                                UnsupportedFormError)
+from reeb_atlas.flow import integrate_flow
 from reeb_atlas.linking import self_linking
 from reeb_atlas.orbits import refine_orbit, trace_orbit
 
-from oracles import disk_area, polygon_action, return_map_points, ring_action
+from oracles import (bisect_crossing_loop, disk_area, polygon_action,
+                     return_map_points, ring_action)
 
 SQ2 = np.sqrt(2.0)
 T_RETURN = np.pi * SQ2  # first-return time of the standard page
@@ -140,6 +142,35 @@ def test_boundary_orientation_enforced(ell, page):
     flipped = sec.DiskGrid(samples=page.samples[:, ::-1, :].copy())
     with pytest.raises(DomainError):
         sec.characteristic_field(ell, flipped)
+
+
+def test_bisect_crossing_equals_the_halving_loop(ell, page, page_index):
+    # height h(t) = t - root over a node at the origin with normal e1
+    line = sec._DiskIndex.__new__(sec._DiskIndex)
+    line.points, line.normals = np.zeros((1, 4)), np.eye(4)[:1]
+    rng = np.random.default_rng(3)
+    brackets = [(-1.0, 1.0, 0.0),  # the first midpoint has height 0
+                (1.0, -1.0, 0.5),  # a falling bracket
+                (0.0, 1e10, 3e9)]  # still above 1e-10 after 60 halvings
+    for _ in range(200):
+        lo, width = rng.uniform(-5, 5), 10.0 ** rng.uniform(-9, 1)
+        hi = lo + width * rng.choice([-1.0, 1.0])
+        root = lo + (hi - lo) * rng.choice([0.0, 0.25, 0.5, rng.uniform()])
+        brackets.append((lo, hi, root))
+    for lo, hi, root in brackets:
+        def traj(t, root=root):
+            t = np.asarray(t, dtype=float)
+            return np.stack([t - root] + 3 * [np.zeros_like(t)], axis=-1)
+        assert sec._bisect_crossing(line, traj, lo, hi, 0) == \
+            bisect_crossing_loop(line, traj, lo, hi, 0)
+    # a flow over the page, from a node's tangent plane through random brackets
+    traj = integrate_flow(ell, page.samples[40, 3], 2.0, tol=1e-10,
+                          dense=True).trajectory
+    for _ in range(50):
+        lo, hi = np.sort(rng.uniform(0.0, 2.0, 2))
+        flat = int(rng.integers(len(page_index.points)))
+        assert sec._bisect_crossing(page_index, traj, lo, hi, flat) == \
+            bisect_crossing_loop(page_index, traj, lo, hi, flat)
 
 
 def test_return_map(ell, page, page_index):
