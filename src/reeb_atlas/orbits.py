@@ -141,11 +141,10 @@ def trace_orbits(form, orbits, n):
 
 
 def trace_orbit(form, orbit, n):
-    """The one orbit's ``trace_orbits``; raises the error that stopped it."""
-    trace, = trace_orbits(form, [orbit], n)
-    if isinstance(trace, ReebAtlasError):
-        raise trace
-    return trace
+    """The one orbit's ``trace_orbits``, from its one-row ``integrate_flow``
+    (the same run bit for bit); raises the error that stopped it."""
+    run = integrate_flow(form, orbit.x0, orbit.T, tol=1e-11, dense=True)
+    return project_to_sigma(form, run.trajectory(np.arange(n) / n * orbit.T)[:, :4])
 
 
 def _polish_row(form, x_guess, T_guess, initial_residual_cap):
@@ -216,11 +215,13 @@ def _polish_row(form, x_guess, T_guess, initial_residual_cap):
     return x, T, residual, iters, degenerate_family, ret
 
 
-def _newton_polish(form, x_guess, T_guess, initial_residual_cap=0.1):
+def _newton_polish(form, x_guess, T_guess, initial_residual_cap):
     """Polish the candidates ``x_guess`` (B, 4), ``T_guess`` (B,) in lockstep:
     each round stacks the return flows the rows ask for, one integration per
     kind, so a row follows its one-row call bit for bit.  Returns per row the
-    result of ``_polish_row``, or its exception."""
+    result of ``_polish_row``, or its exception.  Unlike ``_certify_rows`` it
+    keeps no runs and no interpolants: over hundreds of candidates those
+    raise the search's peak memory."""
     def serve(var, asks):
         return integrate_batch(form, np.reshape([x for x, _ in asks], (-1, 4)),
                                [T for _, T in asks], tol=1e-12, variational=var)
@@ -300,18 +301,19 @@ def _certify_rows(form, rows, flows, reused):
     return lockstep(rows, (False, True, "trace"), serve)
 
 
-def refine_orbit(form, x_guess, T_guess, initial_residual_cap=0.1):
+def refine_orbit(form, x_guess, T_guess):
     """Newton-polish a candidate (point, period) into a certified orbit.
 
     Solves the augmented shooting system { phi_T(x) - x = 0, H(x) = 1,
     <v_anchor, x - x_anchor> = 0 } by Gauss-Newton with the analytic
-    variational matrix.  The prime period is extracted afterwards by
-    divisor testing.  Rank-deficient Jacobians (degenerate orbit families,
-    e.g. on the round sphere) fall back to scalar minimization of the
-    return proximity in T.  The one-row run of ``_certify``.
+    variational matrix; a guess whose first return misses by over 0.1 is
+    rejected.  The prime period is extracted afterwards by divisor testing.
+    Rank-deficient Jacobians (degenerate orbit families, e.g. on the round
+    sphere) fall back to scalar minimization of the return proximity in T.
+    The one-row run of ``_certify``.
     """
-    orbit, = _certify_rows(form, [_certify(form, x_guess, T_guess,
-                                           initial_residual_cap)], {}, Counter())
+    orbit, = _certify_rows(form, [_certify(form, x_guess, T_guess, 0.1)], {},
+                           Counter())
     if isinstance(orbit, Exception):
         raise orbit
     return orbit
@@ -398,13 +400,17 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
 
     def certify(x, T):
         """``_certify`` at cap 1, again at the prime period for a cover, and
-        the prime's trace: (orbit, prime, trace), prime None past T_max."""
-        orbit = yield from _certify(form, x, T, 1.0)
-        if orbit.T_min > T_max + 1e-9:
-            return orbit, None, None
-        prime = orbit if orbit.multiplicity == 1 else (
-            yield from _certify(form, orbit.x0, orbit.T_min, np.inf))
-        return orbit, prime, (yield "trace", prime)
+        the prime's trace: (orbit, prime, trace), prime None past T_max.
+        Any error is the row's value, raised only if the replay needs it."""
+        try:
+            orbit = yield from _certify(form, x, T, 1.0)
+            if orbit.T_min > T_max + 1e-9:
+                return orbit, None, None
+            prime = orbit if orbit.multiplicity == 1 else (
+                yield from _certify(form, orbit.x0, orbit.T_min, np.inf))
+            return orbit, prime, (yield "trace", prime)
+        except Exception as exc:
+            return exc
 
     def same_class(T, T2):  # equal or integer multiples within 1e-4
         lo, hi = sorted((T, T2))
@@ -412,10 +418,11 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
 
     def wave(i):
         """Certify in lockstep candidate i and each later one the replay may
-        need, one per period class (class-mates often share their orbit)."""
+        need and no wave has certified, one per period class (class-mates
+        often share their orbit)."""
         rows = []
         for j in range(i, len(cands)):
-            if replay_step(j) is None and not any(
+            if j not in certs and replay_step(j) is None and not any(
                     same_class(polished[j][1], polished[r][1]) for r in rows):
                 rows.append(j)
         # a polish's last variational flow ran at its row's polished (x, T)
@@ -455,7 +462,7 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
                 continue
             if fate is None:
                 if i not in certs:
-                    certs = wave(i)
+                    certs.update(wave(i))
                 fate = certs[i]
             if isinstance(fate, _CANDIDATE_ERRORS):
                 drop(f"candidate dropped: {fate}")

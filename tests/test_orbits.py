@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -173,16 +174,41 @@ def test_a_held_back_class_mate_waits_for_a_second_wave(tmp_path, monkeypatch):
     assert db.funnel["waves"] == 2 and db.funnel["new_primes"] == 2
 
 
+def test_a_discarded_wave_row_may_fail_with_any_error(tmp_path, ell,
+                                                     monkeypatch):
+    # the wave of this search also certifies a candidate near 2 pi that
+    # gamma1's prime explains before the replay reaches it; an error of that
+    # row, of any type, is never raised
+    from reeb_atlas import orbits
+
+    certify = orbits._certify
+    failed = []
+
+    def failing_double_cover(form, x, T, initial_residual_cap):
+        if initial_residual_cap == 1.0 and abs(T - 2 * np.pi) < 1e-3:
+            failed.append(T)
+            raise ValueError("the bracket holds no minimum")
+        return (yield from certify(form, x, T, initial_residual_cap))
+
+    monkeypatch.setattr(orbits, "_certify", failing_double_cover)
+    _replays_the_oracle(tmp_path, ell, 10.0, 32)
+    assert len(failed) == 1
+
+
 def test_refine_orbit_equals_one_flow_per_run(ell, perturbed_form):
     # the one-row certification answers repeated flows from its own runs;
     # every field equals the oracle's, which integrates each flow anew, at
-    # the caps the search certifies with
+    # refine_orbit's cap 0.1 and the caps the search certifies with
+    from reeb_atlas import orbits
+
     for form, x, T, cap in ((ell, [1.0, 0.01, 0.0, 0.02], 1.01 * np.pi, 0.1),
                             (ell, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1.0),
                             (perturbed_form, [1.0, 0.0, 0.0, 0.0], np.pi,
                              np.inf)):
-        got = refine_orbit(form, np.array(x), T, initial_residual_cap=cap)
-        want = sequential_refine_orbit(form, np.array(x), T, cap)
+        x = np.array(x)
+        got = refine_orbit(form, x, T) if cap == 0.1 else orbits._certify_rows(
+            form, [orbits._certify(form, x, T, cap)], {}, Counter())[0]
+        want = sequential_refine_orbit(form, x, T, cap)
         for name in ("x0", "T_min", "multiplicity", "monodromy",
                      "monodromy_prime", "nondeg_class", "residual",
                      "newton_iters"):
