@@ -10,14 +10,14 @@ and the index must be at least 3.  Audit failures are numerical
 inconsistencies by theory, so they raise alarms instead of verdicts.
 """
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cz import (_assert_iterate_relations, orbit_index_report, prime_data,
                  prime_flows, prime_key, prime_table)
-from .errors import (DegenerateOrbitError, DomainError, InconsistencyError,
-                     ReebAtlasError)
+from .errors import DegenerateOrbitError, InconsistencyError, ReebAtlasError
 from .linking import (cover_linking, cover_self_linking, linking_checks,
                       prime_trace, prime_traces, unknot_check)
 from .sections import characteristic_field, transversality_check
@@ -92,8 +92,6 @@ def check_binding(form, db, candidate_id):
     ``linked`` None and the reason under ``skipped``.  ``linking_checks``
     records both routes' numbers per prime pair (``linking.linking_checks``).
     """
-    if candidate_id < 0 or candidate_id >= len(db):
-        raise DomainError(f"candidate {candidate_id} is not in the database")
     cand = db[candidate_id]
     if cand.degenerate:
         raise DegenerateOrbitError(
@@ -123,7 +121,8 @@ def _check_in_table(form, db, candidate_id, report):
     verdict_knot = unknot_check(prime_trace(form, cand))
     report.unknot_status = verdict_knot.status
     report.crossings_after_reduction = verdict_knot.crossing_count_after_reduction
-    report.sl = cover_self_linking(form, cand)
+    with contextlib.suppress(ReebAtlasError):  # an unknown sl stays None
+        report.sl = cover_self_linking(form, cand)
 
     idx_rep = orbit_index_report(form, cand, n_grid=1024)
     reports = {candidate_id: idx_rep}
@@ -190,6 +189,7 @@ def _check_in_table(form, db, candidate_id, report):
 _RULES = (
     (lambda r, own: r.unknot_status != "certified_unknot",
      "inconclusive:unknot_status_unknown"),
+    (lambda r, own: r.sl is None, "inconclusive:self-linking-unknown"),
     (lambda r, own: r.sl != -1, "fails:self_linking"),
     (lambda r, own: not r.index_methods_agree,
      "inconclusive:index-method-disagreement"),
@@ -290,14 +290,18 @@ def necessity_audit(form, disk, db, binding_id):
                 f"winding {boundary_winding}"
             )
 
-        sl_push = cover_self_linking(form, binding)
         sl_wind = -boundary_winding
-        if sl_push != sl_wind:
+        try:
+            sl_push = int(cover_self_linking(form, binding))
+        except ReebAtlasError as exc:
+            sl_push = None
+            alarms.append(f"pushoff self-linking was not computed: {exc}")
+        if sl_push not in (None, sl_wind):
             alarms.append(
                 f"self-linking routes disagree: pushoff {sl_push} vs "
                 f"-winding {sl_wind}"
             )
-        if sl_push != -1:
+        if sl_push not in (None, -1):
             alarms.append(f"pushoff self-linking is {sl_push}, expected -1")
 
         idx_rep = orbit_index_report(form, binding)
@@ -331,7 +335,7 @@ def necessity_audit(form, disk, db, binding_id):
     return AuditReport(
         binding_id=binding_id,
         linking=linking_rows,
-        sl_pushoff=int(sl_push),
+        sl_pushoff=sl_push,
         sl_from_winding=int(sl_wind),
         mu_cz=mu,
         boundary_winding=int(boundary_winding),

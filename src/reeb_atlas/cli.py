@@ -101,14 +101,19 @@ def load_config(path):
 
 def _config(args):
     """A command's run configuration with its set flags laid over it, each
-    checked against its bounds in ``FLAG_SCHEMA`` first."""
+    checked first: every float flag must be finite, and a flag keeps its
+    bounds in ``FLAG_SCHEMA``."""
     import jsonschema
 
-    flags = {k: v for k, v in vars(args).items()
+    given = vars(args)
+    flags = {k: v for k, v in given.items()
              if k in FLAG_SCHEMA["properties"] and v is not None}
-    for err in jsonschema.Draft202012Validator(FLAG_SCHEMA).iter_errors(flags):
-        key = err.absolute_path[0]
-        raise ConfigError(f"--{key.replace('_', '-')} {flags[key]}: {err.message}",
+    bad = [(k, "not a finite number") for k, v in given.items()
+           if isinstance(v, float) and not np.isfinite(v)]
+    bad += [(err.absolute_path[0], err.message) for err in
+            jsonschema.Draft202012Validator(FLAG_SCHEMA).iter_errors(flags)]
+    for key, message in bad:
+        raise ConfigError(f"--{key.replace('_', '-')} {given[key]}: {message}",
                           f"/{key}" if key in CONFIG_SCHEMA["properties"] else "")
     cfg, form = load_config(args.config)
     return {**cfg, **flags}, form

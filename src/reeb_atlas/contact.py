@@ -28,6 +28,7 @@ __all__ = [
     "OMEGA",
     "StarForm",
     "XiFrame",
+    "complement_basis",
     "omega_form",
     "project_to_sigma",
     "reeb_vector",
@@ -44,6 +45,18 @@ OMEGA = kernels.OMEGA
 def omega_form(u, v):
     """Symplectic form omega(u, v), row-wise over the last axis."""
     return np.vecdot(u @ OMEGA, v)
+
+
+def complement_basis(rows):
+    """Orthonormal basis of the complement of the orthonormal ``rows`` in
+    R^4, by Gram-Schmidt of the coordinate axes with norm cutoff 1e-8."""
+    basis = list(rows)
+    for e in np.eye(4):
+        for b in basis:
+            e = e - (e @ b) * b
+        if np.linalg.norm(e) > 1e-8:
+            basis.append(e / np.linalg.norm(e))
+    return np.array(basis[len(rows):])
 
 
 def _first_row(mask):

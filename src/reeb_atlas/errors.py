@@ -62,10 +62,6 @@ class GridQualityError(ReebAtlasError):
     """Disk grid fails a quality requirement (degenerate cell, bad quadrature)."""
 
 
-class UnsupportedFormError(ReebAtlasError):
-    """Operation only implemented for a restricted class of forms."""
-
-
 class InconsistencyError(ReebAtlasError):
     """Two internally computed quantities disagree where theory says they cannot."""
 

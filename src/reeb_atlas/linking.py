@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .contact import project_to_sigma, xi_frame
+from .contact import complement_basis, project_to_sigma, xi_frame
 from .cz import prime_data, prime_key
 from .errors import (InconsistencyError, PoleSelectionError, ProximityError,
                      ReebAtlasError, ResolutionError)
@@ -83,16 +83,7 @@ _PAIR_TILE = 32
 # ---------------------------------------------------------------------------
 
 def _oriented_basis(pole):
-    basis = []
-    for seed in np.eye(4):
-        v = seed - (seed @ pole) * pole
-        for b in basis:
-            v = v - (v @ b) * b
-        if np.linalg.norm(v) > 1e-8:
-            basis.append(v / np.linalg.norm(v))
-        if len(basis) == 3:
-            break
-    B = np.array(basis)
+    B = complement_basis(pole[None, :])
     # det[b1, b2, b3, pole] = +1 makes the projection orientation-preserving
     # from the sphere oriented by the contact volume form
     if np.linalg.det(np.vstack([B, pole[None, :]])) < 0:

@@ -125,6 +125,8 @@ class OrbitDatabase:
         return len(self.orbits)
 
     def __getitem__(self, i):
+        if not 0 <= i < len(self.orbits):
+            raise DomainError(f"orbit {i} is not in the database")
         return self.orbits[i]
 
 

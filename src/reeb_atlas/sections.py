@@ -19,10 +19,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .contact import (omega_form, project_to_sigma, reeb_vector, xi_frame,
-                      xi_projector)
-from .errors import (DomainError, GridQualityError, ResolutionError,
-                     UnsupportedFormError)
+from .contact import (complement_basis, omega_form, project_to_sigma,
+                      reeb_vector, xi_frame, xi_projector)
+from .errors import DomainError, GridQualityError, ResolutionError
 from .flow import integrate_batch, lockstep
 from .orbits import trace_orbit
 
@@ -138,39 +137,28 @@ class FoliationSingularity:
 
 
 def builtin_disk(form, orbit, theta0=0.0, n_r=128, n_theta=256):
-    """The page {arg z2 = theta0} spanning a coordinate-plane orbit of an
-    exact ellipsoid (or the symmetric page when the orbit is the other
-    circle).  Only exists for the ellipsoid encoding.
+    """The radial cone page F(s, t) = pi(s P(t) + sqrt(1 - s^2) w) spanning
+    a simply covered orbit of any form.  P is the orbit's ``n_theta``-point
+    trace and pi the radial projection onto the level; w = pi(cos(theta0) f1
+    + sin(theta0) f2), where (f1, f2) are the coordinate axes left, by
+    Gram-Schmidt with norm cutoff 1e-8, after the top two right singular
+    vectors of P, with f2 signed so that omega(f1, f2) > 0.  On a
+    coordinate circle of an ellipsoid, this is the page {arg z = theta0} of
+    the other coordinate plane.
 
     The default radial resolution keeps the steepest boundary step of the
     sqrt profile below the grid chord bound.
     """
-    if form.kind != "ellipsoid":
-        raise UnsupportedFormError(
-            "builtin pages exist only for exact ellipsoids; supply a disk file"
-        )
     if orbit.multiplicity != 1:
         raise DomainError("the page boundary must be a simply covered orbit")
-    x0 = orbit.x0
-    if np.hypot(x0[2], x0[3]) < 1e-9:
-        plane = 0  # boundary in the (q1, p1) plane
-    elif np.hypot(x0[0], x0[1]) < 1e-9:
-        plane = 1
-    else:
-        raise DomainError("orbit is not one of the coordinate-plane circles")
-    rb = np.sqrt(form.r_squared[plane])      # boundary circle radius
-    rc = np.sqrt(form.r_squared[1 - plane])  # transverse radius
-    phi0 = np.arctan2(x0[2 * plane + 1], x0[2 * plane])
+    P = trace_orbit(form, orbit, n=n_theta)
+    _, _, V = np.linalg.svd(P, full_matrices=False)
+    f1, f2 = complement_basis(V[:2])  # the complement of P's best-fit plane
+    f2 = f2 if omega_form(f1, f2) > 0 else -f2
+    w = project_to_sigma(form, np.cos(theta0) * f1 + np.sin(theta0) * f2)
     ss = np.linspace(0.0, 1.0, n_r + 1)[:, None, None]
-    tt = np.arange(n_theta) / n_theta
-    ang = phi0 + 2.0 * np.pi * tt
-    zb = rb * np.stack([np.cos(ang), np.sin(ang)], axis=-1)  # (n_theta, 2)
-    height = rc * np.sqrt(np.maximum(0.0, 1.0 - ss * ss))
-    zc = height * np.array([np.cos(theta0), np.sin(theta0)])
-    samples = np.empty((n_r + 1, n_theta, 4))
-    samples[:, :, 2 * plane:2 * plane + 2] = ss * zb
-    samples[:, :, 2 - 2 * plane:4 - 2 * plane] = zc
-    return DiskGrid(samples=samples)
+    return DiskGrid(samples=project_to_sigma(
+        form, ss * P + np.sqrt(1.0 - ss * ss) * w))
 
 
 # ---------------------------------------------------------------------------

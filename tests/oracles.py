@@ -9,10 +9,11 @@ with every eigenfunction wound, the winding census of a spectrum, the period
 gaps of a census, the crossing word of a loop's shadow and the signed
 crossings of two loops' shadows over all segment pairs, the Gauss linking sum
 over whole blocks of rows, the index table of a prime's iterates (checked by
-``cz._assert_iterate_relations``), the contact area of a disk by two routes,
-the return map of arbitrary level points, the primitive 1-form lambda0, the
-orbit search certifying one survivor at a time with a one-row integration
-per flow, and the crossing bisection by one halving per trajectory call.
+``cz._assert_iterate_relations``), the page of an ellipsoid's coordinate
+circle in closed form, the contact area of a disk by two routes, the return
+map of arbitrary level points, the primitive 1-form lambda0, the orbit
+search certifying one survivor at a time with a one-row integration per
+flow, and the crossing bisection by one halving per trajectory call.
 The package's reachability test (``test_reachability.py``) keeps such code
 out of ``src/``.
 """
@@ -32,7 +33,7 @@ from reeb_atlas.errors import (DomainError, GridQualityError, RefinementError,
 from reeb_atlas.flow import integrate_batch, integrate_flow, monodromy_xi
 from reeb_atlas.kernels import _GAUSS_CHUNK, _HESS_BLOCK, _I, _J
 from reeb_atlas.linking import _height, _segment_pairs, _shadow
-from reeb_atlas.sections import _DiskIndex, _first_crossing
+from reeb_atlas.sections import DiskGrid, _DiskIndex, _first_crossing
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +481,34 @@ def blocked_gauss_linking_raw(a, b):
 
 
 # ---------------------------------------------------------------------------
-# area form and return maps of level points
+# the ellipsoid page, area form and return maps of level points
 # ---------------------------------------------------------------------------
+
+def ellipsoid_page(form, orbit, theta0=0.0, n_r=128, n_theta=256):
+    """The page {arg z = theta0} of the other coordinate plane, spanning a
+    coordinate-plane circle of an exact ellipsoid, in closed form: the
+    oracle of ``sections.builtin_disk`` on ellipsoids."""
+    x0 = orbit.x0
+    if np.hypot(x0[2], x0[3]) < 1e-9:
+        plane = 0  # boundary in the (q1, p1) plane
+    elif np.hypot(x0[0], x0[1]) < 1e-9:
+        plane = 1
+    else:
+        raise DomainError("orbit is not one of the coordinate-plane circles")
+    rb = np.sqrt(form.r_squared[plane])      # boundary circle radius
+    rc = np.sqrt(form.r_squared[1 - plane])  # transverse radius
+    phi0 = np.arctan2(x0[2 * plane + 1], x0[2 * plane])
+    ss = np.linspace(0.0, 1.0, n_r + 1)[:, None, None]
+    tt = np.arange(n_theta) / n_theta
+    ang = phi0 + 2.0 * np.pi * tt
+    zb = rb * np.stack([np.cos(ang), np.sin(ang)], axis=-1)  # (n_theta, 2)
+    height = rc * np.sqrt(np.maximum(0.0, 1.0 - ss * ss))
+    zc = height * np.array([np.cos(theta0), np.sin(theta0)])
+    samples = np.empty((n_r + 1, n_theta, 4))
+    samples[:, :, 2 * plane:2 * plane + 2] = ss * zb
+    samples[:, :, 2 - 2 * plane:4 - 2 * plane] = zc
+    return DiskGrid(samples=samples)
+
 
 def ring_action(disk, row):
     """Line integral of the primitive 1-form along one grid ring."""

@@ -33,14 +33,15 @@ def test_verdict_rules_walk_in_order():
     # the last up, hands the verdict to that rule while every later rule
     # still holds too
     assert [verdict for _, verdict in binding._RULES] == [
-        "inconclusive:unknot_status_unknown", "fails:self_linking",
+        "inconclusive:unknot_status_unknown",
+        "inconclusive:self-linking-unknown", "fails:self_linking",
         "inconclusive:index-method-disagreement", "inconclusive:index-unknown",
         "fails:index_below_3", "fails:index2_orbit_unlinked",
         "inconclusive:index2-linking-unknown", "inconclusive:index-unknown",
         "hypotheses_hold"]
     unlinked = {"orbit_id": 4, "lk": 0, "linked": False}
     unknown_lk = {"orbit_id": 5, "lk": None, "linked": None, "skipped": "x"}
-    breaks = [("unknot_status", "unknown"), ("sl", 1),
+    breaks = [("unknot_status", "unknown"), ("sl", None), ("sl", 1),
               ("index_methods_agree", False), ("own", True), ("mu_cz", 2),
               ("index2_checked", [unlinked, unknown_lk]),
               ("index2_checked", [unknown_lk]),
@@ -153,6 +154,19 @@ def test_binding_inconclusive_for_knotted_trace(ell, db20):
                                                       sl=-1)
         rep = check_binding(ell, db20, gid)
     assert rep.verdict == "inconclusive:unknot_status_unknown"
+    assert rep.exit_code == 3
+
+
+def test_binding_inconclusive_when_the_self_linking_fails(ell, db20):
+    # the table holds the error that stopped the candidate's self-linking: an
+    # sl that was not computed never reads as a failure
+    gid = _entry_id(db20, np.pi, 1)
+    with cz.prime_table() as table:
+        table[cz.prime_key(db20[gid])] = cz.PrimeData(
+            sl=ResolutionError("self-linking unstable under pushoff halving"))
+        rep = check_binding(ell, db20, gid)
+    assert rep.sl is None and rep.mu_cz == 3
+    assert rep.verdict == "inconclusive:self-linking-unknown"
     assert rep.exit_code == 3
 
 
@@ -376,3 +390,17 @@ def test_audit_alarm_on_sl_route_mismatch(ell, db20, page):
     assert not report.passed
     assert any("routes disagree" in a for a in report.alarms)
     assert report.sl_pushoff == -4
+
+
+def test_audit_alarm_when_the_self_linking_fails(ell, db20, page):
+    # the table holds the error that stopped the binding's self-linking: the
+    # audit records an alarm instead of aborting, and compares no routes
+    gid = _entry_id(db20, np.pi, 1)
+    with cz.prime_table() as table:
+        table[cz.prime_key(db20[gid])] = cz.PrimeData(
+            sl=ResolutionError("self-linking unstable under pushoff halving"))
+        report = necessity_audit(ell, page, db20, gid)
+    assert not report.passed
+    assert report.sl_pushoff is None and report.sl_from_winding == -1
+    assert report.alarms == ["pushoff self-linking was not computed: "
+                             "self-linking unstable under pushoff halving"]

@@ -246,6 +246,11 @@ def test_section_sidecar_counts_return_maps(ell_config, section_disk, workdir,
     (["disk-gen", "--nr", "0"], "--nr", 64),
     (["disk-gen", "--ntheta", "0"], "--ntheta", 64),
     (["disk-gen", "--nr", "2"], None, 1),  # positive but too coarse
+    (["orbits-find", "--tmax", "nan"], "--tmax", 64),
+    (["orbits-find", "--tmax", "inf"], "--tmax", 64),
+    (["disk-gen", "--theta0", "nan"], "--theta0", 64),
+    (["disk-gen", "--theta0", "inf"], "--theta0", 64),
+    (["section-verify", "--t-budget", "nan"], "--t-budget", 64),
 ])
 def test_flags_keep_the_config_bounds(ell_config, found, section_disk,
                                       workdir, capsys, argv, flag, code):
@@ -264,6 +269,24 @@ def test_flags_keep_the_config_bounds(ell_config, found, section_disk,
     if flag is not None:
         assert err.startswith(f"config error: {flag} {float(argv[2]):g}")
         assert "(at /)" not in err
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.mark.parametrize("oid", ["-1", "99"])
+@pytest.mark.parametrize("command, flag", [
+    ("orbit-index", "--orbit"), ("disk-gen", "--orbit"), ("audit", "--binding"),
+    ("binding-check", "--candidate")])
+def test_census_ids_out_of_range(ell_config, found, section_disk, workdir,
+                                 capsys, command, flag, oid):
+    # an id outside the 5-entry census is a runtime error that names the id,
+    # never an index from the end; nothing is written
+    out = str(workdir / "bad_id")
+    capsys.readouterr()
+    assert main([command, "--config", ell_config, "--out", out,
+                 "--orbits", os.path.join(found, "orbits.json"), flag, oid]
+                + (["--disk", section_disk] if command == "audit" else [])) == 1
+    assert capsys.readouterr().err == (
+        f"error: orbit {oid} is not in the database\n")
     assert not os.path.exists(out) or not os.listdir(out)
 
 
@@ -507,3 +530,41 @@ def test_missing_artifact_names_producer(ell_config, workdir, capsys):
                  "--orbit", "0", "--out", str(workdir / "x")])
     assert code == 65
     assert "orbits-find" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def perturbed_run(perturbed_form, workdir):
+    config = workdir / "perturbed.json"
+    config.write_text(json.dumps({"form": perturbed_form.to_json_dict(),
+                                  "tmax": 7.0, "seeds": 16, "rng_seed": 0}))
+    out = str(workdir / "perturbed")
+    assert main(["orbits-find", "--config", str(config), "--out", out]) == 0
+    return str(config), out
+
+
+def test_section_pipeline_on_a_weighted_form(perturbed_run):
+    # disk-gen builds a page for every form: the cone page over the perturbed
+    # form's gamma1 passes section-verify, and the audit finds sl -1 by both
+    # routes and winding 1
+    config, out = perturbed_run
+    orbits = os.path.join(out, "orbits.json")
+    with open(orbits) as fh:
+        assert json.load(fh)["orbits"][0]["T_min"] == pytest.approx(np.pi,
+                                                                    rel=1e-4)
+    disk = os.path.join(out, "disk_orbit0.json")
+    assert main(["disk-gen", "--config", config, "--orbits", orbits,
+                 "--orbit", "0", "--nr", "128", "--ntheta", "48",
+                 "--out", out]) == 0
+    assert main(["section-verify", "--config", config, "--disk", disk,
+                 "--seeds", "8", "--t-budget", "44.43", "--out", out]) == 0
+    with open(os.path.join(out, "section_report.json")) as fh:
+        rep = json.load(fh)
+    assert rep["passes"] and rep["sign_constant"]
+    assert main(["audit", "--config", config, "--orbits", orbits,
+                 "--disk", disk, "--binding", "0", "--out", out]) == 0
+    with open(os.path.join(out, "audit_binding0.json")) as fh:
+        rep = json.load(fh)
+    assert rep["passed"] and rep["mu_cz"] == 3
+    assert rep["sl_pushoff"] == rep["sl_from_winding"] == -1
+    assert rep["boundary_winding"] == 1
+    assert [row["lk"] for row in rep["linking"]] == [1]  # gamma2

@@ -8,14 +8,13 @@ from scipy.spatial import cKDTree
 
 from reeb_atlas import sections as sec
 from reeb_atlas.contact import StarForm, xi_frame
-from reeb_atlas.errors import (DomainError, GridQualityError, StiffnessError,
-                               UnsupportedFormError)
+from reeb_atlas.errors import DomainError, GridQualityError, StiffnessError
 from reeb_atlas.flow import integrate_flow
 from reeb_atlas.linking import self_linking
 from reeb_atlas.orbits import refine_orbit, trace_orbit
 
-from oracles import (bisect_crossing_loop, disk_area, polygon_action,
-                     return_map_points, ring_action)
+from oracles import (bisect_crossing_loop, disk_area, ellipsoid_page,
+                     polygon_action, return_map_points, ring_action)
 
 SQ2 = np.sqrt(2.0)
 T_RETURN = np.pi * SQ2  # first-return time of the standard page
@@ -61,10 +60,15 @@ def test_builtin_disk_embedded_at_64(ell, gamma1):
         assert abs(ia - ib) <= 1 and dj <= 1
 
 
-def test_builtin_disk_requires_ellipsoid(near_ell_weighted):
-    orbit = refine_orbit(near_ell_weighted, np.array([1.0, 0, 0, 0]), np.pi)
-    with pytest.raises(UnsupportedFormError):
-        sec.builtin_disk(near_ell_weighted, orbit)
+@pytest.mark.parametrize("theta0", [0.0, 1.0])
+@pytest.mark.parametrize("name", ["gamma1", "gamma2"])
+def test_cone_page_matches_the_ellipsoid_page(ell, request, name, theta0):
+    # on a coordinate circle of the ellipsoid, the radial cone page over the
+    # integrated trace is the closed-form page of the other plane
+    orbit = request.getfixturevalue(name)
+    cone = sec.builtin_disk(ell, orbit, theta0=theta0, n_r=128, n_theta=48)
+    exact = ellipsoid_page(ell, orbit, theta0=theta0, n_r=128, n_theta=48)
+    assert np.abs(cone.samples - exact.samples).max() < 1e-10
 
 
 def test_builtin_disk_other_circle(ell, gamma2):
