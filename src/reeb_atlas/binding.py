@@ -10,7 +10,6 @@ and the index must be at least 3.  Audit failures are numerical
 inconsistencies by theory, so they raise alarms instead of verdicts.
 """
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,7 @@ class BindingReport:
     unknot_status: str | None = None
     crossings_after_reduction: int | None = None
     sl: int | None = None
+    sl_skipped: str | None = None  # the error that left sl unknown
     mu_cz: int | None = None
     index_methods_agree: bool | None = None
     index2_checked: list = field(default_factory=list)
@@ -52,6 +52,8 @@ class BindingReport:
             "unknot_status": self.unknot_status,
             "crossings_after_reduction": self.crossings_after_reduction,
             "sl": self.sl,
+            **({} if self.sl_skipped is None
+               else {"sl_skipped": self.sl_skipped}),
             "mu_cz": self.mu_cz,
             "index_methods_agree": self.index_methods_agree,
             "index2_orbits_checked": self.index2_checked,
@@ -91,6 +93,8 @@ def check_binding(form, db, candidate_id):
     the two routes disagree, its ``index2_checked`` row has ``lk`` and
     ``linked`` None and the reason under ``skipped``.  ``linking_checks``
     records both routes' numbers per prime pair (``linking.linking_checks``).
+    A candidate whose self-linking could not be computed keeps ``sl`` None
+    and the error's text under ``sl_skipped``.
     """
     cand = db[candidate_id]
     if cand.degenerate:
@@ -121,8 +125,10 @@ def _check_in_table(form, db, candidate_id, report):
     verdict_knot = unknot_check(prime_trace(form, cand))
     report.unknot_status = verdict_knot.status
     report.crossings_after_reduction = verdict_knot.crossing_count_after_reduction
-    with contextlib.suppress(ReebAtlasError):  # an unknown sl stays None
+    try:
         report.sl = cover_self_linking(form, cand)
+    except ReebAtlasError as exc:  # an unknown sl stays None
+        report.sl_skipped = str(exc)
 
     idx_rep = orbit_index_report(form, cand, n_grid=1024)
     reports = {candidate_id: idx_rep}

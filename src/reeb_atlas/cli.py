@@ -4,8 +4,8 @@ Every command reads a JSON run configuration, executes one stage of the
 pipeline, and writes a deterministic JSON report (timestamps live in a
 separate ``.meta.json`` sidecar so that reruns are byte-identical).  Exit
 codes: 0 success / hypotheses hold, 2 binding conditions fail, 3
-inconclusive or degeneracy-flagged, 64 bad configuration, 65 missing
-prerequisite artifact, 1 runtime error.
+inconclusive or degeneracy-flagged, 64 bad configuration or usage, 65
+missing prerequisite artifact, 1 runtime error.
 """
 
 import argparse
@@ -21,8 +21,8 @@ from . import __version__
 from .binding import check_binding, necessity_audit
 from .contact import StarForm
 from .cz import orbit_index_report, prime_table
-from .errors import (ConfigError, DegenerateOrbitError, MissingArtifactError,
-                     ReebAtlasError)
+from .errors import (ConfigError, DegenerateOrbitError, DomainError,
+                     MissingArtifactError, ReebAtlasError)
 from .flow import counting
 from .linking import (cover_linking, cover_self_linking, linking_checks,
                       prime_traces, unknot_check)
@@ -292,7 +292,7 @@ def cmd_disk_gen(args):
     disk = builtin_disk(form, db[args.orbit], theta0=args.theta0,
                         n_r=args.nr, n_theta=args.ntheta)
     disk.orbit_ref = args.orbit
-    disk.validate(form, db[args.orbit])
+    disk.validate()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"disk_orbit{args.orbit}.json")
     save_disk(disk, path)
@@ -369,6 +369,10 @@ def cmd_audit(args):
     db = _load_db(form, args.orbits)
     _require_artifact(args.disk, "reeb-atlas disk-gen")
     disk = load_disk(args.disk)
+    db[args.binding]  # an id outside the census is named before the page
+    if disk.orbit_ref not in (None, args.binding):
+        raise DomainError(f"the disk spans orbit {disk.orbit_ref}, "
+                          f"not the binding {args.binding}")
     report = necessity_audit(form, disk, db, args.binding)
     payload = report.to_json_dict()
     payload["rng_seed"] = cfg.get("rng_seed", 0)
@@ -437,7 +441,12 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error is 2: EX_USAGE instead
+        if exc.code == 2:
+            return 64
+        raise
     if not getattr(args, "command", None):
         parser.print_help()
         return 64

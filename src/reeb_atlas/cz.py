@@ -183,15 +183,15 @@ def prime_flows(form, orbits):
                                variational=True, dense=True)
         for (p, o), run in zip(todo, runs):
             p.flow = run if isinstance(run, ReebAtlasError) else (
-                run.trajectory, run.trajectory(o.T_min)[4:].reshape(4, 4))
+                run, run(o.T_min)[4:].reshape(4, 4))
     return [primes[prime_key(o)][0].flow for o in orbits]
 
 
 def _variational_flow(form, orbit):
     """Base point and 4x4 linearized flow, as a dense (n, 20) sampler over
     [0, orbit.T], from the prime's one integration (``prime_flows``).  A
-    prime gets that integration's ``Trajectory``; a k-fold cover samples it
-    at s = t - j T_min with the matrix M(s) M(T_min)^j."""
+    prime gets that dense run; a k-fold cover samples it at s = t - j T_min
+    with the matrix M(s) M(T_min)^j."""
     if orbit.residual > 1e-9:
         raise DomainError(f"orbit residual {orbit.residual:.2e} exceeds 1e-09")
     flow, = prime_flows(form, [orbit])

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from . import kernels
-from .contact import project_to_sigma, xi_frame, xi_projector
+from .contact import xi_frame, xi_projector
 from .errors import DomainError, OffLevelError, ReebAtlasError, StiffnessError
 
 __all__ = [
@@ -61,30 +61,29 @@ def _rhs(form, variational):
     return lambda y: fn(y, tables)
 
 
-class Trajectory:
-    """Dense output of one integration run.
+@dataclass
+class FlowResult:
+    """One integration run: ``times`` (n + 1,) are the accepted step times
+    from 0, ``states`` (n + 1, d) the re-projected states there (the point,
+    then a variational run's 4x4 linearized flow row by row) and, for a
+    dense run, ``F`` (n, 7, d) each step's interpolant coefficients (else
+    None).  Calling the run at times ``t`` evaluates them as scipy's
+    ``Dop853DenseOutput`` does."""
 
-    ``breaks`` (n + 1,) are the accepted step times from 0, ``states``
-    (n + 1, d) the re-projected states there and ``F`` (n, 7, d) the
-    coefficients of each step's interpolant, evaluated as scipy's
-    ``Dop853DenseOutput`` does.
-    """
-
-    def __init__(self, breaks, states, F):
-        self.breaks = breaks
-        self.states = states
-        self.F = F
+    times: np.ndarray
+    states: np.ndarray
+    F: np.ndarray | None
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         tt = np.atleast_1d(t)
         out = np.tile(self.states[0], (len(tt), 1))
         if len(self.F):
-            direction = np.sign(self.breaks[-1])
-            idx = np.clip(np.searchsorted(self.breaks[1:-1] * direction,
+            direction = np.sign(self.times[-1])
+            idx = np.clip(np.searchsorted(self.times[1:-1] * direction,
                                           tt * direction), 0, len(self.F) - 1)
-            t_old = self.breaks[idx]
-            x = ((tt - t_old) / (self.breaks[idx + 1] - t_old))[:, None]
+            t_old = self.times[idx]
+            x = ((tt - t_old) / (self.times[idx + 1] - t_old))[:, None]
             coeffs = self.F[idx]
             out = np.zeros_like(out)
             for j in range(6, -1, -1):
@@ -93,19 +92,17 @@ class Trajectory:
             out += self.states[idx]
         return out[0] if t.ndim == 0 else out
 
-
-@dataclass
-class FlowResult:
-    """Trajectory samples plus optional 4x4 linearized flow matrices."""
-
-    times: np.ndarray
-    points: np.ndarray
-    monodromy4: np.ndarray | None
-    trajectory: Trajectory | None
+    @property
+    def points(self):
+        return self.states[:, :4]
 
     @property
     def endpoint(self):
-        return self.points[-1]
+        return self.states[-1, :4]
+
+    @property
+    def monodromy4(self):
+        return self.states[:, 4:].reshape(-1, 4, 4) if self.states.shape[1] > 4 else None
 
     @property
     def monodromy_end(self):
@@ -207,17 +204,16 @@ def _steps(form, rhs, rows, y, t_end, tol, dense):
 
 
 def integrate_batch(form, x0, t_final, tol=1e-10, variational=False,
-                    t_eval=None, dense=False):
+                    dense=False):
     """Integrate the Reeb flow from every row of ``x0`` (B, 4) on the level.
 
     Row i runs to ``t_final[i]`` (a scalar serves every row), either sign, at
     local error ``tol`` per step (relative; absolute is tol * 1e-2).
     ``variational`` also propagates the 4x4 linearized flow from the
-    identity; ``t_eval`` are the sample times (default: the accepted step
-    grid); ``dense`` keeps the interpolant.  Returns one ``FlowResult`` per
-    row, or its exception: ``OffLevelError`` (start off level by over 1e-7),
-    ``DomainError`` (non-finite end time) or ``StiffnessError`` (step size
-    underflow; carries the last good state).
+    identity; ``dense`` keeps the interpolant.  Returns one ``FlowResult``
+    per row, or its exception: ``OffLevelError`` (start off level by over
+    1e-7), ``DomainError`` (non-finite end time) or ``StiffnessError`` (step
+    size underflow; carries the last good state).
     """
     x0 = np.asarray(x0, dtype=float)
     t_end = np.broadcast_to(np.asarray(t_final, dtype=float), (len(x0),))
@@ -228,25 +224,16 @@ def integrate_batch(form, x0, t_final, tol=1e-10, variational=False,
     y0 = x0 if not variational else np.concatenate(
         [x0, np.tile(np.eye(4).ravel(), (len(x0), 1))], axis=1)
     steps, errors = _steps(form, _rhs(form, variational), run, y0[run],
-                           t_end[run], tol, dense or t_eval is not None)
+                           t_end[run], tol, dense)
     for i, exc in errors.items():
         out[i] = exc
     ids, s_all, y_all, F_all = (None if c[0] is None else np.concatenate(c)
                                 for c in zip(*steps))
     for i in [i for i, o in enumerate(out) if o is None]:
         p = np.flatnonzero(ids == i)  # row i's steps, in time order
-        traj = Trajectory(np.concatenate([[0.0], np.sign(t_end[i]) * s_all[p]]),
-                          np.concatenate([y0[i:i + 1], y_all[p]]),
-                          None if F_all is None else F_all[p])
-        times, samples = traj.breaks, traj.states
-        if t_eval is not None:
-            times = np.asarray(t_eval, dtype=float)
-            samples = traj(times)
-        xs = samples[:, :4]
-        if t_eval is not None and len(p):
-            xs = project_to_sigma(form, xs)  # project evaluated samples as well
-        mon = samples[:, 4:].reshape(-1, 4, 4) if variational else None
-        out[i] = FlowResult(times, xs, mon, traj if dense else None)
+        out[i] = FlowResult(np.concatenate([[0.0], np.sign(t_end[i]) * s_all[p]]),
+                            np.concatenate([y0[i:i + 1], y_all[p]]),
+                            None if F_all is None else F_all[p])
     return out
 
 

@@ -138,7 +138,7 @@ def trace_orbits(form, orbits, n):
     runs = integrate_batch(form, np.array([o.x0 for o in orbits]),
                            np.array([o.T for o in orbits]), tol=1e-11, dense=True)
     return [run if isinstance(run, ReebAtlasError) else project_to_sigma(
-        form, run.trajectory(np.arange(n) / n * o.T)[:, :4])
+        form, run(np.arange(n) / n * o.T)[:, :4])
         for o, run in zip(orbits, runs)]
 
 
@@ -146,7 +146,7 @@ def trace_orbit(form, orbit, n):
     """The one orbit's ``trace_orbits``, from its one-row ``integrate_flow``
     (the same run bit for bit); raises the error that stopped it."""
     run = integrate_flow(form, orbit.x0, orbit.T, tol=1e-11, dense=True)
-    return project_to_sigma(form, run.trajectory(np.arange(n) / n * orbit.T)[:, :4])
+    return project_to_sigma(form, run(np.arange(n) / n * orbit.T)[:, :4])
 
 
 def _polish_row(form, x_guess, T_guess, initial_residual_cap):
@@ -259,7 +259,7 @@ def _certify(form, x_guess, T_guess, initial_residual_cap):
         )
 
     # multiplicity: largest k <= 64 with T/k >= 0.05, closed within 1e-6
-    traj = (yield False, x, T).trajectory
+    traj = yield False, x, T
     ks = np.arange(2, min(max(1, int(T / 0.05)), 64) + 1)
     ys = project_to_sigma(form, traj(T / ks)[:, :4])
     closed = ks[kernels.norm(ys - x) < 1e-6]
@@ -439,12 +439,13 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
 
     with counting() as work:
         cands = []
-        for res in integrate_batch(form, seeds, float(t_grid[-1]), tol=1e-8,
-                                   t_eval=t_grid):
-            if isinstance(res, Exception):
-                raise res
-            cands += _near_return_candidates(t_grid, res.points, _MIN_PERIOD,
-                                             _CANDIDATE_THRESHOLD, max_keep=4)
+        for run in integrate_batch(form, seeds, float(t_grid[-1]), tol=1e-8,
+                                   dense=True):
+            if isinstance(run, Exception):
+                raise run
+            cands += _near_return_candidates(
+                t_grid, project_to_sigma(form, run(t_grid)[:, :4]), _MIN_PERIOD,
+                _CANDIDATE_THRESHOLD, max_keep=4)
         polished = _newton_polish(
             form, [x for x, _, _ in cands], [dt for _, dt, _ in cands],
             initial_residual_cap=_CANDIDATE_THRESHOLD + 1e-9)

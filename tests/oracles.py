@@ -586,7 +586,7 @@ def sequential_refine_orbit(form, x_guess, T_guess, initial_residual_cap):
         raise RefinementError(
             f"no convergence in {orbits._NEWTON_MAX_ITER} iterations "
             f"(residual {residual:.3e})")
-    traj = integrate_flow(form, x, T, tol=1e-12, dense=True).trajectory
+    traj = integrate_flow(form, x, T, tol=1e-12, dense=True)
     ks = np.arange(2, min(max(1, int(T / 0.05)), 64) + 1)
     ys = project_to_sigma(form, traj(T / ks)[:, :4])
     closed = ks[kernels.norm(ys - x) < 1e-6]
@@ -635,11 +635,11 @@ def sequential_find_orbits(form, T_max, n_seeds, rng_seed=0, log=None,
     cands = candidates
     if cands is None:
         cands = []
-        for res in integrate_batch(form, seeds, float(t_grid[-1]), tol=1e-8,
-                                   t_eval=t_grid):
+        for run in integrate_batch(form, seeds, float(t_grid[-1]), tol=1e-8,
+                                   dense=True):
             cands += orbits._near_return_candidates(
-                t_grid, res.points, orbits._MIN_PERIOD,
-                orbits._CANDIDATE_THRESHOLD, max_keep=4)
+                t_grid, project_to_sigma(form, run(t_grid)[:, :4]),
+                orbits._MIN_PERIOD, orbits._CANDIDATE_THRESHOLD, max_keep=4)
     polished = orbits._newton_polish(
         form, [x for x, _, _ in cands], [dt for _, dt, _ in cands],
         initial_residual_cap=orbits._CANDIDATE_THRESHOLD + 1e-9)

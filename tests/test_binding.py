@@ -103,10 +103,9 @@ def test_binding_integrates_each_prime_once(ell, db20, monkeypatch):
     assert sorted(zip(T, map(tuple, x0))) == sorted(primes)
     assert kwargs == {"tol": 1e-12, "variational": True, "dense": True}
     for x, t, res in zip(x0, T, out):
-        one = integrate_flow(ell, x, t, **kwargs).trajectory
-        for name in ("breaks", "states", "F"):
-            assert np.array_equal(getattr(res.trajectory, name),
-                                  getattr(one, name)), name
+        one = integrate_flow(ell, x, t, **kwargs)
+        for name in ("times", "states", "F"):
+            assert np.array_equal(getattr(res, name), getattr(one, name)), name
     assert rep.primes_integrated == 2
     assert len(rep.index_table) == len(db20)
     assert all(row["path_samples"] == (1025 if row["orbit_id"] == rep.orbit_id
@@ -168,6 +167,10 @@ def test_binding_inconclusive_when_the_self_linking_fails(ell, db20):
     assert rep.sl is None and rep.mu_cz == 3
     assert rep.verdict == "inconclusive:self-linking-unknown"
     assert rep.exit_code == 3
+    # the report keeps the error's text, next to the null sl
+    payload = rep.to_json_dict()
+    assert payload["sl_skipped"] == "self-linking unstable under pushoff halving"
+    assert list(payload).index("sl_skipped") == list(payload).index("sl") + 1
 
 
 def test_binding_inconclusive_when_an_index_is_unknown(ell, db20,

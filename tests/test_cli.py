@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from reeb_atlas import flow
 from reeb_atlas.cli import main
+from reeb_atlas.orbits import load_orbits, trace_orbit
+from reeb_atlas.sections import load_disk, save_disk
 
 SQ2 = np.sqrt(2.0)
 
@@ -205,6 +209,26 @@ def test_disk_and_section_pipeline(ell_config, found):
                                        "crossing_lk": 1}]}
 
 
+def test_disk_gen_integrates_the_orbit_once(ell_config, found, workdir,
+                                            monkeypatch):
+    # the page's trace is disk-gen's only integration: the grid checks do
+    # not trace the orbit again
+    real, spans = flow.integrate_flow, []
+
+    def spy(form, x0, t_final, *args, **kwargs):
+        spans.append(t_final)
+        return real(form, x0, t_final, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("reeb_atlas") and getattr(
+                module, "integrate_flow", None) is real:
+            monkeypatch.setattr(module, "integrate_flow", spy)
+    assert main(["disk-gen", "--config", ell_config,
+                 "--orbits", os.path.join(found, "orbits.json"), "--orbit", "0",
+                 "--ntheta", "48", "--out", str(workdir / "spied")]) == 0
+    assert spans == [pytest.approx(np.pi, rel=1e-8)]
+
+
 @pytest.fixture(scope="module")
 def section_disk(ell_config, found, workdir):
     out = str(workdir / "disk")
@@ -288,6 +312,43 @@ def test_census_ids_out_of_range(ell_config, found, section_disk, workdir,
     assert capsys.readouterr().err == (
         f"error: orbit {oid} is not in the database\n")
     assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits-find", "--no-such-flag", "1"],
+    ["orbit-index", "--orbit", "0"],  # --orbits is required
+    ["disk-gen", "--orbits", "orbits.json", "--orbit", "0", "--theta0", "-inf"],
+])
+def test_usage_errors_exit_64(ell_config, workdir, argv):
+    # argparse's usage errors exit 64 (EX_USAGE): 2 means that a binding
+    # condition fails; nothing is written
+    out = str(workdir / "usage")
+    assert main(argv[:1] + ["--config", ell_config, "--out", out]
+                + argv[1:]) == 64
+    assert not os.path.exists(out)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+
+
+def test_audit_refuses_another_orbits_page(ell_config, found, section_disk,
+                                           workdir, capsys):
+    # orbit 0's page is never audited against orbit 1's index, linking and
+    # self-linking; a page without an orbit_ref is audited as before
+    orbits = os.path.join(found, "orbits.json")
+    out = str(workdir / "other_binding")
+    capsys.readouterr()
+    assert main(["audit", "--config", ell_config, "--orbits", orbits,
+                 "--disk", section_disk, "--binding", "1", "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: the disk spans orbit 0, not the binding 1\n")
+    assert not os.path.exists(out) or not os.listdir(out)
+    unreferenced = load_disk(section_disk)
+    unreferenced.orbit_ref = None
+    path = str(workdir / "unreferenced.json")
+    save_disk(unreferenced, path)
+    assert main(["audit", "--config", ell_config, "--orbits", orbits,
+                 "--disk", path, "--binding", "0", "--out", out]) == 0
 
 
 def test_section_seeds_ignore_the_census_seeds(ell_config, section_disk,
@@ -542,10 +603,10 @@ def perturbed_run(perturbed_form, workdir):
     return str(config), out
 
 
-def test_section_pipeline_on_a_weighted_form(perturbed_run):
+def test_section_pipeline_on_a_weighted_form(perturbed_form, perturbed_run):
     # disk-gen builds a page for every form: the cone page over the perturbed
-    # form's gamma1 passes section-verify, and the audit finds sl -1 by both
-    # routes and winding 1
+    # form's gamma1, whose boundary row is the orbit's trace, passes
+    # section-verify, and the audit finds sl -1 by both routes and winding 1
     config, out = perturbed_run
     orbits = os.path.join(out, "orbits.json")
     with open(orbits) as fh:
@@ -555,6 +616,8 @@ def test_section_pipeline_on_a_weighted_form(perturbed_run):
     assert main(["disk-gen", "--config", config, "--orbits", orbits,
                  "--orbit", "0", "--nr", "128", "--ntheta", "48",
                  "--out", out]) == 0
+    trace = trace_orbit(perturbed_form, load_orbits(perturbed_form, orbits)[0], 48)
+    assert np.abs(load_disk(disk).boundary - trace).max() < 1e-15
     assert main(["section-verify", "--config", config, "--disk", disk,
                  "--seeds", "8", "--t-budget", "44.43", "--out", out]) == 0
     with open(os.path.join(out, "section_report.json")) as fh:

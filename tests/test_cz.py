@@ -352,7 +352,7 @@ def _integrated_report(form, orbit, monkeypatch):
     # variational integration over the whole period k T_min
     def integrated(form, orbit):
         return integrate_flow(form, orbit.x0, orbit.T, tol=1e-12,
-                              variational=True, dense=True).trajectory
+                              variational=True, dense=True)
 
     with monkeypatch.context() as m:
         m.setattr(cz, "_variational_flow", integrated)

@@ -117,7 +117,7 @@ def test_monodromy_requires_closure(ell):
 def test_trajectory_batch_equals_pointwise(ell, gamma1):
     # one dense-output call per segment reproduces the per-sample values
     for t_final in (2.0, -2.0):
-        traj = integrate_flow(ell, gamma1.x0, t_final, dense=True).trajectory
+        traj = integrate_flow(ell, gamma1.x0, t_final, dense=True)
         ts = np.linspace(0.0, t_final, 41)[::-1]
         np.testing.assert_array_equal(traj(ts), [traj(t) for t in ts])
 
@@ -159,7 +159,7 @@ def test_batch_rows_equal_one_row_runs(request, name):
     x0 = _on_level(form, rng.normal(size=(5, 4)))
     spans = np.array([2.5, -1.0, 0.0, 6.0, 0.3])
     ts = np.linspace(0.0, 1.0, 7)
-    for kwargs in ({"variational": True}, {"t_eval": ts, "dense": True}):
+    for kwargs in ({"variational": True}, {"dense": True}):
         batch = integrate_batch(form, x0, spans, tol=1e-10, **kwargs)
         for x, t, got in zip(x0, spans, batch):
             one, = integrate_batch(form, x[None], t, tol=1e-10, **kwargs)
@@ -168,8 +168,7 @@ def test_batch_rows_equal_one_row_runs(request, name):
             if kwargs.get("variational"):
                 np.testing.assert_array_equal(got.monodromy4, one.monodromy4)
             else:
-                np.testing.assert_array_equal(got.trajectory(t * ts),
-                                              one.trajectory(t * ts))
+                np.testing.assert_array_equal(got(t * ts), one(t * ts))
 
 
 def test_a_failing_row_leaves_the_others(ell, gamma2, monkeypatch):

@@ -42,7 +42,10 @@ def test_builtin_disk_construction(ell, gamma1, page):
     assert page.samples[:-1, :, 2].min() > 0.0
     assert np.abs(page.samples[-1, :, 2:]).max() < 1e-15  # boundary in plane
     assert np.abs(ell.H_batch(page.samples.reshape(-1, 4)) - 1.0).max() < 1e-12
-    page.validate(ell, gamma1)
+    # the boundary row is the orbit's trace, re-projected within roundoff
+    trace = trace_orbit(ell, gamma1, page.n_theta)
+    assert np.abs(page.boundary - trace).max() < 1e-15
+    page.validate()
 
 
 def test_builtin_disk_embedded_at_64(ell, gamma1):
@@ -73,7 +76,7 @@ def test_cone_page_matches_the_ellipsoid_page(ell, request, name, theta0):
 
 def test_builtin_disk_other_circle(ell, gamma2):
     disk = sec.builtin_disk(ell, gamma2, n_r=128)
-    disk.validate(ell, gamma2)
+    disk.validate()
     md, sc = sec.transversality_check(ell, disk)
     assert sc and md > 0.1
 
@@ -168,8 +171,7 @@ def test_bisect_crossing_equals_the_halving_loop(ell, page, page_index):
         assert sec._bisect_crossing(line, traj, lo, hi, 0) == \
             bisect_crossing_loop(line, traj, lo, hi, 0)
     # a flow over the page, from a node's tangent plane through random brackets
-    traj = integrate_flow(ell, page.samples[40, 3], 2.0, tol=1e-10,
-                          dense=True).trajectory
+    traj = integrate_flow(ell, page.samples[40, 3], 2.0, tol=1e-10, dense=True)
     for _ in range(50):
         lo, hi = np.sort(rng.uniform(0.0, 2.0, 2))
         flat = int(rng.integers(len(page_index.points)))
@@ -280,13 +282,13 @@ def test_return_map_preserves_cell_actions(ell, page, page_index):
         assert abs(a1 - a0) / abs(a0) < 0.02
 
 
-def test_disk_save_load(tmp_path, ell, gamma1, page):
+def test_disk_save_load(tmp_path, page):
     path = tmp_path / "disk.json"
     sec.save_disk(page, path)
     again = sec.load_disk(path)
     assert again.n_r == page.n_r and again.n_theta == page.n_theta
     assert np.abs(again.samples - page.samples).max() == 0.0  # 17 digits round-trip
-    again.validate(ell, gamma1)
+    again.validate()
 
 
 def test_return_csv(tmp_path, ell, page, page_index):
