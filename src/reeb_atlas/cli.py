@@ -67,19 +67,27 @@ CONFIG_SCHEMA = {
         "t_budget": {"type": "number", "exclusiveMinimum": 0},
     },
 }
-# a flag keeps the bounds of the config key it sets; grid sizes are flags only
-FLAG_SCHEMA = {"properties": dict(CONFIG_SCHEMA["properties"], **dict.fromkeys(
-    ["n_grid", "nr", "ntheta"], {"type": "integer", "minimum": 1}))}
+# a flag keeps the bounds of the config key it sets; grid sizes are flags only,
+# and a page's plane needs three points of the orbit's trace
+FLAG_SCHEMA = {"properties": dict(
+    CONFIG_SCHEMA["properties"], n_grid={"type": "integer", "minimum": 1},
+    nr={"type": "integer", "minimum": 1}, ntheta={"type": "integer", "minimum": 3})}
 
 
 def load_config(path):
-    """Parse and validate a run configuration; rejects NaN and infinities."""
-    def reject_constant(token):
-        raise ConfigError(f"non-finite literal {token!r} rejected", "")
+    """Parse and validate a run configuration; rejects NaN, the infinities and
+    every number that overflows a float."""
+    def finite(parse):
+        def check(token):
+            if not np.isfinite(float(token)):
+                raise ConfigError(f"non-finite number {token!r} rejected")
+            return parse(token)
+        return check
 
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_constant=reject_constant)
+            raw = json.load(fh, parse_constant=finite(float),
+                            parse_float=finite(float), parse_int=finite(int))
     except FileNotFoundError:
         raise MissingArtifactError(path, "write a config file first")
     except json.JSONDecodeError as exc:
@@ -119,26 +127,21 @@ def _config(args):
     return {**cfg, **flags}, form
 
 
-def _write_report(out_dir, name, payload, started, extra_files=None,
-                  extra_meta=None):
+def _write_report(out_dir, name, payload, started, meta):
+    """Write the report and its sidecar: the command's ``meta`` under the
+    report's name, the version, the wall time since ``started`` and the
+    time of writing."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True, default=_jsonify)
         fh.write("\n")
-    meta = {
-        "report": name,
-        "version": __version__,
-        "wall_seconds": round(time.time() - started, 3),
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    if extra_files:
-        meta["files"] = extra_files
-    meta.update(extra_meta or {})
+    meta = dict(meta, report=name, version=__version__,
+                wall_seconds=round(time.time() - started, 3),
+                written_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _jsonify(obj):
@@ -162,23 +165,19 @@ def _load_db(form, path):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each computes its stage from the parsed flags, the run config and
+# the form, and returns (report name, payload, sidecar meta, exit code,
+# message); ``main`` records rng_seed, writes the report and prints
 # ---------------------------------------------------------------------------
 
-def cmd_orbits_find(args):
-    started = time.time()
-    cfg, form = _config(args)
+def cmd_orbits_find(args, cfg, form):
     t_max = cfg.get("tmax", 10.0)
-    n_seeds = cfg.get("seeds", 256)
-    rng_seed = cfg.get("rng_seed", 0)
     log = []
-    db = find_orbits(form, float(t_max), n_seeds=int(n_seeds),
-                     rng_seed=int(rng_seed), log=log)
-    out = os.path.join(args.out, "orbits.json")
+    db = find_orbits(form, float(t_max), n_seeds=int(cfg.get("seeds", 256)),
+                     rng_seed=int(cfg.get("rng_seed", 0)), log=log)
     os.makedirs(args.out, exist_ok=True)
-    save_orbits(db, out)
+    save_orbits(db, os.path.join(args.out, "orbits.json"))
     payload = {
-        "rng_seed": int(rng_seed),
         "form_hash": db.form_hash,
         "t_max": float(t_max),
         "n_orbits": len(db),
@@ -186,35 +185,25 @@ def cmd_orbits_find(args):
         "periods": [o.T for o in db.orbits],
     }
     # the search funnel, with the reason of every dropped candidate
-    _write_report(args.out, "orbits_report.json", payload, started,
-                  extra_files=["orbits.json"],
-                  extra_meta={"funnel": db.funnel, "drop_reasons": log})
-    print(f"found {len(db)} orbit entries up to T = {t_max}")
-    return 0
+    meta = {"files": ["orbits.json"], "funnel": db.funnel, "drop_reasons": log}
+    return ("orbits_report.json", payload, meta, 0,
+            f"found {len(db)} orbit entries up to T = {t_max}")
 
 
-def cmd_orbit_index(args):
-    started = time.time()
-    cfg, form = _config(args)
+def cmd_orbit_index(args, cfg, form):
     db = _load_db(form, args.orbits)
-    orbit = db[args.orbit]
-    report = orbit_index_report(form, orbit, n_grid=args.n_grid)
-    payload = dict(report, orbit_id=args.orbit, rng_seed=cfg.get("rng_seed", 0))
-    resolution = payload.pop("resolution")
-    _write_report(args.out, f"index_orbit{args.orbit}.json", payload, started,
-                  extra_meta={"resolution": resolution})
-    if report["degenerate_flags"]:
-        print("degeneracy flagged; no index emitted:",
-              "; ".join(report["degenerate_flags"]))
-        return 3
-    print(f"orbit {args.orbit}: index {report['mu_geometric']} "
-          f"(both methods agree)")
-    return 0
+    report = orbit_index_report(form, db[args.orbit], n_grid=args.n_grid)
+    payload = dict(report, orbit_id=args.orbit)
+    meta = {"resolution": payload.pop("resolution")}
+    flags = report["degenerate_flags"]
+    message = (f"degeneracy flagged; no index emitted: {'; '.join(flags)}"
+               if flags else f"orbit {args.orbit}: index "
+               f"{report['mu_geometric']} (both methods agree)")
+    return (f"index_orbit{args.orbit}.json", payload, meta, 3 if flags else 0,
+            message)
 
 
-def cmd_link(args):
-    started = time.time()
-    cfg, form = _config(args)
+def cmd_link(args, cfg, form):
     db = _load_db(form, args.orbits)
     pairs = []
     with prime_table():
@@ -233,16 +222,11 @@ def cmd_link(args):
             else:
                 pairs.append({"a": i, "b": j, "lk": None, "skipped": reason})
         checks = linking_checks(db.orbits)
-    payload = {"pairs": pairs, "rng_seed": cfg.get("rng_seed", 0)}
-    _write_report(args.out, "links.json", payload, started,
-                  extra_meta={"linking_checks": checks})
-    print(f"computed {len(pairs)} pair linkings")
-    return 0
+    return ("links.json", {"pairs": pairs}, {"linking_checks": checks}, 0,
+            f"computed {len(pairs)} pair linkings")
 
 
-def cmd_selflink(args):
-    started = time.time()
-    cfg, form = _config(args)
+def cmd_selflink(args, cfg, form):
     db = _load_db(form, args.orbits)
     rows = []
     with prime_table():
@@ -252,15 +236,11 @@ def cmd_selflink(args):
                 rows.append({"orbit": i, "sl": cover_self_linking(form, orbit)})
             except ReebAtlasError as exc:
                 rows.append({"orbit": i, "sl": None, "skipped": str(exc)})
-    payload = {"self_linking": rows, "rng_seed": cfg.get("rng_seed", 0)}
-    _write_report(args.out, "selflink.json", payload, started)
-    print(f"computed {len(rows)} self-linking numbers")
-    return 0
+    return ("selflink.json", {"self_linking": rows}, {}, 0,
+            f"computed {len(rows)} self-linking numbers")
 
 
-def cmd_unknot(args):
-    started = time.time()
-    cfg, form = _config(args)
+def cmd_unknot(args, cfg, form):
     db = _load_db(form, args.orbits)
     rows = []
     for i, (orbit, trace) in enumerate(zip(db.orbits,
@@ -279,40 +259,31 @@ def cmd_unknot(args):
             continue
         rows.append({"orbit": i, "status": v.status,
                      "crossings": v.crossing_count_after_reduction})
-    payload = {"knots": rows, "rng_seed": cfg.get("rng_seed", 0)}
-    _write_report(args.out, "unknot.json", payload, started)
-    print(f"checked {len(rows)} orbit knots")
-    return 0
+    return ("unknot.json", {"knots": rows}, {}, 0,
+            f"checked {len(rows)} orbit knots")
 
 
-def cmd_disk_gen(args):
-    started = time.time()
-    cfg, form = _config(args)
+def cmd_disk_gen(args, cfg, form):
     db = _load_db(form, args.orbits)
     disk = builtin_disk(form, db[args.orbit], theta0=args.theta0,
                         n_r=args.nr, n_theta=args.ntheta)
     disk.orbit_ref = args.orbit
     disk.validate()
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"disk_orbit{args.orbit}.json")
-    save_disk(disk, path)
+    name = f"disk_orbit{args.orbit}.json"
+    save_disk(disk, os.path.join(args.out, name))
     payload = {
-        "disk_file": os.path.basename(path),
+        "disk_file": name,
         "orbit_ref": args.orbit,
         "n_r": disk.n_r,
         "n_theta": disk.n_theta,
         "theta0": args.theta0,
-        "rng_seed": cfg.get("rng_seed", 0),
     }
-    _write_report(args.out, f"disk_orbit{args.orbit}_report.json", payload,
-                  started, extra_files=[os.path.basename(path)])
-    print(f"wrote {path}")
-    return 0
+    return (f"disk_orbit{args.orbit}_report.json", payload, {"files": [name]},
+            0, f"wrote {os.path.join(args.out, name)}")
 
 
-def cmd_section_verify(args):
-    started = time.time()
-    cfg, form = _config(args)
+def cmd_section_verify(args, cfg, form):
     _require_artifact(args.disk, "reeb-atlas disk-gen")
     disk = load_disk(args.disk)
     t_budget = cfg.get("t_budget")
@@ -333,39 +304,30 @@ def cmd_section_verify(args):
             **{k: sum(r[k] for r in recs) for k in (
                 "steps", "rejected_near_binding", "rejected_by_polish")})
     os.makedirs(args.out, exist_ok=True)
-    write_return_csv(os.path.join(args.out, "return_map_forward.csv"), fw)
-    write_return_csv(os.path.join(args.out, "return_map_backward.csv"), bw)
-    verdict["rng_seed"] = cfg.get("rng_seed", 0)
-    _write_report(args.out, "section_report.json", verdict, started,
-                  extra_files=["return_map_forward.csv",
-                               "return_map_backward.csv"],
-                  extra_meta={"return_maps": return_maps})
-    print(f"section verdict: passes={verdict['passes']} "
-          f"(timeouts {verdict['timeouts_forward']}+{verdict['timeouts_backward']},"
-          f" min transversality {verdict['min_transversality']:.4f})")
-    return 0 if verdict["passes"] else 3
+    files = ["return_map_forward.csv", "return_map_backward.csv"]
+    for name, recs in zip(files, (fw, bw)):
+        write_return_csv(os.path.join(args.out, name), recs)
+    return ("section_report.json", verdict,
+            {"files": files, "return_maps": return_maps},
+            0 if verdict["passes"] else 3,
+            f"section verdict: passes={verdict['passes']} "
+            f"(timeouts {verdict['timeouts_forward']}+{verdict['timeouts_backward']},"
+            f" min transversality {verdict['min_transversality']:.4f})")
 
 
-def cmd_binding_check(args):
-    started = time.time()
-    cfg, form = _config(args)
+def cmd_binding_check(args, cfg, form):
     db = _load_db(form, args.orbits)
     with counting() as work:
         report = check_binding(form, db, args.candidate)
-    payload = report.to_json_dict()
-    payload["rng_seed"] = cfg.get("rng_seed", 0)
-    _write_report(args.out, f"binding_orbit{args.candidate}.json", payload,
-                  started, extra_meta={"index_table": report.index_table,
-                                       "primes_integrated": report.primes_integrated,
-                                       "linking_checks": report.linking_checks,
-                                       "stepper": dict(work)})
-    print(f"binding verdict for orbit {args.candidate}: {report.verdict}")
-    return report.exit_code
+    meta = {"index_table": report.index_table,
+            "primes_integrated": report.primes_integrated,
+            "linking_checks": report.linking_checks, "stepper": dict(work)}
+    return (f"binding_orbit{args.candidate}.json", report.to_json_dict(), meta,
+            report.exit_code,
+            f"binding verdict for orbit {args.candidate}: {report.verdict}")
 
 
-def cmd_audit(args):
-    started = time.time()
-    cfg, form = _config(args)
+def cmd_audit(args, cfg, form):
     db = _load_db(form, args.orbits)
     _require_artifact(args.disk, "reeb-atlas disk-gen")
     disk = load_disk(args.disk)
@@ -374,17 +336,11 @@ def cmd_audit(args):
         raise DomainError(f"the disk spans orbit {disk.orbit_ref}, "
                           f"not the binding {args.binding}")
     report = necessity_audit(form, disk, db, args.binding)
-    payload = report.to_json_dict()
-    payload["rng_seed"] = cfg.get("rng_seed", 0)
-    _write_report(args.out, f"audit_binding{args.binding}.json", payload,
-                  started, extra_meta={"linking_checks": report.linking_checks})
-    if report.passed:
-        print("necessity audit passed")
-        return 0
-    print("NECESSITY AUDIT ALARMS (numerical inconsistency):")
-    for alarm in report.alarms:
-        print("  -", alarm)
-    return 1
+    message = "necessity audit passed" if report.passed else "\n  - ".join(
+        ["NECESSITY AUDIT ALARMS (numerical inconsistency):", *report.alarms])
+    return (f"audit_binding{args.binding}.json", report.to_json_dict(),
+            {"linking_checks": report.linking_checks},
+            0 if report.passed else 1, message)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +407,13 @@ def main(argv=None):
         parser.print_help()
         return 64
     try:
-        return args.func(args)
+        started = time.time()
+        cfg, form = _config(args)
+        name, payload, meta, code, message = args.func(args, cfg, form)
+        payload["rng_seed"] = int(cfg.get("rng_seed", 0))
+        _write_report(args.out, name, payload, started, meta)
+        print(message)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64

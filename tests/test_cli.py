@@ -275,6 +275,7 @@ def test_section_sidecar_counts_return_maps(ell_config, section_disk, workdir,
     (["disk-gen", "--theta0", "nan"], "--theta0", 64),
     (["disk-gen", "--theta0", "inf"], "--theta0", 64),
     (["section-verify", "--t-budget", "nan"], "--t-budget", 64),
+    (["disk-gen", "--ntheta", "1"], "--ntheta", 64),  # no plane to span
 ])
 def test_flags_keep_the_config_bounds(ell_config, found, section_disk,
                                       workdir, capsys, argv, flag, code):
@@ -396,12 +397,25 @@ def test_topology_commands(ell_config, found):
     assert rep["knots"][0]["status"] == "certified_unknot"
 
 
-def test_rng_seed_is_recorded(ell_config, workdir):
+def test_rng_seed_is_recorded(ell_config, found, workdir):
     out = str(workdir / "seed1")
     assert main(["orbits-find", "--config", ell_config, "--out", out,
                  "--tmax", "2", "--seeds", "4", "--rng-seed", "1"]) == 0
     with open(os.path.join(out, "orbits.json")) as fh:
         assert json.load(fh)["params"]["rng_seed"] == 1
+    # the schema's integer admits 2.0; every report records the integer 2
+    config = workdir / "float_seed.json"
+    config.write_text(json.dumps(dict(json.load(open(ell_config)),
+                                      rng_seed=2.0)))
+    out = str(workdir / "seed2")
+    assert main(["orbits-find", "--config", str(config), "--out", out,
+                 "--tmax", "2", "--seeds", "4"]) == 0
+    assert main(["selflink", "--config", str(config), "--out", out,
+                 "--orbits", os.path.join(found, "orbits.json")]) == 0
+    for name in ("orbits_report.json", "selflink.json"):
+        with open(os.path.join(out, name)) as fh:
+            seed = json.load(fh)["rng_seed"]
+        assert seed == 2 and type(seed) is int
 
 
 def test_negative_rng_seed_is_a_config_error(ell_config, workdir, capsys):
@@ -568,6 +582,73 @@ def test_malformed_config(workdir, found, ell_config):
     }))
     assert main(["orbits-find", "--config", str(unread),
                  "--out", str(workdir / "x")]) == 64
+
+    # a number past the float range is as non-finite as the literals
+    for text in ['{"form": {"type": "ellipsoid", "r_squared": [1.0, 1.5]}, '
+                 '"tmax": 1e400}',
+                 '{"form": {"type": "ellipsoid", "r_squared": [1.0, 1.5]}, '
+                 '"tmax": ' + "9" * 400 + "}",
+                 '{"form": {"type": "ellipsoid", "r_squared": [1e400, 1.5]}}']:
+        huge = workdir / "huge.json"
+        huge.write_text(text)
+        assert main(["orbits-find", "--config", str(huge),
+                     "--out", str(workdir / "x")]) == 64
+
+
+@pytest.fixture(scope="module")
+def session(ell_config, workdir):
+    # the README's nine commands, at small sizes, on a config that spells
+    # its rng_seed 0.0
+    config = workdir / "session.json"
+    config.write_text(json.dumps(dict(json.load(open(ell_config)),
+                                      rng_seed=0.0)))
+    out = str(workdir / "session")
+    orbits = ["--orbits", os.path.join(out, "orbits.json")]
+    disk = ["--disk", os.path.join(out, "disk_orbit0.json")]
+    for argv in (["orbits-find", "--seeds", "32"],
+                 ["orbit-index", *orbits, "--orbit", "0"],
+                 ["link", *orbits], ["selflink", *orbits], ["unknot", *orbits],
+                 ["disk-gen", *orbits, "--orbit", "0", "--ntheta", "48"],
+                 ["section-verify", *disk, "--seeds", "4",
+                  "--t-budget", "44.43"],
+                 ["binding-check", *orbits, "--candidate", "0"],
+                 ["audit", *orbits, *disk, "--binding", "0"]):
+        assert main(argv[:1] + ["--config", str(config), "--out", out]
+                    + argv[1:]) == 0, argv[0]
+    return out
+
+
+# per command, its report and the keys its sidecar holds beyond the four that
+# every sidecar holds
+PROTOCOL = {
+    "orbits-find": ("orbits_report.json", {"files", "funnel", "drop_reasons"}),
+    "orbit-index": ("index_orbit0.json", {"resolution"}),
+    "link": ("links.json", {"linking_checks"}),
+    "selflink": ("selflink.json", set()),
+    "unknot": ("unknot.json", set()),
+    "disk-gen": ("disk_orbit0_report.json", {"files"}),
+    "section-verify": ("section_report.json", {"files", "return_maps"}),
+    "binding-check": ("binding_orbit0.json", {
+        "index_table", "primes_integrated", "linking_checks", "stepper"}),
+    "audit": ("audit_binding0.json", {"linking_checks"}),
+}
+
+
+@pytest.mark.parametrize("command", PROTOCOL)
+def test_every_report_keeps_the_protocol(session, command):
+    # every report records the integer rng_seed, and its sidecar holds the
+    # report's name, the version and the times, plus the command's own keys
+    name, extras = PROTOCOL[command]
+    with open(os.path.join(session, name)) as fh:
+        seed = json.load(fh)["rng_seed"]
+    assert seed == 0 and type(seed) is int
+    with open(os.path.join(session, name + ".meta.json")) as fh:
+        meta = json.load(fh)
+    assert set(meta) == {"report", "version", "wall_seconds",
+                         "written_at"} | extras
+    assert meta["report"] == name
+    for extra in meta.get("files", []):
+        assert os.path.exists(os.path.join(session, extra))
 
 
 def test_config_error_names_pointer(workdir, capsys):

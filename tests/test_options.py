@@ -21,7 +21,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 CALLERS = MODULES + sorted(Path(__file__).parent.glob("*.py"))
 
 
-MAX_DEFAULTED = 29
+MAX_DEFAULTED = 27
 
 _NOT_LITERAL = object()
 
