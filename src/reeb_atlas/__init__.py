@@ -11,9 +11,9 @@ of all of it.
 
 __version__ = "0.1.0"
 
-from .contact import StarForm, XiFrame, reeb_vector, xi_frame, xi_project
+from .contact import StarForm, XiFrame, reeb_vector, xi_frame
 from .errors import ReebAtlasError
-from .flow import FlowResult, integrate_flow, monodromy_xi
+from .flow import FlowResult, integrate_flow
 from .orbits import OrbitDatabase, ReebOrbit, find_orbits, refine_orbit
 
 __all__ = [
@@ -22,11 +22,9 @@ __all__ = [
     "XiFrame",
     "reeb_vector",
     "xi_frame",
-    "xi_project",
     "ReebAtlasError",
     "FlowResult",
     "integrate_flow",
-    "monodromy_xi",
     "ReebOrbit",
     "OrbitDatabase",
     "find_orbits",

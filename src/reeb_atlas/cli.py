@@ -30,6 +30,28 @@ from .orbits import find_orbits, load_orbits, save_orbits
 from .sections import (builtin_disk, load_disk, save_disk,
                        verify_global_section, write_return_csv)
 
+# per form type, the key that encodes it: a form holds its type, that key
+# and optionally a name, and no other key
+FORM_KEYS = {
+    "ellipsoid": {"r_squared": {
+        "type": "array", "minItems": 2, "maxItems": 2,
+        "items": {"type": "number", "exclusiveMinimum": 0},
+    }},
+    "weighted": {"monomials": {
+        "type": "array", "minItems": 1,
+        "items": {
+            "type": "object",
+            "required": ["exp", "coeff"],
+            "properties": {
+                "exp": {
+                    "type": "array", "minItems": 4, "maxItems": 4,
+                    "items": {"type": "integer", "minimum": 0},
+                },
+                "coeff": {"type": "number"},
+            },
+        },
+    }},
+}
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["form"],
@@ -38,28 +60,14 @@ CONFIG_SCHEMA = {
         "form": {
             "type": "object",
             "required": ["type"],
-            "properties": {
-                "type": {"enum": ["ellipsoid", "weighted"]},
-                "r_squared": {
-                    "type": "array", "minItems": 2, "maxItems": 2,
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "monomials": {
-                    "type": "array", "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "required": ["exp", "coeff"],
-                        "properties": {
-                            "exp": {
-                                "type": "array", "minItems": 4, "maxItems": 4,
-                                "items": {"type": "integer", "minimum": 0},
-                            },
-                            "coeff": {"type": "number"},
-                        },
-                    },
-                },
-                "name": {"type": "string"},
-            },
+            "properties": {"type": {"enum": list(FORM_KEYS)}},
+            "allOf": [{
+                "if": {"required": ["type"],
+                       "properties": {"type": {"const": kind}}},
+                "then": {"required": list(keys), "additionalProperties": False,
+                         "properties": {"type": True, "name": {"type": "string"},
+                                        **keys}},
+            } for kind, keys in FORM_KEYS.items()],
         },
         "tmax": {"type": "number", "exclusiveMinimum": 0},
         "seeds": {"type": "integer", "minimum": 1},
@@ -102,6 +110,8 @@ def load_config(path):
         path = list(err.absolute_path)
         if err.validator == "additionalProperties":
             path.append(min(set(err.instance) - set(err.schema["properties"])))
+        if err.validator == "required":
+            path.append(min(set(err.validator_value) - set(err.instance)))
         raise ConfigError(err.message, "/" + "/".join(map(str, path)))
     form = StarForm.from_json_dict(raw["form"])
     return raw, form
@@ -155,7 +165,7 @@ def _jsonify(obj):
 
 
 def _require_artifact(path, producer):
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise MissingArtifactError(path, producer)
 
 

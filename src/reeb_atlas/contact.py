@@ -33,7 +33,6 @@ __all__ = [
     "project_to_sigma",
     "reeb_vector",
     "xi_frame",
-    "xi_project",
     "xi_projector",
     "sphere_samples",
 ]
@@ -184,21 +183,6 @@ class StarForm:
             return cls.weighted(parsed, name=name)
         raise DomainError(f"unknown form type {kind!r}")
 
-    def to_json_dict(self):
-        if self.kind == "ellipsoid":
-            out = {"type": "ellipsoid", "r_squared": [float(v) for v in self.r_squared]}
-        else:
-            out = {
-                "type": "weighted",
-                "monomials": [
-                    {"exp": [int(e) for e in ex], "coeff": float(c)}
-                    for ex, c in zip(self.exps, self.coeffs)
-                ],
-            }
-        if self.name:
-            out["name"] = self.name
-        return out
-
     @property
     def form_hash(self):
         """Census key of the form: a digest of its encoding.  The ellipsoid
@@ -318,13 +302,12 @@ def xi_projector(form, x):
 class XiFrame:
     """Symplectic frames (e1, e2) of the contact plane at points.
 
-    ``point``, ``e1`` and ``e2`` have shape (..., 4).  lambda0 and dH vanish
-    on both vectors, dlambda0(e1, e2) = 1 exactly after normalization, and
-    e1 is Euclidean-orthogonal to e2 with equal norms, so the induced complex
+    ``e1`` and ``e2`` have shape (..., 4).  lambda0 and dH vanish on both
+    vectors, dlambda0(e1, e2) = 1 exactly after normalization, and e1 is
+    Euclidean-orthogonal to e2 with equal norms, so the induced complex
     structure (e1 -> e2) is the standard one in frame coordinates.
     """
 
-    point: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
 
@@ -335,66 +318,39 @@ class XiFrame:
 
 
 # quaternion units j and k acting on x = (q1, p1, q2, p2): index and sign maps
-_QUAT = {
-    "j": (np.array([2, 3, 0, 1]), np.array([-1.0, 1.0, 1.0, -1.0])),
-    "k": (np.array([3, 2, 1, 0]), np.array([-1.0, -1.0, 1.0, 1.0])),
-}
+_J_IDX, _J_SIGN = np.array([2, 3, 0, 1]), np.array([-1.0, 1.0, 1.0, -1.0])
+_K_IDX, _K_SIGN = np.array([3, 2, 1, 0]), np.array([-1.0, -1.0, 1.0, 1.0])
+# smallest norm of a frame generator, and of dlambda0(f1, f2), before scaling
+_FRAME_MIN_NORM = 1e-6
 
 
-def _quat(unit, x):
-    idx, sign = _QUAT[unit]
-    return sign * np.take(x, idx, axis=-1)
-
-
-def _frame_norm(x, n, min_norm):
-    k = _first_row(n < min_norm)
+def _frame_norm(x, n):
+    k = _first_row(n < _FRAME_MIN_NORM)
     if k is not None:
         raise FrameDegeneracyError(np.reshape(x, (-1, 4))[k], n.flat[k])
     return n[..., None]
 
 
-def xi_frame(form, x, generator="j", _min_norm=1e-6):
+def xi_frame(form, x):
     """Global symplectic frame of the contact plane at points x.
 
     The quaternion fields j*xhat and k*xhat are projected symplectically
     onto the contact plane (the omega-orthogonal complement of the plane
-    spanned by x/2 and R), Gram-Schmidt orthonormalized, and rescaled so
-    dlambda0(e1, e2) = 1.  ``generator="k"`` starts from k*xhat instead,
-    giving a second global frame in the same homotopy class; downstream
-    integer invariants must not depend on the choice.  A point off the
-    level by more than 1e-7 raises ``OffLevelError``.
+    spanned by x/2 and R), Gram-Schmidt orthonormalized in that order, and
+    rescaled so dlambda0(e1, e2) = 1.  A point off the level by more than
+    1e-7 raises ``OffLevelError``.
     """
-    if generator not in _QUAT:
-        raise DomainError(f"unknown frame generator {generator!r}")
     x = np.asarray(x, dtype=float)
     _check_on_level(form, x)
     proj = xi_projector(form, x)
     xh = x / kernels.norm(x)[..., None]
-    other = "k" if generator == "j" else "j"
-    u1, u2 = proj(_quat(generator, xh)), proj(_quat(other, xh))
+    u1, u2 = proj(_J_SIGN * xh[..., _J_IDX]), proj(_K_SIGN * xh[..., _K_IDX])
 
-    f1 = u1 / _frame_norm(x, kernels.norm(u1), _min_norm)
+    f1 = u1 / _frame_norm(x, kernels.norm(u1))
     u2 = u2 - np.vecdot(u2, f1)[..., None] * f1
-    f2 = u2 / _frame_norm(x, kernels.norm(u2), _min_norm)
+    f2 = u2 / _frame_norm(x, kernels.norm(u2))
     c = omega_form(f1, f2)
-    _frame_norm(x, np.abs(c), _min_norm)
+    _frame_norm(x, np.abs(c))
     f2 = np.where(c[..., None] < 0, -f2, f2)
     scale = 1.0 / np.sqrt(np.abs(c))[..., None]
-    return XiFrame(point=x, e1=f1 * scale, e2=f2 * scale)
-
-
-def xi_project(form, x, v):
-    """Coordinates of the contact-plane projection of a tangent vector.
-
-    The projection is ``xi_projector``; on vectors tangent to the level it
-    kills the Reeb direction: pi(v) = v - lambda0(v) R.  Requires v tangent
-    to the level at x, |dH(v)| <= 1e-9 max(1, |v|) |grad H|; the coordinates
-    are taken in ``xi_frame(form, x)``.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    gH = form.grad_H(x)
-    if np.any(np.abs(np.vecdot(gH, v))
-              > 1e-9 * np.maximum(1.0, kernels.norm(v)) * kernels.norm(gH)):
-        raise DomainError("vector is not tangent to the level within tolerance")
-    return xi_frame(form, x).coords(xi_projector(form, x)(v))
+    return XiFrame(e1=f1 * scale, e2=f2 * scale)

@@ -60,20 +60,19 @@ _PRIMES = contextvars.ContextVar("reeb_atlas_primes", default=None)
 
 @dataclass
 class SymplecticPath:
-    """Sampled path of 2x2 symplectic matrices on [0,1] with phi(0) = I."""
+    """Path of 2x2 symplectic matrices with phi(0) = I, sampled on the
+    uniform grid of N + 1 points of [0, 1], both endpoints included."""
 
-    times: np.ndarray  # (N+1,) uniform grid including both endpoints
     mats: np.ndarray   # (N+1, 2, 2)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
         self.mats = np.asarray(self.mats, dtype=float)
-        if self.mats.shape[0] != self.times.shape[0] or self.mats.shape[1:] != (2, 2):
+        if self.mats.ndim != 3 or self.mats.shape[1:] != (2, 2):
             raise DomainError("path samples must be (N+1, 2, 2)")
 
     @property
     def n_steps(self):
-        return len(self.times) - 1
+        return len(self.mats) - 1
 
     @property
     def endpoint(self):
@@ -240,7 +239,7 @@ def trivialized_path(form, orbit, n_min):
     n = int(n_min)
     while True:
         mats, frame_angle = _path_samples(form, orbit, flow, n)
-        path = SymplecticPath(times=np.linspace(0.0, 1.0, n + 1), mats=mats)
+        path = SymplecticPath(mats=mats)
         jumps = np.linalg.norm(np.diff(mats, axis=0), axis=(1, 2))
         if frame_angle < np.pi / 4 and jumps.max() < STEP_GUARD:
             break
@@ -498,33 +497,32 @@ def orbit_index_report(form, orbit, n_grid=1024):
         report["degenerate_flags"].append("monodromy eigenvalue within 1e-6 of 1")
         return report
     resolution = report["resolution"]
-    with prime_table():
-        fresh = prime_data(orbit).flow is None
-        try:
-            path = trivialized_path(form, orbit, n_grid)
-            resolution.update(integrated_span=orbit.T_min if fresh else 0.0,
-                              path_samples=path.n_steps + 1)
-            if path.n_steps != n_grid:
-                raise ResolutionError(
-                    f"n_grid={n_grid} under-resolves this orbit; use at least "
-                    f"{path.n_steps}"
-                )
-            interval = rotation_interval(path)
-            report["interval"] = [interval.lo, interval.hi]
-            mu_geo, flagged = cz_from_interval(interval)
-            if flagged:
-                report["degenerate_flags"].append(
-                    "rotation interval endpoint near integer")
-            else:
-                report["mu_geometric"] = mu_geo
-            data = asymptotic_spectrum(orbit, path, interval.turns)
-            resolution["K"] = data.K
-            report["nu_neg"] = data.nu_neg
-            report["wind_nu_neg"] = data.wind_nu_neg
-            report["p"] = data.p
-            report["mu_spectral"] = cz_from_spectrum(data)
-        except DegenerateOrbitError as exc:
-            report["degenerate_flags"].append(str(exc))
+    fresh = prime_data(orbit).flow is None
+    try:
+        path = trivialized_path(form, orbit, n_grid)
+        resolution.update(integrated_span=orbit.T_min if fresh else 0.0,
+                          path_samples=path.n_steps + 1)
+        if path.n_steps != n_grid:
+            raise ResolutionError(
+                f"n_grid={n_grid} under-resolves this orbit; use at least "
+                f"{path.n_steps}"
+            )
+        interval = rotation_interval(path)
+        report["interval"] = [interval.lo, interval.hi]
+        mu_geo, flagged = cz_from_interval(interval)
+        if flagged:
+            report["degenerate_flags"].append(
+                "rotation interval endpoint near integer")
+        else:
+            report["mu_geometric"] = mu_geo
+        data = asymptotic_spectrum(orbit, path, interval.turns)
+        resolution["K"] = data.K
+        report["nu_neg"] = data.nu_neg
+        report["wind_nu_neg"] = data.wind_nu_neg
+        report["p"] = data.p
+        report["mu_spectral"] = cz_from_spectrum(data)
+    except DegenerateOrbitError as exc:
+        report["degenerate_flags"].append(str(exc))
     if (report["mu_geometric"] is not None and report["mu_spectral"] is not None
             and report["mu_geometric"] != report["mu_spectral"]):
         raise InconsistencyError(

@@ -28,7 +28,6 @@ __all__ = [
     "FlowResult",
     "integrate_batch",
     "integrate_flow",
-    "monodromy_xi",
     "counting",
 ]
 
@@ -91,10 +90,6 @@ class FlowResult:
                 out *= x if j % 2 == 0 else 1 - x
             out += self.states[idx]
         return out[0] if t.ndim == 0 else out
-
-    @property
-    def points(self):
-        return self.states[:, :4]
 
     @property
     def endpoint(self):
@@ -237,12 +232,12 @@ def integrate_batch(form, x0, t_final, tol=1e-10, variational=False,
     return out
 
 
-def integrate_flow(form, x0, t_final, tol=1e-10, variational=False,
-                   dense=False):
-    """``integrate_batch`` from the one point ``x0`` (4,); raises the row's
-    exception (``OffLevelError``, ``DomainError``, ``StiffnessError``)."""
+def integrate_flow(form, x0, t_final, tol=1e-10, dense=False):
+    """The plain or dense ``integrate_batch`` run from the one point ``x0``
+    (4,); raises the row's exception (``OffLevelError``, ``DomainError``,
+    ``StiffnessError``)."""
     res, = integrate_batch(form, np.asarray(x0, dtype=float)[None], t_final,
-                           tol, variational, dense=dense)
+                           tol, dense=dense)
     if isinstance(res, Exception):
         raise res
     return res
@@ -275,7 +270,14 @@ def lockstep(rows, kinds, serve):
 
 
 def xi_period_map(form, x0, res, closure_tol):
-    """``monodromy_xi`` from its variational run ``res`` from ``x0``."""
+    """Linearized period map restricted to the contact plane, from the
+    variational run ``res`` from ``x0`` to the period T.
+
+    Returns the 2x2 matrix of dphi_T on the contact plane, expressed in the
+    global frame at the (common) start and end point.  Requires the point to
+    be T-periodic within ``closure_tol``; determinant is 1 up to integration
+    error.
+    """
     end, M = res.endpoint, res.monodromy_end
     gap = np.linalg.norm(end - x0)
     if gap > closure_tol:
@@ -285,16 +287,3 @@ def xi_period_map(form, x0, res, closure_tol):
     fr = xi_frame(form, x0)
     w = xi_projector(form, x0)(np.stack([M @ fr.e1, M @ fr.e2]))
     return fr.coords(w).T
-
-
-def monodromy_xi(form, orbit_point, T, closure_tol=1e-6):
-    """Linearized period map restricted to the contact plane.
-
-    Returns the 2x2 matrix of dphi_T on the contact plane, expressed in the
-    global frame at the (common) start and end point, from one variational
-    integration at tol 1e-12.  Requires the point to be T-periodic within
-    ``closure_tol``; determinant is 1 up to integration error.
-    """
-    x0 = np.asarray(orbit_point, dtype=float)
-    return xi_period_map(form, x0, integrate_flow(
-        form, x0, T, tol=1e-12, variational=True), closure_tol)

@@ -71,6 +71,8 @@ POLE_CANDIDATES = _pole_candidates()  # 26 fixed directions, tried in order
 _POLE_MIN_DIST = 1e-2
 # curves closer than this have no reliable linking number
 _MIN_CURVE_DIST = 1e-3
+# pushoff size of the self-linking number, checked against its half
+_PUSHOFF = 1e-2
 # crossings of shadow segments this close to parallel (relative to their
 # lengths) make a projection non-generic
 _TANGENT_TOL = 1e-9
@@ -279,24 +281,24 @@ def crossing_linking(a3, b3):
 # self-linking number via pushoff along the global frame
 # ---------------------------------------------------------------------------
 
-def self_linking(form, trace, eps=1e-2, frame_vector="e1"):
+def self_linking(form, trace):
     """Self-linking number of an orbit from its (N, 4) trace: linking with
-    its pushoff along a global non-vanishing section of the contact plane.
+    its pushoff along ``xi_frame``'s e1, a global non-vanishing section of
+    the contact plane, at size ``_PUSHOFF``.
 
     The result must be stable under halving the pushoff size, otherwise the
     pushoff was too large for the curve's geometry and an error is raised.
     """
-    fr = xi_frame(form, trace)
-    sections = fr.e1 if frame_vector == "e1" else fr.e2
+    e1 = xi_frame(form, trace).e1
 
     def lk_at(e):
-        pushed = project_to_sigma(form, trace + e * sections)
+        pushed = project_to_sigma(form, trace + e * e1)
         lk, _ = linking_number(trace, pushed,
                                min_dist=min(_MIN_CURVE_DIST, 0.2 * e))
         return lk
 
-    sl = lk_at(eps)
-    sl_half = lk_at(eps / 2.0)
+    sl = lk_at(_PUSHOFF)
+    sl_half = lk_at(_PUSHOFF / 2.0)
     if sl_half != sl:
         raise ResolutionError(
             f"self-linking unstable under pushoff halving: {sl} vs {sl_half}"

@@ -532,18 +532,28 @@ def save_orbits(db, path):
 
 
 def load_orbits(form, path):
-    """Read a census; every orbit must re-close within 1e-9 at T_min."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("form_hash") != form.form_hash:
-        raise DomainError("orbit database was built for a different form")
-    orbits = [ReebOrbit(x0=np.array(rec["x0"], dtype=float),
-                        T_min=float(rec["T_min"]),
-                        multiplicity=int(rec["multiplicity"]),
-                        monodromy=np.array(rec["monodromy"], dtype=float),
-                        nondeg_class=rec["class"],
-                        residual=float(rec["residual"]))
-              for rec in payload["orbits"]]
+    """Read a census; every orbit must re-close within 1e-9 at T_min.  A file
+    that does not parse as a census raises ``DomainError`` naming it."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if payload.get("form_hash") != form.form_hash:
+            raise DomainError("orbit database was built for a different form")
+        orbits = [ReebOrbit(x0=np.array(rec["x0"], dtype=float),
+                            T_min=float(rec["T_min"]),
+                            multiplicity=int(rec["multiplicity"]),
+                            monodromy=np.array(rec["monodromy"], dtype=float),
+                            nondeg_class=rec["class"],
+                            residual=float(rec["residual"]))
+                  for rec in payload["orbits"]]
+        if any(o.x0.shape != (4,) or o.monodromy.shape != (2, 2)
+               or o.multiplicity < 1 for o in orbits):
+            raise ValueError("an entry's x0, monodromy or multiplicity is "
+                             "out of shape")
+        params = payload.get("params", {})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed orbit census {path}: "
+                          f"{type(exc).__name__}: {exc}") from exc
     # every closure in one batched integration at refine_orbit's tolerance
     ends = integrate_batch(form, np.reshape([o.x0 for o in orbits], (-1, 4)),
                            [o.T_min for o in orbits], tol=1e-12)
@@ -555,5 +565,4 @@ def load_orbits(form, path):
             raise DomainError(
                 f"orbit failed closure re-verification: {gap:.3e}"
             )
-    return OrbitDatabase(form_hash=payload["form_hash"], orbits=orbits,
-                         params=payload.get("params", {}))
+    return OrbitDatabase(form_hash=form.form_hash, orbits=orbits, params=params)

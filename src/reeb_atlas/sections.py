@@ -21,7 +21,8 @@ from scipy.spatial import cKDTree
 from . import kernels
 from .contact import (complement_basis, omega_form, project_to_sigma,
                       reeb_vector, xi_frame, xi_projector)
-from .errors import DomainError, GridQualityError, ResolutionError
+from .errors import (DomainError, GridQualityError, MissingArtifactError,
+                     ResolutionError)
 from .flow import integrate_batch, lockstep
 from .orbits import trace_orbit
 
@@ -702,12 +703,10 @@ def verify_global_section(form, disk, n_seeds, t_budget):
     if n_seeds < 1:
         raise DomainError("a section verdict needs at least one seed")
     min_det, sign_constant = transversality_check(form, disk)
-    index = _DiskIndex(form, disk)
     seeds = disk_seeds(n_seeds)
     # both directions of every seed in one lockstep search
     both = return_map(form, disk, np.concatenate([seeds, seeds]), t_budget,
-                      ["forward"] * n_seeds + ["backward"] * n_seeds,
-                      index=index)
+                      ["forward"] * n_seeds + ["backward"] * n_seeds)
     fw, bw = both[:n_seeds], both[n_seeds:]
     t_f = sum(1 for r in fw if r["timeout"])
     t_b = sum(1 for r in bw if r["timeout"])
@@ -754,18 +753,30 @@ def save_disk(disk, path_json):
 
 
 def load_disk(path_json):
+    """Read a disk file; a missing CSV block raises ``MissingArtifactError``,
+    a header or block that does not parse ``DomainError``, each naming its
+    file."""
     import os
 
-    with open(path_json) as fh:
-        header = json.load(fh)
-    csv_path = os.path.join(os.path.dirname(str(path_json)),
-                            header["points_csv"])
-    pts = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    n_r, n_t = int(header["n_r"]), int(header["n_theta"])
+    try:
+        with open(path_json) as fh:
+            header = json.load(fh)
+        csv_path = os.path.join(os.path.dirname(str(path_json)),
+                                header["points_csv"])
+        n_r, n_t = int(header["n_r"]), int(header["n_theta"])
+        orbit_ref = header.get("orbit_ref")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed disk header {path_json}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    if not os.path.isfile(csv_path):
+        raise MissingArtifactError(csv_path, "reeb-atlas disk-gen")
+    try:
+        pts = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    except ValueError as exc:
+        raise DomainError(f"malformed disk CSV block {csv_path}: {exc}") from exc
     if pts.shape != ((n_r + 1) * n_t, 4):
         raise DomainError("disk CSV block does not match the header shape")
-    return DiskGrid(samples=pts.reshape(n_r + 1, n_t, 4),
-                    orbit_ref=header.get("orbit_ref"))
+    return DiskGrid(samples=pts.reshape(n_r + 1, n_t, 4), orbit_ref=orbit_ref)
 
 
 def write_return_csv(path, records):

@@ -1,6 +1,9 @@
 """Test oracles and fixtures: code that only the tests run.
 
-The round sphere, frame vectors from frame coordinates, the weighted
+The round sphere, the JSON wire format of a form, frame vectors from frame
+coordinates, the contact-plane projection in frame coordinates, the
+linearized period map on the contact plane, the linking number of a trace
+with one pushoff along either frame vector, the weighted
 Hamiltonian's derivatives by the chain rule through x/|x|, synthetic
 symplectic paths with known indices and their non-degeneracy, the Maslov
 index of a loop, the rotation interval on a grid of directions, the spectrum
@@ -23,16 +26,18 @@ from collections import Counter
 import numpy as np
 
 from reeb_atlas import kernels, orbits
-from reeb_atlas.contact import OMEGA, StarForm, omega_form, project_to_sigma
+from reeb_atlas.contact import (OMEGA, StarForm, omega_form, project_to_sigma,
+                                xi_frame, xi_projector)
 from reeb_atlas.cz import (J0, STEP_GUARD, SymplecticPath,
                            _assert_iterate_relations, asymptotic_spectrum,
                            cz_from_interval, rotation_interval,
                            trivialized_path)
 from reeb_atlas.errors import (DomainError, GridQualityError, RefinementError,
                                ResolutionError)
-from reeb_atlas.flow import integrate_batch, integrate_flow, monodromy_xi
+from reeb_atlas.flow import integrate_batch, integrate_flow, xi_period_map
 from reeb_atlas.kernels import _GAUSS_CHUNK, _HESS_BLOCK, _I, _J
-from reeb_atlas.linking import _height, _segment_pairs, _shadow
+from reeb_atlas.linking import (_MIN_CURVE_DIST, _height, _segment_pairs,
+                                _shadow, linking_number)
 from reeb_atlas.sections import DiskGrid, _DiskIndex, _first_crossing
 
 
@@ -47,6 +52,51 @@ def lambda0(x, v):
 
 def round_sphere():
     return StarForm.ellipsoid(1.0, 1.0, name="round-sphere")
+
+
+def form_json(form):
+    """The JSON wire format of a form, as ``StarForm.from_json_dict`` reads
+    it."""
+    if form.kind == "ellipsoid":
+        out = {"type": "ellipsoid", "r_squared": [float(v) for v in form.r_squared]}
+    else:
+        out = {
+            "type": "weighted",
+            "monomials": [
+                {"exp": [int(e) for e in ex], "coeff": float(c)}
+                for ex, c in zip(form.exps, form.coeffs)
+            ],
+        }
+    if form.name:
+        out["name"] = form.name
+    return out
+
+
+def xi_project(form, x, v):
+    """Frame coordinates of the contact-plane projection of vectors v at the
+    level points x, in ``xi_frame(form, x)``; on a vector tangent to the
+    level the projection kills the Reeb direction: pi(v) = v - lambda0(v) R."""
+    return xi_frame(form, x).coords(xi_projector(form, x)(v))
+
+
+def monodromy_xi(form, orbit_point, T, closure_tol=1e-6):
+    """The 2x2 linearized period map on the contact plane in the global frame
+    at a T-periodic point, from one variational run at tol 1e-12."""
+    x0 = np.asarray(orbit_point, dtype=float)
+    run, = integrate_batch(form, x0[None], T, tol=1e-12, variational=True)
+    if isinstance(run, Exception):
+        raise run
+    return xi_period_map(form, x0, run, closure_tol)
+
+
+def pushoff_linking(form, trace, eps, vector):
+    """Linking number of an (N, 4) trace with its pushoff of size ``eps``
+    along ``xi_frame``'s ``vector`` ("e1" or "e2"): ``self_linking`` at one
+    pushoff size, without its halving check."""
+    section = getattr(xi_frame(form, trace), vector)
+    pushed = project_to_sigma(form, trace + eps * section)
+    lk, _ = linking_number(trace, pushed, min_dist=min(_MIN_CURVE_DIST, 0.2 * eps))
+    return lk
 
 
 def embed(frame, ab):
@@ -125,18 +175,19 @@ def chain_rule_h_parts(form, x, order):
 # synthetic paths (model cases and property-suite fixtures)
 # ---------------------------------------------------------------------------
 
-def _grid(n):
+def grid(n):
+    """The N + 1 sample times of an N-step ``SymplecticPath``."""
     return np.linspace(0.0, 1.0, n + 1)
 
 
 def pure_rotation_path(turns, n=512):
     """phi(t) = rotation by 2 pi * turns * t."""
-    th = 2.0 * np.pi * turns * _grid(n)
+    th = 2.0 * np.pi * turns * grid(n)
     mats = np.stack([
         np.stack([np.cos(th), -np.sin(th)], axis=-1),
         np.stack([np.sin(th), np.cos(th)], axis=-1),
     ], axis=-2)
-    return SymplecticPath(times=_grid(n), mats=mats)
+    return SymplecticPath(mats=mats)
 
 
 def nondegenerate(path, tol):
@@ -146,11 +197,11 @@ def nondegenerate(path, tol):
 
 def hyperbolic_path(rate):
     """phi(t) = diag(e^{rate t}, e^{-rate t}) on a 512-step grid."""
-    ts = _grid(512)
+    ts = grid(512)
     mats = np.zeros((513, 2, 2))
     mats[:, 0, 0] = np.exp(rate * ts)
     mats[:, 1, 1] = np.exp(-rate * ts)
-    return SymplecticPath(times=ts, mats=mats)
+    return SymplecticPath(mats=mats)
 
 
 def _expm_traceless(M):
@@ -188,7 +239,7 @@ def _integrate_generator(coef_fn, n):
     for i in range(n):
         phi = steps[i] @ phi
         mats[i + 1] = phi
-    return SymplecticPath(times=_grid(n), mats=mats)
+    return SymplecticPath(mats=mats)
 
 
 def random_nondegenerate_path(rng):
@@ -223,8 +274,7 @@ def random_loop(rng, maslov, n=512):
     """Random smooth loop at the identity with the given Maslov number; its
     bump amplitudes are normal with scale 0.5."""
     base = pure_rotation_path(maslov, n)
-    ts = _grid(n)
-    bump = np.sin(np.pi * ts) ** 2
+    bump = np.sin(np.pi * grid(n)) ** 2
     a = rng.normal(scale=0.5, size=2)
     gens = np.zeros((n + 1, 2, 2))
     gens[:, 0, 0] = bump * a[0]
@@ -234,31 +284,30 @@ def random_loop(rng, maslov, n=512):
     mats = base.mats @ _expm_traceless(gens)
     mats[0] = np.eye(2)
     mats[-1] = np.eye(2)
-    return SymplecticPath(times=ts, mats=mats)
+    return SymplecticPath(mats=mats)
 
 
 def compose_paths(psi, phi):
     """Pointwise product (psi phi)(t) = psi(t) phi(t) on a common grid."""
     if psi.n_steps != phi.n_steps:
         raise DomainError("paths must share the sample grid")
-    return SymplecticPath(times=phi.times, mats=psi.mats @ phi.mats)
+    return SymplecticPath(mats=psi.mats @ phi.mats)
 
 
 def invert_path(phi):
-    return SymplecticPath(times=phi.times, mats=np.linalg.inv(phi.mats))
+    return SymplecticPath(mats=np.linalg.inv(phi.mats))
 
 
 def path_power(phi, k):
     """Path of the k-th iterate: t -> phi(kt mod 1) phi(1)^{floor(kt)}."""
     n = phi.n_steps
-    ts = _grid(n * k)
     powers = [np.eye(2)]  # phi(1)^block
     for _ in range(k - 1):
         powers.append(phi.endpoint @ powers[-1])
     powers = np.stack(powers)[:, None]
     mats = np.concatenate([(phi.mats[:n] @ powers).reshape(-1, 2, 2),
                            phi.mats[n:] @ powers[-1]])
-    return SymplecticPath(times=ts, mats=mats)
+    return SymplecticPath(mats=mats)
 
 
 # ---------------------------------------------------------------------------

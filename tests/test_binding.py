@@ -7,7 +7,7 @@ from reeb_atlas import binding, cz
 from reeb_atlas.binding import check_binding, necessity_audit
 from reeb_atlas.errors import (DegenerateOrbitError, ProximityError,
                                ResolutionError)
-from reeb_atlas.flow import integrate_flow
+from reeb_atlas.flow import integrate_batch, integrate_flow
 from reeb_atlas.orbits import OrbitDatabase, find_orbits, trace_orbit
 
 
@@ -103,7 +103,7 @@ def test_binding_integrates_each_prime_once(ell, db20, monkeypatch):
     assert sorted(zip(T, map(tuple, x0))) == sorted(primes)
     assert kwargs == {"tol": 1e-12, "variational": True, "dense": True}
     for x, t, res in zip(x0, T, out):
-        one = integrate_flow(ell, x, t, **kwargs)
+        one, = integrate_batch(ell, [x], t, **kwargs)
         for name in ("times", "states", "F"):
             assert np.array_equal(getattr(res, name), getattr(one, name)), name
     assert rep.primes_integrated == 2
@@ -220,7 +220,7 @@ def db3(ell, db20):
     # db20 and a third prime: gamma2 marked at another point, which the prime
     # table keys apart from gamma2
     g2 = db20[_entry_id(db20, np.sqrt(2) * np.pi, 1)]
-    x0 = integrate_flow(ell, g2.x0, g2.T_min / 3, tol=1e-12).points[-1]
+    x0 = integrate_flow(ell, g2.x0, g2.T_min / 3, tol=1e-12).endpoint
     return OrbitDatabase(db20.form_hash,
                          db20.orbits + [dataclasses.replace(g2, x0=x0)],
                          db20.params)

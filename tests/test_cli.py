@@ -11,6 +11,8 @@ from reeb_atlas.cli import main
 from reeb_atlas.orbits import load_orbits, trace_orbit
 from reeb_atlas.sections import load_disk, save_disk
 
+from oracles import form_json
+
 SQ2 = np.sqrt(2.0)
 
 
@@ -462,7 +464,7 @@ def three_primes(ell_config, found, workdir):
     _, form = load_config(ell_config)
     db = load_orbits(form, os.path.join(found, "orbits.json"))
     g2 = db[1]
-    x0 = integrate_flow(form, g2.x0, g2.T_min / 3, tol=1e-12).points[-1]
+    x0 = integrate_flow(form, g2.x0, g2.T_min / 3, tol=1e-12).endpoint
     db.orbits.append(dataclasses.replace(g2, x0=x0))
     path = str(workdir / "three_primes.json")
     save_orbits(db, path)
@@ -594,6 +596,17 @@ def test_malformed_config(workdir, found, ell_config):
         assert main(["orbits-find", "--config", str(huge),
                      "--out", str(workdir / "x")]) == 64
 
+    # a form key is checked like a top-level key: one the form's type does
+    # not read, the other type's key, or a missing key of its own
+    for form in ({"type": "ellipsoid", "r_squared": [1.0, SQ2], "colour": "red"},
+                 {"type": "ellipsoid", "r_squared": [1.0, SQ2],
+                  "monomials": [{"exp": [0, 0, 0, 0], "coeff": -1.0}]},
+                 {"type": "ellipsoid", "r_sqared": [1.0, SQ2]}):
+        bad_form = workdir / "bad_form.json"
+        bad_form.write_text(json.dumps({"form": form}))
+        assert main(["orbits-find", "--config", str(bad_form),
+                     "--out", str(workdir / "x")]) == 64
+
 
 @pytest.fixture(scope="module")
 def session(ell_config, workdir):
@@ -657,6 +670,16 @@ def test_config_error_names_pointer(workdir, capsys):
          "/form/r_squared/1"),
         ({"form": {"type": "ellipsoid", "r_squared": [1.0, SQ2]},
           "tolerances": {"closure": 1e-8}}, "/tolerances"),
+        ({"form": {"type": "ellipsoid", "r_squared": [1.0, SQ2],
+                   "colour": "red"}}, "/form/colour"),
+        ({"form": {"type": "ellipsoid", "r_squared": [1.0, SQ2],
+                   "monomials": [{"exp": [0, 0, 0, 0], "coeff": -1.0}]}},
+         "/form/monomials"),
+        ({"form": {"type": "ellipsoid", "r_sqared": [1.0, SQ2]}},
+         "/form/r_squared"),
+        ({"form": {"type": "weighted", "name": "w"}}, "/form/monomials"),
+        ({"form": {"type": "torus", "r_squared": [1.0, SQ2]}}, "/form/type"),
+        ({"form": {"r_squared": [1.0, SQ2]}}, "/form/type"),
     ]
     for config, pointer in cases:
         bad = workdir / "bad2.json"
@@ -664,6 +687,49 @@ def test_config_error_names_pointer(workdir, capsys):
         main(["orbits-find", "--config", str(bad), "--out", str(workdir / "x")])
         err = capsys.readouterr().err
         assert f"(at {pointer})" in err
+
+
+def _damage(session, tmp_path, case):
+    """A copy of the session's census or disk, damaged as ``case`` says; the
+    command and flags that read it."""
+    census = json.load(open(os.path.join(session, "orbits.json")))
+    header = json.load(open(os.path.join(session, "disk_orbit0.json")))
+    if case == "disk-csv-missing":
+        (tmp_path / "disk.json").write_text(json.dumps(header))
+    elif case == "disk-header-without-points_csv":
+        del header["points_csv"]
+        (tmp_path / "disk.json").write_text(json.dumps(header))
+    elif case == "census-not-json":
+        (tmp_path / "orbits.json").write_text('{"orbits": [')
+    elif case == "census-json-array":
+        (tmp_path / "orbits.json").write_text(json.dumps(census["orbits"]))
+    elif case == "census-entry-with-3-coordinates":
+        census["orbits"][0]["x0"] = census["orbits"][0]["x0"][:3]
+        (tmp_path / "orbits.json").write_text(json.dumps(census))
+    else:
+        del census["orbits"][0]["T_min"]
+        (tmp_path / "orbits.json").write_text(json.dumps(census))
+    if case.startswith("disk"):
+        return ["section-verify", "--disk", str(tmp_path / "disk.json"),
+                "--seeds", "1", "--t-budget", "1.0"]
+    return ["orbit-index", "--orbits", str(tmp_path / "orbits.json"),
+            "--orbit", "0"]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("disk-csv-missing", 65), ("disk-header-without-points_csv", 1),
+    ("census-not-json", 1), ("census-json-array", 1),
+    ("census-entry-without-T_min", 1), ("census-entry-with-3-coordinates", 1)])
+def test_a_damaged_artifact_exits_with_a_message(session, ell_config, tmp_path,
+                                                 capsys, case, code):
+    argv = _damage(session, tmp_path, case)
+    assert main(argv[:1] + ["--config", ell_config, "--out", str(tmp_path)]
+                + argv[1:]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(tmp_path) in err  # the message names the damaged file
+    if code == 65:
+        assert "reeb-atlas disk-gen" in err
 
 
 def test_missing_artifact_names_producer(ell_config, workdir, capsys):
@@ -677,7 +743,7 @@ def test_missing_artifact_names_producer(ell_config, workdir, capsys):
 @pytest.fixture(scope="module")
 def perturbed_run(perturbed_form, workdir):
     config = workdir / "perturbed.json"
-    config.write_text(json.dumps({"form": perturbed_form.to_json_dict(),
+    config.write_text(json.dumps({"form": form_json(perturbed_form),
                                   "tmax": 7.0, "seeds": 16, "rng_seed": 0}))
     out = str(workdir / "perturbed")
     assert main(["orbits-find", "--config", str(config), "--out", out]) == 0

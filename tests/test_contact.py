@@ -4,13 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reeb_atlas import kernels
+from reeb_atlas import contact, kernels
 from reeb_atlas.contact import (StarForm, omega_form, project_to_sigma,
                                 reeb_vector, sphere_samples, xi_frame,
-                                xi_project, xi_projector)
+                                xi_projector)
 from reeb_atlas.errors import DomainError, FrameDegeneracyError, OffLevelError
 
-from oracles import embed, lambda0, round_sphere
+from oracles import embed, form_json, lambda0, round_sphere, xi_project
 
 
 def quat_j(x):
@@ -108,10 +108,10 @@ def test_zero_input_rejected():
 
 def test_json_roundtrip_and_nonfinite_rejection():
     form = StarForm.ellipsoid(1.0, np.sqrt(2.0), name="e")
-    again = StarForm.from_json_dict(form.to_json_dict())
+    again = StarForm.from_json_dict(form_json(form))
     assert again.form_hash == form.form_hash
     wf = StarForm.weighted([((0, 0, 0, 0), 1.0), ((2, 0, 2, 0), 0.25)])
-    again = StarForm.from_json_dict(wf.to_json_dict())
+    again = StarForm.from_json_dict(form_json(wf))
     assert again.form_hash == wf.form_hash
     with pytest.raises(DomainError):
         StarForm.from_json_dict({"type": "ellipsoid", "r_squared": [1.0, float("nan")]})
@@ -193,17 +193,10 @@ def test_frame_winds_minus_one_along_circle(ell, gamma1):
     assert round((ang[-1] - ang[0]) / (2 * np.pi)) == -1
 
 
-def test_frame_generator_variant(ell, gamma1):
-    x = gamma1.x0
-    fr_j = xi_frame(ell, x, generator="j")
-    fr_k = xi_frame(ell, x, generator="k")
-    assert abs(omega_form(fr_k.e1, fr_k.e2) - 1.0) < 1e-12
-    assert not np.allclose(fr_j.e1, fr_k.e1)
-
-
-def test_frame_degeneracy_error(ell, gamma1):
+def test_frame_degeneracy_error(ell, gamma1, monkeypatch):
+    monkeypatch.setattr(contact, "_FRAME_MIN_NORM", 10.0)
     with pytest.raises(FrameDegeneracyError):
-        xi_frame(ell, gamma1.x0, _min_norm=10.0)
+        xi_frame(ell, gamma1.x0)
 
 
 def test_xi_project(ell, gamma1):
@@ -221,11 +214,6 @@ def test_xi_project(ell, gamma1):
         coords = xi_project(ell, x, v)
         rebuilt = lambda0(x, v) * R + embed(fr, coords)
         assert np.linalg.norm(rebuilt - v) < 1e-9
-
-
-def test_xi_project_requires_tangency(ell, gamma1):
-    with pytest.raises(DomainError):
-        xi_project(ell, gamma1.x0, ell.grad_H(gamma1.x0))
 
 
 @pytest.mark.parametrize("form_name", ["ell", "perturbed_form"])
@@ -316,7 +304,7 @@ def test_weighted_h_parts_derivatives_match_finite_differences(form, pts):
 
 
 @pytest.mark.parametrize("form_name", ["ell", "perturbed_form"])
-def test_batch_row_checks(form_name, request):
+def test_batch_row_checks(form_name, request, monkeypatch):
     form = request.getfixturevalue(form_name)
     pts = project_to_sigma(form, sphere_samples(6))
     with_origin = pts.copy()
@@ -329,6 +317,7 @@ def test_batch_row_checks(form_name, request):
     for fn in (reeb_vector, xi_frame):
         with pytest.raises(OffLevelError):
             fn(form, off_level)
+    monkeypatch.setattr(contact, "_FRAME_MIN_NORM", 10.0)
     with pytest.raises(FrameDegeneracyError) as exc:
-        xi_frame(form, pts, _min_norm=10.0)
+        xi_frame(form, pts)
     np.testing.assert_array_equal(exc.value.point, pts[0])

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from reeb_atlas import cz, kernels
 from reeb_atlas.errors import (DegenerateOrbitError, DomainError,
                                InconsistencyError, ResolutionError)
-from reeb_atlas.flow import integrate_flow
+from reeb_atlas.flow import integrate_batch
 from reeb_atlas.orbits import find_orbits, refine_orbit
 
-from oracles import (compose_paths, galerkin_matrix, galerkin_pairs,
+from oracles import (compose_paths, galerkin_matrix, galerkin_pairs, grid,
                      grid_interval, hyperbolic_path, invert_path,
                      iterate_index_table, maslov_loop, nondegenerate, path_power,
                      pure_rotation_path, random_loop, random_nondegenerate_path,
@@ -33,7 +33,7 @@ def rotation(theta):
 def test_gamma1_path_is_pure_rotation(ell, gamma1):
     path = cz.trivialized_path(ell, gamma1, 256)
     worst = 0.0
-    for t, m in zip(path.times, path.mats):
+    for t, m in zip(grid(path.n_steps), path.mats):
         worst = max(worst, np.abs(m - rotation(2 * np.pi * RHO1 * t)).max())
     assert worst < 1e-6
 
@@ -98,7 +98,7 @@ def test_resolution_guard_sees_every_direction():
     mats = np.zeros((n + 2, 2, 2))
     mats[:-1, 0, 0], mats[:-1, 1, 1] = lam ** t, lam ** -t
     mats[-1] = np.array([[1.0, 4.0], [0.0, 1.0]]) @ mats[-2]
-    path = cz.SymplecticPath(times=np.linspace(0.0, 1.0, n + 2), mats=mats)
+    path = cz.SymplecticPath(mats=mats)
     path.validate()
     assert np.abs(kernels.angle_steps(mats[:, :, 0])).max() == 0.0
     with pytest.raises(ResolutionError, match="under-resolved"):
@@ -120,8 +120,7 @@ def test_interval_branches():
 
 def test_maslov_loop():
     assert maslov_loop(pure_rotation_path(1.0)) == 1
-    const = cz.SymplecticPath(times=np.linspace(0, 1, 65),
-                              mats=np.tile(np.eye(2), (65, 1, 1)))
+    const = cz.SymplecticPath(mats=np.tile(np.eye(2), (65, 1, 1)))
     assert maslov_loop(const) == 0
     with pytest.raises(DomainError):
         maslov_loop(pure_rotation_path(0.25))
@@ -151,12 +150,12 @@ def test_homotopy_stability():
     for _ in range(10):
         phi = random_nondegenerate_path(rng)
         mu, _ = cz.cz_from_interval(cz.rotation_interval(phi))
-        bump = (np.sin(np.pi * phi.times) ** 2)[:, None, None]
+        bump = (np.sin(np.pi * grid(phi.n_steps)) ** 2)[:, None, None]
         g = 3e-4 * np.array([[1.0, 0.5], [0.5, -1.0]])
         pert = phi.mats @ (np.eye(2) + bump * g)
         pert /= np.sqrt(np.linalg.det(pert))[:, None, None]
         assert np.abs(pert - phi.mats).max() <= 1e-3
-        phi_p = cz.SymplecticPath(times=phi.times, mats=pert)
+        phi_p = cz.SymplecticPath(mats=pert)
         assert nondegenerate(phi_p, tol=1e-6)
         mu_p, _ = cz.cz_from_interval(cz.rotation_interval(phi_p))
         assert mu_p == mu
@@ -347,12 +346,24 @@ def test_index_report_integrates_once(ell, gamma1, monkeypatch, k, samples):
             cz.orbit_index_report(ell, orbit, n_grid=256)
 
 
+def test_integrated_span_names_the_report_that_ran_the_flow(ell, gamma1):
+    # a bare report integrates its prime; inside a block whose batch already
+    # ran the prime, as check_binding's does, a report integrates nothing
+    rep = cz.orbit_index_report(ell, gamma1)
+    assert rep["resolution"]["integrated_span"] == gamma1.T_min
+    with cz.prime_table():
+        cz.prime_flows(ell, [gamma1])
+        for orbit in (gamma1, gamma1.iterate(2)):
+            rep = cz.orbit_index_report(ell, orbit)
+            assert rep["resolution"]["integrated_span"] == 0.0
+
+
 def _integrated_report(form, orbit, monkeypatch):
     # the report as it was built before iterates sampled their prime: one
     # variational integration over the whole period k T_min
     def integrated(form, orbit):
-        return integrate_flow(form, orbit.x0, orbit.T, tol=1e-12,
-                              variational=True, dense=True)
+        return integrate_batch(form, [orbit.x0], orbit.T, tol=1e-12,
+                               variational=True, dense=True)[0]
 
     with monkeypatch.context() as m:
         m.setattr(cz, "_variational_flow", integrated)

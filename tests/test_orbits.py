@@ -9,11 +9,12 @@ from reeb_atlas import kernels
 from reeb_atlas.contact import StarForm
 from reeb_atlas.errors import (DomainError, OffLevelError, RefinementError,
                                StiffnessError)
-from reeb_atlas.flow import integrate_flow, monodromy_xi
+from reeb_atlas.flow import integrate_flow
 from reeb_atlas.orbits import (find_orbits, load_orbits, refine_orbit,
                                save_orbits, trace_orbit, trace_orbits)
 
-from oracles import period_gaps, sequential_find_orbits, sequential_refine_orbit
+from oracles import (monodromy_xi, period_gaps, sequential_find_orbits,
+                     sequential_refine_orbit)
 
 SQ2 = np.sqrt(2.0)
 

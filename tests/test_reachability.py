@@ -12,7 +12,9 @@ bases, decorators, class-level statements and its dunder methods, which
 Python calls implicitly; its other methods need an attribute use.  The scan
 is by name, so it errs towards reaching too much, never too little.  Code
 that only tests call belongs in ``tests/oracles.py``; ``KEPT`` names the few
-exceptions and why each stays.
+exceptions and why each stays.  The package API serves callers outside the
+package, so what only the API reaches, and the CLI does not, is named in
+``API_ONLY`` with the caller that needs it.
 """
 
 import ast
@@ -23,8 +25,10 @@ import reeb_atlas
 PACKAGE = Path(reeb_atlas.__file__).parent
 
 
-def _scan():
-    """(qualified names of all definitions, those reached)."""
+def _scan(api=True):
+    """(qualified names of all definitions, those reached); the roots are
+    ``cli.main``, with ``api`` the names in ``reeb_atlas.__all__`` too, and
+    the statements run at import."""
     modules = {p.stem: ast.parse(p.read_text())
                for p in sorted(PACKAGE.glob("*.py"))}
     defs, names, methods = {}, {}, {}
@@ -71,7 +75,8 @@ def _scan():
                         and names[mod].get(sub.value.id) in modules):
                     yield resolve(names[mod][sub.value.id], sub.attr)
 
-    todo = ["cli.main"] + [resolve("__init__", n) for n in reeb_atlas.__all__]
+    todo = ["cli.main"] + [resolve("__init__", n) for n in reeb_atlas.__all__
+                           if api]
     for mod, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import,
@@ -94,9 +99,26 @@ KEPT = {
 }
 
 
+# definitions that the package API reaches and the CLI does not, with the
+# caller outside the package that uses each
+API_ONLY = {
+    "orbits.refine_orbit": "perfbench/workloads.py builds the census-queries "
+                           "census with it",
+}
+
+
 def test_every_definition_is_reached():
     defs, reached = _scan()
     unreached = sorted(defs - reached)
     assert unreached == sorted(KEPT), (
         "run by neither the CLI nor the package API (move test-only code to "
         f"tests/oracles.py), or a stale KEPT entry: {unreached}")
+
+
+def test_the_api_reaches_only_what_a_caller_needs():
+    _, reached = _scan()
+    _, by_cli = _scan(api=False)
+    api_only = sorted(reached - by_cli)
+    assert api_only == sorted(API_ONLY), (
+        "reached by the package API alone, with no caller outside the tests "
+        f"(move it to tests/oracles.py), or a stale API_ONLY entry: {api_only}")
