@@ -84,7 +84,8 @@ FLAG_SCHEMA = {"properties": dict(
 
 def load_config(path):
     """Parse and validate a run configuration; rejects NaN, the infinities and
-    every number that overflows a float."""
+    every number that overflows a float.  A missing file or a directory
+    raises ``MissingArtifactError``."""
     def finite(parse):
         def check(token):
             if not np.isfinite(float(token)):
@@ -96,7 +97,7 @@ def load_config(path):
         with open(path) as fh:
             raw = json.load(fh, parse_constant=finite(float),
                             parse_float=finite(float), parse_int=finite(int))
-    except FileNotFoundError:
+    except (FileNotFoundError, IsADirectoryError):
         raise MissingArtifactError(path, "write a config file first")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}", "")
@@ -164,16 +165,6 @@ def _jsonify(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def _require_artifact(path, producer):
-    if not os.path.isfile(path):
-        raise MissingArtifactError(path, producer)
-
-
-def _load_db(form, path):
-    _require_artifact(path, "reeb-atlas orbits-find")
-    return load_orbits(form, path)
-
-
 # ---------------------------------------------------------------------------
 # commands: each computes its stage from the parsed flags, the run config and
 # the form, and returns (report name, payload, sidecar meta, exit code,
@@ -201,7 +192,7 @@ def cmd_orbits_find(args, cfg, form):
 
 
 def cmd_orbit_index(args, cfg, form):
-    db = _load_db(form, args.orbits)
+    db = load_orbits(form, args.orbits)
     report = orbit_index_report(form, db[args.orbit], n_grid=args.n_grid)
     payload = dict(report, orbit_id=args.orbit)
     meta = {"resolution": payload.pop("resolution")}
@@ -214,7 +205,7 @@ def cmd_orbit_index(args, cfg, form):
 
 
 def cmd_link(args, cfg, form):
-    db = _load_db(form, args.orbits)
+    db = load_orbits(form, args.orbits)
     pairs = []
     with prime_table():
         traces = prime_traces(form, db.orbits)
@@ -237,7 +228,7 @@ def cmd_link(args, cfg, form):
 
 
 def cmd_selflink(args, cfg, form):
-    db = _load_db(form, args.orbits)
+    db = load_orbits(form, args.orbits)
     rows = []
     with prime_table():
         prime_traces(form, db.orbits)  # every prime in one batch
@@ -251,7 +242,7 @@ def cmd_selflink(args, cfg, form):
 
 
 def cmd_unknot(args, cfg, form):
-    db = _load_db(form, args.orbits)
+    db = load_orbits(form, args.orbits)
     rows = []
     for i, (orbit, trace) in enumerate(zip(db.orbits,
                                            prime_traces(form, db.orbits))):
@@ -274,7 +265,7 @@ def cmd_unknot(args, cfg, form):
 
 
 def cmd_disk_gen(args, cfg, form):
-    db = _load_db(form, args.orbits)
+    db = load_orbits(form, args.orbits)
     disk = builtin_disk(form, db[args.orbit], theta0=args.theta0,
                         n_r=args.nr, n_theta=args.ntheta)
     disk.orbit_ref = args.orbit
@@ -294,7 +285,6 @@ def cmd_disk_gen(args, cfg, form):
 
 
 def cmd_section_verify(args, cfg, form):
-    _require_artifact(args.disk, "reeb-atlas disk-gen")
     disk = load_disk(args.disk)
     t_budget = cfg.get("t_budget")
     if t_budget is None:
@@ -326,7 +316,7 @@ def cmd_section_verify(args, cfg, form):
 
 
 def cmd_binding_check(args, cfg, form):
-    db = _load_db(form, args.orbits)
+    db = load_orbits(form, args.orbits)
     with counting() as work:
         report = check_binding(form, db, args.candidate)
     meta = {"index_table": report.index_table,
@@ -338,8 +328,7 @@ def cmd_binding_check(args, cfg, form):
 
 
 def cmd_audit(args, cfg, form):
-    db = _load_db(form, args.orbits)
-    _require_artifact(args.disk, "reeb-atlas disk-gen")
+    db = load_orbits(form, args.orbits)
     disk = load_disk(args.disk)
     db[args.binding]  # an id outside the census is named before the page
     if disk.orbit_ref not in (None, args.binding):

@@ -17,6 +17,7 @@ offending row.
 
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "omega_form",
     "project_to_sigma",
     "reeb_vector",
+    "sobol_points",
     "xi_frame",
     "xi_projector",
     "sphere_samples",
@@ -64,6 +66,18 @@ def _first_row(mask):
     return int(hits[0]) if hits.size else None
 
 
+def sobol_points(d, skip, n):
+    """Points skip .. skip + n - 1 of the unscrambled d-dim Sobol sequence."""
+    from scipy.stats import qmc
+
+    eng = qmc.Sobol(d=d, scramble=False)
+    if skip:  # a fresh engine cannot fast-forward by 0
+        eng.fast_forward(skip)
+    with warnings.catch_warnings():  # n need not be a power of 2
+        warnings.simplefilter("ignore", UserWarning)
+        return eng.random(n)
+
+
 def sphere_samples(n, seed_skip=0):
     """Quasi-uniform points on the unit sphere S^3 in R^4.
 
@@ -73,20 +87,11 @@ def sphere_samples(n, seed_skip=0):
     ``seed_skip`` points are skipped; a draw from 0 drops index 1 (the all-1/2
     point maps to the origin).  A skip outside [0, 2^30 - n - 8] raises.
     """
-    import warnings
-
     from scipy.special import ndtri
-    from scipy.stats import qmc
 
     if seed_skip < 0 or seed_skip + n + 8 > 2**30:
         raise DomainError(f"Sobol skip {seed_skip} outside [0, 2^30 - n - 8]")
-    eng = qmc.Sobol(d=4, scramble=False)
-    if seed_skip:
-        eng.fast_forward(seed_skip)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        u = eng.random(n + 8)
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    g = ndtri(np.clip(sobol_points(4, seed_skip, n + 8), 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(g, axis=1)
     g = g[norms > 1e-9][:n]  # the sequence opens with 0 and 1/2 points
     return g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -150,37 +155,18 @@ class StarForm:
 
     @classmethod
     def from_json_dict(cls, data):
-        from decimal import Decimal, InvalidOperation
-
-        def parse_real(v, where):
-            try:
-                out = float(Decimal(str(v)))
-            except (InvalidOperation, ValueError) as exc:
-                raise DomainError(f"{where}: not a real number: {v!r}") from exc
-            if not np.isfinite(out):
-                raise DomainError(f"{where}: non-finite value rejected: {v!r}")
-            return out
-
-        kind = data.get("type")
-        name = data.get("name", "")
-        if kind == "ellipsoid":
-            r = data.get("r_squared")
-            if not isinstance(r, (list, tuple)) or len(r) != 2:
-                raise DomainError("r_squared must be a 2-element list")
-            return cls.ellipsoid(parse_real(r[0], "r_squared[0]"),
-                                 parse_real(r[1], "r_squared[1]"), name=name)
-        if kind == "weighted":
-            mons = data.get("monomials")
-            if not isinstance(mons, list) or not mons:
-                raise DomainError("monomials must be a non-empty list")
-            parsed = []
-            for i, m in enumerate(mons):
-                exp = m.get("exp")
-                if not isinstance(exp, (list, tuple)) or len(exp) != 4:
-                    raise DomainError(f"monomials[{i}].exp must be a 4-list")
-                parsed.append((tuple(int(e) for e in exp),
-                               parse_real(m.get("coeff"), f"monomials[{i}].coeff")))
-            return cls.weighted(parsed, name=name)
+        """The form its type's constructor builds from the encoding's values;
+        a dict that is not a form raises ``DomainError``."""
+        try:
+            kind, name = data["type"], data.get("name", "")
+            if kind == "ellipsoid":
+                return cls.ellipsoid(*data["r_squared"], name=name)
+            if kind == "weighted":
+                return cls.weighted([(m["exp"], m["coeff"])
+                                     for m in data["monomials"]], name=name)
+        except (KeyError, IndexError, TypeError, ValueError,
+                AttributeError) as exc:
+            raise DomainError(f"not a form: {type(exc).__name__}: {exc}") from exc
         raise DomainError(f"unknown form type {kind!r}")
 
     @property

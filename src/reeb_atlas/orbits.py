@@ -21,8 +21,9 @@ import numpy as np
 
 from . import kernels
 from .contact import project_to_sigma, reeb_vector, sphere_samples
-from .errors import (DomainError, FrameDegeneracyError, ReebAtlasError,
-                     RefinementError, ResolutionError, StiffnessError)
+from .errors import (DomainError, FrameDegeneracyError, MissingArtifactError,
+                     ReebAtlasError, RefinementError, ResolutionError,
+                     StiffnessError)
 from .flow import (counting, integrate_batch, integrate_flow, lockstep,
                    xi_period_map)
 
@@ -87,7 +88,6 @@ class ReebOrbit:
     monodromy: np.ndarray
     nondeg_class: str
     residual: float
-    monodromy_prime: np.ndarray | None = field(default=None, repr=False)
     newton_iters: int = field(default=0, repr=False)
 
     @property
@@ -102,13 +102,10 @@ class ReebOrbit:
         """The k-fold cover of this orbit (same marked point and prime period)."""
         if self.multiplicity != 1:
             raise DomainError("iterate() expects a simply covered orbit")
-        mon_p = self.monodromy_prime if self.monodromy_prime is not None else self.monodromy
-        mk = np.linalg.matrix_power(mon_p, k)
-        return ReebOrbit(
-            x0=self.x0.copy(), T_min=self.T_min, multiplicity=k,
-            monodromy=mk, nondeg_class=classify_monodromy(mk),
-            residual=self.residual, monodromy_prime=mon_p,
-        )
+        mk = np.linalg.matrix_power(self.monodromy, k)
+        return ReebOrbit(x0=self.x0.copy(), T_min=self.T_min, multiplicity=k,
+                         monodromy=mk, nondeg_class=classify_monodromy(mk),
+                         residual=self.residual)
 
 
 @dataclass
@@ -273,8 +270,7 @@ def _certify(form, x_guess, T_guess, initial_residual_cap):
     return ReebOrbit(
         x0=x, T_min=T_min, multiplicity=mult, monodromy=mon_full,
         nondeg_class=classify_monodromy(mon_full),
-        residual=float(max(residual, prime_res)),
-        monodromy_prime=mon_prime, newton_iters=iters,
+        residual=float(max(residual, prime_res)), newton_iters=iters,
     )
 
 
@@ -532,8 +528,9 @@ def save_orbits(db, path):
 
 
 def load_orbits(form, path):
-    """Read a census; every orbit must re-close within 1e-9 at T_min.  A file
-    that does not parse as a census raises ``DomainError`` naming it."""
+    """Read a census; every orbit must carry its monodromy's class and
+    re-close within 1e-9 at T_min.  A missing file or a directory raises
+    ``MissingArtifactError``, any other fault ``DomainError``."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -546,11 +543,16 @@ def load_orbits(form, path):
                             nondeg_class=rec["class"],
                             residual=float(rec["residual"]))
                   for rec in payload["orbits"]]
-        if any(o.x0.shape != (4,) or o.monodromy.shape != (2, 2)
-               or o.multiplicity < 1 for o in orbits):
-            raise ValueError("an entry's x0, monodromy or multiplicity is "
-                             "out of shape")
+        for i, o in enumerate(orbits):
+            if (o.x0.shape != (4,) or o.monodromy.shape != (2, 2)
+                    or o.multiplicity < 1):
+                raise ValueError(f"entry {i}'s x0, monodromy or multiplicity "
+                                 f"is out of shape")
+            if classify_monodromy(o.monodromy) != o.nondeg_class:
+                raise ValueError(f"entry {i}'s class is not its monodromy's")
         params = payload.get("params", {})
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingArtifactError(path, "reeb-atlas orbits-find")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed orbit census {path}: "
                           f"{type(exc).__name__}: {exc}") from exc
@@ -563,6 +565,5 @@ def load_orbits(form, path):
         gap = np.linalg.norm(res.endpoint - o.x0)
         if gap > 1e-9:
             raise DomainError(
-                f"orbit failed closure re-verification: {gap:.3e}"
-            )
+                f"orbit failed closure re-verification: {gap:.3e}")
     return OrbitDatabase(form_hash=form.form_hash, orbits=orbits, params=params)

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from . import kernels
 from .contact import (complement_basis, omega_form, project_to_sigma,
-                      reeb_vector, xi_frame, xi_projector)
+                      reeb_vector, sobol_points, xi_frame, xi_projector)
 from .errors import (DomainError, GridQualityError, MissingArtifactError,
                      ResolutionError)
 from .flow import integrate_batch, lockstep
@@ -214,19 +214,24 @@ def _node_tangents(disk):
     return d_s, d_t
 
 
-def _node_frame_field(form, disk):
-    """Normals (within the level) and contact frames at rows 1..n_r."""
+def _node_normals(form, disk):
+    """Unit normals, within the level, of the disk at rows 1..n_r."""
     d_s, d_t = _node_tangents(disk)
-    x = disk.samples[1:]
-    nu = _unit_normal(form, x)
+    nu = _unit_normal(form, disk.samples[1:])
     n = _cross4(_tangential(d_s, nu), _tangential(d_t, nu), nu)
     nn = kernels.norm(n)
     bad = np.argwhere(nn < 1e-12)
     if len(bad):
         i, j = bad[0]
         raise GridQualityError(f"degenerate tangent plane at node {(i + 1, j)}")
-    normals = n / nn[..., None]
-    fr = xi_frame(form, x)
+    return n / nn[..., None]
+
+
+def _node_frame_field(form, disk):
+    """Normals and the characteristic field in contact-frame coordinates at
+    rows 1..n_r."""
+    normals = _node_normals(form, disk)
+    fr = xi_frame(form, disk.samples[1:])
     # i_V lambda = 0 and i_V dlambda = dG - (i_R dG) lambda give, in frame
     # coordinates, V = (n.e2, -n.e1)
     vfield = np.stack([np.vecdot(normals, fr.e2),
@@ -402,10 +407,9 @@ class _DiskIndex:
 
     def __init__(self, form, disk):
         self.samples = disk.samples
-        normals, _ = _node_frame_field(form, disk)
         # nodes of rows 1..n_r and their plane normals, by flat index
         self.points = disk.samples[1:].reshape(-1, 4)
-        self.normals = normals.reshape(-1, 4)
+        self.normals = _node_normals(form, disk).reshape(-1, 4)
         self.tree = cKDTree(self.points)
         self.n_t = disk.n_theta
         self.cell = disk.max_cell_size()
@@ -642,8 +646,7 @@ def _refine_to_surface(index, traj, t_cross, nhat):
     return y, t_cross, ok
 
 
-def return_map(form, disk, seeds, t_budget, direction="forward",
-               index=None):
+def return_map(form, disk, seeds, t_budget, direction="forward"):
     """First-return data for seeds given as (s, t) disk coordinates, all
     searched at once; ``direction`` ("forward" or "backward") is one for all
     seeds or one per seed.  Returns per seed a dict with its coordinates,
@@ -658,8 +661,7 @@ def return_map(form, disk, seeds, t_budget, direction="forward",
         raise DomainError("direction must be forward or backward")
     if np.count_nonzero(seeds[:, 0] >= 1.0 - 1e-9):
         raise DomainError("seed lies on the binding; it never returns")
-    if index is None:
-        index = _DiskIndex(form, disk)
+    index = _DiskIndex(form, disk)
     X = project_to_sigma(form, _grid_point(disk, seeds[:, 0], seeds[:, 1]))
     signs = np.where(dirs == "forward", 1.0, -1.0)
     found = _first_crossing(form, index, X, signs, t_budget)
@@ -678,13 +680,7 @@ def return_map(form, disk, seeds, t_budget, direction="forward",
 def disk_seeds(n):
     """Quasi-uniform interior seeds, area-uniform in the disk coordinates,
     with s in [0.08, 0.92]."""
-    from scipy.stats import qmc
-    import warnings
-
-    eng = qmc.Sobol(d=2, scramble=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        u = eng.random(n + 1)[1:]
+    u = sobol_points(2, 1, n)  # from 1: point 0 is the corner (0, 0)
     s = np.sqrt(u[:, 0]) * (0.92 - 0.08) + 0.08
     return np.stack([s, u[:, 1]], axis=1)
 
@@ -753,9 +749,9 @@ def save_disk(disk, path_json):
 
 
 def load_disk(path_json):
-    """Read a disk file; a missing CSV block raises ``MissingArtifactError``,
-    a header or block that does not parse ``DomainError``, each naming its
-    file."""
+    """Read a disk file; a header or CSV block that is missing or a
+    directory raises ``MissingArtifactError``, one that does not parse
+    ``DomainError``, each naming its file."""
     import os
 
     try:
@@ -765,13 +761,15 @@ def load_disk(path_json):
                                 header["points_csv"])
         n_r, n_t = int(header["n_r"]), int(header["n_theta"])
         orbit_ref = header.get("orbit_ref")
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingArtifactError(path_json, "reeb-atlas disk-gen")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed disk header {path_json}: "
                           f"{type(exc).__name__}: {exc}") from exc
-    if not os.path.isfile(csv_path):
-        raise MissingArtifactError(csv_path, "reeb-atlas disk-gen")
     try:
         pts = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingArtifactError(csv_path, "reeb-atlas disk-gen")
     except ValueError as exc:
         raise DomainError(f"malformed disk CSV block {csv_path}: {exc}") from exc
     if pts.shape != ((n_r + 1) * n_t, 4):

@@ -648,8 +648,7 @@ def sequential_refine_orbit(form, x_guess, T_guess, initial_residual_cap):
     return orbits.ReebOrbit(
         x0=x, T_min=T_min, multiplicity=mult, monodromy=mon_full,
         nondeg_class=orbits.classify_monodromy(mon_full),
-        residual=float(max(residual, prime_res)),
-        monodromy_prime=mon_prime, newton_iters=iters)
+        residual=float(max(residual, prime_res)), newton_iters=iters)
 
 
 def sequential_find_orbits(form, T_max, n_seeds, rng_seed=0, log=None,

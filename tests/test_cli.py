@@ -694,9 +694,7 @@ def _damage(session, tmp_path, case):
     command and flags that read it."""
     census = json.load(open(os.path.join(session, "orbits.json")))
     header = json.load(open(os.path.join(session, "disk_orbit0.json")))
-    if case == "disk-csv-missing":
-        (tmp_path / "disk.json").write_text(json.dumps(header))
-    elif case == "disk-header-without-points_csv":
+    if case == "disk-header-without-points_csv":
         del header["points_csv"]
         (tmp_path / "disk.json").write_text(json.dumps(header))
     elif case == "census-not-json":
@@ -705,6 +703,9 @@ def _damage(session, tmp_path, case):
         (tmp_path / "orbits.json").write_text(json.dumps(census["orbits"]))
     elif case == "census-entry-with-3-coordinates":
         census["orbits"][0]["x0"] = census["orbits"][0]["x0"][:3]
+        (tmp_path / "orbits.json").write_text(json.dumps(census))
+    elif case.startswith("census-entry-of-class-"):
+        census["orbits"][0]["class"] = case[len("census-entry-of-class-"):]
         (tmp_path / "orbits.json").write_text(json.dumps(census))
     else:
         del census["orbits"][0]["T_min"]
@@ -717,9 +718,12 @@ def _damage(session, tmp_path, case):
 
 
 @pytest.mark.parametrize("case, code", [
-    ("disk-csv-missing", 65), ("disk-header-without-points_csv", 1),
+    ("disk-header-without-points_csv", 1),
     ("census-not-json", 1), ("census-json-array", 1),
-    ("census-entry-without-T_min", 1), ("census-entry-with-3-coordinates", 1)])
+    ("census-entry-without-T_min", 1), ("census-entry-with-3-coordinates", 1),
+    # the entry's stored class must be the one its monodromy gives
+    ("census-entry-of-class-bogus", 1),
+    ("census-entry-of-class-positive-hyperbolic", 1)])
 def test_a_damaged_artifact_exits_with_a_message(session, ell_config, tmp_path,
                                                  capsys, case, code):
     argv = _damage(session, tmp_path, case)
@@ -728,16 +732,44 @@ def test_a_damaged_artifact_exits_with_a_message(session, ell_config, tmp_path,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert str(tmp_path) in err  # the message names the damaged file
-    if code == 65:
-        assert "reeb-atlas disk-gen" in err
 
 
-def test_missing_artifact_names_producer(ell_config, workdir, capsys):
-    code = main(["orbit-index", "--config", ell_config,
-                 "--orbits", str(workdir / "nope.json"),
-                 "--orbit", "0", "--out", str(workdir / "x")])
-    assert code == 65
-    assert "orbits-find" in capsys.readouterr().err
+# per input file, the producer its missing-artifact message names
+PRODUCERS = {"config": "write a config file first",
+             "census": "reeb-atlas orbits-find",
+             "disk-header": "reeb-atlas disk-gen",
+             "disk-csv": "reeb-atlas disk-gen"}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("artifact", PRODUCERS)
+def test_a_missing_or_directory_artifact_exits_65(session, ell_config, tmp_path,
+                                                  capsys, artifact, kind):
+    # each loader guards its own file: a path that is missing or names a
+    # directory exits 65 with the producer, not a traceback
+    path = tmp_path / "artifact"
+    if kind == "directory":
+        path.mkdir()
+    config, orbits = ell_config, os.path.join(session, "orbits.json")
+    disk = os.path.join(session, "disk_orbit0.json")
+    if artifact == "config":
+        config = str(path)
+    elif artifact == "census":
+        orbits = str(path)
+    elif artifact == "disk-header":
+        disk = str(path)
+    else:  # a header whose CSV block is the path
+        header = dict(json.load(open(disk)), points_csv=path.name)
+        (tmp_path / "disk.json").write_text(json.dumps(header))
+        disk = str(tmp_path / "disk.json")
+    argv = (["section-verify", "--disk", disk, "--seeds", "1",
+             "--t-budget", "1.0"] if artifact.startswith("disk")
+            else ["orbit-index", "--orbits", orbits, "--orbit", "0"])
+    assert main(argv[:1] + ["--config", config, "--out", str(tmp_path / "out")]
+                + argv[1:]) == 65
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(path) in err and PRODUCERS[artifact] in err
 
 
 @pytest.fixture(scope="module")

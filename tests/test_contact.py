@@ -117,6 +117,14 @@ def test_json_roundtrip_and_nonfinite_rejection():
         StarForm.from_json_dict({"type": "ellipsoid", "r_squared": [1.0, float("nan")]})
     with pytest.raises(DomainError):
         StarForm.from_json_dict({"type": "ellipsoid", "r_squared": [1.0, float("inf")]})
+    # a dict that is not a form: a missing key, a third semiaxis, a
+    # 3-element exponent
+    for data in ({"type": "ellipsoid"},
+                 {"type": "ellipsoid", "r_squared": [1.0, 2.0, 3.0]},
+                 {"type": "weighted",
+                  "monomials": [{"exp": [0, 0, 0], "coeff": 1.0}]}):
+        with pytest.raises(DomainError):
+            StarForm.from_json_dict(data)
 
 
 def test_form_hash_is_pinned(perturbed_form):

@@ -28,11 +28,9 @@ CALLERS = MODULES + sorted(
 SET_ELSEWHERE = {
     "cli.main(argv)": "perfbench/worker.py passes it as cli_main(argv); the "
                       "console script passes none",
-    "sections.return_map(index)": "the tests share one page index across "
-                                  "their return maps",
 }
 
-MAX_DEFAULTED = 21
+MAX_DEFAULTED = 20
 
 _NOT_LITERAL = object()
 

@@ -211,8 +211,7 @@ def test_refine_orbit_equals_one_flow_per_run(ell, perturbed_form):
             form, [orbits._certify(form, x, T, cap)], {}, Counter())[0]
         want = sequential_refine_orbit(form, x, T, cap)
         for name in ("x0", "T_min", "multiplicity", "monodromy",
-                     "monodromy_prime", "nondeg_class", "residual",
-                     "newton_iters"):
+                     "nondeg_class", "residual", "newton_iters"):
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(want, name))
 

@@ -179,9 +179,9 @@ def test_bisect_crossing_equals_the_halving_loop(ell, page, page_index):
             bisect_crossing_loop(page_index, traj, lo, hi, flat)
 
 
-def test_return_map(ell, page, page_index):
+def test_return_map(ell, page):
     seeds = sec.disk_seeds(24)
-    recs = sec.return_map(ell, page, seeds, t_budget=BUDGET, index=page_index)
+    recs = sec.return_map(ell, page, seeds, t_budget=BUDGET)
     assert all(not r["timeout"] for r in recs)
     for r in recs:
         assert abs(r["return_time"] - T_RETURN) < 1e-6
@@ -190,7 +190,7 @@ def test_return_map(ell, page, page_index):
 def test_return_map_backward_and_inverse(ell, page, page_index):
     seeds = sec.disk_seeds(6)
     back = sec.return_map(ell, page, seeds, t_budget=BUDGET,
-                          direction="backward", index=page_index)
+                          direction="backward")
     assert all(not r["timeout"] for r in back)
     # chain the actual return points forward: flow invertibility
     pts = np.array([r["return_point"] for r in back])
@@ -203,10 +203,9 @@ def test_return_map_backward_and_inverse(ell, page, page_index):
         assert np.linalg.norm(hit[0] - x0) < 1e-6
 
 
-def test_seed_on_binding_rejected(ell, page, page_index):
+def test_seed_on_binding_rejected(ell, page):
     with pytest.raises(DomainError):
-        sec.return_map(ell, page, [(1.0, 0.2)], t_budget=BUDGET,
-                       index=page_index)
+        sec.return_map(ell, page, [(1.0, 0.2)], t_budget=BUDGET)
 
 
 def test_verify_global_section_small(ell, page):
@@ -291,9 +290,8 @@ def test_disk_save_load(tmp_path, page):
     again.validate()
 
 
-def test_return_csv(tmp_path, ell, page, page_index):
-    recs = sec.return_map(ell, page, sec.disk_seeds(3), t_budget=BUDGET,
-                          index=page_index)
+def test_return_csv(tmp_path, ell, page):
+    recs = sec.return_map(ell, page, sec.disk_seeds(3), t_budget=BUDGET)
     recs.append({"seed_s": 0.5, "seed_t": 0.5, "timeout": True})
     path = tmp_path / "returns.csv"
     sec.write_return_csv(path, recs)
@@ -312,13 +310,12 @@ def test_lockstep_records_equal_single_seed_runs(ell, gamma1):
     # the twist spreads the return times about pi sqrt(2), so a budget of
     # 4.6 times out some seeds; the batch mixes both directions
     disk = twisted_page(ell, gamma1, amplitude=0.3)
-    index = sec._DiskIndex(ell, disk)
     seeds = sec.disk_seeds(12)
     dirs = ["forward", "backward"] * 6
-    batch = sec.return_map(ell, disk, seeds, 4.6, dirs, index=index)
+    batch = sec.return_map(ell, disk, seeds, 4.6, dirs)
     assert 0 < sum(r["timeout"] for r in batch) < 12
     for seed, direction, rec in zip(seeds, dirs, batch):
-        alone, = sec.return_map(ell, disk, [seed], 4.6, direction, index=index)
+        alone, = sec.return_map(ell, disk, [seed], 4.6, direction)
         assert alone.keys() == rec.keys()
         for key, value in rec.items():
             if key == "return_point":
@@ -327,11 +324,10 @@ def test_lockstep_records_equal_single_seed_runs(ell, gamma1):
                 assert value == alone[key], key
     with pytest.raises(DomainError):
         sec.return_map(ell, disk, np.vstack([seeds, [(1.0, 0.2)]]), 4.6,
-                       dirs + ["forward"], index=index)
+                       dirs + ["forward"])
 
 
-def test_return_map_raises_the_first_failed_row(ell, page, page_index,
-                                                monkeypatch):
+def test_return_map_raises_the_first_failed_row(ell, page, monkeypatch):
     real = sec.integrate_batch
     errors = {7: StiffnessError("row 7", 0.0, None),
               3: StiffnessError("row 3", 0.0, None)}
@@ -347,7 +343,7 @@ def test_return_map_raises_the_first_failed_row(ell, page, page_index,
 
     monkeypatch.setattr(sec, "integrate_batch", failing)
     with pytest.raises(StiffnessError) as info:
-        sec.return_map(ell, page, sec.disk_seeds(8), BUDGET, index=page_index)
+        sec.return_map(ell, page, sec.disk_seeds(8), BUDGET)
     assert info.value is errors[3]
     assert calls[0] == 8
 
