@@ -17,6 +17,7 @@ offending row.
 
 import hashlib
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -120,9 +121,11 @@ class StarForm:
 
     @classmethod
     def ellipsoid(cls, r1_squared, r2_squared, name=""):
-        r = np.array([float(r1_squared), float(r2_squared)])
+        r = np.array([float(v) if isinstance(v, numbers.Real) else np.nan
+                      for v in (r1_squared, r2_squared)])
         if not np.all(np.isfinite(r)) or np.any(r <= 0):
-            raise DomainError("ellipsoid semiaxis squares must be positive finite")
+            raise DomainError("ellipsoid semiaxis squares must be positive "
+                              f"finite reals, not {r1_squared!r}, {r2_squared!r}")
         return cls(kind="ellipsoid", r_squared=r, name=name,
                    tables=kernels.ellipsoid_tables(2.0 / r))
 
@@ -133,10 +136,14 @@ class StarForm:
         The weight must be positive on a 10^4-point quasi-uniform sample of
         the unit sphere, its powers taken by running products, or is rejected.
         """
-        exps = np.array([m[0] for m in monomials], dtype=np.int64)
+        raw = np.array([m[0] for m in monomials], dtype=float)
         coeffs = np.array([m[1] for m in monomials], dtype=float)
-        if exps.ndim != 2 or exps.shape[1] != 4 or np.any(exps < 0):
+        if raw.ndim != 2 or raw.shape[1] != 4 or np.any(raw < 0):
             raise DomainError("monomial exponents must be non-negative 4-tuples")
+        k = _first_row(~np.isfinite(raw) | (raw != np.round(raw)))
+        if k is not None:
+            raise DomainError(f"monomial exponent {raw.flat[k]} is not an integer")
+        exps = raw.astype(np.int64)
         if not np.all(np.isfinite(coeffs)):
             raise DomainError("monomial coefficients must be finite")
         tables = kernels.weight_tables(exps, coeffs)
@@ -270,12 +277,12 @@ def xi_projector(form, x):
 
     Returns ``v -> v - dH(v) x/2 - omega(x/2, v) R``.  The contact plane,
     where lambda0 and dH vanish, is the omega-orthogonal complement of the
-    plane spanned by x/2 and R, so the map kills x/2 and R and fixes xi.
+    plane spanned by x/2 and R = grad H @ OMEGA, so it kills both and fixes xi.
     """
     x = np.asarray(x, dtype=float)
     Y = 0.5 * x
     gH = form.grad_H(x)
-    R = reeb_vector(form, x, check=False)
+    R = gH @ OMEGA
 
     def proj(v):
         return (v - np.vecdot(gH, v)[..., None] * Y
@@ -292,10 +299,12 @@ class XiFrame:
     vectors, dlambda0(e1, e2) = 1 exactly after normalization, and e1 is
     Euclidean-orthogonal to e2 with equal norms, so the induced complex
     structure (e1 -> e2) is the standard one in frame coordinates.
+    ``project`` is the ``xi_projector`` at the same points that built them.
     """
 
     e1: np.ndarray
     e2: np.ndarray
+    project: object
 
     def coords(self, w):
         """Frame coordinates (..., 2) of contact-plane vectors w = a e1 + b e2."""
@@ -339,4 +348,4 @@ def xi_frame(form, x):
     _frame_norm(x, np.abs(c))
     f2 = np.where(c[..., None] < 0, -f2, f2)
     scale = 1.0 / np.sqrt(np.abs(c))[..., None]
-    return XiFrame(e1=f1 * scale, e2=f2 * scale)
+    return XiFrame(e1=f1 * scale, e2=f2 * scale, project=proj)

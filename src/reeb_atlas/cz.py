@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .contact import project_to_sigma, xi_frame, xi_projector
+from .contact import project_to_sigma, xi_frame
 from .errors import (DegenerateOrbitError, DomainError, InconsistencyError,
                      ReebAtlasError, ResolutionError)
 from .flow import integrate_batch
@@ -214,13 +214,11 @@ def _variational_flow(form, orbit):
 
 def _path_samples(form, orbit, flow, n):
     samples = flow(np.linspace(0.0, orbit.T, n + 1))
-    points = project_to_sigma(form, samples[:, :4])
-    fr = xi_frame(form, points)
-    proj = xi_projector(form, points)
+    fr = xi_frame(form, project_to_sigma(form, samples[:, :4]))
     M = samples[:, 4:].reshape(-1, 4, 4)
     mats = np.empty((n + 1, 2, 2))
-    mats[:, :, 0] = fr.coords(proj(M @ fr.e1[0]))
-    mats[:, :, 1] = fr.coords(proj(M @ fr.e2[0]))
+    mats[:, :, 0] = fr.coords(fr.project(M @ fr.e1[0]))
+    mats[:, :, 1] = fr.coords(fr.project(M @ fr.e2[0]))
     mats[0] = np.eye(2)  # exact by construction, pinned against roundoff
     prev, cur = fr.e1[:-1], fr.e1[1:]
     cosang = np.abs(np.vecdot(prev, cur)) / (kernels.norm(prev) * kernels.norm(cur))
@@ -228,31 +226,25 @@ def _path_samples(form, orbit, flow, n):
     return mats, max_frame_angle
 
 
-def trivialized_path(form, orbit, n_min):
-    """Linearized Reeb flow along an orbit, expressed in the global frame.
-
-    The orbit's residual must be at most 1e-9.  The sample count doubles
-    automatically from ``n_min`` until the frame rotates by less than pi/4
-    per step and consecutive matrices move by less than the resolution guard.
+def trivialized_path(form, orbit, n):
+    """Linearized Reeb flow along an orbit (residual at most 1e-9) in the
+    global frame, sampled once on ``n`` steps; it starts at the identity by
+    construction.  A frame step of pi/4 or more, or a jump of ``STEP_GUARD``
+    or more between consecutive matrices, raises ``ResolutionError``; an
+    endpoint 1e-6 off the stored monodromy raises ``InconsistencyError``.
     """
-    flow = _variational_flow(form, orbit)
-    n = int(n_min)
-    while True:
-        mats, frame_angle = _path_samples(form, orbit, flow, n)
-        path = SymplecticPath(mats=mats)
-        jumps = np.linalg.norm(np.diff(mats, axis=0), axis=(1, 2))
-        if frame_angle < np.pi / 4 and jumps.max() < STEP_GUARD:
-            break
-        n *= 2
-        if n > 16384:
-            raise ResolutionError("path did not stabilize below 16384 samples")
-    path.validate()
-    gap = np.abs(path.endpoint - orbit.monodromy).max()
+    mats, frame_angle = _path_samples(form, orbit, _variational_flow(form, orbit), n)
+    jump = np.linalg.norm(np.diff(mats, axis=0), axis=(1, 2)).max()
+    if not (frame_angle < np.pi / 4 and jump < STEP_GUARD):  # NaN fails too
+        raise ResolutionError(
+            f"n_grid={n} under-resolves this orbit: frame step {frame_angle:.3f}"
+            f" rad (limit pi/4), path jump {jump:.3f} (limit {STEP_GUARD})")
+    gap = np.abs(mats[-1] - orbit.monodromy).max()
     if gap > 1e-6:
         raise InconsistencyError(
             f"path endpoint disagrees with the stored monodromy by {gap:.2e}"
         )
-    return path
+    return SymplecticPath(mats=mats)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +494,6 @@ def orbit_index_report(form, orbit, n_grid=1024):
         path = trivialized_path(form, orbit, n_grid)
         resolution.update(integrated_span=orbit.T_min if fresh else 0.0,
                           path_samples=path.n_steps + 1)
-        if path.n_steps != n_grid:
-            raise ResolutionError(
-                f"n_grid={n_grid} under-resolves this orbit; use at least "
-                f"{path.n_steps}"
-            )
         interval = rotation_interval(path)
         report["interval"] = [interval.lo, interval.hi]
         mu_geo, flagged = cz_from_interval(interval)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from . import kernels
-from .contact import xi_frame, xi_projector
+from .contact import xi_frame
 from .errors import DomainError, OffLevelError, ReebAtlasError, StiffnessError
 
 __all__ = [
@@ -285,5 +285,5 @@ def xi_period_map(form, x0, res, closure_tol):
             f"point is not T-periodic: |phi_T(x) - x| = {gap:.3e} > {closure_tol:.0e}"
         )
     fr = xi_frame(form, x0)
-    w = xi_projector(form, x0)(np.stack([M @ fr.e1, M @ fr.e2]))
+    w = fr.project(np.stack([M @ fr.e1, M @ fr.e2]))
     return fr.coords(w).T

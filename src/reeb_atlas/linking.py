@@ -135,27 +135,27 @@ def pick_pole(point_sets):
 # Gauss linking number
 # ---------------------------------------------------------------------------
 
-def stereo_pair(a, b, min_dist):
+def stereo_pair(a, b):
     """Stereographic images of two (N, 4) loops, from the first pole
-    admissible for both; loops closer than ``min_dist`` are rejected."""
+    admissible for both; loops closer than ``_MIN_CURVE_DIST`` are rejected."""
     pa = np.ascontiguousarray(a)
     pb = np.ascontiguousarray(b)
     gap = kernels.min_cross_distance(pa, pb)
-    if gap <= min_dist:
-        raise ProximityError(f"curves are {gap:.2e} apart (< {min_dist:.0e})")
+    if gap <= _MIN_CURVE_DIST:
+        raise ProximityError(f"curves are {gap:.2e} apart (< {_MIN_CURVE_DIST:.0e})")
     pole = pick_pole([pa, pb])
     return (np.ascontiguousarray(stereo_project(pa, pole)),
             np.ascontiguousarray(stereo_project(pb, pole)))
 
 
-def linking_number(a, b, min_dist=_MIN_CURVE_DIST):
+def linking_number(a, b):
     """Integer linking number of two (N, 4) loops by the exact Gauss sum
     (``kernels.gauss_linking_raw``: the vertex-based atan2 solid-angle sum).
 
-    Returns (lk, raw_residual).  Curves closer than ``min_dist`` are
+    Returns (lk, raw_residual).  Curves closer than ``_MIN_CURVE_DIST`` are
     rejected; a residual of 0.1 or more demands denser traces.
     """
-    return _gauss_linking(*stereo_pair(a, b, min_dist))
+    return _gauss_linking(*stereo_pair(a, b))
 
 
 def _gauss_linking(a3, b3):
@@ -293,8 +293,7 @@ def self_linking(form, trace):
 
     def lk_at(e):
         pushed = project_to_sigma(form, trace + e * e1)
-        lk, _ = linking_number(trace, pushed,
-                               min_dist=min(_MIN_CURVE_DIST, 0.2 * e))
+        lk, _ = linking_number(trace, pushed)
         return lk
 
     sl = lk_at(_PUSHOFF)
@@ -339,7 +338,7 @@ def _checked_linking(a, b):
     linking number, or the ``ResolutionError`` of a crossing count that
     found no generic direction.  A crossing count that disagrees raises
     ``InconsistencyError``."""
-    a3, b3 = stereo_pair(a, b, _MIN_CURVE_DIST)
+    a3, b3 = stereo_pair(a, b)
     lk, residual = _gauss_linking(a3, b3)
     try:
         crossing = crossing_linking(a3, b3)

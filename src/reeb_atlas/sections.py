@@ -19,8 +19,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .contact import (complement_basis, omega_form, project_to_sigma,
-                      reeb_vector, sobol_points, xi_frame, xi_projector)
+from .contact import (OMEGA, complement_basis, omega_form, project_to_sigma,
+                      reeb_vector, sobol_points, xi_frame)
 from .errors import (DomainError, GridQualityError, MissingArtifactError,
                      ResolutionError)
 from .flow import integrate_batch, lockstep
@@ -173,8 +173,8 @@ def transversality_check(form, disk):
     b = 0.5 * ((nxt[:-1] - s[:-1]) + (nxt[1:] - s[1:]))      # angular edge
     centers = 0.25 * (s[:-1] + s[1:] + nxt[:-1] + nxt[1:])
     x = project_to_sigma(form, centers)
-    nu = _unit_normal(form, x)
-    R = reeb_vector(form, x, check=False)
+    g = form.grad_H(x)
+    nu, R = g / kernels.norm(g)[..., None], g @ OMEGA  # reeb_vector's R
     at = _tangential(a, nu)
     bt = _tangential(b, nu)
     area2 = np.vecdot(at, at) * np.vecdot(bt, bt) - np.vecdot(at, bt) ** 2
@@ -279,9 +279,8 @@ def _classify_zero(form, disk, vfield, s0, t0):
     point = _grid_point(disk, s0, t0)
     x = project_to_sigma(form, point)
     fr = xi_frame(form, x)
-    proj = xi_projector(form, x)
     eX, eY = _chart_tangents(disk, s0, t0)
-    pX, pY = proj(eX), proj(eY)
+    pX, pY = fr.project(eX), fr.project(eY)
     P = np.stack([fr.coords(pX), fr.coords(pY)], axis=1)
     dV = A @ np.linalg.inv(P)
     ev = np.linalg.eigvals(dV)

@@ -32,12 +32,13 @@ from reeb_atlas.cz import (J0, STEP_GUARD, SymplecticPath,
                            _assert_iterate_relations, asymptotic_spectrum,
                            cz_from_interval, rotation_interval,
                            trivialized_path)
-from reeb_atlas.errors import (DomainError, GridQualityError, RefinementError,
-                               ResolutionError)
+from reeb_atlas.errors import (DomainError, GridQualityError, ProximityError,
+                               RefinementError, ResolutionError)
 from reeb_atlas.flow import integrate_batch, integrate_flow, xi_period_map
 from reeb_atlas.kernels import _GAUSS_CHUNK, _HESS_BLOCK, _I, _J
-from reeb_atlas.linking import (_MIN_CURVE_DIST, _height, _segment_pairs,
-                                _shadow, linking_number)
+from reeb_atlas.linking import (_MIN_CURVE_DIST, _gauss_linking, _height,
+                                _segment_pairs, _shadow, pick_pole,
+                                stereo_project)
 from reeb_atlas.sections import DiskGrid, _DiskIndex, _first_crossing
 
 
@@ -92,10 +93,17 @@ def monodromy_xi(form, orbit_point, T, closure_tol=1e-6):
 def pushoff_linking(form, trace, eps, vector):
     """Linking number of an (N, 4) trace with its pushoff of size ``eps``
     along ``xi_frame``'s ``vector`` ("e1" or "e2"): ``self_linking`` at one
-    pushoff size, without its halving check."""
+    pushoff size, without its halving check, refusing curves closer than
+    min(``_MIN_CURVE_DIST``, 0.2 eps)."""
     section = getattr(xi_frame(form, trace), vector)
     pushed = project_to_sigma(form, trace + eps * section)
-    lk, _ = linking_number(trace, pushed, min_dist=min(_MIN_CURVE_DIST, 0.2 * eps))
+    bound = min(_MIN_CURVE_DIST, 0.2 * eps)
+    gap = kernels.min_cross_distance(trace, pushed)
+    if gap <= bound:
+        raise ProximityError(f"curves are {gap:.2e} apart (< {bound:.0e})")
+    pole = pick_pole([trace, pushed])
+    lk, _ = _gauss_linking(np.ascontiguousarray(stereo_project(trace, pole)),
+                           np.ascontiguousarray(stereo_project(pushed, pole)))
     return lk
 
 

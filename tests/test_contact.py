@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reeb_atlas import contact, kernels
-from reeb_atlas.contact import (StarForm, omega_form, project_to_sigma,
-                                reeb_vector, sphere_samples, xi_frame,
-                                xi_projector)
+from reeb_atlas.contact import (OMEGA, StarForm, omega_form,
+                                project_to_sigma, reeb_vector, sphere_samples,
+                                xi_frame, xi_projector)
 from reeb_atlas.errors import DomainError, FrameDegeneracyError, OffLevelError
 
 from oracles import embed, form_json, lambda0, round_sphere, xi_project
@@ -127,6 +127,25 @@ def test_json_roundtrip_and_nonfinite_rejection():
             StarForm.from_json_dict(data)
 
 
+def test_constructors_refuse_values_they_would_coerce():
+    # int64 would truncate the exponent 1.5 to 1, and float() would parse the
+    # string "12" as the semiaxis squares 1 and 2
+    mons = [((1.5, 0, 0, 0), 0.1), ((0, 0, 0, 0), 1.0)]
+    with pytest.raises(DomainError, match="exponent 1.5 is not an integer"):
+        StarForm.weighted(mons)
+    with pytest.raises(DomainError, match="exponent 1.5 is not an integer"):
+        StarForm.from_json_dict({"type": "weighted", "monomials": [
+            {"exp": list(e), "coeff": c} for e, c in mons]})
+    for r_squared in ("12", ["1", "2"], [1.0, "2"]):
+        with pytest.raises(DomainError, match="positive finite reals"):
+            StarForm.from_json_dict({"type": "ellipsoid", "r_squared": r_squared})
+    # integral values of other real types still build the same form
+    assert (StarForm.ellipsoid(np.float64(1.0), np.int64(2)).form_hash
+            == StarForm.ellipsoid(1.0, 2.0).form_hash)
+    assert (StarForm.weighted([((2.0, 0, 0, 0), 0.1), ((0, 0, 0, 0), 1.0)]).form_hash
+            == StarForm.weighted([((2, 0, 0, 0), 0.1), ((0, 0, 0, 0), 1.0)]).form_hash)
+
+
 def test_form_hash_is_pinned(perturbed_form):
     # saved censuses are keyed by these digests; a change in the payload's
     # bytes (such as numpy's scalar repr) would orphan them
@@ -232,6 +251,8 @@ def test_xi_projector(form_name, request):
     rng = np.random.default_rng(4)
     for x in pts:
         proj = xi_projector(form, x)
+        v = rng.normal(size=(3, 4))
+        np.testing.assert_array_equal(xi_frame(form, x).project(v), proj(v))
         assert np.abs(proj(0.5 * x)).max() < 1e-12
         assert np.abs(proj(reeb_vector(form, x))).max() < 1e-12
         v = rng.normal(size=4)
@@ -281,6 +302,9 @@ def test_batch_equals_rows(ell, perturbed_form, which, random_form, pts):
     on_level = project_to_sigma(form, pts)
     _rows_agree(reeb_vector(form, on_level),
                 [reeb_vector(form, p) for p in on_level.reshape(-1, 4)])
+    # the Reeb field that xi_projector reads off the gradient
+    np.testing.assert_array_equal(form.grad_H(on_level) @ OMEGA,
+                                  reeb_vector(form, on_level))
     fr = xi_frame(form, on_level)
     row_frames = [xi_frame(form, p) for p in on_level.reshape(-1, 4)]
     _rows_agree(fr.e1, [f.e1 for f in row_frames])

@@ -346,6 +346,21 @@ def test_index_report_integrates_once(ell, gamma1, monkeypatch, k, samples):
             cz.orbit_index_report(ell, orbit, n_grid=256)
 
 
+def test_under_resolved_grid_is_sampled_once(ell, gamma1, monkeypatch):
+    # the path is sampled on the caller's grid only: gamma1^9 turns too fast
+    # for 256 steps, and the one sampling's error names that grid
+    grids, real = [], cz._path_samples
+
+    def spy(form, orbit, flow, n):
+        grids.append(n)
+        return real(form, orbit, flow, n)
+
+    monkeypatch.setattr(cz, "_path_samples", spy)
+    with pytest.raises(ResolutionError, match="n_grid=256 under-resolves"):
+        cz.orbit_index_report(ell, gamma1.iterate(9), n_grid=256)
+    assert grids == [256]
+
+
 def test_integrated_span_names_the_report_that_ran_the_flow(ell, gamma1):
     # a bare report integrates its prime; inside a block whose batch already
     # ran the prime, as check_binding's does, a report integrates nothing

@@ -114,7 +114,7 @@ _pairs = st.tuples(st.integers(0, 2 ** 32 - 1), _SIZES, _SIZES).map(
 def test_gauss_sum_equals_crossing_count(pair):
     a, b = pair
     try:
-        expected = lk.crossing_linking(*lk.stereo_pair(a, b, 1e-3))
+        expected = lk.crossing_linking(*lk.stereo_pair(a, b))
     except ReebAtlasError:
         assume(False)
     raw = kernels.gauss_linking_raw(*_projected(a, b))
@@ -162,7 +162,7 @@ def test_gauss_tiles_equal_whole_blocks_on_a_pushoff(ell, gamma1):
     # the 512 x 512 sum of the first self-linking pushoff of gamma1
     trace = trace_orbit(ell, gamma1, 512)
     pushed = project_to_sigma(ell, trace + 1e-2 * xi_frame(ell, trace).e1)
-    a3, b3 = lk.stereo_pair(trace, pushed, 1e-3)
+    a3, b3 = lk.stereo_pair(trace, pushed)
     assert (kernels.gauss_linking_raw(a3, b3)
             == blocked_gauss_linking_raw(a3, b3))
 

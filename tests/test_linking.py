@@ -83,7 +83,7 @@ def test_linking_hopf_pair(ell, gamma1, gamma2):
     val, resid = lk.linking_number(t1, t2)
     assert val == 1
     assert resid < 0.1
-    assert lk.crossing_linking(*lk.stereo_pair(t1, t2, 1e-3)) == 1
+    assert lk.crossing_linking(*lk.stereo_pair(t1, t2)) == 1
     # symmetry and orientation reversal
     assert lk.linking_number(t2, t1)[0] == 1
     assert lk.linking_number(t1, t2[::-1])[0] == -1
@@ -102,7 +102,7 @@ def test_unlinked_distant_circles():
     c2 = np.stack([0 * TH + 0.05, 0.1 * np.cos(TH),
                    0.1 * np.sin(TH) + 1, 0 * TH], axis=1)
     assert lk.linking_number(c1, c2)[0] == 0
-    assert lk.crossing_linking(*lk.stereo_pair(c1, c2, 1e-3)) == 0
+    assert lk.crossing_linking(*lk.stereo_pair(c1, c2)) == 0
 
 
 def test_proximity_rejection():
@@ -137,7 +137,7 @@ def test_gauss_vs_crossing_on_random_pairs():
             g = lk.linking_number(a, b)[0]
         except ProximityError:
             continue
-        assert lk.crossing_linking(*lk.stereo_pair(a, b, 1e-3)) == g
+        assert lk.crossing_linking(*lk.stereo_pair(a, b)) == g
         checked += 1
     assert checked >= 40
 
@@ -304,5 +304,5 @@ def test_gauss_and_crossing_count_agree_on_prime_pairs(coeffs):
         (t, project_to_sigma(form, t + 1e-2 * xi_frame(form, t).e1))
         for t in (tp, tq)]
     for a, b in pairs:
-        crossing = lk.crossing_linking(*lk.stereo_pair(a, b, 1e-3))
+        crossing = lk.crossing_linking(*lk.stereo_pair(a, b))
         assert crossing == lk.linking_number(a, b)[0]
