@@ -10,7 +10,7 @@ and the index must be at least 3.  Audit failures are numerical
 inconsistencies by theory, so they raise alarms instead of verdicts.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +21,18 @@ from .linking import (cover_linking, cover_self_linking, linking_checks,
                       prime_trace, prime_traces, unknot_check)
 from .sections import characteristic_field, transversality_check
 
-__all__ = ["BindingReport", "check_binding", "necessity_audit", "AuditReport"]
+__all__ = ["BindingReport", "check_binding", "necessity_audit", "AuditReport",
+           "report_fields"]
+
+# field metadata of a report field that goes to the sidecar, not the report
+_SIDECAR = {"sidecar": True}
+
+
+def report_fields(report, sidecar):
+    """A report's fields by name: those marked ``_SIDECAR`` if ``sidecar``,
+    else the others."""
+    return {f.name: getattr(report, f.name) for f in fields(report)
+            if f.metadata.get("sidecar", False) == sidecar}
 
 
 @dataclass
@@ -37,29 +48,19 @@ class BindingReport:
     sl_skipped: str | None = None  # the error that left sl unknown
     mu_cz: int | None = None
     index_methods_agree: bool | None = None
-    index2_checked: list = field(default_factory=list)
-    index_unknown: list = field(default_factory=list)
+    index2_orbits_checked: list = field(default_factory=list)
+    index_unknown_orbits: list = field(default_factory=list)
     verdict: str = "inconclusive:not-evaluated"
-    index_table: list = field(default_factory=list)  # sidecar only
-    primes_integrated: int = 0  # sidecar only
-    linking_checks: dict = field(default_factory=dict)  # sidecar only
+    index_table: list = field(default_factory=list, metadata=_SIDECAR)
+    primes_integrated: int = field(default=0, metadata=_SIDECAR)
+    linking_checks: dict = field(default_factory=dict, metadata=_SIDECAR)
 
     def to_json_dict(self):
-        return {
-            "orbit_id": self.orbit_id,
-            "t_max": self.t_max,
-            "simply_covered": self.simply_covered,
-            "unknot_status": self.unknot_status,
-            "crossings_after_reduction": self.crossings_after_reduction,
-            "sl": self.sl,
-            **({} if self.sl_skipped is None
-               else {"sl_skipped": self.sl_skipped}),
-            "mu_cz": self.mu_cz,
-            "index_methods_agree": self.index_methods_agree,
-            "index2_orbits_checked": self.index2_checked,
-            "index_unknown_orbits": self.index_unknown,
-            "verdict": self.verdict,
-        }
+        """The report's fields, ``sl_skipped`` only when it is set."""
+        out = report_fields(self, False)
+        if self.sl_skipped is None:
+            del out["sl_skipped"]
+        return out
 
     @property
     def exit_code(self):
@@ -82,16 +83,16 @@ def check_binding(form, db, candidate_id):
     records each report's resolution.  The verdict carries the census
     truncation cap; conditions quantified over all orbits are only checked
     against the database.  An orbit whose index could not be computed is
-    listed in ``index_unknown`` as ``{"orbit_id", "reason"}``; so are the
-    orbits of a prime whose agreed indices, the candidate's included,
-    violate the iteration inequalities, with that error as the reason.  An
-    orbit in ``index_unknown`` decides no verdict but
+    listed in ``index_unknown_orbits`` as ``{"orbit_id", "reason"}``; so
+    are the orbits of a prime whose agreed indices, the candidate's
+    included, violate the iteration inequalities, with that error as the
+    reason.  An orbit in ``index_unknown_orbits`` decides no verdict but
     ``inconclusive:index-unknown``: it gets no linking check, and a
     candidate among them is inconclusive before any ``fails:*`` rule on its
     index.  Each index-2 orbit Q^k gets lk = k lk(P, Q) from the prime pair,
     cross-checked by the crossing count; if that could not be computed or
-    the two routes disagree, its ``index2_checked`` row has ``lk`` and
-    ``linked`` None and the reason under ``skipped``.  ``linking_checks``
+    the two routes disagree, its ``index2_orbits_checked`` row has ``lk``
+    and ``linked`` None and the reason under ``skipped``.  ``linking_checks``
     records both routes' numbers per prime pair (``linking.linking_checks``).
     A candidate whose self-linking could not be computed keeps ``sl`` None
     and the error's text under ``sl_skipped``.
@@ -154,7 +155,7 @@ def _check_in_table(form, db, candidate_id, report):
             if None in (rep["mu_geometric"], rep["mu_spectral"]):
                 reason = "; ".join(rep["degenerate_flags"]) or "no index"
         if reason is not None:  # might be an unlinked index 2
-            report.index_unknown.append({"orbit_id": oid, "reason": reason})
+            report.index_unknown_orbits.append({"orbit_id": oid, "reason": reason})
     report.index_table = _index_table(db, reports)
 
     agreed = {}  # per prime: (multiplicity, agreed index, orbit id)
@@ -167,11 +168,11 @@ def _check_in_table(form, db, candidate_id, report):
         try:
             _assert_iterate_relations([(k, mu) for k, mu, _ in sorted(rows)])
         except InconsistencyError as exc:
-            report.index_unknown.extend(
+            report.index_unknown_orbits.extend(
                 {"orbit_id": oid, "reason": f"{type(exc).__name__}: {exc}"}
                 for oid in sorted(oid for _, _, oid in rows))
 
-    unknown = {row["orbit_id"] for row in report.index_unknown}
+    unknown = {row["orbit_id"] for row in report.index_unknown_orbits}
     index2 = [oid for oid, rep in sorted(reports.items())
               if oid != candidate_id and oid not in unknown
               and rep["mu_geometric"] == 2]
@@ -180,10 +181,10 @@ def _check_in_table(form, db, candidate_id, report):
         try:
             lk, _ = cover_linking(form, cand, db[oid])
         except ReebAtlasError as exc:
-            report.index2_checked.append({"orbit_id": oid, "lk": None,
-                                          "linked": None, "skipped": str(exc)})
+            report.index2_orbits_checked.append({"orbit_id": oid, "lk": None,
+                                                 "linked": None, "skipped": str(exc)})
             continue
-        report.index2_checked.append(
+        report.index2_orbits_checked.append(
             {"orbit_id": oid, "lk": int(lk), "linked": bool(lk != 0)})
     report.linking_checks = linking_checks(db.orbits)
     report.verdict = _verdict(report, candidate_id in unknown)
@@ -191,7 +192,7 @@ def _check_in_table(form, db, candidate_id, report):
 
 # (condition, verdict) in order of precedence over the computed facts: the
 # report's fields and whether the candidate's own index is in doubt.  A
-# ``fails:*`` condition never reads an orbit in ``index_unknown``.
+# ``fails:*`` condition never reads an orbit in ``index_unknown_orbits``.
 _RULES = (
     (lambda r, own: r.unknot_status != "certified_unknot",
      "inconclusive:unknot_status_unknown"),
@@ -201,11 +202,11 @@ _RULES = (
      "inconclusive:index-method-disagreement"),
     (lambda r, own: own, "inconclusive:index-unknown"),
     (lambda r, own: r.mu_cz < 3, "fails:index_below_3"),
-    (lambda r, own: any(rec["linked"] is False for rec in r.index2_checked),
+    (lambda r, own: any(rec["linked"] is False for rec in r.index2_orbits_checked),
      "fails:index2_orbit_unlinked"),
-    (lambda r, own: any(rec["linked"] is None for rec in r.index2_checked),
+    (lambda r, own: any(rec["linked"] is None for rec in r.index2_orbits_checked),
      "inconclusive:index2-linking-unknown"),
-    (lambda r, own: bool(r.index_unknown), "inconclusive:index-unknown"),
+    (lambda r, own: bool(r.index_unknown_orbits), "inconclusive:index-unknown"),
     (lambda r, own: True, "hypotheses_hold"),
 )
 
@@ -238,23 +239,15 @@ class AuditReport:
     mu_cz: int | None
     boundary_winding: int | None
     alarms: list
-    linking_checks: dict = field(default_factory=dict)  # sidecar only
+    linking_checks: dict = field(default_factory=dict, metadata=_SIDECAR)
 
     @property
     def passed(self):
         return not self.alarms
 
     def to_json_dict(self):
-        return {
-            "binding_id": self.binding_id,
-            "linking": self.linking,
-            "sl_pushoff": self.sl_pushoff,
-            "sl_from_winding": self.sl_from_winding,
-            "mu_cz": self.mu_cz,
-            "boundary_winding": self.boundary_winding,
-            "alarms": self.alarms,
-            "passed": self.passed,
-        }
+        """The report's fields and whether it passed."""
+        return dict(report_fields(self, False), passed=self.passed)
 
 
 def necessity_audit(form, disk, db, binding_id):

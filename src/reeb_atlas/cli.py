@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .binding import check_binding, necessity_audit
+from .binding import check_binding, necessity_audit, report_fields
 from .contact import StarForm
 from .cz import orbit_index_report, prime_table
 from .errors import (ConfigError, DegenerateOrbitError, DomainError,
@@ -319,9 +319,7 @@ def cmd_binding_check(args, cfg, form):
     db = load_orbits(form, args.orbits)
     with counting() as work:
         report = check_binding(form, db, args.candidate)
-    meta = {"index_table": report.index_table,
-            "primes_integrated": report.primes_integrated,
-            "linking_checks": report.linking_checks, "stepper": dict(work)}
+    meta = dict(report_fields(report, True), stepper=dict(work))
     return (f"binding_orbit{args.candidate}.json", report.to_json_dict(), meta,
             report.exit_code,
             f"binding verdict for orbit {args.candidate}: {report.verdict}")
@@ -338,8 +336,7 @@ def cmd_audit(args, cfg, form):
     message = "necessity audit passed" if report.passed else "\n  - ".join(
         ["NECESSITY AUDIT ALARMS (numerical inconsistency):", *report.alarms])
     return (f"audit_binding{args.binding}.json", report.to_json_dict(),
-            {"linking_checks": report.linking_checks},
-            0 if report.passed else 1, message)
+            report_fields(report, True), 0 if report.passed else 1, message)
 
 
 # ---------------------------------------------------------------------------

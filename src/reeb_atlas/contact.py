@@ -61,6 +61,11 @@ def complement_basis(rows):
     return np.array(basis[len(rows):])
 
 
+def _real(v):
+    """v as a float, or NaN if it is not a real number (a string is not)."""
+    return float(v) if isinstance(v, numbers.Real) else np.nan
+
+
 def _first_row(mask):
     """Index of the first True entry of a boolean array, or None."""
     hits = np.flatnonzero(mask)
@@ -121,8 +126,7 @@ class StarForm:
 
     @classmethod
     def ellipsoid(cls, r1_squared, r2_squared, name=""):
-        r = np.array([float(v) if isinstance(v, numbers.Real) else np.nan
-                      for v in (r1_squared, r2_squared)])
+        r = np.array([_real(r1_squared), _real(r2_squared)])
         if not np.all(np.isfinite(r)) or np.any(r <= 0):
             raise DomainError("ellipsoid semiaxis squares must be positive "
                               f"finite reals, not {r1_squared!r}, {r2_squared!r}")
@@ -136,16 +140,17 @@ class StarForm:
         The weight must be positive on a 10^4-point quasi-uniform sample of
         the unit sphere, its powers taken by running products, or is rejected.
         """
-        raw = np.array([m[0] for m in monomials], dtype=float)
-        coeffs = np.array([m[1] for m in monomials], dtype=float)
+        raw = np.array([[_real(e) for e in m[0]] for m in monomials])
+        coeffs = np.array([_real(m[1]) for m in monomials])
         if raw.ndim != 2 or raw.shape[1] != 4 or np.any(raw < 0):
             raise DomainError("monomial exponents must be non-negative 4-tuples")
         k = _first_row(~np.isfinite(raw) | (raw != np.round(raw)))
         if k is not None:
-            raise DomainError(f"monomial exponent {raw.flat[k]} is not an integer")
+            raise DomainError(f"monomial exponent {monomials[k // 4][0][k % 4]!r}"
+                              " is not an integer")
         exps = raw.astype(np.int64)
         if not np.all(np.isfinite(coeffs)):
-            raise DomainError("monomial coefficients must be finite")
+            raise DomainError("monomial coefficients must be finite reals")
         tables = kernels.weight_tables(exps, coeffs)
         form = cls(kind="weighted", exps=exps, coeffs=coeffs, name=name,
                    tables=tables)
@@ -263,13 +268,12 @@ def _check_on_level(form, x):
 
 
 def reeb_vector(form, x, check=True):
-    """Reeb field at points of the level: R = X_H with lambda0(R) = 1."""
+    """Reeb field at points of the level: R = X_H = grad H @ OMEGA, with
+    lambda0(R) = 1.  ``check`` refuses points off the level by over 1e-7."""
     x = np.asarray(x, dtype=float)
     if check:
         _check_on_level(form, x)
-    if form.kind == "ellipsoid":
-        return kernels.ellipsoid_rhs(x, form.tables)
-    return kernels.weighted_rhs(x, form.tables)
+    return form.grad_H(x) @ OMEGA
 
 
 def xi_projector(form, x):

@@ -207,12 +207,13 @@ def integrate_batch(form, x0, t_final, tol=1e-10, variational=False,
     ``variational`` also propagates the 4x4 linearized flow from the
     identity; ``dense`` keeps the interpolant.  Returns one ``FlowResult``
     per row, or its exception: ``OffLevelError`` (start off level by over
-    1e-7), ``DomainError`` (non-finite end time) or ``StiffnessError`` (step
-    size underflow; carries the last good state).
+    1e-7, or NaN), ``DomainError`` (non-finite end time) or
+    ``StiffnessError`` (step size underflow; carries the last good state).
     """
     x0 = np.asarray(x0, dtype=float)
     t_end = np.broadcast_to(np.asarray(t_final, dtype=float), (len(x0),))
-    out = [OffLevelError(f"initial point off level by {e:.3e}") if e > 1e-7
+    out = [OffLevelError(f"initial point off level by {e:.3e}")
+           if not e <= 1e-7  # NaN too: a NaN start would step forever
            else None if np.isfinite(t) else DomainError("t_final must be finite")
            for e, t in zip(np.abs(form.H(x0) - 1.0), t_end)]
     run = np.array([i for i, o in enumerate(out) if o is None], dtype=int)

@@ -3,7 +3,8 @@ conservative unknot certifier for sampled orbit traces.
 
 Loops on the energy level are radially normalized to the unit sphere and
 mapped to R^3 by stereographic projection from one of 26 fixed candidate
-poles.  The projection basis is oriented so that linking numbers computed
+poles, the one ``pick_pole`` admits, for every diagram and every linking
+number.  The projection basis is oriented so that linking numbers computed
 in R^3 agree with the homological linking on the sphere oriented by the
 contact volume form; two independent algorithms (the exact Gauss sum,
 taken over vertex directions as two atan2 triangle solid angles per segment
@@ -502,33 +503,25 @@ def _reduce_word(word):
 def unknot_check(trace):
     """Certify an (N, 4) loop as unknotted, or abstain.
 
-    A PL diagram is built from a generic projection and simplified by kink
-    and bigon removal; zero remaining crossings certifies the unknot, and
-    anything else is reported as unknown.
+    The loop is projected from ``pick_pole``'s pole, as every linking route
+    projects.  Each generic shadow's PL diagram is simplified by kink and
+    bigon removal; zero remaining crossings certifies the unknot, and
+    otherwise the fewest remaining crossings are reported as unknown.
     """
     pts = np.asarray(trace)
-    last_count = None
-    for pole in POLE_CANDIDATES:
-        try:
-            p3 = stereo_project(pts, pole)
-        except PoleSelectionError:
+    p3 = stereo_project(pts, pick_pole([pts]))
+    counts = []
+    for direction in _PLANE_DIRECTIONS:
+        word = _self_crossings(p3, direction)
+        if word is None:
             continue
-        for direction in _PLANE_DIRECTIONS:
-            word = _self_crossings(p3, direction)
-            if word is None:
-                continue
-            reduced = _reduce_word(word)
-            count = len(reduced) // 2
-            if count == 0:
-                return KnotVerdict(status="certified_unknot",
-                                   crossing_count_after_reduction=0)
-            last_count = count if last_count is None else min(last_count, count)
-        if last_count is not None:
-            # one admissible pole with generic directions is enough to report
-            break
-    if last_count is None:
+        counts.append(len(_reduce_word(word)) // 2)
+        if counts[-1] == 0:
+            return KnotVerdict(status="certified_unknot",
+                               crossing_count_after_reduction=0)
+    if not counts:
         raise PoleSelectionError(
             "no generic projection found for the unknot check"
         )
     return KnotVerdict(status="unknown",
-                       crossing_count_after_reduction=last_count)
+                       crossing_count_after_reduction=min(counts))

@@ -528,8 +528,9 @@ def save_orbits(db, path):
 
 
 def load_orbits(form, path):
-    """Read a census; every orbit must carry its monodromy's class and
-    re-close within 1e-9 at T_min.  A missing file or a directory raises
+    """Read a census; every entry must hold finite values, a positive T_min
+    and an integer multiplicity of at least 1, carry its monodromy's class
+    and re-close within 1e-9 at T_min.  A missing file or a directory raises
     ``MissingArtifactError``, any other fault ``DomainError``."""
     try:
         with open(path) as fh:
@@ -543,11 +544,14 @@ def load_orbits(form, path):
                             nondeg_class=rec["class"],
                             residual=float(rec["residual"]))
                   for rec in payload["orbits"]]
-        for i, o in enumerate(orbits):
+        for i, (o, rec) in enumerate(zip(orbits, payload["orbits"])):
+            # a zero or backward run would pass the closure re-check
             if (o.x0.shape != (4,) or o.monodromy.shape != (2, 2)
-                    or o.multiplicity < 1):
-                raise ValueError(f"entry {i}'s x0, monodromy or multiplicity "
-                                 f"is out of shape")
+                    or not np.all(np.isfinite([*o.x0, *o.monodromy.flat, o.residual]))
+                    or not 0 < o.T_min < np.inf
+                    or o.multiplicity != rec["multiplicity"] or o.multiplicity < 1):
+                raise ValueError(f"entry {i}'s x0, monodromy, residual, T_min "
+                                 f"or multiplicity is out of shape or range")
             if classify_monodromy(o.monodromy) != o.nondeg_class:
                 raise ValueError(f"entry {i}'s class is not its monodromy's")
         params = payload.get("params", {})

@@ -741,10 +741,8 @@ def save_disk(disk, path_json):
     with open(path_json, "w") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    with open(path_csv, "w") as fh:
-        fh.write("x1,x2,x3,x4\n")
-        for row in disk.samples.reshape(-1, 4):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path_csv, disk.samples.reshape(-1, 4), fmt="%.17g",
+               delimiter=",", header="x1,x2,x3,x4", comments="")
 
 
 def load_disk(path_json):
@@ -771,8 +769,9 @@ def load_disk(path_json):
         raise MissingArtifactError(csv_path, "reeb-atlas disk-gen")
     except ValueError as exc:
         raise DomainError(f"malformed disk CSV block {csv_path}: {exc}") from exc
-    if pts.shape != ((n_r + 1) * n_t, 4):
-        raise DomainError("disk CSV block does not match the header shape")
+    if pts.shape != ((n_r + 1) * n_t, 4) or not np.all(np.isfinite(pts)):
+        raise DomainError(f"disk CSV block {csv_path} does not hold the "
+                          f"header's {n_r + 1} x {n_t} finite points")
     return DiskGrid(samples=pts.reshape(n_r + 1, n_t, 4), orbit_ref=orbit_ref)
 
 

@@ -154,7 +154,7 @@ def test_criterion_6_binding_checker(ell, db20):
     gid = _entry_id(db20, np.pi, 1)
     rep = check_binding(ell, db20, gid)
     assert rep.verdict == "hypotheses_hold"
-    assert rep.index2_checked == []  # all indices odd on this ellipsoid
+    assert rep.index2_orbits_checked == []  # all indices odd on this ellipsoid
     gid2 = _entry_id(db20, np.pi, 2)
     rep2 = check_binding(ell, db20, gid2)
     assert rep2.verdict == "fails:simply_covered"

@@ -43,9 +43,9 @@ def test_verdict_rules_walk_in_order():
     unknown_lk = {"orbit_id": 5, "lk": None, "linked": None, "skipped": "x"}
     breaks = [("unknot_status", "unknown"), ("sl", None), ("sl", 1),
               ("index_methods_agree", False), ("own", True), ("mu_cz", 2),
-              ("index2_checked", [unlinked, unknown_lk]),
-              ("index2_checked", [unknown_lk]),
-              ("index_unknown", [{"orbit_id": 6, "reason": "degenerate"}])]
+              ("index2_orbits_checked", [unlinked, unknown_lk]),
+              ("index2_orbits_checked", [unknown_lk]),
+              ("index_unknown_orbits", [{"orbit_id": 6, "reason": "degenerate"}])]
     assert len(breaks) == len(binding._RULES) - 1
     facts = {"unknot_status": "certified_unknot", "sl": -1, "mu_cz": 3,
              "index_methods_agree": True, "own": False}
@@ -56,6 +56,28 @@ def test_verdict_rules_walk_in_order():
             orbit_id=0, t_max=10.0, simply_covered=True,
             **{k: v for k, v in facts.items() if k != "own"})
         assert binding._verdict(rep, facts["own"]) == binding._RULES[i][1]
+
+
+def test_reports_serialize_their_own_fields():
+    # a report is its fields, less those marked for the sidecar; the binding
+    # report names sl_skipped only when it is set, and the audit adds passed
+    def fields(report, sidecar):
+        return {f.name for f in dataclasses.fields(report)
+                if bool(f.metadata.get("sidecar")) == sidecar}
+
+    rep = binding.BindingReport(orbit_id=0, t_max=10.0, simply_covered=True)
+    assert fields(rep, True) == {"index_table", "primes_integrated",
+                                 "linking_checks"}
+    assert set(rep.to_json_dict()) == fields(rep, False) - {"sl_skipped"}
+    assert {"index2_orbits_checked", "index_unknown_orbits"} <= fields(rep, False)
+    rep.sl_skipped = "self-linking unstable under pushoff halving"
+    assert set(rep.to_json_dict()) == fields(rep, False)
+    audit = binding.AuditReport(binding_id=0, linking=[], sl_pushoff=-1,
+                                sl_from_winding=-1, mu_cz=3,
+                                boundary_winding=1, alarms=[])
+    assert fields(audit, True) == {"linking_checks"}
+    assert set(audit.to_json_dict()) == fields(audit, False) | {"passed"}
+    assert audit.to_json_dict()["passed"] is True
 
 
 def test_binding_holds_for_gamma1(ell, db20, monkeypatch):
@@ -79,7 +101,7 @@ def test_binding_holds_for_gamma1(ell, db20, monkeypatch):
     assert rep.mu_cz == 3
     assert rep.index_methods_agree
     # every index on the irrational ellipsoid is odd, so no index-2 orbits
-    assert rep.index2_checked == []
+    assert rep.index2_orbits_checked == []
     assert rep.exit_code == 0
 
 
@@ -129,10 +151,10 @@ def test_binding_inconclusive_on_violated_iterate_relations(ell, db20,
     monkeypatch.setattr(binding, "orbit_index_report", report)
     rep = check_binding(ell, db20, gid)
     reason = "InconsistencyError: mu(3)=2 violates the iteration constraints"
-    assert rep.index_unknown == [{"orbit_id": oid, "reason": reason}
+    assert rep.index_unknown_orbits == [{"orbit_id": oid, "reason": reason}
                                  for oid in sorted(covers)]
     # an orbit of unknown index gets no linking check
-    assert rep.index2_checked == []
+    assert rep.index2_orbits_checked == []
     assert rep.verdict == "inconclusive:index-unknown"
     assert rep.exit_code == 3
 
@@ -194,8 +216,8 @@ def test_binding_inconclusive_when_an_index_is_unknown(ell, db20,
         assert rep.verdict.startswith("inconclusive:")
         reason = {"flagged": "rotation interval endpoint near integer",
                   "raises": "ResolutionError: path did not stabilize"}[failure]
-        assert rep.index_unknown == [{"orbit_id": other, "reason": reason}]
-        assert rep.to_json_dict()["index_unknown_orbits"] == rep.index_unknown
+        assert rep.index_unknown_orbits == [{"orbit_id": other, "reason": reason}]
+        assert rep.to_json_dict()["index_unknown_orbits"] == rep.index_unknown_orbits
         assert rep.exit_code == 3
 
 
@@ -233,7 +255,7 @@ def test_binding_inconclusive_when_an_index2_linking_fails(ell, db20,
     error = ProximityError("curves are 1.00e-04 apart (< 1e-03)")
     rep = _check_with_index(ell, db20, gid, {other: 2}, {other: error},
                             monkeypatch)
-    assert rep.index2_checked == [
+    assert rep.index2_orbits_checked == [
         {"orbit_id": other, "lk": None, "linked": None,
          "skipped": "curves are 1.00e-04 apart (< 1e-03)"}]
     assert rep.verdict == "inconclusive:index2-linking-unknown"
@@ -253,8 +275,8 @@ def test_binding_fails_on_an_unlinked_index2_orbit_beside_a_skip(
         {unlinked: (0, 0.0, 0),
          failing: ResolutionError("Gauss sum residual 0.300 >= 0.1; densify")},
         monkeypatch)
-    assert rep.index_unknown == []
-    assert rep.index2_checked == [
+    assert rep.index_unknown_orbits == []
+    assert rep.index2_orbits_checked == [
         {"orbit_id": unlinked, "lk": 0, "linked": False},
         {"orbit_id": failing, "lk": None, "linked": None,
          "skipped": "Gauss sum residual 0.300 >= 0.1; densify"}]
@@ -274,9 +296,9 @@ def test_binding_unlinked_orbit_of_unknown_index_decides_no_failure(
     covers = [i for i, o in enumerate(db20.orbits)
               if o.T_min == db20[prime].T_min]
     reason = "InconsistencyError: mu(P^2)=2 forces mu(P)=1"
-    assert rep.index_unknown == [{"orbit_id": oid, "reason": reason}
+    assert rep.index_unknown_orbits == [{"orbit_id": oid, "reason": reason}
                                  for oid in covers]
-    assert rep.index2_checked == []
+    assert rep.index2_orbits_checked == []
     assert rep.verdict == "inconclusive:index-unknown"
     assert rep.exit_code == 3
 
@@ -290,8 +312,8 @@ def test_binding_candidate_of_unknown_index_decides_no_failure(
     rep = _check_with_index(ell, db20, gid, {gid: 2, double: 2}, {},
                             monkeypatch)
     assert rep.mu_cz == 2
-    assert {row["orbit_id"] for row in rep.index_unknown} >= {gid, double}
-    assert rep.index2_checked == []
+    assert {row["orbit_id"] for row in rep.index_unknown_orbits} >= {gid, double}
+    assert rep.index2_orbits_checked == []
     assert rep.verdict == "inconclusive:index-unknown"
     assert rep.exit_code == 3
 
@@ -306,7 +328,7 @@ def test_binding_links_an_index2_cover_through_its_prime(ell, db20,
     double = _entry_id(db20, np.sqrt(2) * np.pi, 2)
     rep = _check_with_index(ell, db20, gid, {prime: 1, double: 2}, {},
                             monkeypatch)
-    assert rep.index2_checked == [{"orbit_id": double, "lk": 2, "linked": True}]
+    assert rep.index2_orbits_checked == [{"orbit_id": double, "lk": 2, "linked": True}]
     assert rep.verdict == "hypotheses_hold"
     assert rep.linking_checks == {
         "primes_traced": 2, "unchecked_pairs": [],

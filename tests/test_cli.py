@@ -689,6 +689,15 @@ def test_config_error_names_pointer(workdir, capsys):
         assert f"(at {pointer})" in err
 
 
+# census entry 0 with one value that no search produces: a NaN start, a
+# zero-length or backward run, which would "close", and a fractional cover
+ENTRY_VALUES = {
+    "census-entry-with-NaN-x0": ("x0", [float("nan"), 0.0, 0.0, 0.0]),
+    "census-entry-with-T_min-0": ("T_min", 0.0),
+    "census-entry-with-T_min-minus-pi": ("T_min", -np.pi),
+    "census-entry-with-multiplicity-1.7": ("multiplicity", 1.7)}
+
+
 def _damage(session, tmp_path, case):
     """A copy of the session's census or disk, damaged as ``case`` says; the
     command and flags that read it."""
@@ -707,6 +716,18 @@ def _damage(session, tmp_path, case):
     elif case.startswith("census-entry-of-class-"):
         census["orbits"][0]["class"] = case[len("census-entry-of-class-"):]
         (tmp_path / "orbits.json").write_text(json.dumps(census))
+    elif case in ENTRY_VALUES:  # json.load parses the NaN that dumps writes
+        key, value = ENTRY_VALUES[case]
+        census["orbits"][0][key] = value
+        (tmp_path / "orbits.json").write_text(json.dumps(census))
+    elif case == "disk-csv-with-NaN-points":
+        pts = np.loadtxt(os.path.join(session, header["points_csv"]),
+                         delimiter=",", skiprows=1)
+        pts[::7] = np.nan
+        np.savetxt(tmp_path / "disk.csv", pts, delimiter=",",
+                   header="x1,x2,x3,x4", comments="")
+        header["points_csv"] = "disk.csv"
+        (tmp_path / "disk.json").write_text(json.dumps(header))
     else:
         del census["orbits"][0]["T_min"]
         (tmp_path / "orbits.json").write_text(json.dumps(census))
@@ -723,7 +744,10 @@ def _damage(session, tmp_path, case):
     ("census-entry-without-T_min", 1), ("census-entry-with-3-coordinates", 1),
     # the entry's stored class must be the one its monodromy gives
     ("census-entry-of-class-bogus", 1),
-    ("census-entry-of-class-positive-hyperbolic", 1)])
+    ("census-entry-of-class-positive-hyperbolic", 1),
+    *[(case, 1) for case in ENTRY_VALUES],
+    # np.loadtxt parses nan; the page index would refuse it with a traceback
+    ("disk-csv-with-NaN-points", 1)])
 def test_a_damaged_artifact_exits_with_a_message(session, ell_config, tmp_path,
                                                  capsys, case, code):
     argv = _damage(session, tmp_path, case)

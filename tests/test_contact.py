@@ -9,6 +9,7 @@ from reeb_atlas.contact import (OMEGA, StarForm, omega_form,
                                 project_to_sigma, reeb_vector, sphere_samples,
                                 xi_frame, xi_projector)
 from reeb_atlas.errors import DomainError, FrameDegeneracyError, OffLevelError
+from reeb_atlas.flow import _rhs
 
 from oracles import embed, form_json, lambda0, round_sphere, xi_project
 
@@ -139,10 +140,20 @@ def test_constructors_refuse_values_they_would_coerce():
     for r_squared in ("12", ["1", "2"], [1.0, "2"]):
         with pytest.raises(DomainError, match="positive finite reals"):
             StarForm.from_json_dict({"type": "ellipsoid", "r_squared": r_squared})
+    # nor would np.array(..., dtype=float) parse a weight's strings
+    for exp, coeff, match in (
+            (["0", "0", "0", "0"], 1.0, "exponent '0' is not an integer"),
+            ([0, 0, 0, 0], "1.0", "coefficients must be finite reals")):
+        with pytest.raises(DomainError, match=match):
+            StarForm.from_json_dict({"type": "weighted", "monomials": [
+                {"exp": exp, "coeff": coeff}]})
     # integral values of other real types still build the same form
     assert (StarForm.ellipsoid(np.float64(1.0), np.int64(2)).form_hash
             == StarForm.ellipsoid(1.0, 2.0).form_hash)
     assert (StarForm.weighted([((2.0, 0, 0, 0), 0.1), ((0, 0, 0, 0), 1.0)]).form_hash
+            == StarForm.weighted([((2, 0, 0, 0), 0.1), ((0, 0, 0, 0), 1.0)]).form_hash)
+    assert (StarForm.weighted([((np.int64(2), np.float64(0.0), 0, 0),
+                                np.float64(0.1)), ((0, 0, 0, 0), 1.0)]).form_hash
             == StarForm.weighted([((2, 0, 0, 0), 0.1), ((0, 0, 0, 0), 1.0)]).form_hash)
 
 
@@ -302,8 +313,11 @@ def test_batch_equals_rows(ell, perturbed_form, which, random_form, pts):
     on_level = project_to_sigma(form, pts)
     _rows_agree(reeb_vector(form, on_level),
                 [reeb_vector(form, p) for p in on_level.reshape(-1, 4)])
-    # the Reeb field that xi_projector reads off the gradient
+    # reeb_vector is the field that xi_projector reads off the gradient, and
+    # bit for bit the flow's right-hand side
     np.testing.assert_array_equal(form.grad_H(on_level) @ OMEGA,
+                                  reeb_vector(form, on_level))
+    np.testing.assert_array_equal(_rhs(form, False)(on_level),
                                   reeb_vector(form, on_level))
     fr = xi_frame(form, on_level)
     row_frames = [xi_frame(form, p) for p in on_level.reshape(-1, 4)]

@@ -6,7 +6,8 @@ from scipy.integrate import DOP853
 
 from reeb_atlas import cz, flow, kernels
 from reeb_atlas.contact import OMEGA, StarForm
-from reeb_atlas.errors import DomainError, ReebAtlasError, StiffnessError
+from reeb_atlas.errors import (DomainError, OffLevelError, ReebAtlasError,
+                               StiffnessError)
 from reeb_atlas.flow import integrate_batch, integrate_flow
 from reeb_atlas.orbits import _newton_polish, refine_orbit
 
@@ -198,6 +199,17 @@ def test_a_failing_row_leaves_the_others(ell, gamma2, monkeypatch):
     assert ell.H(failed.y_last) == pytest.approx(1.0, abs=1e-12)
     monkeypatch.setattr(flow, "_rhs", rhs)
     one = integrate_flow(ell, gamma2.x0, 3.0, tol=1e-10)
+    np.testing.assert_array_equal(done.states, one.states)
+
+
+def test_a_nan_start_is_off_level(ell, gamma1):
+    # a NaN start has a NaN level error and would step forever; it fails on
+    # its own row, and the other row is its one-row run bit for bit
+    x0 = np.array([[np.nan, 0.0, 0.0, 0.0], gamma1.x0])
+    failed, done = integrate_batch(ell, x0, 1.0, tol=1e-10)
+    assert isinstance(failed, OffLevelError)
+    one = integrate_flow(ell, gamma1.x0, 1.0, tol=1e-10)
+    np.testing.assert_array_equal(done.times, one.times)
     np.testing.assert_array_equal(done.states, one.states)
 
 

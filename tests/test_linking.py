@@ -191,6 +191,25 @@ def test_unknot_round_circle():
     assert v.crossing_count_after_reduction == 0
 
 
+def test_unknot_check_projects_from_pick_poles_pole(monkeypatch):
+    # the great circle through (cos .05, 0, sin .05, 0) and e1 passes 0.05
+    # from e0, which stereo_project admits but pick_pole does not
+    a = np.array([np.cos(0.05), 0.0, np.sin(0.05), 0.0])
+    circle = np.outer(np.cos(TH), a) + np.outer(np.sin(TH), [0.0, 1.0, 0.0, 0.0])
+    pole = lk.pick_pole([circle])
+    np.testing.assert_array_equal(pole, [0.0, 0.0, 1.0, 0.0])
+    real, poles = lk.stereo_project, []
+
+    def spy(points, p):
+        poles.append(np.asarray(p))
+        return real(points, p)
+
+    monkeypatch.setattr(lk, "stereo_project", spy)
+    assert lk.unknot_check(circle).status == "certified_unknot"
+    assert len(poles) == 1
+    np.testing.assert_array_equal(poles[0], pole)
+
+
 def test_trefoil_abstains():
     v = lk.unknot_check(trefoil_trace())
     assert v.status == "unknown"
