@@ -22,7 +22,7 @@ from .binding import check_binding, necessity_audit, report_fields
 from .contact import StarForm
 from .cz import orbit_index_report, prime_table
 from .errors import (ConfigError, DegenerateOrbitError, DomainError,
-                     MissingArtifactError, ReebAtlasError)
+                     MissingArtifactError, ReebAtlasError, raised)
 from .flow import counting
 from .linking import (cover_linking, cover_self_linking, linking_checks,
                       prime_traces, unknot_check)
@@ -251,9 +251,7 @@ def cmd_unknot(args, cfg, form):
                          "crossings": None})
             continue
         try:
-            if isinstance(trace, ReebAtlasError):
-                raise trace
-            v = unknot_check(trace)
+            v = unknot_check(raised([trace])[0])
         except ReebAtlasError as exc:
             rows.append({"orbit": i, "status": None, "crossings": None,
                          "skipped": str(exc)})

@@ -206,43 +206,28 @@ class StarForm:
 
     # -- Hamiltonian --------------------------------------------------------
 
-    def _diag(self):
-        return np.array([2.0 / self.r_squared[0], 2.0 / self.r_squared[1]])
-
-    def _off_origin(self, x, what):
+    def _parts(self, x, order, what):
+        """(H, grad H, Hess H) at x up to ``order`` from the form's kernel,
+        looked up on ``kernels`` at each call, where perfbench rebinds it."""
         x = np.asarray(x, dtype=float)
         if np.count_nonzero(np.vecdot(x, x) == 0.0):
             raise DomainError(f"{what} is undefined at the origin")
-        return x
+        kernel = (kernels.ellipsoid_h_parts if self.kind == "ellipsoid"
+                  else kernels.weighted_h_parts)
+        return kernel(self.tables, x, order)
 
     def H(self, x):
-        x = self._off_origin(x, "H")
-        if self.kind == "ellipsoid":
-            d = self._diag()
-            sq = x * x
-            return 0.5 * (d[0] * (sq[..., 0] + sq[..., 1])
-                          + d[1] * (sq[..., 2] + sq[..., 3]))
-        h, _, _ = kernels.weighted_h_parts(self.tables, x, 0)
-        return h
+        return self._parts(x, 0, "H")[0]
 
     # the former name of the batch evaluation, still used outside the package
     H_batch = H
 
     def grad_H(self, x):
-        x = self._off_origin(x, "grad H")
-        if self.kind == "ellipsoid":
-            return np.repeat(self._diag(), 2) * x
-        _, g, _ = kernels.weighted_h_parts(self.tables, x, 1)
-        return g
+        return self._parts(x, 1, "grad H")[1]
 
     # nothing in the package calls it; perfbench/tracing.py counts it by name
     def hess_H(self, x):
-        x = self._off_origin(x, "hess H")
-        if self.kind == "ellipsoid":
-            hess = np.diag(np.repeat(self._diag(), 2))
-            return np.broadcast_to(hess, x.shape[:-1] + (4, 4)).copy()
-        _, _, hh = kernels.weighted_h_parts(self.tables, x, 2)
-        return hh
+        return self._parts(x, 2, "hess H")[2]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .contact import project_to_sigma, xi_frame
 from .errors import (DegenerateOrbitError, DomainError, InconsistencyError,
-                     ReebAtlasError, ResolutionError)
+                     ReebAtlasError, ResolutionError, raised)
 from .flow import integrate_batch
 
 __all__ = [
@@ -193,10 +193,7 @@ def _variational_flow(form, orbit):
     with the matrix M(s) M(T_min)^j."""
     if orbit.residual > 1e-9:
         raise DomainError(f"orbit residual {orbit.residual:.2e} exceeds 1e-09")
-    flow, = prime_flows(form, [orbit])
-    if isinstance(flow, ReebAtlasError):
-        raise flow
-    traj, period = flow
+    traj, period = raised(prime_flows(form, [orbit]))[0]
     k, T_min = orbit.multiplicity, orbit.T_min
     if k == 1:
         return traj

@@ -1,4 +1,4 @@
-"""Exception types raised by the toolkit."""
+"""The toolkit's exception types, and ``raised``: a batch's first error."""
 
 
 class ReebAtlasError(Exception):
@@ -81,3 +81,12 @@ class MissingArtifactError(ReebAtlasError):
         self.path = path
         self.producer = producer
         super().__init__(f"missing artifact {path}; produce it with `{producer}`")
+
+
+def raised(values):
+    """A batch's per-row results ``values`` unchanged, or the first
+    exception among them, raised."""
+    for v in values:
+        if isinstance(v, Exception):
+            raise v
+    return values

@@ -22,7 +22,8 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from . import kernels
 from .contact import xi_frame
-from .errors import DomainError, OffLevelError, ReebAtlasError, StiffnessError
+from .errors import (DomainError, OffLevelError, ReebAtlasError, StiffnessError,
+                     raised)
 
 __all__ = [
     "FlowResult",
@@ -237,11 +238,8 @@ def integrate_flow(form, x0, t_final, tol=1e-10, dense=False):
     """The plain or dense ``integrate_batch`` run from the one point ``x0``
     (4,); raises the row's exception (``OffLevelError``, ``DomainError``,
     ``StiffnessError``)."""
-    res, = integrate_batch(form, np.asarray(x0, dtype=float)[None], t_final,
-                           tol, dense=dense)
-    if isinstance(res, Exception):
-        raise res
-    return res
+    return raised(integrate_batch(form, np.asarray(x0, dtype=float)[None],
+                                  t_final, tol, dense=dense))[0]
 
 
 def lockstep(rows, kinds, serve):

@@ -12,8 +12,9 @@ with the variational block, ``(..., 20)``.
 - ``poly_parts``: the value of p from its monomials;
 - ``weighted_h_parts``: H(x) = |x|^2 / f(x) with its gradient and Hessian,
   from f and its derivatives evaluated on the term tables in one pass;
-- ``ellipsoid_tables``: the matrices of the linear ellipsoid flow, built once
-  per form;
+- ``ellipsoid_tables``: the diagonal d of an ellipsoid's Hess H and the
+  matrices of its linear flow, ``(d, a4, a20)``, built once per form;
+- ``ellipsoid_h_parts``: an ellipsoid's H with its gradient and Hessian;
 - ``ellipsoid_rhs``, ``weighted_rhs``: the Reeb field -Omega grad H, and
   ``ellipsoid_var_rhs``, ``weighted_var_rhs``: the same field stacked with
   the variational equations dM/dt = -Omega Hess H M;
@@ -43,6 +44,7 @@ __all__ = [
     "weighted_h_parts",
     "OMEGA",
     "ellipsoid_tables",
+    "ellipsoid_h_parts",
     "ellipsoid_rhs",
     "ellipsoid_var_rhs",
     "weighted_rhs",
@@ -187,25 +189,37 @@ OMEGA = np.array([
 
 
 def ellipsoid_tables(d):
-    """The linear ellipsoid flow as matrices acting on row vectors.
+    """The ellipsoid's d and its linear flow as matrices acting on row vectors.
 
     With D = Hess H = diag(d0, d0, d1, d1), ``x @ a4`` is the Reeb field
     -Omega D x and ``y @ a20`` the derivative (-Omega D x, -Omega D M) of a
-    state y = (x, M).  Returns ``(a4, a20)``.
+    state y = (x, M).  Returns ``(d, a4, a20)``.
     """
     a4 = np.diag(np.repeat(d, 2)) @ OMEGA
     a20 = np.zeros((20, 20))
     a20[:4, :4] = a4
     a20[4:, 4:] = np.kron(a4, np.eye(4))
-    return a4, a20
+    return d, a4, a20
+
+
+def ellipsoid_h_parts(tables, x, order):
+    """(H, grad H, Hess H) at points x of shape (..., 4) of the ellipsoid
+    with Hess H = diag(d0, d0, d1, d1); the parts above ``order`` are None."""
+    d = tables[0]
+    sq = x * x
+    h = 0.5 * (d[0] * (sq[..., 0] + sq[..., 1]) + d[1] * (sq[..., 2] + sq[..., 3]))
+    grad = np.repeat(d, 2) * x if order >= 1 else None
+    hess = None if order < 2 else np.broadcast_to(
+        np.diag(np.repeat(d, 2)), x.shape[:-1] + (4, 4)).copy()
+    return h, grad, hess
 
 
 def ellipsoid_rhs(x, tables):
-    return x @ tables[0]
+    return x @ tables[1]
 
 
 def ellipsoid_var_rhs(y, tables):
-    return y @ tables[1]
+    return y @ tables[2]
 
 
 def weighted_rhs(x, tables):

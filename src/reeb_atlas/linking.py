@@ -27,7 +27,7 @@ from . import kernels
 from .contact import complement_basis, project_to_sigma, xi_frame
 from .cz import prime_data, prime_key
 from .errors import (InconsistencyError, PoleSelectionError, ProximityError,
-                     ReebAtlasError, ResolutionError)
+                     ReebAtlasError, ResolutionError, raised)
 # the batched tracer, under the name perfbench's tracer spans
 from .orbits import trace_orbits as trace_orbit
 
@@ -327,10 +327,7 @@ def prime_traces(form, orbits):
 def prime_trace(form, orbit):
     """The orbit's entry of ``prime_traces``; raises the error that stopped
     the trace."""
-    trace, = prime_traces(form, [orbit])
-    if isinstance(trace, ReebAtlasError):
-        raise trace
-    return trace
+    return raised(prime_traces(form, [orbit]))[0]
 
 
 def _checked_linking(a, b):
@@ -367,10 +364,9 @@ def cover_linking(form, a, b):
         except ReebAtlasError as exc:
             rec = exc
         pa.links[prime_key(b)] = rec
-    if isinstance(rec, ReebAtlasError):
-        raise rec
+    lk, residual, _ = raised([rec])[0]
     m = a.multiplicity * b.multiplicity
-    return m * rec[0], m * rec[1]
+    return m * lk, m * residual
 
 
 def cover_self_linking(form, orbit):
@@ -382,9 +378,7 @@ def cover_self_linking(form, orbit):
             prime.sl = self_linking(form, prime_trace(form, orbit))
         except ReebAtlasError as exc:
             prime.sl = exc
-    if isinstance(prime.sl, ReebAtlasError):
-        raise prime.sl
-    return orbit.multiplicity ** 2 * prime.sl
+    return orbit.multiplicity ** 2 * raised([prime.sl])[0]
 
 
 def linking_checks(orbits):

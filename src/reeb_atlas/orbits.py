@@ -23,7 +23,7 @@ from . import kernels
 from .contact import project_to_sigma, reeb_vector, sphere_samples
 from .errors import (DomainError, FrameDegeneracyError, MissingArtifactError,
                      ReebAtlasError, RefinementError, ResolutionError,
-                     StiffnessError)
+                     StiffnessError, raised)
 from .flow import (counting, integrate_batch, integrate_flow, lockstep,
                    xi_period_map)
 
@@ -310,11 +310,8 @@ def refine_orbit(form, x_guess, T_guess):
     sphere) fall back to scalar minimization of the return proximity in T.
     The one-row run of ``_certify``.
     """
-    orbit, = _certify_rows(form, [_certify(form, x_guess, T_guess, 0.1)], {},
-                           Counter())
-    if isinstance(orbit, Exception):
-        raise orbit
-    return orbit
+    return raised(_certify_rows(form, [_certify(form, x_guess, T_guess, 0.1)],
+                                {}, Counter()))[0]
 
 
 def _near_return_candidates(times, pts, min_period, threshold, max_keep):
@@ -435,10 +432,8 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
 
     with counting() as work:
         cands = []
-        for run in integrate_batch(form, seeds, float(t_grid[-1]), tol=1e-8,
-                                   dense=True):
-            if isinstance(run, Exception):
-                raise run
+        for run in raised(integrate_batch(form, seeds, float(t_grid[-1]),
+                                          tol=1e-8, dense=True)):
             cands += _near_return_candidates(
                 t_grid, project_to_sigma(form, run(t_grid)[:, :4]), _MIN_PERIOD,
                 _CANDIDATE_THRESHOLD, max_keep=4)
@@ -466,9 +461,7 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
             if isinstance(fate, _CANDIDATE_ERRORS):
                 drop(f"candidate dropped: {fate}")
                 continue
-            if isinstance(fate, Exception):
-                raise fate
-            orb, prime, tr = fate
+            orb, prime, tr = raised([fate])[0]
             if prime is None:
                 drop(f"prime period {orb.T_min:.6f} beyond cap")
                 continue
@@ -528,10 +521,10 @@ def save_orbits(db, path):
 
 
 def load_orbits(form, path):
-    """Read a census; every entry must hold finite values, a positive T_min
-    and an integer multiplicity of at least 1, carry its monodromy's class
-    and re-close within 1e-9 at T_min.  A missing file or a directory raises
-    ``MissingArtifactError``, any other fault ``DomainError``."""
+    """Read a census; every entry must hold finite JSON numbers, a positive
+    T_min and an integer multiplicity of at least 1, carry its monodromy's
+    class and re-close within 1e-9 at T_min.  A missing file or a directory
+    raises ``MissingArtifactError``, any other fault ``DomainError``."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -539,35 +532,36 @@ def load_orbits(form, path):
             raise DomainError("orbit database was built for a different form")
         orbits = [ReebOrbit(x0=np.array(rec["x0"], dtype=float),
                             T_min=float(rec["T_min"]),
-                            multiplicity=int(rec["multiplicity"]),
+                            multiplicity=rec["multiplicity"],
                             monodromy=np.array(rec["monodromy"], dtype=float),
                             nondeg_class=rec["class"],
                             residual=float(rec["residual"]))
                   for rec in payload["orbits"]]
         for i, (o, rec) in enumerate(zip(orbits, payload["orbits"])):
-            # a zero or backward run would pass the closure re-check
-            if (o.x0.shape != (4,) or o.monodromy.shape != (2, 2)
-                    or not np.all(np.isfinite([*o.x0, *o.monodromy.flat, o.residual]))
-                    or not 0 < o.T_min < np.inf
-                    or o.multiplicity != rec["multiplicity"] or o.multiplicity < 1):
+            # float() reads strings and booleans, so the JSON types are
+            # checked; a zero or backward run would pass the closure re-check
+            reals = [*rec["x0"], *(v for row in rec["monodromy"] for v in row),
+                     rec["T_min"], rec["residual"]]
+            if (any(type(v) not in (int, float) for v in reals)
+                    or type(o.multiplicity) is not int or o.multiplicity < 1
+                    or o.x0.shape != (4,) or o.monodromy.shape != (2, 2)
+                    or not np.all(np.isfinite(reals)) or not 0 < o.T_min):
                 raise ValueError(f"entry {i}'s x0, monodromy, residual, T_min "
-                                 f"or multiplicity is out of shape or range")
+                                 f"or multiplicity is out of type, shape or range")
             if classify_monodromy(o.monodromy) != o.nondeg_class:
                 raise ValueError(f"entry {i}'s class is not its monodromy's")
         params = payload.get("params", {})
+        # every closure in one batched integration at refine_orbit's tolerance
+        ends = raised(integrate_batch(form, np.reshape([o.x0 for o in orbits], (-1, 4)),
+                                      [o.T_min for o in orbits], tol=1e-12))
+        for i, (o, res) in enumerate(zip(orbits, ends)):
+            gap = np.linalg.norm(res.endpoint - o.x0)
+            if gap > 1e-9:
+                raise DomainError(f"entry {i} failed closure re-verification: {gap:.3e}")
     except (FileNotFoundError, IsADirectoryError):
         raise MissingArtifactError(path, "reeb-atlas orbits-find")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            ReebAtlasError) as exc:
         raise DomainError(f"malformed orbit census {path}: "
                           f"{type(exc).__name__}: {exc}") from exc
-    # every closure in one batched integration at refine_orbit's tolerance
-    ends = integrate_batch(form, np.reshape([o.x0 for o in orbits], (-1, 4)),
-                           [o.T_min for o in orbits], tol=1e-12)
-    for o, res in zip(orbits, ends):
-        if isinstance(res, Exception):
-            raise res
-        gap = np.linalg.norm(res.endpoint - o.x0)
-        if gap > 1e-9:
-            raise DomainError(
-                f"orbit failed closure re-verification: {gap:.3e}")
     return OrbitDatabase(form_hash=form.form_hash, orbits=orbits, params=params)

@@ -22,7 +22,7 @@ from . import kernels
 from .contact import (OMEGA, complement_basis, omega_form, project_to_sigma,
                       reeb_vector, sobol_points, xi_frame)
 from .errors import (DomainError, GridQualityError, MissingArtifactError,
-                     ResolutionError)
+                     ResolutionError, raised)
 from .flow import integrate_batch, lockstep
 from .orbits import trace_orbit
 
@@ -427,7 +427,7 @@ class _DiskIndex:
 
     def heights(self, ys):
         dists, idxs = self.tree.query(ys)
-        return dists, idxs, np.vecdot(ys - self.points[idxs], self.normals[idxs])
+        return dists, idxs, self.plane_height(ys, idxs)
 
     def boundary_distance(self, y):
         d, idx = self.boundary_tree.query(y)
@@ -574,13 +574,9 @@ def _first_crossing(form, index, X, signs, t_budget):
         cuts = np.cumsum([len(y) for y in ys])[:-1]
         return zip(*(np.split(v, cuts) for v in index.heights(np.concatenate(ys))))
 
-    out = lockstep([_search_row(form, index, x, sign, t_budget)
-                    for x, sign in zip(X, signs)],
-                   ("heights", "locate", "flow"), serve)
-    for res in out:
-        if isinstance(res, Exception):
-            raise res
-    return out
+    return raised(lockstep([_search_row(form, index, x, sign, t_budget)
+                            for x, sign in zip(X, signs)],
+                           ("heights", "locate", "flow"), serve))
 
 
 def _bisect_crossing(index, traj, t_lo, t_hi, flat_idx):
@@ -756,8 +752,12 @@ def load_disk(path_json):
             header = json.load(fh)
         csv_path = os.path.join(os.path.dirname(str(path_json)),
                                 header["points_csv"])
-        n_r, n_t = int(header["n_r"]), int(header["n_theta"])
+        n_r, n_t = header["n_r"], header["n_theta"]
         orbit_ref = header.get("orbit_ref")
+        # JSON integers in disk-gen's bounds; int() would read "3" and 3.9
+        if not (type(n_r) is type(n_t) is int and n_r >= 1 and n_t >= 3
+                and type(orbit_ref) in (int, type(None))):
+            raise ValueError("n_r, n_theta or orbit_ref is out of type or range")
     except (FileNotFoundError, IsADirectoryError):
         raise MissingArtifactError(path_json, "reeb-atlas disk-gen")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -689,13 +689,30 @@ def test_config_error_names_pointer(workdir, capsys):
         assert f"(at {pointer})" in err
 
 
-# census entry 0 with one value that no search produces: a NaN start, a
-# zero-length or backward run, which would "close", and a fractional cover
+# census entry 0 with one value, a function of the stored one, that no
+# search produces: a NaN start, a zero-length or backward run, which would
+# "close", a fractional cover, values that float() or int() would read, a
+# period float() overflows on, and a start or a period that does not close
 ENTRY_VALUES = {
-    "census-entry-with-NaN-x0": ("x0", [float("nan"), 0.0, 0.0, 0.0]),
-    "census-entry-with-T_min-0": ("T_min", 0.0),
-    "census-entry-with-T_min-minus-pi": ("T_min", -np.pi),
-    "census-entry-with-multiplicity-1.7": ("multiplicity", 1.7)}
+    "census-entry-with-NaN-x0": ("x0", lambda v: [float("nan"), 0.0, 0.0, 0.0]),
+    "census-entry-with-T_min-0": ("T_min", lambda v: 0.0),
+    "census-entry-with-T_min-minus-pi": ("T_min", lambda v: -np.pi),
+    "census-entry-with-multiplicity-1.7": ("multiplicity", lambda v: 1.7),
+    "census-entry-with-string-x0": ("x0", lambda v: [repr(c) for c in v]),
+    "census-entry-with-string-T_min": ("T_min", repr),
+    "census-entry-with-multiplicity-true": ("multiplicity", lambda v: True),
+    "census-entry-with-residual-false": ("residual", lambda v: False),
+    "census-entry-with-400-digit-T_min": ("T_min", lambda v: 10**400),
+    "census-entry-with-x0-off-level": ("x0", lambda v: [1.01 * c for c in v]),
+    "census-entry-with-T_min-off-by-1e-3": ("T_min", lambda v: 1.001 * v)}
+
+# disk header values, each a function of the stored one, that disk-gen's
+# flags refuse or that int() would read
+HEADER_VALUES = {
+    "disk-header-with-string-n_r": ("n_r", str),
+    "disk-header-with-fractional-n_r": ("n_r", lambda v: v + 0.9),
+    "disk-header-with-orbit_ref-zero": ("orbit_ref", lambda v: "zero"),
+    "disk-header-with-orbit_ref-1.5": ("orbit_ref", lambda v: 1.5)}
 
 
 def _damage(session, tmp_path, case):
@@ -718,8 +735,20 @@ def _damage(session, tmp_path, case):
         (tmp_path / "orbits.json").write_text(json.dumps(census))
     elif case in ENTRY_VALUES:  # json.load parses the NaN that dumps writes
         key, value = ENTRY_VALUES[case]
-        census["orbits"][0][key] = value
+        census["orbits"][0][key] = value(census["orbits"][0][key])
         (tmp_path / "orbits.json").write_text(json.dumps(census))
+    elif case in HEADER_VALUES:  # beside the session's own CSV block
+        key, value = HEADER_VALUES[case]
+        header[key] = value(header[key])
+        header["points_csv"] = os.path.join(session, header["points_csv"])
+        (tmp_path / "disk.json").write_text(json.dumps(header))
+    elif case == "disk-header-with-n_r-0":  # and a one-row CSV block
+        pts = np.loadtxt(os.path.join(session, header["points_csv"]),
+                         delimiter=",", skiprows=1)[:header["n_theta"]]
+        np.savetxt(tmp_path / "disk.csv", pts, delimiter=",",
+                   header="x1,x2,x3,x4", comments="")
+        header.update(n_r=0, points_csv="disk.csv")
+        (tmp_path / "disk.json").write_text(json.dumps(header))
     elif case == "disk-csv-with-NaN-points":
         pts = np.loadtxt(os.path.join(session, header["points_csv"]),
                          delimiter=",", skiprows=1)
@@ -747,7 +776,10 @@ def _damage(session, tmp_path, case):
     ("census-entry-of-class-positive-hyperbolic", 1),
     *[(case, 1) for case in ENTRY_VALUES],
     # np.loadtxt parses nan; the page index would refuse it with a traceback
-    ("disk-csv-with-NaN-points", 1)])
+    ("disk-csv-with-NaN-points", 1),
+    *[(case, 1) for case in HEADER_VALUES],
+    # a page of no cells, which the page index refuses with a traceback
+    ("disk-header-with-n_r-0", 1)])
 def test_a_damaged_artifact_exits_with_a_message(session, ell_config, tmp_path,
                                                  capsys, case, code):
     argv = _damage(session, tmp_path, case)
