@@ -87,12 +87,10 @@ class SymplecticPath:
                 f"path leaves the symplectic group: |det-1| up to "
                 f"{np.abs(dets - 1.0).max():.2e}"
             )
-        jumps = np.linalg.norm(np.diff(self.mats, axis=0), axis=(1, 2))
-        if jumps.max() >= STEP_GUARD:
-            raise ResolutionError(
-                f"consecutive path samples jump by {jumps.max():.3f} >= "
-                f"{STEP_GUARD}; densify the path"
-            )
+        dist = _step_distance(self.mats)
+        if not dist < STEP_GUARD:  # NaN fails too
+            raise ResolutionError(f"a step map moves by {dist:.3f} >= "
+                                  f"{STEP_GUARD}; densify the path")
         return self
 
 
@@ -102,7 +100,6 @@ class RotationInterval:
 
     lo: float
     hi: float
-    degenerate_margin: float
     turns: float  # the tracked rotation of e1, in [lo, hi]
 
     @property
@@ -223,19 +220,33 @@ def _path_samples(form, orbit, flow, n):
     return mats, max_frame_angle
 
 
+def _inv2(A):
+    """Inverses of the 2x2 matrices A (..., 2, 2): adjugate over determinant."""
+    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    return (A[..., ::-1, ::-1].swapaxes(-1, -2) * [[1, -1], [-1, 1]]) / det[..., None, None]
+
+
+def _step_distance(mats):
+    """Largest ||M_(i+1) M_i^-1 - I||_F over the step maps of the path
+    ``mats`` (N+1, 2, 2), NaN if a sample is; it does not grow with |M|, and
+    below 1/2 no step map turns a direction by pi/6 or more."""
+    steps = mats[1:] @ _inv2(mats[:-1]) - np.eye(2)
+    return np.linalg.norm(steps, axis=(1, 2)).max(initial=0.0)
+
+
 def trivialized_path(form, orbit, n):
     """Linearized Reeb flow along an orbit (residual at most 1e-9) in the
     global frame, sampled once on ``n`` steps; it starts at the identity by
-    construction.  A frame step of pi/4 or more, or a jump of ``STEP_GUARD``
-    or more between consecutive matrices, raises ``ResolutionError``; an
-    endpoint 1e-6 off the stored monodromy raises ``InconsistencyError``.
+    construction.  A frame step of pi/4 or more, or a step map that moves by
+    ``STEP_GUARD`` or more (``_step_distance``), raises ``ResolutionError``;
+    an endpoint 1e-6 off the stored monodromy raises ``InconsistencyError``.
     """
     mats, frame_angle = _path_samples(form, orbit, _variational_flow(form, orbit), n)
-    jump = np.linalg.norm(np.diff(mats, axis=0), axis=(1, 2)).max()
-    if not (frame_angle < np.pi / 4 and jump < STEP_GUARD):  # NaN fails too
+    dist = _step_distance(mats)
+    if not (frame_angle < np.pi / 4 and dist < STEP_GUARD):  # NaN fails too
         raise ResolutionError(
             f"n_grid={n} under-resolves this orbit: frame step {frame_angle:.3f}"
-            f" rad (limit pi/4), path jump {jump:.3f} (limit {STEP_GUARD})")
+            f" rad (limit pi/4), step map {dist:.3f} (limit {STEP_GUARD})")
     gap = np.abs(mats[-1] - orbit.monodromy).max()
     if gap > 1e-6:
         raise InconsistencyError(
@@ -248,34 +259,20 @@ def trivialized_path(form, orbit, n):
 # rotation interval and the geometric index
 # ---------------------------------------------------------------------------
 
-def _inv2(A):
-    """Inverses of the 2x2 matrices A (..., 2, 2): adjugate over determinant."""
-    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    return (A[..., ::-1, ::-1].swapaxes(-1, -2) * [[1, -1], [-1, 1]]) / det[..., None, None]
-
-
 def _extremal_directions(A):
     """The two unit directions u with |A u|^2 = det A, where the angle that A
-    (..., 2, 2), det A > 0, turns a direction by is extremal; as
-    (..., 2, 2), one direction per column.  A^T A = [[a, b], [b, c]] has the
-    eigenvalues m +- r, m = (a + c) / 2, r = hypot((a - c) / 2, b), and the
-    eigenvector of m + r at the angle psi = atan2(2 b, a - c) / 2; then u is
-    at psi +- phi, tan^2 phi = (m + r - det A) / (det A - m + r).  A conformal
-    A (r = 0) turns every direction alike."""
-    S = np.swapaxes(A, -1, -2) @ A
-    a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
+    (2, 2), det A > 0, turns a direction by is extremal; as the columns of a
+    (2, 2).  A^T A = [[a, b], [b, c]] has the eigenvalues m +- r, m = (a + c)
+    / 2, r = hypot((a - c) / 2, b), and the eigenvector of m + r at the angle
+    psi = atan2(2 b, a - c) / 2; then u is at psi +- phi, tan^2 phi = (m + r -
+    det A) / (det A - m + r).  A conformal A (r = 0) turns every direction
+    alike."""
+    (a, b), (_, c) = A.T @ A
     m, r = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
-    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    phi = np.arctan2(np.sqrt(np.maximum(m + r - det, 0.0)),
-                     np.sqrt(np.maximum(det - m + r, 0.0)))
-    ang = 0.5 * np.arctan2(2.0 * b, a - c)[..., None] + np.stack([phi, -phi], axis=-1)
-    return np.stack([np.cos(ang), np.sin(ang)], axis=-2)
-
-
-def _turn_angles(A, U):
-    """Angle in (-pi, pi] from each column of U (..., 2, m) to its image
-    under A (..., 2, 2)."""
-    return kernels.angle_steps(np.moveaxis(np.stack([U, A @ U]), -2, 1))[0]
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    phi = np.arctan2(np.sqrt(max(m + r - det, 0.0)), np.sqrt(max(det - m + r, 0.0)))
+    ang = 0.5 * np.arctan2(2.0 * b, a - c) + np.array([phi, -phi])
+    return np.stack([np.cos(ang), np.sin(ang)])
 
 
 def rotation_interval(path):
@@ -285,28 +282,20 @@ def rotation_interval(path):
     follows from the endpoint A alone: it rotates by ``turns`` plus the turn
     of u under A less that of e1, wrapped to (-pi, pi), over 2 pi, because
     the angle of A u increases strictly with that of u, by pi per half turn.
-    The extremes sit where |A u|^2 = det A (``_extremal_directions``).  A
-    step map M_{i+1} M_i^-1 that turns some direction by more than pi/2,
-    found the same way, raises ``ResolutionError``.
+    The extremes sit where |A u|^2 = det A (``_extremal_directions``).  The
+    tracking of e1 is exact because ``SymplecticPath.validate`` keeps every
+    step map within ``STEP_GUARD`` of I, so no step turns a direction by
+    pi/6 or more.
     """
     path.validate()
-    mats = path.mats
-    steps = mats[1:] @ _inv2(mats[:-1])
-    worst = np.abs(_turn_angles(steps, _extremal_directions(steps))).max()
-    if worst > 0.5 * np.pi:
-        raise ResolutionError(
-            f"direction tracking under-resolved (angle step {worst:.2f} rad); "
-            "densify the path"
-        )
-    turns = kernels.angle_steps(mats[:, :, 0]).sum() / (2.0 * np.pi)
+    turns = kernels.angle_steps(path.mats[:, :, 0]).sum() / (2.0 * np.pi)
     A = path.endpoint
-    turn = _turn_angles(A, np.column_stack([[1.0, 0.0], _extremal_directions(A)]))
+    U = np.column_stack([[1.0, 0.0], _extremal_directions(A)])
+    turn = kernels.angle_steps(np.stack([U, A @ U]))[0]  # each column's turn
     offsets = np.remainder(turn[1:] - turn[0] + np.pi, 2.0 * np.pi) - np.pi
     deltas = turns + offsets / (2.0 * np.pi)
     lo, hi = float(min(turns, deltas.min())), float(max(turns, deltas.max()))
-    margin = min(abs(lo - round(lo)), abs(hi - round(hi)))
-    return RotationInterval(lo=lo, hi=hi, degenerate_margin=margin,
-                            turns=float(turns))
+    return RotationInterval(lo=lo, hi=hi, turns=float(turns))
 
 
 def cz_from_interval(interval):
@@ -321,11 +310,12 @@ def cz_from_interval(interval):
             f"rotation interval has length {interval.length:.3f} >= 1/2; "
             "the path is degenerate or under-resolved"
         )
-    flag = interval.degenerate_margin < DEGENERACY_MARGIN
-    k = int(np.ceil(interval.lo - 1e-15))
-    if k <= interval.hi + 1e-15:
+    lo, hi = interval.lo, interval.hi
+    flag = min(abs(lo - round(lo)), abs(hi - round(hi))) < DEGENERACY_MARGIN
+    k = int(np.ceil(lo - 1e-15))
+    if k <= hi + 1e-15:
         return 2 * k, flag
-    return 2 * int(np.floor(interval.lo)) + 1, flag
+    return 2 * int(np.floor(lo)) + 1, flag
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +428,15 @@ def _fourier_spectrum(S, turns):
                           f"modes on {n} points; raise n_grid")
 
 
-def asymptotic_spectrum(orbit, path, turns):
+def asymptotic_spectrum(path, turns):
     """Eigenvalues nearest zero of the orbit operator, with windings.
 
     S(t), symmetric in the orthonormalized global frame, is read off the
     orbit's trivialized ``path``, along which e1 rotates by ``turns``;
     ``_fourier_spectrum`` solves -J0 d/dt + S(t) on the low Fourier modes.
+    A degenerate orbit's operator has an eigenvalue within 1e-6 of zero,
+    which raises ``DegenerateOrbitError``.
     """
-    if orbit.degenerate:
-        raise DegenerateOrbitError("orbit is degenerate; spectrum has a kernel")
     return _fourier_spectrum(_coefficient_matrices(path.mats), turns)
 
 
@@ -499,7 +489,7 @@ def orbit_index_report(form, orbit, n_grid=1024):
                 "rotation interval endpoint near integer")
         else:
             report["mu_geometric"] = mu_geo
-        data = asymptotic_spectrum(orbit, path, interval.turns)
+        data = asymptotic_spectrum(path, interval.turns)
         resolution["K"] = data.K
         report["nu_neg"] = data.nu_neg
         report["wind_nu_neg"] = data.wind_nu_neg

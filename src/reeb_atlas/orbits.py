@@ -521,15 +521,20 @@ def save_orbits(db, path):
 
 
 def load_orbits(form, path):
-    """Read a census; every entry must hold finite JSON numbers, a positive
-    T_min and an integer multiplicity of at least 1, carry its monodromy's
-    class and re-close within 1e-9 at T_min.  A missing file or a directory
-    raises ``MissingArtifactError``, any other fault ``DomainError``."""
+    """Read a census; its ``params.t_max`` must be a positive finite number,
+    and every entry must hold finite JSON numbers, a positive T_min and an
+    integer multiplicity of at least 1 whose period is at most t_max + 1e-9
+    (the cap of ``find_orbits``), carry its monodromy's class and re-close
+    within 1e-9 at T_min.  A missing file or a directory raises
+    ``MissingArtifactError``, any other fault ``DomainError``."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
         if payload.get("form_hash") != form.form_hash:
             raise DomainError("orbit database was built for a different form")
+        params, t_max = payload["params"], payload["params"]["t_max"]
+        if type(t_max) not in (int, float) or not 0 < t_max < np.inf:
+            raise ValueError(f"params.t_max {t_max!r} is not a positive finite number")
         orbits = [ReebOrbit(x0=np.array(rec["x0"], dtype=float),
                             T_min=float(rec["T_min"]),
                             multiplicity=rec["multiplicity"],
@@ -545,12 +550,12 @@ def load_orbits(form, path):
             if (any(type(v) not in (int, float) for v in reals)
                     or type(o.multiplicity) is not int or o.multiplicity < 1
                     or o.x0.shape != (4,) or o.monodromy.shape != (2, 2)
-                    or not np.all(np.isfinite(reals)) or not 0 < o.T_min):
+                    or not np.all(np.isfinite(reals)) or not 0 < o.T_min
+                    or o.T > t_max + 1e-9):  # a huge cover overflows here
                 raise ValueError(f"entry {i}'s x0, monodromy, residual, T_min "
                                  f"or multiplicity is out of type, shape or range")
             if classify_monodromy(o.monodromy) != o.nondeg_class:
                 raise ValueError(f"entry {i}'s class is not its monodromy's")
-        params = payload.get("params", {})
         # every closure in one batched integration at refine_orbit's tolerance
         ends = raised(integrate_batch(form, np.reshape([o.x0 for o in orbits], (-1, 4)),
                                       [o.T_min for o in orbits], tol=1e-12))

@@ -5,7 +5,7 @@ from reeb_atlas.contact import StarForm
 from reeb_atlas.orbits import find_orbits, refine_orbit
 from reeb_atlas.sections import _DiskIndex, builtin_disk
 
-from oracles import round_sphere
+from oracles import NECK, dumbbell_census, round_sphere
 
 R2SQ = np.sqrt(2.0)
 
@@ -73,3 +73,14 @@ def perturbed_form(near_ell_weighted):
             zip(near_ell_weighted.exps, near_ell_weighted.coeffs)]
     mons.append(((3, 0, 1, 0), 1e-2))
     return StarForm.weighted(mons, name="perturbed-ellipsoid")
+
+
+@pytest.fixture(scope="session")
+def dumbbell_12():
+    """The dumbbell at K = 1.2 and its census of four primes: the neck (index
+    2), the two lobe orbits at q2 = +-0.303 and the z2-plane orbit."""
+    return dumbbell_census(1.2, [
+        NECK,
+        ((-0.6743, 0.7441, 0.3028, 0.0), 3.1678),
+        ((-0.7596, 0.6568, -0.3028, 0.0), 3.1678),
+        ((0.0, 0.0, -1.4738, 0.1346), 5.0265)])

@@ -1,22 +1,23 @@
 """Test oracles and fixtures: code that only the tests run.
 
-The round sphere, the JSON wire format of a form, frame vectors from frame
-coordinates, the contact-plane projection in frame coordinates, the
-linearized period map on the contact plane, the linking number of a trace
-with one pushoff along either frame vector, the weighted
-Hamiltonian's derivatives by the chain rule through x/|x|, synthetic
-symplectic paths with known indices and their non-degeneracy, the Maslov
-index of a loop, the rotation interval on a grid of directions, the spectrum
-of an orbit from its own path, the Galerkin matrix by products over the grid
-with every eigenfunction wound, the winding census of a spectrum, the period
-gaps of a census, the crossing word of a loop's shadow and the signed
-crossings of two loops' shadows over all segment pairs, the Gauss linking sum
-over whole blocks of rows, the index table of a prime's iterates (checked by
-``cz._assert_iterate_relations``), the page of an ellipsoid's coordinate
-circle in closed form, the contact area of a disk by two routes, the return
-map of arbitrary level points, the primitive 1-form lambda0, the orbit
-search certifying one survivor at a time with a one-row integration per
-flow, and the crossing bisection by one halving per trajectory call.
+The round sphere, the dumbbell level and a census of it from known starts,
+the JSON wire format of a form, frame vectors from frame coordinates, the
+contact-plane projection in frame coordinates, the linearized period map on
+the contact plane, the linking number of a trace with one pushoff along
+either frame vector, the weighted Hamiltonian's derivatives by the chain
+rule through x/|x|, synthetic symplectic paths with known indices and their
+non-degeneracy, the Maslov index of a loop, the rotation interval on a grid
+of directions, the spectrum of an orbit from its own path, the Galerkin
+matrix by products over the grid with every eigenfunction wound, the winding
+census of a spectrum, the period gaps of a census, the crossing word of a
+loop's shadow and the signed crossings of two loops' shadows over all
+segment pairs, the Gauss linking sum over whole blocks of rows, the index
+table of a prime's iterates (checked by ``cz._assert_iterate_relations``),
+the page of an ellipsoid's coordinate circle in closed form, the contact
+area of a disk by two routes, the return map of arbitrary level points, the
+primitive 1-form lambda0, the orbit search certifying one survivor at a time
+with a one-row integration per flow, and the crossing bisection by one
+halving per trajectory call.
 The package's reachability test (``test_reachability.py``) keeps such code
 out of ``src/``.
 """
@@ -29,9 +30,9 @@ from reeb_atlas import kernels, orbits
 from reeb_atlas.contact import (OMEGA, StarForm, omega_form, project_to_sigma,
                                 xi_frame, xi_projector)
 from reeb_atlas.cz import (J0, STEP_GUARD, SymplecticPath,
-                           _assert_iterate_relations, asymptotic_spectrum,
-                           cz_from_interval, rotation_interval,
-                           trivialized_path)
+                           _assert_iterate_relations, _step_distance,
+                           asymptotic_spectrum, cz_from_interval,
+                           rotation_interval, trivialized_path)
 from reeb_atlas.errors import (DomainError, GridQualityError, ProximityError,
                                RefinementError, ResolutionError)
 from reeb_atlas.flow import integrate_batch, integrate_flow, xi_period_map
@@ -53,6 +54,28 @@ def lambda0(x, v):
 
 def round_sphere():
     return StarForm.ellipsoid(1.0, 1.0, name="round-sphere")
+
+
+NECK = (np.array([1.0, 0.0, 0.0, 0.0]), np.pi)  # the z1 circle, for every K
+
+
+def dumbbell(K):
+    """The level of the weight p(u) = 1 + K u3^2: for K > 1 a dumbbell whose
+    neck, the z1 circle, is positive hyperbolic of index 2; for K < 1 that
+    circle is elliptic of index 3."""
+    return StarForm.weighted([((0, 0, 0, 0), 1.0), ((0, 0, 2, 0), K)],
+                             name=f"dumbbell-K{K}")
+
+
+def dumbbell_census(K, starts):
+    """The dumbbell at K and the census of the orbits that ``refine_orbit``
+    reaches from ``starts``, (x0, T) pairs, in their order, capped at period
+    5.5, below the degenerate families of period 6.52 at K = 1.2."""
+    form = dumbbell(K)
+    found = [orbits.refine_orbit(form, np.asarray(x0, dtype=float), T)
+             for x0, T in starts]
+    return form, orbits.OrbitDatabase(form_hash=form.form_hash, orbits=found,
+                                      params={"t_max": 5.5})
 
 
 def form_json(form):
@@ -254,10 +277,10 @@ def random_nondegenerate_path(rng):
     """Random smooth symplectic path with a non-degenerate endpoint.
 
     The path has 1024 steps, a rotation rate drawn from [-3 pi, 3 pi] and
-    Fourier wobbles of scale 0.7; up to 20 draws are tried.  A dominant
-    isotropic rotation keeps the hyperbolic stretch bounded, so the fixtures
-    stay resolvable at this sampling while still covering several index
-    values.
+    Fourier wobbles of scale 0.7; up to 20 draws are tried, and a draw with a
+    step map that moves by ``STEP_GUARD`` or more is redrawn.  A dominant
+    isotropic rotation keeps the hyperbolic stretch bounded while the paths
+    still cover several index values.
     """
     for _ in range(20):
         w0 = rng.uniform(-3.0 * np.pi, 3.0 * np.pi)
@@ -270,8 +293,7 @@ def random_nondegenerate_path(rng):
             return np.array([[w0 + val[0], val[1]], [val[1], w0 + val[2]]])
 
         path = _integrate_generator(coef, 1024)
-        jumps = np.linalg.norm(np.diff(path.mats, axis=0), axis=(1, 2))
-        if jumps.max() >= STEP_GUARD:
+        if not _step_distance(path.mats) < STEP_GUARD:
             continue
         if abs(np.linalg.det(path.endpoint - np.eye(2))) > 1e-3:
             return path
@@ -361,7 +383,7 @@ def spectrum(form, orbit, n_grid):
     """The orbit's spectral data from its own trivialized path on
     ``n_grid`` steps, as its index report reads them."""
     path = trivialized_path(form, orbit, n_grid)
-    return asymptotic_spectrum(orbit, path, rotation_interval(path).turns)
+    return asymptotic_spectrum(path, rotation_interval(path).turns)
 
 
 def galerkin_matrix(S, K):

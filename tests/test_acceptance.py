@@ -257,3 +257,19 @@ def test_criterion_10_perturbation_robustness(perturbed_form):
     assert lnk.unknot_check(trace).status == "certified_unknot"
     print("ACCEPTANCE 10: PASS - perturbed circle keeps index 3, sl -1, "
           "certified unknot")
+
+
+def test_criterion_11_index2_orbit_on_the_dumbbell(dumbbell_12):
+    # the paper's fourth condition from computed indices and linking
+    # numbers: the binding must link the index-2 neck
+    form, db = dumbbell_12
+    neck, *lobes, z2 = [check_binding(form, db, i) for i in range(4)]
+    assert (neck.verdict, neck.mu_cz) == ("fails:index_below_3", 2)
+    for rep in lobes:
+        assert rep.verdict == "fails:index2_orbit_unlinked"
+        assert rep.index2_orbits_checked == [
+            {"orbit_id": 0, "lk": 0, "linked": False}]
+    assert z2.verdict == "hypotheses_hold"
+    assert z2.index2_orbits_checked == [{"orbit_id": 0, "lk": 1, "linked": True}]
+    print("ACCEPTANCE 11: PASS - dumbbell K=1.2: neck index 2, lobes unlinked "
+          "from it fail, the z2 orbit binds")

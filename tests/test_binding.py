@@ -10,6 +10,8 @@ from reeb_atlas.errors import (DegenerateOrbitError, ProximityError,
 from reeb_atlas.flow import integrate_batch, integrate_flow
 from reeb_atlas.orbits import OrbitDatabase, find_orbits, trace_orbit
 
+from oracles import NECK, dumbbell_census
+
 
 def _entry_id(db, t_min, mult):
     for i, o in enumerate(db.orbits):
@@ -334,6 +336,21 @@ def test_binding_links_an_index2_cover_through_its_prime(ell, db20,
         "primes_traced": 2, "unchecked_pairs": [],
         "prime_pairs": [{"a": gid, "b": prime, "gauss_lk": 1,
                          "crossing_lk": 1}]}
+
+
+def test_binding_fails_the_strongly_hyperbolic_neck_and_its_lobes():
+    # the K = 2 neck stretches by 535 over its period; its index is computed
+    # all the same, and each lobe orbit fails for not linking it
+    form, db = dumbbell_census(2.0, [
+        NECK,
+        ((-0.6428, -0.8437, -0.6124, 0.0), 3.5343),
+        ((-0.828, 0.6629, 0.6124, 0.0), 3.5343)])
+    neck, *lobes = [check_binding(form, db, i) for i in range(3)]
+    assert (neck.verdict, neck.mu_cz) == ("fails:index_below_3", 2)
+    for rep in lobes:
+        assert rep.verdict == "fails:index2_orbit_unlinked"
+        assert rep.index2_orbits_checked == [
+            {"orbit_id": 0, "lk": 0, "linked": False}]
 
 
 def test_binding_rejects_degenerate_candidate(round_form):

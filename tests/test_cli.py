@@ -692,7 +692,8 @@ def test_config_error_names_pointer(workdir, capsys):
 # census entry 0 with one value, a function of the stored one, that no
 # search produces: a NaN start, a zero-length or backward run, which would
 # "close", a fractional cover, values that float() or int() would read, a
-# period float() overflows on, and a start or a period that does not close
+# period float() overflows on, a start or a period that does not close, and
+# covers past the census's t_max, one of which float() overflows on
 ENTRY_VALUES = {
     "census-entry-with-NaN-x0": ("x0", lambda v: [float("nan"), 0.0, 0.0, 0.0]),
     "census-entry-with-T_min-0": ("T_min", lambda v: 0.0),
@@ -704,7 +705,9 @@ ENTRY_VALUES = {
     "census-entry-with-residual-false": ("residual", lambda v: False),
     "census-entry-with-400-digit-T_min": ("T_min", lambda v: 10**400),
     "census-entry-with-x0-off-level": ("x0", lambda v: [1.01 * c for c in v]),
-    "census-entry-with-T_min-off-by-1e-3": ("T_min", lambda v: 1.001 * v)}
+    "census-entry-with-T_min-off-by-1e-3": ("T_min", lambda v: 1.001 * v),
+    "census-entry-with-multiplicity-1000": ("multiplicity", lambda v: 1000),
+    "census-entry-with-400-digit-multiplicity": ("multiplicity", lambda v: 10**400)}
 
 # disk header values, each a function of the stored one, that disk-gen's
 # flags refuse or that int() would read
@@ -732,6 +735,12 @@ def _damage(session, tmp_path, case):
         (tmp_path / "orbits.json").write_text(json.dumps(census))
     elif case.startswith("census-entry-of-class-"):
         census["orbits"][0]["class"] = case[len("census-entry-of-class-"):]
+        (tmp_path / "orbits.json").write_text(json.dumps(census))
+    elif case == "census-without-params":
+        del census["params"]
+        (tmp_path / "orbits.json").write_text(json.dumps(census))
+    elif case == "census-with-t_max-NaN":
+        census["params"]["t_max"] = float("nan")
         (tmp_path / "orbits.json").write_text(json.dumps(census))
     elif case in ENTRY_VALUES:  # json.load parses the NaN that dumps writes
         key, value = ENTRY_VALUES[case]
@@ -771,6 +780,8 @@ def _damage(session, tmp_path, case):
     ("disk-header-without-points_csv", 1),
     ("census-not-json", 1), ("census-json-array", 1),
     ("census-entry-without-T_min", 1), ("census-entry-with-3-coordinates", 1),
+    # without a finite t_max, the census's covers have no cap
+    ("census-without-params", 1), ("census-with-t_max-NaN", 1),
     # the entry's stored class must be the one its monodromy gives
     ("census-entry-of-class-bogus", 1),
     ("census-entry-of-class-positive-hyperbolic", 1),

@@ -11,11 +11,11 @@ from reeb_atlas.errors import (DegenerateOrbitError, DomainError,
 from reeb_atlas.flow import integrate_batch
 from reeb_atlas.orbits import find_orbits, refine_orbit
 
-from oracles import (compose_paths, galerkin_matrix, galerkin_pairs, grid,
-                     grid_interval, hyperbolic_path, invert_path,
-                     iterate_index_table, maslov_loop, nondegenerate, path_power,
-                     pure_rotation_path, random_loop, random_nondegenerate_path,
-                     spectrum, winding_census)
+from oracles import (NECK, compose_paths, dumbbell, galerkin_matrix,
+                     galerkin_pairs, grid, grid_interval, hyperbolic_path,
+                     invert_path, iterate_index_table, maslov_loop,
+                     nondegenerate, path_power, pure_rotation_path, random_loop,
+                     random_nondegenerate_path, spectrum, winding_census)
 
 RHO1 = 1.0 + 1.0 / np.sqrt(2.0)
 RHO2 = 1.0 + np.sqrt(2.0)
@@ -91,31 +91,45 @@ def test_hyperbolic_interval_contains_zero():
 
 def test_resolution_guard_sees_every_direction():
     # stretch e1 tenfold, then shear along it: the shear step fixes e1 but
-    # turns the directions near e2 by more than pi/2, though the matrices
-    # move by 0.4 < STEP_GUARD
+    # turns the directions near e2 by more than pi/2; its samples move by
+    # only 0.4, its step map by 4
     n, lam = 256, 10.0
     t = np.linspace(0.0, 1.0, n + 1)
     mats = np.zeros((n + 2, 2, 2))
     mats[:-1, 0, 0], mats[:-1, 1, 1] = lam ** t, lam ** -t
     mats[-1] = np.array([[1.0, 4.0], [0.0, 1.0]]) @ mats[-2]
-    path = cz.SymplecticPath(mats=mats)
-    path.validate()
     assert np.abs(kernels.angle_steps(mats[:, :, 0])).max() == 0.0
-    with pytest.raises(ResolutionError, match="under-resolved"):
-        cz.rotation_interval(path)
+    assert np.linalg.norm(mats[-1] - mats[-2]) < cz.STEP_GUARD
+    # and a conformal path whose step maps each turn every direction by
+    # 2 pi 40 / 256
+    for path, moved in [(cz.SymplecticPath(mats=mats), 4.0),
+                        (pure_rotation_path(40, n=256), 1.333)]:
+        with pytest.raises(ResolutionError, match=f"moves by {moved:.3f}"):
+            path.validate()
+        with pytest.raises(ResolutionError, match="densify"):
+            cz.rotation_interval(path)
 
 
 def test_interval_branches():
-    make = lambda lo, hi: cz.RotationInterval(
-        lo=lo, hi=hi,
-        degenerate_margin=min(abs(lo - round(lo)), abs(hi - round(hi))),
-        turns=lo)
+    make = lambda lo, hi: cz.RotationInterval(lo=lo, hi=hi, turns=lo)
     assert cz.cz_from_interval(make(1.69, 1.72))[0] == 3
     assert cz.cz_from_interval(make(-0.1, 0.1))[0] == 0
     mu, flag = cz.cz_from_interval(make(0.99997, 1.00002))
     assert mu == 2 and flag  # endpoint within 1e-4 of an integer
     with pytest.raises(InconsistencyError):
         cz.cz_from_interval(make(0.0, 0.6))
+
+
+@pytest.mark.parametrize("K", [0.5, 0.9, 0.97, 1.03, 1.1, 1.2, 1.3, 1.5, 2.0])
+def test_dumbbell_neck_turns_hyperbolic_past_K_1(K):
+    # at K = 2 the neck's monodromy stretches by 535, yet its step maps move
+    # by only 0.012 at n_grid 1024
+    form = dumbbell(K)
+    neck = refine_orbit(form, *NECK)
+    rep = cz.orbit_index_report(form, neck, n_grid=1024)
+    mu = 3 if K < 1 else 2
+    assert neck.nondeg_class == ("elliptic" if K < 1 else "positive-hyperbolic")
+    assert (rep["mu_geometric"], rep["mu_spectral"]) == (mu, mu)
 
 
 def test_maslov_loop():
@@ -195,8 +209,8 @@ def test_winding_pairing_and_monotonicity(ell, gamma1):
 def test_spectrum_refuses_degenerate(round_form):
     orbit = refine_orbit(round_form, np.array([1.0, 0.0, 0.0, 0.0]), np.pi)
     path = cz.trivialized_path(round_form, orbit, 1024)
-    with pytest.raises(DegenerateOrbitError):
-        cz.asymptotic_spectrum(orbit, path, cz.rotation_interval(path).turns)
+    with pytest.raises(DegenerateOrbitError, match="within 1e-6 of zero"):
+        cz.asymptotic_spectrum(path, cz.rotation_interval(path).turns)
 
 
 def test_galerkin_constant_coefficients_match_the_matched_symbol():
