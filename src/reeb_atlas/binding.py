@@ -12,10 +12,8 @@ inconsistencies by theory, so they raise alarms instead of verdicts.
 
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
-from .cz import (_assert_iterate_relations, orbit_index_report, prime_data,
-                 prime_flows, prime_key, prime_table)
+from .cz import (bott_index, orbit_index_report, prime_data, prime_flows,
+                 prime_key, prime_table)
 from .errors import DegenerateOrbitError, InconsistencyError, ReebAtlasError
 from .linking import (cover_linking, cover_self_linking, linking_checks,
                       prime_trace, prime_traces, unknot_check)
@@ -83,11 +81,12 @@ def check_binding(form, db, candidate_id):
     records each report's resolution.  The verdict carries the census
     truncation cap; conditions quantified over all orbits are only checked
     against the database.  An orbit whose index could not be computed is
-    listed in ``index_unknown_orbits`` as ``{"orbit_id", "reason"}``; so
-    are the orbits of a prime whose agreed indices, the candidate's
-    included, violate the iteration inequalities, with that error as the
-    reason.  An orbit in ``index_unknown_orbits`` decides no verdict but
-    ``inconclusive:index-unknown``: it gets no linking check, and a
+    listed in ``index_unknown_orbits`` as ``{"orbit_id", "reason"}``; so are
+    the orbits of a prime, the candidate's included, with an agreed index
+    other than Bott's mu(P^k) = floor(k rho) + ceil(k rho) read off its
+    agreed cover of lowest multiplicity (``cz.bott_index``), with that error
+    as the reason.  An orbit in ``index_unknown_orbits`` decides no verdict
+    but ``inconclusive:index-unknown``: it gets no linking check, and a
     candidate among them is inconclusive before any ``fails:*`` rule on its
     index.  Each index-2 orbit Q^k gets lk = k lk(P, Q) from the prime pair,
     cross-checked by the crossing count; if that could not be computed or
@@ -104,7 +103,7 @@ def check_binding(form, db, candidate_id):
         )
     report = BindingReport(
         orbit_id=candidate_id,
-        t_max=float(db.params.get("t_max", np.nan)),
+        t_max=float(db.params["t_max"]),
         simply_covered=(cand.multiplicity == 1),
     )
     if not report.simply_covered:
@@ -165,8 +164,15 @@ def _check_in_table(form, db, candidate_id, report):
             agreed.setdefault(prime_key(db[oid]), []).append(
                 (db[oid].multiplicity, mu, oid))
     for rows in agreed.values():
+        (k0, _, ref), *covers = sorted(rows)
         try:
-            _assert_iterate_relations([(k, mu) for k, mu, _ in sorted(rows)])
+            for k, mu, _ in covers:
+                bott = bott_index(reports[ref]["interval"], db[ref].monodromy,
+                                  db[ref].nondeg_class, k0, k)
+                if mu != bott:
+                    raise InconsistencyError(
+                        f"index {mu} of cover {k} differs from Bott's "
+                        f"iteration formula, {bott}, read off cover {k0}")
         except InconsistencyError as exc:
             report.index_unknown_orbits.extend(
                 {"orbit_id": oid, "reason": f"{type(exc).__name__}: {exc}"}

@@ -14,11 +14,11 @@ Galerkin matrix gathered from one FFT of S by the product-to-sum rules.  It
 winds only the eigenfunctions of a window around zero, sampled by one
 inverse FFT, takes the eigenvalues nearest zero with their windings, and
 evaluates ``2 * wind(nu_neg) + p`` (Hofer, Wysocki & Zehnder, GAFA 5,
-1995).  The two must agree exactly on non-degenerate orbits; the report
-enforces that.  Across a census, the indices of a prime's iterates must also
-satisfy the iteration inequalities
-(``_assert_iterate_relations``; Hofer, Wysocki & Zehnder, Ann. Math. 148,
-1998).
+1995).  The two must agree exactly on non-degenerate orbits, and each must equal
+Bott's iteration formula mu(P^k) = floor(k rho) + ceil(k rho), rho the mean
+rotation of the non-degenerate prime P (``bott_index``; Long, 2002): the
+report enforces both at k = 1, and ``check_binding`` checks every cover of a
+census against its prime's lowest agreed cover.
 """
 
 import contextlib
@@ -42,6 +42,7 @@ __all__ = [
     "cz_from_interval",
     "asymptotic_spectrum",
     "cz_from_spectrum",
+    "bott_index",
     "orbit_index_report",
     "PrimeData",
     "prime_table",
@@ -81,12 +82,11 @@ class SymplecticPath:
     def validate(self):
         if np.abs(self.mats[0] - np.eye(2)).max() > 1e-12:
             raise DomainError("path must start at the identity")
-        dets = np.linalg.det(self.mats)
-        if np.abs(dets - 1.0).max() > 1e-6:
-            raise DomainError(
-                f"path leaves the symplectic group: |det-1| up to "
-                f"{np.abs(dets - 1.0).max():.2e}"
-            )
+        scale = 0.5 * (self.mats ** 2).sum(axis=(1, 2))  # det's roundoff scale
+        gap = np.abs(np.linalg.det(self.mats) - 1.0) / scale
+        if gap.max() > 1e-6:
+            raise DomainError(f"path leaves the symplectic group: |det-1| up "
+                              f"to {gap.max():.2e} of ||M||_F^2/2")
         dist = _step_distance(self.mats)
         if not dist < STEP_GUARD:  # NaN fails too
             raise ResolutionError(f"a step map moves by {dist:.3f} >= "
@@ -445,6 +445,23 @@ def cz_from_spectrum(data):
     return 2 * data.wind_nu_neg + data.p
 
 
+def bott_index(interval, A, nondeg_class, k0, k):
+    """Bott's index floor(k rho) + ceil(k rho) of the k-fold cover of a
+    non-degenerate prime of mean rotation rho (Long, 2002), from the prime's
+    k0-fold cover: its rotation interval (lo, hi), period map A and class.
+    That cover turns by theta + n: theta is 0 (positive hyperbolic), 1/2
+    (negative hyperbolic) or +-arccos(tr A / 2) / 2 pi with the sign of
+    A[1, 0] (elliptic); n rounds the midpoint less theta.  rho is that over
+    k0; dividing before the product with k keeps an integer k rho exact."""
+    if nondeg_class == "elliptic":
+        theta = np.copysign(np.arccos(0.5 * np.trace(A)), A[1, 0]) / (2.0 * np.pi)
+    else:
+        theta = 0.5 if nondeg_class == "negative-hyperbolic" else 0.0
+    lo, hi = interval
+    rho = (theta + round(0.5 * (lo + hi) - theta)) / k0
+    return int(np.floor(k * rho) + np.ceil(k * rho))
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -453,8 +470,9 @@ def orbit_index_report(form, orbit, n_grid=1024):
     """Both index computations for one orbit, JSON-ready.
 
     Degenerate orbits produce flags instead of numbers: no index is ever
-    emitted for a flagged orbit.  An emitted index is cross-checked against
-    the monodromy class: it is even iff the orbit is positive hyperbolic.
+    emitted for a flagged orbit.  Each emitted index must equal
+    ``bott_index`` at k0 = k = 1, which is even iff the orbit is positive
+    hyperbolic.
     Both routes read one trivialized path on ``n_grid`` steps; a grid that
     under-resolves the orbit raises ``ResolutionError``.  The path samples
     the prime's one variational integration, shared with the other reports
@@ -497,38 +515,13 @@ def orbit_index_report(form, orbit, n_grid=1024):
         report["mu_spectral"] = cz_from_spectrum(data)
     except DegenerateOrbitError as exc:
         report["degenerate_flags"].append(str(exc))
-    if (report["mu_geometric"] is not None and report["mu_spectral"] is not None
-            and report["mu_geometric"] != report["mu_spectral"]):
-        raise InconsistencyError(
-            f"index methods disagree: geometric {report['mu_geometric']} vs "
-            f"spectral {report['mu_spectral']}"
-        )
-    for mu in (report["mu_geometric"], report["mu_spectral"]):
-        if mu is not None and (mu % 2 == 0) != (
-                orbit.nondeg_class == "positive-hyperbolic"):
-            raise InconsistencyError(
-                f"index {mu} has the wrong parity for a "
-                f"{orbit.nondeg_class} orbit"
-            )
+    if report["interval"] is not None:  # each index is Bott's, so both agree
+        bott = bott_index(report["interval"], orbit.monodromy,
+                          orbit.nondeg_class, 1, 1)
+        for route in ("geometric", "spectral"):
+            mu = report[f"mu_{route}"]
+            if mu not in (None, bott):
+                raise InconsistencyError(
+                    f"{route} index {mu} differs from Bott's iteration "
+                    f"formula, {bott}, for a {orbit.nondeg_class} orbit")
     return report
-
-
-def _assert_iterate_relations(table):
-    """The iteration inequalities on ``table``, (k, mu(P^k)) pairs of one
-    prime P; a violation raises ``InconsistencyError``."""
-    mu = dict(table)
-    for k, mu_k in table:
-        for l, mu_l in table:
-            if l > k:
-                continue
-            if mu_k == 1 and mu_l != 1:
-                raise InconsistencyError(f"mu({k})=1 but mu({l})={mu_l}")
-            if mu_k <= 0 and mu_l > 0:
-                raise InconsistencyError(f"mu({k})<=0 but mu({l})={mu_l}")
-            if mu_k == 2:
-                if k not in (1, 2) or l not in (1, 2) or mu_l not in (1, 2):
-                    raise InconsistencyError(
-                        f"mu({k})=2 violates the iteration constraints"
-                    )
-    if mu.get(2) == 2 and 1 in mu and mu[1] != 1:
-        raise InconsistencyError("mu(P^2)=2 forces mu(P)=1")

@@ -12,7 +12,7 @@ matrix by products over the grid with every eigenfunction wound, the winding
 census of a spectrum, the period gaps of a census, the crossing word of a
 loop's shadow and the signed crossings of two loops' shadows over all
 segment pairs, the Gauss linking sum over whole blocks of rows, the index
-table of a prime's iterates (checked by ``cz._assert_iterate_relations``),
+table of a prime's iterates (checked by ``cz.bott_index``),
 the page of an ellipsoid's coordinate circle in closed form, the contact
 area of a disk by two routes, the return map of arbitrary level points, the
 primitive 1-form lambda0, the orbit search certifying one survivor at a time
@@ -29,11 +29,11 @@ import numpy as np
 from reeb_atlas import kernels, orbits
 from reeb_atlas.contact import (OMEGA, StarForm, omega_form, project_to_sigma,
                                 xi_frame, xi_projector)
-from reeb_atlas.cz import (J0, STEP_GUARD, SymplecticPath,
-                           _assert_iterate_relations, _step_distance,
-                           asymptotic_spectrum, cz_from_interval,
+from reeb_atlas.cz import (J0, STEP_GUARD, SymplecticPath, _step_distance,
+                           asymptotic_spectrum, bott_index, cz_from_interval,
                            rotation_interval, trivialized_path)
-from reeb_atlas.errors import (DomainError, GridQualityError, ProximityError,
+from reeb_atlas.errors import (DomainError, GridQualityError,
+                               InconsistencyError, ProximityError,
                                RefinementError, ResolutionError)
 from reeb_atlas.flow import integrate_batch, integrate_flow, xi_period_map
 from reeb_atlas.kernels import _GAUSS_CHUNK, _HESS_BLOCK, _I, _J
@@ -462,9 +462,10 @@ def period_gaps(db, C):
 def iterate_index_table(form, orbit, k_max):
     """Geometric indices of the first ``k_max`` iterates of a prime orbit.
 
-    Degenerate iterates are flagged and left out of the table.  The standard
-    iteration inequalities are asserted on the result; a violation is an
-    internal-consistency error, not a property of the orbit.
+    Degenerate iterates are flagged and left out of the table.  Each index
+    must equal Bott's iteration formula read off the prime's own interval
+    (``cz.bott_index``); a mismatch is an internal-consistency error, not a
+    property of the orbit.
     """
     if orbit.multiplicity != 1:
         raise DomainError("iterate table expects a simply covered orbit")
@@ -475,13 +476,18 @@ def iterate_index_table(form, orbit, k_max):
         if it.degenerate:
             flags.append(k)
             continue
-        path = trivialized_path(form, it, max(256, 128 * k))
-        mu, deg = cz_from_interval(rotation_interval(path))
+        iv = rotation_interval(trivialized_path(form, it, max(256, 128 * k)))
+        if k == 1:
+            prime_interval = [iv.lo, iv.hi]
+        mu, deg = cz_from_interval(iv)
         if deg:
             flags.append(k)
             continue
+        bott = bott_index(prime_interval, orbit.monodromy, orbit.nondeg_class,
+                          1, k)
+        if mu != bott:
+            raise InconsistencyError(f"mu({k}) = {mu}, Bott's formula {bott}")
         table.append((k, mu))
-    _assert_iterate_relations(table)
     return table, flags
 
 

@@ -8,7 +8,8 @@ from reeb_atlas.binding import check_binding, necessity_audit
 from reeb_atlas.errors import (DegenerateOrbitError, ProximityError,
                                ResolutionError)
 from reeb_atlas.flow import integrate_batch, integrate_flow
-from reeb_atlas.orbits import OrbitDatabase, find_orbits, trace_orbit
+from reeb_atlas.orbits import (OrbitDatabase, classify_monodromy, find_orbits,
+                               trace_orbit)
 
 from oracles import NECK, dumbbell_census
 
@@ -137,28 +138,54 @@ def test_binding_integrates_each_prime_once(ell, db20, monkeypatch):
                for row in rep.index_table)
 
 
+def _with_indices(db, mus, monkeypatch):
+    # the real index report, with the agreed index ``mus[oid]`` for orbit oid
+    real = binding.orbit_index_report
+
+    def report(form, orbit, n_grid):
+        rep = real(form, orbit, n_grid=n_grid)
+        for oid, mu in mus.items():
+            if orbit is db[oid]:
+                rep.update(mu_geometric=mu, mu_spectral=mu)
+        return rep
+
+    monkeypatch.setattr(binding, "orbit_index_report", report)
+
+
 def test_binding_inconclusive_on_violated_iterate_relations(ell, db20,
                                                             monkeypatch):
-    # mu(P^3) = 2 breaks the iteration inequalities of P = gamma2: its
-    # covers' indices are in doubt, whatever their linking
+    # mu(P^3) = 2 breaks Bott's iteration formula for P = gamma2, which gives
+    # 15: its covers' indices are in doubt, whatever their linking
     gid = _entry_id(db20, np.pi, 1)
     covers = [i for i, o in enumerate(db20.orbits)
               if abs(o.T_min - np.sqrt(2) * np.pi) < 1e-6]
     cube = _entry_id(db20, np.sqrt(2) * np.pi, 3)
-
-    def report(form, orbit, n_grid):
-        mu = 2 if orbit is db20[cube] else 3
-        return {"mu_geometric": mu, "mu_spectral": mu, "degenerate_flags": []}
-
-    monkeypatch.setattr(binding, "orbit_index_report", report)
+    _with_indices(db20, {cube: 2}, monkeypatch)
     rep = check_binding(ell, db20, gid)
-    reason = "InconsistencyError: mu(3)=2 violates the iteration constraints"
+    reason = ("InconsistencyError: index 2 of cover 3 differs from Bott's "
+              "iteration formula, 15, read off cover 1")
     assert rep.index_unknown_orbits == [{"orbit_id": oid, "reason": reason}
                                  for oid in sorted(covers)]
     # an orbit of unknown index gets no linking check
     assert rep.index2_orbits_checked == []
     assert rep.verdict == "inconclusive:index-unknown"
     assert rep.exit_code == 3
+
+
+def test_binding_doubts_a_cover_index_the_inequalities_accept(ell, db10,
+                                                              monkeypatch):
+    # gamma1^2 at 9 instead of 7: odd, as an elliptic orbit's, and above 2,
+    # where the iteration inequalities say nothing; Bott's formula reads 7
+    # off gamma1, so the candidate's own index is in doubt
+    gid = _entry_id(db10, np.pi, 1)
+    rows = [i for i, o in enumerate(db10.orbits) if o.T_min == db10[gid].T_min]
+    _with_indices(db10, {_entry_id(db10, np.pi, 2): 9}, monkeypatch)
+    rep = check_binding(ell, db10, gid)
+    reason = ("InconsistencyError: index 9 of cover 2 differs from Bott's "
+              "iteration formula, 7, read off cover 1")
+    assert rep.index_unknown_orbits == [{"orbit_id": oid, "reason": reason}
+                                        for oid in rows]
+    assert rep.verdict == "inconclusive:index-unknown"
 
 
 def test_binding_fails_for_double_cover(ell, db20):
@@ -203,11 +230,11 @@ def test_binding_inconclusive_when_an_index_is_unknown(ell, db20,
     # whether its report flags the index or fails to compute it
     gid = _entry_id(db20, np.pi, 1)
     other = _entry_id(db20, np.sqrt(2) * np.pi, 1)
+    real = binding.orbit_index_report
     for failure in ("flagged", "raises"):
         def report(form, orbit, n_grid, failure=failure):
             if orbit is not db20[other]:
-                return {"mu_geometric": 3, "mu_spectral": 3,
-                        "degenerate_flags": []}
+                return real(form, orbit, n_grid=n_grid)
             if failure == "raises":
                 raise ResolutionError("path did not stabilize")
             return {"mu_geometric": None, "mu_spectral": None,
@@ -224,14 +251,11 @@ def test_binding_inconclusive_when_an_index_is_unknown(ell, db20,
 
 
 def _check_with_index(ell, db, gid, mus, links, monkeypatch):
-    # orbit ``oid`` gets index ``mus[oid]`` and every other orbit index 3;
-    # ``links`` maps an orbit id to the table's linking record of its prime
-    # with the candidate's prime: (lk, residual, crossing lk) or the error
-    def report(form, orbit, n_grid):
-        mu = next((mu for oid, mu in mus.items() if orbit is db[oid]), 3)
-        return {"mu_geometric": mu, "mu_spectral": mu, "degenerate_flags": []}
-
-    monkeypatch.setattr(binding, "orbit_index_report", report)
+    # orbit ``oid`` gets index ``mus[oid]`` and every other orbit its real
+    # index; ``links`` maps an orbit id to the table's linking record of its
+    # prime with the candidate's prime: (lk, residual, crossing lk) or the
+    # error
+    _with_indices(db, mus, monkeypatch)
     with cz.prime_table() as table:
         cand = table.setdefault(cz.prime_key(db[gid]), cz.PrimeData())
         for oid, rec in links.items():
@@ -288,7 +312,7 @@ def test_binding_fails_on_an_unlinked_index2_orbit_beside_a_skip(
 
 def test_binding_unlinked_orbit_of_unknown_index_decides_no_failure(
         ell, db20, monkeypatch):
-    # gamma2 and gamma2^2 at index 2 break "mu(P^2)=2 forces mu(P)=1": an
+    # gamma2 and gamma2^2 at index 2 break Bott's iteration formula: an
     # unlinked gamma2 can no longer fail the candidate
     gid = _entry_id(db20, np.pi, 1)
     prime = _entry_id(db20, np.sqrt(2) * np.pi, 1)
@@ -297,7 +321,8 @@ def test_binding_unlinked_orbit_of_unknown_index_decides_no_failure(
                             {prime: (0, 0.0, 0)}, monkeypatch)
     covers = [i for i, o in enumerate(db20.orbits)
               if o.T_min == db20[prime].T_min]
-    reason = "InconsistencyError: mu(P^2)=2 forces mu(P)=1"
+    reason = ("InconsistencyError: index 2 of cover 2 differs from Bott's "
+              "iteration formula, 9, read off cover 1")
     assert rep.index_unknown_orbits == [{"orbit_id": oid, "reason": reason}
                                  for oid in covers]
     assert rep.index2_orbits_checked == []
@@ -307,7 +332,7 @@ def test_binding_unlinked_orbit_of_unknown_index_decides_no_failure(
 
 def test_binding_candidate_of_unknown_index_decides_no_failure(
         ell, db20, monkeypatch):
-    # the candidate gamma1 and gamma1^2 at index 2 break the same relation:
+    # the candidate gamma1 and gamma1^2 at index 2 break Bott's formula too:
     # the candidate's index 2 can no longer fail it
     gid = _entry_id(db20, np.pi, 1)
     double = _entry_id(db20, np.pi, 2)
@@ -322,14 +347,33 @@ def test_binding_candidate_of_unknown_index_decides_no_failure(
 
 def test_binding_links_an_index2_cover_through_its_prime(ell, db20,
                                                          monkeypatch):
-    # gamma2 at index 1 and gamma2^2 at index 2 satisfy the iteration
-    # inequalities; gamma2^2 links gamma1 twice, 2 lk(gamma1, gamma2), and
-    # the crossing count of the prime pair agrees
+    # gamma2's covers relabelled as those of a negative hyperbolic prime of
+    # mean rotation 1/2, whose k-fold cover has index k by Bott's formula:
+    # gamma2^2 is an index-2 cover; it links gamma1 twice, 2 lk(gamma1,
+    # gamma2), and the crossing count of the prime pair agrees
     gid = _entry_id(db20, np.pi, 1)
     prime = _entry_id(db20, np.sqrt(2) * np.pi, 1)
     double = _entry_id(db20, np.sqrt(2) * np.pi, 2)
-    rep = _check_with_index(ell, db20, gid, {prime: 1, double: 2}, {},
-                            monkeypatch)
+    T2, N = db20[prime].T_min, np.diag([-2.0, -0.5])
+
+    def relabel(o):
+        mon = np.linalg.matrix_power(N, o.multiplicity)
+        return dataclasses.replace(o, monodromy=mon,
+                                   nondeg_class=classify_monodromy(mon))
+
+    db = OrbitDatabase(db20.form_hash, [relabel(o) if o.T_min == T2 else o
+                                        for o in db20.orbits], db20.params)
+    real = binding.orbit_index_report
+
+    def report(form, orbit, n_grid):
+        if orbit.T_min != T2:
+            return real(form, orbit, n_grid=n_grid)
+        k = orbit.multiplicity
+        return {"mu_geometric": k, "mu_spectral": k, "degenerate_flags": [],
+                "interval": [k / 2 - 0.1, k / 2 + 0.1]}
+
+    monkeypatch.setattr(binding, "orbit_index_report", report)
+    rep = check_binding(ell, db, gid)
     assert rep.index2_orbits_checked == [{"orbit_id": double, "lk": 2, "linked": True}]
     assert rep.verdict == "hypotheses_hold"
     assert rep.linking_checks == {

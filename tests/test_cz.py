@@ -9,7 +9,7 @@ from reeb_atlas import cz, kernels
 from reeb_atlas.errors import (DegenerateOrbitError, DomainError,
                                InconsistencyError, ResolutionError)
 from reeb_atlas.flow import integrate_batch
-from reeb_atlas.orbits import find_orbits, refine_orbit
+from reeb_atlas.orbits import classify_monodromy, find_orbits, refine_orbit
 
 from oracles import (NECK, compose_paths, dumbbell, galerkin_matrix,
                      galerkin_pairs, grid, grid_interval, hyperbolic_path,
@@ -108,6 +108,21 @@ def test_resolution_guard_sees_every_direction():
             path.validate()
         with pytest.raises(ResolutionError, match="densify"):
             cz.rotation_interval(path)
+
+
+def test_determinant_bound_scales_with_the_stretch():
+    # the K = 2 neck's double cover stretches by about 2.9e5, so |det M - 1|
+    # reaches 8.7e-6 by roundoff, 4.8e-12 of ||M||_F^2 / 2
+    form = dumbbell(2.0)
+    double = refine_orbit(form, *NECK).iterate(2)
+    path = cz.trivialized_path(form, double, 1024)
+    assert np.abs(np.linalg.det(path.mats) - 1.0).max() > 1e-6
+    assert cz.cz_from_interval(cz.rotation_interval(path)) == (4, False)
+    # a rotation whose determinant reaches 1.01 at one sample is refused
+    mats = pure_rotation_path(1.0, n=256).mats
+    mats[100] *= np.sqrt(1.01)
+    with pytest.raises(DomainError, match="leaves the symplectic group"):
+        cz.SymplecticPath(mats=mats).validate()
 
 
 def test_interval_branches():
@@ -467,16 +482,55 @@ def test_hyperbolic_iterates_stay_nonpositive():
     assert all(m <= 0 for m in mus)
 
 
+def test_bott_formula_gives_every_cover_of_random_paths():
+    # every cover k = 1..4 of 60 random non-degenerate paths, read off the
+    # prime (k0 = 1) and off its triple cover (k0 = 3: k / k0 is inexact)
+    rng = np.random.default_rng(0)
+    seen = set()
+    for _ in range(60):
+        prime = random_nondegenerate_path(rng)
+        covers = {k: path_power(prime, k) for k in range(1, 5)}
+        intervals = {k: cz.rotation_interval(p) for k, p in covers.items()}
+        seen.add((classify_monodromy(covers[1].endpoint),
+                  bool(intervals[1].turns > 0)))
+        for k0 in (1, 3):
+            ref = intervals[k0]
+            cls = classify_monodromy(covers[k0].endpoint)
+            for k in range(1, 5):
+                mu, flagged = cz.cz_from_interval(intervals[k])
+                assert not flagged
+                assert mu == cz.bott_index([ref.lo, ref.hi],
+                                           covers[k0].endpoint, cls, k0, k)
+    assert {cls for cls, _ in seen} == {"elliptic", "positive-hyperbolic",
+                                        "negative-hyperbolic"}
+    assert {positive for _, positive in seen} == {True, False}
+
+
+def test_bott_formula_gives_the_hyperbolic_neck_covers(dumbbell_12):
+    # the K = 1.2 neck is positive hyperbolic with rho = 1: mu(P^k) = 2k by
+    # both routes, read off the neck or off its double cover
+    form, db = dumbbell_12
+    neck = db[0]
+    covers = [neck] + [neck.iterate(k) for k in (2, 3)]
+    with cz.prime_table():
+        reports = [cz.orbit_index_report(form, o, n_grid=1024) for o in covers]
+    for k, rep in enumerate(reports, 1):
+        assert (rep["mu_geometric"], rep["mu_spectral"]) == (2 * k, 2 * k)
+        for k0, ref in ((1, neck), (2, covers[1])):
+            assert cz.bott_index(reports[k0 - 1]["interval"], ref.monodromy,
+                                 ref.nondeg_class, k0, k) == 2 * k
+
+
 def test_iterate_table_requires_prime(ell, gamma1):
     with pytest.raises(DomainError):
         iterate_index_table(ell, gamma1.iterate(2), 2)
 
 
 def test_index_parity_must_match_the_monodromy_class(ell, gamma1):
-    # gamma1 is elliptic with index 3; an odd index is impossible for a
-    # positive hyperbolic orbit
+    # gamma1 is elliptic with index 3; relabelled positive hyperbolic, Bott's
+    # formula reads an even index off its interval
     wrong = dataclasses.replace(gamma1, nondeg_class="positive-hyperbolic")
-    with pytest.raises(InconsistencyError, match="parity"):
+    with pytest.raises(InconsistencyError, match="Bott's iteration formula"):
         cz.orbit_index_report(ell, wrong)
 
 
