@@ -9,6 +9,10 @@ foliations, return maps), and the binding-condition checker built on top
 of all of it.
 """
 
+import time
+
+_IMPORT_STARTED = time.perf_counter()  # cli.IMPORT_SECONDS counts from here
+
 __version__ = "0.1.0"
 
 from .contact import StarForm, XiFrame, reeb_vector, xi_frame

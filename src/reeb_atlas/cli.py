@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import _IMPORT_STARTED, __version__
 from .binding import check_binding, necessity_audit, report_fields
 from .contact import StarForm
 from .cz import orbit_index_report, prime_table
@@ -140,14 +140,15 @@ def _config(args):
 
 def _write_report(out_dir, name, payload, started, meta):
     """Write the report and its sidecar: the command's ``meta`` under the
-    report's name, the version, the wall time since ``started`` and the
-    time of writing."""
+    report's name, the version, the process's import time, the wall time
+    since ``started`` and the time of writing."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True, default=_jsonify)
         fh.write("\n")
     meta = dict(meta, report=name, version=__version__,
+                import_seconds=IMPORT_SECONDS,
                 wall_seconds=round(time.time() - started, 3),
                 written_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
     with open(path + ".meta.json", "w") as fh:
@@ -421,6 +422,9 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+# seconds from the start of the package's import to the end of this module's
+IMPORT_SECONDS = round(time.perf_counter() - _IMPORT_STARTED, 3)
 
 if __name__ == "__main__":
     sys.exit(main())

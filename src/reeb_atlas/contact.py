@@ -18,7 +18,6 @@ offending row.
 import hashlib
 import json
 import numbers
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,16 +71,41 @@ def _first_row(mask):
     return int(hits[0]) if hits.size else None
 
 
-def sobol_points(d, skip, n):
-    """Points skip .. skip + n - 1 of the unscrambled d-dim Sobol sequence."""
-    from scipy.stats import qmc
+def _sobol_directions():
+    """The 30-bit Sobol direction numbers of dimensions 1..4, one row per
+    bit: van der Corput for dimension 1, then Joe & Kuo's (2008) primitive
+    polynomials 3, 7 and 11 with initial numbers (1), (1, 3) and (1, 3, 1),
+    continued by the Bratley-Fox recurrence."""
+    columns = [[1] * 30]
+    for poly, m in ((3, [1]), (7, [1, 3]), (11, [1, 3, 1])):
+        s = len(m)
+        for j in range(s, 30):
+            new = m[j - s]
+            for k in range(1, s + 1):
+                if poly >> (s - k) & 1:
+                    new ^= m[j - k] << k
+            m.append(new)
+        columns.append(m)
+    return np.array([[c[j] << (29 - j) for c in columns] for j in range(30)])
 
-    eng = qmc.Sobol(d=d, scramble=False)
-    if skip:  # a fresh engine cannot fast-forward by 0
-        eng.fast_forward(skip)
-    with warnings.catch_warnings():  # n need not be a power of 2
-        warnings.simplefilter("ignore", UserWarning)
-        return eng.random(n)
+
+_SOBOL_DIRECTIONS = _sobol_directions()
+
+
+def sobol_points(d, skip, n):
+    """Points skip .. skip + n - 1 of the unscrambled d-dim Sobol sequence,
+    bit for bit those of scipy's ``qmc.Sobol(d, scramble=False)``: point k
+    is the XOR of the directions of the bits of gray(k) (Antonov & Saleev
+    1979), so each next point XORs one direction, that of the lowest set
+    bit of its index.  A window outside d in 1..4, [0, 2^30] raises."""
+    if not 1 <= d <= 4 or skip < 0 or n < 0 or skip + n > 2**30:
+        raise DomainError(f"Sobol window of {n} points from {skip} in {d} "
+                          "dimensions is outside d in 1..4, [0, 2^30]")
+    v = _SOBOL_DIRECTIONS[:, :d]
+    first = np.bitwise_xor.reduce(v[(skip ^ skip >> 1) >> np.arange(30) & 1 == 1])
+    k = np.arange(skip + 1, skip + n)
+    steps = np.take(v, np.bitwise_count((k & -k) - 1), axis=0)  # lowest set bits
+    return np.bitwise_xor.accumulate(np.vstack([first, steps]))[:n] * 2.0**-30
 
 
 def sphere_samples(n, seed_skip=0):
@@ -95,8 +119,6 @@ def sphere_samples(n, seed_skip=0):
     """
     from scipy.special import ndtri
 
-    if seed_skip < 0 or seed_skip + n + 8 > 2**30:
-        raise DomainError(f"Sobol skip {seed_skip} outside [0, 2^30 - n - 8]")
     g = ndtri(np.clip(sobol_points(4, seed_skip, n + 8), 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(g, axis=1)
     g = g[norms > 1e-9][:n]  # the sequence opens with 0 and 1/2 points

@@ -14,11 +14,12 @@ finite-difference monodromies are too noisy for index work.
 
 import contextlib
 import contextvars
+import importlib.util
+import os
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from . import kernels
 from .contact import xi_frame
@@ -32,6 +33,20 @@ __all__ = [
     "counting",
 ]
 
+
+def _dop853_tableau():
+    """scipy's DOP853 coefficient module, read from its file by path: the
+    file imports only numpy, where importing it by name would import all
+    of scipy.integrate."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    path = os.path.join(scipy_dir, "integrate", "_ivp", "dop853_coefficients.py")
+    spec = importlib.util.spec_from_file_location("_dop853_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_dop = _dop853_tableau()
 _S = _dop.N_STAGES  # stage _S is f(y_new), the next step's first; 13-15 dense
 _A, _B, _D, _E3, _E5 = _dop.A, _dop.B, _dop.D, _dop.E3, _dop.E5
 _AROWS = [_A[j, :j] for j in range(len(_A))]

@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import kernels
 from .contact import (OMEGA, complement_basis, omega_form, project_to_sigma,
@@ -96,6 +95,8 @@ class DiskGrid:
     def validate(self):
         """Grid quality checks: a collapsed center row, cells below 5% of the
         diameter, and no near-coincidences besides grid neighbors."""
+        from scipy.spatial import cKDTree
+
         s = self.samples
         if np.linalg.norm(s[0] - s[0, 0], axis=1).max() > 1e-12:
             raise GridQualityError("center row must collapse to one point")
@@ -405,6 +406,8 @@ class _DiskIndex:
     """Spatial index of the grid with per-node tangent-plane data."""
 
     def __init__(self, form, disk):
+        from scipy.spatial import cKDTree
+
         self.samples = disk.samples
         # nodes of rows 1..n_r and their plane normals, by flat index
         self.points = disk.samples[1:].reshape(-1, 4)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from reeb_atlas import flow
+from reeb_atlas import cli, flow
 from reeb_atlas.cli import main
 from reeb_atlas.orbits import load_orbits, trace_orbit
 from reeb_atlas.sections import load_disk, save_disk
@@ -650,15 +650,17 @@ PROTOCOL = {
 @pytest.mark.parametrize("command", PROTOCOL)
 def test_every_report_keeps_the_protocol(session, command):
     # every report records the integer rng_seed, and its sidecar holds the
-    # report's name, the version and the times, plus the command's own keys
+    # report's name, the version, the process's import time and the times,
+    # plus the command's own keys
     name, extras = PROTOCOL[command]
     with open(os.path.join(session, name)) as fh:
         seed = json.load(fh)["rng_seed"]
     assert seed == 0 and type(seed) is int
     with open(os.path.join(session, name + ".meta.json")) as fh:
         meta = json.load(fh)
-    assert set(meta) == {"report", "version", "wall_seconds",
+    assert set(meta) == {"report", "version", "import_seconds", "wall_seconds",
                          "written_at"} | extras
+    assert 0 < meta["import_seconds"] == cli.IMPORT_SECONDS
     assert meta["report"] == name
     for extra in meta.get("files", []):
         assert os.path.exists(os.path.join(session, extra))

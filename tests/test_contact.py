@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.stats import qmc
 
 from reeb_atlas import contact, kernels
 from reeb_atlas.contact import (OMEGA, StarForm, omega_form,
@@ -10,6 +13,7 @@ from reeb_atlas.contact import (OMEGA, StarForm, omega_form,
                                 xi_frame, xi_projector)
 from reeb_atlas.errors import DomainError, FrameDegeneracyError, OffLevelError
 from reeb_atlas.flow import _rhs
+from reeb_atlas.sections import disk_seeds
 
 from oracles import embed, form_json, lambda0, round_sphere, xi_project
 
@@ -97,6 +101,44 @@ def test_positivity_decision_at_the_boundary(exps):
     StarForm.weighted([((0, 0, 0, 0), q_max * (1 + 1e-12))] + mons)
     with pytest.raises(DomainError, match="not positive"):
         StarForm.weighted([((0, 0, 0, 0), q_max * (1 - 1e-12))] + mons)
+
+
+def scipy_sobol(d, skip, n):
+    """Points skip .. skip + n - 1 of scipy's unscrambled Sobol engine."""
+    eng = qmc.Sobol(d=d, scramble=False)
+    if skip:  # a fresh engine cannot fast-forward by 0
+        eng.fast_forward(skip)
+    with warnings.catch_warnings():  # n need not be a power of 2
+        warnings.simplefilter("ignore", UserWarning)
+        return eng.random(n)
+
+
+# the positivity check's draw, the census windows of n seeds at rng_seed k,
+# the disk seeds and the last window below 2^30
+@pytest.mark.parametrize("d, skip, n", [
+    (4, 0, 10_008), *((4, k * (n + 1), n + 8) for n in (16, 32, 256)
+                      for k in (0, 1, 7)),
+    (2, 1, 500), (4, 2**30 - 1008, 1000)])
+def test_sobol_points_are_scipys_bit_for_bit(d, skip, n):
+    got, want = contact.sobol_points(d, skip, n), scipy_sobol(d, skip, n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d, skip, n", [
+    (0, 0, 1), (5, 0, 1), (4, -1, 1), (4, 2**30 - 4, 5), (2, 2**30, 1)])
+def test_sobol_window_outside_the_tables_raises(d, skip, n):
+    with pytest.raises(DomainError, match="Sobol window"):
+        contact.sobol_points(d, skip, n)
+
+
+def test_every_sobol_caller_keeps_the_window():
+    # the last point below 2^30 is drawn; one more raises, in every caller
+    assert contact.sobol_points(1, 2**30 - 1, 1).shape == (1, 1)
+    assert sphere_samples(4, seed_skip=2**30 - 12).shape == (4, 4)
+    with pytest.raises(DomainError, match="Sobol window"):
+        sphere_samples(4, seed_skip=2**30 - 11)
+    with pytest.raises(DomainError, match="Sobol window"):
+        disk_seeds(2**30)
 
 
 def test_zero_input_rejected():

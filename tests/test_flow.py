@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients
 
 from reeb_atlas import cz, flow, kernels
 from reeb_atlas.contact import OMEGA, StarForm
@@ -19,6 +20,12 @@ RHO = 1.0 + 1.0 / np.sqrt(2.0)
 def rotation(theta):
     return np.array([[np.cos(theta), -np.sin(theta)],
                      [np.sin(theta), np.cos(theta)]])
+
+
+def test_tableau_read_by_path_is_scipys():
+    for name in ("N_STAGES", "A", "B", "C", "D", "E3", "E5"):
+        assert np.array_equal(getattr(flow._dop, name),
+                              getattr(dop853_coefficients, name)), name
 
 
 def test_round_sphere_flow_specialization(round_form):

@@ -1,14 +1,21 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Every name a module imports is read somewhere in that module, and a CLI
+process imports only the scipy modules its config needs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import reeb_atlas
 
-MODULES = sorted(p for p in Path(reeb_atlas.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+from oracles import form_json
+
+PACKAGE = Path(reeb_atlas.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -24,3 +31,29 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in read)
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+def _scipy_after_load_config(tmp_path, form):
+    """The scipy modules that a fresh interpreter holds after importing the
+    CLI and loading a config of ``form``."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"form": form_json(form)}))
+    code = ("import sys, reeb_atlas.cli as cli; cli.load_config(sys.argv[1]); "
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code, str(config)],
+                          env=dict(os.environ, PYTHONPATH=path), check=True,
+                          capture_output=True, text=True, timeout=120)
+    return set(done.stdout.split())
+
+
+def test_an_ellipsoid_config_loads_no_scipy(tmp_path, ell):
+    assert _scipy_after_load_config(tmp_path, ell) == set()
+
+
+def test_a_weighted_config_loads_only_scipy_special(tmp_path, perturbed_form):
+    # the positivity check draws sphere samples, through scipy's ndtri
+    loaded = _scipy_after_load_config(tmp_path, perturbed_form)
+    assert "scipy.special" in loaded
+    unwanted = ("scipy.integrate", "scipy.stats", "scipy.spatial", "scipy.optimize")
+    assert not {m for m in loaded if ".".join(m.split(".")[:2]) in unwanted}
