@@ -137,6 +137,7 @@ def _check_in_table(form, db, candidate_id, report):
         report.index_table = _index_table(db, reports)
         return
     report.mu_cz = idx_rep["mu_geometric"]
+    # always True here: orbit_index_report makes both equal Bott's index
     report.index_methods_agree = (
         idx_rep["mu_geometric"] == idx_rep["mu_spectral"])
 
@@ -157,12 +158,13 @@ def _check_in_table(form, db, candidate_id, report):
             report.index_unknown_orbits.append({"orbit_id": oid, "reason": reason})
     report.index_table = _index_table(db, reports)
 
-    agreed = {}  # per prime: (multiplicity, agreed index, orbit id)
+    # per prime: (multiplicity, index, orbit id) of each orbit both routes
+    # index; orbit_index_report makes the two equal
+    agreed = {}
     for oid, rep in reports.items():
-        mu = rep["mu_geometric"]
-        if mu is not None and mu == rep["mu_spectral"]:
+        if None not in (rep["mu_geometric"], rep["mu_spectral"]):
             agreed.setdefault(prime_key(db[oid]), []).append(
-                (db[oid].multiplicity, mu, oid))
+                (db[oid].multiplicity, rep["mu_geometric"], oid))
     for rows in agreed.values():
         (k0, _, ref), *covers = sorted(rows)
         try:
@@ -204,8 +206,6 @@ _RULES = (
      "inconclusive:unknot_status_unknown"),
     (lambda r, own: r.sl is None, "inconclusive:self-linking-unknown"),
     (lambda r, own: r.sl != -1, "fails:self_linking"),
-    (lambda r, own: not r.index_methods_agree,
-     "inconclusive:index-method-disagreement"),
     (lambda r, own: own, "inconclusive:index-unknown"),
     (lambda r, own: r.mu_cz < 3, "fails:index_below_3"),
     (lambda r, own: any(rec["linked"] is False for rec in r.index2_orbits_checked),

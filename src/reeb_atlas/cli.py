@@ -22,7 +22,7 @@ from .binding import check_binding, necessity_audit, report_fields
 from .contact import StarForm
 from .cz import orbit_index_report, prime_table
 from .errors import (ConfigError, DegenerateOrbitError, DomainError,
-                     MissingArtifactError, ReebAtlasError, raised)
+                     MissingArtifactError, ReebAtlasError, check_keys, raised)
 from .flow import counting
 from .linking import (cover_linking, cover_self_linking, linking_checks,
                       prime_traces, unknot_check)
@@ -30,62 +30,33 @@ from .orbits import find_orbits, load_orbits, save_orbits
 from .sections import (builtin_disk, load_disk, save_disk,
                        verify_global_section, write_return_csv)
 
-# per form type, the key that encodes it: a form holds its type, that key
-# and optionally a name, and no other key
-FORM_KEYS = {
-    "ellipsoid": {"r_squared": {
-        "type": "array", "minItems": 2, "maxItems": 2,
-        "items": {"type": "number", "exclusiveMinimum": 0},
-    }},
-    "weighted": {"monomials": {
-        "type": "array", "minItems": 1,
-        "items": {
-            "type": "object",
-            "required": ["exp", "coeff"],
-            "properties": {
-                "exp": {
-                    "type": "array", "minItems": 4, "maxItems": 4,
-                    "items": {"type": "integer", "minimum": 0},
-                },
-                "coeff": {"type": "number"},
-            },
-        },
-    }},
-}
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["form"],
-    "additionalProperties": False,
-    "properties": {
-        "form": {
-            "type": "object",
-            "required": ["type"],
-            "properties": {"type": {"enum": list(FORM_KEYS)}},
-            "allOf": [{
-                "if": {"required": ["type"],
-                       "properties": {"type": {"const": kind}}},
-                "then": {"required": list(keys), "additionalProperties": False,
-                         "properties": {"type": True, "name": {"type": "string"},
-                                        **keys}},
-            } for kind, keys in FORM_KEYS.items()],
-        },
-        "tmax": {"type": "number", "exclusiveMinimum": 0},
-        "seeds": {"type": "integer", "minimum": 1},
-        "rng_seed": {"type": "integer", "minimum": 0},
-        "t_budget": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-# a flag keeps the bounds of the config key it sets; grid sizes are flags only,
-# and a page's plane needs three points of the orbit's trace
-FLAG_SCHEMA = {"properties": dict(
-    CONFIG_SCHEMA["properties"], n_grid={"type": "integer", "minimum": 1},
-    nr={"type": "integer", "minimum": 1}, ntheta={"type": "integer", "minimum": 3})}
+# per run key, its type and lower bound: a float must exceed it, an integer
+# (an integral float counts, a boolean does not) must reach it.  The config
+# holds the first four; a flag keeps the bounds of the key it sets, and the
+# grid sizes are flags only (a page's plane needs three points of the trace)
+RUN_KEYS = {"tmax": (float, 0), "seeds": (int, 1), "rng_seed": (int, 0),
+            "t_budget": (float, 0), "n_grid": (int, 1), "nr": (int, 1),
+            "ntheta": (int, 3)}
+CONFIG_KEYS = ("tmax", "seeds", "rng_seed", "t_budget")
+
+
+def _run_fault(key, value):
+    """Why ``value`` is not one of run key ``key``, or None if it is."""
+    kind, low = RUN_KEYS[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be a number"
+    if kind is int and not float(value).is_integer():
+        return "must be an integer"
+    if value <= low if kind is float else value < low:
+        return f"must be {'above' if kind is float else 'at least'} {low}"
 
 
 def load_config(path):
-    """Parse and validate a run configuration; rejects NaN, the infinities and
-    every number that overflows a float.  A missing file or a directory
-    raises ``MissingArtifactError``."""
+    """Parse and check a run configuration, an object of a ``form`` and the
+    run keys ``CONFIG_KEYS``.  The first fault raises ``ConfigError``: NaN,
+    the infinities or a float overflow at parse time, then the top level,
+    each run key in table order, then the form (``StarForm.from_json_dict``).
+    A missing file or a directory raises ``MissingArtifactError``."""
     def finite(parse):
         def check(token):
             if not np.isfinite(float(token)):
@@ -101,39 +72,28 @@ def load_config(path):
         raise MissingArtifactError(path, "write a config file first")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}", "")
-
-    import jsonschema
-
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = list(err.absolute_path)
-        if err.validator == "additionalProperties":
-            path.append(min(set(err.instance) - set(err.schema["properties"])))
-        if err.validator == "required":
-            path.append(min(set(err.validator_value) - set(err.instance)))
-        raise ConfigError(err.message, "/" + "/".join(map(str, path)))
-    form = StarForm.from_json_dict(raw["form"])
-    return raw, form
+    check_keys(raw, ("form",), CONFIG_KEYS, "")
+    for key in CONFIG_KEYS:
+        if key in raw and (fault := _run_fault(key, raw[key])):
+            raise ConfigError(f"{key} {raw[key]!r}: {fault}", f"/{key}")
+    try:
+        return raw, StarForm.from_json_dict(raw["form"])
+    except ConfigError as exc:
+        raise ConfigError(exc.message, "/form" + exc.pointer) from None
 
 
 def _config(args):
     """A command's run configuration with its set flags laid over it, each
     checked first: every float flag must be finite, and a flag keeps its
-    bounds in ``FLAG_SCHEMA``."""
-    import jsonschema
-
+    bounds in ``RUN_KEYS``."""
     given = vars(args)
-    flags = {k: v for k, v in given.items()
-             if k in FLAG_SCHEMA["properties"] and v is not None}
+    flags = {k: v for k, v in given.items() if k in RUN_KEYS and v is not None}
     bad = [(k, "not a finite number") for k, v in given.items()
            if isinstance(v, float) and not np.isfinite(v)]
-    bad += [(err.absolute_path[0], err.message) for err in
-            jsonschema.Draft202012Validator(FLAG_SCHEMA).iter_errors(flags)]
+    bad += [(k, fault) for k, v in flags.items() if (fault := _run_fault(k, v))]
     for key, message in bad:
         raise ConfigError(f"--{key.replace('_', '-')} {given[key]}: {message}",
-                          f"/{key}" if key in CONFIG_SCHEMA["properties"] else "")
+                          f"/{key}" if key in CONFIG_KEYS else "")
     cfg, form = load_config(args.config)
     return {**cfg, **flags}, form
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, FrameDegeneracyError, OffLevelError
+from .errors import (ConfigError, DomainError, FrameDegeneracyError,
+                     OffLevelError, check_keys)
 
 __all__ = [
     "OMEGA",
@@ -61,8 +62,10 @@ def complement_basis(rows):
 
 
 def _real(v):
-    """v as a float, or NaN if it is not a real number (a string is not)."""
-    return float(v) if isinstance(v, numbers.Real) else np.nan
+    """v as a float, or NaN if it is not a real number (neither a string nor
+    a boolean is)."""
+    return (float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool)
+            else np.nan)
 
 
 def _first_row(mask):
@@ -149,30 +152,37 @@ class StarForm:
     @classmethod
     def ellipsoid(cls, r1_squared, r2_squared, name=""):
         r = np.array([_real(r1_squared), _real(r2_squared)])
-        if not np.all(np.isfinite(r)) or np.any(r <= 0):
-            raise DomainError("ellipsoid semiaxis squares must be positive "
-                              f"finite reals, not {r1_squared!r}, {r2_squared!r}")
+        k = _first_row(~np.isfinite(r) | (r <= 0))
+        if k is not None:
+            raise ConfigError("ellipsoid semiaxis squares must be positive "
+                              f"finite reals, not {(r1_squared, r2_squared)[k]!r}",
+                              f"/r_squared/{k}")
         return cls(kind="ellipsoid", r_squared=r, name=name,
                    tables=kernels.ellipsoid_tables(2.0 / r))
 
     @classmethod
     def weighted(cls, monomials, name=""):
-        """Build from a list of ((e1,e2,e3,e4), coeff) monomials.
-
-        The weight must be positive on a 10^4-point quasi-uniform sample of
-        the unit sphere, its powers taken by running products, or is rejected.
-        """
-        raw = np.array([[_real(e) for e in m[0]] for m in monomials])
-        coeffs = np.array([_real(m[1]) for m in monomials])
-        if raw.ndim != 2 or raw.shape[1] != 4 or np.any(raw < 0):
-            raise DomainError("monomial exponents must be non-negative 4-tuples")
-        k = _first_row(~np.isfinite(raw) | (raw != np.round(raw)))
-        if k is not None:
-            raise DomainError(f"monomial exponent {monomials[k // 4][0][k % 4]!r}"
-                              " is not an integer")
-        exps = raw.astype(np.int64)
-        if not np.all(np.isfinite(coeffs)):
-            raise DomainError("monomial coefficients must be finite reals")
+        """Build from a non-empty list of ((e1,e2,e3,e4), coeff) monomials of
+        integer exponents >= 0 and finite coefficients; the first bad entry
+        raises ``ConfigError`` with its pointer.  The weight must be positive
+        on a 10^4-point quasi-uniform sample of the unit sphere, its powers
+        taken by running products."""
+        if not isinstance(monomials, (list, tuple)) or not monomials:
+            raise ConfigError(f"monomials {monomials!r} are not a non-empty list",
+                              "/monomials")
+        for k, (exp, coeff) in enumerate(monomials):
+            if not isinstance(exp, (list, tuple)) or len(exp) != 4:
+                raise ConfigError(f"monomial exponents {exp!r} are not a list "
+                                  "of four", f"/monomials/{k}/exp")
+            for j, e in enumerate(exp):
+                if not _real(e).is_integer() or e < 0:
+                    raise ConfigError(f"monomial exponent {e!r} is not an "
+                                      "integer >= 0", f"/monomials/{k}/exp/{j}")
+            if not np.isfinite(_real(coeff)):
+                raise ConfigError("monomial coefficients must be finite reals, "
+                                  f"not {coeff!r}", f"/monomials/{k}/coeff")
+        exps = np.array([[int(e) for e in exp] for exp, _ in monomials])
+        coeffs = np.array([_real(coeff) for _, coeff in monomials])
         tables = kernels.weight_tables(exps, coeffs)
         form = cls(kind="weighted", exps=exps, coeffs=coeffs, name=name,
                    tables=tables)
@@ -189,19 +199,31 @@ class StarForm:
 
     @classmethod
     def from_json_dict(cls, data):
-        """The form its type's constructor builds from the encoding's values;
-        a dict that is not a form raises ``DomainError``."""
-        try:
-            kind, name = data["type"], data.get("name", "")
-            if kind == "ellipsoid":
-                return cls.ellipsoid(*data["r_squared"], name=name)
-            if kind == "weighted":
-                return cls.weighted([(m["exp"], m["coeff"])
-                                     for m in data["monomials"]], name=name)
-        except (KeyError, IndexError, TypeError, ValueError,
-                AttributeError) as exc:
-            raise DomainError(f"not a form: {type(exc).__name__}: {exc}") from exc
-        raise DomainError(f"unknown form type {kind!r}")
+        """The form its type's constructor builds from the encoding's values:
+        an object of its ``type``, the key that encodes that type and an
+        optional string ``name``; a monomial is an object of ``exp`` and
+        ``coeff``.  Else ``ConfigError`` points into ``data`` at the first of:
+        the type, a missing key, an unknown key, the name, a bad value."""
+        kind = data.get("type") if isinstance(data, dict) else None
+        if kind not in ("ellipsoid", "weighted"):
+            raise ConfigError("a form is an object of type ellipsoid or weighted",
+                              "/type" if isinstance(data, dict) else "")
+        key = "r_squared" if kind == "ellipsoid" else "monomials"
+        check_keys(data, ("type", key), ("name",), "")
+        name, value = data.get("name", ""), data[key]
+        if not isinstance(name, str):
+            raise ConfigError(f"form name {name!r} is not a string", "/name")
+        if kind == "ellipsoid":
+            if not isinstance(value, list) or len(value) != 2:
+                raise ConfigError("ellipsoid semiaxis squares must be two "
+                                  f"positive finite reals, not {value!r}",
+                                  "/r_squared")
+            return cls.ellipsoid(*value, name=name)
+        if isinstance(value, list):
+            for k, m in enumerate(value):
+                check_keys(m, ("exp", "coeff"), (), f"/monomials/{k}")
+            value = [(m["exp"], m["coeff"]) for m in value]
+        return cls.weighted(value, name=name)
 
     @property
     def form_hash(self):

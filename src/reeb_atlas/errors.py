@@ -1,4 +1,5 @@
-"""The toolkit's exception types, and ``raised``: a batch's first error."""
+"""The toolkit's exception types, ``raised``: a batch's first error, and
+``check_keys``: a JSON object's key set."""
 
 
 class ReebAtlasError(Exception):
@@ -66,11 +67,12 @@ class InconsistencyError(ReebAtlasError):
     """Two internally computed quantities disagree where theory says they cannot."""
 
 
-class ConfigError(ReebAtlasError):
-    """Malformed run configuration; carries a JSON pointer to the bad field."""
+class ConfigError(DomainError):
+    """Malformed run configuration or form; carries a JSON pointer to the
+    bad field."""
 
     def __init__(self, message, pointer=""):
-        self.pointer = pointer
+        self.message, self.pointer = message, pointer
         super().__init__(f"{message} (at {pointer})" if pointer else message)
 
 
@@ -90,3 +92,18 @@ def raised(values):
         if isinstance(v, Exception):
             raise v
     return values
+
+
+def check_keys(obj, required, optional, where):
+    """Refuse ``obj``, at JSON pointer ``where`` (``/`` for the root), unless
+    it is an object that holds each key of ``required`` and no key outside
+    ``required`` and ``optional``; the error points at the first missing
+    key, else at the first unknown one, in sorted order."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{obj!r} is not a JSON object", where or "/")
+    missing = sorted(set(required) - set(obj))
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if missing or unknown:
+        key = (missing or unknown)[0]
+        raise ConfigError(f"{'missing' if missing else 'unknown'} key {key!r}",
+                          f"{where}/{key}")

@@ -38,14 +38,14 @@ def test_verdict_rules_walk_in_order():
     assert [verdict for _, verdict in binding._RULES] == [
         "inconclusive:unknot_status_unknown",
         "inconclusive:self-linking-unknown", "fails:self_linking",
-        "inconclusive:index-method-disagreement", "inconclusive:index-unknown",
+        "inconclusive:index-unknown",
         "fails:index_below_3", "fails:index2_orbit_unlinked",
         "inconclusive:index2-linking-unknown", "inconclusive:index-unknown",
         "hypotheses_hold"]
     unlinked = {"orbit_id": 4, "lk": 0, "linked": False}
     unknown_lk = {"orbit_id": 5, "lk": None, "linked": None, "skipped": "x"}
     breaks = [("unknot_status", "unknown"), ("sl", None), ("sl", 1),
-              ("index_methods_agree", False), ("own", True), ("mu_cz", 2),
+              ("own", True), ("mu_cz", 2),
               ("index2_orbits_checked", [unlinked, unknown_lk]),
               ("index2_orbits_checked", [unknown_lk]),
               ("index_unknown_orbits", [{"orbit_id": 6, "reason": "degenerate"}])]

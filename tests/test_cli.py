@@ -682,6 +682,11 @@ def test_config_error_names_pointer(workdir, capsys):
         ({"form": {"type": "weighted", "name": "w"}}, "/form/monomials"),
         ({"form": {"type": "torus", "r_squared": [1.0, SQ2]}}, "/form/type"),
         ({"form": {"r_squared": [1.0, SQ2]}}, "/form/type"),
+        # a monomial holds its exp and coeff, nothing else
+        ({"form": {"type": "weighted", "monomials": [
+            {"exp": [0, 0, 0, 0], "coeff": 1.0, "x": 1}]}}, "/form/monomials/0/x"),
+        ({"form": {"type": "weighted", "monomials": [{"exp": [0, 0, 0, 0]}]}},
+         "/form/monomials/0/coeff"),
     ]
     for config, pointer in cases:
         bad = workdir / "bad2.json"
@@ -689,6 +694,68 @@ def test_config_error_names_pointer(workdir, capsys):
         main(["orbits-find", "--config", str(bad), "--out", str(workdir / "x")])
         err = capsys.readouterr().err
         assert f"(at {pointer})" in err
+
+
+ELL = {"type": "ellipsoid", "r_squared": [1.0, SQ2]}
+
+
+def _run(form, **keys):
+    """A config of ``form`` and a small search, with ``keys`` laid over."""
+    return {"form": form, "tmax": 1.0, "seeds": 2, **keys}
+
+
+def _weight(exp, coeff=1.0):
+    return {"type": "weighted", "monomials": [{"exp": exp, "coeff": coeff}]}
+
+
+# per config fault, the exit code and the pointer its message ends with (None:
+# no config error)
+CONFIG_FAULTS = {
+    "r2-negative": (_run({"type": "ellipsoid", "r_squared": [1.0, -2.0]}),
+                    64, "/form/r_squared/1"),
+    "r2-boolean": (_run({"type": "ellipsoid", "r_squared": [True, SQ2]}),
+                   64, "/form/r_squared/0"),
+    "r2-string": (_run({"type": "ellipsoid", "r_squared": [1.0, "2"]}),
+                  64, "/form/r_squared/1"),
+    "r2-three": (_run({"type": "ellipsoid", "r_squared": [1.0, 2.0, 3.0]}),
+                 64, "/form/r_squared"),
+    "name-number": (_run(dict(ELL, name=5)), 64, "/form/name"),
+    "exp-negative": (_run(_weight([0, 0, -1, 0])), 64, "/form/monomials/0/exp/2"),
+    "exp-fraction": (_run(_weight([0, 0, 1.5, 0])), 64, "/form/monomials/0/exp/2"),
+    "exp-boolean": (_run(_weight([0, 0, True, 0])), 64, "/form/monomials/0/exp/2"),
+    "coeff-string": (_run(_weight([0, 0, 0, 0], "1")), 64,
+                     "/form/monomials/0/coeff"),
+    "no-monomials": (_run({"type": "weighted", "monomials": []}), 64,
+                     "/form/monomials"),
+    "form-number": (_run(3), 64, "/form"),
+    "no-form": ({"tmax": 1.0}, 64, "/form"),
+    "top-level-list": ([1, 2], 64, "/"),
+    "seeds-zero": (_run(ELL, seeds=0), 64, "/seeds"),
+    "seeds-fraction": (_run(ELL, seeds=2.5), 64, "/seeds"),
+    "seeds-boolean": (_run(ELL, seeds=True), 64, "/seeds"),
+    "tmax-string": (_run(ELL, tmax="3"), 64, "/tmax"),
+    "seeds-integral-float": (_run(ELL, seeds=2.0), 0, None),
+    "exp-integral-float": (_run({"type": "weighted", "monomials": [
+        {"exp": [0, 0, 0, 0], "coeff": 1.0},
+        {"exp": [2.0, 0, 0, 0], "coeff": 0.1}]}), 0, None),
+    "weight-not-positive": (_run(_weight([0, 0, 0, 0], -1.0)), 1, None),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_FAULTS)
+def test_config_faults_keep_their_exit_code_and_pointer(workdir, capsys, case):
+    config, code, pointer = CONFIG_FAULTS[case]
+    path = workdir / f"fault-{case}.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["orbits-find", "--config", str(path),
+                 "--out", str(workdir / "faults")]) == code
+    err = capsys.readouterr().err
+    if pointer is None:
+        assert not err.startswith("config error")
+    else:
+        assert err.startswith("config error: ")
+        assert err.rstrip().endswith(f"(at {pointer})")
 
 
 # census entry 0 with one value, a function of the stored one, that no

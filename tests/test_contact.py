@@ -189,6 +189,20 @@ def test_constructors_refuse_values_they_would_coerce():
         with pytest.raises(DomainError, match=match):
             StarForm.from_json_dict({"type": "weighted", "monomials": [
                 {"exp": exp, "coeff": coeff}]})
+    # nor does a JSON boolean pass for the number 1, nor a name that is not a
+    # string enter the form's hash
+    with pytest.raises(DomainError, match="positive finite reals"):
+        StarForm.ellipsoid(True, 2.0)
+    for data, match in (
+            ({"type": "ellipsoid", "r_squared": [True, 2.0]}, "finite reals, not True"),
+            ({"type": "weighted", "monomials": [
+                {"exp": [0, 0, True, 0], "coeff": 1.0}]}, "exponent True is not an integer"),
+            ({"type": "weighted", "monomials": [
+                {"exp": [0, 0, 0, 0], "coeff": True}]}, "finite reals, not True"),
+            ({"type": "ellipsoid", "r_squared": [1.0, 2.0], "name": 5},
+             "name 5 is not a string")):
+        with pytest.raises(DomainError, match=match):
+            StarForm.from_json_dict(data)
     # integral values of other real types still build the same form
     assert (StarForm.ellipsoid(np.float64(1.0), np.int64(2)).form_hash
             == StarForm.ellipsoid(1.0, 2.0).form_hash)
