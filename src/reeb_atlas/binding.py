@@ -16,7 +16,8 @@ from .cz import (bott_index, orbit_index_report, prime_data, prime_flows,
                  prime_key, prime_table)
 from .errors import DegenerateOrbitError, InconsistencyError, ReebAtlasError
 from .linking import (cover_linking, cover_self_linking, linking_checks,
-                      prime_trace, prime_traces, unknot_check)
+                      prime_trace, prime_traces, self_linking_checks,
+                      unknot_check)
 from .sections import characteristic_field, transversality_check
 
 __all__ = ["BindingReport", "check_binding", "necessity_audit", "AuditReport",
@@ -52,6 +53,7 @@ class BindingReport:
     index_table: list = field(default_factory=list, metadata=_SIDECAR)
     primes_integrated: int = field(default=0, metadata=_SIDECAR)
     linking_checks: dict = field(default_factory=dict, metadata=_SIDECAR)
+    self_linking_checks: list = field(default_factory=list, metadata=_SIDECAR)
 
     def to_json_dict(self):
         """The report's fields, ``sl_skipped`` only when it is set."""
@@ -93,8 +95,10 @@ def check_binding(form, db, candidate_id):
     the two routes disagree, its ``index2_orbits_checked`` row has ``lk``
     and ``linked`` None and the reason under ``skipped``.  ``linking_checks``
     records both routes' numbers per prime pair (``linking.linking_checks``).
-    A candidate whose self-linking could not be computed keeps ``sl`` None
-    and the error's text under ``sl_skipped``.
+    A candidate whose self-linking could not be computed, or whose two
+    self-linking routes disagree, keeps ``sl`` None and the error's text
+    under ``sl_skipped``; ``self_linking_checks`` records both routes'
+    numbers (``linking.self_linking_checks``).
     """
     cand = db[candidate_id]
     if cand.degenerate:
@@ -129,6 +133,7 @@ def _check_in_table(form, db, candidate_id, report):
         report.sl = cover_self_linking(form, cand)
     except ReebAtlasError as exc:  # an unknown sl stays None
         report.sl_skipped = str(exc)
+    report.self_linking_checks = self_linking_checks(db.orbits)
 
     idx_rep = orbit_index_report(form, cand, n_grid=1024)
     reports = {candidate_id: idx_rep}
@@ -246,6 +251,7 @@ class AuditReport:
     boundary_winding: int | None
     alarms: list
     linking_checks: dict = field(default_factory=dict, metadata=_SIDECAR)
+    self_linking_checks: list = field(default_factory=list, metadata=_SIDECAR)
 
     @property
     def passed(self):
@@ -262,7 +268,8 @@ def necessity_audit(form, disk, db, binding_id):
     Pre: the disk passed ``verify_global_section`` for the binding orbit.
     Checks, against the truncated census: the interior stays transversal
     with a constant sign; every geometrically distinct orbit links the
-    binding; the pushoff self-linking equals -1 and equals minus the
+    binding; the pushoff self-linking, whose Gauss sum is checked by writhe
+    plus twist (``self_linking_checks``), equals -1 and equals minus the
     boundary winding of the characteristic field; the index is at least 3.
     Any failure is reported as an alarm: these are theorems, so an alarm
     means a resolution problem or a bug, never new mathematics.  Everything
@@ -336,6 +343,7 @@ def necessity_audit(form, disk, db, binding_id):
                     f"orbit {oid} has zero linking with the verified binding"
                 )
         checks = linking_checks(db.orbits)
+        sl_checks = self_linking_checks(db.orbits)
 
     return AuditReport(
         binding_id=binding_id,
@@ -346,4 +354,5 @@ def necessity_audit(form, disk, db, binding_id):
         boundary_winding=int(boundary_winding),
         alarms=alarms,
         linking_checks=checks,
+        self_linking_checks=sl_checks,
     )

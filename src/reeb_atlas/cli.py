@@ -25,7 +25,7 @@ from .errors import (ConfigError, DegenerateOrbitError, DomainError,
                      MissingArtifactError, ReebAtlasError, check_keys, raised)
 from .flow import counting
 from .linking import (cover_linking, cover_self_linking, linking_checks,
-                      prime_traces, unknot_check)
+                      prime_traces, self_linking_checks, unknot_check)
 from .orbits import find_orbits, load_orbits, save_orbits
 from .sections import (builtin_disk, load_disk, save_disk,
                        verify_global_section, write_return_csv)
@@ -198,7 +198,9 @@ def cmd_selflink(args, cfg, form):
                 rows.append({"orbit": i, "sl": cover_self_linking(form, orbit)})
             except ReebAtlasError as exc:
                 rows.append({"orbit": i, "sl": None, "skipped": str(exc)})
-    return ("selflink.json", {"self_linking": rows}, {}, 0,
+        checks = self_linking_checks(db.orbits)
+    return ("selflink.json", {"self_linking": rows},
+            {"self_linking_checks": checks}, 0,
             f"computed {len(rows)} self-linking numbers")
 
 

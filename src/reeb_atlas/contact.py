@@ -43,6 +43,10 @@ __all__ = [
 # matrix of omega = dq1^dp1 + dq2^dp2
 OMEGA = kernels.OMEGA
 
+# largest exponent of a weight's monomial: the positivity check holds one
+# running product per power, so its memory grows with the exponent
+_MAX_EXPONENT = 32
+
 
 def omega_form(u, v):
     """Symplectic form omega(u, v), row-wise over the last axis."""
@@ -163,10 +167,10 @@ class StarForm:
     @classmethod
     def weighted(cls, monomials, name=""):
         """Build from a non-empty list of ((e1,e2,e3,e4), coeff) monomials of
-        integer exponents >= 0 and finite coefficients; the first bad entry
-        raises ``ConfigError`` with its pointer.  The weight must be positive
-        on a 10^4-point quasi-uniform sample of the unit sphere, its powers
-        taken by running products."""
+        integer exponents in [0, ``_MAX_EXPONENT``] and finite coefficients;
+        the first bad entry raises ``ConfigError`` with its pointer.  The
+        weight must be positive on a 10^4-point quasi-uniform sample of the
+        unit sphere, its powers taken by running products."""
         if not isinstance(monomials, (list, tuple)) or not monomials:
             raise ConfigError(f"monomials {monomials!r} are not a non-empty list",
                               "/monomials")
@@ -175,9 +179,10 @@ class StarForm:
                 raise ConfigError(f"monomial exponents {exp!r} are not a list "
                                   "of four", f"/monomials/{k}/exp")
             for j, e in enumerate(exp):
-                if not _real(e).is_integer() or e < 0:
-                    raise ConfigError(f"monomial exponent {e!r} is not an "
-                                      "integer >= 0", f"/monomials/{k}/exp/{j}")
+                if not _real(e).is_integer() or not 0 <= e <= _MAX_EXPONENT:
+                    raise ConfigError(
+                        f"monomial exponent {e!r} is not an integer in "
+                        f"[0, {_MAX_EXPONENT}]", f"/monomials/{k}/exp/{j}")
             if not np.isfinite(_real(coeff)):
                 raise ConfigError("monomial coefficients must be finite reals, "
                                   f"not {coeff!r}", f"/monomials/{k}/coeff")

@@ -137,7 +137,7 @@ class PrimeData:
 
     flow: object = None        # dense variational trajectory, period matrix
     trace: object = None       # 512 points over [0, T_min)
-    sl: object = None          # self-linking number
+    sl: object = None          # linking.SelfLinking record
     links: dict = field(default_factory=dict)  # other prime's key -> linking
 
 

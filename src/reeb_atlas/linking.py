@@ -10,6 +10,12 @@ contact volume form; two independent algorithms (the exact Gauss sum,
 taken over vertex directions as two atan2 triangle solid angles per segment
 pair, and signed crossings of a generic planar diagram) are kept separate so
 they can audit each other: every linking number of a census is taken by both.
+Every self-linking number is taken by two routes as well: the Gauss sum of
+the orbit and its pushoff along the contact plane, and the
+Calugareanu-White identity lk(K, K + eps V) = writhe + twist (Calugareanu
+1961; White 1969), read off one diagram: the writhe is its signed
+self-crossing sum, and the twist counts the pushoff's turns about the
+tangent against the blackboard framing.
 
 A census needs these numbers of its primes only.  The Gauss linking integral
 is bilinear in the two 1-cycles and a k-fold cover is k times its prime as a
@@ -20,6 +26,7 @@ self-linked and linked with each other prime once.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +49,10 @@ __all__ = [
     "crossing_linking",
     "cover_linking",
     "linking_checks",
+    "SelfLinking",
     "self_linking",
     "cover_self_linking",
+    "self_linking_checks",
     "unknot_check",
     "POLE_CANDIDATES",
 ]
@@ -72,8 +81,11 @@ POLE_CANDIDATES = _pole_candidates()  # 26 fixed directions, tried in order
 _POLE_MIN_DIST = 1e-2
 # curves closer than this have no reliable linking number
 _MIN_CURVE_DIST = 1e-3
-# pushoff size of the self-linking number, checked against its half
+# pushoff size of the self-linking number's Gauss sum
 _PUSHOFF = 1e-2
+# largest step of the pushoff's angle against the blackboard frame for the
+# twist of a projection direction to count
+_TWIST_STEP = 0.5
 # crossings of shadow segments this close to parallel (relative to their
 # lengths) make a projection non-generic
 _TANGENT_TOL = 1e-9
@@ -144,9 +156,14 @@ def stereo_pair(a, b):
     gap = kernels.min_cross_distance(pa, pb)
     if gap <= _MIN_CURVE_DIST:
         raise ProximityError(f"curves are {gap:.2e} apart (< {_MIN_CURVE_DIST:.0e})")
-    pole = pick_pole([pa, pb])
-    return (np.ascontiguousarray(stereo_project(pa, pole)),
-            np.ascontiguousarray(stereo_project(pb, pole)))
+    return _project_pair(pa, pb)
+
+
+def _project_pair(a, b):
+    """``stereo_pair``'s images of two loops, without its proximity check."""
+    pole = pick_pole([a, b])
+    return (np.ascontiguousarray(stereo_project(a, pole)),
+            np.ascontiguousarray(stereo_project(b, pole)))
 
 
 def linking_number(a, b):
@@ -259,10 +276,15 @@ def _pair_crossings(a3, b3, direction):
         hit = generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
         ii, jj = np.nonzero(hit)
         ha, hb = _height(sa, ii + i0, tt[hit]), _height(sb, jj, uu[hit])
-        # crossing sign: over strand x under strand
-        cross = denom[hit]
-        total += int(np.sign(np.where(ha > hb, cross, -cross)).sum())
+        total += _crossing_signs(ha, hb, denom[hit])
     return total
+
+
+def _crossing_signs(ha, hb, cross):
+    """Signed count of crossings of strands a and b at heights ha, hb whose
+    shadows cross with cross product ``cross`` (a's segment x b's): each
+    sign is that of over strand x under strand."""
+    return int(np.sign(np.where(ha > hb, cross, -cross)).sum())
 
 
 def crossing_linking(a3, b3):
@@ -282,28 +304,85 @@ def crossing_linking(a3, b3):
 # self-linking number via pushoff along the global frame
 # ---------------------------------------------------------------------------
 
+class SelfLinking(NamedTuple):
+    """Self-linking number of one loop by two routes: ``sl``, the Gauss sum
+    of the loop and its pushoff, and its ``residual``; and the ``writhe``
+    and ``twist`` of the diagram along ``direction`` that sum to it, all
+    None when no projection direction admits them."""
+
+    sl: int
+    residual: float
+    writhe: int | None
+    twist: int | None
+    direction: list | None
+
+
 def self_linking(form, trace):
     """Self-linking number of an orbit from its (N, 4) trace: linking with
     its pushoff along ``xi_frame``'s e1, a global non-vanishing section of
-    the contact plane, at size ``_PUSHOFF``.
+    the contact plane, at size ``_PUSHOFF``, as a ``SelfLinking``.
 
-    The result must be stable under halving the pushoff size, otherwise the
-    pushoff was too large for the curve's geometry and an error is raised.
+    The Gauss sum (``linking_number``) is checked by the Calugareanu-White
+    identity lk(K, K + eps V) = writhe + twist, which has no pushoff size,
+    on the same ``stereo_pair`` images, projected once more without the
+    proximity check that ``linking_number`` has just passed.  A pushoff too
+    large for the curve, running through another strand, changes the Gauss
+    sum but not the identity, so the routes disagree and
+    ``InconsistencyError`` is raised.  A trace with no admissible direction
+    (``_writhe_twist``), such as one running its curve twice, keeps the
+    Gauss sum unchecked.
     """
     e1 = xi_frame(form, trace).e1
+    pushed = project_to_sigma(form, trace + _PUSHOFF * e1)
+    sl, residual = linking_number(trace, pushed)
+    found = _writhe_twist(*_project_pair(trace, pushed))
+    if found is None:
+        return SelfLinking(sl, residual, None, None, None)
+    writhe, twist, direction = found
+    if writhe + twist != sl:
+        raise InconsistencyError(
+            f"Gauss sum gives sl {sl} but writhe {writhe} plus twist {twist} "
+            f"gives {writhe + twist}")
+    return SelfLinking(sl, residual, writhe, twist, direction.tolist())
 
-    def lk_at(e):
-        pushed = project_to_sigma(form, trace + e * e1)
-        lk, _ = linking_number(trace, pushed)
-        return lk
 
-    sl = lk_at(_PUSHOFF)
-    sl_half = lk_at(_PUSHOFF / 2.0)
-    if sl_half != sl:
-        raise ResolutionError(
-            f"self-linking unstable under pushoff halving: {sl} vs {sl_half}"
-        )
-    return sl
+def _writhe_twist(a3, b3):
+    """(writhe, twist, direction) of a loop a3 (n, 3) framed by the pushoff
+    b3, from the first of ``_PLANE_DIRECTIONS`` whose twist steps are all
+    below ``_TWIST_STEP`` and whose shadow is generic, or None.  The writhe,
+    the signed self-crossing sum of the shadow, is the linking number of the
+    blackboard framing, and the twist counts the pushoff's turns against
+    that framing.  The O(n) twist is tried before the O(n^2) crossing
+    scan."""
+    for direction in _PLANE_DIRECTIONS:
+        twist = _twist(a3, b3, direction)
+        if twist is None:
+            continue
+        scan = _crossing_scan(a3, direction)
+        if scan is None:
+            continue
+        _, _, _, _, hi, hj, cross = scan
+        return _crossing_signs(hi, hj, cross), twist, direction
+    return None
+
+
+def _twist(a3, b3, direction):
+    """Turns of the pushoff V = b3 - a3 about the loop's tangent T, its
+    angle normal to T measured from the blackboard normal d x T towards
+    T x (d x T), summed over the wrapped steps; None if a step reaches
+    ``_TWIST_STEP``, where the blackboard frame flips at a cusp of the
+    shadow (T along d) or V runs along T."""
+    d = direction / np.linalg.norm(direction)
+    T = np.roll(a3, -1, axis=0) - np.roll(a3, 1, axis=0)
+    T /= np.linalg.norm(T, axis=1, keepdims=True)
+    n1 = np.cross(d, T)
+    n2 = np.cross(T, n1)
+    V = b3 - a3
+    angle = np.arctan2(np.vecdot(V, n2), np.vecdot(V, n1))
+    steps = np.remainder(np.roll(angle, -1) - angle + np.pi, 2 * np.pi) - np.pi
+    if np.abs(steps).max() >= _TWIST_STEP:
+        return None
+    return int(np.rint(steps.sum() / (2 * np.pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +449,24 @@ def cover_linking(form, a, b):
 
 
 def cover_self_linking(form, orbit):
-    """sl(P^k) = k^2 sl(P) of a census orbit, from its prime's one pushoff
-    self-linking."""
+    """sl(P^k) = k^2 sl(P) of a census orbit, from its prime's one
+    ``self_linking``."""
     prime = prime_data(orbit)
     if prime.sl is None:
         try:
             prime.sl = self_linking(form, prime_trace(form, orbit))
         except ReebAtlasError as exc:
             prime.sl = exc
-    return orbit.multiplicity ** 2 * raised([prime.sl])[0]
+    return orbit.multiplicity ** 2 * raised([prime.sl])[0].sl
+
+
+def _first_entries(orbits):
+    """Per prime of a census, the census id of its first entry and its
+    ``prime_data``, in census order."""
+    first = {}
+    for i, orbit in enumerate(orbits):
+        first.setdefault(prime_key(orbit), (i, prime_data(orbit)))
+    return first
 
 
 def linking_checks(orbits):
@@ -386,9 +474,7 @@ def linking_checks(orbits):
     primes traced; per prime pair linked, by the census ids of the primes'
     first entries, the Gauss and the crossing linking numbers, or the error;
     and the pairs the crossing count left unchecked, with the reason."""
-    first = {}
-    for i, orbit in enumerate(orbits):
-        first.setdefault(prime_key(orbit), (i, prime_data(orbit)))
+    first = _first_entries(orbits)
     pairs, unchecked = [], []
     for a, prime in first.values():
         for key, rec in prime.links.items():
@@ -404,6 +490,28 @@ def linking_checks(orbits):
     traced = sum(isinstance(p.trace, np.ndarray) for _, p in first.values())
     return {"primes_traced": traced, "prime_pairs": pairs,
             "unchecked_pairs": unchecked}
+
+
+def self_linking_checks(orbits):
+    """Sidecar record of the open block's self-linking work on a census: per
+    prime self-linked, by the census id of its first entry, both routes of
+    its ``self_linking`` (the Gauss sum's sl and residual; the writhe, twist
+    and projection direction, None if no direction admitted them), or the
+    error."""
+    rows = []
+    for i, prime in _first_entries(orbits).values():
+        rec = prime.sl
+        if rec is None:
+            continue
+        row = {"orbit": i}
+        if isinstance(rec, ReebAtlasError):
+            row["error"] = f"{type(rec).__name__}: {rec}"
+        else:
+            row.update(gauss_sl=rec.sl, gauss_residual=float(rec.residual),
+                       writhe=rec.writhe, twist=rec.twist,
+                       direction=rec.direction)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -422,32 +530,46 @@ class KnotVerdict:
 _SELF_BAND = 64
 
 
-def _self_crossings(p3, direction):
-    """Crossing word of one loop's shadow: list of (cid, over) in arc order.
+def _crossing_scan(p3, direction):
+    """Self-crossings of the shadow of a loop p3 (n, 3) on the plane normal
+    to ``direction``, in row-major order of their segments i < j: (i, j, t, u, hi, hj, cross), the parameters along each
+    segment, the heights there and the segments' cross product.
 
     Only segments i and j >= i + 2, other than the wrap-adjacent pair
     (0, n - 1), can cross.  Bands of _SELF_BAND rows i scan the columns
     j >= i0 + 2 of their first row i0, so the hits come in row-major order.
-    Returns None on a non-generic projection.
+    Returns None on a non-generic projection: a crossing at a vertex or at
+    equal heights.
     """
     sh = _shadow(p3, direction)
     n = len(p3)
     found = []
     for i0 in range(0, n, _SELF_BAND):
         i1 = min(i0 + _SELF_BAND, n)
-        _, tt, uu, generic = _segment_pairs([v[..., i0:i1, None] for v in sh],
-                                            [v[..., None, i0 + 2:] for v in sh])
+        denom, tt, uu, generic = _segment_pairs(
+            [v[..., i0:i1, None] for v in sh],
+            [v[..., None, i0 + 2:] for v in sh])
         i, j = np.ogrid[i0:i1, i0 + 2:n]
         hit = (generic & (j >= i + 2) & ((i > 0) | (j < n - 1))
                & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0))
         bi, bj = np.nonzero(hit)
-        found.append((bi + i0, bj + i0 + 2, tt[hit], uu[hit]))
-    ii, jj, t, u = map(np.concatenate, zip(*found))
+        found.append((bi + i0, bj + i0 + 2, tt[hit], uu[hit], denom[hit]))
+    ii, jj, t, u, cross = map(np.concatenate, zip(*found))
     if np.any(np.minimum(np.minimum(t, 1 - t), np.minimum(u, 1 - u)) < 1e-9):
         return None  # crossing at a vertex; retry another direction
     hi, hj = _height(sh, ii, t), _height(sh, jj, u)
     if np.any(np.abs(hi - hj) < 1e-12):
         return None
+    return ii, jj, t, u, hi, hj, cross
+
+
+def _self_crossings(p3, direction):
+    """Crossing word of one loop's shadow: list of (cid, over) in arc order,
+    or None on a non-generic projection (``_crossing_scan``)."""
+    scan = _crossing_scan(p3, direction)
+    if scan is None:
+        return None
+    ii, jj, t, u, hi, hj, _ = scan
     # each crossing is met twice along the loop, once over and once under
     pos = np.concatenate([ii + t, jj + u])
     cid = np.tile(np.arange(len(ii)), 2)

@@ -11,7 +11,8 @@ of directions, the spectrum of an orbit from its own path, the Galerkin
 matrix by products over the grid with every eigenfunction wound, the winding
 census of a spectrum, the period gaps of a census, the crossing word of a
 loop's shadow and the signed crossings of two loops' shadows over all
-segment pairs, the Gauss linking sum over whole blocks of rows, the index
+segment pairs, framed knots in R^3 and a flattened trefoil on a level, the
+Gauss linking sum over whole blocks of rows, the index
 table of a prime's iterates (checked by ``cz.bott_index``),
 the page of an ellipsoid's coordinate circle in closed form, the contact
 area of a disk by two routes, the return map of arbitrary level points, the
@@ -115,8 +116,8 @@ def monodromy_xi(form, orbit_point, T, closure_tol=1e-6):
 
 def pushoff_linking(form, trace, eps, vector):
     """Linking number of an (N, 4) trace with its pushoff of size ``eps``
-    along ``xi_frame``'s ``vector`` ("e1" or "e2"): ``self_linking`` at one
-    pushoff size, without its halving check, refusing curves closer than
+    along ``xi_frame``'s ``vector`` ("e1" or "e2"): ``self_linking``'s Gauss
+    sum at any pushoff size, refusing curves closer than
     min(``_MIN_CURVE_DIST``, 0.2 eps)."""
     section = getattr(xi_frame(form, trace), vector)
     pushed = project_to_sigma(form, trace + eps * section)
@@ -528,6 +529,50 @@ def full_grid_self_crossings(p3, direction):
     over = np.concatenate([hi > hj, hj > hi])
     order = np.lexsort((over, cid, pos))
     return [(int(c), bool(o)) for c, o in zip(cid[order], over[order])]
+
+
+# ---------------------------------------------------------------------------
+# framed curves
+# ---------------------------------------------------------------------------
+
+def framed_curve(knot, turns, eps):
+    """A loop in R^3 and its pushoff, each (n, 3): the pushoff runs at
+    distance eps along a unit normal that makes ``turns`` right-handed turns
+    about the tangent against T x (0.3, 0.2, 1), normalized.  ``knot`` is
+    "trefoil" (left-handed), "mirror-trefoil" or "unknot" (a bent circle);
+    n is 600."""
+    s = np.linspace(0.0, 2.0 * np.pi, 600, endpoint=False)
+    if knot == "unknot":
+        loop = np.stack([np.cos(s), np.sin(s), 0.3 * np.sin(2 * s)], axis=1)
+        tangent = np.stack([-np.sin(s), np.cos(s), 0.6 * np.cos(2 * s)], axis=1)
+    else:
+        flip = -1.0 if knot == "trefoil" else 1.0
+        loop = np.stack([np.sin(s) + 2 * np.sin(2 * s),
+                         np.cos(s) - 2 * np.cos(2 * s),
+                         flip * np.sin(3 * s)], axis=1)
+        tangent = np.stack([np.cos(s) + 4 * np.cos(2 * s),
+                            -np.sin(s) + 4 * np.sin(2 * s),
+                            3 * flip * np.cos(3 * s)], axis=1)
+    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
+    n1 = np.cross(tangent, [0.3, 0.2, 1.0])
+    n1 /= np.linalg.norm(n1, axis=1, keepdims=True)
+    n2 = np.cross(tangent, n1)
+    c, sn = np.cos(turns * s)[:, None], np.sin(turns * s)[:, None]
+    return loop, loop + eps * (c * n1 + sn * n2)
+
+
+def flat_trefoil_trace(form, height):
+    """A (512, 4) loop on the level of ``form``: the left-handed trefoil of
+    ``framed_curve``, its third coordinate scaled by ``height``, shrunk by
+    0.3, lifted to the unit sphere by inverse stereographic projection and
+    projected to the level.  Its strands cross at distances of about
+    0.6 ``height``."""
+    s = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    loop = 0.3 * np.stack([np.sin(s) + 2 * np.sin(2 * s),
+                           np.cos(s) - 2 * np.cos(2 * s),
+                           -height * np.sin(3 * s)], axis=1)
+    r2 = np.sum(loop ** 2, axis=1, keepdims=True)
+    return project_to_sigma(form, np.hstack([2 * loop, r2 - 1]) / (r2 + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_criterion_5_topology(ell, gamma1, gamma2):
     t1 = trace_orbit(ell, gamma1, n=512)
     t2 = trace_orbit(ell, gamma2, n=512)
     assert lnk.linking_number(t1, t2)[0] == 1
-    assert lnk.self_linking(ell, t1) == lnk.self_linking(ell, t2) == -1
+    assert lnk.self_linking(ell, t1).sl == lnk.self_linking(ell, t2).sl == -1
     for eps in (1e-2, 5e-3, 2.5e-3):
         assert pushoff_linking(ell, t1, eps, "e1") == -1
         assert pushoff_linking(ell, t2, eps, "e1") == -1
@@ -253,7 +253,7 @@ def test_criterion_10_perturbation_robustness(perturbed_form):
     assert rep["mu_geometric"] == 3
     assert rep["mu_spectral"] == 3
     trace = trace_orbit(perturbed_form, orbit, n=512)
-    assert lnk.self_linking(perturbed_form, trace) == -1
+    assert lnk.self_linking(perturbed_form, trace).sl == -1
     assert lnk.unknot_check(trace).status == "certified_unknot"
     print("ACCEPTANCE 10: PASS - perturbed circle keeps index 3, sl -1, "
           "certified unknot")

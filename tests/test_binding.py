@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reeb_atlas import binding, cz
+from reeb_atlas import binding, cz, linking
 from reeb_atlas.binding import check_binding, necessity_audit
-from reeb_atlas.errors import (DegenerateOrbitError, ProximityError,
-                               ResolutionError)
+from reeb_atlas.errors import (DegenerateOrbitError, InconsistencyError,
+                               ProximityError, ResolutionError)
 from reeb_atlas.flow import integrate_batch, integrate_flow
 from reeb_atlas.orbits import (OrbitDatabase, classify_monodromy, find_orbits,
                                trace_orbit)
@@ -70,15 +70,15 @@ def test_reports_serialize_their_own_fields():
 
     rep = binding.BindingReport(orbit_id=0, t_max=10.0, simply_covered=True)
     assert fields(rep, True) == {"index_table", "primes_integrated",
-                                 "linking_checks"}
+                                 "linking_checks", "self_linking_checks"}
     assert set(rep.to_json_dict()) == fields(rep, False) - {"sl_skipped"}
     assert {"index2_orbits_checked", "index_unknown_orbits"} <= fields(rep, False)
-    rep.sl_skipped = "self-linking unstable under pushoff halving"
+    rep.sl_skipped = "Gauss sum residual 0.120 >= 0.1; densify"
     assert set(rep.to_json_dict()) == fields(rep, False)
     audit = binding.AuditReport(binding_id=0, linking=[], sl_pushoff=-1,
                                 sl_from_winding=-1, mu_cz=3,
                                 boundary_winding=1, alarms=[])
-    assert fields(audit, True) == {"linking_checks"}
+    assert fields(audit, True) == {"linking_checks", "self_linking_checks"}
     assert set(audit.to_json_dict()) == fields(audit, False) | {"passed"}
     assert audit.to_json_dict()["passed"] is True
 
@@ -200,8 +200,9 @@ def test_binding_inconclusive_for_knotted_trace(ell, db20):
     # real orbit's self-linking number
     gid = _entry_id(db20, np.pi, 1)
     with cz.prime_table() as table:
-        table[cz.prime_key(db20[gid])] = cz.PrimeData(trace=trefoil_loop(),
-                                                      sl=-1)
+        table[cz.prime_key(db20[gid])] = cz.PrimeData(
+            trace=trefoil_loop(),
+            sl=linking.SelfLinking(-1, 0.0, 0, -1, [0.0, 0.0, 1.0]))
         rep = check_binding(ell, db20, gid)
     assert rep.verdict == "inconclusive:unknot_status_unknown"
     assert rep.exit_code == 3
@@ -213,14 +214,14 @@ def test_binding_inconclusive_when_the_self_linking_fails(ell, db20):
     gid = _entry_id(db20, np.pi, 1)
     with cz.prime_table() as table:
         table[cz.prime_key(db20[gid])] = cz.PrimeData(
-            sl=ResolutionError("self-linking unstable under pushoff halving"))
+            sl=ResolutionError("Gauss sum residual 0.120 >= 0.1; densify"))
         rep = check_binding(ell, db20, gid)
     assert rep.sl is None and rep.mu_cz == 3
     assert rep.verdict == "inconclusive:self-linking-unknown"
     assert rep.exit_code == 3
     # the report keeps the error's text, next to the null sl
     payload = rep.to_json_dict()
-    assert payload["sl_skipped"] == "self-linking unstable under pushoff halving"
+    assert payload["sl_skipped"] == "Gauss sum residual 0.120 >= 0.1; densify"
     assert list(payload).index("sl_skipped") == list(payload).index("sl") + 1
 
 
@@ -484,9 +485,32 @@ def test_audit_alarm_when_the_self_linking_fails(ell, db20, page):
     gid = _entry_id(db20, np.pi, 1)
     with cz.prime_table() as table:
         table[cz.prime_key(db20[gid])] = cz.PrimeData(
-            sl=ResolutionError("self-linking unstable under pushoff halving"))
+            sl=ResolutionError("Gauss sum residual 0.120 >= 0.1; densify"))
         report = necessity_audit(ell, page, db20, gid)
     assert not report.passed
     assert report.sl_pushoff is None and report.sl_from_winding == -1
     assert report.alarms == ["pushoff self-linking was not computed: "
-                             "self-linking unstable under pushoff halving"]
+                             "Gauss sum residual 0.120 >= 0.1; densify"]
+
+
+def test_a_broken_self_linking_route_is_caught(ell, db20, page, monkeypatch):
+    # a twist one turn off: the two self-linking routes disagree, so the
+    # binding check leaves sl unknown with the error's text, and the audit
+    # raises an alarm
+    twist = linking._twist
+
+    def broken(a3, b3, direction):
+        turns = twist(a3, b3, direction)
+        return None if turns is None else turns + 1
+
+    monkeypatch.setattr(linking, "_twist", broken)
+    gid = _entry_id(db20, np.pi, 1)
+    text = "Gauss sum gives sl -1 but writhe 0 plus twist 0 gives 0"
+    rep = check_binding(ell, db20, gid)
+    assert rep.sl is None and rep.sl_skipped == text
+    assert rep.verdict == "inconclusive:self-linking-unknown"
+    assert rep.self_linking_checks == [
+        {"orbit": gid, "error": f"{InconsistencyError.__name__}: {text}"}]
+    report = necessity_audit(ell, page, db20, gid)
+    assert not report.passed and report.sl_pushoff is None
+    assert f"pushoff self-linking was not computed: {text}" in report.alarms

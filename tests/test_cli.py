@@ -174,6 +174,9 @@ def test_index_sidecars_record_the_shared_integration(ell_config, found,
     # no index-2 orbit, so only the candidate's prime is traced
     assert meta["linking_checks"] == {"primes_traced": 1, "prime_pairs": [],
                                       "unchecked_pairs": []}
+    row, = meta["self_linking_checks"]
+    assert (row["orbit"], row["gauss_sl"], row["writhe"], row["twist"]) == (
+        0, -1, 0, -1)
     assert main(["orbit-index", "--config", ell_config, "--orbits", orbits,
                  "--orbit", "2", "--out", out]) == 0
     with open(os.path.join(out, "index_orbit2.json.meta.json")) as fh:
@@ -209,6 +212,10 @@ def test_disk_and_section_pipeline(ell_config, found):
     assert checks == {"primes_traced": 2, "unchecked_pairs": [],
                       "prime_pairs": [{"a": 0, "b": 1, "gauss_lk": 1,
                                        "crossing_lk": 1}]}
+    with open(os.path.join(found, "audit_binding0.json.meta.json")) as fh:
+        row, = json.load(fh)["self_linking_checks"]
+    assert (row["orbit"], row["gauss_sl"], row["writhe"], row["twist"]) == (
+        0, -1, 0, -1)
 
 
 def test_disk_gen_integrates_the_orbit_once(ell_config, found, workdir,
@@ -390,6 +397,17 @@ def test_topology_commands(ell_config, found):
     with open(os.path.join(found, "selflink.json")) as fh:
         rep = json.load(fh)
     assert rep["self_linking"][0]["sl"] == -1
+    # the sidecar holds both routes per prime: the Gauss sum, and writhe
+    # plus twist along the first direction each prime admits
+    with open(os.path.join(found, "selflink.json.meta.json")) as fh:
+        checks = json.load(fh)["self_linking_checks"]
+    assert [{k: v for k, v in row.items() if k != "gauss_residual"}
+            for row in checks] == [
+        {"orbit": 0, "gauss_sl": -1, "writhe": 0, "twist": -1,
+         "direction": [0.0, 0.0, 1.0]},
+        {"orbit": 1, "gauss_sl": -1, "writhe": 0, "twist": -1,
+         "direction": [1.0, 0.0, 0.0]}]
+    assert all(row["gauss_residual"] < 1e-12 for row in checks)
 
     assert main(["unknot", "--config", ell_config,
                  "--orbits", os.path.join(found, "orbits.json"),
@@ -637,13 +655,14 @@ PROTOCOL = {
     "orbits-find": ("orbits_report.json", {"files", "funnel", "drop_reasons"}),
     "orbit-index": ("index_orbit0.json", {"resolution"}),
     "link": ("links.json", {"linking_checks"}),
-    "selflink": ("selflink.json", set()),
+    "selflink": ("selflink.json", {"self_linking_checks"}),
     "unknot": ("unknot.json", set()),
     "disk-gen": ("disk_orbit0_report.json", {"files"}),
     "section-verify": ("section_report.json", {"files", "return_maps"}),
     "binding-check": ("binding_orbit0.json", {
-        "index_table", "primes_integrated", "linking_checks", "stepper"}),
-    "audit": ("audit_binding0.json", {"linking_checks"}),
+        "index_table", "primes_integrated", "linking_checks",
+        "self_linking_checks", "stepper"}),
+    "audit": ("audit_binding0.json", {"linking_checks", "self_linking_checks"}),
 }
 
 
@@ -723,6 +742,8 @@ CONFIG_FAULTS = {
     "exp-negative": (_run(_weight([0, 0, -1, 0])), 64, "/form/monomials/0/exp/2"),
     "exp-fraction": (_run(_weight([0, 0, 1.5, 0])), 64, "/form/monomials/0/exp/2"),
     "exp-boolean": (_run(_weight([0, 0, True, 0])), 64, "/form/monomials/0/exp/2"),
+    "exp-400": (_run(_weight([0, 0, 400, 0])), 64, "/form/monomials/0/exp/2"),
+    "exp-1e20": (_run(_weight([0, 0, 1e20, 0])), 64, "/form/monomials/0/exp/2"),
     "coeff-string": (_run(_weight([0, 0, 0, 0], "1")), 64,
                      "/form/monomials/0/coeff"),
     "no-monomials": (_run({"type": "weighted", "monomials": []}), 64,

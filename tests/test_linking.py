@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from reeb_atlas import linking as lk
 from reeb_atlas.contact import StarForm, project_to_sigma, reeb_vector, xi_frame
 from reeb_atlas.cz import prime_table
-from reeb_atlas.errors import PoleSelectionError, ProximityError
+from reeb_atlas.errors import (InconsistencyError, PoleSelectionError,
+                               ProximityError)
 from reeb_atlas.orbits import ReebOrbit, trace_orbit
 
-from oracles import (full_grid_pair_crossings, full_grid_self_crossings,
-                     pushoff_linking)
+from oracles import (blocked_gauss_linking_raw, flat_trefoil_trace,
+                     framed_curve, full_grid_pair_crossings,
+                     full_grid_self_crossings, pushoff_linking)
 
 TH = np.linspace(0, 2 * np.pi, 512, endpoint=False)
 
@@ -163,14 +165,56 @@ def test_census_residuals_at_rounding_level(ell, gamma1, gamma2):
 
 
 def test_self_linking_values(ell, gamma1, gamma2):
-    assert lk.self_linking(ell, trace_orbit(ell, gamma1, n=512)) == -1
-    assert lk.self_linking(ell, trace_orbit(ell, gamma2, n=512)) == -1
+    assert lk.self_linking(ell, trace_orbit(ell, gamma1, n=512)).sl == -1
+    assert lk.self_linking(ell, trace_orbit(ell, gamma2, n=512)).sl == -1
 
 
 def test_self_linking_pushoff_stability(ell, gamma1):
     trace = trace_orbit(ell, gamma1, n=512)
     for eps in (1e-2, 5e-3, 2.5e-3):
         assert pushoff_linking(ell, trace, eps, "e1") == -1
+
+
+@pytest.mark.parametrize("knot, turns", [
+    ("trefoil", -2), ("trefoil", 0), ("trefoil", 3), ("mirror-trefoil", -1),
+    ("mirror-trefoil", 2), ("unknot", -1), ("unknot", 2)])
+def test_writhe_plus_twist_is_the_gauss_sum_on_framed_curves(knot, turns):
+    # Calugareanu-White on framed curves in R^3: the shadow's writhe is -3 for
+    # the left-handed trefoil, 3 for its mirror and 0 for the unknot, and
+    # the twist counts the framing's right-handed turns
+    a3, b3 = framed_curve(knot, turns, 0.05)
+    writhe, twist, _ = lk._writhe_twist(a3, b3)
+    assert writhe == {"trefoil": -3, "mirror-trefoil": 3, "unknot": 0}[knot]
+    assert twist == turns
+    assert writhe + twist == int(np.rint(blocked_gauss_linking_raw(a3, b3)))
+
+
+def test_the_twist_refuses_a_cusp_of_the_shadow(ell, gamma2, monkeypatch):
+    # along the first direction gamma2's shadow has a cusp, where the
+    # blackboard frame flips by about pi in one step; the wrapped angle sum
+    # is an integer all the same, so only the step bound refuses it
+    trace = trace_orbit(ell, gamma2, n=512)
+    pushed = project_to_sigma(ell, trace + lk._PUSHOFF * xi_frame(ell, trace).e1)
+    a3, b3 = lk.stereo_pair(trace, pushed)
+    assert lk._twist(a3, b3, lk._PLANE_DIRECTIONS[0]) is None
+    rec = lk.self_linking(ell, trace)
+    assert (rec.sl, rec.writhe, rec.twist) == (-1, 0, -1)
+    assert rec.direction == [1.0, 0.0, 0.0]
+    monkeypatch.setattr(lk, "_TWIST_STEP", 4.0)
+    with pytest.raises(InconsistencyError, match="writhe 0 plus twist 0"):
+        lk.self_linking(ell, trace)
+
+
+def test_a_pushoff_too_large_for_the_curve_makes_the_routes_disagree(
+        round_form):
+    # the flattened trefoil's strands pass 0.023 apart at height 0.03 but
+    # 0.008 apart at height 0.005, where the pushoff of size 1e-2 runs through
+    # a strand: that changes the Gauss sum, not writhe plus twist
+    rec = lk.self_linking(round_form, flat_trefoil_trace(round_form, 0.03))
+    assert (rec.sl, rec.writhe, rec.twist) == (-5, -3, -2)
+    with pytest.raises(InconsistencyError, match="Gauss sum gives sl -3 but "
+                       "writhe -3 plus twist -2 gives -5"):
+        lk.self_linking(round_form, flat_trefoil_trace(round_form, 0.005))
 
 
 def test_self_linking_frame_choice_invariance(ell, gamma1):
@@ -309,7 +353,7 @@ def test_cover_linking_data_follow_from_the_primes(coeffs):
             assert lk.cover_linking(form, pa, qb)[0] == direct[0] == a * b
         for orbit in (p, q):
             double = _cover(orbit, 2)
-            direct = lk.self_linking(form, trace_orbit(form, double, 512))
+            direct = lk.self_linking(form, trace_orbit(form, double, 512)).sl
             assert lk.cover_self_linking(form, double) == direct == -4
 
 

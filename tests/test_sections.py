@@ -142,7 +142,7 @@ def test_characteristic_foliation(ell, page, gamma1):
     assert s0.s < 1e-6  # at the disk center
     assert sum(s.index for s in sings) == wind
     # the two self-linking routes agree: pushoff versus minus the winding
-    assert self_linking(ell, trace_orbit(ell, gamma1, n=512)) == -wind
+    assert self_linking(ell, trace_orbit(ell, gamma1, n=512)).sl == -wind
 
 
 def test_boundary_orientation_enforced(ell, page):
