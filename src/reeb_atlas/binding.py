@@ -262,6 +262,14 @@ class AuditReport:
         return dict(report_fields(self, False), passed=self.passed)
 
 
+def _alarm(quantity, exc):
+    """The audit's alarm for a ``quantity`` that raised ``exc``: a failed
+    cross-check of its two routes, or else a quantity not computed."""
+    if isinstance(exc, InconsistencyError):
+        return f"{quantity} cross-check failed: {exc}"
+    return f"{quantity} was not computed: {exc}"
+
+
 def necessity_audit(form, disk, db, binding_id):
     """Audit the consequences a verified global section must exhibit.
 
@@ -307,7 +315,7 @@ def necessity_audit(form, disk, db, binding_id):
             sl_push = int(cover_self_linking(form, binding))
         except ReebAtlasError as exc:
             sl_push = None
-            alarms.append(f"pushoff self-linking was not computed: {exc}")
+            alarms.append(_alarm("pushoff self-linking", exc))
         if sl_push not in (None, sl_wind):
             alarms.append(
                 f"self-linking routes disagree: pushoff {sl_push} vs "
@@ -334,8 +342,7 @@ def necessity_audit(form, disk, db, binding_id):
             except ReebAtlasError as exc:
                 linking_rows.append({"orbit_id": oid, "lk": None,
                                      "skipped": str(exc)})
-                alarms.append(
-                    f"linking with orbit {oid} was not computed: {exc}")
+                alarms.append(_alarm(f"linking with orbit {oid}", exc))
                 continue
             linking_rows.append({"orbit_id": oid, "lk": int(lk)})
             if lk == 0:

@@ -17,6 +17,7 @@ offending row.
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -115,18 +116,79 @@ def sobol_points(d, skip, n):
     return np.bitwise_xor.accumulate(np.vstack([first, steps]))[:n] * 2.0**-30
 
 
+# Cephes ndtri (Moshier 1989): the rational approximations of the central
+# branch and of the tail below x = 8, highest power first; Q0 and Q1 have a
+# leading 1
+_EXP_M2 = 0.13533528323661269189  # exp(-2), where the branches meet
+_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_LIBM_LOG = np.frompyfunc(math.log, 1, 1)
+
+
+def _horner(x, ans, coef):
+    """Cephes' ``polevl`` from ``ans = coef[0]``, ``p1evl`` from ``ans = x +
+    coef[0]``: each step one multiply, then one add, as the C code rounds."""
+    ans = ans * x + coef[0]  # a new array, updated in place from here
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _ndtri(p):
+    """The inverse normal CDF of p clipped to [1e-12, 1 - 1e-12], bit for bit
+    scipy's ``special.ndtri``: Cephes' routine in its own operation order,
+    both logarithms through libm's ``log`` (numpy's SIMD ``log`` differs in
+    the last bit on some inputs).  The clip keeps the tail's x =
+    sqrt(-2 log y) below 7.44, so only the central branch (P0/Q0, exp(-2) <
+    y < 1 - exp(-2)) and the tail below x = 8 (P1/Q1) are reachable; Cephes'
+    third branch is not ported."""
+    y0 = np.clip(p, 1e-12, 1 - 1e-12)
+    upper = y0 > 1.0 - _EXP_M2  # mirrored to 1 - y0, a positive tail
+    y = np.where(upper, 1.0 - y0, y0)
+    mid = y > _EXP_M2
+    tail = ~mid
+    out = np.empty_like(y0)
+    c = y[mid] - 0.5
+    c2 = c * c
+    ratio = (c2 * _horner(c2, _NDTRI_P0[0], _NDTRI_P0[1:])
+             / _horner(c2, c2 + _NDTRI_Q0[0], _NDTRI_Q0[1:]))
+    out[mid] = (c + c * ratio) * _S2PI
+    x = np.sqrt(-2.0 * _LIBM_LOG(y[tail]).astype(float))
+    z = 1.0 / x
+    x1 = (z * _horner(z, _NDTRI_P1[0], _NDTRI_P1[1:])
+          / _horner(z, z + _NDTRI_Q1[0], _NDTRI_Q1[1:]))
+    v = x - _LIBM_LOG(x).astype(float) / x - x1
+    out[tail] = np.where(upper[tail], v, -v)
+    return out
+
+
 def sphere_samples(n, seed_skip=0):
     """Quasi-uniform points on the unit sphere S^3 in R^4.
 
-    Unscrambled Sobol points mapped through the inverse normal CDF and
-    normalized; deterministic, and the first n points of a longer run are
-    always the same (prefix property used by the orbit search).  The first
-    ``seed_skip`` points are skipped; a draw from 0 drops index 1 (the all-1/2
-    point maps to the origin).  A skip outside [0, 2^30 - n - 8] raises.
+    Unscrambled Sobol points mapped through the inverse normal CDF
+    (``_ndtri``) and normalized; deterministic, and the first n points of a
+    longer run are always the same (prefix property used by the orbit
+    search).  The first ``seed_skip`` points are skipped; a draw from 0 drops
+    index 1 (the all-1/2 point maps to the origin).  A skip outside
+    [0, 2^30 - n - 8] raises.
     """
-    from scipy.special import ndtri
-
-    g = ndtri(np.clip(sobol_points(4, seed_skip, n + 8), 1e-12, 1 - 1e-12))
+    g = _ndtri(sobol_points(4, seed_skip, n + 8))
     norms = np.linalg.norm(g, axis=1)
     g = g[norms > 1e-9][:n]  # the sequence opens with 0 and 1/2 points
     return g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -192,8 +254,13 @@ class StarForm:
         form = cls(kind="weighted", exps=exps, coeffs=coeffs, name=name,
                    tables=tables)
         u = sphere_samples(10_000).T
-        powers = np.cumprod([np.ones_like(u)] + [u] * exps.max(), axis=0)
-        vals = coeffs @ np.prod(powers[exps, np.arange(4)], axis=1)
+        powers = np.empty((exps.max() + 1, *u.shape))
+        powers[0] = 1.0
+        for k in range(1, len(powers)):
+            np.multiply(powers[k - 1], u, out=powers[k])
+        e = exps.T  # each monomial's four factors, multiplied left to right
+        vals = coeffs @ (powers[e[0], 0] * powers[e[1], 1] * powers[e[2], 2]
+                         * powers[e[3], 3])
         if vals.min() <= 0:
             raise DomainError(
                 f"weight is not positive on the sphere (min {vals.min():.3e})"

@@ -239,7 +239,9 @@ def trivialized_path(form, orbit, n):
     global frame, sampled once on ``n`` steps; it starts at the identity by
     construction.  A frame step of pi/4 or more, or a step map that moves by
     ``STEP_GUARD`` or more (``_step_distance``), raises ``ResolutionError``;
-    an endpoint 1e-6 off the stored monodromy raises ``InconsistencyError``.
+    an endpoint off the stored monodromy M by 1e-6 of max(1, max|M_ij|)
+    raises ``InconsistencyError``, so a strongly hyperbolic M is held to its
+    own scale.
     """
     mats, frame_angle = _path_samples(form, orbit, _variational_flow(form, orbit), n)
     dist = _step_distance(mats)
@@ -247,11 +249,12 @@ def trivialized_path(form, orbit, n):
         raise ResolutionError(
             f"n_grid={n} under-resolves this orbit: frame step {frame_angle:.3f}"
             f" rad (limit pi/4), step map {dist:.3f} (limit {STEP_GUARD})")
+    scale = max(1.0, np.abs(orbit.monodromy).max())
     gap = np.abs(mats[-1] - orbit.monodromy).max()
-    if gap > 1e-6:
+    if gap > 1e-6 * scale:
         raise InconsistencyError(
             f"path endpoint disagrees with the stored monodromy by {gap:.2e}"
-        )
+            f" (bound 1e-6 of {scale:.2e})")
     return SymplecticPath(mats=mats)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import kernels
 from .contact import project_to_sigma, reeb_vector, sphere_samples
+from .cz import prime_key
 from .errors import (DomainError, FrameDegeneracyError, MissingArtifactError,
                      ReebAtlasError, RefinementError, ResolutionError,
                      StiffnessError, raised)
@@ -556,11 +557,15 @@ def load_orbits(form, path):
                                  f"or multiplicity is out of type, shape or range")
             if classify_monodromy(o.monodromy) != o.nondeg_class:
                 raise ValueError(f"entry {i}'s class is not its monodromy's")
-        # every closure in one batched integration at refine_orbit's tolerance
-        ends = raised(integrate_batch(form, np.reshape([o.x0 for o in orbits], (-1, 4)),
-                                      [o.T_min for o in orbits], tol=1e-12))
-        for i, (o, res) in enumerate(zip(orbits, ends)):
-            gap = np.linalg.norm(res.endpoint - o.x0)
+        # every closure in one batched integration at refine_orbit's
+        # tolerance, one row per prime: a cover shares its prime's (x0,
+        # T_min), and a row of a batch equals its one-row run bit for bit
+        keys = list(dict.fromkeys(prime_key(o) for o in orbits))
+        ends = raised(integrate_batch(form, np.reshape([x0 for _, x0 in keys], (-1, 4)),
+                                      [T_min for T_min, _ in keys], tol=1e-12))
+        end_of = dict(zip(keys, ends))
+        for i, o in enumerate(orbits):
+            gap = np.linalg.norm(end_of[prime_key(o)].endpoint - o.x0)
             if gap > 1e-9:
                 raise DomainError(f"entry {i} failed closure re-verification: {gap:.3e}")
     except (FileNotFoundError, IsADirectoryError):

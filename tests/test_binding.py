@@ -513,4 +513,23 @@ def test_a_broken_self_linking_route_is_caught(ell, db20, page, monkeypatch):
         {"orbit": gid, "error": f"{InconsistencyError.__name__}: {text}"}]
     report = necessity_audit(ell, page, db20, gid)
     assert not report.passed and report.sl_pushoff is None
-    assert f"pushoff self-linking was not computed: {text}" in report.alarms
+    assert f"pushoff self-linking cross-check failed: {text}" in report.alarms
+    assert not any("not computed" in a for a in report.alarms)
+
+
+def test_a_broken_linking_route_is_caught(ell, db20, page, monkeypatch):
+    # a crossing count one off: the two linking routes disagree, so the
+    # audit leaves that orbit's lk unknown with the error's text and names
+    # the failed cross-check in its alarm
+    crossing = linking.crossing_linking
+    monkeypatch.setattr(linking, "crossing_linking",
+                        lambda a3, b3: crossing(a3, b3) + 1)
+    gid = _entry_id(db20, np.pi, 1)
+    other = _entry_id(db20, np.sqrt(2) * np.pi, 1)
+    report = necessity_audit(ell, page, db20, gid)
+    row = next(r for r in report.linking if r["orbit_id"] == other)
+    text = "Gauss sum gives lk 1 but the crossing count gives 2"
+    assert row == {"orbit_id": other, "lk": None, "skipped": text}
+    assert not report.passed
+    assert f"linking with orbit {other} cross-check failed: {text}" in report.alarms
+    assert not any("not computed" in a for a in report.alarms)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import ndtri
 from scipy.stats import qmc
 
 from reeb_atlas import contact, kernels
@@ -115,13 +117,45 @@ def scipy_sobol(d, skip, n):
 
 # the positivity check's draw, the census windows of n seeds at rng_seed k,
 # the disk seeds and the last window below 2^30
-@pytest.mark.parametrize("d, skip, n", [
+SOBOL_WINDOWS = [
     (4, 0, 10_008), *((4, k * (n + 1), n + 8) for n in (16, 32, 256)
                       for k in (0, 1, 7)),
-    (2, 1, 500), (4, 2**30 - 1008, 1000)])
+    (2, 1, 500), (4, 2**30 - 1008, 1000)]
+
+
+@pytest.mark.parametrize("d, skip, n", SOBOL_WINDOWS)
 def test_sobol_points_are_scipys_bit_for_bit(d, skip, n):
     got, want = contact.sobol_points(d, skip, n), scipy_sobol(d, skip, n)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _assert_ndtri_is_scipys(p):
+    got, want = contact._ndtri(p), ndtri(np.clip(p, 1e-12, 1 - 1e-12))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d, skip, n", SOBOL_WINDOWS)
+def test_ndtri_is_scipys_bit_for_bit(d, skip, n):
+    _assert_ndtri_is_scipys(contact.sobol_points(d, skip, n))
+
+
+def test_ndtri_branch_edges_are_scipys():
+    # exp(-2) and 1 - exp(-2), where the central branch meets the tails, one
+    # ulp either way; the centre; the clip's ends and the points past them
+    edges = [contact._EXP_M2, 1.0 - contact._EXP_M2]
+    p = np.array([*(np.nextafter(e, t) for e in edges for t in (0.0, 1.0)),
+                  *edges, 0.5, 1e-12, 1 - 1e-12, 0.0, 1.0])
+    _assert_ndtri_is_scipys(p)
+
+
+def test_the_clip_keeps_ndtri_off_cephes_third_branch():
+    # the tail's x = sqrt(-2 log y) at both clipped ends is below 8, where
+    # Cephes' third branch starts (y = exp(-32)); so are the port's ends
+    for y in (1e-12, 1.0 - (1 - 1e-12)):
+        assert math.sqrt(-2.0 * math.log(y)) < 8.0
+    lo, hi = contact._ndtri(np.array([0.0, 1.0]))
+    third = ndtri(math.exp(-32))
+    assert third < lo < 0.0 < hi < -third
 
 
 @pytest.mark.parametrize("d, skip, n", [

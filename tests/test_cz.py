@@ -125,6 +125,22 @@ def test_determinant_bound_scales_with_the_stretch():
         cz.SymplecticPath(mats=mats).validate()
 
 
+def test_endpoint_check_scales_with_the_monodromy():
+    # the K = 3 neck's double cover ends 2.8e-6 off a monodromy of size
+    # 3.7e7, 7.6e-14 of it: the path is built and indexed at n_grid 1024
+    form = dumbbell(3.0)
+    double = refine_orbit(form, *NECK).iterate(2)
+    path = cz.trivialized_path(form, double, 1024)
+    scale = np.abs(double.monodromy).max()
+    gap = np.abs(path.endpoint - double.monodromy).max()
+    assert scale > 1e7 and 1e-6 < gap < 1e-12 * scale
+    assert cz.cz_from_interval(cz.rotation_interval(path)) == (4, False)
+    # an endpoint off by 1e-6 of that scale is still refused
+    bad = dataclasses.replace(double, monodromy=double.monodromy * (1 + 2e-6))
+    with pytest.raises(InconsistencyError, match="stored monodromy"):
+        cz.trivialized_path(form, bad, 1024)
+
+
 def test_interval_branches():
     make = lambda lo, hi: cz.RotationInterval(lo=lo, hi=hi, turns=lo)
     assert cz.cz_from_interval(make(1.69, 1.72))[0] == 3

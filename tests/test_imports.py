@@ -1,5 +1,6 @@
 """Every name a module imports is read somewhere in that module, and a CLI
-process imports only the scipy modules its config needs, and no jsonschema."""
+process that loads a config or searches for orbits imports no scipy module
+and no jsonschema."""
 
 import ast
 import json
@@ -33,19 +34,25 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never reads: {unused}"
 
 
-def _after_load_config(tmp_path, form):
+def _modules_after(code, *argv):
     """The top-level packages and the scipy modules that a fresh interpreter
-    holds after importing the CLI and loading a config of ``form``."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"form": form_json(form)}))
-    code = ("import sys, reeb_atlas.cli as cli; cli.load_config(sys.argv[1]); "
-            "print(*(m for m in sys.modules "
-            "if '.' not in m or m.split('.')[0] == 'scipy'))")
+    holds after running ``code`` with ``argv``; they are read from the last
+    line it prints."""
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run([sys.executable, "-c", code, str(config)],
+    code += ("; print(); print(*(m for m in sys.modules "
+             "if '.' not in m or m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
                           env=dict(os.environ, PYTHONPATH=path), check=True,
                           capture_output=True, text=True, timeout=120)
-    return set(done.stdout.split())
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def _after_load_config(tmp_path, form):
+    """The modules after importing the CLI and loading a config of ``form``."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"form": form_json(form)}))
+    return _modules_after("import sys, reeb_atlas.cli as cli; "
+                          "cli.load_config(sys.argv[1])", config)
 
 
 def _scipy(loaded):
@@ -56,12 +63,21 @@ def test_an_ellipsoid_config_loads_no_scipy(tmp_path, ell):
     assert _scipy(_after_load_config(tmp_path, ell)) == set()
 
 
-def test_a_weighted_config_loads_only_scipy_special(tmp_path, perturbed_form):
-    # the positivity check draws sphere samples, through scipy's ndtri
-    loaded = _scipy(_after_load_config(tmp_path, perturbed_form))
-    assert "scipy.special" in loaded
-    unwanted = ("scipy.integrate", "scipy.stats", "scipy.spatial", "scipy.optimize")
-    assert not {m for m in loaded if ".".join(m.split(".")[:2]) in unwanted}
+def test_a_weighted_config_loads_no_scipy(tmp_path, perturbed_form):
+    # the positivity check's sphere samples take the built-in inverse normal CDF
+    assert _scipy(_after_load_config(tmp_path, perturbed_form)) == set()
+
+
+def test_an_orbit_search_loads_no_scipy(tmp_path, ell):
+    # the search's seeds, polish and certification of the census need no
+    # scipy; these sizes find gamma1 and gamma2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"form": form_json(ell), "tmax": 5.0, "seeds": 16}))
+    loaded = _modules_after(
+        "import sys, reeb_atlas.cli as cli; assert cli.main(['orbits-find', "
+        "'--config', sys.argv[1], '--out', sys.argv[2]]) == 0", config, tmp_path)
+    assert len(json.loads((tmp_path / "orbits.json").read_text())["orbits"]) == 2
+    assert "reeb_atlas" in loaded and _scipy(loaded) == set()
 
 
 @pytest.mark.parametrize("form", ["ell", "perturbed_form"])

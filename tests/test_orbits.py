@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from reeb_atlas import kernels
-from reeb_atlas.contact import StarForm
+from reeb_atlas import kernels, orbits
+from reeb_atlas.contact import StarForm, project_to_sigma
 from reeb_atlas.errors import (DomainError, OffLevelError, RefinementError,
                                StiffnessError)
 from reeb_atlas.flow import integrate_flow
@@ -331,6 +331,34 @@ def test_save_load_reverifies(tmp_path, ell, db10):
     path.write_text(json.dumps(payload))
     with pytest.raises(DomainError, match="closure re-verification"):
         load_orbits(ell, path)
+
+
+def test_load_orbits_recloses_each_prime_once(tmp_path, ell, db10, monkeypatch):
+    # a cover shares its prime's (x0, T_min), so the closure batch holds one
+    # row per prime; a cover whose x0 was tampered with gets a row of its
+    # own, and its gap refuses the census
+    path = tmp_path / "orbits.json"
+    save_orbits(db10, path)
+    rows, batch = [], orbits.integrate_batch
+
+    def spy(form, x0s, t_ends, **kwargs):
+        rows.append(list(zip(map(tuple, x0s.tolist()), t_ends)))
+        return batch(form, x0s, t_ends, **kwargs)
+
+    monkeypatch.setattr(orbits, "integrate_batch", spy)
+    load_orbits(ell, path)
+    primes = [(tuple(o.x0.tolist()), o.T_min) for o in db10.orbits
+              if o.multiplicity == 1]
+    assert len(primes) < len(db10) and rows == [primes]
+    i = next(i for i, o in enumerate(db10.orbits) if o.multiplicity > 1)
+    payload = json.loads(path.read_text())
+    x0 = db10[i].x0 + np.array([0.0, 1e-6, 1e-6, 0.0])  # off either plane
+    payload["orbits"][i]["x0"] = project_to_sigma(ell, x0).tolist()
+    path.write_text(json.dumps(payload))
+    rows.clear()
+    with pytest.raises(DomainError, match=f"entry {i} failed closure re-verification"):
+        load_orbits(ell, path)
+    assert len(rows[0]) == len(primes) + 1
 
 
 def test_seed_count_monotonicity(ell):
