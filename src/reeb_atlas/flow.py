@@ -59,7 +59,8 @@ _WORK = contextvars.ContextVar("reeb_atlas_flow_work", default=None)
 @contextlib.contextmanager
 def counting():
     """Count the stepper's steps, rejected steps and RHS evaluations (per
-    row) inside the block."""
+    row) inside the block, and ``one_row_steps``: the step attempts made
+    while a batch held a single row."""
     token = _WORK.set(Counter())
     try:
         yield _WORK.get()
@@ -148,7 +149,7 @@ def _steps(form, rhs, rows, y, t_end, tol, dense):
     h_abs = np.minimum(np.minimum(100 * h0, h1), s_end)
     rejected, any_rejected = np.zeros(n, dtype=bool), False
     steps = [(rows[:0], s[:0], y[:0], np.empty((0, 7, d)) if dense else None)]
-    errors, n_ok_all, n_tried, n_rhs = {}, 0, 0, 2 * n
+    errors, n_ok_all, n_tried, n_rhs, n_one = {}, 0, 0, 2 * n, 0
     while True:
         leave = s >= s_end
         if any_rejected:  # scipy fails a retry below min_step
@@ -163,6 +164,7 @@ def _steps(form, rhs, rows, y, t_end, tol, dense):
                 a[keep] for a in (rows, s, s_end, y, f, h_abs, rejected, direction))
         if not rows.size:
             break
+        n_one += rows.size == 1
         s_new = np.minimum(s + np.maximum(h_abs, 10 * np.spacing(s)), s_end)
         h_abs = s_new - s
         hc = (h_abs * direction)[:, None]
@@ -210,7 +212,7 @@ def _steps(form, rhs, rows, y, t_end, tol, dense):
         steps.append((rows[acc], s_new[acc], y_acc, coeffs))
     if _WORK.get() is not None:
         _WORK.get().update(steps=n_ok_all, rejected_steps=n_tried - n_ok_all,
-                           rhs_evals=n_rhs)
+                           rhs_evals=n_rhs, one_row_steps=n_one)
     return steps, errors
 
 

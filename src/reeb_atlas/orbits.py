@@ -3,17 +3,19 @@
 The search is a best-effort truncation of the (generally infinite) set of
 periodic orbits up to a period cap: low-discrepancy seeds are integrated
 forward as one batch, near-returns of each trajectory are detected by a
-closest-return scan, and all candidates are polished in lockstep by Newton
-shooting on the augmented system (return condition + energy level + phase
-anchor) using the analytic variational matrix, one stacked integration per
-round.  The bookkeeping then replays the candidates in seed order, so the
-census is that of a one-by-one search; the survivors it needs are certified
-in lockstep waves, and a flow that repeats one already run bit for bit is
-not run again.  Completeness is never claimed; downstream verdicts carry
-the truncation cap.
+closest-return scan, and all candidates are polished in lockstep by
+multiple shooting: each period splits into segments of span at most
+``_SEGMENT_SPAN``, and Gauss-Newton solves continuity, energy level and a
+phase anchor with the segments' analytic variational matrices, one stacked
+integration of every segment per round.  The bookkeeping then replays the
+candidates in seed order, so the census is that of a one-by-one search; the
+survivors it needs are certified in lockstep waves, and a flow that repeats
+one already run bit for bit is not run again.  Completeness is never
+claimed; downstream verdicts carry the truncation cap.
 """
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -44,6 +46,7 @@ DEGENERACY_TOL = 1e-6
 
 _NEWTON_TOL = 1e-10  # residual target of the shooting polish
 _NEWTON_MAX_ITER = 50
+_SEGMENT_SPAN = 2.0  # the longest span of a shooting segment
 
 # orbit-search settings, recorded in the census params
 _SCAN_DT = 0.05
@@ -147,14 +150,43 @@ def trace_orbit(form, orbit, n):
     return project_to_sigma(form, run(np.arange(n) / n * orbit.T)[:, :4])
 
 
-def _polish_row(form, x_guess, T_guess, initial_residual_cap):
-    """Gauss-Newton on the augmented shooting system, for one candidate.
+def _shooting_system(form, ys, segments, anchor_x, anchor_v):
+    """The multiple-shooting residual F and its Jacobian J in the unknowns
+    (y_0..y_(m-1), T), from the variational runs ``segments`` of span T/m
+    from the starts ``ys`` (m, 4).  F holds the continuity defects
+    phi_(T/m)(y_k) - y_(k+1) with y_m = y_0 (4m rows), H(y_k) - 1 (m rows)
+    and the anchor <v_anchor, y_0 - x_anchor> (one row); the T column of
+    segment k is R(end_k) / m."""
+    m, n = len(ys), 4 * len(ys)
+    ends = np.array([seg.endpoint for seg in segments])
+    F = np.concatenate([(ends - np.roll(ys, -1, axis=0)).ravel(),
+                        form.H(ys) - 1.0, [anchor_v @ (ys[0] - anchor_x)]])
+    J = np.zeros((n + m + 1, n + 1))
+    grads = form.grad_H(ys)
+    for k, seg in enumerate(segments):
+        nxt = 4 * ((k + 1) % m)
+        J[4 * k:4 * k + 4, 4 * k:4 * k + 4] = seg.monodromy_end
+        J[4 * k:4 * k + 4, nxt:nxt + 4] -= np.eye(4)
+        J[n + k, 4 * k:4 * k + 4] = grads[k]
+    J[:n, n] = reeb_vector(form, ends, check=False).ravel() / m
+    J[-1, :4] = anchor_v
+    return F, J
 
-    Yields (variational, x, T) for each return flow it needs and is sent its
-    ``FlowResult``.  Returns (x, T, residual, iters, degenerate_family, and
-    the last flow, which ran at the returned x and T).
-    Stalls and rank deficiencies are detected early so that hopeless
-    candidates stay cheap.
+
+def _polish_row(form, x_guess, T_guess, initial_residual_cap):
+    """Gauss-Newton by multiple shooting, for one candidate.
+
+    The period T splits into m = ceil(T / _SEGMENT_SPAN) segments of span
+    T/m; the unknowns are the segment starts and T, the equations those of
+    ``_shooting_system``, anchored at the guess's projection.  Yields
+    (variational, starts (n, 4), span) for the flows it needs, plain ones
+    dense, and is sent one ``FlowResult`` per start.  The first is the
+    full-period run at the guess: its return residual is checked against
+    ``initial_residual_cap``, and the segment starts are sampled from it.
+    Returns (x = y_0, T, residual, iters, degenerate_family), where the
+    residual is the norm of the last round's continuity defects, or the
+    first run's return residual if that already closes.  Stalls and rank
+    deficiencies are detected early so that hopeless candidates stay cheap.
     """
     x = project_to_sigma(form, np.asarray(x_guess, dtype=float))
     T = float(T_guess)
@@ -163,23 +195,26 @@ def _polish_row(form, x_guess, T_guess, initial_residual_cap):
     anchor_x = x.copy()
     anchor_v = reeb_vector(form, x, check=False)
 
-    ret = yield False, x, T
-    res0 = np.linalg.norm(ret.endpoint - x)
-    if res0 > initial_residual_cap:
+    run, = yield False, x[None], T
+    residual = best = np.linalg.norm(run.endpoint - x)
+    if residual > initial_residual_cap:
         raise RefinementError(
-            f"initial return residual {res0:.3e} exceeds {initial_residual_cap}"
+            f"initial return residual {residual:.3e} exceeds {initial_residual_cap}"
         )
+    m = math.ceil(T / _SEGMENT_SPAN)
+    n = 4 * m
+    ys = project_to_sigma(form, run(np.arange(m) * (T / m))[:, :4])
+    ys[0] = x
+    del run  # the polish keeps no interpolant
 
     iters = 0
-    residual = res0
-    best = res0
     stall = 0
     degenerate_family = False
-    while residual > _NEWTON_TOL and iters < _NEWTON_MAX_ITER:
-        ret = yield True, x, T
-        end, M = ret.endpoint, ret.monodromy_end
-        residual = np.linalg.norm(end - x)
-        if residual <= _NEWTON_TOL:
+    while residual > _NEWTON_TOL:
+        F, J = _shooting_system(form, ys, (yield True, ys, T / m),
+                                anchor_x, anchor_v)
+        residual = np.linalg.norm(F[:n])
+        if residual <= _NEWTON_TOL or iters == _NEWTON_MAX_ITER:
             break
         if residual < 0.5 * best:
             best, stall = residual, 0
@@ -189,42 +224,46 @@ def _polish_row(form, x_guess, T_guess, initial_residual_cap):
                 raise RefinementError(
                     f"stalled after {iters} iterations (residual {residual:.3e})"
                 )
-        F = np.concatenate([end - x, [form.H(x) - 1.0],
-                            [anchor_v @ (x - anchor_x)]])
-        J = np.zeros((6, 5))
-        J[:4, :4] = M - np.eye(4)
-        J[:4, 4] = reeb_vector(form, end, check=False)
-        J[4, :4] = form.grad_H(x)
-        J[5, :4] = anchor_v
-        sv = np.linalg.svd(J, compute_uv=False)
+        U, sv, Vt = np.linalg.svd(J, full_matrices=False)
         if sv[-1] < 1e-10 * sv[0]:
             degenerate_family = True
             break
-        delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        step = np.linalg.norm(delta)
+        delta = -Vt.T @ ((U.T @ F) / sv)  # the least-squares step
+        # crude trust region, on the largest move of one start and T
+        step = np.hypot(kernels.norm(delta[:n].reshape(m, 4)).max(), delta[n])
         if step > 1.0:
-            delta *= 1.0 / step  # crude trust region; guards wild candidates
-        x = project_to_sigma(form, x + delta[:4])
-        T = T + delta[4]
+            delta *= 1.0 / step  # guards wild candidates
+        ys = project_to_sigma(form, ys + delta[:n].reshape(m, 4))
+        T = T + delta[n]
         if T <= 0:
             raise RefinementError("period iterated to a non-positive value")
         iters += 1
-    if residual > _NEWTON_TOL and not degenerate_family:
-        ret = yield False, x, T
-        residual = np.linalg.norm(ret.endpoint - x)
-    return x, T, residual, iters, degenerate_family, ret
+    return ys[0], T, residual, iters, degenerate_family
+
+
+def _flow_answers(runs, asks):
+    """Split the runs of one batch into one list per request (starts, span),
+    or the request's first error."""
+    out, i = [], 0
+    for xs, _ in asks:
+        part, i = runs[i:i + len(xs)], i + len(xs)
+        out.append(next((r for r in part if isinstance(r, Exception)), part))
+    return out
 
 
 def _newton_polish(form, x_guess, T_guess, initial_residual_cap):
     """Polish the candidates ``x_guess`` (B, 4), ``T_guess`` (B,) in lockstep:
-    each round stacks the return flows the rows ask for, one integration per
-    kind, so a row follows its one-row call bit for bit.  Returns per row the
-    result of ``_polish_row``, or its exception.  Unlike ``_certify_rows`` it
-    keeps no runs and no interpolants: over hundreds of candidates those
-    raise the search's peak memory."""
+    each round stacks every start the rows ask for, one integration per
+    kind, so a row follows its one-row call bit for bit, and every
+    variational row of a round spans at most ``_SEGMENT_SPAN``.  Returns per
+    row the result of ``_polish_row``, or its exception.  Unlike
+    ``_certify_rows`` it keeps no runs and no interpolants: over hundreds of
+    candidates those raise the search's peak memory."""
     def serve(var, asks):
-        return integrate_batch(form, np.reshape([x for x, _ in asks], (-1, 4)),
-                               [T for _, T in asks], tol=1e-12, variational=var)
+        return _flow_answers(integrate_batch(
+            form, np.concatenate([xs for xs, _ in asks]),
+            np.repeat([T for _, T in asks], [len(xs) for xs, _ in asks]),
+            tol=1e-12, variational=var, dense=not var), asks)
 
     return lockstep([_polish_row(form, x, T, initial_residual_cap)
                      for x, T in zip(x_guess, T_guess)], (False, True), serve)
@@ -232,10 +271,11 @@ def _newton_polish(form, x_guess, T_guess, initial_residual_cap):
 
 def _certify(form, x_guess, T_guess, initial_residual_cap):
     """``refine_orbit``'s body, a generator for ``_certify_rows``: the
-    polish's requests, then as plain requests the dense run at the polished
-    (x, T) for the multiplicity and a cover's run to T_min, and the
-    variational run to T_min."""
-    x, T, residual, iters, degenerate_family, _ = yield from _polish_row(
+    polish's requests, then the dense run at the polished (x, T) for the
+    closure and the multiplicity, a cover's run to T_min, and the
+    variational run to T_min.  The residual is the largest of the polish's,
+    the closure at T and the closure at T_min."""
+    x, T, residual, iters, degenerate_family = yield from _polish_row(
         form, x_guess, T_guess, initial_residual_cap)
     if degenerate_family:
         from scipy.optimize import minimize_scalar
@@ -257,45 +297,47 @@ def _certify(form, x_guess, T_guess, initial_residual_cap):
         )
 
     # multiplicity: largest k <= 64 with T/k >= 0.05, closed within 1e-6
-    traj = yield False, x, T
+    traj, = yield False, x[None], T
+    closure = np.linalg.norm(traj.endpoint - x)
     ks = np.arange(2, min(max(1, int(T / 0.05)), 64) + 1)
     ys = project_to_sigma(form, traj(T / ks)[:, :4])
     closed = ks[kernels.norm(ys - x) < 1e-6]
     mult = int(closed.max()) if closed.size else 1
     T_min = T / mult
     # a cover's prime residual, from a run its re-certification reuses
-    prime_res = residual if mult == 1 else np.linalg.norm(
-        (yield False, x, T_min).endpoint - x)
-    mon_prime = xi_period_map(form, x, (yield True, x, T_min), 1e-5)
+    prime_res = closure if mult == 1 else np.linalg.norm(
+        (yield False, x[None], T_min)[0].endpoint - x)
+    mon_prime = xi_period_map(form, x, (yield True, x[None], T_min)[0], 1e-5)
     mon_full = np.linalg.matrix_power(mon_prime, mult)
     return ReebOrbit(
         x0=x, T_min=T_min, multiplicity=mult, monodromy=mon_full,
         nondeg_class=classify_monodromy(mon_full),
-        residual=float(max(residual, prime_res)), newton_iters=iters,
+        residual=float(max(residual, closure, prime_res)), newton_iters=iters,
     )
 
 
-def _certify_rows(form, rows, flows, reused):
+def _certify_rows(form, rows, reused):
     """Run certification generators in lockstep, one ``integrate_batch`` per
     kind at 1e-12, plain flows as dense runs (same steps and endpoint), and
-    traces by ``trace_orbits``.  ``flows`` keeps the runs by (variational, x
-    bytes, T) and answers repeats; ``reused`` counts them, as "polish" for
-    the runs ``flows`` came with.  Returns per row its value or error."""
-    given = set(flows)
+    traces by ``trace_orbits``.  A flow that repeats a run of the rows, by
+    (variational, x bytes, T), is answered from it and counted in
+    ``reused`` by kind.  Returns per row its value or error."""
+    flows = {}
 
     def serve(kind, asks):
         if kind == "trace":
             return trace_orbits(form, [orbit for orbit, in asks], 512)
-        keys = [(kind, np.asarray(x).tobytes(), float(T)) for x, T in asks]
-        todo = {k: a for k, a in zip(keys, asks) if k not in flows}
-        reused.update("polish" if k in given else "variational" if kind
-                      else "dense" for k in keys if k not in todo)
+        starts = [(x, T) for xs, T in asks for x in xs]
+        keys = [(kind, x.tobytes(), float(T)) for x, T in starts]
+        todo = {k: a for k, a in zip(keys, starts) if k not in flows}
+        reused.update("variational" if kind else "dense"
+                      for k in keys if k not in todo)
         if todo:
             xs, Ts = zip(*todo.values())
             flows.update(zip(todo, integrate_batch(
                 form, np.array(xs), Ts, tol=1e-12, variational=kind,
                 dense=not kind)))
-        return [flows[k] for k in keys]
+        return _flow_answers([flows[k] for k in keys], asks)
 
     return lockstep(rows, (False, True, "trace"), serve)
 
@@ -303,20 +345,23 @@ def _certify_rows(form, rows, flows, reused):
 def refine_orbit(form, x_guess, T_guess):
     """Newton-polish a candidate (point, period) into a certified orbit.
 
-    Solves the augmented shooting system { phi_T(x) - x = 0, H(x) = 1,
-    <v_anchor, x - x_anchor> = 0 } by Gauss-Newton with the analytic
-    variational matrix; a guess whose first return misses by over 0.1 is
-    rejected.  The prime period is extracted afterwards by divisor testing.
+    Solves the multiple-shooting system of ``_polish_row`` (continuity of
+    segments of span at most ``_SEGMENT_SPAN``, H = 1 at every segment start
+    and the phase anchor) by Gauss-Newton with the analytic variational
+    matrices; a guess whose first return misses by over 0.1 is rejected.
+    The prime period is extracted afterwards by divisor testing.
     Rank-deficient Jacobians (degenerate orbit families, e.g. on the round
     sphere) fall back to scalar minimization of the return proximity in T.
     The one-row run of ``_certify``.
     """
     return raised(_certify_rows(form, [_certify(form, x_guess, T_guess, 0.1)],
-                                {}, Counter()))[0]
+                                Counter()))[0]
 
 
 def _near_return_candidates(times, pts, min_period, threshold, max_keep):
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    # pairwise distances, summed coordinate by coordinate in the order of
+    # np.linalg.norm over the last axis, without the (n, n, 4) difference
+    d = np.sqrt(sum(np.square(c[:, None] - c[None, :]) for c in pts.T))
     dt = times[None, :] - times[:, None]
     # a genuine near-return is a dip of d along the trajectory, not mere arc
     # proximity: require a strict local minimum in the second index
@@ -390,7 +435,7 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
             return outcome
         # 1e-4 exceeds the sagitta of the 512-point trace polyline, so a
         # converged point on a known curve always registers as known
-        x, T, _, _, family, _ = outcome
+        x, T, _, _, family = outcome
         return ("known" if not family and explained_by_known(x, T, 1e-4, 1e-4)
                 else None)
 
@@ -421,11 +466,8 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
             if j not in certs and replay_step(j) is None and not any(
                     same_class(polished[j][1], polished[r][1]) for r in rows):
                 rows.append(j)
-        # a polish's last variational flow ran at its row's polished (x, T)
-        flows = {(True, x.tobytes(), float(T)): last for x, T, *_, last in
-                 (polished[j] for j in rows) if last.monodromy4 is not None}
         out = _certify_rows(form, [certify(*polished[j][:2]) for j in rows],
-                            flows, reused)
+                            reused)
         funnel.update(waves=1, certified=len(rows))
         cert_iters.update(c[0].newton_iters for c in out
                           if not isinstance(c, Exception))

@@ -16,9 +16,10 @@ Gauss linking sum over whole blocks of rows, the index
 table of a prime's iterates (checked by ``cz.bott_index``),
 the page of an ellipsoid's coordinate circle in closed form, the contact
 area of a disk by two routes, the return map of arbitrary level points, the
-primitive 1-form lambda0, the orbit search certifying one survivor at a time
-with a one-row integration per flow, and the crossing bisection by one
-halving per trajectory call.
+primitive 1-form lambda0, the near-return scan with its distances by
+``np.linalg.norm``, the orbit search certifying one survivor at a time with
+a one-row integration per flow, and the crossing bisection by one halving
+per trajectory call.
 The package's reachability test (``test_reachability.py``) keeps such code
 out of ``src/``.
 """
@@ -692,6 +693,30 @@ def return_map_points(form, disk, points, t_budget, index=None):
 # the orbit search, one survivor at a time
 # ---------------------------------------------------------------------------
 
+def near_return_candidates(times, pts, min_period, threshold, max_keep):
+    """``orbits._near_return_candidates`` with the pairwise distances taken
+    by ``np.linalg.norm`` of the (n, n, 4) difference array."""
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    dt = times[None, :] - times[:, None]
+    interior = np.zeros_like(d, dtype=bool)
+    interior[:, 1:-1] = (d[:, 1:-1] <= d[:, :-2]) & (d[:, 1:-1] <= d[:, 2:])
+    mask = (dt >= min_period) & (d < threshold) & interior
+    ii, jj = np.nonzero(mask)
+    if len(ii) == 0:
+        return []
+    order = np.argsort(d[ii, jj])
+    kept = []
+    for idx in order:
+        i, j = ii[idx], jj[idx]
+        cand_dt = dt[i, j]
+        if any(abs(cand_dt - kdt) < 0.5 * min_period for _, kdt, _ in kept):
+            continue
+        kept.append((pts[i], cand_dt, d[i, j]))
+        if len(kept) >= max_keep:
+            break
+    return kept
+
+
 def sequential_refine_orbit(form, x_guess, T_guess, initial_residual_cap):
     """``refine_orbit`` with every flow its own one-row integration: the
     polish, the dense multiplicity run, the plain run to a cover's prime
@@ -700,7 +725,7 @@ def sequential_refine_orbit(form, x_guess, T_guess, initial_residual_cap):
                                       [T_guess], initial_residual_cap)
     if isinstance(polished, Exception):
         raise polished
-    x, T, residual, iters, degenerate_family, _ = polished
+    x, T, residual, iters, degenerate_family = polished
     if degenerate_family:
         from scipy.optimize import minimize_scalar
 
@@ -717,19 +742,20 @@ def sequential_refine_orbit(form, x_guess, T_guess, initial_residual_cap):
             f"no convergence in {orbits._NEWTON_MAX_ITER} iterations "
             f"(residual {residual:.3e})")
     traj = integrate_flow(form, x, T, tol=1e-12, dense=True)
+    closure = np.linalg.norm(traj.endpoint - x)
     ks = np.arange(2, min(max(1, int(T / 0.05)), 64) + 1)
     ys = project_to_sigma(form, traj(T / ks)[:, :4])
     closed = ks[kernels.norm(ys - x) < 1e-6]
     mult = int(closed.max()) if closed.size else 1
     T_min = T / mult
-    prime_res = residual if mult == 1 else np.linalg.norm(
+    prime_res = closure if mult == 1 else np.linalg.norm(
         integrate_flow(form, x, T_min, tol=1e-12).endpoint - x)
     mon_prime = monodromy_xi(form, x, T_min, closure_tol=1e-5)
     mon_full = np.linalg.matrix_power(mon_prime, mult)
     return orbits.ReebOrbit(
         x0=x, T_min=T_min, multiplicity=mult, monodromy=mon_full,
         nondeg_class=orbits.classify_monodromy(mon_full),
-        residual=float(max(residual, prime_res)), newton_iters=iters)
+        residual=float(max(residual, closure, prime_res)), newton_iters=iters)
 
 
 def sequential_find_orbits(form, T_max, n_seeds, rng_seed=0, log=None,
@@ -780,7 +806,7 @@ def sequential_find_orbits(form, T_max, n_seeds, rng_seed=0, log=None,
         try:
             if isinstance(outcome, Exception):
                 raise outcome
-            x, T, _, iters, degenerate_family, _ = outcome
+            x, T, _, iters, degenerate_family = outcome
             iters_seen[iters] += 1
             if not degenerate_family and explained_by_known(x, T, 1e-4, 1e-4):
                 funnel["known"] += 1

@@ -97,6 +97,7 @@ def test_orbits_find_funnel_adds_up(found):
     assert sum(f["reused_flows"].values()) > 0
     assert f["steps"] > 0 and f["rejected_steps"] >= 0
     assert f["rhs_evals"] >= 12 * (f["steps"] + f["rejected_steps"])
+    assert 0 <= f["one_row_steps"] <= f["steps"] + f["rejected_steps"]
 
 
 def test_orbit_index_exit_codes(ell_config, found, round_config, workdir):
@@ -170,7 +171,9 @@ def test_index_sidecars_record_the_shared_integration(ell_config, found,
     assert meta["primes_integrated"] == 2
     assert [row["path_samples"] for row in table] == [1025] + [513] * 4
     assert all(row["K"] for row in table)
-    assert meta["stepper"]["rhs_evals"] >= 12 * meta["stepper"]["steps"] > 0
+    stepper = meta["stepper"]
+    assert stepper["rhs_evals"] >= 12 * stepper["steps"] > 0
+    assert 0 <= stepper["one_row_steps"] <= stepper["steps"] + stepper["rejected_steps"]
     # no index-2 orbit, so only the candidate's prime is traced
     assert meta["linking_checks"] == {"primes_traced": 1, "prime_pairs": [],
                                       "unchecked_pairs": []}
@@ -268,6 +271,7 @@ def test_section_sidecar_counts_return_maps(ell_config, section_disk, workdir,
     stepper = maps["stepper"]
     assert maps["forward"]["steps"] + maps["backward"]["steps"] == stepper["steps"]
     assert stepper["rhs_evals"] >= 12 * stepper["steps"]
+    assert 0 <= stepper["one_row_steps"] <= stepper["steps"] + stepper["rejected_steps"]
 
 
 @pytest.mark.parametrize("argv, flag, code", [

@@ -1,6 +1,6 @@
 """Every name a module imports is read somewhere in that module, and a CLI
-process that loads a config or searches for orbits imports no scipy module
-and no jsonschema."""
+process that loads a config, searches for orbits, checks a binding or audits
+a page imports no scipy module and no jsonschema."""
 
 import ast
 import json
@@ -78,6 +78,28 @@ def test_an_orbit_search_loads_no_scipy(tmp_path, ell):
         "'--config', sys.argv[1], '--out', sys.argv[2]]) == 0", config, tmp_path)
     assert len(json.loads((tmp_path / "orbits.json").read_text())["orbits"]) == 2
     assert "reeb_atlas" in loaded and _scipy(loaded) == set()
+
+
+def test_binding_check_and_audit_load_no_scipy(tmp_path, ell):
+    # the census and the page are written in this process (disk-gen builds
+    # kd-trees); fresh interpreters then check the binding and audit the page
+    from reeb_atlas import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"form": form_json(ell), "tmax": 5.0, "seeds": 16}))
+    common = ["--config", str(config), "--out", str(tmp_path)]
+    orbits = ["--orbits", str(tmp_path / "orbits.json")]
+    assert cli.main(["orbits-find", *common]) == 0
+    assert cli.main(["disk-gen", *common, *orbits, "--orbit", "0",
+                     "--nr", "128", "--ntheta", "48"]) == 0
+    for argv, report in (
+            (["binding-check", *orbits, "--candidate", "0"], "binding_orbit0.json"),
+            (["audit", *orbits, "--disk", str(tmp_path / "disk_orbit0.json"),
+              "--binding", "0"], "audit_binding0.json")):
+        loaded = _modules_after("import sys, reeb_atlas.cli as cli; "
+                                "cli.main(sys.argv[1:])", *argv, *common)
+        assert (tmp_path / report).exists()
+        assert "reeb_atlas" in loaded and _scipy(loaded) == set(), argv[0]
 
 
 @pytest.mark.parametrize("form", ["ell", "perturbed_form"])

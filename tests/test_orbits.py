@@ -1,19 +1,22 @@
 import dataclasses
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from reeb_atlas import kernels, orbits
-from reeb_atlas.contact import StarForm, project_to_sigma
+from reeb_atlas.contact import (StarForm, project_to_sigma, reeb_vector,
+                                sphere_samples)
 from reeb_atlas.errors import (DomainError, OffLevelError, RefinementError,
                                StiffnessError)
-from reeb_atlas.flow import integrate_flow
+from reeb_atlas.flow import integrate_batch, integrate_flow
 from reeb_atlas.orbits import (find_orbits, load_orbits, refine_orbit,
                                save_orbits, trace_orbit, trace_orbits)
 
-from oracles import (monodromy_xi, period_gaps, sequential_find_orbits,
+from oracles import (NECK, dumbbell, monodromy_xi, near_return_candidates,
+                     period_gaps, sequential_find_orbits,
                      sequential_refine_orbit)
 
 SQ2 = np.sqrt(2.0)
@@ -38,6 +41,102 @@ def test_refine_zero_residual_is_immediate(ell, gamma1):
     orb = refine_orbit(ell, gamma1.x0, gamma1.T_min)
     assert orb.newton_iters == 0
     assert orb.residual < 1e-10
+
+
+def test_refine_orbit_gives_the_coordinate_circles(ell):
+    # from the closed forms, and from guesses off them, the multiple-shooting
+    # polish closes gamma1 and gamma2 to 1e-10
+    rng = np.random.default_rng(7)
+    for x, T in (([1.0, 0.0, 0.0, 0.0], np.pi),
+                 ([0.0, 0.0, SQ2 ** 0.5, 0.0], SQ2 * np.pi)):
+        for dx, dT in ((0.0, 1.0), (1e-2 * rng.normal(size=4), 1.01)):
+            orb = refine_orbit(ell, np.array(x) + dx, T * dT)
+            assert orb.multiplicity == 1 and orb.residual <= 1e-10
+            assert orb.T_min == pytest.approx(T, rel=1e-10)
+
+
+@pytest.mark.parametrize("case", ["perturbed", "neck"])
+def test_segment_jacobian_matches_central_differences(request, case):
+    # J V equals the central difference of the residual F along tangent
+    # directions V of the starts and T, off the orbit, on the perturbed form
+    # and on the hyperbolic K = 2 dumbbell neck, each over four segments
+    if case == "perturbed":
+        form = request.getfixturevalue("perturbed_form")
+        orbit = refine_orbit(form, np.array([1.0, 0.0, 0.0, 0.0]), np.pi)
+    else:
+        form = dumbbell(2.0)
+        orbit = refine_orbit(form, *NECK)
+    assert orbit.multiplicity == 1
+    T = 2 * orbit.T_min * (1 + 1e-3)
+    m = math.ceil(T / orbits._SEGMENT_SPAN)
+    assert m == 4
+    rng = np.random.default_rng(3)
+    run = integrate_flow(form, orbit.x0, T, tol=1e-12, dense=True)
+    ys = project_to_sigma(form, run(np.arange(m) * (T / m))[:, :4]
+                          + 1e-3 * rng.normal(size=(m, 4)))
+    anchor = (orbit.x0, reeb_vector(form, orbit.x0))
+
+    def system(ys, T):
+        segments = integrate_batch(form, ys, T / m, tol=1e-12, variational=True)
+        return orbits._shooting_system(form, ys, segments, *anchor)
+
+    F, J = system(ys, T)
+    assert J.shape == (5 * m + 1, 4 * m + 1)
+    grads = form.grad_H(ys)
+    h = 1e-6
+    for _ in range(4):
+        V = rng.normal(size=(m, 4))
+        V -= (np.sum(V * grads, axis=1) / np.sum(grads * grads, axis=1))[:, None] * grads
+        v = np.append(V.ravel(), rng.normal())
+        fd = (system(ys + h * V, T + h * v[-1])[0]
+              - system(ys - h * V, T - h * v[-1])[0]) / (2 * h)
+        assert np.abs(fd - J @ v).max() <= 1e-7 * np.abs(J @ v).max()
+
+
+def test_round_sphere_takes_the_degenerate_family_path(round_form):
+    # every orbit of the round sphere is degenerate: 1e-10 off the period pi,
+    # the return misses by 2e-10 and the segment Jacobian is rank deficient
+    # to 1e-10, so the period comes from the scalar fallback
+    x = np.array([1.0, 0.0, 0.0, 0.0]) + 1e-3 * np.array([0.2, -0.1, 0.3, 0.1])
+    T = np.pi + 1e-10
+    row, = orbits._newton_polish(round_form, x[None], [T], 0.5)
+    assert row[2] > orbits._NEWTON_TOL and row[3:] == (0, True)
+    orb = refine_orbit(round_form, x, T)
+    assert orb.degenerate and orb.residual <= 1e-9
+    assert orb.T_min == pytest.approx(np.pi, rel=1e-8)
+
+
+def test_near_return_candidates_equal_the_norm_oracle(ell):
+    # the per-coordinate distance sum equals np.linalg.norm bit for bit:
+    # the same candidate lists on the ellipsoid search's 32 seeds and on
+    # random trajectories
+    t_grid = np.arange(0.0, 10.0 + 0.5 * orbits._SCAN_DT, orbits._SCAN_DT)
+    seeds = project_to_sigma(ell, sphere_samples(32))
+    runs = integrate_batch(ell, seeds, float(t_grid[-1]), tol=1e-8, dense=True)
+    rng = np.random.default_rng(11)
+    trajectories = [project_to_sigma(ell, run(t_grid)[:, :4]) for run in runs]
+    trajectories += [rng.normal(size=(len(t_grid), 4)) for _ in range(8)]
+    found = 0
+    for pts in trajectories:
+        for threshold in (orbits._CANDIDATE_THRESHOLD, 1.0):
+            args = (t_grid, pts, orbits._MIN_PERIOD, threshold, 4)
+            got = orbits._near_return_candidates(*args)
+            want = near_return_candidates(*args)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
+            found += len(got)
+    assert found > 100
+
+
+def test_the_search_finds_the_index2_neck_of_the_dumbbell():
+    # multiple shooting converges on the hyperbolic neck of the K = 1.2
+    # dumbbell, the z1 circle of period pi, from 64 seeds at tmax 4
+    db = find_orbits(dumbbell(1.2), 4.0, n_seeds=64)
+    necks = [o for o in db.orbits if o.nondeg_class == "positive-hyperbolic"]
+    assert len(necks) == 1 and necks[0].multiplicity == 1
+    assert necks[0].T_min == pytest.approx(np.pi, rel=1e-9)
+    assert np.abs(necks[0].x0[2:]).max() < 1e-9
 
 
 def test_refine_rejects_large_residual(ell):
@@ -122,7 +221,8 @@ def test_census_drops_a_failing_prime_repolish(ell, monkeypatch):
 
 
 # the stepper's work and the certification's own counts are not the oracle's
-_OWN_COUNTS = {"steps", "rejected_steps", "rhs_evals", "certified", "waves",
+_OWN_COUNTS = {"steps", "rejected_steps", "rhs_evals", "one_row_steps",
+               "certified", "waves",
                "certify_newton_iters", "reused_flows"}
 
 
@@ -145,7 +245,7 @@ def _replays_the_oracle(tmp_path, form, T_max, n_seeds, candidates=None):
 @pytest.mark.parametrize("form_name, T_max, n_seeds, reuse", [
     ("ell", 10.0, 32, "dense"),
     ("ell", 10.0, 8, "variational"),  # a cover is certified first
-    ("perturbed_form", 7.0, 16, "polish"),
+    ("perturbed_form", 7.0, 16, "dense"),
     ("perturbed_form", 10.0, 16, "variational"),
 ])
 def test_waves_replay_the_sequential_search(request, tmp_path, form_name,
@@ -208,7 +308,7 @@ def test_refine_orbit_equals_one_flow_per_run(ell, perturbed_form):
                              np.inf)):
         x = np.array(x)
         got = refine_orbit(form, x, T) if cap == 0.1 else orbits._certify_rows(
-            form, [orbits._certify(form, x, T, cap)], {}, Counter())[0]
+            form, [orbits._certify(form, x, T, cap)], Counter())[0]
         want = sequential_refine_orbit(form, x, T, cap)
         for name in ("x0", "T_min", "multiplicity", "monodromy",
                      "nondeg_class", "residual", "newton_iters"):
