@@ -93,18 +93,21 @@ class FlowResult:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         tt = np.atleast_1d(t)
-        out = np.tile(self.states[0], (len(tt), 1))
-        if len(self.F):
+        if not len(self.F):
+            out = np.tile(self.states[0], (len(tt), 1))
+        else:
             direction = np.sign(self.times[-1])
             idx = np.clip(np.searchsorted(self.times[1:-1] * direction,
                                           tt * direction), 0, len(self.F) - 1)
             t_old = self.times[idx]
             x = ((tt - t_old) / (self.times[idx + 1] - t_old))[:, None]
+            x1 = 1 - x
             coeffs = self.F[idx]
-            out = np.zeros_like(out)
+            # from zeros, as scipy's: a sum of -0.0 terms reads +0.0
+            out = np.zeros((len(tt), self.F.shape[2]))
             for j in range(6, -1, -1):
                 out += coeffs[:, j]
-                out *= x if j % 2 == 0 else 1 - x
+                out *= x if j % 2 == 0 else x1
             out += self.states[idx]
         return out[0] if t.ndim == 0 else out
 
@@ -123,6 +126,17 @@ class FlowResult:
 
 def _rms(a):
     return kernels.norm(a) / a.shape[-1] ** 0.5
+
+
+def _interpolant(K, y_old, y_new, h):
+    """scipy's ``Dop853DenseOutput`` coefficients (n, 7, d) of the steps of
+    signed size h (n, 1) from y_old to y_new with the 16 stages K."""
+    F = np.empty((len(y_new), 7, y_new.shape[1]))
+    dy = np.subtract(y_new, y_old, out=F[:, 0])
+    np.subtract(h * K[:, 0], dy, out=F[:, 1])
+    np.subtract(2 * dy, h * (K[:, _S] + K[:, 0]), out=F[:, 2])
+    np.multiply(h[:, None], _D @ K, out=F[:, 3:])
+    return F
 
 
 def _steps(form, rhs, rows, y, t_end, tol, dense):
@@ -199,9 +213,7 @@ def _steps(form, rhs, rows, y, t_end, tol, dense):
             Ka, y_old, h = K[acc], y[acc], hc[acc]
             for j in range(_S + 1, len(_A)):
                 Ka[:, j] = rhs(y_old + (_AROWS[j] @ Ka[:, :j]) * h)
-            dy = y_acc - y_old
-            coeffs = np.concatenate([np.stack([dy, h * Ka[:, 0] - dy, 2 * dy - h * (
-                Ka[:, _S] + Ka[:, 0])], axis=1), h[:, None] * (_D @ Ka)], axis=1)
+            coeffs = _interpolant(Ka, y_old, y_acc, h)
         x = y_acc[:, :4]
         y_acc[:, :4] = x / np.sqrt(form.H(x))[:, None]
         if any_rejected:
@@ -243,8 +255,10 @@ def integrate_batch(form, x0, t_final, tol=1e-10, variational=False,
         out[i] = exc
     ids, s_all, y_all, F_all = (None if c[0] is None else np.concatenate(c)
                                 for c in zip(*steps))
+    order = np.argsort(ids, kind="stable")  # each row's steps stay in time order
+    cuts = np.searchsorted(ids[order], np.arange(len(x0) + 1))
     for i in [i for i, o in enumerate(out) if o is None]:
-        p = np.flatnonzero(ids == i)  # row i's steps, in time order
+        p = order[cuts[i]:cuts[i + 1]]
         out[i] = FlowResult(np.concatenate([[0.0], np.sign(t_end[i]) * s_all[p]]),
                             np.concatenate([y0[i:i + 1], y_all[p]]),
                             None if F_all is None else F_all[p])

@@ -81,7 +81,7 @@ _I, _J = np.triu_indices(4)
 # block of the Hessian entry (i, j) in the tables: 5 + its upper-triangle rank
 _HESS_BLOCK = np.empty((4, 4), dtype=np.int64)
 _HESS_BLOCK[_I, _J] = _HESS_BLOCK[_J, _I] = 5 + np.arange(10)
-_EYE = np.eye(4)
+_TWO_I = 2.0 * np.eye(4)
 
 
 def _diff(block, i):
@@ -106,9 +106,11 @@ def weight_tables(exps, coeffs):
     longest, T terms.  Factor v of a term, x_v^a_v or (1/r)^b for v = 4, is
     the flat index 5 k + v into the power table whose row k holds z^k,
     z = (x, 1/r).  Returns ``(exps, coeffs, rows, index, factor)``: the
-    monomials for ``poly_parts``, the rows of the power table, the factor
-    indices (5, 5, T) of blocks 0-4 and (5, 15, T) of all blocks, and the
-    (15, T) coefficients of the terms.
+    monomials for ``poly_parts``, the rows of the power table, and per
+    derivative order 1 and 2 the factor indices, (5, 5, T) of blocks 0-4 and
+    (5, 15, T) of all blocks, and the contiguous (5, T) and (15, T)
+    coefficients of the terms.  Every block keeps the T terms: a contraction
+    of another length may add in another order.
     """
     f = {}
     for e, c in zip(map(tuple, exps.tolist()), coeffs.tolist()):
@@ -123,13 +125,14 @@ def weight_tables(exps, coeffs):
             index[:, k, t] = 5 * np.array(a + (b,)) + np.arange(5)
             factor[k, t] = c
     rows = int(index.max()) // 5 + 1
-    return exps, coeffs, rows, (index[:, :5].copy(), index), factor
+    return (exps, coeffs, rows, (index[:, :5].copy(), index),
+            (factor[:5].copy(), factor))
 
 
 def poly_parts(tables, u):
     """p(u) at points u of shape (..., 4) from the monomials of ``tables``."""
     exps, coeffs = tables[:2]
-    return np.vecdot(np.prod(u[..., None, :] ** exps, axis=-1), coeffs)
+    return np.vecdot(np.multiply.reduce(u[..., None, :] ** exps, axis=-1), coeffs)
 
 
 def _weight_blocks(tables, x, r2, order):
@@ -138,13 +141,13 @@ def _weight_blocks(tables, x, r2, order):
     terms' factors, one product over the factors and one contraction of the
     C-contiguous terms, so each row is its one-row call bit for bit."""
     _, _, rows, index, factor = tables
-    z = np.ones(x.shape[:-1] + (rows, 5))
+    z = np.empty(x.shape[:-1] + (rows, 5))
+    z[..., 0, :] = 1.0
     z[..., 1:, :4] = x[..., None, :]
     z[..., 1:, 4] = (1.0 / np.sqrt(r2))[..., None]
-    powers = np.cumprod(z, axis=-2).reshape(x.shape[:-1] + (5 * rows,))
-    index = index[order - 1]
-    terms = np.prod(np.take(powers, index, axis=-1), axis=-3)
-    return np.vecdot(terms, factor[:index.shape[1]])  # (..., blocks)
+    powers = np.multiply.accumulate(z, axis=-2).reshape(x.shape[:-1] + (5 * rows,))
+    terms = np.multiply.reduce(powers.take(index[order - 1], axis=-1), axis=-3)
+    return np.vecdot(terms, factor[order - 1])  # (..., blocks)
 
 
 def weighted_h_parts(tables, x, order):
@@ -166,8 +169,8 @@ def weighted_h_parts(tables, x, order):
     if order == 1:
         return h, gradH, None
     fg = vals[..., 1:5, None] * gradH[..., None, :]
-    hessH = (2.0 * _EYE - fg - np.swapaxes(fg, -1, -2)
-             - h[..., None, None] * np.take(vals, _HESS_BLOCK, axis=-1)
+    hessH = (_TWO_I - fg - np.swapaxes(fg, -1, -2)
+             - h[..., None, None] * vals.take(_HESS_BLOCK, axis=-1)
              ) / f[..., None]
     return h, gradH, hessH
 
@@ -186,6 +189,7 @@ OMEGA = np.array([
     [0.0, 0.0, 0.0, 1.0],
     [0.0, 0.0, -1.0, 0.0],
 ])
+_NEG_OMEGA = -OMEGA
 
 
 def ellipsoid_tables(d):
@@ -229,8 +233,12 @@ def weighted_rhs(x, tables):
 
 def weighted_var_rhs(y, tables):
     _, g, hh = weighted_h_parts(tables, y[..., :4], 2)
-    dm = -OMEGA @ (hh @ y[..., 4:].reshape(y.shape[:-1] + (4, 4)))
-    return np.concatenate((g @ OMEGA, dm.reshape(y.shape[:-1] + (16,))), axis=-1)
+    out = np.empty(y.shape)
+    np.matmul(g, OMEGA, out=out[..., :4])
+    lead = y.shape[:-1] + (4, 4)
+    np.matmul(_NEG_OMEGA, hh @ y[..., 4:].reshape(lead),
+              out=out[..., 4:].reshape(lead))
+    return out
 
 
 # ---------------------------------------------------------------------------

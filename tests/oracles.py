@@ -5,8 +5,11 @@ the JSON wire format of a form, frame vectors from frame coordinates, the
 contact-plane projection in frame coordinates, the linearized period map on
 the contact plane, the linking number of a trace with one pushoff along
 either frame vector, the weighted Hamiltonian's derivatives by the chain
-rule through x/|x|, synthetic symplectic paths with known indices and their
-non-degeneracy, the Maslov index of a loop, the rotation interval on a grid
+rule through x/|x|, the weighted kernel and Reeb fields through numpy's
+wrapper functions, the flow's dense coefficients by stacking, each row's
+steps by a mask and the dense evaluation from a tiled start, synthetic
+symplectic paths with known indices and their non-degeneracy, the Maslov
+index of a loop, the rotation interval on a grid
 of directions, the spectrum of an orbit from its own path, the Galerkin
 matrix by products over the grid with every eigenfunction wound, the winding
 census of a spectrum, the period gaps of a census, the crossing word of a
@@ -28,15 +31,16 @@ from collections import Counter
 
 import numpy as np
 
-from reeb_atlas import kernels, orbits
+from reeb_atlas import flow, kernels, orbits
 from reeb_atlas.contact import (OMEGA, StarForm, omega_form, project_to_sigma,
                                 xi_frame, xi_projector)
 from reeb_atlas.cz import (J0, STEP_GUARD, SymplecticPath, _step_distance,
                            asymptotic_spectrum, bott_index, cz_from_interval,
                            rotation_interval, trivialized_path)
 from reeb_atlas.errors import (DomainError, GridQualityError,
-                               InconsistencyError, ProximityError,
-                               RefinementError, ResolutionError)
+                               InconsistencyError, OffLevelError,
+                               ProximityError, RefinementError,
+                               ResolutionError)
 from reeb_atlas.flow import integrate_batch, integrate_flow, xi_period_map
 from reeb_atlas.kernels import _GAUSS_CHUNK, _HESS_BLOCK, _I, _J
 from reeb_atlas.linking import (_MIN_CURVE_DIST, _gauss_linking, _height,
@@ -202,6 +206,112 @@ def chain_rule_h_parts(form, x, order):
         + (2.0 * r2 / p0 ** 3) * _outer(gg, gg)
     )
     return h, gradH, hessH
+
+
+# ---------------------------------------------------------------------------
+# the weighted kernel through numpy's wrapper functions, each order's blocks
+# sliced from the table of all 15
+# ---------------------------------------------------------------------------
+
+def plain_poly_parts(tables, u):
+    exps, coeffs = tables[:2]
+    return np.vecdot(np.prod(u[..., None, :] ** exps, axis=-1), coeffs)
+
+
+def _plain_weight_blocks(tables, x, r2, order):
+    _, _, rows, index, factor = tables
+    index, factor = index[1], factor[1]  # all 15 blocks
+    z = np.ones(x.shape[:-1] + (rows, 5))
+    z[..., 1:, :4] = x[..., None, :]
+    z[..., 1:, 4] = (1.0 / np.sqrt(r2))[..., None]
+    powers = np.cumprod(z, axis=-2).reshape(x.shape[:-1] + (5 * rows,))
+    index = index[:, :5].copy() if order == 1 else index
+    terms = np.prod(np.take(powers, index, axis=-1), axis=-3)
+    return np.vecdot(terms, factor[:index.shape[1]])
+
+
+def plain_weighted_h_parts(tables, x, order):
+    r2 = np.vecdot(x, x)
+    if order == 0:
+        return r2 / plain_poly_parts(tables, x / np.sqrt(r2)[..., None]), None, None
+    vals = _plain_weight_blocks(tables, x, r2, order)
+    f = vals[..., 0, None]
+    h = r2 / vals[..., 0]
+    gradH = (2.0 * x - h[..., None] * vals[..., 1:5]) / f
+    if order == 1:
+        return h, gradH, None
+    fg = vals[..., 1:5, None] * gradH[..., None, :]
+    hessH = (2.0 * np.eye(4) - fg - np.swapaxes(fg, -1, -2)
+             - h[..., None, None] * np.take(vals, _HESS_BLOCK, axis=-1)
+             ) / f[..., None]
+    return h, gradH, hessH
+
+
+def plain_weighted_rhs(x, tables):
+    _, g, _ = plain_weighted_h_parts(tables, x, 1)
+    return g @ OMEGA
+
+
+def plain_weighted_var_rhs(y, tables):
+    _, g, hh = plain_weighted_h_parts(tables, y[..., :4], 2)
+    dm = -OMEGA @ (hh @ y[..., 4:].reshape(y.shape[:-1] + (4, 4)))
+    return np.concatenate((g @ OMEGA, dm.reshape(y.shape[:-1] + (16,))), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# the flow's dense coefficients by stacking, each row's steps by a mask and
+# the dense evaluation from a tiled start
+# ---------------------------------------------------------------------------
+
+def stacked_interpolant(K, y_old, y_new, h):
+    dy = y_new - y_old
+    return np.concatenate([np.stack([dy, h * K[:, 0] - dy, 2 * dy - h * (
+        K[:, flow._S] + K[:, 0])], axis=1), h[:, None] * (flow._D @ K)], axis=1)
+
+
+def masked_integrate_batch(form, x0, t_final, tol, variational=False,
+                           dense=False):
+    x0 = np.asarray(x0, dtype=float)
+    t_end = np.broadcast_to(np.asarray(t_final, dtype=float), (len(x0),))
+    out = [OffLevelError(f"initial point off level by {e:.3e}")
+           if not e <= 1e-7
+           else None if np.isfinite(t) else DomainError("t_final must be finite")
+           for e, t in zip(np.abs(form.H(x0) - 1.0), t_end)]
+    run = np.array([i for i, o in enumerate(out) if o is None], dtype=int)
+    y0 = x0 if not variational else np.concatenate(
+        [x0, np.tile(np.eye(4).ravel(), (len(x0), 1))], axis=1)
+    steps, errors = flow._steps(form, flow._rhs(form, variational), run,
+                                y0[run], t_end[run], tol, dense)
+    for i, exc in errors.items():
+        out[i] = exc
+    ids, s_all, y_all, F_all = (None if c[0] is None else np.concatenate(c)
+                                for c in zip(*steps))
+    for i in [i for i, o in enumerate(out) if o is None]:
+        p = np.flatnonzero(ids == i)
+        out[i] = flow.FlowResult(
+            np.concatenate([[0.0], np.sign(t_end[i]) * s_all[p]]),
+            np.concatenate([y0[i:i + 1], y_all[p]]),
+            None if F_all is None else F_all[p])
+    return out
+
+
+def tiled_flow_call(res, t):
+    t = np.asarray(t, dtype=float)
+    tt = np.atleast_1d(t)
+    out = np.tile(res.states[0], (len(tt), 1))
+    if len(res.F):
+        direction = np.sign(res.times[-1])
+        idx = np.clip(np.searchsorted(res.times[1:-1] * direction,
+                                      tt * direction), 0, len(res.F) - 1)
+        t_old = res.times[idx]
+        x = ((tt - t_old) / (res.times[idx + 1] - t_old))[:, None]
+        coeffs = res.F[idx]
+        out = np.zeros_like(out)
+        for j in range(6, -1, -1):
+            out += coeffs[:, j]
+            out *= x if j % 2 == 0 else 1 - x
+        out += res.states[idx]
+    return out[0] if t.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from reeb_atlas.errors import (DomainError, OffLevelError, ReebAtlasError,
 from reeb_atlas.flow import integrate_batch, integrate_flow
 from reeb_atlas.orbits import _newton_polish, refine_orbit
 
-from oracles import monodromy_xi
+from oracles import (masked_integrate_batch, monodromy_xi, stacked_interpolant,
+                     tiled_flow_call)
 
 RHO = 1.0 + 1.0 / np.sqrt(2.0)
 
@@ -180,6 +181,46 @@ def test_batch_rows_equal_one_row_runs(request, name):
                 np.testing.assert_array_equal(got.monodromy4, one.monodromy4)
             else:
                 np.testing.assert_array_equal(got(t * ts), one(t * ts))
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+@pytest.mark.parametrize("kwargs", [{}, {"dense": True}, {"variational": True}],
+                         ids=["plain", "dense", "variational"])
+def test_batch_assembly_and_evaluation_equal_the_old_ones(
+        perturbed_form, monkeypatch, n, kwargs):
+    # spans of both signs; row 0 starts in the invariant z2 plane, so its
+    # q1, p1 stay zero; from 2 rows row 1 runs for zero time, from 5 rows
+    # row 3 starts off the level, and at 17 rows every kind of run rejects
+    # steps.  Runs, interpolants and evaluations are the oracles' byte for byte
+    form = perturbed_form
+    rng = np.random.default_rng(n)
+    x0 = rng.normal(size=(n, 4))
+    x0[0, :2] = 0.0
+    x0 = _on_level(form, x0)
+    spans = rng.uniform(0.5, 4.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    spans[1:2] = 0.0
+    x0[3:4] *= 1.01
+    with flow.counting() as work:
+        got = integrate_batch(form, x0, spans, tol=1e-10, **kwargs)
+    assert n < 17 or work["rejected_steps"] > 0
+    monkeypatch.setattr(flow, "_interpolant", stacked_interpolant)
+    want = masked_integrate_batch(form, x0, spans, 1e-10, **kwargs)
+    assert [type(g) for g in got] == [type(w) for w in want]
+    assert n < 5 or isinstance(got[3], OffLevelError)
+    for g, w, t in zip(got, want, spans):
+        if isinstance(w, Exception):
+            assert str(g) == str(w)
+            continue
+        assert _same(g.times, w.times) and _same(g.states, w.states)
+        assert (g.F is None) == (w.F is None) == (not kwargs.get("dense"))
+        if g.F is not None:
+            assert _same(g.F, w.F)
+            for ts in (np.float64(t / 3), np.linspace(0.0, t, 9), g.times):
+                assert _same(g(ts), tiled_flow_call(g, ts))
 
 
 def test_a_failing_row_leaves_the_others(ell, gamma2, monkeypatch):

@@ -5,7 +5,7 @@ tiles of the kernels."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,7 +15,9 @@ from reeb_atlas.contact import StarForm, project_to_sigma, xi_frame
 from reeb_atlas.errors import ReebAtlasError
 from reeb_atlas.orbits import trace_orbit
 
-from oracles import blocked_gauss_linking_raw, chain_rule_h_parts
+from oracles import (blocked_gauss_linking_raw, chain_rule_h_parts,
+                     plain_weighted_h_parts, plain_weighted_rhs,
+                     plain_weighted_var_rhs)
 
 # ---------------------------------------------------------------------------
 # H(x) = |x|^2 / p(x/|x|) on weights beyond the near-ellipsoid fixtures
@@ -56,6 +58,40 @@ def test_weighted_h_parts_match_the_chain_rule(form, directions, radii):
             assert np.all(err <= 1e-13 * scale), (order, (err / scale).max())
 
 
+# the longest term block of this weight has 16 terms and its blocks 0-4 have
+# fewer, so contracting those over their own length would add in another order
+_SIXTEEN_TERMS = StarForm.weighted([
+    ((0, 0, 0, 0), 1.0), ((3, 2, 1, 3), 0.1), ((0, 2, 2, 3), -0.05),
+    ((2, 1, 1, 1), -0.05), ((1, 2, 3, 0), -0.05)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=_forms, shape=st.sampled_from([(), (1,), (2,), (58,), (182,)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(form=_SIXTEEN_TERMS, shape=(58,), seed=0)
+def test_weighted_kernel_is_its_oracle_byte_for_byte(form, shape, seed):
+    # points with zero coordinates at radii 1e-3..1e3, linearized flows with
+    # entries up to 1e6; each part's bytes are the plain numpy oracle's
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    d = rng.choice([0.0, 1.0, -0.5, 2.0], size=(n, 4))
+    d = np.where(rng.random((n, 4)) < 0.5, rng.uniform(-1.0, 1.0, (n, 4)), d)
+    x = _on_rays(d, 10.0 ** rng.uniform(-3.0, 3.0, n)).reshape(shape + (4,))
+    m = rng.uniform(-1.0, 1.0, size=shape + (16,)) * 10.0 ** rng.uniform(
+        0.0, 6.0, size=shape + (1,))
+    y = np.concatenate([x, m], axis=-1)
+    calls = [(kernels.weighted_h_parts(form.tables, x, order)[:order + 1],
+              plain_weighted_h_parts(form.tables, x, order)[:order + 1])
+             for order in (0, 1, 2)]
+    calls.append(((kernels.weighted_rhs(x, form.tables),),
+                  (plain_weighted_rhs(x, form.tables),)))
+    calls.append(((kernels.weighted_var_rhs(y, form.tables),),
+                  (plain_weighted_var_rhs(y, form.tables),)))
+    for got, want in calls:
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("form_name", ["perturbed_form", "near_ell_weighted"])
 def test_weighted_kernel_rows_equal_one_row_calls(form_name, request):
     # each row of a 64-row call is its (4,), (1, 4) and 3-row-slice call bit
@@ -71,6 +107,7 @@ def test_weighted_kernel_rows_equal_one_row_calls(form_name, request):
         return lambda z: kernels.weighted_h_parts(form.tables, z, order)[:order + 1]
 
     calls = [(h_parts(order), x) for order in (0, 1, 2)]
+    calls.append((lambda z: (kernels.weighted_rhs(z, form.tables),), x))
     calls.append((lambda z: (kernels.weighted_var_rhs(z, form.tables),), y))
     for fn, arg in calls:
         full = fn(arg)
