@@ -27,7 +27,7 @@ from .flow import counting
 from .linking import (cover_linking, cover_self_linking, linking_checks,
                       prime_traces, self_linking_checks, unknot_check)
 from .orbits import find_orbits, load_orbits, save_orbits
-from .sections import (builtin_disk, load_disk, save_disk,
+from .sections import (builtin_disk, counting_crossings, load_disk, save_disk,
                        verify_global_section, write_return_csv)
 
 # per run key, its type and lower bound: a float must exceed it, an integer
@@ -251,7 +251,7 @@ def cmd_section_verify(args, cfg, form):
     if t_budget is None:
         raise ConfigError("t_budget required (flag --t-budget or config)",
                           "/t_budget")
-    with counting() as work:
+    with counting() as work, counting_crossings() as search:
         verdict, fw, bw = verify_global_section(
             form, disk, n_seeds=args.seeds, t_budget=float(t_budget))
     # per direction, the seeds' outcomes and search work; both directions
@@ -269,7 +269,8 @@ def cmd_section_verify(args, cfg, form):
     for name, recs in zip(files, (fw, bw)):
         write_return_csv(os.path.join(args.out, name), recs)
     return ("section_report.json", verdict,
-            {"files": files, "return_maps": return_maps},
+            {"files": files, "return_maps": return_maps,
+             "crossing_search": dict(search)},
             0 if verdict["passes"] else 3,
             f"section verdict: passes={verdict['passes']} "
             f"(timeouts {verdict['timeouts_forward']}+{verdict['timeouts_backward']},"

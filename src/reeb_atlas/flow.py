@@ -28,6 +28,7 @@ from .errors import (DomainError, OffLevelError, ReebAtlasError, StiffnessError,
 
 __all__ = [
     "FlowResult",
+    "evaluate_runs",
     "integrate_batch",
     "integrate_flow",
     "counting",
@@ -84,7 +85,7 @@ class FlowResult:
     then a variational run's 4x4 linearized flow row by row) and, for a
     dense run, ``F`` (n, 7, d) each step's interpolant coefficients (else
     None).  Calling the run at times ``t`` evaluates them as scipy's
-    ``Dop853DenseOutput`` does."""
+    ``Dop853DenseOutput`` does: ``evaluate_runs`` of the one run."""
 
     times: np.ndarray
     states: np.ndarray
@@ -92,23 +93,7 @@ class FlowResult:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        tt = np.atleast_1d(t)
-        if not len(self.F):
-            out = np.tile(self.states[0], (len(tt), 1))
-        else:
-            direction = np.sign(self.times[-1])
-            idx = np.clip(np.searchsorted(self.times[1:-1] * direction,
-                                          tt * direction), 0, len(self.F) - 1)
-            t_old = self.times[idx]
-            x = ((tt - t_old) / (self.times[idx + 1] - t_old))[:, None]
-            x1 = 1 - x
-            coeffs = self.F[idx]
-            # from zeros, as scipy's: a sum of -0.0 terms reads +0.0
-            out = np.zeros((len(tt), self.F.shape[2]))
-            for j in range(6, -1, -1):
-                out += coeffs[:, j]
-                out *= x if j % 2 == 0 else x1
-            out += self.states[idx]
+        out = evaluate_runs([self], [np.atleast_1d(t)])
         return out[0] if t.ndim == 0 else out
 
     @property
@@ -122,6 +107,53 @@ class FlowResult:
     @property
     def monodromy_end(self):
         return None if self.monodromy4 is None else self.monodromy4[-1]
+
+
+def evaluate_runs(runs, ts):
+    """The dense runs ``runs`` at their times ``ts`` (one 1-D array per run),
+    stacked run after run (sum of lengths, d).  Each time finds its step by
+    its own run's searchsorted; the steps are gathered from the runs'
+    concatenated ``times``, ``F`` and ``states`` and summed elementwise, so
+    every value has the bits of its one-run call.  A run with no steps reads
+    its start.  A run without ``F`` raises ``DomainError``."""
+    if any(run.F is None for run in runs):
+        raise DomainError("the run kept no interpolant to evaluate between its "
+                          "steps; integrate it with dense=True")
+    has = [len(run.F) > 0 for run in runs]
+    stepped = [run for run, h in zip(runs, has) if h]
+    tts = [t for t, h in zip(ts, has) if h]
+    ks, base = [], 0
+    for run, t in zip(stepped, tts):
+        direction = np.sign(run.times[-1])
+        # in 0..n-1: the n - 1 inner step times bound n steps
+        ks.append(base + np.searchsorted(run.times[1:-1] * direction,
+                                         t * direction))
+        base += len(run.F)
+    # from zeros, as scipy's: a sum of -0.0 terms reads +0.0
+    dense = np.zeros((sum(len(t) for t in tts), runs[0].states.shape[1]))
+    if stepped:
+        def cat(arrays):
+            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+        k, tt = cat(ks), cat(tts)
+        t_old = cat([run.times[:-1] for run in stepped])[k]
+        t_new = cat([run.times[1:] for run in stepped])[k]
+        x = ((tt - t_old) / (t_new - t_old))[:, None]
+        x1 = 1 - x
+        coeffs = cat([run.F for run in stepped])[k]
+        for j in range(6, -1, -1):
+            dense += coeffs[:, j]
+            dense *= x if j % 2 == 0 else x1
+        dense += cat([run.states[:-1] for run in stepped])[k]
+    if len(stepped) == len(runs):
+        return dense
+    lens = [len(t) for t in ts]
+    out = np.empty((sum(lens), dense.shape[1]))
+    out[np.repeat(has, lens)] = dense
+    for run, h, at, n in zip(runs, has, np.cumsum([0] + lens), lens):
+        if not h:
+            out[at:at + n] = run.states[0]
+    return out
 
 
 def _rms(a):

@@ -508,7 +508,11 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
             if prime is None:
                 drop(f"prime period {orb.T_min:.6f} beyond cap")
                 continue
-            if any(kernels.hausdorff_distance(tr, t0) <= _DEDUP_TOL for t0 in traces):
+            # the distance of tr's first point is a row of the Hausdorff
+            # scan, so it bounds it from below bit for bit
+            if any(kernels.point_to_polyline(tr[0], t0) <= _DEDUP_TOL
+                   and kernels.hausdorff_distance(tr, t0) <= _DEDUP_TOL
+                   for t0 in traces):
                 funnel["known"] += 1
                 continue
             primes.append(prime)

@@ -10,6 +10,7 @@ functions.  All verification is sampling-based evidence, never proof.
 """
 
 import contextlib
+import contextvars
 import csv
 import json
 from collections import Counter
@@ -22,7 +23,7 @@ from .contact import (OMEGA, complement_basis, omega_form, project_to_sigma,
                       reeb_vector, sobol_points, xi_frame)
 from .errors import (DomainError, GridQualityError, MissingArtifactError,
                      ResolutionError, raised)
-from .flow import integrate_batch, lockstep
+from .flow import evaluate_runs, integrate_batch, lockstep
 from .orbits import trace_orbit
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "transversality_check",
     "characteristic_field",
     "return_map",
+    "counting_crossings",
     "verify_global_section",
     "disk_seeds",
     "save_disk",
@@ -415,6 +417,10 @@ class _DiskIndex:
         self.tree = cKDTree(self.points)
         self.n_t = disk.n_theta
         self.cell = disk.max_cell_size()
+        # the crossing scan reads plane heights within 2.5 cells; scipy keeps
+        # only neighbours strictly closer than a query's bound
+        self.near = 2.5 * self.cell
+        self.reach = self.near * (1.0 + 1e-9)
         bd = disk.boundary
         self.boundary_tree = cKDTree(bd)
         self.boundary_chord = float(
@@ -428,9 +434,15 @@ class _DiskIndex:
         # vecdot gives each row of y (M, 4) the bits of a one-row call
         return np.vecdot(y - self.points[flat_idx], self.normals[flat_idx])
 
-    def heights(self, ys):
-        dists, idxs = self.tree.query(ys)
-        return dists, idxs, self.plane_height(ys, idxs)
+    def heights(self, ys, bound):
+        """Distance to, flat index of and plane height over the nearest node
+        of each point of ys (M, 4), where that node is closer than
+        ``bound``; elsewhere inf, ``len(points)`` and NaN."""
+        dists, idxs = self.tree.query(ys, distance_upper_bound=bound)
+        hs = np.full(len(ys), np.nan)
+        within = np.isfinite(dists)
+        hs[within] = self.plane_height(ys[within], idxs[within])
+        return dists, idxs, hs
 
     def boundary_distance(self, y):
         d, idx = self.boundary_tree.query(y)
@@ -506,16 +518,17 @@ def _search_row(form, index, x, sign, t_budget):
     changes of the nearest node's tangent-plane height, bisects in time, and
     verifies that the refined point lands inside the sampled surface, more
     than 1e-3 from the binding and after time 1e-9.  A generator: yields
-    ("flow", x, t), ("heights", ys) and ("locate", y) requests, returns
-    ((point, time) or None on budget exhaustion, work counts).
+    ("arm", x), ("flow", x, t), ("heights", ys), ("bisect", traj, t_lo, t_hi,
+    flat_idx) and ("locate", traj, t) requests, returns ((point, time) or
+    None on budget exhaustion, work counts).
     """
     work = Counter(chunks=0, steps=0, rejected_near_binding=0,
                    rejected_by_polish=0)
     dt_scan = index.cell / (2.0 * index.vmax)
     chunk = max(4.0 * dt_scan, t_budget / 16.0)
-    near = 2.5 * index.cell
+    near = index.near
     t_done = 0.0
-    armed = abs((yield "heights", x[None, :])[2][0]) > 0.05 * index.cell
+    armed = abs((yield "arm", x)) > 0.05 * index.cell
     carry = None  # (h, flat_idx) at the end of the previous chunk
     while t_done < t_budget - 1e-12:
         span = min(chunk, t_budget - t_done)
@@ -526,11 +539,12 @@ def _search_row(form, index, x, sign, t_budget):
         ys = traj(ts)[:, :4]
         dists, idxs, hs = yield "heights", ys
         prev = None if carry is None else (carry[0], carry[1], 0.0)
-        for k in range(len(ts)):
-            if dists[k] > near:
+        last = -1
+        for k in np.flatnonzero(~(dists > near)):
+            if k > last + 1:  # a point beyond the reach breaks the bracket
                 prev = None
                 armed = True
-                continue
+            last = k
             h = hs[k]
             if not armed:
                 if abs(h) > 0.05 * index.cell:
@@ -538,8 +552,7 @@ def _search_row(form, index, x, sign, t_budget):
                 prev = (h, idxs[k], ts[k])
                 continue
             if prev is not None and np.sign(h) != np.sign(prev[0]) and h != 0.0:
-                t_cross = _bisect_crossing(index, traj, prev[2], ts[k],
-                                           prev[1])
+                t_cross = yield "bisect", traj, prev[2], ts[k], prev[1]
                 y, t_cross, ok = yield from _refine_to_surface(
                     index, traj, t_cross, index.normals[prev[1]])
                 global_t = t_done + abs(t_cross)
@@ -559,63 +572,122 @@ def _search_row(form, index, x, sign, t_budget):
     return None, work
 
 
+_SEARCH = contextvars.ContextVar("reeb_atlas_crossing_search", default=None)
+
+
+@contextlib.contextmanager
+def counting_crossings():
+    """Count the crossing search's work inside the block: ``points_queried``
+    (arming and scan points whose nearest node was sought),
+    ``points_within_near`` (those within the scan's 2.5 cells), and over
+    the batched bisections ``bisect_batches``, their halving-tree
+    ``bisect_rounds`` and ``crossings_bisected``."""
+    token = _SEARCH.set(Counter(points_queried=0, points_within_near=0,
+                                bisect_batches=0, bisect_rounds=0,
+                                crossings_bisected=0))
+    try:
+        yield _SEARCH.get()
+    finally:
+        _SEARCH.reset(token)
+
+
 def _first_crossing(form, index, X, signs, t_budget):
     """Earliest disk crossings from the level points X (B, 4), row i flowing
     along signs[i] (+1 or -1) for at most t_budget, as the rows'
-    ``_search_row`` in lockstep: one tree query for all height requests, one
-    cell inversion for all locates, and, once every row waits for its next
-    chunk, one dense ``integrate_batch``; a row finds what it finds alone,
-    bit for bit.  Returns ``_search_row``'s result per row, or raises the
-    error of the first failed row."""
+    ``_search_row`` in lockstep: one tree query for all arming requests and
+    one for all height requests (bounded by the scan's reach), one run
+    evaluation and one cell inversion for all locates, one batched bisection
+    for all brackets, and, once every row waits for its next chunk, one
+    dense ``integrate_batch``; a row finds what it finds alone, bit for bit.
+    Returns ``_search_row``'s result per row, or raises the error of the
+    first failed row."""
+    tally = _SEARCH.get()
+    if tally is None:
+        tally = Counter()
+
+    def query(ys, bound):
+        dists, idxs, hs = index.heights(ys, bound)
+        tally.update(points_queried=len(ys),
+                     points_within_near=int(np.count_nonzero(
+                         dists <= index.near)))
+        return dists, idxs, hs
+
     def serve(kind, args):
-        ys = [a[0] for a in args]
+        ys = [a[0] for a in args]  # points, or for locate and bisect runs
         if kind == "flow":
             return integrate_batch(form, np.array(ys), [a[1] for a in args],
                                    tol=1e-10, dense=True)
-        if kind == "locate":
-            return index.locate(ys)
+        if kind == "locate":  # each run's point, then its surface point
+            ys = evaluate_runs(ys, [np.atleast_1d(a[1]) for a in args])[:, :4]
+            return zip(ys, index.locate(ys))
+        if kind == "bisect":
+            t_cross, rounds = _bisect_crossings(index, *zip(*args))
+            tally.update(bisect_batches=1, bisect_rounds=rounds,
+                         crossings_bisected=len(args))
+            return t_cross
+        if kind == "arm":  # a start's height counts at any distance
+            return query(np.array(ys), np.inf)[2]
         cuts = np.cumsum([len(y) for y in ys])[:-1]
-        return zip(*(np.split(v, cuts) for v in index.heights(np.concatenate(ys))))
+        return zip(*(np.split(v, cuts)
+                     for v in query(np.concatenate(ys), index.reach)))
 
     return raised(lockstep([_search_row(form, index, x, sign, t_budget)
                             for x, sign in zip(X, signs)],
-                           ("heights", "locate", "flow"), serve))
+                           ("arm", "heights", "locate", "bisect", "flow"),
+                           serve))
 
 
-def _bisect_crossing(index, traj, t_lo, t_hi, flat_idx):
-    """Halve [t_lo, t_hi] towards the plane height's sign change, at most 60
-    times, until it is below 1e-10: the halving loop bit for bit, taking each
-    depth-5 halving tree's 31 midpoints from one trajectory call."""
-    s_lo = np.sign(index.plane_height(traj(t_lo)[:4], flat_idx))
-    for _ in range(12):
-        lo, hi, mids = np.array([t_lo]), np.array([t_hi]), []
+def _bisect_crossings(index, trajs, t_lo, t_hi, flat_idx):
+    """Halve each bracket [t_lo[i], t_hi[i]] of the dense run trajs[i]
+    towards the sign change of the plane height over node flat_idx[i], at
+    most 60 times, until it is below 1e-10: the halving loop bit for bit.
+    Each round evaluates every active row's depth-5 halving tree (31
+    midpoints) in one ``evaluate_runs`` call and walks the trees together; a
+    row leaves at its own stop.  Returns the crossing times and the number
+    of rounds."""
+    t_lo, t_hi = np.array(t_lo, dtype=float), np.array(t_hi, dtype=float)
+    flat_idx = np.asarray(flat_idx)
+    s_lo = np.sign(index.plane_height(
+        evaluate_runs(trajs, t_lo[:, None])[:, :4], flat_idx))
+    out, live, rounds = np.empty(len(t_lo)), np.arange(len(t_lo)), 0
+    while live.size and rounds < 12:
+        rounds += 1
+        n = len(live)
+        lo, hi, mids = t_lo[live, None], t_hi[live, None], []
         for _ in range(5):  # heap order: node k's halves are 2k + 1, 2k + 2
             mids.append(0.5 * (lo + hi))
-            lo, hi = (np.stack(p, 1).ravel()
+            lo, hi = (np.stack(p, 2).reshape(n, -1)
                       for p in ((lo, mids[-1]), (mids[-1], hi)))
-        mids = np.concatenate(mids)
-        signs = np.sign(index.plane_height(traj(mids)[:, :4], flat_idx))
-        k = 0
+        mids = np.concatenate(mids, axis=1)
+        ys = evaluate_runs([trajs[i] for i in live], mids)[:, :4]
+        signs = np.sign(index.plane_height(
+            ys, np.repeat(flat_idx[live], 31))).reshape(n, 31)
+        rows, k = np.arange(n), np.zeros(n, dtype=int)
+        lo, hi, going = t_lo[live], t_hi[live], np.ones(n, dtype=bool)
         for _ in range(5):
-            up = signs[k] == s_lo
-            t_lo, t_hi = (mids[k], t_hi) if up else (t_lo, mids[k])
-            if abs(t_hi - t_lo) < 1e-10:
-                return 0.5 * (t_lo + t_hi)
+            up, mid = signs[rows, k] == s_lo[live], mids[rows, k]
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+            stop = going & (np.abs(hi - lo) < 1e-10)
+            out[live[stop]] = 0.5 * (lo[stop] + hi[stop])
+            going &= ~stop
             k = 2 * k + 1 + up
-    return 0.5 * (t_lo + t_hi)
+        t_lo[live], t_hi[live] = lo, hi
+        live = live[going]
+    out[live] = 0.5 * (t_lo[live] + t_hi[live])
+    return out, rounds
 
 
 def _refine_to_surface(index, traj, t_cross, nhat):
     """Secant polish (at most 5 steps) from the tangent-plane crossing to
-    the bilinear surface, yielding ("locate", y) requests.
+    the bilinear surface, yielding ("locate", traj, t) requests, each
+    answered by the point traj(t) and its ``_DiskIndex.locate`` result.
 
     The root function is the height of the trajectory over its located
     surface point measured along the fixed plane normal, which is signed
     and vanishes exactly on the surface.
     """
     def height(tau):
-        yy = traj(tau)[:4]
-        loc = yield "locate", yy
+        yy, loc = yield "locate", traj, tau
         if loc is None:
             return None, None, None
         return (yy - loc[2]) @ nhat, yy, loc
@@ -740,8 +812,15 @@ def save_disk(disk, path_json):
     with open(path_json, "w") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    np.savetxt(path_csv, disk.samples.reshape(-1, 4), fmt="%.17g",
-               delimiter=",", header="x1,x2,x3,x4", comments="")
+    # np.savetxt's bytes, one format per block of 1024 rows: as fast as one
+    # format over all rows, without holding every row's text at once
+    rows = disk.samples.reshape(-1, 4)
+    with open(path_csv, "w") as fh:
+        fh.write("x1,x2,x3,x4\n")
+        for i in range(0, len(rows), 1024):
+            block = rows[i:i + 1024]
+            fh.write("%.17g,%.17g,%.17g,%.17g\n" * len(block)
+                     % tuple(block.ravel().tolist()))
 
 
 def load_disk(path_json):

@@ -21,8 +21,9 @@ the page of an ellipsoid's coordinate circle in closed form, the contact
 area of a disk by two routes, the return map of arbitrary level points, the
 primitive 1-form lambda0, the near-return scan with its distances by
 ``np.linalg.norm``, the orbit search certifying one survivor at a time with
-a one-row integration per flow, and the crossing bisection by one halving
-per trajectory call.
+a one-row integration per flow, the crossing bisection by one halving
+per trajectory call, and the return map by each seed's own search with
+unbounded height queries.
 The package's reachability test (``test_reachability.py``) keeps such code
 out of ``src/``.
 """
@@ -46,7 +47,8 @@ from reeb_atlas.kernels import _GAUSS_CHUNK, _HESS_BLOCK, _I, _J
 from reeb_atlas.linking import (_MIN_CURVE_DIST, _gauss_linking, _height,
                                 _segment_pairs, _shadow, pick_pole,
                                 stereo_project)
-from reeb_atlas.sections import DiskGrid, _DiskIndex, _first_crossing
+from reeb_atlas.sections import (DiskGrid, _DiskIndex, _first_crossing,
+                                 _grid_point, _refine_to_surface)
 
 
 # ---------------------------------------------------------------------------
@@ -973,3 +975,92 @@ def bisect_crossing_loop(index, traj, t_lo, t_hi, flat_idx):
         if abs(t_hi - t_lo) < 1e-10:
             break
     return 0.5 * (t_lo + t_hi)
+
+
+def search_row_unbounded(form, index, x, sign, t_budget):
+    """``sections._search_row`` run alone: a one-row dense integration per
+    chunk, every scan point's nearest node by an unbounded tree query, each
+    bracket by ``bisect_crossing_loop`` and each locate by its own call."""
+    work = Counter(chunks=0, steps=0, rejected_near_binding=0,
+                   rejected_by_polish=0)
+    dt_scan = index.cell / (2.0 * index.vmax)
+    chunk = max(4.0 * dt_scan, t_budget / 16.0)
+    near = 2.5 * index.cell
+
+    def heights(ys):
+        dists, idxs = index.tree.query(ys)
+        return dists, idxs, index.plane_height(ys, idxs)
+
+    def refine(traj, t_cross, nhat):
+        gen, answer = _refine_to_surface(index, traj, t_cross, nhat), None
+        try:
+            while True:
+                _, run, t = gen.send(answer)
+                y = run(t)[:4]
+                answer = y, index.locate([y])[0]
+        except StopIteration as done:
+            return done.value
+
+    t_done = 0.0
+    armed = abs(heights(x[None, :])[2][0]) > 0.05 * index.cell
+    carry = None
+    while t_done < t_budget - 1e-12:
+        span = min(chunk, t_budget - t_done)
+        traj = integrate_flow(form, x, sign * span, tol=1e-10, dense=True)
+        work.update(chunks=1, steps=len(traj.F))
+        n_samp = max(2, int(np.ceil(span / dt_scan)) + 1)
+        ts = np.linspace(0.0, sign * span, n_samp)
+        ys = traj(ts)[:, :4]
+        dists, idxs, hs = heights(ys)
+        prev = None if carry is None else (carry[0], carry[1], 0.0)
+        for k in range(len(ts)):
+            if dists[k] > near:
+                prev = None
+                armed = True
+                continue
+            h = hs[k]
+            if not armed:
+                if abs(h) > 0.05 * index.cell:
+                    armed = True
+                prev = (h, idxs[k], ts[k])
+                continue
+            if prev is not None and np.sign(h) != np.sign(prev[0]) and h != 0.0:
+                t_cross = bisect_crossing_loop(index, traj, prev[2], ts[k],
+                                               prev[1])
+                y, t_cross, ok = refine(traj, t_cross, index.normals[prev[1]])
+                global_t = t_done + abs(t_cross)
+                if not ok:
+                    work["rejected_by_polish"] += 1
+                elif global_t > 1e-9:
+                    if index.boundary_distance(y) > 1e-3:
+                        return (project_to_sigma(form, y), sign * global_t), work
+                    work["rejected_near_binding"] += 1
+                armed = False
+                prev = (h, idxs[k], ts[k])
+                continue
+            prev = (h, idxs[k], ts[k])
+        carry = None if dists[-1] > near else (hs[-1], idxs[-1])
+        x = project_to_sigma(form, ys[-1])
+        t_done += span
+    return None, work
+
+
+def sequential_return_map(form, disk, seeds, t_budget, direction):
+    """``sections.return_map``'s records from ``search_row_unbounded`` per
+    seed, each return located by its own call."""
+    index = _DiskIndex(form, disk)
+    seeds = np.reshape(seeds, (-1, 2))
+    dirs = np.broadcast_to(direction, len(seeds))
+    X = project_to_sigma(form, _grid_point(disk, seeds[:, 0], seeds[:, 1]))
+    out = []
+    for (s0, t0), x, d in zip(seeds, X, dirs):
+        hit, work = search_row_unbounded(form, index, x,
+                                         1.0 if d == "forward" else -1.0,
+                                         t_budget)
+        out.append({"seed_s": float(s0), "seed_t": float(t0),
+                    "timeout": hit is None, **work})
+        if hit is not None:
+            s, t = index.locate([hit[0]])[0][:2]
+            out[-1].update(return_s=float(s), return_t=float(t),
+                           return_time=float(hit[1]), return_point=hit[0])
+    return out

@@ -258,9 +258,11 @@ def test_section_sidecar_counts_return_maps(ell_config, section_disk, workdir,
                  "--disk", section_disk, "--seeds", "4",
                  "--t-budget", budget, "--out", out]) == code
     with open(os.path.join(out, "section_report.json")) as fh:
-        assert "return_maps" not in json.load(fh)
+        report = json.load(fh)
+    assert "return_maps" not in report and "crossing_search" not in report
     with open(os.path.join(out, "section_report.json.meta.json")) as fh:
-        maps = json.load(fh)["return_maps"]
+        meta = json.load(fh)
+    maps = meta["return_maps"]
     for direction in ("forward", "backward"):
         m = maps[direction]
         assert m["seeds"] == 4 == m["returns"] + m["timeouts"]
@@ -272,6 +274,16 @@ def test_section_sidecar_counts_return_maps(ell_config, section_disk, workdir,
     assert maps["forward"]["steps"] + maps["backward"]["steps"] == stepper["steps"]
     assert stepper["rhs_evals"] >= 12 * stepper["steps"]
     assert 0 <= stepper["one_row_steps"] <= stepper["steps"] + stepper["rejected_steps"]
+    # every seed's start and scan points are queried; each return was bisected
+    search = meta["crossing_search"]
+    assert sorted(search) == ["bisect_batches", "bisect_rounds",
+                              "crossings_bisected", "points_queried",
+                              "points_within_near"]
+    assert 8 < search["points_queried"]
+    assert 0 < search["points_within_near"] <= search["points_queried"]
+    returns = maps["forward"]["returns"] + maps["backward"]["returns"]
+    assert search["crossings_bisected"] >= returns
+    assert search["bisect_rounds"] >= search["bisect_batches"] >= (returns > 0)
 
 
 @pytest.mark.parametrize("argv, flag, code", [
@@ -662,7 +674,8 @@ PROTOCOL = {
     "selflink": ("selflink.json", {"self_linking_checks"}),
     "unknot": ("unknot.json", set()),
     "disk-gen": ("disk_orbit0_report.json", {"files"}),
-    "section-verify": ("section_report.json", {"files", "return_maps"}),
+    "section-verify": ("section_report.json", {"files", "return_maps",
+                                               "crossing_search"}),
     "binding-check": ("binding_orbit0.json", {
         "index_table", "primes_integrated", "linking_checks",
         "self_linking_checks", "stepper"}),

@@ -223,6 +223,34 @@ def test_batch_assembly_and_evaluation_equal_the_old_ones(
                 assert _same(g(ts), tiled_flow_call(g, ts))
 
 
+def test_multi_run_evaluation_equals_each_runs_call(ell, perturbed_form):
+    # forward and backward runs, a run with no steps, and a run listed twice;
+    # times inside, at the step times and beyond either end
+    rng = np.random.default_rng(5)
+    x0 = _on_level(perturbed_form, rng.normal(size=(3, 4)))
+    runs = integrate_batch(perturbed_form, x0, [2.5, -1.7, 0.0], tol=1e-10,
+                           dense=True)
+    assert len(runs[0].F) and len(runs[1].F) and not len(runs[2].F)
+    runs += [runs[0], integrate_flow(ell, [1.0, 0.0, 0.0, 0.0], -3.0,
+                                     dense=True)]
+    ts = [np.concatenate([rng.uniform(-0.5, 1.1, 7) * run.times[-1], run.times])
+          if len(run.F) else rng.uniform(-1.0, 1.0, 4) for run in runs]
+    for pick in ([0, 1, 2, 3, 4], [2], [1, 2, 0], [4, 3]):
+        got = flow.evaluate_runs([runs[i] for i in pick], [ts[i] for i in pick])
+        want = np.concatenate([runs[i](ts[i]) for i in pick])
+        assert _same(got, want)
+        assert _same(want, np.concatenate([tiled_flow_call(runs[i], ts[i])
+                                           for i in pick]))
+
+
+def test_a_run_without_interpolant_says_so(ell):
+    for run in (integrate_flow(ell, [1.0, 0.0, 0.0, 0.0], 1.0),
+                integrate_batch(ell, [[1.0, 0.0, 0.0, 0.0]], 1.0,
+                                variational=True)[0]):
+        with pytest.raises(DomainError, match="dense=True"):
+            run(0.5)
+
+
 def test_a_failing_row_leaves_the_others(ell, gamma2, monkeypatch):
     # the RHS is NaN beyond q1 = 0.9: the row on the q1p1 circle creeps up to
     # that wall until its step underflows; the row on the other circle finishes

@@ -9,12 +9,13 @@ from scipy.spatial import cKDTree
 from reeb_atlas import sections as sec
 from reeb_atlas.contact import StarForm, xi_frame
 from reeb_atlas.errors import DomainError, GridQualityError, StiffnessError
-from reeb_atlas.flow import integrate_flow
+from reeb_atlas.flow import FlowResult, integrate_flow
 from reeb_atlas.linking import self_linking
 from reeb_atlas.orbits import refine_orbit, trace_orbit
 
 from oracles import (bisect_crossing_loop, disk_area, ellipsoid_page,
-                     polygon_action, return_map_points, ring_action)
+                     polygon_action, return_map_points, ring_action,
+                     sequential_return_map)
 
 SQ2 = np.sqrt(2.0)
 T_RETURN = np.pi * SQ2  # first-return time of the standard page
@@ -151,32 +152,90 @@ def test_boundary_orientation_enforced(ell, page):
         sec.characteristic_field(ell, flipped)
 
 
+def line_run(root):
+    """A one-step dense run whose first coordinate is t - root, exactly."""
+    F = np.zeros((1, 7, 4))
+    F[0, 0, 0] = 1.0
+    return FlowResult(np.array([0.0, 1.0]),
+                      np.array([[-root, 0.0, 0.0, 0.0], [1.0 - root, 0.0, 0.0, 0.0]]),
+                      F)
+
+
 def test_bisect_crossing_equals_the_halving_loop(ell, page, page_index):
-    # height h(t) = t - root over a node at the origin with normal e1
-    line = sec._DiskIndex.__new__(sec._DiskIndex)
-    line.points, line.normals = np.zeros((1, 4)), np.eye(4)[:1]
+    # node 0 sits at the origin with normal e1, so a line run's height over
+    # it is t - root; nodes 1.. are the page's
+    index = sec._DiskIndex.__new__(sec._DiskIndex)
+    index.points = np.vstack([np.zeros((1, 4)), page_index.points])
+    index.normals = np.vstack([np.eye(4)[:1], page_index.normals])
     rng = np.random.default_rng(3)
-    brackets = [(-1.0, 1.0, 0.0),  # the first midpoint has height 0
-                (1.0, -1.0, 0.5),  # a falling bracket
-                (0.0, 1e10, 3e9)]  # still above 1e-10 after 60 halvings
+    lines = [(-1.0, 1.0, 0.0),  # the first midpoint has height 0
+             (1.0, -1.0, 0.5),  # a falling bracket
+             (0.0, 1e10, 3e9)]  # still above 1e-10 after 60 halvings
     for _ in range(200):
         lo, width = rng.uniform(-5, 5), 10.0 ** rng.uniform(-9, 1)
         hi = lo + width * rng.choice([-1.0, 1.0])
         root = lo + (hi - lo) * rng.choice([0.0, 0.25, 0.5, rng.uniform()])
-        brackets.append((lo, hi, root))
-    for lo, hi, root in brackets:
-        def traj(t, root=root):
-            t = np.asarray(t, dtype=float)
-            return np.stack([t - root] + 3 * [np.zeros_like(t)], axis=-1)
-        assert sec._bisect_crossing(line, traj, lo, hi, 0) == \
-            bisect_crossing_loop(line, traj, lo, hi, 0)
+        lines.append((lo, hi, root))
+    brackets = [(line_run(root), lo, hi, 0) for lo, hi, root in lines]
     # a flow over the page, from a node's tangent plane through random brackets
     traj = integrate_flow(ell, page.samples[40, 3], 2.0, tol=1e-10, dense=True)
     for _ in range(50):
         lo, hi = np.sort(rng.uniform(0.0, 2.0, 2))
-        flat = int(rng.integers(len(page_index.points)))
-        assert sec._bisect_crossing(page_index, traj, lo, hi, flat) == \
-            bisect_crossing_loop(page_index, traj, lo, hi, flat)
+        brackets.append((traj, lo, hi, 1 + int(rng.integers(len(page_index.points)))))
+    got, rounds = sec._bisect_crossings(index, *zip(*brackets))
+    assert rounds == 12  # the 1e10 bracket runs to the cap
+    for t_cross, bracket in zip(got, brackets):
+        assert t_cross == bisect_crossing_loop(index, *bracket)
+
+
+def test_bounded_heights_equal_the_unbounded_query_within_near(ell, page,
+                                                               page_index):
+    # a flow's scan points over the page, and points about the scan's reach
+    # away from random nodes
+    index, rng = page_index, np.random.default_rng(4)
+    traj = integrate_flow(ell, page.samples[40, 3], 6.0, tol=1e-10, dense=True)
+    k = rng.integers(len(index.points), size=300)
+    u = rng.normal(size=(300, 4))
+    ys = np.vstack([traj(np.linspace(0.0, 6.0, 2000))[:, :4],
+                    index.points[k] + index.near * rng.uniform(0.9, 1.1, (300, 1))
+                    * u / np.linalg.norm(u, axis=1, keepdims=True)])
+    d0, i0 = index.tree.query(ys)
+    h0 = index.plane_height(ys, i0)
+    d, i, h = index.heights(ys, index.reach)
+    within = d0 <= index.near
+    assert 0 < np.count_nonzero(within) < len(ys)
+    for got, want in ((d, d0), (i, i0), (h, h0)):
+        assert np.array_equal(got[within], want[within])
+    beyond = ~np.isfinite(d)
+    assert np.count_nonzero(beyond) and (d0[beyond] > index.near).all()
+    assert (i[beyond] == len(index.points)).all() and np.isnan(h[beyond]).all()
+    # an unbounded call reads every point's nearest node
+    for got, want in zip(index.heights(ys, np.inf), (d0, i0, h0)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("twist, budget", [(0.0, BUDGET), (0.3, 4.6)])
+def test_return_map_equals_the_unbounded_per_row_search(ell, page, gamma1,
+                                                        twist, budget):
+    # the conftest page, and a twisted one on which some seeds time out
+    disk = twisted_page(ell, gamma1, amplitude=twist) if twist else page
+    seeds = sec.disk_seeds(6)
+    dirs = ["forward"] * 6 + ["backward"] * 6
+    seeds = np.concatenate([seeds, seeds])
+    with sec.counting_crossings() as search:
+        got = sec.return_map(ell, disk, seeds, budget, dirs)
+    assert (0 < sum(r["timeout"] for r in got)) == bool(twist)
+    # the bounded query drops the scan points beyond the reach
+    assert 0 < search["points_within_near"] < search["points_queried"]
+    assert search["crossings_bisected"] >= sum(not r["timeout"] for r in got)
+    want = sequential_return_map(ell, disk, seeds, budget, dirs)
+    for g, w in zip(got, want, strict=True):
+        assert g.keys() == w.keys()
+        for key, value in g.items():
+            if key == "return_point":
+                assert np.array_equal(value, w[key])
+            else:
+                assert value == w[key], key
 
 
 def test_return_map(ell, page):
@@ -288,6 +347,20 @@ def test_disk_save_load(tmp_path, page):
     assert again.n_r == page.n_r and again.n_theta == page.n_theta
     assert np.abs(again.samples - page.samples).max() == 0.0  # 17 digits round-trip
     again.validate()
+
+
+def test_disk_csv_is_savetxts_bytes(tmp_path):
+    # signed zeros, the smallest subnormal, huge values and random magnitudes,
+    # over more than one block of rows
+    rng = np.random.default_rng(6)
+    values = np.concatenate([[-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300],
+                             rng.normal(size=2000) * 10.0 ** rng.uniform(-300, 300, 2000)])
+    samples = np.resize(values, (5, 300, 4))
+    sec.save_disk(sec.DiskGrid(samples=samples), tmp_path / "disk.json")
+    np.savetxt(tmp_path / "want.csv", samples.reshape(-1, 4), fmt="%.17g",
+               delimiter=",", header="x1,x2,x3,x4", comments="")
+    assert (tmp_path / "disk.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
 
 
 def test_return_csv(tmp_path, ell, page):
