@@ -337,6 +337,7 @@ def build_parser():
         **{"--orbits": {"required": True},
            "--orbit": {"type": int, "required": True},
            "--theta0": {"type": float, "default": 0.0},
+           # 128 keeps the sqrt profile's steepest step below the chord bound
            "--nr": {"type": int, "default": 128},
            "--ntheta": {"type": int, "default": 256}})
     add("section-verify", cmd_section_verify,

@@ -15,6 +15,7 @@ against the points.  Checks apply to every row, and an error names the first
 offending row.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -194,6 +195,14 @@ def sphere_samples(n, seed_skip=0):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+@functools.cache
+def _positivity_sample():
+    """The positivity check's 10^4 sphere points: drawn once, read-only."""
+    u = sphere_samples(10_000).T
+    u.flags.writeable = False
+    return u
+
+
 @dataclass(frozen=True, eq=False)
 class StarForm:
     """A tight contact form encoded by a star-shaped energy level.
@@ -253,7 +262,7 @@ class StarForm:
         tables = kernels.weight_tables(exps, coeffs)
         form = cls(kind="weighted", exps=exps, coeffs=coeffs, name=name,
                    tables=tables)
-        u = sphere_samples(10_000).T
+        u = _positivity_sample()
         powers = np.empty((exps.max() + 1, *u.shape))
         powers[0] = 1.0
         for k in range(1, len(powers)):

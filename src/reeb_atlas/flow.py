@@ -260,8 +260,7 @@ def _steps(form, rhs, rows, y, t_end, tol, dense):
     return steps, errors
 
 
-def integrate_batch(form, x0, t_final, tol=1e-10, variational=False,
-                    dense=False):
+def integrate_batch(form, x0, t_final, tol, variational=False, dense=False):
     """Integrate the Reeb flow from every row of ``x0`` (B, 4) on the level.
 
     Row i runs to ``t_final[i]`` (a scalar serves every row), either sign, at

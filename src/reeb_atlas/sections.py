@@ -134,7 +134,7 @@ class FoliationSingularity:
     eigenvalues: tuple
 
 
-def builtin_disk(form, orbit, theta0=0.0, n_r=128, n_theta=256):
+def builtin_disk(form, orbit, theta0, n_r, n_theta):
     """The radial cone page F(s, t) = pi(s P(t) + sqrt(1 - s^2) w) spanning
     a simply covered orbit of any form.  P is the orbit's ``n_theta``-point
     trace and pi the radial projection onto the level; w = pi(cos(theta0) f1
@@ -143,9 +143,6 @@ def builtin_disk(form, orbit, theta0=0.0, n_r=128, n_theta=256):
     vectors of P, with f2 signed so that omega(f1, f2) > 0.  On a
     coordinate circle of an ellipsoid, this is the page {arg z = theta0} of
     the other coordinate plane.
-
-    The default radial resolution keeps the steepest boundary step of the
-    sqrt profile below the grid chord bound.
     """
     if orbit.multiplicity != 1:
         raise DomainError("the page boundary must be a simply covered orbit")
@@ -434,11 +431,11 @@ class _DiskIndex:
         # vecdot gives each row of y (M, 4) the bits of a one-row call
         return np.vecdot(y - self.points[flat_idx], self.normals[flat_idx])
 
-    def heights(self, ys, bound):
+    def heights(self, ys):
         """Distance to, flat index of and plane height over the nearest node
-        of each point of ys (M, 4), where that node is closer than
-        ``bound``; elsewhere inf, ``len(points)`` and NaN."""
-        dists, idxs = self.tree.query(ys, distance_upper_bound=bound)
+        of each point of ys (M, 4), where that node is within the scan's
+        reach; elsewhere inf, ``len(points)`` and NaN."""
+        dists, idxs = self.tree.query(ys, distance_upper_bound=self.reach)
         hs = np.full(len(ys), np.nan)
         within = np.isfinite(dists)
         hs[within] = self.plane_height(ys[within], idxs[within])
@@ -518,27 +515,24 @@ def _search_row(form, index, x, sign, t_budget):
     changes of the nearest node's tangent-plane height, bisects in time, and
     verifies that the refined point lands inside the sampled surface, more
     than 1e-3 from the binding and after time 1e-9.  A generator: yields
-    ("arm", x), ("flow", x, t), ("heights", ys), ("bisect", traj, t_lo, t_hi,
-    flat_idx) and ("locate", traj, t) requests, returns ((point, time) or
-    None on budget exhaustion, work counts).
+    ("flow", x, ts) requests, answered by the dense run from x to ts[-1],
+    its points at ts and their ``_DiskIndex.heights`` (the first point, x,
+    arms the search), and ("bisect", traj, t_lo, t_hi, flat_idx) and
+    ("locate", traj, t) requests; returns ((point, time) or None on budget
+    exhaustion, work counts).
     """
     work = Counter(chunks=0, steps=0, rejected_near_binding=0,
                    rejected_by_polish=0)
     dt_scan = index.cell / (2.0 * index.vmax)
     chunk = max(4.0 * dt_scan, t_budget / 16.0)
     near = index.near
-    t_done = 0.0
-    armed = abs((yield "arm", x)) > 0.05 * index.cell
-    carry = None  # (h, flat_idx) at the end of the previous chunk
+    t_done, armed, prev = 0.0, False, None  # prev: (h, flat_idx, t)
     while t_done < t_budget - 1e-12:
         span = min(chunk, t_budget - t_done)
-        traj = yield "flow", x, sign * span
-        work.update(chunks=1, steps=len(traj.F))
         n_samp = max(2, int(np.ceil(span / dt_scan)) + 1)
         ts = np.linspace(0.0, sign * span, n_samp)
-        ys = traj(ts)[:, :4]
-        dists, idxs, hs = yield "heights", ys
-        prev = None if carry is None else (carry[0], carry[1], 0.0)
+        traj, ys, dists, idxs, hs = yield "flow", x, ts
+        work.update(chunks=1, steps=len(traj.F))
         last = -1
         for k in np.flatnonzero(~(dists > near)):
             if k > last + 1:  # a point beyond the reach breaks the bracket
@@ -547,11 +541,9 @@ def _search_row(form, index, x, sign, t_budget):
             last = k
             h = hs[k]
             if not armed:
-                if abs(h) > 0.05 * index.cell:
-                    armed = True
-                prev = (h, idxs[k], ts[k])
-                continue
-            if prev is not None and np.sign(h) != np.sign(prev[0]) and h != 0.0:
+                armed = abs(h) > 0.05 * index.cell
+            elif (prev is not None and np.sign(h) != np.sign(prev[0])
+                  and h != 0.0):
                 t_cross = yield "bisect", traj, prev[2], ts[k], prev[1]
                 y, t_cross, ok = yield from _refine_to_surface(
                     index, traj, t_cross, index.normals[prev[1]])
@@ -563,10 +555,9 @@ def _search_row(form, index, x, sign, t_budget):
                         return (project_to_sigma(form, y), sign * global_t), work
                     work["rejected_near_binding"] += 1
                 armed = False
-                prev = (h, idxs[k], ts[k])
-                continue
             prev = (h, idxs[k], ts[k])
-        carry = None if dists[-1] > near else (hs[-1], idxs[-1])
+        # the chunk's last point opens the next chunk's bracket at t = 0
+        prev = None if dists[-1] > near else (hs[-1], idxs[-1], 0.0)
         x = project_to_sigma(form, ys[-1])
         t_done += span
     return None, work
@@ -578,10 +569,10 @@ _SEARCH = contextvars.ContextVar("reeb_atlas_crossing_search", default=None)
 @contextlib.contextmanager
 def counting_crossings():
     """Count the crossing search's work inside the block: ``points_queried``
-    (arming and scan points whose nearest node was sought),
-    ``points_within_near`` (those within the scan's 2.5 cells), and over
-    the batched bisections ``bisect_batches``, their halving-tree
-    ``bisect_rounds`` and ``crossings_bisected``."""
+    (scan points whose nearest node was sought), ``points_within_near``
+    (those within the scan's 2.5 cells), and over the batched bisections
+    ``bisect_batches``, their halving-tree ``bisect_rounds`` and
+    ``crossings_bisected``."""
     token = _SEARCH.set(Counter(points_queried=0, points_within_near=0,
                                 bisect_batches=0, bisect_rounds=0,
                                 crossings_bisected=0))
@@ -594,47 +585,45 @@ def counting_crossings():
 def _first_crossing(form, index, X, signs, t_budget):
     """Earliest disk crossings from the level points X (B, 4), row i flowing
     along signs[i] (+1 or -1) for at most t_budget, as the rows'
-    ``_search_row`` in lockstep: one tree query for all arming requests and
-    one for all height requests (bounded by the scan's reach), one run
-    evaluation and one cell inversion for all locates, one batched bisection
-    for all brackets, and, once every row waits for its next chunk, one
-    dense ``integrate_batch``; a row finds what it finds alone, bit for bit.
-    Returns ``_search_row``'s result per row, or raises the error of the
-    first failed row."""
+    ``_search_row`` in lockstep: one run evaluation and one cell inversion
+    for all locates, one batched bisection for all brackets, and, once every
+    row waits for its next chunk, one dense ``integrate_batch``, one
+    evaluation of every run at its scan times and one tree query for all
+    scan points (bounded by the scan's reach); a row finds what it finds
+    alone, bit for bit.  Returns ``_search_row``'s result per row, or raises
+    the error of the first failed row."""
     tally = _SEARCH.get()
     if tally is None:
         tally = Counter()
 
-    def query(ys, bound):
-        dists, idxs, hs = index.heights(ys, bound)
-        tally.update(points_queried=len(ys),
-                     points_within_near=int(np.count_nonzero(
-                         dists <= index.near)))
-        return dists, idxs, hs
-
     def serve(kind, args):
-        ys = [a[0] for a in args]  # points, or for locate and bisect runs
-        if kind == "flow":
-            return integrate_batch(form, np.array(ys), [a[1] for a in args],
-                                   tol=1e-10, dense=True)
+        if kind == "flow":  # each run, or its error, with its scan heights
+            runs = integrate_batch(form, np.array([a[0] for a in args]),
+                                   [a[1][-1] for a in args], tol=1e-10,
+                                   dense=True)
+            live = [(run, a[1]) for run, a in zip(runs, args)
+                    if not isinstance(run, Exception)]
+            if live:
+                ys = evaluate_runs(*zip(*live))[:, :4]
+                scans = index.heights(ys)
+                tally.update(points_queried=len(ys), points_within_near=int(
+                    np.count_nonzero(scans[0] <= index.near)))
+                cuts = np.cumsum([len(ts) for _, ts in live])[:-1]
+                scans = zip(*(np.split(v, cuts) for v in (ys, *scans)))
+            return [run if isinstance(run, Exception) else (run, *next(scans))
+                    for run in runs]
         if kind == "locate":  # each run's point, then its surface point
-            ys = evaluate_runs(ys, [np.atleast_1d(a[1]) for a in args])[:, :4]
+            runs, ts = zip(*args)
+            ys = evaluate_runs(runs, [np.atleast_1d(t) for t in ts])[:, :4]
             return zip(ys, index.locate(ys))
-        if kind == "bisect":
-            t_cross, rounds = _bisect_crossings(index, *zip(*args))
-            tally.update(bisect_batches=1, bisect_rounds=rounds,
-                         crossings_bisected=len(args))
-            return t_cross
-        if kind == "arm":  # a start's height counts at any distance
-            return query(np.array(ys), np.inf)[2]
-        cuts = np.cumsum([len(y) for y in ys])[:-1]
-        return zip(*(np.split(v, cuts)
-                     for v in query(np.concatenate(ys), index.reach)))
+        t_cross, rounds = _bisect_crossings(index, *zip(*args))
+        tally.update(bisect_batches=1, bisect_rounds=rounds,
+                     crossings_bisected=len(args))
+        return t_cross
 
     return raised(lockstep([_search_row(form, index, x, sign, t_budget)
                             for x, sign in zip(X, signs)],
-                           ("arm", "heights", "locate", "bisect", "flow"),
-                           serve))
+                           ("locate", "bisect", "flow"), serve))
 
 
 def _bisect_crossings(index, trajs, t_lo, t_hi, flat_idx):
@@ -716,7 +705,7 @@ def _refine_to_surface(index, traj, t_cross, nhat):
     return y, t_cross, ok
 
 
-def return_map(form, disk, seeds, t_budget, direction="forward"):
+def return_map(form, disk, seeds, t_budget, direction):
     """First-return data for seeds given as (s, t) disk coordinates, all
     searched at once; ``direction`` ("forward" or "backward") is one for all
     seeds or one per seed.  Returns per seed a dict with its coordinates,

@@ -43,7 +43,7 @@ def db20(ell):
 
 @pytest.fixture(scope="session")
 def page(ell, gamma1):
-    disk = builtin_disk(ell, gamma1, theta0=0.0)
+    disk = builtin_disk(ell, gamma1, theta0=0.0, n_r=128, n_theta=256)
     disk.orbit_ref = 0
     return disk
 

@@ -1,0 +1,114 @@
+"""Digests of every report that the README session and the benchmark's
+workloads write, for a byte-identity check between two source trees.
+
+    PYTHONPATH=<tree>/src python tests/report_digests.py OUT > digests.txt
+
+In one process and through ``reeb_atlas.cli.main``, this runs the README's
+nine commands at the README's sizes, then each perfbench workload's seed-0
+commands as ``perfbench/workloads.build`` plans them (census-queries' input
+census by ``workloads.write_census``), each session in its own
+``OUT/<session>/``.  It prints each command's exit code, ``sha256  path``
+of every report, CSV and input, and every sidecar leaf as
+``path:key.key = value``, apart from the timings ``wall_seconds``,
+``import_seconds`` and ``written_at``.  Paths are relative to OUT, so a
+``diff`` of two trees' outputs is the byte-identity check.  pytest does not
+collect this file.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+from reeb_atlas.cli import main  # noqa: E402
+
+TIMINGS = {"wall_seconds", "import_seconds", "written_at"}
+
+README_CONFIG = {
+    "form": {"type": "ellipsoid", "r_squared": [1.0, 1.4142135623730951]},
+    "tmax": 10.0, "seeds": 256, "rng_seed": 0,
+}
+
+
+def readme_commands(out):
+    """The README's session, writing into ``out``."""
+    base = ["--config", f"{out}/ellipsoid.json", "--out", out]
+    orbits = ["--orbits", f"{out}/orbits.json"]
+    disk = ["--disk", f"{out}/disk_orbit0.json"]
+    return [
+        ["orbits-find"] + base,
+        ["orbit-index"] + base + orbits + ["--orbit", "0"],
+        ["link"] + base + orbits,
+        ["selflink"] + base + orbits,
+        ["unknot"] + base + orbits,
+        ["disk-gen"] + base + orbits + ["--orbit", "0"],
+        ["section-verify"] + base + disk + ["--seeds", "500",
+                                            "--t-budget", "44.43"],
+        ["binding-check"] + base + orbits + ["--candidate", "0"],
+        ["audit"] + base + orbits + disk + ["--binding", "0"],
+    ]
+
+
+def sessions():
+    """(session name, argv list) per session, its inputs written."""
+    os.makedirs("readme", exist_ok=True)
+    with open("readme/ellipsoid.json", "w") as fh:
+        json.dump(README_CONFIG, fh, indent=1)
+    yield "readme", readme_commands("readme")
+    for name in workloads.WHY:
+        plan = workloads.build(name, 0, f"{name}/inputs")
+        if plan.census_input is not None:
+            workloads.write_census(plan)
+        yield name, [cmd.argv(plan.config, name, plan.inputs)
+                     for cmd in plan.commands]
+
+
+def leaves(value, path=()):
+    """(key path, value) of every leaf of a JSON value."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from leaves(value[key], path + (key,))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from leaves(item, path + (k,))
+    else:
+        yield path, value
+
+
+def digest(session):
+    for path in sorted(Path(session).rglob("*")):
+        if not path.is_file():
+            continue
+        if path.name.endswith(".meta.json"):
+            for keys, value in leaves(json.loads(path.read_text())):
+                if keys[-1] not in TIMINGS:
+                    leaf = ".".join(map(str, keys))
+                    print(f"{path}:{leaf} = {json.dumps(value)}")
+        else:
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
+
+
+def run(out):
+    os.makedirs(out, exist_ok=True)
+    os.chdir(out)
+    for session, commands in sessions():
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            print(f"exit {code}  {' '.join(argv)}")
+        digest(session)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: report_digests.py OUT")
+    run(sys.argv[1])

@@ -92,6 +92,28 @@ def test_positivity_rejection():
         StarForm.weighted([((0, 0, 0, 0), 1.0), ((2, 0, 0, 0), -3.0)])
 
 
+def test_weighted_forms_share_one_sample_draw(monkeypatch):
+    draws = []
+
+    def counted(n, seed_skip=0):
+        draws.append(n)
+        return sphere_samples(n, seed_skip)
+
+    monkeypatch.setattr(contact, "sphere_samples", counted)
+    contact._positivity_sample.cache_clear()
+    StarForm.ellipsoid(1.0, 2.0)
+    assert draws == []  # an ellipsoid never draws it
+    StarForm.weighted([((0, 0, 0, 0), 1.0), ((2, 0, 0, 0), 0.5)])
+    StarForm.weighted([((0, 0, 0, 0), 1.0), ((0, 0, 2, 2), 0.25)])
+    assert draws == [10_000]
+    u = contact._positivity_sample()
+    assert not u.flags.writeable
+    assert np.array_equal(u, sphere_samples(10_000).T)
+    with pytest.raises(DomainError, match="not positive"):
+        StarForm.weighted([((0, 0, 0, 0), 1.0), ((2, 0, 0, 0), -3.0)])
+    assert draws == [10_000]
+
+
 @pytest.mark.parametrize("exps", [[(2, 0, 0, 0)], [(3, 0, 1, 0)],
                                   [(0, 4, 0, 0), (1, 0, 2, 1)]])
 def test_positivity_decision_at_the_boundary(exps):

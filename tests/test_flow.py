@@ -46,7 +46,7 @@ def test_ellipsoid_circle_period(ell):
 
 
 def test_zero_time_identity(ell, gamma1):
-    res, = integrate_batch(ell, [gamma1.x0], 0.0, variational=True)
+    res, = integrate_batch(ell, [gamma1.x0], 0.0, tol=1e-10, variational=True)
     assert np.allclose(res.endpoint, gamma1.x0)
     assert np.allclose(res.monodromy_end, np.eye(4))
 
@@ -245,7 +245,7 @@ def test_multi_run_evaluation_equals_each_runs_call(ell, perturbed_form):
 
 def test_a_run_without_interpolant_says_so(ell):
     for run in (integrate_flow(ell, [1.0, 0.0, 0.0, 0.0], 1.0),
-                integrate_batch(ell, [[1.0, 0.0, 0.0, 0.0]], 1.0,
+                integrate_batch(ell, [[1.0, 0.0, 0.0, 0.0]], 1.0, tol=1e-10,
                                 variational=True)[0]):
         with pytest.raises(DomainError, match="dense=True"):
             run(0.5)

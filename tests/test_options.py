@@ -30,7 +30,7 @@ SET_ELSEWHERE = {
                       "console script passes none",
 }
 
-MAX_DEFAULTED = 19
+MAX_DEFAULTED = 14
 
 _NOT_LITERAL = object()
 

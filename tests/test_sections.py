@@ -51,7 +51,7 @@ def test_builtin_disk_construction(ell, gamma1, page):
 
 def test_builtin_disk_embedded_at_64(ell, gamma1):
     # the 64x256 grid is embedded even though its boundary chord bound fails
-    d64 = sec.builtin_disk(ell, gamma1, n_r=64)
+    d64 = sec.builtin_disk(ell, gamma1, theta0=0.0, n_r=64, n_theta=256)
     from scipy.spatial import cKDTree
 
     pts = d64.samples[1:].reshape(-1, 4)
@@ -76,7 +76,8 @@ def test_cone_page_matches_the_ellipsoid_page(ell, request, name, theta0):
 
 
 def test_builtin_disk_other_circle(ell, gamma2):
-    disk = sec.builtin_disk(ell, gamma2, n_r=128)
+    disk = sec.builtin_disk(ell, gamma2, theta0=0.0, n_r=128,
+                            n_theta=256)
     disk.validate()
     md, sc = sec.transversality_check(ell, disk)
     assert sc and md > 0.1
@@ -199,9 +200,10 @@ def test_bounded_heights_equal_the_unbounded_query_within_near(ell, page,
     ys = np.vstack([traj(np.linspace(0.0, 6.0, 2000))[:, :4],
                     index.points[k] + index.near * rng.uniform(0.9, 1.1, (300, 1))
                     * u / np.linalg.norm(u, axis=1, keepdims=True)])
+    # every point's nearest node, unbounded, as tests/oracles.py reads it
     d0, i0 = index.tree.query(ys)
     h0 = index.plane_height(ys, i0)
-    d, i, h = index.heights(ys, index.reach)
+    d, i, h = index.heights(ys)
     within = d0 <= index.near
     assert 0 < np.count_nonzero(within) < len(ys)
     for got, want in ((d, d0), (i, i0), (h, h0)):
@@ -209,9 +211,6 @@ def test_bounded_heights_equal_the_unbounded_query_within_near(ell, page,
     beyond = ~np.isfinite(d)
     assert np.count_nonzero(beyond) and (d0[beyond] > index.near).all()
     assert (i[beyond] == len(index.points)).all() and np.isnan(h[beyond]).all()
-    # an unbounded call reads every point's nearest node
-    for got, want in zip(index.heights(ys, np.inf), (d0, i0, h0)):
-        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("twist, budget", [(0.0, BUDGET), (0.3, 4.6)])
@@ -240,7 +239,8 @@ def test_return_map_equals_the_unbounded_per_row_search(ell, page, gamma1,
 
 def test_return_map(ell, page):
     seeds = sec.disk_seeds(24)
-    recs = sec.return_map(ell, page, seeds, t_budget=BUDGET)
+    recs = sec.return_map(ell, page, seeds, t_budget=BUDGET,
+                          direction="forward")
     assert all(not r["timeout"] for r in recs)
     for r in recs:
         assert abs(r["return_time"] - T_RETURN) < 1e-6
@@ -264,7 +264,8 @@ def test_return_map_backward_and_inverse(ell, page, page_index):
 
 def test_seed_on_binding_rejected(ell, page):
     with pytest.raises(DomainError):
-        sec.return_map(ell, page, [(1.0, 0.2)], t_budget=BUDGET)
+        sec.return_map(ell, page, [(1.0, 0.2)], t_budget=BUDGET,
+                       direction="forward")
 
 
 def test_verify_global_section_small(ell, page):
@@ -309,7 +310,7 @@ def test_disk_area_additivity_and_half(ell, page):
 
 def test_round_sphere_page_area(round_form):
     orbit = refine_orbit(round_form, np.array([1.0, 0, 0, 0]), np.pi)
-    disk = sec.builtin_disk(round_form, orbit)
+    disk = sec.builtin_disk(round_form, orbit, theta0=0.0, n_r=128, n_theta=256)
     area, _ = disk_area(round_form, disk)
     assert abs(area - np.pi) / np.pi < 1e-2
 
@@ -364,7 +365,8 @@ def test_disk_csv_is_savetxts_bytes(tmp_path):
 
 
 def test_return_csv(tmp_path, ell, page):
-    recs = sec.return_map(ell, page, sec.disk_seeds(3), t_budget=BUDGET)
+    recs = sec.return_map(ell, page, sec.disk_seeds(3), t_budget=BUDGET,
+                          direction="forward")
     recs.append({"seed_s": 0.5, "seed_t": 0.5, "timeout": True})
     path = tmp_path / "returns.csv"
     sec.write_return_csv(path, recs)
@@ -416,9 +418,25 @@ def test_return_map_raises_the_first_failed_row(ell, page, monkeypatch):
 
     monkeypatch.setattr(sec, "integrate_batch", failing)
     with pytest.raises(StiffnessError) as info:
-        sec.return_map(ell, page, sec.disk_seeds(8), BUDGET)
+        sec.return_map(ell, page, sec.disk_seeds(8), BUDGET, "forward")
     assert info.value is errors[3]
     assert calls[0] == 8
+
+
+def test_return_map_evaluates_no_run_itself(ell, page, monkeypatch):
+    # each chunk's scan points come back with its flow, so no row calls a run
+    want = sec.return_map(ell, page, sec.disk_seeds(4), BUDGET, "backward")
+
+    def refuse(run, t):
+        raise AssertionError("a row evaluated its run")
+
+    monkeypatch.setattr(FlowResult, "__call__", refuse)
+    got = sec.return_map(ell, page, sec.disk_seeds(4), BUDGET, "backward")
+    assert not any(r["timeout"] for r in got)
+    for g, w in zip(got, want, strict=True):
+        assert g.keys() == w.keys()
+        for key, value in g.items():
+            assert np.array_equal(value, w[key]), key
 
 
 def _invert_cell_reference(index, y, ci, cj):
