@@ -406,17 +406,20 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
     primes = []
     traces = []
 
-    def explained_by_known(x, T, dist_tol, period_tol):
+    def known(x, T):
+        """x lies within _DEDUP_TOL of a known prime's trace, and T is a
+        multiple of its prime period within _DEDUP_TOL.  The tolerance
+        exceeds the sagitta of the 512-point trace polyline, so a converged
+        point on a known curve always registers as known."""
         for prime, tr in zip(primes, traces):
-            if kernels.point_to_polyline(np.ascontiguousarray(x), tr) < dist_tol:
+            if kernels.point_to_polyline(np.ascontiguousarray(x), tr) < _DEDUP_TOL:
                 k = T / prime.T_min
-                if round(k) >= 1 and abs(k - round(k)) * prime.T_min < period_tol:
+                if round(k) >= 1 and abs(k - round(k)) * prime.T_min < _DEDUP_TOL:
                     return True
         return False
 
-    funnel = Counter(seeds=len(seeds), skipped_known=0, polished=0, dropped=0,
-                     known=0, certified=0, waves=0)
-    iters_seen, cert_iters, reused = Counter(), Counter(), Counter()
+    funnel = Counter(seeds=len(seeds), dropped=0, known=0, certified=0, waves=0)
+    cert_iters, reused = Counter(), Counter()
 
     def drop(reason):
         funnel["dropped"] += 1
@@ -424,20 +427,13 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
             log.append(reason)
 
     def replay_step(i):
-        """Candidate i's fate with the primes known now: "skipped_known",
-        "known", its polish's error, or None if it needs a certificate."""
-        (x_c, dt_c, _), outcome = cands[i], polished[i]
-        # candidates this close to a known orbit with a near-commensurate
-        # period would converge onto it; their polish is not used
-        if explained_by_known(x_c, float(dt_c), 0.25, 0.25):
-            return "skipped_known"
+        """Candidate i's fate with the primes known now: "known", its
+        polish's error, or None if it needs a certificate."""
+        outcome = polished[i]
         if isinstance(outcome, Exception):
             return outcome
-        # 1e-4 exceeds the sagitta of the 512-point trace polyline, so a
-        # converged point on a known curve always registers as known
         x, T, _, _, family = outcome
-        return ("known" if not family and explained_by_known(x, T, 1e-4, 1e-4)
-                else None)
+        return "known" if not family and known(x, T) else None
 
     def certify(x, T):
         """``_certify`` at cap 1, again at the prime period for a cover, and
@@ -462,7 +458,7 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
         need and no wave has certified, one per period class (class-mates
         often share their orbit)."""
         rows = []
-        for j in range(i, len(cands)):
+        for j in range(i, len(polished)):
             if j not in certs and replay_step(j) is None and not any(
                     same_class(polished[j][1], polished[r][1]) for r in rows):
                 rows.append(j)
@@ -486,14 +482,8 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
         # the sequential search, replayed in seed order on the polished rows;
         # a survivor's certificate comes from the wave that holds it
         certs = {}
-        for i, outcome in enumerate(polished):
+        for i in range(len(polished)):
             fate = replay_step(i)
-            if fate == "skipped_known":
-                funnel["skipped_known"] += 1
-                continue
-            funnel["polished"] += 1
-            if not isinstance(outcome, Exception):
-                iters_seen[outcome[3]] += 1
             if fate == "known":
                 funnel["known"] += 1
                 continue
@@ -517,9 +507,10 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
                 continue
             primes.append(prime)
             traces.append(tr)
-    # candidates = skipped_known + polished; polished = dropped + known + new
+    # candidates = dropped + known + new_primes
     funnel.update(work, candidates=len(cands), new_primes=len(primes))
-    funnel["newton_iters"] = dict(sorted(iters_seen.items()))
+    funnel["newton_iters"] = dict(sorted(Counter(
+        row[3] for row in polished if not isinstance(row, Exception)).items()))
     funnel["certify_newton_iters"] = dict(sorted(cert_iters.items()))
     funnel["reused_flows"] = dict(sorted(reused.items()))
 

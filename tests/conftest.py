@@ -5,7 +5,7 @@ from reeb_atlas.contact import StarForm
 from reeb_atlas.orbits import find_orbits, refine_orbit
 from reeb_atlas.sections import _DiskIndex, builtin_disk
 
-from oracles import NECK, dumbbell_census, round_sphere
+from oracles import NECK, dumbbell, dumbbell_census, round_sphere
 
 R2SQ = np.sqrt(2.0)
 
@@ -84,3 +84,12 @@ def dumbbell_12():
         ((-0.6743, 0.7441, 0.3028, 0.0), 3.1678),
         ((-0.7596, 0.6568, -0.3028, 0.0), 3.1678),
         ((0.0, 0.0, -1.4738, 0.1346), 5.0265)])
+
+
+@pytest.fixture(scope="session")
+def dumbbell_12_searched():
+    """The dumbbell at K = 1.2 and the census that the search returns from 64
+    seeds at tmax 5.5, in ``dumbbell_12``'s order: the neck, both lobes and
+    the z2-plane orbit."""
+    form = dumbbell(1.2)
+    return form, find_orbits(form, 5.5, n_seeds=64)

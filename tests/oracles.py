@@ -882,16 +882,16 @@ def sequential_find_orbits(form, T_max, n_seeds, rng_seed=0, log=None,
     t_grid = np.arange(0.0, T_max + 0.5 * orbits._SCAN_DT, orbits._SCAN_DT)
     primes, traces = [], []
 
-    def explained_by_known(x, T, dist_tol, period_tol):
+    def known(x, T):
+        tol = orbits._DEDUP_TOL
         for prime, tr in zip(primes, traces):
-            if kernels.point_to_polyline(np.ascontiguousarray(x), tr) < dist_tol:
+            if kernels.point_to_polyline(np.ascontiguousarray(x), tr) < tol:
                 k = T / prime.T_min
-                if round(k) >= 1 and abs(k - round(k)) * prime.T_min < period_tol:
+                if round(k) >= 1 and abs(k - round(k)) * prime.T_min < tol:
                     return True
         return False
 
-    funnel = Counter(seeds=len(seeds), skipped_known=0, polished=0, dropped=0,
-                     known=0)
+    funnel = Counter(seeds=len(seeds), dropped=0, known=0)
     iters_seen = Counter()
 
     def drop(reason):
@@ -910,17 +910,13 @@ def sequential_find_orbits(form, T_max, n_seeds, rng_seed=0, log=None,
     polished = orbits._newton_polish(
         form, [x for x, _, _ in cands], [dt for _, dt, _ in cands],
         initial_residual_cap=orbits._CANDIDATE_THRESHOLD + 1e-9)
-    for (x_c, dt_c, _), outcome in zip(cands, polished):
-        if explained_by_known(x_c, float(dt_c), 0.25, 0.25):
-            funnel["skipped_known"] += 1
-            continue
-        funnel["polished"] += 1
+    for outcome in polished:
         try:
             if isinstance(outcome, Exception):
                 raise outcome
             x, T, _, iters, degenerate_family = outcome
             iters_seen[iters] += 1
-            if not degenerate_family and explained_by_known(x, T, 1e-4, 1e-4):
+            if not degenerate_family and known(x, T):
                 funnel["known"] += 1
                 continue
             orb = sequential_refine_orbit(form, x, T, 1.0)

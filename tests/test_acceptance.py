@@ -259,10 +259,13 @@ def test_criterion_10_perturbation_robustness(perturbed_form):
           "certified unknot")
 
 
-def test_criterion_11_index2_orbit_on_the_dumbbell(dumbbell_12):
+@pytest.mark.parametrize("census", ["dumbbell_12", "dumbbell_12_searched"])
+def test_criterion_11_index2_orbit_on_the_dumbbell(census, request):
     # the paper's fourth condition from computed indices and linking
-    # numbers: the binding must link the index-2 neck
-    form, db = dumbbell_12
+    # numbers: the binding must link the index-2 neck, on a census refined
+    # from known starts and on the search's own
+    form, db = request.getfixturevalue(census)
+    assert len(db) == 4
     neck, *lobes, z2 = [check_binding(form, db, i) for i in range(4)]
     assert (neck.verdict, neck.mu_cz) == ("fails:index_below_3", 2)
     for rep in lobes:

@@ -81,16 +81,16 @@ def test_rerun_is_byte_identical(ell_config, found, workdir):
 
 
 def test_orbits_find_funnel_adds_up(found):
-    # the search funnel lives in the sidecar: every candidate is skipped as
-    # known or polished, and every polished row is dropped, known or new
+    # the search funnel lives in the sidecar: every candidate is dropped,
+    # known or new
     meta = json.load(open(os.path.join(found, "orbits_report.json.meta.json")))
     f = meta["funnel"]
     assert f["seeds"] == 128
-    assert f["candidates"] == f["skipped_known"] + f["polished"]
-    assert f["polished"] == f["dropped"] + f["known"] + f["new_primes"]
+    assert f["candidates"] == f["dropped"] + f["known"] + f["new_primes"]
+    assert "skipped_known" not in f and "polished" not in f
     assert f["new_primes"] == 2
     assert len(meta["drop_reasons"]) == f["dropped"]
-    assert sum(f["newton_iters"].values()) <= f["polished"]
+    assert sum(f["newton_iters"].values()) <= f["candidates"]
     # the survivors' certification: rows, waves, Newton iterations, reuses
     assert f["waves"] >= 1 and f["certified"] >= f["new_primes"]
     assert sum(f["certify_newton_iters"].values()) <= f["certified"]

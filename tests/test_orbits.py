@@ -129,14 +129,24 @@ def test_near_return_candidates_equal_the_norm_oracle(ell):
     assert found > 100
 
 
-def test_the_search_finds_the_index2_neck_of_the_dumbbell():
+@pytest.mark.parametrize("tmax", [4.0, 5.5])
+def test_the_search_finds_the_index2_neck_of_the_dumbbell(tmax):
     # multiple shooting converges on the hyperbolic neck of the K = 1.2
-    # dumbbell, the z1 circle of period pi, from 64 seeds at tmax 4
-    db = find_orbits(dumbbell(1.2), 4.0, n_seeds=64)
-    necks = [o for o in db.orbits if o.nondeg_class == "positive-hyperbolic"]
-    assert len(necks) == 1 and necks[0].multiplicity == 1
-    assert necks[0].T_min == pytest.approx(np.pi, rel=1e-9)
-    assert np.abs(necks[0].x0[2:]).max() < 1e-9
+    # dumbbell, the z1 circle of period pi, from 64 seeds; a known lobe
+    # orbit (T 3.1678) passes near it, and the replay must not hide it
+    db = find_orbits(dumbbell(1.2), tmax, n_seeds=64)
+    assert all(o.multiplicity == 1 for o in db.orbits)
+    neck, *lobes = [o for o in db.orbits if o.T_min < 4.0]
+    assert neck.nondeg_class == "positive-hyperbolic"
+    assert neck.T_min == pytest.approx(np.pi, rel=1e-9)
+    assert np.abs(neck.x0[2:]).max() < 1e-9
+    # the two lobes, one on each side of the neck's plane q2 = 0
+    assert [o.nondeg_class for o in lobes] == ["elliptic", "elliptic"]
+    assert [o.T_min for o in lobes] == pytest.approx([3.1678] * 2, abs=1e-4)
+    assert sorted(np.sign(o.x0[2]) for o in lobes) == [-1.0, 1.0]
+    # the z2-plane orbit from tmax 5.5 on
+    z2 = [o.T_min for o in db.orbits if o.T_min >= 4.0]
+    assert z2 == pytest.approx([5.0265] if tmax > 5.0265 else [], abs=1e-4)
 
 
 def test_refine_rejects_large_residual(ell):
