@@ -14,8 +14,10 @@ finite-difference monodromies are too noisy for index work.
 
 import contextlib
 import contextvars
+import importlib.machinery
 import importlib.util
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -35,19 +37,29 @@ __all__ = [
 ]
 
 
-def _dop853_tableau():
-    """scipy's DOP853 coefficient module, read from its file by path: the
-    file imports only numpy, where importing it by name would import all
-    of scipy.integrate."""
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    path = os.path.join(scipy_dir, "integrate", "_ivp", "dop853_coefficients.py")
-    spec = importlib.util.spec_from_file_location("_dop853_coefficients", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def load_scipy_file(name, *parts):
+    """The module in scipy's file ``parts``, its source or its compiled
+    extension, loaded by path under ``name`` without importing the scipy
+    packages around it.  ``sys.modules`` keeps it under ``name``, so a
+    second load, or a later import of that name, reuses it."""
+    if name not in sys.modules:
+        stem = os.path.join(
+            importlib.util.find_spec("scipy").submodule_search_locations[0],
+            *parts)
+        path = next(stem + suffix
+                    for suffix in (".py", *importlib.machinery.EXTENSION_SUFFIXES)
+                    if os.path.exists(stem + suffix))
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
-_dop = _dop853_tableau()
+# scipy's DOP853 coefficients: the file imports only numpy, where importing
+# it by name would import all of scipy.integrate
+_dop = load_scipy_file("_dop853_coefficients",
+                       "integrate", "_ivp", "dop853_coefficients")
 _S = _dop.N_STAGES  # stage _S is f(y_new), the next step's first; 13-15 dense
 _A, _B, _D, _E3, _E5 = _dop.A, _dop.B, _dop.D, _dop.E3, _dop.E5
 _AROWS = [_A[j, :j] for j in range(len(_A))]

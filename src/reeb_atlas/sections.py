@@ -23,7 +23,7 @@ from .contact import (OMEGA, complement_basis, omega_form, project_to_sigma,
                       reeb_vector, sobol_points, xi_frame)
 from .errors import (DomainError, GridQualityError, MissingArtifactError,
                      ResolutionError, raised)
-from .flow import evaluate_runs, integrate_batch, lockstep
+from .flow import evaluate_runs, integrate_batch, load_scipy_file, lockstep
 from .orbits import trace_orbit
 
 __all__ = [
@@ -45,6 +45,14 @@ __all__ = [
 # columns of the four 3x3 minors of a 3x4 matrix, and their cofactor signs
 _MINOR_COLS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 _MINOR_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _ckdtree():
+    """scipy's kd-tree class from its compiled extension, loaded by path:
+    importing it by name would import all of scipy.spatial.  The module is
+    registered under its own name, so a later ``import scipy.spatial``
+    reuses it."""
+    return load_scipy_file("scipy.spatial._ckdtree", "spatial", "_ckdtree").cKDTree
 
 
 def _cross4(a, b, c):
@@ -97,8 +105,6 @@ class DiskGrid:
     def validate(self):
         """Grid quality checks: a collapsed center row, cells below 5% of the
         diameter, and no near-coincidences besides grid neighbors."""
-        from scipy.spatial import cKDTree
-
         s = self.samples
         if np.linalg.norm(s[0] - s[0, 0], axis=1).max() > 1e-12:
             raise GridQualityError("center row must collapse to one point")
@@ -106,7 +112,7 @@ class DiskGrid:
             raise GridQualityError("adjacent samples too far apart")
         # embeddedness: no near-coincidences besides grid neighbors
         pts = s[1:].reshape(-1, 4)
-        tree = cKDTree(pts)
+        tree = _ckdtree()(pts)
         nt = self.n_theta
         for a, b in tree.query_pairs(1e-4):
             ia, ja = divmod(a, nt)
@@ -405,21 +411,18 @@ class _DiskIndex:
     """Spatial index of the grid with per-node tangent-plane data."""
 
     def __init__(self, form, disk):
-        from scipy.spatial import cKDTree
-
         self.samples = disk.samples
         # nodes of rows 1..n_r and their plane normals, by flat index
         self.points = disk.samples[1:].reshape(-1, 4)
         self.normals = _node_normals(form, disk).reshape(-1, 4)
-        self.tree = cKDTree(self.points)
+        self.tree = _ckdtree()(self.points)
         self.n_t = disk.n_theta
         self.cell = disk.max_cell_size()
         # the crossing scan reads plane heights within 2.5 cells; scipy keeps
         # only neighbours strictly closer than a query's bound
         self.near = 2.5 * self.cell
         self.reach = self.near * (1.0 + 1e-9)
-        bd = disk.boundary
-        self.boundary_tree = cKDTree(bd)
+        self.boundary = bd = disk.boundary
         self.boundary_chord = float(
             np.linalg.norm(np.roll(bd, -1, axis=0) - bd, axis=1).max())
         # largest Reeb speed over a coarse subgrid, for the crossing scan step
@@ -442,7 +445,12 @@ class _DiskIndex:
         return dists, idxs, hs
 
     def boundary_distance(self, y):
-        d, idx = self.boundary_tree.query(y)
+        """Distance from y to its nearest boundary sample, less half the
+        longest chord and at least 0; each squared distance is summed in
+        ``cKDTree.query``'s order, so the result is the kd-tree's bit for
+        bit."""
+        sq = (self.boundary - y) ** 2
+        d = np.sqrt((((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3]).min())
         # point-to-chord correction keeps rejections honest between samples
         return max(0.0, float(d) - 0.5 * self.boundary_chord)
 

@@ -55,18 +55,21 @@ def readme_commands(out):
     ]
 
 
-def sessions():
-    """(session name, argv list) per session, its inputs written."""
-    os.makedirs("readme", exist_ok=True)
-    with open("readme/ellipsoid.json", "w") as fh:
-        json.dump(README_CONFIG, fh, indent=1)
-    yield "readme", readme_commands("readme")
-    for name in workloads.WHY:
-        plan = workloads.build(name, 0, f"{name}/inputs")
-        if plan.census_input is not None:
-            workloads.write_census(plan)
-        yield name, [cmd.argv(plan.config, name, plan.inputs)
-                     for cmd in plan.commands]
+SESSIONS = ["readme", *workloads.WHY]
+
+
+def session(name):
+    """The argv lists of one of ``SESSIONS``, its inputs written under
+    ``name/`` in the working directory."""
+    if name == "readme":
+        os.makedirs("readme", exist_ok=True)
+        with open("readme/ellipsoid.json", "w") as fh:
+            json.dump(README_CONFIG, fh, indent=1)
+        return readme_commands("readme")
+    plan = workloads.build(name, 0, f"{name}/inputs")
+    if plan.census_input is not None:
+        workloads.write_census(plan)
+    return [cmd.argv(plan.config, name, plan.inputs) for cmd in plan.commands]
 
 
 def leaves(value, path=()):
@@ -81,8 +84,8 @@ def leaves(value, path=()):
         yield path, value
 
 
-def digest(session):
-    for path in sorted(Path(session).rglob("*")):
+def digest(name):
+    for path in sorted(Path(name).rglob("*")):
         if not path.is_file():
             continue
         if path.name.endswith(".meta.json"):
@@ -97,15 +100,15 @@ def digest(session):
 def run(out):
     os.makedirs(out, exist_ok=True)
     os.chdir(out)
-    for session, commands in sessions():
-        for argv in commands:
+    for name in SESSIONS:
+        for argv in session(name):
             with contextlib.redirect_stdout(io.StringIO()):
                 try:
                     code = main(argv)
                 except SystemExit as exc:
                     code = exc.code
             print(f"exit {code}  {' '.join(argv)}")
-        digest(session)
+        digest(name)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
-"""Every name a module imports is read somewhere in that module, and a CLI
+"""Every name a module imports is read somewhere in that module; a CLI
 process that loads a config, searches for orbits, checks a binding or audits
-a page imports no scipy module and no jsonschema."""
+a page imports no scipy module and no jsonschema; and one that builds or
+verifies a page loads scipy's kd-tree extension without the scipy.spatial
+package."""
 
 import ast
 import json
@@ -81,8 +83,9 @@ def test_an_orbit_search_loads_no_scipy(tmp_path, ell):
 
 
 def test_binding_check_and_audit_load_no_scipy(tmp_path, ell):
-    # the census and the page are written in this process (disk-gen builds
-    # kd-trees); fresh interpreters then check the binding and audit the page
+    # the census and the page are written in this process (disk-gen loads
+    # scipy's kd-tree extension); fresh interpreters then check the binding
+    # and audit the page
     from reeb_atlas import cli
 
     config = tmp_path / "config.json"
@@ -100,6 +103,41 @@ def test_binding_check_and_audit_load_no_scipy(tmp_path, ell):
                                 "cli.main(sys.argv[1:])", *argv, *common)
         assert (tmp_path / report).exists()
         assert "reeb_atlas" in loaded and _scipy(loaded) == set(), argv[0]
+
+
+def test_page_commands_load_no_scipy_spatial_package(tmp_path, ell):
+    # the census is written in this process; fresh interpreters then build
+    # the page and verify it, each loading only the kd-tree extension
+    from reeb_atlas import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"form": form_json(ell), "tmax": 5.0, "seeds": 16}))
+    common = ["--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(["orbits-find", *common]) == 0
+    for argv, report in (
+            (["disk-gen", "--orbits", str(tmp_path / "orbits.json"),
+              "--orbit", "0", "--nr", "128", "--ntheta", "48"],
+             "disk_orbit0.json"),
+            (["section-verify", "--disk", str(tmp_path / "disk_orbit0.json"),
+              "--seeds", "4", "--t-budget", "20"], "section_report.json")):
+        loaded = _modules_after("import sys, reeb_atlas.cli as cli; "
+                                "assert cli.main(sys.argv[1:]) == 0",
+                                *argv, *common)
+        assert (tmp_path / report).exists()
+        assert "scipy.spatial._ckdtree" in loaded, argv[0]
+        assert "scipy.spatial" not in loaded, argv[0]
+
+
+@pytest.mark.parametrize("order", [
+    "import scipy.spatial, reeb_atlas.sections as sec; tree = sec._ckdtree()",
+    "import reeb_atlas.sections as sec; tree = sec._ckdtree(); "
+    "import scipy.spatial"], ids=["imported_before", "imported_after"])
+def test_the_loaded_kd_tree_is_scipys(order):
+    # whether scipy.spatial is imported before the loader runs or after it,
+    # both name one class
+    loaded = _modules_after(order + "; assert tree is scipy.spatial.cKDTree; "
+                            "import sys")
+    assert "scipy.spatial" in loaded
 
 
 @pytest.mark.parametrize("form", ["ell", "perturbed_form"])

@@ -213,6 +213,33 @@ def test_bounded_heights_equal_the_unbounded_query_within_near(ell, page,
     assert (i[beyond] == len(index.points)).all() and np.isnan(h[beyond]).all()
 
 
+@pytest.mark.parametrize("n_theta", [48, 256])
+def test_boundary_distance_is_the_kd_trees(ell, gamma1, page, page_index,
+                                           n_theta):
+    # points on and between boundary samples, within a few chords of the
+    # binding, and far from it over the page and the level
+    if n_theta == 256:
+        disk, index = page, page_index
+    else:
+        disk = sec.builtin_disk(ell, gamma1, theta0=0.0, n_r=128, n_theta=48)
+        index = sec._DiskIndex(ell, disk)
+    bd, rng = disk.boundary, np.random.default_rng(5)
+    u = rng.normal(size=(400, 4))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    k = rng.integers(len(bd), size=400)
+    ys = np.vstack([
+        bd, 0.5 * (bd + np.roll(bd, -1, axis=0)),
+        bd[k] + index.boundary_chord * rng.uniform(0.0, 3.0, (400, 1)) * u,
+        index.points[rng.integers(len(index.points), size=200)],
+        u / np.sqrt(ell.H_batch(u))[:, None]])
+    tree = cKDTree(bd)
+    want = [max(0.0, float(tree.query(y)[0]) - 0.5 * index.boundary_chord)
+            for y in ys]
+    got = [index.boundary_distance(y) for y in ys]
+    assert got == want
+    assert got.count(0.0) > len(bd) and max(got) > 0.5
+
+
 @pytest.mark.parametrize("twist, budget", [(0.0, BUDGET), (0.3, 4.6)])
 def test_return_map_equals_the_unbounded_per_row_search(ell, page, gamma1,
                                                         twist, budget):
