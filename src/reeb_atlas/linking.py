@@ -156,28 +156,19 @@ def stereo_pair(a, b):
     gap = kernels.min_cross_distance(pa, pb)
     if gap <= _MIN_CURVE_DIST:
         raise ProximityError(f"curves are {gap:.2e} apart (< {_MIN_CURVE_DIST:.0e})")
-    return _project_pair(pa, pb)
+    pole = pick_pole([pa, pb])
+    return (np.ascontiguousarray(stereo_project(pa, pole)),
+            np.ascontiguousarray(stereo_project(pb, pole)))
 
 
-def _project_pair(a, b):
-    """``stereo_pair``'s images of two loops, without its proximity check."""
-    pole = pick_pole([a, b])
-    return (np.ascontiguousarray(stereo_project(a, pole)),
-            np.ascontiguousarray(stereo_project(b, pole)))
+def linking_number(a3, b3):
+    """Integer linking number of two loops, given as their ``stereo_pair``
+    images, by the exact Gauss sum (``kernels.gauss_linking_raw``: the
+    vertex-based atan2 solid-angle sum).
 
-
-def linking_number(a, b):
-    """Integer linking number of two (N, 4) loops by the exact Gauss sum
-    (``kernels.gauss_linking_raw``: the vertex-based atan2 solid-angle sum).
-
-    Returns (lk, raw_residual).  Curves closer than ``_MIN_CURVE_DIST`` are
-    rejected; a residual of 0.1 or more demands denser traces.
+    Returns (lk, raw_residual); a residual of 0.1 or more demands denser
+    traces.
     """
-    return _gauss_linking(*stereo_pair(a, b))
-
-
-def _gauss_linking(a3, b3):
-    """(lk, raw_residual) of two ``stereo_pair`` images by the Gauss sum."""
     raw = kernels.gauss_linking_raw(a3, b3)
     lk = int(np.rint(raw))
     residual = abs(raw - lk)
@@ -324,8 +315,7 @@ def self_linking(form, trace):
 
     The Gauss sum (``linking_number``) is checked by the Calugareanu-White
     identity lk(K, K + eps V) = writhe + twist, which has no pushoff size,
-    on the same ``stereo_pair`` images, projected once more without the
-    proximity check that ``linking_number`` has just passed.  A pushoff too
+    on the same ``stereo_pair`` images, projected once.  A pushoff too
     large for the curve, running through another strand, changes the Gauss
     sum but not the identity, so the routes disagree and
     ``InconsistencyError`` is raised.  A trace with no admissible direction
@@ -334,8 +324,9 @@ def self_linking(form, trace):
     """
     e1 = xi_frame(form, trace).e1
     pushed = project_to_sigma(form, trace + _PUSHOFF * e1)
-    sl, residual = linking_number(trace, pushed)
-    found = _writhe_twist(*_project_pair(trace, pushed))
+    a3, b3 = stereo_pair(trace, pushed)
+    sl, residual = linking_number(a3, b3)
+    found = _writhe_twist(a3, b3)
     if found is None:
         return SelfLinking(sl, residual, None, None, None)
     writhe, twist, direction = found
@@ -416,7 +407,7 @@ def _checked_linking(a, b):
     found no generic direction.  A crossing count that disagrees raises
     ``InconsistencyError``."""
     a3, b3 = stereo_pair(a, b)
-    lk, residual = _gauss_linking(a3, b3)
+    lk, residual = linking_number(a3, b3)
     try:
         crossing = crossing_linking(a3, b3)
     except ResolutionError as exc:

@@ -9,9 +9,10 @@ multiple shooting: each period splits into segments of span at most
 phase anchor with the segments' analytic variational matrices, one stacked
 integration of every segment per round.  The bookkeeping then replays the
 candidates in seed order, so the census is that of a one-by-one search; the
-survivors it needs are certified in lockstep waves, and a flow that repeats
-one already run bit for bit is not run again.  Completeness is never
-claimed; downstream verdicts carry the truncation cap.
+survivors it needs are certified from their polished rows in lockstep
+waves, which run no second Newton pass, and a cover's prime comes from the
+cover's own runs.  Completeness is never claimed; downstream verdicts carry
+the truncation cap.
 """
 
 import json
@@ -251,32 +252,47 @@ def _flow_answers(runs, asks):
     return out
 
 
-def _newton_polish(form, x_guess, T_guess, initial_residual_cap):
-    """Polish the candidates ``x_guess`` (B, 4), ``T_guess`` (B,) in lockstep:
-    each round stacks every start the rows ask for, one integration per
-    kind, so a row follows its one-row call bit for bit, and every
-    variational row of a round spans at most ``_SEGMENT_SPAN``.  Returns per
-    row the result of ``_polish_row``, or its exception.  Unlike
-    ``_certify_rows`` it keeps no runs and no interpolants: over hundreds of
-    candidates those raise the search's peak memory."""
-    def serve(var, asks):
+def _lockstep_rows(form, rows):
+    """Run polish and certification generators side by side: each round
+    stacks every start the rows ask for, one ``integrate_batch`` per kind at
+    1e-12, plain flows as dense runs (same steps and endpoint), and traces
+    by ``trace_orbits``, so a row follows its one-row call bit for bit.  It
+    keeps no run past its round: over hundreds of candidates runs and
+    interpolants raise the search's peak memory.  Returns per row its value
+    or ``ReebAtlasError``."""
+    def serve(kind, asks):
+        if kind == "trace":
+            return trace_orbits(form, [orbit for orbit, in asks], 512)
         return _flow_answers(integrate_batch(
             form, np.concatenate([xs for xs, _ in asks]),
             np.repeat([T for _, T in asks], [len(xs) for xs, _ in asks]),
-            tol=1e-12, variational=var, dense=not var), asks)
+            tol=1e-12, variational=kind, dense=not kind), asks)
 
-    return lockstep([_polish_row(form, x, T, initial_residual_cap)
-                     for x, T in zip(x_guess, T_guess)], (False, True), serve)
+    return lockstep(rows, (False, True, "trace"), serve)
 
 
-def _certify(form, x_guess, T_guess, initial_residual_cap):
-    """``refine_orbit``'s body, a generator for ``_certify_rows``: the
-    polish's requests, then the dense run at the polished (x, T) for the
-    closure and the multiplicity, a cover's run to T_min, and the
-    variational run to T_min.  The residual is the largest of the polish's,
-    the closure at T and the closure at T_min."""
-    x, T, residual, iters, degenerate_family = yield from _polish_row(
-        form, x_guess, T_guess, initial_residual_cap)
+def _newton_polish(form, x_guess, T_guess, initial_residual_cap):
+    """Polish the candidates ``x_guess`` (B, 4), ``T_guess`` (B,) in
+    lockstep, every variational row of a round spanning at most
+    ``_SEGMENT_SPAN``.  Returns per row the result of ``_polish_row``, or
+    its exception."""
+    return _lockstep_rows(form, [_polish_row(form, x, T, initial_residual_cap)
+                                 for x, T in zip(x_guess, T_guess)])
+
+
+def _certify(form, polished):
+    """Certify a ``_polish_row`` result as (orbit, prime), a generator for
+    ``_lockstep_rows``.  The polished point is projected onto the level once
+    more; a degenerate family takes its period from the scalar minimization
+    of the return proximity in T.  It asks for the dense run at (x, T), for
+    the closure and the multiplicity, a cover's run to T_min, and the
+    variational run to T_min.  The orbit's residual is the larger of the
+    closures at T and at T_min, and at least the minimizer's value for a
+    family.  A cover's prime comes from the same runs, its residual the
+    closure at T_min; a simply covered orbit is its own prime."""
+    x, T, residual, iters, degenerate_family = polished
+    x = project_to_sigma(form, x)
+    floor = 0.0
     if degenerate_family:
         from scipy.optimize import minimize_scalar
 
@@ -288,8 +304,7 @@ def _certify(form, x_guess, T_guess, initial_residual_cap):
                 f"rank-deficient shooting Jacobian and no nearby closure "
                 f"(best residual {opt.fun:.3e})"
             )
-        T = float(opt.x)
-        residual = float(opt.fun)
+        T, floor = float(opt.x), float(opt.fun)
     elif residual > _NEWTON_TOL:
         raise RefinementError(
             f"no convergence in {_NEWTON_MAX_ITER} iterations "
@@ -304,42 +319,18 @@ def _certify(form, x_guess, T_guess, initial_residual_cap):
     closed = ks[kernels.norm(ys - x) < 1e-6]
     mult = int(closed.max()) if closed.size else 1
     T_min = T / mult
-    # a cover's prime residual, from a run its re-certification reuses
     prime_res = closure if mult == 1 else np.linalg.norm(
         (yield False, x[None], T_min)[0].endpoint - x)
     mon_prime = xi_period_map(form, x, (yield True, x[None], T_min)[0], 1e-5)
     mon_full = np.linalg.matrix_power(mon_prime, mult)
-    return ReebOrbit(
+    orbit = ReebOrbit(
         x0=x, T_min=T_min, multiplicity=mult, monodromy=mon_full,
         nondeg_class=classify_monodromy(mon_full),
-        residual=float(max(residual, closure, prime_res)), newton_iters=iters,
+        residual=float(max(floor, closure, prime_res)), newton_iters=iters,
     )
-
-
-def _certify_rows(form, rows, reused):
-    """Run certification generators in lockstep, one ``integrate_batch`` per
-    kind at 1e-12, plain flows as dense runs (same steps and endpoint), and
-    traces by ``trace_orbits``.  A flow that repeats a run of the rows, by
-    (variational, x bytes, T), is answered from it and counted in
-    ``reused`` by kind.  Returns per row its value or error."""
-    flows = {}
-
-    def serve(kind, asks):
-        if kind == "trace":
-            return trace_orbits(form, [orbit for orbit, in asks], 512)
-        starts = [(x, T) for xs, T in asks for x in xs]
-        keys = [(kind, x.tobytes(), float(T)) for x, T in starts]
-        todo = {k: a for k, a in zip(keys, starts) if k not in flows}
-        reused.update("variational" if kind else "dense"
-                      for k in keys if k not in todo)
-        if todo:
-            xs, Ts = zip(*todo.values())
-            flows.update(zip(todo, integrate_batch(
-                form, np.array(xs), Ts, tol=1e-12, variational=kind,
-                dense=not kind)))
-        return _flow_answers([flows[k] for k in keys], asks)
-
-    return lockstep(rows, (False, True, "trace"), serve)
+    return orbit, orbit if mult == 1 else ReebOrbit(
+        x0=x, T_min=T_min, multiplicity=1, monodromy=mon_prime,
+        nondeg_class=classify_monodromy(mon_prime), residual=float(prime_res))
 
 
 def refine_orbit(form, x_guess, T_guess):
@@ -352,10 +343,13 @@ def refine_orbit(form, x_guess, T_guess):
     The prime period is extracted afterwards by divisor testing.
     Rank-deficient Jacobians (degenerate orbit families, e.g. on the round
     sphere) fall back to scalar minimization of the return proximity in T.
-    The one-row run of ``_certify``.
+    The one-row run of ``_polish_row`` and then ``_certify``.
     """
-    return raised(_certify_rows(form, [_certify(form, x_guess, T_guess, 0.1)],
-                                Counter()))[0]
+    def row():
+        polished = yield from _polish_row(form, x_guess, T_guess, 0.1)
+        return (yield from _certify(form, polished))[0]
+
+    return raised(_lockstep_rows(form, [row()]))[0]
 
 
 def _near_return_candidates(times, pts, min_period, threshold, max_keep):
@@ -395,7 +389,7 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
     cap are synthesized from each prime.  Candidates that fail to refine are
     dropped (optionally reported through ``log``).  The database's
     ``funnel`` counts seeds, candidates and their fates, Newton iterations,
-    certified rows, waves, reused flows and the stepper's work.
+    certified rows, waves and the stepper's work.
     """
     if T_max <= 0:
         raise DomainError("T_max must be positive")
@@ -419,7 +413,6 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
         return False
 
     funnel = Counter(seeds=len(seeds), dropped=0, known=0, certified=0, waves=0)
-    cert_iters, reused = Counter(), Counter()
 
     def drop(reason):
         funnel["dropped"] += 1
@@ -435,16 +428,14 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
         x, T, _, _, family = outcome
         return "known" if not family and known(x, T) else None
 
-    def certify(x, T):
-        """``_certify`` at cap 1, again at the prime period for a cover, and
-        the prime's trace: (orbit, prime, trace), prime None past T_max.
-        Any error is the row's value, raised only if the replay needs it."""
+    def certify(row):
+        """``_certify`` of a polished row and the prime's trace: (orbit,
+        prime, trace), prime None past T_max.  Any error is the row's value,
+        raised only if the replay needs it."""
         try:
-            orbit = yield from _certify(form, x, T, 1.0)
+            orbit, prime = yield from _certify(form, row)
             if orbit.T_min > T_max + 1e-9:
                 return orbit, None, None
-            prime = orbit if orbit.multiplicity == 1 else (
-                yield from _certify(form, orbit.x0, orbit.T_min, np.inf))
             return orbit, prime, (yield "trace", prime)
         except Exception as exc:
             return exc
@@ -462,12 +453,9 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
             if j not in certs and replay_step(j) is None and not any(
                     same_class(polished[j][1], polished[r][1]) for r in rows):
                 rows.append(j)
-        out = _certify_rows(form, [certify(*polished[j][:2]) for j in rows],
-                            reused)
         funnel.update(waves=1, certified=len(rows))
-        cert_iters.update(c[0].newton_iters for c in out
-                          if not isinstance(c, Exception))
-        return dict(zip(rows, out))
+        return dict(zip(rows, _lockstep_rows(
+            form, [certify(polished[j]) for j in rows])))
 
     with counting() as work:
         cands = []
@@ -511,8 +499,6 @@ def find_orbits(form, T_max, n_seeds=256, rng_seed=0, log=None):
     funnel.update(work, candidates=len(cands), new_primes=len(primes))
     funnel["newton_iters"] = dict(sorted(Counter(
         row[3] for row in polished if not isinstance(row, Exception)).items()))
-    funnel["certify_newton_iters"] = dict(sorted(cert_iters.items()))
-    funnel["reused_flows"] = dict(sorted(reused.items()))
 
     entries = []
     for prime in primes:

@@ -3,8 +3,9 @@
     python tests/cold_start.py OUT SRC [SRC ...] [--session NAME] [--repeats N]
 
 The session is the README's nine commands at the README's sizes (``readme``,
-the default) or a benchmark workload's seed-0 commands, as
-``tests/report_digests.py`` plans them.  Each repeat runs the session's
+the default), a benchmark workload's seed-0 commands or the dumbbell's
+search and binding checks (``dumbbell``), as ``tests/report_digests.py``
+plans them.  Each repeat runs the session's
 commands in order once per source tree, the first tree first in even
 repeats and last in odd ones.  Every command is its own
 ``python -m reeb_atlas.cli`` process with ``PYTHONPATH=SRC``, one BLAS

@@ -44,8 +44,8 @@ from reeb_atlas.errors import (DomainError, GridQualityError,
                                ResolutionError)
 from reeb_atlas.flow import integrate_batch, integrate_flow, xi_period_map
 from reeb_atlas.kernels import _GAUSS_CHUNK, _HESS_BLOCK, _I, _J
-from reeb_atlas.linking import (_MIN_CURVE_DIST, _gauss_linking, _height,
-                                _segment_pairs, _shadow, pick_pole,
+from reeb_atlas.linking import (_MIN_CURVE_DIST, _height, _segment_pairs,
+                                _shadow, linking_number, pick_pole,
                                 stereo_project)
 from reeb_atlas.sections import (DiskGrid, _DiskIndex, _first_crossing,
                                  _grid_point, _refine_to_surface)
@@ -133,7 +133,7 @@ def pushoff_linking(form, trace, eps, vector):
     if gap <= bound:
         raise ProximityError(f"curves are {gap:.2e} apart (< {bound:.0e})")
     pole = pick_pole([trace, pushed])
-    lk, _ = _gauss_linking(np.ascontiguousarray(stereo_project(trace, pole)),
+    lk, _ = linking_number(np.ascontiguousarray(stereo_project(trace, pole)),
                            np.ascontiguousarray(stereo_project(pushed, pole)))
     return lk
 

@@ -1,12 +1,15 @@
-"""Digests of every report that the README session and the benchmark's
-workloads write, for a byte-identity check between two source trees.
+"""Digests of every report that the README session, the benchmark's
+workloads and a dumbbell session write, for a byte-identity check between
+two source trees.
 
     PYTHONPATH=<tree>/src python tests/report_digests.py OUT > digests.txt
 
 In one process and through ``reeb_atlas.cli.main``, this runs the README's
 nine commands at the README's sizes, then each perfbench workload's seed-0
 commands as ``perfbench/workloads.build`` plans them (census-queries' input
-census by ``workloads.write_census``), each session in its own
+census by ``workloads.write_census``), then ``orbits-find`` on the K = 1.2
+dumbbell and ``binding-check`` of each of its census entries, which hold an
+index-2 orbit and failing verdicts, each session in its own
 ``OUT/<session>/``.  It prints each command's exit code, ``sha256  path``
 of every report, CSV and input, and every sidecar leaf as
 ``path:key.key = value``, apart from the timings ``wall_seconds``,
@@ -55,17 +58,42 @@ def readme_commands(out):
     ]
 
 
-SESSIONS = ["readme", *workloads.WHY]
+# the dumbbell of ``oracles.dumbbell(1.2)``, searched as the
+# ``dumbbell_12_searched`` fixture is: the neck, both lobes and the z2-plane
+# orbit
+DUMBBELL_CONFIG = {
+    "form": {"type": "weighted", "name": "dumbbell-K1.2", "monomials": [
+        {"exp": [0, 0, 0, 0], "coeff": 1.0},
+        {"exp": [0, 0, 2, 0], "coeff": 1.2}]},
+    "tmax": 5.5, "seeds": 64, "rng_seed": 0,
+}
+
+
+def dumbbell_commands(out):
+    """The dumbbell's search and the binding check of its four entries,
+    writing into ``out``."""
+    base = ["--config", f"{out}/dumbbell.json", "--out", out]
+    orbits = ["--orbits", f"{out}/orbits.json"]
+    return [["orbits-find"] + base] + [
+        ["binding-check"] + base + orbits + ["--candidate", str(k)]
+        for k in range(4)]
+
+
+# the sessions this file plans itself: config file name, config, commands
+LOCAL = {"readme": ("ellipsoid.json", README_CONFIG, readme_commands),
+         "dumbbell": ("dumbbell.json", DUMBBELL_CONFIG, dumbbell_commands)}
+SESSIONS = ["readme", *workloads.WHY, "dumbbell"]
 
 
 def session(name):
     """The argv lists of one of ``SESSIONS``, its inputs written under
     ``name/`` in the working directory."""
-    if name == "readme":
-        os.makedirs("readme", exist_ok=True)
-        with open("readme/ellipsoid.json", "w") as fh:
-            json.dump(README_CONFIG, fh, indent=1)
-        return readme_commands("readme")
+    if name in LOCAL:
+        config_name, config, commands = LOCAL[name]
+        os.makedirs(name, exist_ok=True)
+        with open(f"{name}/{config_name}", "w") as fh:
+            json.dump(config, fh, indent=1)
+        return commands(name)
     plan = workloads.build(name, 0, f"{name}/inputs")
     if plan.census_input is not None:
         workloads.write_census(plan)

@@ -108,7 +108,7 @@ def test_criterion_4_spectral_structure(ell, db10):
 def test_criterion_5_topology(ell, gamma1, gamma2):
     t1 = trace_orbit(ell, gamma1, n=512)
     t2 = trace_orbit(ell, gamma2, n=512)
-    assert lnk.linking_number(t1, t2)[0] == 1
+    assert lnk.linking_number(*lnk.stereo_pair(t1, t2))[0] == 1
     assert lnk.self_linking(ell, t1).sl == lnk.self_linking(ell, t2).sl == -1
     for eps in (1e-2, 5e-3, 2.5e-3):
         assert pushoff_linking(ell, t1, eps, "e1") == -1
@@ -140,7 +140,7 @@ def test_criterion_5_topology(ell, gamma1, gamma2):
         a = loop(centers[0], rng.uniform(0.3, 0.9))
         b = loop(centers[1], rng.uniform(0.3, 0.9))
         try:
-            g = lnk.linking_number(a, b)[0]
+            g = lnk.linking_number(*lnk.stereo_pair(a, b))[0]
         except ProximityError:
             continue
         assert lnk.crossing_linking(*lnk.stereo_pair(a, b)) == g

@@ -88,13 +88,12 @@ def test_orbits_find_funnel_adds_up(found):
     assert f["seeds"] == 128
     assert f["candidates"] == f["dropped"] + f["known"] + f["new_primes"]
     assert "skipped_known" not in f and "polished" not in f
+    assert "certify_newton_iters" not in f and "reused_flows" not in f
     assert f["new_primes"] == 2
     assert len(meta["drop_reasons"]) == f["dropped"]
     assert sum(f["newton_iters"].values()) <= f["candidates"]
-    # the survivors' certification: rows, waves, Newton iterations, reuses
+    # the survivors' certification: rows and waves
     assert f["waves"] >= 1 and f["certified"] >= f["new_primes"]
-    assert sum(f["certify_newton_iters"].values()) <= f["certified"]
-    assert sum(f["reused_flows"].values()) > 0
     assert f["steps"] > 0 and f["rejected_steps"] >= 0
     assert f["rhs_evals"] >= 12 * (f["steps"] + f["rejected_steps"])
     assert 0 <= f["one_row_steps"] <= f["steps"] + f["rejected_steps"]

@@ -166,10 +166,10 @@ def test_gauss_sum_is_symmetric(pair):
     assert abs(kernels.gauss_linking_raw(a3, b3)
                - kernels.gauss_linking_raw(b3, a3)) < 1e-9
     try:
-        forward = lk.linking_number(a, b)[0]
+        forward = lk.linking_number(*lk.stereo_pair(a, b))[0]
     except ReebAtlasError:
         assume(False)
-    assert lk.linking_number(b, a)[0] == forward
+    assert lk.linking_number(*lk.stereo_pair(b, a))[0] == forward
 
 
 @settings(max_examples=100, deadline=None)

@@ -82,20 +82,20 @@ def test_stereo_pole_on_curve_rejected():
 def test_linking_hopf_pair(ell, gamma1, gamma2):
     t1 = trace_orbit(ell, gamma1, n=512)
     t2 = trace_orbit(ell, gamma2, n=512)
-    val, resid = lk.linking_number(t1, t2)
+    val, resid = lk.linking_number(*lk.stereo_pair(t1, t2))
     assert val == 1
     assert resid < 0.1
     assert lk.crossing_linking(*lk.stereo_pair(t1, t2)) == 1
     # symmetry and orientation reversal
-    assert lk.linking_number(t2, t1)[0] == 1
-    assert lk.linking_number(t1, t2[::-1])[0] == -1
+    assert lk.linking_number(*lk.stereo_pair(t2, t1))[0] == 1
+    assert lk.linking_number(*lk.stereo_pair(t1, t2[::-1]))[0] == -1
 
 
 def test_linking_densification_invariance(ell, gamma1, gamma2):
     for n in (512, 2048):
         t1 = trace_orbit(ell, gamma1, n=n)
         t2 = trace_orbit(ell, gamma2, n=n)
-        assert lk.linking_number(t1, t2)[0] == 1
+        assert lk.linking_number(*lk.stereo_pair(t1, t2))[0] == 1
 
 
 def test_unlinked_distant_circles():
@@ -103,14 +103,14 @@ def test_unlinked_distant_circles():
                    0 * TH, 0 * TH + 0.05], axis=1)
     c2 = np.stack([0 * TH + 0.05, 0.1 * np.cos(TH),
                    0.1 * np.sin(TH) + 1, 0 * TH], axis=1)
-    assert lk.linking_number(c1, c2)[0] == 0
+    assert lk.linking_number(*lk.stereo_pair(c1, c2))[0] == 0
     assert lk.crossing_linking(*lk.stereo_pair(c1, c2)) == 0
 
 
 def test_proximity_rejection():
     c = hopf_circle_1()
     with pytest.raises(ProximityError):
-        lk.linking_number(c, c + 1e-5)
+        lk.linking_number(*lk.stereo_pair(c, c + 1e-5))
 
 
 def test_gauss_vs_crossing_on_random_pairs():
@@ -136,7 +136,7 @@ def test_gauss_vs_crossing_on_random_pairs():
         a = loop(centers[0], rng.uniform(0.3, 0.9))
         b = loop(centers[1], rng.uniform(0.3, 0.9))
         try:
-            g = lk.linking_number(a, b)[0]
+            g = lk.linking_number(*lk.stereo_pair(a, b))[0]
         except ProximityError:
             continue
         assert lk.crossing_linking(*lk.stereo_pair(a, b)) == g
@@ -154,7 +154,8 @@ def test_census_residuals_at_rounding_level(ell, gamma1, gamma2):
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             try:
-                val, resid = lk.linking_number(traces[i], traces[j])
+                val, resid = lk.linking_number(
+                    *lk.stereo_pair(traces[i], traces[j]))
             except ProximityError:
                 assert entries[i].T_min == entries[j].T_min
                 continue
@@ -348,8 +349,8 @@ def test_cover_linking_data_follow_from_the_primes(coeffs):
     with prime_table():
         for a, b in ((2, 1), (1, 3)):
             pa, qb = _cover(p, a), _cover(q, b)
-            direct = lk.linking_number(trace_orbit(form, pa, 512),
-                                       trace_orbit(form, qb, 512))
+            direct = lk.linking_number(*lk.stereo_pair(
+                trace_orbit(form, pa, 512), trace_orbit(form, qb, 512)))
             assert lk.cover_linking(form, pa, qb)[0] == direct[0] == a * b
         for orbit in (p, q):
             double = _cover(orbit, 2)
@@ -368,4 +369,4 @@ def test_gauss_and_crossing_count_agree_on_prime_pairs(coeffs):
         for t in (tp, tq)]
     for a, b in pairs:
         crossing = lk.crossing_linking(*lk.stereo_pair(a, b))
-        assert crossing == lk.linking_number(a, b)[0]
+        assert crossing == lk.linking_number(*lk.stereo_pair(a, b))[0]

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -203,25 +202,33 @@ def test_census_drops_a_failing_candidate(ell, monkeypatch):
     assert db[0].T == pytest.approx(np.pi, rel=1e-8)
 
 
-def test_census_drops_a_failing_prime_repolish(ell, monkeypatch):
-    # the re-certification of a multiply covered candidate at its prime
-    # period is one candidate's failure too: logged and skipped, not fatal
+def test_census_drops_a_failing_prime_run(ell, monkeypatch):
+    # a cover's prime comes from its run to the prime period, so a failure
+    # of that run is one candidate's failure too: logged and skipped, not
+    # fatal
     from reeb_atlas import orbits
 
     certify = orbits._certify
-    repolish = []
+    prime_runs = []
 
-    def failing_first_repolish(form, x, T, initial_residual_cap):
-        if initial_residual_cap == np.inf:
-            repolish.append(1)
-            if len(repolish) == 1:
-                raise StiffnessError("step size underflow", 0.0, None)
-        return (yield from certify(form, x, T, initial_residual_cap))
+    def failing_first_prime_run(form, polished):
+        rows = certify(form, polished)
+        ask = next(rows)
+        while True:
+            # a plain run below the polished period is a cover's prime run
+            if ask[0] is False and ask[2] < 0.75 * polished[1]:
+                prime_runs.append(ask[2])
+                if len(prime_runs) == 1:
+                    raise StiffnessError("step size underflow", 0.0, None)
+            try:
+                ask = rows.send((yield ask))
+            except StopIteration as done:
+                return done.value
 
-    monkeypatch.setattr(orbits, "_certify", failing_first_repolish)
+    monkeypatch.setattr(orbits, "_certify", failing_first_prime_run)
     log = []
     db = find_orbits(ell, 10.0, n_seeds=8, log=log)
-    assert len(repolish) > 1
+    assert len(prime_runs) > 1
     assert "candidate dropped: step size underflow" in log
     # a later candidate on the same circle still completes the census
     assert [(round(o.T_min, 6), o.multiplicity) for o in db.orbits] == [
@@ -232,8 +239,7 @@ def test_census_drops_a_failing_prime_repolish(ell, monkeypatch):
 
 # the stepper's work and the certification's own counts are not the oracle's
 _OWN_COUNTS = {"steps", "rejected_steps", "rhs_evals", "one_row_steps",
-               "certified", "waves",
-               "certify_newton_iters", "reused_flows"}
+               "certified", "waves"}
 
 
 def _replays_the_oracle(tmp_path, form, T_max, n_seeds, candidates=None):
@@ -252,20 +258,27 @@ def _replays_the_oracle(tmp_path, form, T_max, n_seeds, candidates=None):
     return db
 
 
-@pytest.mark.parametrize("form_name, T_max, n_seeds, reuse", [
-    ("ell", 10.0, 32, "dense"),
-    ("ell", 10.0, 8, "variational"),  # a cover is certified first
-    ("perturbed_form", 7.0, 16, "dense"),
-    ("perturbed_form", 10.0, 16, "variational"),
+@pytest.mark.parametrize("form_name, T_max, n_seeds", [
+    ("ell", 10.0, 32),
+    ("ell", 10.0, 8),  # a cover is certified first
+    ("perturbed_form", 7.0, 16),
+    ("perturbed_form", 10.0, 16),
+    ("round_form", 7.0, 16),  # every orbit a degenerate family
 ])
 def test_waves_replay_the_sequential_search(request, tmp_path, form_name,
-                                            T_max, n_seeds, reuse):
+                                            T_max, n_seeds):
     db = _replays_the_oracle(tmp_path, request.getfixturevalue(form_name),
                              T_max, n_seeds)
     f = db.funnel
     assert f["waves"] >= 1 and f["certified"] >= f["new_primes"]
-    assert sum(f["certify_newton_iters"].values()) <= f["certified"]
-    assert f["reused_flows"][reuse] > 0
+
+
+def test_the_dumbbell_search_replays_the_oracle(tmp_path,
+                                                dumbbell_12_searched):
+    # the index-2 neck and the z2-plane orbit of the K = 1.2 dumbbell; a
+    # residual that kept the polish's continuity defects would differ here
+    form, db = dumbbell_12_searched
+    assert len(_replays_the_oracle(tmp_path, form, 5.5, 64)) == len(db) == 4
 
 
 def test_a_held_back_class_mate_waits_for_a_second_wave(tmp_path, monkeypatch):
@@ -295,35 +308,57 @@ def test_a_discarded_wave_row_may_fail_with_any_error(tmp_path, ell,
     certify = orbits._certify
     failed = []
 
-    def failing_double_cover(form, x, T, initial_residual_cap):
-        if initial_residual_cap == 1.0 and abs(T - 2 * np.pi) < 1e-3:
-            failed.append(T)
+    def failing_double_cover(form, polished):
+        if abs(polished[1] - 2 * np.pi) < 1e-3:
+            failed.append(polished[1])
             raise ValueError("the bracket holds no minimum")
-        return (yield from certify(form, x, T, initial_residual_cap))
+        return (yield from certify(form, polished))
 
     monkeypatch.setattr(orbits, "_certify", failing_double_cover)
     _replays_the_oracle(tmp_path, ell, 10.0, 32)
     assert len(failed) == 1
 
 
+_FIELDS = ("x0", "T_min", "multiplicity", "monodromy", "nondeg_class",
+           "residual", "newton_iters")
+
+
+def _assert_same_orbit(got, want, fields=_FIELDS):
+    for name in fields:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_refine_orbit_equals_one_flow_per_run(ell, perturbed_form):
-    # the one-row certification answers repeated flows from its own runs;
-    # every field equals the oracle's, which integrates each flow anew, at
-    # refine_orbit's cap 0.1 and the caps the search certifies with
+    # every field equals the oracle's, which integrates each flow anew: of
+    # refine_orbit at its cap 0.1, of the search's certificate of a polished
+    # row against a second polish at cap 1, and of a cover's prime, built
+    # from the cover's runs, against its re-certification at cap inf
     from reeb_atlas import orbits
 
-    for form, x, T, cap in ((ell, [1.0, 0.01, 0.0, 0.02], 1.01 * np.pi, 0.1),
-                            (ell, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1.0),
-                            (perturbed_form, [1.0, 0.0, 0.0, 0.0], np.pi,
-                             np.inf)):
-        x = np.array(x)
-        got = refine_orbit(form, x, T) if cap == 0.1 else orbits._certify_rows(
-            form, [orbits._certify(form, x, T, cap)], Counter())[0]
-        want = sequential_refine_orbit(form, x, T, cap)
-        for name in ("x0", "T_min", "multiplicity", "monodromy",
-                     "nondeg_class", "residual", "newton_iters"):
-            np.testing.assert_array_equal(getattr(got, name),
-                                          getattr(want, name))
+    x = np.array([1.0, 0.01, 0.0, 0.02])
+    _assert_same_orbit(refine_orbit(ell, x, 1.01 * np.pi),
+                       sequential_refine_orbit(ell, x, 1.01 * np.pi, 0.1))
+    covers = 0
+    for form, x, T in ((ell, [1.0, 0.0, 0.0, 0.0], 2 * np.pi),
+                       (ell, [1.0, 0.01, 0.0, 0.02], 2.02 * np.pi),
+                       (ell, [1.0, 0.0, 0.0, 0.0], 3 * np.pi),
+                       (perturbed_form, [1.0, 0.0, 0.0, 0.0], np.pi),
+                       (perturbed_form, [1.0, 0.0, 0.0, 0.0], 2 * np.pi)):
+        polished, = orbits._newton_polish(form, np.reshape(x, (1, 4)), [T],
+                                          orbits._CANDIDATE_THRESHOLD)
+        (orbit, prime), = orbits._lockstep_rows(
+            form, [orbits._certify(form, polished)])
+        # the oracle polishes the polished row again, in no iteration
+        want = sequential_refine_orbit(form, polished[0], polished[1], 1.0)
+        _assert_same_orbit(orbit, want, _FIELDS[:-1])
+        assert want.newton_iters == 0 and orbit.newton_iters == polished[3]
+        if orbit.multiplicity == 1:
+            assert prime is orbit
+            continue
+        covers += 1
+        _assert_same_orbit(prime, sequential_refine_orbit(
+            form, orbit.x0, orbit.T_min, np.inf))
+    assert covers == 4
 
 
 def test_rng_seed_selects_a_disjoint_seed_window(ell, monkeypatch):
