@@ -29,11 +29,14 @@ with the variational block, ``(..., 20)``.
 The pair kernels run over tiles of rows of their first argument, so each
 tile's (rows, len(b)) planes stay in cache: ``_GAUSS_TILE`` rows of the
 Gauss sum, written with ``out=`` into buffers reused across the call, and
-``_DIST_TILE`` rows of the distances.  Every output is the untiled one's bit
-for bit: every element keeps its expression and its operation order, the
-Gauss sum adds each ``_GAUSS_CHUNK``-row block's two angle sums in turn over
-the same contiguous (rows, len(b)) arrays, a row's minimum over b does not
-depend on the other rows, and a minimum of tile minima is the minimum.
+``_DIST_TILE`` rows of the Hausdorff scans.  ``min_cross_distance`` tiles
+both arguments by ``_DIST_TILE`` rows and visits only the tile pairs whose
+box bound does not exceed the least distance so far.  Every output is the
+untiled one's bit for bit: every element keeps its expression and its
+operation order, the Gauss sum adds each ``_GAUSS_CHUNK``-row block's two
+angle sums in turn over the same contiguous (rows, len(b)) arrays, a row's
+minimum over b does not depend on the other rows, and a minimum of tile
+minima that holds the least one is the minimum.
 """
 
 import numpy as np
@@ -329,7 +332,7 @@ def gauss_linking_raw(a, b):
 # Distances between sampled closed traces.  The Hausdorff distance is taken
 # between the closed POLYLINES (point-to-segment), so two samplings of the
 # same curve with different marked points are close at realistic resolutions.
-# Both kernels work coordinate by coordinate on (rows, nb) planes, in the
+# The kernels work coordinate by coordinate on (rows, cols) planes, in the
 # order of sums over the last axis, so no (na, nb, dim) temporary is built
 # and each result is the broadcast formula's bit for bit.
 # ---------------------------------------------------------------------------
@@ -361,8 +364,34 @@ def point_to_polyline(p, b):
     return np.sqrt(_points_to_polyline_d2(p.reshape(1, -1), b)[0])
 
 
+def _tile_boxes(x):
+    """Starts of the _DIST_TILE-row tiles of x (n, dim), and the lower and
+    upper corners (tiles, dim) of their boxes."""
+    starts = np.arange(0, x.shape[0], _DIST_TILE)
+    return (starts, np.minimum.reduceat(x, starts),
+            np.maximum.reduceat(x, starts))
+
+
 def min_cross_distance(a, b):
-    return np.sqrt(np.min([
-        sum((ak[:, None] - bk) ** 2
-            for ak, bk in zip(a[i0:i0 + _DIST_TILE].T, b.T)).min()
-        for i0 in range(0, a.shape[0], _DIST_TILE)]))
+    """Least distance between the points of a (na, dim) and b (nb, dim).
+
+    Tile pairs are visited in ascending order of a lower bound of their
+    squared distances: per coordinate, the gap between the tiles' boxes,
+    squared and summed in the coordinate order of the exact sum.  Rounding
+    is monotone, so each bound is at most every computed squared distance
+    of its tile pair, and the scan stops at the first bound above the least
+    one so far.  The least of the visited tile minima is the minimum.
+    """
+    sa, alo, ahi = _tile_boxes(a)
+    sb, blo, bhi = _tile_boxes(b)
+    gap = np.maximum(np.maximum(blo - ahi[:, None], alo[:, None] - bhi), 0.0)
+    bound = sum(gk ** 2 for gk in np.moveaxis(gap, -1, 0)).ravel()
+    best = np.inf
+    for k in np.argsort(bound, kind="stable"):
+        if bound[k] > best:
+            break
+        i0, j0 = sa[k // len(sb)], sb[k % len(sb)]
+        best = min(best, sum(
+            (ak[:, None] - bk) ** 2 for ak, bk in
+            zip(a[i0:i0 + _DIST_TILE].T, b[j0:j0 + _DIST_TILE].T)).min())
+    return np.sqrt(best)

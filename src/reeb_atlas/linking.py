@@ -10,6 +10,8 @@ contact volume form; two independent algorithms (the exact Gauss sum,
 taken over vertex directions as two atan2 triangle solid angles per segment
 pair, and signed crossings of a generic planar diagram) are kept separate so
 they can audit each other: every linking number of a census is taken by both.
+The crossing scans test only the segment pairs whose padded boxes meet, which
+finds every crossing the full grid of pairs finds (``_crossing_scan``).
 Every self-linking number is taken by two routes as well: the Gauss sum of
 the orbit and its pushoff along the contact plane, and the
 Calugareanu-White identity lk(K, K + eps V) = writhe + twist (Calugareanu
@@ -91,6 +93,10 @@ _TWIST_STEP = 0.5
 _TANGENT_TOL = 1e-9
 # segments of the first loop per tile of the two-loop crossing scan
 _PAIR_TILE = 32
+# padding of the segment boxes that cull the crossing scans, relative to the
+# shadow's extent: far above the rounding error of a crossing's position
+# (``_crossing_scan``)
+_BOX_PAD = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +234,42 @@ def _height(shadow, i, t):
     return shadow[3][i] + t * shadow[4][i]
 
 
+def _boxes(P, pad):
+    """Boxes (2, 2, n), lower and upper corners, of the segments of a loop's
+    shadow P (2, n), padded by ``pad``."""
+    Q = np.roll(P, -1, axis=1)
+    return np.stack([np.minimum(P, Q) - pad, np.maximum(P, Q) + pad])
+
+
+def _meet(a, b):
+    """Whether boxes a and b (2, 2, ...) meet, elementwise."""
+    return np.all((a[0] <= b[1]) & (b[0] <= a[1]), axis=0)
+
+
+def _meeting_pairs(a_box, b_box):
+    """Index pairs (i, j), in row-major order, of the ``_boxes`` a_box[..., i]
+    and b_box[..., j] that meet.  Only the columns that meet the box of all
+    of a's boxes are tested."""
+    hull = np.stack([a_box[0].min(axis=-1), a_box[1].max(axis=-1)])
+    cols = np.flatnonzero(_meet(hull[..., None], b_box))
+    i, j = np.nonzero(_meet(a_box[..., None], b_box[..., None, cols]))
+    return i, cols[j]
+
+
+def _cross(r, s):
+    """Cross products of segment vectors r and s (2, ...)."""
+    return r[0] * s[1] - r[1] * s[0]
+
+
 def _segment_pairs(a, b):
-    """Segment pairs of two shadows, each a ``_shadow`` sliced so that a's
-    segments run along axis 0 of the pair arrays and b's along axis 1:
-    ``denom``, the cross product of the two segments; ``tt`` and ``uu``, the
-    parameters along each where their lines meet; and ``generic``, the pairs
-    further than _TANGENT_TOL from parallel relative to their lengths."""
+    """Segment pairs of two shadows, each a ``_shadow`` sliced or gathered
+    so that a's segments broadcast against b's (along axes 0 and 1 of the
+    pair arrays, or paired elementwise): ``denom``, the cross product of the
+    two segments; ``tt`` and ``uu``, the parameters along each where their
+    lines meet; and ``generic``, the pairs further than _TANGENT_TOL from
+    parallel relative to their lengths."""
     (A, r, rn), (B, s, sn) = a[:3], b[:3]
-    denom = r[0] * s[1] - r[1] * s[0]
+    denom = _cross(r, s)
     dqx, dqy = B[0] - A[0], B[1] - A[1]
     tt = dqx * s[1] - dqy * s[0]
     uu = dqx * r[1] - dqy * r[0]
@@ -250,23 +284,38 @@ def _pair_crossings(a3, b3, direction):
 
     Returns the signed sum, or None when the projection is non-generic
     (near-parallel strands at a crossing).  Tiles of _PAIR_TILE segments of
-    a scan all of b's segments, so the (rows, len(b)) planes stay in cache.
-    Each pair's test is elementwise, a tile's hits are offset by its first
-    row, any non-generic tile returns None and each tile's sign sum is an
-    integer, so the result is the full grid's.
+    a are tested against b's segments, so the (rows, len(b)) planes stay in
+    cache.  The non-generic test is the full grid's: every pair's threshold
+    _TANGENT_TOL |r||s| is at most ``bound``, taken from the longest
+    segments (rounding is monotone), so it reads the lines' meeting points
+    of the few pairs whose |cross| <= ``bound``.  Crossings are sought only
+    among the pairs whose boxes, padded by ``_BOX_PAD`` of the two shadows'
+    extent, meet: a crossing lies within far less than the pad of both
+    segments (``_crossing_scan``).  Each pair's test is elementwise, any
+    non-generic tile returns None and each tile's sign sum is an integer,
+    so the result is the full grid's.
     """
     sa, sb = _shadow(a3, direction), _shadow(b3, direction)
-    sb_cols = [v[..., None, :] for v in sb]
+    bound = _TANGENT_TOL * (sa[2].max() * sb[2].max())
+    pad = _BOX_PAD * np.ptp(np.hstack([sa[0], sb[0]]), axis=1).max()
+    a_box, b_box = _boxes(sa[0], pad), _boxes(sb[0], pad)
     total = 0
     for i0 in range(0, len(a3), _PAIR_TILE):
-        denom, tt, uu, generic = _segment_pairs(
-            [v[..., i0:i0 + _PAIR_TILE, None] for v in sa], sb_cols)
-        if np.any(~generic & (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1)
-                  & (uu < 1.1) & np.isfinite(tt) & np.isfinite(uu)):
-            return None
+        tile = slice(i0, i0 + _PAIR_TILE)
+        near = np.abs(_cross(sa[1][:, tile, None], sb[1][:, None])) <= bound
+        if near.any():
+            ii, jj = np.nonzero(near)
+            _, tt, uu, generic = _segment_pairs(
+                [v[..., ii + i0] for v in sa], [v[..., jj] for v in sb])
+            if np.any(~generic & (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1)
+                      & (uu < 1.1) & np.isfinite(tt) & np.isfinite(uu)):
+                return None
+        ii, jj = _meeting_pairs(a_box[..., tile], b_box)
+        ii += i0
+        denom, tt, uu, generic = _segment_pairs([v[..., ii] for v in sa],
+                                                [v[..., jj] for v in sb])
         hit = generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
-        ii, jj = np.nonzero(hit)
-        ha, hb = _height(sa, ii + i0, tt[hit]), _height(sb, jj, uu[hit])
+        ha, hb = _height(sa, ii[hit], tt[hit]), _height(sb, jj[hit], uu[hit])
         total += _crossing_signs(ha, hb, denom[hit])
     return total
 
@@ -523,28 +572,41 @@ _SELF_BAND = 64
 
 def _crossing_scan(p3, direction):
     """Self-crossings of the shadow of a loop p3 (n, 3) on the plane normal
-    to ``direction``, in row-major order of their segments i < j: (i, j, t, u, hi, hj, cross), the parameters along each
-    segment, the heights there and the segments' cross product.
+    to ``direction``, in row-major order of their segments i < j:
+    (i, j, t, u, hi, hj, cross), the parameters along each segment, the
+    heights there and the segments' cross product.
 
     Only segments i and j >= i + 2, other than the wrap-adjacent pair
-    (0, n - 1), can cross.  Bands of _SELF_BAND rows i scan the columns
-    j >= i0 + 2 of their first row i0, so the hits come in row-major order.
+    (0, n - 1), can cross.  Bands of _SELF_BAND rows i test the pairs
+    (i, j >= i0 + 2), i0 the band's first row, whose segment boxes meet,
+    among the columns whose boxes meet the box of the band's.  Each box is
+    padded by ``_BOX_PAD`` of the shadow's extent D (its larger side), which
+    covers rounding.  A pair counts only where |cross| > _TANGENT_TOL |r||s|,
+    so the computed t = (dq x s) / cross and u are off by about
+    2.2e-16 / _TANGENT_TOL (|dq| / |r| + 1) = 2.2e-7 (|dq| / |r| + 1), a
+    small multiple of it with every rounding counted.  The computed crossing
+    is off by t's error times |r|, about 2.2e-7 (|dq| + |r|) <= 6.2e-7 D.
+    So a pair whose computed t and u lie in [0, 1) has a crossing within
+    far less than the pad of both segments, and its boxes meet.  The pairs
+    are gathered in row-major order and each pair's test is elementwise, so
+    the hits are the full grid's, in its order.
+
     Returns None on a non-generic projection: a crossing at a vertex or at
     equal heights.
     """
     sh = _shadow(p3, direction)
     n = len(p3)
+    box = _boxes(sh[0], _BOX_PAD * np.ptp(sh[0], axis=1).max())
     found = []
     for i0 in range(0, n, _SELF_BAND):
-        i1 = min(i0 + _SELF_BAND, n)
-        denom, tt, uu, generic = _segment_pairs(
-            [v[..., i0:i1, None] for v in sh],
-            [v[..., None, i0 + 2:] for v in sh])
-        i, j = np.ogrid[i0:i1, i0 + 2:n]
-        hit = (generic & (j >= i + 2) & ((i > 0) | (j < n - 1))
-               & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0))
-        bi, bj = np.nonzero(hit)
-        found.append((bi + i0, bj + i0 + 2, tt[hit], uu[hit], denom[hit]))
+        i, j = _meeting_pairs(box[..., i0:i0 + _SELF_BAND], box[..., i0 + 2:])
+        i, j = i + i0, j + i0 + 2
+        keep = (j >= i + 2) & ((i > 0) | (j < n - 1))
+        i, j = i[keep], j[keep]
+        denom, tt, uu, generic = _segment_pairs([v[..., i] for v in sh],
+                                                [v[..., j] for v in sh])
+        hit = generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
+        found.append((i[hit], j[hit], tt[hit], uu[hit], denom[hit]))
     ii, jj, t, u, cross = map(np.concatenate, zip(*found))
     if np.any(np.minimum(np.minimum(t, 1 - t), np.minimum(u, 1 - u)) < 1e-9):
         return None  # crossing at a vertex; retry another direction

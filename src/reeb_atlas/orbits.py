@@ -93,7 +93,6 @@ class ReebOrbit:
     monodromy: np.ndarray
     nondeg_class: str
     residual: float
-    newton_iters: int = field(default=0, repr=False)
 
     @property
     def T(self):
@@ -290,7 +289,7 @@ def _certify(form, polished):
     closures at T and at T_min, and at least the minimizer's value for a
     family.  A cover's prime comes from the same runs, its residual the
     closure at T_min; a simply covered orbit is its own prime."""
-    x, T, residual, iters, degenerate_family = polished
+    x, T, residual, _, degenerate_family = polished
     x = project_to_sigma(form, x)
     floor = 0.0
     if degenerate_family:
@@ -326,7 +325,7 @@ def _certify(form, polished):
     orbit = ReebOrbit(
         x0=x, T_min=T_min, multiplicity=mult, monodromy=mon_full,
         nondeg_class=classify_monodromy(mon_full),
-        residual=float(max(floor, closure, prime_res)), newton_iters=iters,
+        residual=float(max(floor, closure, prime_res)),
     )
     return orbit, orbit if mult == 1 else ReebOrbit(
         x0=x, T_min=T_min, multiplicity=1, monodromy=mon_prime,

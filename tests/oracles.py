@@ -837,7 +837,7 @@ def sequential_refine_orbit(form, x_guess, T_guess, initial_residual_cap):
                                       [T_guess], initial_residual_cap)
     if isinstance(polished, Exception):
         raise polished
-    x, T, residual, iters, degenerate_family = polished
+    x, T, residual, _, degenerate_family = polished
     if degenerate_family:
         from scipy.optimize import minimize_scalar
 
@@ -867,7 +867,7 @@ def sequential_refine_orbit(form, x_guess, T_guess, initial_residual_cap):
     return orbits.ReebOrbit(
         x0=x, T_min=T_min, multiplicity=mult, monodromy=mon_full,
         nondeg_class=orbits.classify_monodromy(mon_full),
-        residual=float(max(residual, closure, prime_res)), newton_iters=iters)
+        residual=float(max(residual, closure, prime_res)))
 
 
 def sequential_find_orbits(form, T_max, n_seeds, rng_seed=0, log=None,

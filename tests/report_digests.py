@@ -8,14 +8,15 @@ In one process and through ``reeb_atlas.cli.main``, this runs the README's
 nine commands at the README's sizes, then each perfbench workload's seed-0
 commands as ``perfbench/workloads.build`` plans them (census-queries' input
 census by ``workloads.write_census``), then ``orbits-find`` on the K = 1.2
-dumbbell and ``binding-check`` of each of its census entries, which hold an
-index-2 orbit and failing verdicts, each session in its own
-``OUT/<session>/``.  It prints each command's exit code, ``sha256  path``
-of every report, CSV and input, and every sidecar leaf as
-``path:key.key = value``, apart from the timings ``wall_seconds``,
-``import_seconds`` and ``written_at``.  Paths are relative to OUT, so a
-``diff`` of two trees' outputs is the byte-identity check.  pytest does not
-collect this file.
+dumbbell, ``binding-check`` of each of its census entries, which hold an
+index-2 orbit and failing verdicts, and ``link``, ``selflink`` and
+``unknot`` on that census, with its unlinked pairs and non-circular
+shadows, each session in its own ``OUT/<session>/``.  It prints each
+command's exit code, ``sha256  path`` of every report, CSV and input, and
+every sidecar leaf as ``path:key.key = value``, apart from the timings
+``wall_seconds``, ``import_seconds`` and ``written_at``.  Paths are
+relative to OUT, so a ``diff`` of two trees' outputs is the byte-identity
+check.  pytest does not collect this file.
 """
 
 import contextlib
@@ -70,13 +71,15 @@ DUMBBELL_CONFIG = {
 
 
 def dumbbell_commands(out):
-    """The dumbbell's search and the binding check of its four entries,
-    writing into ``out``."""
+    """The dumbbell's search, the binding check of its four entries, and
+    ``link``, ``selflink`` and ``unknot`` on its census, writing into
+    ``out``."""
     base = ["--config", f"{out}/dumbbell.json", "--out", out]
     orbits = ["--orbits", f"{out}/orbits.json"]
     return [["orbits-find"] + base] + [
         ["binding-check"] + base + orbits + ["--candidate", str(k)]
-        for k in range(4)]
+        for k in range(4)] + [[command] + base + orbits
+                              for command in ("link", "selflink", "unknot")]
 
 
 # the sessions this file plans itself: config file name, config, commands

@@ -218,6 +218,35 @@ def test_min_cross_distance_is_the_broadcast_formula(seed, na, nb, scale):
     assert kernels.min_cross_distance(a, b) == np.sqrt(d2.min())
 
 
+
+def test_min_cross_distance_looks_past_the_tile_pair_of_least_bound():
+    # the first tiles' boxes meet, so their bound is 0, but their points lie
+    # on parallel lines 0.64 apart; the second tiles' boxes and points are
+    # 0.3 apart
+    s, z = np.linspace(0.0, 1.0, 64), np.zeros(64)
+    a = np.concatenate([np.stack([s, s, z, z], axis=1),
+                        np.stack([5.0 + s, z, z, z], axis=1)])
+    b = np.concatenate([np.stack([0.9 + 0.1 * s, 0.1 * s, z, z], axis=1),
+                        np.stack([5.0 + s, z + 0.3, z, z], axis=1)])
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    assert kernels.min_cross_distance(a, b) == np.sqrt(d2.min()) == 0.3
+
+
+def test_min_cross_distance_sums_each_bound_in_its_own_order():
+    # two one-point tiles against the origin: in coordinate order a0's
+    # squared distance is one ulp below a1's; summed from the last
+    # coordinate, a0's bound would be one ulp above a1's distance and a1's
+    # bound below it, so a1's tile would come first and a0's be skipped
+    a0 = [1.4487005305319356e-05, 1.50709751695524e-05,
+          1.6481586994057636e-08, 2.8774969340847093e-06]
+    a1 = [1.4487005305319362e-05, 1.5070975169552396e-05,
+          1.6481586994057537e-08, 2.8774969340846945e-06]
+    a = np.repeat([a0, a1], 64, axis=0)
+    b = np.zeros((1, 4))
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    assert kernels.min_cross_distance(a, b) == np.sqrt(d2.min())
+    assert np.sqrt(d2[0, 0]) < np.sqrt(d2[-1, 0])
+
 def _broadcast_points_to_polyline_d2(a, b):
     # the (na, nb, dim) broadcast formula, the reference of the kernel
     e = np.roll(b, -1, axis=0) - b

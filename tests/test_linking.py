@@ -10,7 +10,7 @@ from reeb_atlas.contact import StarForm, project_to_sigma, reeb_vector, xi_frame
 from reeb_atlas.cz import prime_table
 from reeb_atlas.errors import (InconsistencyError, PoleSelectionError,
                                ProximityError)
-from reeb_atlas.orbits import ReebOrbit, trace_orbit
+from reeb_atlas.orbits import ReebOrbit, trace_orbit, trace_orbits
 
 from oracles import (blocked_gauss_linking_raw, flat_trefoil_trace,
                      framed_curve, full_grid_pair_crossings,
@@ -370,3 +370,127 @@ def test_gauss_and_crossing_count_agree_on_prime_pairs(coeffs):
     for a, b in pairs:
         crossing = lk.crossing_linking(*lk.stereo_pair(a, b))
         assert crossing == lk.linking_number(*lk.stereo_pair(a, b))[0]
+
+
+# ---------------------------------------------------------------------------
+# the box culling of the crossing scans, against the full grid
+# ---------------------------------------------------------------------------
+
+def _loop(n, radius, seed, moved):
+    """n vertices on a circle about the z-axis, at random heights, with the
+    vertices ``moved`` (index: (x, y)) put elsewhere in the plane."""
+    th = 2 * np.pi * np.arange(n) / n
+    p3 = np.stack([radius * np.cos(th), radius * np.sin(th),
+                   np.random.default_rng(seed).uniform(size=n)], axis=1)
+    for i, xy in moved.items():
+        p3[i, :2] = xy
+    return p3
+
+
+# two segments (A, A') and (B, B') of near-parallel lines, 2.4e-9 rad apart,
+# B 7e-9 past A' along x: their boxes are that far apart, yet the rounded
+# parameters put the crossing inside both, t = 1 - 4.5e-8 and u = 4.5e-8
+_ROUNDED = ([-0.433106780255472, 0.9005225745390393],
+            [0.06802755787129122, 1.5344129816011587],
+            [0.068027564810683, 1.5344129903788726],
+            [0.4710416944352878, 2.044190055088853])
+
+
+def test_the_self_scan_keeps_a_rounded_crossing_across_a_band_edge():
+    # segment 63 ends band 0 and segment 100 is in band 1; only the pad
+    # keeps the pair, whose crossing the full grid counts
+    a, a1, b, b1 = _ROUNDED
+    p3 = _loop(130, 3.0, 0, {63: a, 64: a1, 100: b, 101: b1})
+    ii, jj = lk._crossing_scan(p3, lk._PLANE_DIRECTIONS[0])[:2]
+    assert (63, 100) in zip(ii.tolist(), jj.tolist())
+    for direction in lk._PLANE_DIRECTIONS:
+        assert (lk._self_crossings(p3, direction)
+                == full_grid_self_crossings(p3, direction))
+
+
+def test_the_pair_scan_keeps_a_rounded_crossing_across_a_tile_edge():
+    # a's segment 31 ends its first tile; b's segment 10 meets it only
+    # through the pad
+    a, a1, b, b1 = _ROUNDED
+    a3 = _loop(70, 3.0, 1, {31: a, 32: a1})
+    b3 = _loop(40, 4.0, 2, {10: b, 11: b1})
+    results = [lk._pair_crossings(a3, b3, d) for d in lk._PLANE_DIRECTIONS]
+    assert results[0] == -1
+    assert results == [full_grid_pair_crossings(a3, b3, d)
+                       for d in lk._PLANE_DIRECTIONS]
+
+
+def test_the_pair_scan_flags_a_distant_near_collinear_pair():
+    # a's segment 31 and b's segment 10 lie on one line to rounding, 2.2
+    # apart; their rounded meeting parameters t = u = -0 fall in the
+    # non-generic window, so the full grid refuses the shadow, though their
+    # boxes are far apart
+    a3 = _loop(70, 3.0, 1, {31: [0.88587478523297, -0.6171047761844979],
+                            32: [1.3674219990120502, -0.12904929182652103]})
+    b3 = _loop(40, 4.0, 2, {10: [2.9406992548909163, 1.4654913288562395],
+                            11: [3.185383534881439, 1.713482598182415]})
+    results = [lk._pair_crossings(a3, b3, d) for d in lk._PLANE_DIRECTIONS]
+    assert results[0] is None
+    assert results == [full_grid_pair_crossings(a3, b3, d)
+                       for d in lk._PLANE_DIRECTIONS]
+
+
+def test_an_edge_on_shadow_equals_the_full_grid():
+    # a figure eight and an ellipse in the plane y = 0: along z each shadow
+    # is a stretch of the x-axis, of extent [2, 0] (census-queries sees its
+    # circles so), and along the other directions the eight crosses itself
+    th = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+    p3 = np.stack([np.cos(th), 0 * th, np.sin(2 * th)], axis=1)
+    q3 = np.stack([0.5 + np.cos(th), 0 * th, 0.3 * np.sin(th)], axis=1)
+    d0 = lk._PLANE_DIRECTIONS[0]
+    np.testing.assert_array_equal(np.ptp(lk._shadow(p3, d0)[0], axis=1),
+                                  [2.0, 0.0])
+    for direction in lk._PLANE_DIRECTIONS:
+        assert (lk._self_crossings(p3, direction)
+                == full_grid_self_crossings(p3, direction))
+        assert (lk._pair_crossings(p3, q3, direction)
+                == full_grid_pair_crossings(p3, q3, direction))
+
+
+@pytest.mark.parametrize("n", [65, 66, 130])
+def test_bands_without_candidates_equal_the_full_grid(n):
+    # on a circle no segment's box meets that of any segment j >= i + 2, so
+    # no band keeps a pair, and at n = 65 and 66 the last band has no column
+    th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    p3 = np.stack([np.cos(th), np.sin(th), 0.2 * np.cos(th)], axis=1)
+    assert lk._self_crossings(p3, lk._PLANE_DIRECTIONS[0]) == []
+    for direction in lk._PLANE_DIRECTIONS:
+        assert (lk._self_crossings(p3, direction)
+                == full_grid_self_crossings(p3, direction))
+
+
+def test_culled_scans_equal_the_full_grid_on_census_traces(
+        ell, gamma1, gamma2, dumbbell_12_searched):
+    # census-queries' two primes and the searched K = 1.2 dumbbell's four:
+    # each trace's unknot image and self-linking image, and each pair of
+    # primes of one form, along all 13 directions; census-queries' circles
+    # include an edge-on shadow, and the dumbbell has unlinked pairs
+    dumbbell, db = dumbbell_12_searched
+    edge_on = 0
+    for form, primes in ((ell, [gamma1, gamma2]),
+                         (dumbbell, [o for o in db.orbits
+                                     if o.multiplicity == 1])):
+        traces = trace_orbits(form, primes, 512)
+        images = []
+        for t in traces:
+            pushed = project_to_sigma(
+                form, t + lk._PUSHOFF * xi_frame(form, t).e1)
+            images += [lk.stereo_project(t, lk.pick_pole([t])),
+                       lk.stereo_pair(t, pushed)[0]]
+        pairs = [lk.stereo_pair(a, b) for k, a in enumerate(traces)
+                 for b in traces[k + 1:]]
+        for direction in lk._PLANE_DIRECTIONS:
+            for p3 in images:
+                extent = np.ptp(lk._shadow(p3, direction)[0], axis=1)
+                edge_on += extent.min() < 1e-12
+                assert (lk._self_crossings(p3, direction)
+                        == full_grid_self_crossings(p3, direction))
+            for a3, b3 in pairs:
+                assert (lk._pair_crossings(a3, b3, direction)
+                        == full_grid_pair_crossings(a3, b3, direction))
+    assert edge_on
