@@ -105,7 +105,7 @@ def _write_report(out_dir, name, payload, started, meta):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=_jsonify)
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
     meta = dict(meta, report=name, version=__version__,
                 import_seconds=IMPORT_SECONDS,
@@ -114,16 +114,6 @@ def _write_report(out_dir, name, payload, started, meta):
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def _jsonify(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 # ---------------------------------------------------------------------------

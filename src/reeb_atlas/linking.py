@@ -10,8 +10,9 @@ contact volume form; two independent algorithms (the exact Gauss sum,
 taken over vertex directions as two atan2 triangle solid angles per segment
 pair, and signed crossings of a generic planar diagram) are kept separate so
 they can audit each other: every linking number of a census is taken by both.
-The crossing scans test only the segment pairs whose padded boxes meet, which
-finds every crossing the full grid of pairs finds (``_crossing_scan``).
+Every diagram, of one loop or of two, is read by one scan under one
+genericity rule (``_crossing_scan``): no two segments whose padded boxes meet
+are near parallel, and no crossing lies at a vertex or at equal heights.
 Every self-linking number is taken by two routes as well: the Gauss sum of
 the orbit and its pushoff along the contact plane, and the
 Calugareanu-White identity lk(K, K + eps V) = writhe + twist (Calugareanu
@@ -88,13 +89,13 @@ _PUSHOFF = 1e-2
 # largest step of the pushoff's angle against the blackboard frame for the
 # twist of a projection direction to count
 _TWIST_STEP = 0.5
-# crossings of shadow segments this close to parallel (relative to their
-# lengths) make a projection non-generic
+# shadow segments this close to parallel (relative to their lengths) whose
+# padded boxes meet make a projection non-generic
 _TANGENT_TOL = 1e-9
-# segments of the first loop per tile of the two-loop crossing scan
-_PAIR_TILE = 32
-# padding of the segment boxes that cull the crossing scans, relative to the
-# shadow's extent: far above the rounding error of a crossing's position
+# rows of segments per band of the crossing scan
+_BAND = 64
+# padding of the segment boxes that cull the crossing scan, relative to the
+# shadows' extent: far above the rounding error of a crossing's position
 # (``_crossing_scan``)
 _BOX_PAD = 1e-5
 
@@ -256,68 +257,65 @@ def _meeting_pairs(a_box, b_box):
     return i, cols[j]
 
 
-def _cross(r, s):
-    """Cross products of segment vectors r and s (2, ...)."""
-    return r[0] * s[1] - r[1] * s[0]
+def _crossing_scan(a3, b3, direction):
+    """Crossings of the shadows of loops a3 (n, 3) and b3 (m, 3) on the plane
+    normal to ``direction``, in row-major order of their segments (i, j):
+    (i, j, t, u, hi, hj, cross), the parameters along each segment, the
+    heights there and the segments' cross product.  With ``b3 is a3`` these
+    are the loop's self-crossings, and only the pairs j >= i + 2 other than
+    the wrap-adjacent pair (0, n - 1) are tested.
 
-
-def _segment_pairs(a, b):
-    """Segment pairs of two shadows, each a ``_shadow`` sliced or gathered
-    so that a's segments broadcast against b's (along axes 0 and 1 of the
-    pair arrays, or paired elementwise): ``denom``, the cross product of the
-    two segments; ``tt`` and ``uu``, the parameters along each where their
-    lines meet; and ``generic``, the pairs further than _TANGENT_TOL from
-    parallel relative to their lengths."""
-    (A, r, rn), (B, s, sn) = a[:3], b[:3]
-    denom = _cross(r, s)
-    dqx, dqy = B[0] - A[0], B[1] - A[1]
-    tt = dqx * s[1] - dqy * s[0]
-    uu = dqx * r[1] - dqy * r[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tt = tt / denom
-        uu = uu / denom
-    return denom, tt, uu, np.abs(denom) > _TANGENT_TOL * (rn * sn)
-
-
-def _pair_crossings(a3, b3, direction):
-    """Signed crossings between the shadows of two loops.
-
-    Returns the signed sum, or None when the projection is non-generic
-    (near-parallel strands at a crossing).  Tiles of _PAIR_TILE segments of
-    a are tested against b's segments, so the (rows, len(b)) planes stay in
-    cache.  The non-generic test is the full grid's: every pair's threshold
-    _TANGENT_TOL |r||s| is at most ``bound``, taken from the longest
-    segments (rounding is monotone), so it reads the lines' meeting points
-    of the few pairs whose |cross| <= ``bound``.  Crossings are sought only
-    among the pairs whose boxes, padded by ``_BOX_PAD`` of the two shadows'
-    extent, meet: a crossing lies within far less than the pad of both
-    segments (``_crossing_scan``).  Each pair's test is elementwise, any
-    non-generic tile returns None and each tile's sign sum is an integer,
-    so the result is the full grid's.
+    Returns None on a non-generic diagram: two segments whose padded boxes
+    meet within _TANGENT_TOL of parallel (|cross| <= _TANGENT_TOL |r||s|),
+    a crossing at a vertex or a crossing at equal heights.  Bands of _BAND
+    rows i test the pairs whose segment boxes meet, among the columns whose
+    boxes meet the box of the band's.  Each box is padded by ``_BOX_PAD`` of
+    the shadows' extent D (the larger side of both), which covers rounding.
+    Where |cross| > _TANGENT_TOL |r||s|, the computed t = (dq x s) / cross
+    and u are off by about 2.2e-16 / _TANGENT_TOL (|dq| / |r| + 1) =
+    2.2e-7 (|dq| / |r| + 1), a small multiple of it with every rounding
+    counted, so the computed crossing is off by about
+    2.2e-7 (|dq| + |r|) <= 6.2e-7 D, far less than the pad: a pair whose
+    computed t and u lie in [0, 1) has boxes that meet, and a pair whose
+    boxes do not meet cannot touch, so it cannot make the diagram
+    non-generic.  Each pair's test is elementwise, the first band that
+    meets a refusal returns None, and the pairs are gathered in row-major
+    order, so the result is that of the full grid of pairs under the same
+    rule.
     """
-    sa, sb = _shadow(a3, direction), _shadow(b3, direction)
-    bound = _TANGENT_TOL * (sa[2].max() * sb[2].max())
+    own = b3 is a3
+    sa = _shadow(a3, direction)
+    sb = sa if own else _shadow(b3, direction)
+    n = len(a3)
     pad = _BOX_PAD * np.ptp(np.hstack([sa[0], sb[0]]), axis=1).max()
-    a_box, b_box = _boxes(sa[0], pad), _boxes(sb[0], pad)
-    total = 0
-    for i0 in range(0, len(a3), _PAIR_TILE):
-        tile = slice(i0, i0 + _PAIR_TILE)
-        near = np.abs(_cross(sa[1][:, tile, None], sb[1][:, None])) <= bound
-        if near.any():
-            ii, jj = np.nonzero(near)
-            _, tt, uu, generic = _segment_pairs(
-                [v[..., ii + i0] for v in sa], [v[..., jj] for v in sb])
-            if np.any(~generic & (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1)
-                      & (uu < 1.1) & np.isfinite(tt) & np.isfinite(uu)):
-                return None
-        ii, jj = _meeting_pairs(a_box[..., tile], b_box)
-        ii += i0
-        denom, tt, uu, generic = _segment_pairs([v[..., ii] for v in sa],
-                                                [v[..., jj] for v in sb])
-        hit = generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
-        ha, hb = _height(sa, ii[hit], tt[hit]), _height(sb, jj[hit], uu[hit])
-        total += _crossing_signs(ha, hb, denom[hit])
-    return total
+    a_box = _boxes(sa[0], pad)
+    b_box = a_box if own else _boxes(sb[0], pad)
+    found = []
+    for i0 in range(0, n, _BAND):
+        j0 = i0 + 2 if own else 0
+        i, j = _meeting_pairs(a_box[..., i0:i0 + _BAND], b_box[..., j0:])
+        i, j = i + i0, j + j0
+        if own:
+            keep = (j >= i + 2) & ((i > 0) | (j < n - 1))
+            i, j = i[keep], j[keep]
+        (A, r, rn), (B, s, sn) = ([v[..., i] for v in sa[:3]],
+                                  [v[..., j] for v in sb[:3]])
+        cross = r[0] * s[1] - r[1] * s[0]
+        if np.any(np.abs(cross) <= _TANGENT_TOL * (rn * sn)):
+            return None  # near-parallel segments that may touch
+        dqx, dqy = B[0] - A[0], B[1] - A[1]
+        t = (dqx * s[1] - dqy * s[0]) / cross
+        u = (dqx * r[1] - dqy * r[0]) / cross
+        hit = (t >= 0.0) & (t < 1.0) & (u >= 0.0) & (u < 1.0)
+        i, j, t, u, cross = i[hit], j[hit], t[hit], u[hit], cross[hit]
+        if np.any(np.minimum(np.minimum(t, 1 - t), np.minimum(u, 1 - u))
+                  < 1e-9):
+            return None  # crossing at a vertex
+        hi, hj = _height(sa, i, t), _height(sb, j, u)
+        if np.any(np.abs(hi - hj) < 1e-12):
+            return None  # crossing at equal heights
+        found.append((i, j, t, u, hi, hj, cross))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _crossing_signs(ha, hb, cross):
@@ -331,9 +329,10 @@ def crossing_linking(a3, b3):
     """Linking number of two loops, given as their ``stereo_pair`` images,
     as half the signed crossing count of a generic shadow."""
     for direction in _PLANE_DIRECTIONS:
-        total = _pair_crossings(a3, b3, direction)
-        if total is None:
+        scan = _crossing_scan(a3, b3, direction)
+        if scan is None:
             continue
+        total = _crossing_signs(*scan[4:])
         if total % 2 != 0:
             continue  # odd sum signals a missed or double-counted crossing
         return total // 2
@@ -398,11 +397,10 @@ def _writhe_twist(a3, b3):
         twist = _twist(a3, b3, direction)
         if twist is None:
             continue
-        scan = _crossing_scan(a3, direction)
+        scan = _crossing_scan(a3, a3, direction)
         if scan is None:
             continue
-        _, _, _, _, hi, hj, cross = scan
-        return _crossing_signs(hi, hj, cross), twist, direction
+        return _crossing_signs(*scan[4:]), twist, direction
     return None
 
 
@@ -566,60 +564,10 @@ class KnotVerdict:
     crossing_count_after_reduction: int
 
 
-# rows of segments per band of the self-crossing scan
-_SELF_BAND = 64
-
-
-def _crossing_scan(p3, direction):
-    """Self-crossings of the shadow of a loop p3 (n, 3) on the plane normal
-    to ``direction``, in row-major order of their segments i < j:
-    (i, j, t, u, hi, hj, cross), the parameters along each segment, the
-    heights there and the segments' cross product.
-
-    Only segments i and j >= i + 2, other than the wrap-adjacent pair
-    (0, n - 1), can cross.  Bands of _SELF_BAND rows i test the pairs
-    (i, j >= i0 + 2), i0 the band's first row, whose segment boxes meet,
-    among the columns whose boxes meet the box of the band's.  Each box is
-    padded by ``_BOX_PAD`` of the shadow's extent D (its larger side), which
-    covers rounding.  A pair counts only where |cross| > _TANGENT_TOL |r||s|,
-    so the computed t = (dq x s) / cross and u are off by about
-    2.2e-16 / _TANGENT_TOL (|dq| / |r| + 1) = 2.2e-7 (|dq| / |r| + 1), a
-    small multiple of it with every rounding counted.  The computed crossing
-    is off by t's error times |r|, about 2.2e-7 (|dq| + |r|) <= 6.2e-7 D.
-    So a pair whose computed t and u lie in [0, 1) has a crossing within
-    far less than the pad of both segments, and its boxes meet.  The pairs
-    are gathered in row-major order and each pair's test is elementwise, so
-    the hits are the full grid's, in its order.
-
-    Returns None on a non-generic projection: a crossing at a vertex or at
-    equal heights.
-    """
-    sh = _shadow(p3, direction)
-    n = len(p3)
-    box = _boxes(sh[0], _BOX_PAD * np.ptp(sh[0], axis=1).max())
-    found = []
-    for i0 in range(0, n, _SELF_BAND):
-        i, j = _meeting_pairs(box[..., i0:i0 + _SELF_BAND], box[..., i0 + 2:])
-        i, j = i + i0, j + i0 + 2
-        keep = (j >= i + 2) & ((i > 0) | (j < n - 1))
-        i, j = i[keep], j[keep]
-        denom, tt, uu, generic = _segment_pairs([v[..., i] for v in sh],
-                                                [v[..., j] for v in sh])
-        hit = generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
-        found.append((i[hit], j[hit], tt[hit], uu[hit], denom[hit]))
-    ii, jj, t, u, cross = map(np.concatenate, zip(*found))
-    if np.any(np.minimum(np.minimum(t, 1 - t), np.minimum(u, 1 - u)) < 1e-9):
-        return None  # crossing at a vertex; retry another direction
-    hi, hj = _height(sh, ii, t), _height(sh, jj, u)
-    if np.any(np.abs(hi - hj) < 1e-12):
-        return None
-    return ii, jj, t, u, hi, hj, cross
-
-
 def _self_crossings(p3, direction):
     """Crossing word of one loop's shadow: list of (cid, over) in arc order,
     or None on a non-generic projection (``_crossing_scan``)."""
-    scan = _crossing_scan(p3, direction)
+    scan = _crossing_scan(p3, p3, direction)
     if scan is None:
         return None
     ii, jj, t, u, hi, hj, _ = scan

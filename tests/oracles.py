@@ -44,8 +44,8 @@ from reeb_atlas.errors import (DomainError, GridQualityError,
                                ResolutionError)
 from reeb_atlas.flow import integrate_batch, integrate_flow, xi_period_map
 from reeb_atlas.kernels import _GAUSS_CHUNK, _HESS_BLOCK, _I, _J
-from reeb_atlas.linking import (_MIN_CURVE_DIST, _height, _segment_pairs,
-                                _shadow, linking_number, pick_pole,
+from reeb_atlas.linking import (_BOX_PAD, _MIN_CURVE_DIST, _TANGENT_TOL,
+                                _height, _shadow, linking_number, pick_pole,
                                 stereo_project)
 from reeb_atlas.sections import (DiskGrid, _DiskIndex, _first_crossing,
                                  _grid_point, _refine_to_surface)
@@ -605,43 +605,52 @@ def iterate_index_table(form, orbit, k_max):
     return table, flags
 
 
-def full_grid_pair_crossings(a3, b3, direction):
-    """``linking._pair_crossings`` over the full grid of segment pairs."""
+def full_grid_crossings(a3, b3, direction):
+    """``linking._crossing_scan`` over the full grid of segment pairs (i, j),
+    masked to j >= i + 2 without the wrap-adjacent pair (0, n - 1) when
+    ``b3 is a3``.  The near-parallel refusal is masked to the pairs whose
+    boxes, padded by ``_BOX_PAD`` of both shadows' extent, meet; the
+    crossings are sought among all pairs, so an equal result also shows
+    that the scan's culling loses none."""
     sa, sb = _shadow(a3, direction), _shadow(b3, direction)
-    denom, tt, uu, generic = _segment_pairs([v[..., :, None] for v in sa],
-                                            [v[..., None, :] for v in sb])
-    if np.any(~generic & (tt >= -0.1) & (tt < 1.1) & (uu >= -0.1) & (uu < 1.1)
-              & np.isfinite(tt) & np.isfinite(uu)):
+    (A, r, rn), (B, s, sn) = sa[:3], sb[:3]
+    n, m = len(a3), len(b3)
+    i, j = np.ogrid[:n, :m]
+    pairs = ((j >= i + 2) & ((i > 0) | (j < n - 1)) if b3 is a3
+             else np.ones((n, m), dtype=bool))
+    pad = _BOX_PAD * np.ptp(np.hstack([A, B]), axis=1).max()
+    A1, B1 = np.roll(A, -1, axis=1), np.roll(B, -1, axis=1)
+    lo_a, hi_a = np.minimum(A, A1) - pad, np.maximum(A, A1) + pad
+    lo_b, hi_b = np.minimum(B, B1) - pad, np.maximum(B, B1) + pad
+    meet = np.all((lo_a[:, :, None] <= hi_b[:, None, :])
+                  & (lo_b[:, None, :] <= hi_a[:, :, None]), axis=0)
+    cross = r[0][:, None] * s[1][None, :] - r[1][:, None] * s[0][None, :]
+    generic = np.abs(cross) > _TANGENT_TOL * (rn[:, None] * sn[None, :])
+    if np.any(pairs & meet & ~generic):
         return None
-    hit = generic & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0)
-    ii, jj = np.nonzero(hit)
-    ha, hb = _height(sa, ii, tt[hit]), _height(sb, jj, uu[hit])
-    cross = denom[hit]
-    return int(np.sign(np.where(ha > hb, cross, -cross)).sum())
-
-
-def full_grid_self_crossings(p3, direction):
-    """``linking._self_crossings`` over the full n x n grid of segment pairs,
-    masked to j >= i + 2 without the wrap-adjacent pair (0, n - 1)."""
-    sh = _shadow(p3, direction)
-    n = len(p3)
-    _, tt, uu, generic = _segment_pairs([v[..., :, None] for v in sh],
-                                        [v[..., None, :] for v in sh])
-    i, j = np.ogrid[:n, :n]
-    hit = (generic & (j >= i + 2) & ((i > 0) | (j < n - 1))
-           & (tt >= 0.0) & (tt < 1.0) & (uu >= 0.0) & (uu < 1.0))
+    dqx = B[0][None, :] - A[0][:, None]
+    dqy = B[1][None, :] - A[1][:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tt = (dqx * s[1][None, :] - dqy * s[0][None, :]) / cross
+        uu = (dqx * r[1][:, None] - dqy * r[0][:, None]) / cross
+    hit = (pairs & generic & (tt >= 0.0) & (tt < 1.0)
+           & (uu >= 0.0) & (uu < 1.0))
     ii, jj = np.nonzero(hit)
     t, u = tt[hit], uu[hit]
     if np.any(np.minimum(np.minimum(t, 1 - t), np.minimum(u, 1 - u)) < 1e-9):
         return None
-    hi, hj = _height(sh, ii, t), _height(sh, jj, u)
+    hi, hj = _height(sa, ii, t), _height(sb, jj, u)
     if np.any(np.abs(hi - hj) < 1e-12):
         return None
-    pos = np.concatenate([ii + t, jj + u])
-    cid = np.tile(np.arange(len(ii)), 2)
-    over = np.concatenate([hi > hj, hj > hi])
-    order = np.lexsort((over, cid, pos))
-    return [(int(c), bool(o)) for c, o in zip(cid[order], over[order])]
+    return ii, jj, t, u, hi, hj, cross[hit]
+
+
+def same_scan(x, y):
+    """Whether two ``linking._crossing_scan`` results are equal, None or
+    array for array, bit for bit."""
+    if x is None or y is None:
+        return x is None and y is None
+    return all(np.array_equal(p, q) for p, q in zip(x, y, strict=True))
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,29 @@ def test_binding_check_exit_codes(ell_config, found):
     assert code == 2
 
 
+def test_a_near_round_ellipsoid_flags_the_index(workdir):
+    # at r_squared (1, 1 + 1e-5) the circles' rotation numbers lie within
+    # 1e-4 of 1, though their monodromy eigenvalues are 6e-5 from 1: both
+    # commands flag the degeneracy, emit no index and exit 3
+    config = workdir / "near_round.json"
+    config.write_text(json.dumps({
+        "form": {"type": "ellipsoid", "r_squared": [1.0, 1.0 + 1e-5]},
+        "tmax": 4.0, "seeds": 16, "rng_seed": 0}))
+    out = str(workdir / "near_round")
+    base = ["--config", str(config), "--out", out]
+    assert main(["orbits-find", *base]) == 0
+    orbits = ["--orbits", os.path.join(out, "orbits.json")]
+    assert main(["orbit-index", *base, *orbits, "--orbit", "0"]) == 3
+    with open(os.path.join(out, "index_orbit0.json")) as fh:
+        rep = json.load(fh)
+    assert rep["mu_geometric"] is None
+    assert rep["degenerate_flags"] == ["rotation interval endpoint near integer"]
+    assert main(["binding-check", *base, *orbits, "--candidate", "0"]) == 3
+    with open(os.path.join(out, "binding_orbit0.json")) as fh:
+        rep = json.load(fh)
+    assert rep["verdict"] == "inconclusive:index-degeneracy-flagged"
+
+
 def test_index_sidecars_record_the_shared_integration(ell_config, found,
                                                       workdir):
     # binding-check integrates the primes once for the whole census, in one

@@ -9,12 +9,12 @@ from reeb_atlas import linking as lk
 from reeb_atlas.contact import StarForm, project_to_sigma, reeb_vector, xi_frame
 from reeb_atlas.cz import prime_table
 from reeb_atlas.errors import (InconsistencyError, PoleSelectionError,
-                               ProximityError)
+                               ProximityError, ResolutionError)
 from reeb_atlas.orbits import ReebOrbit, trace_orbit, trace_orbits
 
 from oracles import (blocked_gauss_linking_raw, flat_trefoil_trace,
-                     framed_curve, full_grid_pair_crossings,
-                     full_grid_self_crossings, pushoff_linking)
+                     framed_curve, full_grid_crossings, pushoff_linking,
+                     same_scan)
 
 TH = np.linspace(0, 2 * np.pi, 512, endpoint=False)
 
@@ -190,20 +190,21 @@ def test_writhe_plus_twist_is_the_gauss_sum_on_framed_curves(knot, turns):
     assert writhe + twist == int(np.rint(blocked_gauss_linking_raw(a3, b3)))
 
 
-def test_the_twist_refuses_a_cusp_of_the_shadow(ell, gamma2, monkeypatch):
+def test_the_twist_refuses_a_cusp_of_the_shadow(ell, gamma2):
     # along the first direction gamma2's shadow has a cusp, where the
     # blackboard frame flips by about pi in one step; the wrapped angle sum
-    # is an integer all the same, so only the step bound refuses it
+    # is an integer all the same, so only the step bound refuses it.  That
+    # shadow is edge-on, a stretch of a line, so the crossing scan refuses
+    # it too and no writhe is read off it
     trace = trace_orbit(ell, gamma2, n=512)
     pushed = project_to_sigma(ell, trace + lk._PUSHOFF * xi_frame(ell, trace).e1)
     a3, b3 = lk.stereo_pair(trace, pushed)
-    assert lk._twist(a3, b3, lk._PLANE_DIRECTIONS[0]) is None
+    d0 = lk._PLANE_DIRECTIONS[0]
+    assert lk._twist(a3, b3, d0) is None
+    assert lk._crossing_scan(a3, a3, d0) is None
     rec = lk.self_linking(ell, trace)
     assert (rec.sl, rec.writhe, rec.twist) == (-1, 0, -1)
     assert rec.direction == [1.0, 0.0, 0.0]
-    monkeypatch.setattr(lk, "_TWIST_STEP", 4.0)
-    with pytest.raises(InconsistencyError, match="writhe 0 plus twist 0"):
-        lk.self_linking(ell, trace)
 
 
 def test_a_pushoff_too_large_for_the_curve_makes_the_routes_disagree(
@@ -273,27 +274,27 @@ def test_self_crossing_bands_equal_the_full_grid(n):
                        np.sin(q * th)], axis=1)
         p3 += 0.01 * rng.normal(size=p3.shape)
         for direction in lk._PLANE_DIRECTIONS:
-            assert (lk._self_crossings(p3, direction)
-                    == full_grid_self_crossings(p3, direction))
+            assert same_scan(lk._crossing_scan(p3, p3, direction),
+                             full_grid_crossings(p3, p3, direction))
 
 
 @pytest.mark.parametrize("n", [3, 31, 32, 33, 63, 64, 65, 200])
 def test_pair_crossing_tiles_equal_the_full_grid(n):
-    # random polygon pairs, with a's segments below, at and past one tile;
-    # every signed sum, None included, is the full grid's
+    # random polygon pairs, with a's segments below, at and past one band
+    # of rows; every scan, None included, is the full grid's
     rng = np.random.default_rng(n)
     for m in (3, 64, 129):
         a3 = rng.uniform(-1.0, 1.0, size=(n, 3))
         b3 = rng.uniform(-1.0, 1.0, size=(m, 3))
         for direction in lk._PLANE_DIRECTIONS:
-            assert (lk._pair_crossings(a3, b3, direction)
-                    == full_grid_pair_crossings(a3, b3, direction))
+            assert same_scan(lk._crossing_scan(a3, b3, direction),
+                             full_grid_crossings(a3, b3, direction))
 
 
 def test_pair_crossing_tiles_see_a_near_parallel_crossing():
-    # a's segment 100, in its fourth tile, has a strand of b above it that
+    # a's segment 100, in its second band, has a strand of b above it that
     # turns by 1e-12 rad in the plane normal to z; b's other strands cross a
-    # generically in the first and third tiles
+    # generically in the first and second bands
     th = np.linspace(0.0, 2.0 * np.pi, 130, endpoint=False)
     a3 = np.stack([np.cos(th), np.sin(th), 0.1 * np.sin(3 * th)], axis=1)
     seg = a3[101] - a3[100]
@@ -301,10 +302,25 @@ def test_pair_crossing_tiles_see_a_near_parallel_crossing():
     b3 = np.array([a3[100] + 0.25 * seg + [0.0, 0.0, 1.0],
                    a3[100] + 0.75 * seg + turn + [0.0, 0.0, 1.0],
                    [3.0, 3.0, 0.5], [-3.0, 0.0, -0.5]])
-    results = [lk._pair_crossings(a3, b3, d) for d in lk._PLANE_DIRECTIONS]
+    results = [lk._crossing_scan(a3, b3, d) for d in lk._PLANE_DIRECTIONS]
     assert results[0] is None
-    assert results == [full_grid_pair_crossings(a3, b3, d)
-                       for d in lk._PLANE_DIRECTIONS]
+    assert all(same_scan(x, full_grid_crossings(a3, b3, d))
+               for x, d in zip(results, lk._PLANE_DIRECTIONS))
+    # the crossing count moves on to y, whose shadow is generic
+    assert results[1] is not None
+    assert lk.crossing_linking(a3, b3) == 0
+
+
+def test_the_crossing_count_finds_no_generic_direction():
+    # b shares a stretch of a's line in R^3, so along every direction their
+    # shadows overlap on one line and every scan refuses
+    a3 = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.3], [0.5, 1.0, -0.2]])
+    b3 = np.array([[0.25, 0.05, 0.075], [0.75, 0.15, 0.225],
+                   [0.1, -1.0, 0.7]])
+    assert all(lk._crossing_scan(a3, b3, d) is None
+               for d in lk._PLANE_DIRECTIONS)
+    with pytest.raises(ResolutionError, match="no generic projection"):
+        lk.crossing_linking(a3, b3)
 
 
 # weights f = 1 + c1 A + c2 B + c3 A^2 + c4 A B + c5 B^2 in A = u1^2 + u2^2
@@ -401,55 +417,58 @@ def test_the_self_scan_keeps_a_rounded_crossing_across_a_band_edge():
     # keeps the pair, whose crossing the full grid counts
     a, a1, b, b1 = _ROUNDED
     p3 = _loop(130, 3.0, 0, {63: a, 64: a1, 100: b, 101: b1})
-    ii, jj = lk._crossing_scan(p3, lk._PLANE_DIRECTIONS[0])[:2]
+    ii, jj = lk._crossing_scan(p3, p3, lk._PLANE_DIRECTIONS[0])[:2]
     assert (63, 100) in zip(ii.tolist(), jj.tolist())
     for direction in lk._PLANE_DIRECTIONS:
-        assert (lk._self_crossings(p3, direction)
-                == full_grid_self_crossings(p3, direction))
+        assert same_scan(lk._crossing_scan(p3, p3, direction),
+                         full_grid_crossings(p3, p3, direction))
 
 
-def test_the_pair_scan_keeps_a_rounded_crossing_across_a_tile_edge():
-    # a's segment 31 ends its first tile; b's segment 10 meets it only
+def test_the_pair_scan_keeps_a_rounded_crossing_across_a_band_edge():
+    # a's segment 63 ends its first band; b's segment 10 meets it only
     # through the pad
     a, a1, b, b1 = _ROUNDED
-    a3 = _loop(70, 3.0, 1, {31: a, 32: a1})
+    a3 = _loop(70, 3.0, 1, {63: a, 64: a1})
     b3 = _loop(40, 4.0, 2, {10: b, 11: b1})
-    results = [lk._pair_crossings(a3, b3, d) for d in lk._PLANE_DIRECTIONS]
-    assert results[0] == -1
-    assert results == [full_grid_pair_crossings(a3, b3, d)
-                       for d in lk._PLANE_DIRECTIONS]
+    results = [lk._crossing_scan(a3, b3, d) for d in lk._PLANE_DIRECTIONS]
+    assert (63, 10) in zip(*(v.tolist() for v in results[0][:2]))
+    assert lk._crossing_signs(*results[0][4:]) == -1
+    assert all(same_scan(x, full_grid_crossings(a3, b3, d))
+               for x, d in zip(results, lk._PLANE_DIRECTIONS))
 
 
-def test_the_pair_scan_flags_a_distant_near_collinear_pair():
+def test_the_pair_scan_passes_a_distant_near_collinear_pair():
     # a's segment 31 and b's segment 10 lie on one line to rounding, 2.2
-    # apart; their rounded meeting parameters t = u = -0 fall in the
-    # non-generic window, so the full grid refuses the shadow, though their
-    # boxes are far apart
+    # apart; their boxes do not meet, so they cannot touch and the shadow
+    # stays generic
     a3 = _loop(70, 3.0, 1, {31: [0.88587478523297, -0.6171047761844979],
                             32: [1.3674219990120502, -0.12904929182652103]})
     b3 = _loop(40, 4.0, 2, {10: [2.9406992548909163, 1.4654913288562395],
                             11: [3.185383534881439, 1.713482598182415]})
-    results = [lk._pair_crossings(a3, b3, d) for d in lk._PLANE_DIRECTIONS]
-    assert results[0] is None
-    assert results == [full_grid_pair_crossings(a3, b3, d)
-                       for d in lk._PLANE_DIRECTIONS]
+    results = [lk._crossing_scan(a3, b3, d) for d in lk._PLANE_DIRECTIONS]
+    assert lk._crossing_signs(*results[0][4:]) == 0
+    assert all(same_scan(x, full_grid_crossings(a3, b3, d))
+               for x, d in zip(results, lk._PLANE_DIRECTIONS))
 
 
 def test_an_edge_on_shadow_equals_the_full_grid():
     # a figure eight and an ellipse in the plane y = 0: along z each shadow
     # is a stretch of the x-axis, of extent [2, 0] (census-queries sees its
-    # circles so), and along the other directions the eight crosses itself
+    # circles so), which both scans refuse, and along the other directions
+    # the eight crosses itself
     th = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
     p3 = np.stack([np.cos(th), 0 * th, np.sin(2 * th)], axis=1)
     q3 = np.stack([0.5 + np.cos(th), 0 * th, 0.3 * np.sin(th)], axis=1)
     d0 = lk._PLANE_DIRECTIONS[0]
     np.testing.assert_array_equal(np.ptp(lk._shadow(p3, d0)[0], axis=1),
                                   [2.0, 0.0])
+    assert lk._crossing_scan(p3, p3, d0) is None
+    assert lk._crossing_scan(p3, q3, d0) is None
     for direction in lk._PLANE_DIRECTIONS:
-        assert (lk._self_crossings(p3, direction)
-                == full_grid_self_crossings(p3, direction))
-        assert (lk._pair_crossings(p3, q3, direction)
-                == full_grid_pair_crossings(p3, q3, direction))
+        assert same_scan(lk._crossing_scan(p3, p3, direction),
+                         full_grid_crossings(p3, p3, direction))
+        assert same_scan(lk._crossing_scan(p3, q3, direction),
+                         full_grid_crossings(p3, q3, direction))
 
 
 @pytest.mark.parametrize("n", [65, 66, 130])
@@ -460,8 +479,8 @@ def test_bands_without_candidates_equal_the_full_grid(n):
     p3 = np.stack([np.cos(th), np.sin(th), 0.2 * np.cos(th)], axis=1)
     assert lk._self_crossings(p3, lk._PLANE_DIRECTIONS[0]) == []
     for direction in lk._PLANE_DIRECTIONS:
-        assert (lk._self_crossings(p3, direction)
-                == full_grid_self_crossings(p3, direction))
+        assert same_scan(lk._crossing_scan(p3, p3, direction),
+                         full_grid_crossings(p3, p3, direction))
 
 
 def test_culled_scans_equal_the_full_grid_on_census_traces(
@@ -486,11 +505,12 @@ def test_culled_scans_equal_the_full_grid_on_census_traces(
                  for b in traces[k + 1:]]
         for direction in lk._PLANE_DIRECTIONS:
             for p3 in images:
-                extent = np.ptp(lk._shadow(p3, direction)[0], axis=1)
-                edge_on += extent.min() < 1e-12
-                assert (lk._self_crossings(p3, direction)
-                        == full_grid_self_crossings(p3, direction))
+                scan = lk._crossing_scan(p3, p3, direction)
+                if np.ptp(lk._shadow(p3, direction)[0], axis=1).min() < 1e-12:
+                    edge_on += 1
+                    assert scan is None
+                assert same_scan(scan, full_grid_crossings(p3, p3, direction))
             for a3, b3 in pairs:
-                assert (lk._pair_crossings(a3, b3, direction)
-                        == full_grid_pair_crossings(a3, b3, direction))
+                assert same_scan(lk._crossing_scan(a3, b3, direction),
+                                 full_grid_crossings(a3, b3, direction))
     assert edge_on

@@ -295,6 +295,16 @@ def test_seed_on_binding_rejected(ell, page):
                        direction="forward")
 
 
+def test_return_map_passes_a_crossing_near_the_binding(ell, page):
+    # 6e-4 inside the binding in s, the first crossing lies within 1e-3 of
+    # the binding, which the search rejects before it goes on to the second
+    rec, = sec.return_map(ell, page, [(1.0 - 6e-4, 0.2)], t_budget=BUDGET,
+                          direction="forward")
+    assert rec["rejected_near_binding"] == 1
+    assert not rec["timeout"]
+    assert abs(rec["return_time"] - 2 * T_RETURN) < 1e-6
+
+
 def test_verify_global_section_small(ell, page):
     verdict, _, _ = sec.verify_global_section(ell, page, n_seeds=20,
                                               t_budget=BUDGET)
